@@ -385,8 +385,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(
 }
 
 Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
-    const Schema& s1, const Schema& s2, LsimCacheView* view,
-    bool warm_only) const {
+    const Schema& s1, const Schema& s2, LsimCacheView* view) const {
   LinguisticResult out;
   // Run-local interner, used when no cross-run cache is supplied.
   TokenInterner local_interner;
@@ -435,7 +434,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
 
   std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
   std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0 && !warm_only) {
+  if (options_.annotation_weight > 0.0) {
     docs1 = BuildDocs(s1, *thesaurus_);
     docs2 = BuildDocs(s2, *thesaurus_);
   }
@@ -458,10 +457,8 @@ Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
   int threads = ThreadPool::EffectiveThreads(options_.num_threads);
   std::unique_ptr<ThreadPool> pool;
   // Spawning workers only pays when some row block is big enough to leave
-  // ParallelFor's inline path (2 * its 16-row minimum chunk). A warm-only
-  // pass never reaches the parallel sections.
-  if (!warm_only && threads > 1 &&
-      std::max(num_d1, s1.num_elements()) >= 32) {
+  // ParallelFor's inline path (2 * its 16-row minimum chunk).
+  if (threads > 1 && std::max(num_d1, s1.num_elements()) >= 32) {
     pool = std::make_unique<ThreadPool>(threads);
   }
 
@@ -500,11 +497,6 @@ Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
         }
       }
     });
-  }
-  if (warm_only) {
-    // WarmNames: every needed name-pair similarity is now in the cache; the
-    // element-pair scatter is left to the shared-mode readers (MatchWarmed).
-    return out;
   }
   const Matrix<double>& distinct_ns = view ? view->ns() : local_ns;
 
@@ -571,36 +563,6 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
     return Status::InvalidArgument("num_threads must be >= 0");
   }
   return MatchCached(s1, s2, cache);
-}
-
-Status LinguisticMatcher::WarmNames(const Schema& s1, const Schema& s2,
-                                    LsimCache* cache) const {
-  if (cache == nullptr) {
-    return Status::InvalidArgument("WarmNames requires an LsimCache");
-  }
-  if (cache->thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  const LinguisticOptions& co = cache->options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  SharedMutexLock lock(&cache->mu_);
-  LsimCacheView view = cache->LockedView();
-  return MatchCachedImpl(s1, s2, &view, /*warm_only=*/true).status();
 }
 
 Result<LinguisticResult> LinguisticMatcher::MatchWarmed(

@@ -154,20 +154,12 @@ class LinguisticMatcher {
                                        const LsimGatherPlan& plan,
                                        const LinguisticResult& prev) const;
 
-  /// \brief Exclusive warm pass for the corpus-search read path: registers
-  /// both schemas' distinct names in `cache` and fills every name-pair
-  /// similarity a Match(s1, s2, cache) call would need, without building the
-  /// element-pair lsim table. Takes the cache mutex exclusively. After a
-  /// warm pass, MatchWarmed(s1, s2, *cache) succeeds under a shared hold.
-  Status WarmNames(const Schema& s1, const Schema& s2,
-                   LsimCache* cache) const;
-
   /// \brief Read-only cached match: serves every name-pair similarity from
   /// `cache` under a SHARED (reader) hold of its mutex, so any number of
   /// MatchWarmed calls over one cache run concurrently. Never fills the
   /// cache; returns Unavailable if either schema contains a name — or needs
-  /// a name pair — that no exclusive pass (Match/WarmNames) has computed,
-  /// in which case the caller falls back to Match(s1, s2, cache).
+  /// a name pair — that no exclusive Match(s1, s2, cache) pass has
+  /// computed, in which case the caller falls back to that exclusive call.
   /// Bit-identical to Match with or without the cache: cached values were
   /// computed by the same pure functions, and categorization / category
   /// scaling / the annotation blend are recomputed run-locally here.
@@ -192,12 +184,9 @@ class LinguisticMatcher {
 
   /// Body of MatchCached. `view` is a locked view of the cache (null when
   /// running without one); working through plain pointers keeps the
-  /// critical section checkable without annotating the fill lambdas. With
-  /// `warm_only` (WarmNames), stops after the name-pair fill — the
-  /// element-pair scatter is left to shared-mode readers.
+  /// critical section checkable without annotating the fill lambdas.
   Result<LinguisticResult> MatchCachedImpl(const Schema& s1, const Schema& s2,
-                                           LsimCacheView* view,
-                                           bool warm_only = false) const;
+                                           LsimCacheView* view) const;
 
   const Thesaurus* thesaurus_;
   LinguisticOptions options_;

@@ -15,12 +15,12 @@
 // (mixing would serve values computed under other inputs).
 //
 // Concurrency: the mutable state is guarded by an internal reader/writer
-// mutex. Mutating paths (Match/MatchGather with a cache, WarmNames) take it
+// mutex. Mutating paths (Match/MatchGather with a cache) take it
 // exclusively and work through a LsimCacheView for the whole serial fill —
 // the persistent memo is not thread-safe, so mutating calls over one cache
 // serialize by design. The corpus-search read path (MatchWarmed) takes the
-// mutex SHARED and works through a const LsimCacheReadView: after an
-// exclusive warm pass has registered the names and filled every needed
+// mutex SHARED and works through a const LsimCacheReadView: once an
+// exclusive Match has registered a pair's names and filled every needed
 // name-pair similarity, any number of candidate matches scatter from the
 // table concurrently without touching the interner or memo (they fall back
 // to the exclusive path on a miss). Cached values are pure functions of the
@@ -180,8 +180,8 @@ inline LsimCacheView LsimCache::LockedView() { return LsimCacheView(this); }
 /// LockedReadView() under a SHARED hold of the cache mutex.
 ///
 /// The read view can only look up names already registered and similarities
-/// already computed by an exclusive pass (Match or WarmNames) — every method
-/// reports misses instead of filling. Any number of readers scatter from the
+/// already computed by an exclusive Match — every method reports misses
+/// instead of filling. Any number of readers scatter from the
 /// table concurrently; callers fall back to the exclusive path on a miss.
 class LsimCacheReadView {
  public:

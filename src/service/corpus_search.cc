@@ -1,6 +1,7 @@
 #include "service/corpus_search.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -129,6 +130,49 @@ Result<CandidateScore> ScoreCandidate(const Thesaurus* thesaurus,
   return out;
 }
 
+/// The scoring phase of one search, shared by the searching thread and its
+/// helper tasks. Held by shared_ptr: a helper that starts after Search
+/// returned finds every slot claimed and exits having touched only this.
+struct ScoringShard {
+  explicit ScoringShard(size_t n)
+      : slots(n, Result<CandidateScore>(Status::Internal("pending"))) {}
+
+  const Thesaurus* thesaurus = nullptr;
+  CupidConfig config;
+  std::shared_ptr<const Schema> source;
+  std::vector<std::shared_ptr<const Schema>> targets;  ///< one per slot
+  LsimCache* cache = nullptr;                          ///< null = unshared
+
+  std::atomic<size_t> next{0};  ///< next unclaimed slot
+  Mutex mu;
+  CondVar all_done;
+  size_t done GUARDED_BY(mu) = 0;
+  std::vector<Result<CandidateScore>> slots GUARDED_BY(mu);
+};
+
+/// Claims and scores slots until none are left.
+void ScoreClaimedSlots(ScoringShard* shard) {
+  const size_t n = shard->targets.size();
+  for (size_t i = shard->next.fetch_add(1, std::memory_order_relaxed); i < n;
+       i = shard->next.fetch_add(1, std::memory_order_relaxed)) {
+    Result<CandidateScore> score =
+        ScoreCandidate(shard->thesaurus, shard->config, *shard->source,
+                       *shard->targets[i], shard->cache);
+    MutexLock lock(&shard->mu);
+    shard->slots[i] = std::move(score);
+    if (++shard->done == n) shard->all_done.SignalAll();
+  }
+}
+
+/// Blocks until every slot is filled, then moves the results out.
+std::vector<Result<CandidateScore>> TakeFilledSlots(ScoringShard* shard) {
+  MutexLock lock(&shard->mu);
+  while (shard->done < shard->targets.size()) {
+    shard->all_done.Wait(&shard->mu);
+  }
+  return std::move(shard->slots);
+}
+
 }  // namespace
 
 double CorpusRankingScore(const MatchResult& result) {
@@ -245,9 +289,34 @@ LsimCache* CorpusSearchService::SharedCacheFor(const CupidConfig& config) {
   return slot.get();
 }
 
+std::shared_ptr<const CorpusSearchService::TokenSet>
+CorpusSearchService::TokensFor(
+    const std::string& name,
+    const SchemaRepository::SchemaSnapshot& snapshot) {
+  {
+    MutexLock lock(&token_bags_mu_);
+    auto it = token_bags_.find(name);
+    if (it != token_bags_.end() && it->second.version == snapshot.version) {
+      return it->second.tokens;
+    }
+  }
+  auto tokens = std::make_shared<const TokenSet>(
+      DistinctTokens(*snapshot.schema, NameNormalizer(thesaurus_)));
+  MutexLock lock(&token_bags_mu_);
+  TokenBag& bag = token_bags_[name];
+  if (bag.tokens == nullptr || bag.version < snapshot.version) {
+    bag = TokenBag{snapshot.version, tokens};
+  }
+  return tokens;
+}
+
 void CorpusSearchService::InvalidateAll() {
-  MutexLock lock(&caches_mu_);
-  caches_.clear();
+  {
+    MutexLock lock(&caches_mu_);
+    caches_.clear();
+  }
+  MutexLock lock(&token_bags_mu_);
+  token_bags_.clear();
 }
 
 Result<SearchResponse> CorpusSearchService::Search(
@@ -289,19 +358,16 @@ Result<SearchResponse> CorpusSearchService::Search(
   // Pre-screen every candidate (scores are reported on hits even when the
   // screen does not prune).
   Clock::time_point t_prescreen = Clock::now();
-  NameNormalizer normalizer(thesaurus_);
-  std::unordered_set<std::string> source_tokens =
-      DistinctTokens(*source.schema, normalizer);
+  std::shared_ptr<const TokenSet> source_tokens =
+      TokensFor(request.source, source);
   for (Candidate& c : candidates) {
-    c.prescreen =
-        TokenCosine(source_tokens, DistinctTokens(*c.snapshot.schema,
-                                                  normalizer));
+    c.prescreen = TokenCosine(*source_tokens, *TokensFor(c.name, c.snapshot));
   }
   response.timings.prescreen_ms = MsSince(t_prescreen);
 
   // Survivors of the screen, in (prescreen desc, name asc) order. The kept
-  // indices are then restored to name order so the execution schedule —
-  // and every warm/submit sequence — is independent of pre-screen scores.
+  // indices are then restored to name order so the claim order is
+  // independent of pre-screen scores.
   std::vector<size_t> kept(candidates.size());
   for (size_t i = 0; i < kept.size(); ++i) kept[i] = i;
   const bool prune = request.prune && !request.exhaustive;
@@ -326,60 +392,38 @@ Result<SearchResponse> CorpusSearchService::Search(
       response.candidates_total - static_cast<int64_t>(kept.size());
   response.full_matches = static_cast<int64_t>(kept.size());
 
+  // Scoring: this thread and up to one helper per scheduler worker claim
+  // slots from a shared index, each writing its preallocated slot, so
+  // results assemble in candidate order no matter who scored what. This
+  // thread waits only for claimed slots to fill, never for a helper to
+  // start: a rejected or still-queued helper just leaves it more to score.
   Clock::time_point t_match = Clock::now();
-  LsimCache* cache = nullptr;
-  if (options_.share_lsim_cache) {
-    cache = SharedCacheFor(request.config);
-    response.shared_cache = true;
-    // Exclusive warm phase: register names and fill every name-pair
-    // similarity each survivor will need, so the sharded phase below reads
-    // the table under a shared lock without ever mutating it. Warm work is
-    // what repeated searches amortize — a probe already seen costs nothing
-    // here.
-    for (size_t idx : kept) {
-      LinguisticMatcher linguistic(thesaurus_, request.config.linguistic);
-      CUPID_RETURN_NOT_OK(linguistic.WarmNames(
-          *source.schema, *candidates[idx].snapshot.schema, cache));
-    }
-    obs::MetricsRegistry::Default()
-        ->GetCounter("cupid.corpus.shared_cache.warms",
-                     "Candidate schemas warmed into the shared cache")
-        ->Add(static_cast<int64_t>(kept.size()));
+  auto shard = std::make_shared<ScoringShard>(kept.size());
+  shard->thesaurus = thesaurus_;
+  shard->config = request.config;
+  shard->source = source.schema;
+  shard->targets.reserve(kept.size());
+  for (size_t idx : kept) {
+    shard->targets.push_back(candidates[idx].snapshot.schema);
   }
-
-  // Sharded scoring: one task per survivor, each writing its preallocated
-  // slot (the job's done-handshake orders the write before our read), so
-  // results assemble in candidate order no matter which worker finished
-  // first. A rejected submission (queue full, shutdown) runs inline — same
-  // closure, same slot, same result.
-  std::vector<Result<CandidateScore>> slots(
-      kept.size(), Result<CandidateScore>(Status::Internal("pending")));
-  auto run_one = [&](size_t slot_index) {
-    const Candidate& c = candidates[kept[slot_index]];
-    slots[slot_index] = ScoreCandidate(thesaurus_, request.config,
-                                       *source.schema, *c.snapshot.schema,
-                                       cache);
-  };
-  if (scheduler_ != nullptr) {
-    std::vector<std::shared_ptr<MatchJob>> jobs(kept.size());
-    for (size_t i = 0; i < kept.size(); ++i) {
+  if (options_.share_lsim_cache) {
+    shard->cache = SharedCacheFor(request.config);
+    response.shared_cache = true;
+  }
+  if (scheduler_ != nullptr && kept.size() > 1) {
+    const size_t helpers = std::min(
+        static_cast<size_t>(scheduler_->num_threads()), kept.size() - 1);
+    for (size_t h = 0; h < helpers; ++h) {
       Result<std::shared_ptr<MatchJob>> job =
-          scheduler_->SubmitTask([&run_one, i]() -> Result<MatchResponse> {
-            run_one(i);
+          scheduler_->SubmitTask([shard]() -> Result<MatchResponse> {
+            ScoreClaimedSlots(shard.get());
             return MatchResponse{};
           });
-      if (job.ok()) {
-        jobs[i] = *job;
-      } else {
-        run_one(i);
-      }
+      if (!job.ok()) break;
     }
-    for (const std::shared_ptr<MatchJob>& job : jobs) {
-      if (job != nullptr) job->Wait();
-    }
-  } else {
-    for (size_t i = 0; i < kept.size(); ++i) run_one(i);
   }
+  ScoreClaimedSlots(shard.get());
+  std::vector<Result<CandidateScore>> slots = TakeFilledSlots(shard.get());
   response.timings.match_ms = MsSince(t_match);
 
   // First failure in candidate order wins (deterministic, like MatchBatch's

@@ -7,16 +7,22 @@
 // it, each preserving bit-identical results:
 //
 //   1. one shared cross-pair LsimCache (single TokenInterner) for the whole
-//      service: the probe schema's name-pair work is paid once, candidates
-//      read the warmed similarity table concurrently under a shared lock
-//      (LinguisticMatcher::MatchWarmed);
+//      service: candidates read name-pair similarities from it under a
+//      shared lock (LinguisticMatcher::MatchWarmed); a candidate with a
+//      name pair the cache has not seen yet runs the exclusive
+//      Match(cache) once, which fills the table for every later search;
 //   2. a cheap linguistic pre-screen — distinct-token cosine overlap,
 //      computed without touching the matcher — prunes the candidate set to
 //      top-k' before any full TreeMatch runs (an exhaustive knob disables
-//      it when recall must be perfect);
-//   3. the surviving candidates shard over a JobScheduler; results land in
-//      per-candidate slots, so ranking is deterministic and bit-identical
-//      to a serial per-pair loop at any thread count.
+//      it when recall must be perfect). Each stored schema's token bag is
+//      memoized by name and version, so a search re-normalizes only
+//      schemas stored since the last one;
+//   3. the surviving candidates are scored by the calling thread and at
+//      most one helper task per JobScheduler worker, all claiming from one
+//      shared index. Results land in per-candidate slots, so ranking is
+//      deterministic and bit-identical to a serial per-pair loop at any
+//      thread count, and a search issued from a scheduler worker never
+//      waits for a helper to start (it completes on a 1-worker scheduler).
 //
 // tests/corpus_search_test.cc pins the equality: ranked hits (order and
 // scores) match an exhaustive per-pair CupidMatcher sweep across thread
@@ -29,6 +35,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/config.h"
@@ -87,8 +94,9 @@ struct SearchTimings {
   double total_ms = 0.0;
   /// Candidate enumeration + pre-screen scoring.
   double prescreen_ms = 0.0;
-  /// Cache warming plus every full per-candidate match (wall clock of the
-  /// sharded phase, not the sum of per-candidate times).
+  /// Every full per-candidate match, including the exclusive fallback fill
+  /// of name pairs the shared cache has not seen (wall clock of the
+  /// scoring phase, not the sum of per-candidate times).
   double match_ms = 0.0;
 };
 
@@ -142,9 +150,11 @@ class CorpusSearchService {
 
   /// `thesaurus` and `repository` must outlive the service. `scheduler` is
   /// optional (null = candidates run serially on the calling thread) and
-  /// must also outlive the service; search shards per-candidate work
-  /// through JobScheduler::SubmitTask, so one scheduler can serve match
-  /// and search traffic concurrently.
+  /// must also outlive the service; search adds at most one helper task
+  /// per worker through JobScheduler::SubmitTask, so one scheduler can
+  /// serve match and search traffic concurrently. The calling thread
+  /// scores candidates itself and never waits for a helper to start, so a
+  /// search may run on one of the scheduler's own workers.
   CorpusSearchService(const Thesaurus* thesaurus,
                       SchemaRepository* repository, JobScheduler* scheduler,
                       Options options);
@@ -163,16 +173,33 @@ class CorpusSearchService {
 
   SchemaRepository* repository() const { return repository_; }
 
-  /// \brief Drops the shared linguistic caches (required after the backing
-  /// repository is replaced wholesale, mirroring
-  /// MatchService::InvalidateAll).
+  /// \brief Drops the shared linguistic caches and the pre-screen token
+  /// bags (required after the backing repository is replaced wholesale,
+  /// mirroring MatchService::InvalidateAll).
   void InvalidateAll();
 
  private:
+  using TokenSet = std::unordered_set<std::string>;
+
+  /// Pre-screen token bag of one stored schema and the version it was
+  /// built from. A stored (name, version) never changes, so the bag stays
+  /// valid until a newer version replaces it or InvalidateAll drops it.
+  struct TokenBag {
+    int version = 0;
+    std::shared_ptr<const TokenSet> tokens;
+  };
+
   /// The shared cache for the request's linguistic option binding, created
   /// on first use. One cache (and thus one TokenInterner) per binding;
   /// requests with equal bindings share it across searches.
   LsimCache* SharedCacheFor(const CupidConfig& config);
+
+  /// The pre-screen token bag of `snapshot`, stored as `name`: served from
+  /// the memo when it holds that version, otherwise built and memoized
+  /// unless the memo already holds a newer version.
+  std::shared_ptr<const TokenSet> TokensFor(
+      const std::string& name,
+      const SchemaRepository::SchemaSnapshot& snapshot);
 
   const Thesaurus* thesaurus_;
   SchemaRepository* repository_;
@@ -184,6 +211,11 @@ class CorpusSearchService {
   /// (substring scale/min_affix, token type weights).
   std::unordered_map<std::string, std::unique_ptr<LsimCache>> caches_
       GUARDED_BY(caches_mu_);
+
+  Mutex token_bags_mu_;
+  /// Keyed by repository name.
+  std::unordered_map<std::string, TokenBag> token_bags_
+      GUARDED_BY(token_bags_mu_);
 };
 
 }  // namespace cupid

@@ -1,9 +1,11 @@
 // Tests for src/service/corpus_search.h: the ranked one-vs-N search must be
 // bit-identical to an exhaustive per-pair CupidMatcher sweep — same order,
 // same scores — no matter how it is executed (serial, sharded over a
-// scheduler, shared LsimCache on or off, admission-rejected inline
-// fallback), repeated searches must be bit-identical, pruning must keep the
-// planted best match, and out-of-domain requests must be rejected loudly.
+// scheduler, shared LsimCache on or off, admission-rejected helpers, a
+// search issued from the scheduler's only worker), repeated searches must be
+// bit-identical, the memoized pre-screen must track repository changes,
+// pruning must keep the planted best match, and out-of-domain requests must
+// be rejected loudly.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "core/cupid_matcher.h"
 #include "eval/synthetic.h"
+#include "incremental/schema_edit.h"
 #include "obs/metrics.h"
 #include "service/corpus_search.h"
 #include "service/job_scheduler.h"
@@ -342,6 +345,145 @@ TEST(CorpusSearch, ResponseJsonCarriesScoresAndCounts) {
   EXPECT_NE(json.find("\"candidates_total\":6"), std::string::npos) << json;
   EXPECT_NE(json.find("\"hits\":["), std::string::npos) << json;
   EXPECT_NE(json.find("\"score\":"), std::string::npos) << json;
+}
+
+TEST(CorpusSearch, SearchOnTheOnlySchedulerWorkerCompletes) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SyntheticCorpusOptions opt = SmallCorpusOptions();
+  opt.num_targets = 12;
+  SyntheticCorpus corpus = GenerateSyntheticCorpus(opt);
+  SchemaRepository repo;
+  RegisterCorpus(corpus, &repo);
+
+  SearchRequest request;
+  request.source = "probe";
+  request.top_k = 6;
+  request.exhaustive = true;
+
+  CorpusSearchService serial(&thesaurus, &repo);
+  auto want = serial.Search(request);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  // The search runs on the scheduler's only worker, so the helper it
+  // queues cannot start until the search has returned: the search must
+  // score every candidate itself instead of waiting for the helper. A
+  // search that waits deadlocks here; ctest's TIMEOUT turns that into a
+  // failure.
+  MatchService match_service(&thesaurus, &repo);
+  JobScheduler::Options sched_opt;
+  sched_opt.num_threads = 1;
+  JobScheduler scheduler(&match_service, sched_opt);
+  Result<SearchResponse> got(Status::Internal("search did not run"));
+  int pending_after_search = -1;
+  auto job = scheduler.SubmitTask([&]() -> Result<MatchResponse> {
+    // The service and the response's inputs live only inside this task,
+    // so the queued helper runs after all of them are gone.
+    CorpusSearchService on_worker(&thesaurus, &repo, &scheduler);
+    got = on_worker.Search(request);
+    pending_after_search = scheduler.pending();
+    return MatchResponse{};
+  });
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  (*job)->Wait();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectHitsEqual(got->hits, want->hits, "search on the only worker");
+  // This task plus the one helper, still queued when Search returned.
+  EXPECT_EQ(pending_after_search, 2);
+  // Runs the late helper, which must find nothing left to claim.
+  scheduler.Shutdown();
+  EXPECT_EQ(scheduler.pending(), 0);
+}
+
+/// Pre-screen score of `target` among `hits` (-1 when absent).
+double PrescreenOf(const std::vector<SearchHit>& hits,
+                   const std::string& target) {
+  for (const SearchHit& hit : hits) {
+    if (hit.target == target) return hit.prescreen;
+  }
+  return -1.0;
+}
+
+/// Runs an exhaustive and a pruned search through `memo` and through a
+/// freshly constructed service over the same repository: every hit —
+/// target, version, pre-screen and score — must agree exactly. Returns the
+/// exhaustive hits, which carry a pre-screen score for every candidate.
+std::vector<SearchHit> ExpectSameAsFreshService(
+    const Thesaurus* thesaurus, SchemaRepository* repo,
+    CorpusSearchService* memo, const std::string& context) {
+  std::vector<SearchHit> all;
+  for (bool exhaustive : {true, false}) {
+    SearchRequest request;
+    request.source = "probe";
+    request.top_k = 100;
+    request.exhaustive = exhaustive;
+    request.prune_fraction = 0.25;
+    request.prune_min_keep = 4;
+    CorpusSearchService fresh(thesaurus, repo);
+    auto want = fresh.Search(request);
+    auto got = memo->Search(request);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!want.ok() || !got.ok()) return all;
+    const std::string where =
+        context + (exhaustive ? " exhaustive" : " pruned");
+    ExpectHitsEqual(got->hits, want->hits, where);
+    EXPECT_EQ(got->candidates_pruned, want->candidates_pruned) << where;
+    for (size_t i = 0; i < got->hits.size() && i < want->hits.size(); ++i) {
+      EXPECT_EQ(got->hits[i].prescreen, want->hits[i].prescreen)
+          << where << " [" << i << "]";
+    }
+    if (exhaustive) all = got->hits;
+  }
+  return all;
+}
+
+TEST(CorpusSearch, PrescreenMemoTracksRepositoryChanges) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SyntheticCorpus corpus = GenerateSyntheticCorpus(SmallCorpusOptions());
+  SchemaRepository repo;
+  RegisterCorpus(corpus, &repo);
+  CorpusSearchService memo(&thesaurus, &repo);
+
+  std::vector<SearchHit> before =
+      ExpectSameAsFreshService(&thesaurus, &repo, &memo, "initial");
+  ASSERT_EQ(before.size(), corpus.targets.size());
+
+  // An edit stores a new version of one candidate; its token bag changes.
+  const std::string& edited = corpus.names[2];
+  auto snapshot = repo.Resolve(edited);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE(repo.ApplyEdit(edited, SchemaEdit::RenameElement(
+                                         EditSide::kSource,
+                                         snapshot->schema->PathName(1),
+                                         "ZebraQuokkaNarwhal"))
+                  .ok());
+  std::vector<SearchHit> after_edit =
+      ExpectSameAsFreshService(&thesaurus, &repo, &memo, "after ApplyEdit");
+  EXPECT_NE(PrescreenOf(after_edit, edited), PrescreenOf(before, edited));
+
+  // Re-registering a name starts a fresh lineage at a newer version.
+  const std::string& replaced = corpus.names[3];
+  ASSERT_TRUE(repo.Register(replaced, corpus.targets[0]).ok());
+  std::vector<SearchHit> after_register = ExpectSameAsFreshService(
+      &thesaurus, &repo, &memo, "after re-Register");
+  EXPECT_NE(PrescreenOf(after_register, replaced),
+            PrescreenOf(after_edit, replaced));
+  EXPECT_EQ(PrescreenOf(after_register, replaced),
+            PrescreenOf(after_register, corpus.names[0]));
+
+  // A wholesale replacement reuses every (name, version) for other schemas;
+  // only InvalidateAll makes the memo forget them.
+  SyntheticCorpusOptions other_opt = SmallCorpusOptions();
+  other_opt.seed = 99;
+  SyntheticCorpus other = GenerateSyntheticCorpus(other_opt);
+  ASSERT_EQ(other.names, corpus.names);
+  repo = SchemaRepository();
+  RegisterCorpus(other, &repo);
+  memo.InvalidateAll();
+  std::vector<SearchHit> after_reload = ExpectSameAsFreshService(
+      &thesaurus, &repo, &memo, "after InvalidateAll");
+  EXPECT_NE(PrescreenOf(after_reload, corpus.names[0]),
+            PrescreenOf(before, corpus.names[0]));
 }
 
 }  // namespace
