@@ -2,15 +2,11 @@
 //
 // The serving pattern Section 8.4 of the paper gestures at: schemas in a
 // repository change a few elements at a time and get re-matched after each
-// change. At 512 elements per side this is the first workload where
-// `use_strong_link_cache=true` gets a fair re-measurement (the sweep's
-// rescans concentrate on the dirty region, so wide root-level scans
-// dominate what is left).
+// change, at 512 elements per side.
 //
-//   * BM_ScratchSingleEdit/{0,1}      full CupidMatcher::Match after each
-//                                     single-element edit (0 = strong-link
-//                                     cache off, 1 = on)
-//   * BM_IncrementalSingleEdit/{0,1}  MatchSession::Rematch after the same
+//   * BM_ScratchSingleEdit            full CupidMatcher::Match after each
+//                                     single-element edit
+//   * BM_IncrementalSingleEdit        MatchSession::Rematch after the same
 //                                     kind of edits
 //   * BM_IncrementalEqualsScratch     correctness guard: a 24-edit stream
 //                                     where every Rematch must be
@@ -18,7 +14,7 @@
 //                                     *_diff counters must be exactly 0)
 //
 // The acceptance bar: incremental >= 3x faster than scratch for
-// single-element edits (the gather/visit-list engine measures ~3.4x; CI
+// single-element edits (the warm visit-list engine measured ~3.4x; CI
 // guards >= 2.5x with slack for noisy runners and asserts the equality
 // counters are exactly 0 before uploading the JSON):
 //
@@ -51,10 +47,9 @@ SyntheticPair MakePair() {
 
 // Single-threaded so scratch vs incremental is a controlled comparison (the
 // sweep, where the warm start saves its work, is sequential either way).
-CupidConfig Config(bool strong_link) {
+CupidConfig Config() {
   CupidConfig cfg;
   cfg.SetNumThreads(1);
-  cfg.tree_match.use_strong_link_cache = strong_link;
   return cfg;
 }
 
@@ -120,7 +115,7 @@ class BenchEditStream {
 void BM_ScratchSingleEdit(benchmark::State& state) {
   SyntheticPair p = MakePair();
   Thesaurus th = DefaultThesaurus();
-  CupidMatcher matcher(&th, Config(state.range(0) != 0));
+  CupidMatcher matcher(&th, Config());
   Schema src = p.source, tgt = p.target;
   BenchEditStream edits;
   for (auto _ : state) {
@@ -135,13 +130,12 @@ void BM_ScratchSingleEdit(benchmark::State& state) {
   state.counters["elements"] =
       static_cast<double>(src.num_elements() + tgt.num_elements());
 }
-BENCHMARK(BM_ScratchSingleEdit)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScratchSingleEdit);
 
 void BM_IncrementalSingleEdit(benchmark::State& state) {
   SyntheticPair p = MakePair();
   Thesaurus th = DefaultThesaurus();
-  MatchSession session(&th, p.source, p.target,
-                       Config(state.range(0) != 0));
+  MatchSession session(&th, p.source, p.target, Config());
   if (!session.Rematch().ok()) state.SkipWithError("cold match failed");
   BenchEditStream edits;
   for (auto _ : state) {
@@ -158,17 +152,15 @@ void BM_IncrementalSingleEdit(benchmark::State& state) {
       static_cast<double>(stats.tree_match.pairs_reused);
   state.counters["link_tests"] =
       static_cast<double>(stats.tree_match.link_tests);
-  state.counters["strong_link_queries"] =
-      static_cast<double>(stats.tree_match.strong_link_queries);
 }
-BENCHMARK(BM_IncrementalSingleEdit)->Arg(0)->Arg(1);
+BENCHMARK(BM_IncrementalSingleEdit);
 
 /// Correctness guard: every Rematch over a 24-edit stream must equal the
 /// from-scratch run bit for bit. Counters must come out exactly 0.
 void BM_IncrementalEqualsScratch(benchmark::State& state) {
   SyntheticPair p = MakePair();
   Thesaurus th = DefaultThesaurus();
-  CupidConfig cfg = Config(/*strong_link=*/false);
+  CupidConfig cfg = Config();
   double sim_diff = 0.0;
   double mapping_mismatches = 0.0;
   for (auto _ : state) {

@@ -2,12 +2,13 @@
 // analysis and testing" as necessary future work; this bench provides it).
 //
 // google-benchmark over synthetic schema pairs of growing size, measuring
-// the full match pipeline and its phases — each in two configurations:
+// the full match pipeline and its linguistic phase in two configurations:
 //   * cached: the src/perf layer (token interning, token-pair memoization,
-//     distinct-name dedup, strong-link bitsets), the default;
+//     distinct-name dedup), the default;
 //   * naive:  the reference implementation with the perf layer disabled.
 // BM_CachedEqualsNaive cross-checks that both produce identical matrices
-// (the max_abs_diff counters must be 0).
+// (the max_abs_diff counters must be 0). BM_StructuralPhase measures the
+// shipped structural engine (TreeMatch + the Section 7 recompute).
 //
 // Emit machine-readable results with:
 //   bench_scalability --benchmark_out=BENCH_scalability.json
@@ -35,12 +36,11 @@ SyntheticPair MakePair(int64_t elements) {
   return GenerateSyntheticPair(opt);
 }
 
-// "cached" is the shipped default configuration (linguistic perf cache on,
-// strong-link cache off — see TreeMatchOptions); "naive" disables the whole
-// perf layer.
+// "cached" is the shipped default configuration (linguistic perf cache on);
+// "naive" disables it.
 CupidConfig Config(bool cached) {
   CupidConfig cfg;
-  if (!cached) cfg.SetPerfCacheEnabled(false);
+  cfg.linguistic.use_perf_cache = cached;
   return cfg;
 }
 
@@ -95,7 +95,9 @@ BENCHMARK(BM_LinguisticPhaseNaive)
     ->Range(16, 512)
     ->Complexity();
 
-void RunStructural(benchmark::State& state, bool cached) {
+/// The structural phase with default options: TreeMatch plus the Section 7
+/// recompute, the two calls every match makes.
+void BM_StructuralPhase(benchmark::State& state) {
   SyntheticPair p = MakePair(state.range(0));
   Thesaurus th = DefaultThesaurus();
   LinguisticMatcher lm(&th, {});
@@ -104,28 +106,16 @@ void RunStructural(benchmark::State& state, bool cached) {
   auto t2 = BuildSchemaTree(p.target).ValueOrDie();
   TypeCompatibilityTable types = TypeCompatibilityTable::Default();
   TreeMatchOptions opts;
-  opts.use_strong_link_cache = cached;
   for (auto _ : state) {
     auto r = TreeMatch(t1, t2, lres->lsim, types, opts);
-    benchmark::DoNotOptimize(r);
+    Status s = RecomputeNonLeafSimilarities(t1, t2, opts, &*r);
+    benchmark::DoNotOptimize(s);
   }
   state.SetComplexityN(state.range(0));
-}
-
-void BM_StructuralPhase(benchmark::State& state) {
-  RunStructural(state, true);
 }
 BENCHMARK(BM_StructuralPhase)
     ->RangeMultiplier(2)
     ->Range(16, 512)
-    ->Complexity();
-
-void BM_StructuralPhaseNaive(benchmark::State& state) {
-  RunStructural(state, false);
-}
-BENCHMARK(BM_StructuralPhaseNaive)
-    ->RangeMultiplier(2)
-    ->Range(16, 256)
     ->Complexity();
 
 void BM_TreeBuild(benchmark::State& state) {
@@ -147,11 +137,9 @@ BENCHMARK(BM_TreeBuild)->RangeMultiplier(4)->Range(16, 1024)->Complexity();
 void BM_CachedEqualsNaive(benchmark::State& state) {
   SyntheticPair p = MakePair(state.range(0));
   Thesaurus th = DefaultThesaurus();
-  CupidConfig cached_cfg;
-  cached_cfg.SetPerfCacheEnabled(true);  // every cache, incl. strong-link
+  CupidConfig cached_cfg = Config(true);
   cached_cfg.SetNumThreads(1);
-  CupidConfig naive_cfg;
-  naive_cfg.SetPerfCacheEnabled(false);
+  CupidConfig naive_cfg = Config(false);
   naive_cfg.SetNumThreads(1);
 
   double lsim_diff = 0.0, wsim_diff = 0.0;

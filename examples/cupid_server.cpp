@@ -23,7 +23,7 @@
 //   {"cmd":"edit","name":"po","op":"remove","path":"PO.POLines.Item.UoM"}
 //   {"cmd":"match","source":"po","target":"order","source_version":0,
 //    "target_version":0,"mappings":true,
-//    "config":{"th_accept":0.5,"one_to_one":false,"num_threads":1},
+//    "config":{"th_accept":0.5,"one_to_one":false},
 //    "use_result_cache":true,"use_session":true}
 //   {"cmd":"batch","requests":[{...match fields...},...]}   // concurrent
 //   {"cmd":"search","source":"po","top_k":5,"exhaustive":false,
@@ -34,6 +34,9 @@
 //   {"cmd":"metrics","format":"prometheus"}  // text exposition in "text"
 //   {"cmd":"subscribe","source":"po","target":"order","config":{...}}
 //   {"cmd":"unsubscribe","source":"po","target":"order"}
+//
+// "config" takes th_accept and one_to_one. Every match runs its phases
+// single-threaded; concurrency comes from the --threads workers.
 //
 // Subscriptions (socket mode only): after the ok-response, every schema
 // edit touching the pair produces an asynchronous

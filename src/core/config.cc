@@ -95,8 +95,6 @@ uint64_t ConfigFingerprint(const CupidConfig& c) {
   d.B(c.tree_match.lazy_expansion);
   d.I64(c.tree_match.max_leaf_depth);
   d.F64(c.tree_match.skip_leaves_threshold);
-  d.B(c.tree_match.use_strong_link_cache);
-  d.I64(c.tree_match.num_threads);
   // Mapping generation.
   d.F64(c.mapping.th_accept);
   d.I64(static_cast<int64_t>(c.mapping.cardinality));

@@ -39,24 +39,11 @@ struct CupidConfig {
   /// predefined maximum value", Section 8.4).
   double initial_mapping_boost = 1.0;
 
-  /// \brief Sets the worker-thread count of every parallelized phase
-  /// (linguistic lsim fill, structural row inits). 0 (the default) uses all
-  /// hardware threads; 1 forces fully sequential execution. Results are
+  /// \brief Sets the worker-thread count of the one parallelized phase,
+  /// the linguistic lsim fill (TreeMatch is serial). 0 (the default) uses
+  /// all hardware threads; 1 forces fully sequential execution. Results are
   /// identical at any setting.
-  void SetNumThreads(int n) {
-    linguistic.num_threads = n;
-    tree_match.num_threads = n;
-  }
-
-  /// \brief Toggles the src/perf caching layer (token interning, name
-  /// deduplication, strong-link bitsets) in every phase at once. Results
-  /// are identical either way. Note the default config is NOT
-  /// SetPerfCacheEnabled(true): the linguistic cache defaults on, the
-  /// strong-link cache off (see TreeMatchOptions::use_strong_link_cache).
-  void SetPerfCacheEnabled(bool enabled) {
-    linguistic.use_perf_cache = enabled;
-    tree_match.use_strong_link_cache = enabled;
-  }
+  void SetNumThreads(int n) { linguistic.num_threads = n; }
 
   /// \brief Range-checks every parameter; keeps Table 1's ordering
   /// constraints (th_low <= th_accept <= th_high).

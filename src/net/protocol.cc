@@ -40,15 +40,13 @@ void WriteDurabilityJson(const DurabilityStats& stats, JsonWriter* w) {
   w->EndObject();
 }
 
-/// Applies an optional "config" sub-object onto `config`. Without one the
-/// server default applies: per-match phases run single-threaded;
-/// concurrency comes from the scheduler's workers.
+/// Applies an optional "config" sub-object onto `config`. Per-match phases
+/// always run single-threaded; concurrency comes from the scheduler's
+/// workers, so a client cannot choose a thread count.
 Status ApplyConfigJson(const JsonValue& v, CupidConfig* out) {
+  out->SetNumThreads(1);
   const JsonValue* config = v.Find("config");
-  if (config == nullptr) {
-    out->SetNumThreads(1);
-    return Status::OK();
-  }
+  if (config == nullptr) return Status::OK();
   if (!config->is_object()) {
     return Status::InvalidArgument("config must be an object");
   }
@@ -59,10 +57,6 @@ Status ApplyConfigJson(const JsonValue& v, CupidConfig* out) {
   out->tree_match.th_high = std::max(out->tree_match.th_high, th);
   if (config->GetBool("one_to_one", false)) {
     out->mapping.cardinality = MappingCardinality::kOneToOneStable;
-  }
-  out->SetNumThreads(static_cast<int>(config->GetInt("num_threads", 0)));
-  if (config->GetBool("strong_link_cache", false)) {
-    out->tree_match.use_strong_link_cache = true;
   }
   return Status::OK();
 }

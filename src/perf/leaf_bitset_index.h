@@ -1,13 +1,11 @@
 // Dense leaf numbering with per-node leaf-set bitmasks, and a leaf-pair bit
-// matrix built on top of it.
-//
-// Extracted from strong_link_cache.* so both consumers share one
-// implementation:
-//   * StrongLinkCache keeps per-leaf accepted-link bitsets and probes them
-//     against node masks;
-//   * the incremental TreeMatch warm start (structural/tree_match.h) keeps
-//     per-leaf *dirtiness* bitsets and asks "does the block
-//     leaves(ns) x leaves(nt) contain any dirty pair?" for every node pair.
+// matrix built on top of it, for the structural engine
+// (structural/tree_match.h):
+//   * every TreeMatch lays its dense leaf-pair matrices out over a
+//     LeafIndex per tree, streaming a subtree's leaves as one dense range;
+//   * the warm start keeps per-leaf *dirtiness* bitsets and asks "does the
+//     block leaves(ns) x leaves(nt) contain any dirty pair?" for every node
+//     pair.
 //
 // Leaves of a subtree are id-clustered (trees are built in DFS order), so
 // every node mask occupies a short [begin, end) word span; block queries

@@ -8,10 +8,8 @@
 #include <unordered_map>
 
 #include "obs/trace.h"
-#include "perf/strong_link_cache.h"
 #include "tree/lazy_expansion.h"
 #include "util/id_runs.h"
-#include "util/thread_pool.h"
 
 namespace cupid {
 
@@ -98,43 +96,124 @@ struct LazyGroups {
   }
 };
 
-/// Implements both the main TreeMatch sweep and the Section 7 recompute
-/// pass. All similarity state lives in the caller-visible NodeSimilarities.
-class TreeMatcher {
- public:
-  TreeMatcher(const SchemaTree& source, const SchemaTree& target,
+/// State and arithmetic shared by the reference sweep and the visit-list
+/// engine: the wsim mix, the feedback classification, and the structural
+/// similarity scan over node-pair similarities.
+class MatcherBase {
+ protected:
+  MatcherBase(const SchemaTree& source, const SchemaTree& target,
               const TypeCompatibilityTable& types,
               const TreeMatchOptions& options)
-      : s_(source),
-        t_(target),
-        types_(types),
-        opt_(options),
+      : s_(source), t_(target), types_(types), opt_(options) {}
+
+  enum class Feedback { kNone, kIncrease, kDecrease };
+
+  Feedback Classify(double wsim) const {
+    if (wsim > opt_.th_high) return Feedback::kIncrease;
+    if (wsim < opt_.th_low) return Feedback::kDecrease;
+    return Feedback::kNone;
+  }
+
+  double MixWsim(const NodeSimilarities& sims, TreeNodeId ns, TreeNodeId nt,
+                 double ssim, bool leaf_pair) const {
+    double w = leaf_pair ? opt_.wstruct_leaf : opt_.wstruct_nonleaf;
+    return w * ssim + (1.0 - w) * sims.lsim(ns, nt);
+  }
+
+  /// Strength of a potential leaf-level link. For true leaf pairs this is
+  /// recomputed from the *current* ssim (it evolves); for depth-pruned
+  /// frontier nodes the stored wsim snapshot is used (post-order guarantees
+  /// it was computed before any pair that consults it).
+  double LinkStrength(const NodeSimilarities& sims, TreeNodeId x,
+                      TreeNodeId y) const {
+    if (s_.IsLeaf(x) && t_.IsLeaf(y)) {
+      return MixWsim(sims, x, y, sims.ssim(x, y), true);
+    }
+    return sims.wsim(x, y);
+  }
+
+  /// The Section 6 / 8.4 structural similarity: fraction of the union of the
+  /// two leaf sets with at least one strong link into the other set;
+  /// optional leaves without strong links are dropped from both numerator
+  /// and denominator when optional_discount is on.
+  double StructuralSimilarity(const NodeSimilarities& sims,
+                              const std::vector<LeafRef>& ls,
+                              const std::vector<LeafRef>& lt,
+                              int32_t* strong_out = nullptr,
+                              int32_t* included_out = nullptr) const {
+    int64_t strong = 0, included = 0;
+    for (const LeafRef& x : ls) {
+      bool has_link = false;
+      for (const LeafRef& y : lt) {
+        ++link_tests_;
+        if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
+          has_link = true;
+          break;
+        }
+      }
+      if (has_link) {
+        ++strong;
+        ++included;
+      } else if (!(opt_.optional_discount && x.optional)) {
+        ++included;
+      }
+    }
+    for (const LeafRef& y : lt) {
+      bool has_link = false;
+      for (const LeafRef& x : ls) {
+        ++link_tests_;
+        if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
+          has_link = true;
+          break;
+        }
+      }
+      if (has_link) {
+        ++strong;
+        ++included;
+      } else if (!(opt_.optional_discount && y.optional)) {
+        ++included;
+      }
+    }
+    if (strong_out != nullptr) {
+      *strong_out = static_cast<int32_t>(strong);
+      *included_out = static_cast<int32_t>(included);
+    }
+    return included == 0 ? 0.0
+                         : static_cast<double>(strong) /
+                               static_cast<double>(included);
+  }
+
+  const SchemaTree& s_;
+  const SchemaTree& t_;
+  const TypeCompatibilityTable& types_;
+  TreeMatchOptions opt_;
+  /// Work counters surfaced through TreeMatchStats (mutable: the scans run
+  /// from const query paths).
+  mutable int64_t link_tests_ = 0;
+  mutable int64_t scale_ops_ = 0;
+};
+
+/// \brief The reference implementation of Figure 3: a full-grid sweep over
+/// every (source, target) node pair in post-order, with all similarity
+/// state in NodeSimilarities, and the matching full-grid Section 7 pass.
+/// The only engine for the Section 8.4 variants the visit-list engine does
+/// not support (depth-k frontiers, the skip-leaves fast path, lazy
+/// expansion, leaf-pair self-feedback), and the oracle that engine is
+/// tested against.
+class ReferenceMatcher : private MatcherBase {
+ public:
+  ReferenceMatcher(const SchemaTree& source, const SchemaTree& target,
+                   const TypeCompatibilityTable& types,
+                   const TreeMatchOptions& options)
+      : MatcherBase(source, target, types, options),
         s_frontier_(source, options.max_leaf_depth),
         t_frontier_(target, options.max_leaf_depth) {}
 
   TreeMatchResult Run(const Matrix<float>& element_lsim) {
-    // The bitset cache tracks the evolving leaf-pair link strengths only;
-    // depth-pruned frontiers consult interior wsim snapshots, which it
-    // cannot see, so it is restricted to true-leaf frontiers. The gather
-    // engine (RunIncremental) keeps leaf state in its own dense matrices
-    // the cache cannot observe, so only the from-scratch sweep builds one.
-    if (opt_.use_strong_link_cache && opt_.max_leaf_depth == 0) {
-      cache_ = std::make_unique<StrongLinkCache>(
-          s_, t_, opt_.th_accept, opt_.wstruct_leaf);
-    }
     TreeMatchResult result;
     result.sims = NodeSimilarities(s_.num_nodes(), t_.num_nodes());
-    {
-      int threads = ThreadPool::EffectiveThreads(opt_.num_threads);
-      std::unique_ptr<ThreadPool> pool;
-      // Spawning workers only pays when the row blocks are big enough to
-      // leave ParallelFor's inline path (2 * its 16-row minimum chunk).
-      if (threads > 1 && s_.num_nodes() >= 32) {
-        pool = std::make_unique<ThreadPool>(threads);
-      }
-      ProjectLsim(element_lsim, &result.sims, pool.get());
-      InitLeafSsim(&result.sims, pool.get());
-    }
+    ProjectLsim(element_lsim, &result.sims);
+    InitLeafSsim(&result.sims);
 
     LazyGroups lazy;
     if (opt_.lazy_expansion) lazy = LazyGroups::Analyze(s_);
@@ -154,10 +233,6 @@ class TreeMatcher {
         }
       }
     }
-    if (cache_) {
-      result.stats.strong_link_queries = cache_->stats().queries;
-      result.stats.strong_link_rebuilds = cache_->stats().rebuilds;
-    }
     result.stats.link_tests = link_tests_;
     result.stats.scale_ops = scale_ops_;
     return result;
@@ -165,13 +240,8 @@ class TreeMatcher {
 
   void Recompute(TreeMatchResult* result) {
     // Second pass (Section 7): leaf similarities are final; refresh every
-    // wsim and recompute non-leaf ssim from the final leaf state. The
-    // integer tallies behind each ssim are recorded so a later incremental
-    // run can adjust them instead of re-scanning.
-    if (opt_.use_strong_link_cache && opt_.max_leaf_depth == 0 && !cache_) {
-      cache_ = std::make_unique<StrongLinkCache>(
-          s_, t_, opt_.th_accept, opt_.wstruct_leaf);
-    }
+    // wsim and recompute non-leaf ssim from the final leaf state, recording
+    // the integer tallies behind each ssim.
     NodeSimilarities* sims = &result->sims;
     result->counts.strong = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
     result->counts.included = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
@@ -184,93 +254,209 @@ class TreeMatcher {
         }
         if (PruneByLeafCount(ns, nt)) continue;
         sims->set_ssim(ns, nt,
-                       StructuralSimilarity(*sims, ns, nt,
+                       StructuralSimilarity(*sims, s_frontier_.of(ns),
+                                            t_frontier_.of(nt),
                                             &result->counts.strong(ns, nt),
                                             &result->counts.included(ns, nt)));
-        // Mix from the float-stored ssim, exactly as ComparePair does; the
-        // incremental recompute copies stored floats across runs and must
-        // reproduce this arithmetic bit for bit.
+        // Mix from the float-stored ssim, exactly as ComparePair does.
         sims->set_wsim(ns, nt,
                        MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
       }
     }
   }
 
-  /// \brief The warm-started sweep, rebuilt as a gather/visit-list engine:
-  /// identical feedback decisions and leaf-state evolution to Run, but the
-  /// dense O(N^2) per-run assembly is gone. Leaf-pair state lives in dense
-  /// (source leaf x target leaf) matrices whose subtree blocks are
-  /// contiguous, the per-pair loop iterates a precomputed visit list (the
-  /// non-leaf pairs surviving the leaf-count prune) instead of the full
-  /// pair grid, and feedback replay scales contiguous blocks.
-  ///
-  /// Correctness rests on the same three facts as before. (1) Surviving
-  /// nodes keep their relative post-order across the supported edits
-  /// (schema children are appended, removals preserve sibling order), so
-  /// the feedback events touching any clean leaf pair happen in the same
-  /// order as before. (2) Feedback scalings are replayed physically, so
-  /// clean leaf cells evolve through exactly the previous run's value
-  /// sequence and dirty-pair rescans always read a state equal to what a
-  /// from-scratch sweep would see at that point. (3) Any feedback decision
-  /// that diverges from the previous run immediately marks its whole leaf
-  /// block dirty, so downstream consumers never reuse values the divergence
-  /// invalidated. Leaf pairs themselves never enter the loop: with
-  /// leaf_pair_feedback off (enforced by SupportsIncrementalTreeMatch) a
-  /// leaf pair fires nothing, and its sweep-stage wsim is consumed by
-  /// no one — the final leaf wsim is produced by the recompute pass.
-  TreeMatchResult RunIncremental(const Matrix<float>& element_lsim,
-                                 TreeMatchDelta* delta) {
+ private:
+  void ProjectLsim(const Matrix<float>& element_lsim,
+                   NodeSimilarities* sims) const {
+    for (TreeNodeId ns = 0; ns < s_.num_nodes(); ++ns) {
+      ElementId es = s_.node(ns).source;
+      if (es == kNoElement) continue;
+      for (TreeNodeId nt = 0; nt < t_.num_nodes(); ++nt) {
+        ElementId et = t_.node(nt).source;
+        if (et == kNoElement) continue;
+        sims->set_lsim(ns, nt, element_lsim(es, et));
+      }
+    }
+  }
+
+  void InitLeafSsim(NodeSimilarities* sims) const {
+    for (TreeNodeId ns = 0; ns < s_.num_nodes(); ++ns) {
+      if (!s_.IsLeaf(ns)) continue;
+      DataType ds = s_.schema().element(s_.node(ns).source).data_type;
+      for (TreeNodeId nt = 0; nt < t_.num_nodes(); ++nt) {
+        if (!t_.IsLeaf(nt)) continue;
+        DataType dt = t_.schema().element(t_.node(nt).source).data_type;
+        sims->set_ssim(ns, nt, types_.Get(ds, dt));
+      }
+    }
+  }
+
+  bool PruneByLeafCount(TreeNodeId ns, TreeNodeId nt) const {
+    return PrunedByLeafCount(opt_, s_frontier_.of(ns).size(),
+                             t_frontier_.of(nt).size());
+  }
+
+  /// Section 8.4 fast path: structural similarity over the immediate
+  /// children only (their wsims are already computed, post-order).
+  double ChildLevelSimilarity(const NodeSimilarities& sims, TreeNodeId ns,
+                              TreeNodeId nt) const {
+    std::vector<LeafRef> ls, lt;
+    for (TreeNodeId c : s_.node(ns).children) {
+      ls.push_back({c, s_.node(c).optional});
+    }
+    for (TreeNodeId c : t_.node(nt).children) {
+      lt.push_back({c, t_.node(c).optional});
+    }
+    int64_t strong = 0, included = 0;
+    auto side = [&](const std::vector<LeafRef>& from,
+                    const std::vector<LeafRef>& to, bool from_is_source) {
+      for (const LeafRef& x : from) {
+        bool has_link = false;
+        for (const LeafRef& y : to) {
+          double w = from_is_source ? LinkStrength(sims, x.leaf, y.leaf)
+                                    : LinkStrength(sims, y.leaf, x.leaf);
+          if (w >= opt_.th_accept) {
+            has_link = true;
+            break;
+          }
+        }
+        if (has_link) {
+          ++strong;
+          ++included;
+        } else if (!(opt_.optional_discount && x.optional)) {
+          ++included;
+        }
+      }
+    };
+    side(ls, lt, true);
+    side(lt, ls, false);
+    return included == 0 ? 0.0
+                         : static_cast<double>(strong) /
+                               static_cast<double>(included);
+  }
+
+  void ComparePair(TreeNodeId ns, TreeNodeId nt, TreeMatchResult* result) {
+    NodeSimilarities& sims = result->sims;
+    const bool leaf_pair = s_.IsLeaf(ns) && t_.IsLeaf(nt);
+    if (!leaf_pair) {
+      if (PruneByLeafCount(ns, nt)) {
+        ++result->stats.pairs_pruned_leaf_count;
+        return;
+      }
+      bool skipped = false;
+      if (opt_.skip_leaves_threshold > 0.0 && !s_.IsLeaf(ns) &&
+          !t_.IsLeaf(nt)) {
+        double child_sim = ChildLevelSimilarity(sims, ns, nt);
+        if (child_sim >= opt_.skip_leaves_threshold) {
+          sims.set_ssim(ns, nt, child_sim);
+          ++result->stats.leaf_scans_skipped;
+          skipped = true;
+        }
+      }
+      if (!skipped) {
+        sims.set_ssim(ns, nt,
+                      StructuralSimilarity(sims, s_frontier_.of(ns),
+                                           t_frontier_.of(nt)));
+      }
+    }
+    ++result->stats.pairs_compared;
+    double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), leaf_pair);
+    sims.set_wsim(ns, nt, wsim);
+
+    if (leaf_pair && !opt_.leaf_pair_feedback) return;
+    Feedback f = Classify(wsim);
+    if (f == Feedback::kIncrease) {
+      ScaleSubtreeLeaves(ns, nt, opt_.c_inc, &sims);
+      result->events.push_back({ns, nt, int8_t{1}});
+      ++result->stats.increases_applied;
+    } else if (f == Feedback::kDecrease) {
+      ScaleSubtreeLeaves(ns, nt, opt_.c_dec, &sims);
+      result->events.push_back({ns, nt, int8_t{-1}});
+      ++result->stats.decreases_applied;
+    }
+  }
+
+  void ScaleSubtreeLeaves(TreeNodeId ns, TreeNodeId nt, double factor,
+                          NodeSimilarities* sims) const {
+    for (const LeafRef& x : s_.leaves(ns)) {
+      for (const LeafRef& y : t_.leaves(nt)) {
+        ++scale_ops_;
+        sims->ScaleSsim(x.leaf, y.leaf, factor);
+      }
+    }
+  }
+
+  /// Lazy expansion: every copy descendant inherits the full similarity rows
+  /// (ssim and wsim) of its aligned canonical descendant, snapshotted at
+  /// canonical-subtree completion. Context-dependent increases from the
+  /// copies' ancestors still apply to the copied leaf rows afterwards.
+  void PropagateRows(
+      const std::vector<std::pair<TreeNodeId, TreeNodeId>>& pairs,
+      NodeSimilarities* sims) const {
+    for (const auto& [canon, copy] : pairs) {
+      for (TreeNodeId nt = 0; nt < t_.num_nodes(); ++nt) {
+        sims->set_ssim(copy, nt, sims->ssim(canon, nt));
+        sims->set_wsim(copy, nt, sims->wsim(canon, nt));
+      }
+    }
+  }
+
+  FrontierProvider s_frontier_;
+  FrontierProvider t_frontier_;
+};
+
+/// \brief The structural engine for every configuration
+/// SupportsIncrementalTreeMatch accepts: the Figure 3 sweep and the
+/// Section 7 recompute run over a visit list and dense leaf matrices.
+///
+/// Leaf-pair state lives in dense (source leaf x target leaf) matrices
+/// whose subtree blocks are contiguous, the per-pair loop iterates a
+/// precomputed visit list (the non-leaf pairs surviving the leaf-count
+/// prune) instead of the full pair grid, and feedback scales contiguous
+/// blocks. Leaf pairs never enter the loop: with leaf_pair_feedback off a
+/// leaf pair fires nothing, its sweep-stage wsim mixes the type-seeded ssim
+/// (no feedback can touch a leaf pair before its own post-order visit), and
+/// its final wsim is produced by the recompute pass.
+///
+/// A cold run is the engine with an empty past (a TreeMatchDelta holding
+/// only the two leaf indexes): every visit-list pair is scanned and nothing
+/// is reused, replayed or gathered. A warm run adds, on top of the same
+/// sweep and recompute bodies, reuse of provably clean pairs from the
+/// previous run. Its correctness rests on three facts. (1) Surviving nodes
+/// keep their relative post-order across the supported edits (schema
+/// children are appended, removals preserve sibling order), so the
+/// feedback events touching any clean leaf pair happen in the same order
+/// as before. (2) Feedback scalings are replayed physically, so clean leaf
+/// cells evolve through exactly the previous run's value sequence and
+/// dirty-pair rescans always read a state equal to what a cold sweep would
+/// see at that point. (3) Any feedback decision that diverges from the
+/// previous run immediately marks its whole leaf block dirty, so
+/// downstream consumers never reuse values the divergence invalidated.
+class TreeMatcher : private MatcherBase {
+ public:
+  TreeMatcher(const SchemaTree& source, const SchemaTree& target,
+              const TypeCompatibilityTable& types,
+              const TreeMatchOptions& options)
+      : MatcherBase(source, target, types, options) {}
+
+  /// The Figure 3 sweep; warm when `delta` carries a previous run.
+  TreeMatchResult Sweep(const Matrix<float>& element_lsim,
+                        TreeMatchDelta* delta) {
     obs::ScopedSpan span("treematch.sweep");
+    past_ = delta->prev_final != nullptr;
     TreeMatchResult result;
     result.sims = NodeSimilarities(s_.num_nodes(), t_.num_nodes());
     auto t0 = std::chrono::steady_clock::now();
     ProjectLsimGather(element_lsim, *delta, &result.sims);
     auto t1 = std::chrono::steady_clock::now();
     InitLeafSsimDense(*delta);
+    if (!past_) MixSweepLeafWsim(*delta, &result.sims);
     auto t2 = std::chrono::steady_clock::now();
     BuildVisitList(delta, &result.stats);
     auto t3 = std::chrono::steady_clock::now();
-    PruneDivergencePrepass(delta, &result.stats);
+    if (past_) PruneDivergencePrepass(delta, &result.stats);
     auto t4 = std::chrono::steady_clock::now();
-    // With the previous sweep's event list and per-node clean flags, only
-    // non-clean pairs re-enter the full per-pair body: clean pairs either
-    // replay their recorded event (one block scaling) or are skipped
-    // outright — their decision provably reproduces, and the bulk-copied
-    // snapshot rows already hold their post-sweep ssim. Without events
-    // (tests driving the engine directly), every visit pair runs the body.
-    // The replay merge additionally assumes mapped nodes keep their
-    // RELATIVE post-order across runs (fact (1)). A correspondence that
-    // violates it — conceivable after shape-changing remove+add batches
-    // under the identity-first maps — could let the merge's skip pointer
-    // run past a clean pair's recorded event and silently drop its
-    // replay. Verify the invariant in O(N) per side and fall back to the
-    // full per-pair loop when it fails (bit-identical, just slower).
-    auto order_preserved = [](const std::vector<TreeNodeId>& order,
-                              const std::vector<TreeNodeId>& map,
-                              const SchemaTree& prev) {
-      std::vector<int32_t> opos(static_cast<size_t>(prev.num_nodes()), 0);
-      int32_t i = 0;
-      for (TreeNodeId o : prev.post_order()) {
-        opos[static_cast<size_t>(o)] = i++;
-      }
-      int32_t last = -1;
-      for (TreeNodeId n : order) {
-        TreeNodeId o = map[static_cast<size_t>(n)];
-        if (o == kNoTreeNode) continue;
-        if (opos[static_cast<size_t>(o)] < last) return false;
-        last = opos[static_cast<size_t>(o)];
-      }
-      return true;
-    };
-    const bool can_replay =
-        delta->prev_events != nullptr &&
-        !delta->source_lsim_same.empty() &&
-        !delta->target_lsim_same.empty() &&
-        order_preserved(s_.post_order(), delta->source_map,
-                        *delta->prev_source) &&
-        order_preserved(t_.post_order(), delta->target_map,
-                        *delta->prev_target);
-    if (can_replay) {
+    if (past_ && CanReplay(*delta)) {
       GatherSweepSsim(*delta, &result.sims);
       DeriveCleanFlags(*delta);
       ReplayLoop(delta, &result);
@@ -283,6 +469,12 @@ class TreeMatcher {
                     &result);
         }
       }
+    }
+    if (!past_) {
+      // A full grid also compares every leaf pair.
+      result.stats.pairs_compared +=
+          static_cast<int64_t>(delta->source_leaves->num_leaves()) *
+          static_cast<int64_t>(delta->target_leaves->num_leaves());
     }
     auto t5 = std::chrono::steady_clock::now();
     ScatterLeafSsim(*delta, &result.sims);
@@ -309,39 +501,145 @@ class TreeMatcher {
     return result;
   }
 
-  /// \brief The warm-started Section 7 pass as a gather engine.
+  /// \brief The Section 7 pass over the visit list; warm when `delta`
+  /// carries a previous run.
   ///
-  /// Instead of revisiting the full pair grid, clean regions of the final
-  /// matrices are bulk-copied row-wise from the previous run under the
-  /// correspondence maps (memcpy per maximal run of consecutively-mapped
+  /// Cold, every leaf pair re-mixes its wsim from the final leaf state and
+  /// every visit-list pair is rescanned. Warm, clean regions of the final
+  /// matrices are first bulk-copied row-wise from the previous run under
+  /// the correspondence maps (memcpy per maximal run of consecutively-mapped
   /// target nodes — one memcpy per row when the maps are identities), and
   /// only three sparse sets are then touched:
   ///   * dirty leaf pairs re-mix their wsim from the final leaf state
   ///     (clean leaf pairs have bit-identical ssim and lsim, hence wsim);
   ///   * rows/columns of nodes whose leaf-count changed re-check the prune
-  ///     decision and zero cells a from-scratch run would never write;
-  ///   * the visit list (non-pruned non-leaf pairs) is walked once — a
-  ///     reusable pair's gathered values already equal what the legacy
-  ///     per-pair pass would copy, so it costs one clean-block test; the
-  ///     rest adjust the previous tallies leaf-by-leaf or rescan.
-  void RecomputeIncremental(TreeMatchDelta* delta_in,
-                            TreeMatchResult* result) {
+  ///     decision, and nodes that became leaves drop their gathered
+  ///     tallies, zeroing cells a cold run would never write;
+  ///   * the visit list is walked once — a reusable pair's gathered values
+  ///     already equal what a rescan would produce, so it costs one
+  ///     clean-block test; the rest adjust the previous tallies
+  ///     leaf-by-leaf or rescan.
+  void Recompute(TreeMatchDelta* delta_in, TreeMatchResult* result) {
     obs::ScopedSpan span("treematch.recompute");
     auto r0 = std::chrono::steady_clock::now();
     BuildVisitList(delta_in, /*stats=*/nullptr);
     const TreeMatchDelta& delta = *delta_in;
+    past_ = delta.prev_final != nullptr;
     NodeSimilarities* sims = &result->sims;
     TreeMatchStats* stats = &result->stats;
-    const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
     const StructuralCounts* prev_counts = delta.prev_final_counts;
     const bool have_counts =
-        prev_counts != nullptr &&
+        past_ && prev_counts != nullptr &&
         prev_counts->strong.rows() == delta.prev_source->num_nodes() &&
         prev_counts->strong.cols() == delta.prev_target->num_nodes();
+    auto r1 = r0, r2 = r0;
+    if (past_) {
+      GatherFinalRows(delta, have_counts, result);
+      r1 = std::chrono::steady_clock::now();
+      MixDirtyLeafWsim(delta, sims);
+      r2 = std::chrono::steady_clock::now();
+      ZeroStaleCells(delta, result);
+    } else {
+      result->counts.strong = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
+      result->counts.included =
+          Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
+      r1 = std::chrono::steady_clock::now();
+      MixFinalLeafWsim(delta, sims);
+      r2 = std::chrono::steady_clock::now();
+    }
+
+    auto r3 = std::chrono::steady_clock::now();
+    // ---- visit list: clean-skip / reuse / tally adjustment / rescan -----
+    // Clean-pair test as in the sweep, over the POST-sweep dirty state: a
+    // clean x clean pair's gathered ssim/wsim/counts are bitwise what the
+    // reuse branch would write, so the pair costs two flag loads. Without
+    // previous counts nothing can be reused at all (matching the branch
+    // conditions below), so the skip is disabled too.
+    const bool can_skip = have_counts && !delta.source_lsim_same.empty() &&
+                          !delta.target_lsim_same.empty();
+    if (can_skip) DeriveCleanFlags(delta);
+    for (TreeNodeId ns : s_.post_order()) {
+      const int32_t begin = delta.visit_begin[static_cast<size_t>(ns)];
+      const int32_t end = delta.visit_end[static_cast<size_t>(ns)];
+      const bool row_clean = can_skip && s_clean_[static_cast<size_t>(ns)];
+      for (int32_t i = begin; i < end; ++i) {
+        TreeNodeId nt = delta.visit_data[static_cast<size_t>(i)];
+        if (row_clean && t_clean_[static_cast<size_t>(nt)]) {
+          ++stats->pairs_reused;
+          continue;
+        }
+        int32_t& strong = result->counts.strong(ns, nt);
+        int32_t& included = result->counts.included(ns, nt);
+        if (have_counts && RecomputeFromPast(delta, ns, nt, &strong,
+                                             &included, result)) {
+          continue;
+        }
+        sims->set_ssim(ns, nt,
+                       StructuralSimilarity(*sims, s_.leaves(ns),
+                                            t_.leaves(nt), &strong, &included));
+        sims->set_wsim(ns, nt,
+                       MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
+      }
+    }
+    if (span.enabled()) {
+      auto r4 = std::chrono::steady_clock::now();
+      auto ms = [](auto a, auto b) {
+        return std::chrono::duration<double, std::milli>(b - a).count();
+      };
+      span.Attr("gather_ms", ms(r0, r1));
+      span.Attr("dirtymix_ms", ms(r1, r2));
+      span.Attr("fixup_ms", ms(r2, r3));
+      span.Attr("walk_ms", ms(r3, r4));
+    }
+  }
+
+ private:
+  /// The warm-start replay merge assumes mapped nodes keep their RELATIVE
+  /// post-order across runs (fact (1)), and needs the previous sweep's
+  /// events and the per-node lsim flags. A correspondence that violates the
+  /// order — conceivable after shape-changing remove+add batches under the
+  /// identity-first maps — could let the merge's skip pointer run past a
+  /// clean pair's recorded event and silently drop its replay. Verified in
+  /// O(N) per side; without replay every visit pair runs the per-pair body
+  /// (bit-identical, just slower).
+  bool CanReplay(const TreeMatchDelta& d) const {
+    auto order_preserved = [](const std::vector<TreeNodeId>& order,
+                              const std::vector<TreeNodeId>& map,
+                              const SchemaTree& prev) {
+      std::vector<int32_t> opos(static_cast<size_t>(prev.num_nodes()), 0);
+      int32_t i = 0;
+      for (TreeNodeId o : prev.post_order()) {
+        opos[static_cast<size_t>(o)] = i++;
+      }
+      int32_t last = -1;
+      for (TreeNodeId n : order) {
+        TreeNodeId o = map[static_cast<size_t>(n)];
+        if (o == kNoTreeNode) continue;
+        if (opos[static_cast<size_t>(o)] < last) return false;
+        last = opos[static_cast<size_t>(o)];
+      }
+      return true;
+    };
+    return d.prev_events != nullptr && !d.source_lsim_same.empty() &&
+           !d.target_lsim_same.empty() &&
+           order_preserved(s_.post_order(), d.source_map, *d.prev_source) &&
+           order_preserved(t_.post_order(), d.target_map, *d.prev_target);
+  }
+
+  /// Warm recompute, first step: the final matrices (and, with previous
+  /// counts, the tallies) of every mapped row are bulk-copied from the
+  /// previous final state — one memcpy per (row, mapped-target run). Leaf
+  /// rows restrict the ssim copy to non-leaf target segments: their
+  /// leaf-pair cells already hold the final replayed leaf state scattered
+  /// by the sweep.
+  void GatherFinalRows(const TreeMatchDelta& delta, bool have_counts,
+                       TreeMatchResult* result) {
+    const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
+    const StructuralCounts* prev_counts = delta.prev_final_counts;
     // Identity maps (rename/retype edit streams) let the counts start as a
     // straight copy of the previous run's — one memcpy each instead of a
     // zero fill plus per-row copies. Cells the copy "seeds wrong" are
-    // exactly the non-clean ones, all rewritten below.
+    // exactly the non-clean ones, all rewritten by the walk.
     auto identity = [](const std::vector<TreeNodeId>& map, int64_t prev_n) {
       if (static_cast<int64_t>(map.size()) != prev_n) return false;
       for (size_t i = 0; i < map.size(); ++i) {
@@ -361,10 +659,6 @@ class TreeMatcher {
       result->counts.included = Matrix<int32_t>(num_s, num_t);
     }
 
-    // ---- gather: bulk row copies from the previous final state ----------
-    // One memcpy per (row, mapped-target run). Leaf rows restrict the ssim
-    // copy to non-leaf target segments: their leaf-pair cells already hold
-    // the final replayed leaf state scattered by RunIncremental.
     std::vector<IdRun> runs = BuildMappedIdRuns(delta.target_map);
     struct SubSeg {
       TreeNodeId nt, ot;
@@ -383,8 +677,8 @@ class TreeMatcher {
         k = e;
       }
     }
-    Matrix<float>* ssim_m = sims->mutable_ssim_matrix();
-    Matrix<float>* wsim_m = sims->mutable_wsim_matrix();
+    Matrix<float>* ssim_m = result->sims.mutable_ssim_matrix();
+    Matrix<float>* wsim_m = result->sims.mutable_wsim_matrix();
     const Matrix<float>& prev_ssim = delta.prev_final->ssim_matrix();
     const Matrix<float>& prev_wsim = delta.prev_final->wsim_matrix();
     for (TreeNodeId ns = 0; ns < num_s; ++ns) {
@@ -413,123 +707,144 @@ class TreeMatcher {
                       static_cast<size_t>(seg.len) * sizeof(float));
         }
       }
-      stats->rows_gathered += 2;
+      result->stats.rows_gathered += 2;
     }
+  }
 
-    auto r1 = std::chrono::steady_clock::now();
-    // ---- dirty leaf pairs: re-mix wsim from the final leaf state --------
-    // Clean leaf pairs keep the gathered previous wsim (same final ssim and
-    // lsim bits => same mix); unmapped rows/columns are fully dirty by
-    // construction, so every cell the gather could not cover is re-mixed.
+  /// Warm recompute: dirty leaf pairs re-mix wsim from the final leaf
+  /// state. Clean leaf pairs keep the gathered previous wsim (same final
+  /// ssim and lsim bits => same mix); unmapped rows/columns are fully dirty
+  /// by construction, so every cell the gather could not cover is re-mixed.
+  void MixDirtyLeafWsim(const TreeMatchDelta& delta, NodeSimilarities* sims) {
     delta.dirty->ForEachSet([&](TreeNodeId x, TreeNodeId y) {
       sims->set_wsim(x, y, MixWsim(*sims, x, y, sims->ssim(x, y), true));
     });
+  }
 
-    auto r2 = std::chrono::steady_clock::now();
-    // ---- prune-status fixup ---------------------------------------------
-    // Only rows/columns of size-changed nodes can flip a prune decision;
-    // cells pruned NOW must read as never-written (zero), whatever the
-    // previous run stored there.
-    auto zero_row_stale = [&](TreeNodeId ns) {
-      for (TreeNodeId nt = 0; nt < num_t; ++nt) {
-        if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) continue;
-        if (!PruneByLeafCount(ns, nt)) continue;
-        (*ssim_m)(ns, nt) = 0.0f;
-        (*wsim_m)(ns, nt) = 0.0f;
-        result->counts.strong(ns, nt) = 0;
-        result->counts.included(ns, nt) = 0;
+  /// Cold recompute: every leaf pair re-mixes wsim from the final leaf
+  /// state.
+  void MixFinalLeafWsim(const TreeMatchDelta& delta, NodeSimilarities* sims) {
+    const LeafIndex& sl = *delta.source_leaves;
+    const LeafIndex& tl = *delta.target_leaves;
+    for (size_t r = 0; r < sl.num_leaves(); ++r) {
+      const TreeNodeId x = sl.leaf(r);
+      for (size_t c = 0; c < tl.num_leaves(); ++c) {
+        const TreeNodeId y = tl.leaf(c);
+        sims->set_wsim(x, y, MixWsim(*sims, x, y, sims->ssim(x, y), true));
       }
+    }
+  }
+
+  /// Cold sweep: the sweep-stage wsim of every leaf pair. Feedback only
+  /// scales leaf pairs under a strictly later non-leaf pair in post-order,
+  /// so a full grid mixes each leaf pair from its type-seeded ssim.
+  void MixSweepLeafWsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
+    const size_t nsl = d.source_leaves->num_leaves();
+    const size_t ntl = d.target_leaves->num_leaves();
+    const double w = opt_.wstruct_leaf;
+    Matrix<float>* wsim_m = sims->mutable_wsim_matrix();
+    for (size_t r = 0; r < nsl; ++r) {
+      const float* srow = leaf_ssim_.row(static_cast<int64_t>(r));
+      const float* lrow = leaf_lsim_.row(static_cast<int64_t>(r));
+      float* wrow = wsim_m->row(d.source_leaves->leaf(r));
+      for (size_t c = 0; c < ntl; ++c) {
+        wrow[d.target_leaves->leaf(c)] =
+            static_cast<float>(w * srow[c] + (1.0 - w) * lrow[c]);
+      }
+    }
+  }
+
+  /// Warm recompute: zeroes gathered cells a cold run never writes. Only
+  /// rows/columns of size-changed nodes can flip a prune decision; cells
+  /// pruned NOW must read as never-written (zero), whatever the previous
+  /// run stored there. A node that became a leaf turns scanned non-leaf
+  /// pairs into leaf pairs, whose ssim and wsim the sweep and the dirty mix
+  /// rewrite but whose tallies must go.
+  void ZeroStaleCells(const TreeMatchDelta& delta, TreeMatchResult* result) {
+    const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
+    Matrix<float>* ssim_m = result->sims.mutable_ssim_matrix();
+    Matrix<float>* wsim_m = result->sims.mutable_wsim_matrix();
+    StructuralCounts* counts = &result->counts;
+    auto zero_if_pruned = [&](TreeNodeId ns, TreeNodeId nt) {
+      if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) return;
+      if (!PruneByLeafCount(ns, nt)) return;
+      (*ssim_m)(ns, nt) = 0.0f;
+      (*wsim_m)(ns, nt) = 0.0f;
+      counts->strong(ns, nt) = 0;
+      counts->included(ns, nt) = 0;
     };
     for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-      if (delta.source_size_changed[static_cast<size_t>(ns)]) {
-        zero_row_stale(ns);
-      }
+      if (!delta.source_size_changed[static_cast<size_t>(ns)]) continue;
+      for (TreeNodeId nt = 0; nt < num_t; ++nt) zero_if_pruned(ns, nt);
     }
     for (TreeNodeId nt = 0; nt < num_t; ++nt) {
       if (!delta.target_size_changed[static_cast<size_t>(nt)]) continue;
       for (TreeNodeId ns = 0; ns < num_s; ++ns) {
         if (delta.source_size_changed[static_cast<size_t>(ns)]) continue;
-        if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) continue;
-        if (!PruneByLeafCount(ns, nt)) continue;
-        (*ssim_m)(ns, nt) = 0.0f;
-        (*wsim_m)(ns, nt) = 0.0f;
-        result->counts.strong(ns, nt) = 0;
-        result->counts.included(ns, nt) = 0;
+        zero_if_pruned(ns, nt);
       }
     }
-
-    auto r3 = std::chrono::steady_clock::now();
-    // ---- visit list: clean-skip / reuse / tally adjustment / rescan -----
-    // Clean-pair test as in the sweep, over the POST-sweep dirty state: a
-    // clean x clean pair's gathered ssim/wsim/counts are bitwise what the
-    // reuse branch would write, so the pair costs two flag loads. Without
-    // previous counts nothing can be reused at all (matching the branch
-    // conditions below), so the skip is disabled too.
-    const bool can_skip = have_counts && !delta.source_lsim_same.empty() &&
-                          !delta.target_lsim_same.empty();
-    if (can_skip) DeriveCleanFlags(delta);
-    for (TreeNodeId ns : s_.post_order()) {
-      const int32_t begin = delta.visit_begin[static_cast<size_t>(ns)];
-      const int32_t end = delta.visit_end[static_cast<size_t>(ns)];
-      const bool row_clean = can_skip && s_clean_[static_cast<size_t>(ns)];
-      for (int32_t i = begin; i < end; ++i) {
-        TreeNodeId nt = delta.visit_data[static_cast<size_t>(i)];
-        if (row_clean && t_clean_[static_cast<size_t>(nt)]) {
-          ++stats->pairs_reused;
-          continue;
-        }
-        TreeNodeId os = delta.source_map[static_cast<size_t>(ns)];
-        TreeNodeId ot = delta.target_map[static_cast<size_t>(nt)];
-        int32_t& strong = result->counts.strong(ns, nt);
-        int32_t& included = result->counts.included(ns, nt);
-        if (have_counts && CanReuse(*sims, delta, ns, nt)) {
-          // Gathered ssim/wsim/counts already hold the previous final
-          // values this branch would copy; only a leaf row's skipped ssim
-          // cell still needs the explicit write.
-          if (s_.IsLeaf(ns)) {
-            sims->set_ssim(ns, nt, delta.prev_final->ssim(os, ot));
-          }
-          ++stats->pairs_reused;
-          continue;
-        }
-        if (have_counts && os != kNoTreeNode && ot != kNoTreeNode &&
-            // The old pair must have been scanned as a non-leaf pair for
-            // its tallies to exist at all.
-            !(delta.prev_source->IsLeaf(os) &&
-              delta.prev_target->IsLeaf(ot)) &&
-            !PrevPruned(delta, os, ot)) {
-          sims->set_ssim(ns, nt,
-                         DeltaStructuralSimilarity(*sims, delta, ns, nt, os,
-                                                   ot, &strong, &included));
-          ++stats->pairs_reused;
-        } else {
-          sims->set_ssim(ns, nt,
-                         StructuralSimilarity(*sims, ns, nt, &strong,
-                                              &included));
-        }
-        sims->set_wsim(ns, nt,
-                       MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
+    auto became_leaf = [](const SchemaTree& now, const SchemaTree& prev,
+                          const std::vector<TreeNodeId>& map, TreeNodeId n) {
+      TreeNodeId o = map[static_cast<size_t>(n)];
+      return o != kNoTreeNode && now.IsLeaf(n) && !prev.IsLeaf(o);
+    };
+    const LeafIndex& sl = *delta.source_leaves;
+    const LeafIndex& tl = *delta.target_leaves;
+    for (size_t r = 0; r < sl.num_leaves(); ++r) {
+      const TreeNodeId ns = sl.leaf(r);
+      if (!became_leaf(s_, *delta.prev_source, delta.source_map, ns)) continue;
+      for (size_t c = 0; c < tl.num_leaves(); ++c) {
+        counts->strong(ns, tl.leaf(c)) = 0;
+        counts->included(ns, tl.leaf(c)) = 0;
       }
     }
-    if (span.enabled()) {
-      auto r4 = std::chrono::steady_clock::now();
-      auto ms = [](auto a, auto b) {
-        return std::chrono::duration<double, std::milli>(b - a).count();
-      };
-      span.Attr("gather_ms", ms(r0, r1));
-      span.Attr("dirtymix_ms", ms(r1, r2));
-      span.Attr("fixup_ms", ms(r2, r3));
-      span.Attr("walk_ms", ms(r3, r4));
+    for (size_t c = 0; c < tl.num_leaves(); ++c) {
+      const TreeNodeId nt = tl.leaf(c);
+      if (!became_leaf(t_, *delta.prev_target, delta.target_map, nt)) continue;
+      for (size_t r = 0; r < sl.num_leaves(); ++r) {
+        counts->strong(sl.leaf(r), nt) = 0;
+        counts->included(sl.leaf(r), nt) = 0;
+      }
     }
   }
 
- private:
-  enum class Feedback { kNone, kIncrease, kDecrease };
+  /// Warm recompute of one visit-list pair from the previous final state:
+  /// a reusable pair keeps its gathered values, and a pair whose previous
+  /// counterpart was scanned adjusts the previous tallies. False when
+  /// neither applies and the pair must be rescanned.
+  bool RecomputeFromPast(const TreeMatchDelta& delta, TreeNodeId ns,
+                         TreeNodeId nt, int32_t* strong, int32_t* included,
+                         TreeMatchResult* result) {
+    NodeSimilarities* sims = &result->sims;
+    TreeNodeId os = delta.source_map[static_cast<size_t>(ns)];
+    TreeNodeId ot = delta.target_map[static_cast<size_t>(nt)];
+    if (CanReuse(*sims, delta, ns, nt)) {
+      // Gathered ssim/wsim/counts already hold the previous final values;
+      // only a leaf row's skipped ssim cell still needs the explicit write.
+      if (s_.IsLeaf(ns)) {
+        sims->set_ssim(ns, nt, delta.prev_final->ssim(os, ot));
+      }
+      ++result->stats.pairs_reused;
+      return true;
+    }
+    // The old pair must have been scanned as a non-leaf pair for its
+    // tallies to exist at all.
+    if (os == kNoTreeNode || ot == kNoTreeNode ||
+        (delta.prev_source->IsLeaf(os) && delta.prev_target->IsLeaf(ot)) ||
+        PrevPruned(delta, os, ot)) {
+      return false;
+    }
+    sims->set_ssim(ns, nt, DeltaStructuralSimilarity(*sims, delta, ns, nt, os,
+                                                     ot, strong, included));
+    sims->set_wsim(ns, nt, MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
+    ++result->stats.pairs_reused;
+    return true;
+  }
 
-  Feedback Classify(double wsim) const {
-    if (wsim > opt_.th_high) return Feedback::kIncrease;
-    if (wsim < opt_.th_low) return Feedback::kDecrease;
-    return Feedback::kNone;
+  bool PruneByLeafCount(TreeNodeId ns, TreeNodeId nt) const {
+    return PrunedByLeafCount(opt_, s_.leaves(ns).size(),
+                             t_.leaves(nt).size());
   }
 
   /// Leaf-count pruning replicated on the previous run's trees (true-leaf
@@ -727,18 +1042,17 @@ class TreeMatcher {
                                static_cast<double>(included);
   }
 
-  // -------------------------------------------------- the gather engine --
+  // ------------------------------------------------- dense leaf state --
   //
   // Per-run dense leaf-pair state: ssim/lsim over (dense source leaf, dense
   // target leaf). Subtree leaf sets occupy contiguous dense ranges (DFS id
   // clustering, certified per node by LeafIndex::range_contiguous), so
-  // structural-similarity scans stream rows and feedback replay scales
-  // whole blocks with tight clamp loops.
+  // structural-similarity scans stream rows and feedback scales whole
+  // blocks with tight clamp loops.
 
-  /// Fresh lsim projection (hoisted column->element index, no per-cell
-  /// pointer chasing) plus the dense leaf-pair lsim mirror. A fresh fill is
-  /// trivially bit-identical to ProjectLsim; gathering it from the previous
-  /// run would need per-cell change flags for the same bandwidth.
+  /// lsim projection (hoisted column->element index, no per-cell pointer
+  /// chasing) plus the dense leaf-pair lsim mirror. Warm, feature-same rows
+  /// are copied from the previous run instead.
   void ProjectLsimGather(const Matrix<float>& element_lsim,
                          const TreeMatchDelta& d, NodeSimilarities* sims) {
     const int64_t num_t = t_.num_nodes();
@@ -909,8 +1223,8 @@ class TreeMatcher {
   /// Leaf-count prune divergence: a pair pruned NOW whose previous
   /// counterpart fired feedback cannot replay that event, so everything it
   /// scaled is dirty. A prune decision only flips when an endpoint's leaf
-  /// count changed, so only those rows/columns are checked — the legacy
-  /// per-pair sweep ran this test on every pruned pair. Marking before the
+  /// count changed, so only those rows/columns are checked — the reference
+  /// sweep runs this test on every pruned pair. Marking before the
   /// sweep instead of at the pair's post-order position is sound: dirty
   /// bits only ever force recomputation, and a rescan of a truly clean pair
   /// reproduces the reusable value bit for bit.
@@ -937,16 +1251,15 @@ class TreeMatcher {
     }
   }
 
-  /// One visit-list pair of the warm sweep: reuse or rescan, divergence
-  /// check, feedback replay. Identical decisions and leaf-state evolution
-  /// to the legacy ComparePairIncremental; sweep-stage wsim is computed for
-  /// the feedback decision but not stored (nothing consumes it — the
-  /// recompute pass produces every final wsim).
+  /// One visit-list pair of the sweep: scan (or, warm, reuse), feedback.
+  /// Identical decisions, leaf-state evolution and sweep-stage ssim/wsim to
+  /// the reference ComparePair. Warm runs also check the decision against
+  /// the previous run's and dirty the pair's leaf block on divergence.
   void VisitPair(TreeNodeId ns, TreeNodeId nt, TreeMatchDelta* d,
                  TreeMatchResult* result) {
     NodeSimilarities& sims = result->sims;
     bool reused = false;
-    if (CanReuse(sims, *d, ns, nt)) {
+    if (past_ && CanReuse(sims, *d, ns, nt)) {
       sims.set_ssim(ns, nt,
                     (*d->prev_sweep_ssim)(
                         d->source_map[static_cast<size_t>(ns)],
@@ -958,8 +1271,9 @@ class TreeMatcher {
     }
     ++result->stats.pairs_compared;
     double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), false);
+    sims.set_wsim(ns, nt, wsim);
     Feedback f = Classify(wsim);
-    if (!reused && f != PrevFeedback(*d, ns, nt)) {
+    if (past_ && !reused && f != PrevFeedback(*d, ns, nt)) {
       // The feedback history of every leaf pair under this one now differs
       // from the previous run; nothing below may be reused any more — the
       // per-node clean flags must be re-derived before the next skip.
@@ -1266,272 +1580,18 @@ class TreeMatcher {
     }
   }
 
-  // Both init fills write disjoint source-node rows, so the row blocks can
-  // run on the pool; results are identical at any thread count.
-  void ProjectLsim(const Matrix<float>& element_lsim, NodeSimilarities* sims,
-                   ThreadPool* pool) const {
-    ParallelFor(pool, s_.num_nodes(), [&](int64_t begin, int64_t end) {
-      for (TreeNodeId ns = static_cast<TreeNodeId>(begin);
-           ns < static_cast<TreeNodeId>(end); ++ns) {
-        ElementId es = s_.node(ns).source;
-        if (es == kNoElement) continue;
-        for (TreeNodeId nt = 0; nt < t_.num_nodes(); ++nt) {
-          ElementId et = t_.node(nt).source;
-          if (et == kNoElement) continue;
-          sims->set_lsim(ns, nt, element_lsim(es, et));
-        }
-      }
-    });
-  }
-
-  void InitLeafSsim(NodeSimilarities* sims, ThreadPool* pool) const {
-    ParallelFor(pool, s_.num_nodes(), [&](int64_t begin, int64_t end) {
-      for (TreeNodeId ns = static_cast<TreeNodeId>(begin);
-           ns < static_cast<TreeNodeId>(end); ++ns) {
-        if (!s_.IsLeaf(ns)) continue;
-        DataType ds = s_.schema().element(s_.node(ns).source).data_type;
-        for (TreeNodeId nt = 0; nt < t_.num_nodes(); ++nt) {
-          if (!t_.IsLeaf(nt)) continue;
-          DataType dt = t_.schema().element(t_.node(nt).source).data_type;
-          sims->set_ssim(ns, nt, types_.Get(ds, dt));
-        }
-      }
-    });
-  }
-
-  double MixWsim(const NodeSimilarities& sims, TreeNodeId ns, TreeNodeId nt,
-                 double ssim, bool leaf_pair) const {
-    double w = leaf_pair ? opt_.wstruct_leaf : opt_.wstruct_nonleaf;
-    return w * ssim + (1.0 - w) * sims.lsim(ns, nt);
-  }
-
-  /// Strength of a potential leaf-level link. For true leaf pairs this is
-  /// recomputed from the *current* ssim (it evolves); for depth-pruned
-  /// frontier nodes the stored wsim snapshot is used (post-order guarantees
-  /// it was computed before any pair that consults it).
-  double LinkStrength(const NodeSimilarities& sims, TreeNodeId x,
-                      TreeNodeId y) const {
-    if (s_.IsLeaf(x) && t_.IsLeaf(y)) {
-      return MixWsim(sims, x, y, sims.ssim(x, y), true);
-    }
-    return sims.wsim(x, y);
-  }
-
-  bool PruneByLeafCount(TreeNodeId ns, TreeNodeId nt) const {
-    return PrunedByLeafCount(opt_, s_frontier_.of(ns).size(),
-                             t_frontier_.of(nt).size());
-  }
-
-  /// The Section 6 / 8.4 structural similarity: fraction of the union of the
-  /// two leaf sets with at least one strong link into the other set;
-  /// optional leaves without strong links are dropped from both numerator
-  /// and denominator when optional_discount is on.
-  /// Below this many link tests a naive early-break scan beats a bitset
-  /// probe (plus its amortized row rebuild); both give the same answer, so
-  /// the cache is consulted per side only when the scan it replaces is wide
-  /// (flat schemas, near-root pairs).
-  static constexpr size_t kCacheMinScan = 64;
-
-  double StructuralSimilarity(const NodeSimilarities& sims, TreeNodeId ns,
-                              TreeNodeId nt,
-                              int32_t* strong_out = nullptr,
-                              int32_t* included_out = nullptr) const {
-    const std::vector<LeafRef>& ls = s_frontier_.of(ns);
-    const std::vector<LeafRef>& lt = t_frontier_.of(nt);
-    const bool cache_src = cache_ != nullptr && lt.size() >= kCacheMinScan;
-    const bool cache_tgt = cache_ != nullptr && ls.size() >= kCacheMinScan;
-    int64_t strong = 0, included = 0;
-    for (const LeafRef& x : ls) {
-      bool has_link;
-      if (cache_src) {
-        has_link = cache_->SourceLeafHasLink(sims, x.leaf, nt);
-      } else {
-        has_link = false;
-        for (const LeafRef& y : lt) {
-          ++link_tests_;
-          if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
-            has_link = true;
-            break;
-          }
-        }
-      }
-      if (has_link) {
-        ++strong;
-        ++included;
-      } else if (!(opt_.optional_discount && x.optional)) {
-        ++included;
-      }
-    }
-    for (const LeafRef& y : lt) {
-      bool has_link;
-      if (cache_tgt) {
-        has_link = cache_->TargetLeafHasLink(sims, y.leaf, ns);
-      } else {
-        has_link = false;
-        for (const LeafRef& x : ls) {
-          ++link_tests_;
-          if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
-            has_link = true;
-            break;
-          }
-        }
-      }
-      if (has_link) {
-        ++strong;
-        ++included;
-      } else if (!(opt_.optional_discount && y.optional)) {
-        ++included;
-      }
-    }
-    if (strong_out != nullptr) {
-      *strong_out = static_cast<int32_t>(strong);
-      *included_out = static_cast<int32_t>(included);
-    }
-    return included == 0 ? 0.0
-                         : static_cast<double>(strong) /
-                               static_cast<double>(included);
-  }
-
-  /// Section 8.4 fast path: structural similarity over the immediate
-  /// children only (their wsims are already computed, post-order).
-  double ChildLevelSimilarity(const NodeSimilarities& sims, TreeNodeId ns,
-                              TreeNodeId nt) const {
-    std::vector<LeafRef> ls, lt;
-    for (TreeNodeId c : s_.node(ns).children) {
-      ls.push_back({c, s_.node(c).optional});
-    }
-    for (TreeNodeId c : t_.node(nt).children) {
-      lt.push_back({c, t_.node(c).optional});
-    }
-    int64_t strong = 0, included = 0;
-    auto side = [&](const std::vector<LeafRef>& from,
-                    const std::vector<LeafRef>& to, bool from_is_source) {
-      for (const LeafRef& x : from) {
-        bool has_link = false;
-        for (const LeafRef& y : to) {
-          double w = from_is_source ? LinkStrength(sims, x.leaf, y.leaf)
-                                    : LinkStrength(sims, y.leaf, x.leaf);
-          if (w >= opt_.th_accept) {
-            has_link = true;
-            break;
-          }
-        }
-        if (has_link) {
-          ++strong;
-          ++included;
-        } else if (!(opt_.optional_discount && x.optional)) {
-          ++included;
-        }
-      }
-    };
-    side(ls, lt, true);
-    side(lt, ls, false);
-    return included == 0 ? 0.0
-                         : static_cast<double>(strong) /
-                               static_cast<double>(included);
-  }
-
-  void ComparePair(TreeNodeId ns, TreeNodeId nt, TreeMatchResult* result) {
-    NodeSimilarities& sims = result->sims;
-    const bool leaf_pair = s_.IsLeaf(ns) && t_.IsLeaf(nt);
-    if (!leaf_pair) {
-      if (PruneByLeafCount(ns, nt)) {
-        ++result->stats.pairs_pruned_leaf_count;
-        return;
-      }
-      bool skipped = false;
-      if (opt_.skip_leaves_threshold > 0.0 && !s_.IsLeaf(ns) &&
-          !t_.IsLeaf(nt)) {
-        double child_sim = ChildLevelSimilarity(sims, ns, nt);
-        if (child_sim >= opt_.skip_leaves_threshold) {
-          sims.set_ssim(ns, nt, child_sim);
-          ++result->stats.leaf_scans_skipped;
-          skipped = true;
-        }
-      }
-      if (!skipped) {
-        sims.set_ssim(ns, nt, StructuralSimilarity(sims, ns, nt));
-      }
-    }
-    ++result->stats.pairs_compared;
-    double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), leaf_pair);
-    sims.set_wsim(ns, nt, wsim);
-
-    if (leaf_pair && !opt_.leaf_pair_feedback) return;
-    if (wsim > opt_.th_high) {
-      ScaleSubtreeLeaves(ns, nt, opt_.c_inc, &sims);
-      result->events.push_back({ns, nt, int8_t{1}});
-      ++result->stats.increases_applied;
-    } else if (wsim < opt_.th_low) {
-      ScaleSubtreeLeaves(ns, nt, opt_.c_dec, &sims);
-      result->events.push_back({ns, nt, int8_t{-1}});
-      ++result->stats.decreases_applied;
-    }
-  }
-
-  void ScaleSubtreeLeaves(TreeNodeId ns, TreeNodeId nt, double factor,
-                          NodeSimilarities* sims) const {
-    for (const LeafRef& x : s_.leaves(ns)) {
-      for (const LeafRef& y : t_.leaves(nt)) {
-        ++scale_ops_;
-        if (cache_) {
-          // Patch the link bits in place: this loop already visits the
-          // pair, while row-level invalidation would trigger full rebuilds
-          // after every feedback event. Saturated cells (0 stays 0, 1 stays
-          // 1 under c_inc) cannot move a bit, so they skip the update.
-          double before = sims->ssim(x.leaf, y.leaf);
-          sims->ScaleSsim(x.leaf, y.leaf, factor);
-          if (sims->ssim(x.leaf, y.leaf) != before) {
-            cache_->UpdatePair(*sims, x.leaf, y.leaf);
-          }
-        } else {
-          sims->ScaleSsim(x.leaf, y.leaf, factor);
-        }
-      }
-    }
-  }
-
-  /// Lazy expansion: every copy descendant inherits the full similarity rows
-  /// (ssim and wsim) of its aligned canonical descendant, snapshotted at
-  /// canonical-subtree completion. Context-dependent increases from the
-  /// copies' ancestors still apply to the copied leaf rows afterwards.
-  void PropagateRows(
-      const std::vector<std::pair<TreeNodeId, TreeNodeId>>& pairs,
-      NodeSimilarities* sims) const {
-    for (const auto& [canon, copy] : pairs) {
-      for (TreeNodeId nt = 0; nt < t_.num_nodes(); ++nt) {
-        sims->set_ssim(copy, nt, sims->ssim(canon, nt));
-        sims->set_wsim(copy, nt, sims->wsim(canon, nt));
-      }
-    }
-    // Whole leaf rows may have been overwritten; every target bitset holds
-    // one bit per source leaf, so conservatively drop everything.
-    if (cache_) cache_->InvalidateAll();
-  }
-
-  const SchemaTree& s_;
-  const SchemaTree& t_;
-  const TypeCompatibilityTable& types_;
-  TreeMatchOptions opt_;
-  FrontierProvider s_frontier_;
-  FrontierProvider t_frontier_;
-  /// Lazily rebuilt link bitsets; null when disabled or when depth-pruned
-  /// frontiers make it inapplicable. Mutated from const query paths.
-  std::unique_ptr<StrongLinkCache> cache_;
-  /// Gather-engine state (incremental runs only): dense leaf-pair ssim and
-  /// lsim over (dense source leaf, dense target leaf), plus the per-node
-  /// clean flags of the event-replay fast path (the visit list itself lives
-  /// on the TreeMatchDelta, shared between the sweep and the recompute).
+  /// Dense leaf-pair ssim and lsim over (dense source leaf, dense target
+  /// leaf), plus the per-node clean flags of the warm event-replay fast path
+  /// (the visit list itself lives on the TreeMatchDelta, shared between the
+  /// sweep and the recompute).
   Matrix<float> leaf_ssim_;
   Matrix<float> leaf_lsim_;
   std::vector<uint8_t> s_clean_, t_clean_;
   /// A mid-sweep divergence dirtied new leaf blocks; re-derive the clean
   /// flags before trusting them again.
   bool clean_flags_stale_ = false;
-  /// Work counters surfaced through TreeMatchStats (mutable: the scans run
-  /// from const query paths).
-  mutable int64_t link_tests_ = 0;
-  mutable int64_t scale_ops_ = 0;
+  /// The delta carries a previous run (warm); false for a cold run.
+  bool past_ = false;
 };
 
 }  // namespace
@@ -1561,40 +1621,91 @@ Status ValidateTreeMatchOptions(const TreeMatchOptions& o) {
     return Status::InvalidArgument(
         "skip_leaves_threshold must be within [0,1]");
   }
-  if (o.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
+  return Status::OK();
+}
+
+namespace {
+
+Status CheckLsimShape(const SchemaTree& source, const SchemaTree& target,
+                      const Matrix<float>& element_lsim) {
+  if (element_lsim.rows() != source.schema().num_elements() ||
+      element_lsim.cols() != target.schema().num_elements()) {
+    return Status::InvalidArgument(
+        "element_lsim dimensions do not match the schemas");
   }
   return Status::OK();
 }
+
+Status CheckSimsShape(const SchemaTree& source, const SchemaTree& target,
+                      const TreeMatchResult& result) {
+  if (result.sims.source_nodes() != source.num_nodes() ||
+      result.sims.target_nodes() != target.num_nodes()) {
+    return Status::InvalidArgument(
+        "similarity matrix does not match the trees");
+  }
+  return Status::OK();
+}
+
+/// The delta of a cold run: no previous run, only the leaf indexes the
+/// engine's dense leaf state is laid out over.
+TreeMatchDelta EmptyPast(const SchemaTree& source, const SchemaTree& target) {
+  TreeMatchDelta delta;
+  delta.source_leaves = std::make_unique<LeafIndex>(source);
+  delta.target_leaves = std::make_unique<LeafIndex>(target);
+  return delta;
+}
+
+}  // namespace
 
 Result<TreeMatchResult> TreeMatch(const SchemaTree& source,
                                   const SchemaTree& target,
                                   const Matrix<float>& element_lsim,
                                   const TypeCompatibilityTable& types,
                                   const TreeMatchOptions& options) {
-  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
-  if (element_lsim.rows() != source.schema().num_elements() ||
-      element_lsim.cols() != target.schema().num_elements()) {
-    return Status::InvalidArgument(
-        "element_lsim dimensions do not match the schemas");
+  if (!SupportsIncrementalTreeMatch(options)) {
+    return TreeMatchReference(source, target, element_lsim, types, options);
   }
-  TreeMatcher matcher(source, target, types, options);
-  return matcher.Run(element_lsim);
+  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
+  CUPID_RETURN_NOT_OK(CheckLsimShape(source, target, element_lsim));
+  TreeMatchDelta empty = EmptyPast(source, target);
+  return TreeMatcher(source, target, types, options)
+      .Sweep(element_lsim, &empty);
 }
 
 Status RecomputeNonLeafSimilarities(const SchemaTree& source,
                                     const SchemaTree& target,
                                     const TreeMatchOptions& options,
                                     TreeMatchResult* result) {
-  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
-  if (result->sims.source_nodes() != source.num_nodes() ||
-      result->sims.target_nodes() != target.num_nodes()) {
-    return Status::InvalidArgument(
-        "similarity matrix does not match the trees");
+  if (!SupportsIncrementalTreeMatch(options)) {
+    return RecomputeNonLeafSimilaritiesReference(source, target, options,
+                                                 result);
   }
+  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
+  CUPID_RETURN_NOT_OK(CheckSimsShape(source, target, *result));
   TypeCompatibilityTable types = TypeCompatibilityTable::Default();
-  TreeMatcher matcher(source, target, types, options);
-  matcher.Recompute(result);
+  TreeMatchDelta empty = EmptyPast(source, target);
+  TreeMatcher(source, target, types, options).Recompute(&empty, result);
+  return Status::OK();
+}
+
+Result<TreeMatchResult> TreeMatchReference(const SchemaTree& source,
+                                           const SchemaTree& target,
+                                           const Matrix<float>& element_lsim,
+                                           const TypeCompatibilityTable& types,
+                                           const TreeMatchOptions& options) {
+  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
+  CUPID_RETURN_NOT_OK(CheckLsimShape(source, target, element_lsim));
+  return ReferenceMatcher(source, target, types, options).Run(element_lsim);
+}
+
+Status RecomputeNonLeafSimilaritiesReference(const SchemaTree& source,
+                                             const SchemaTree& target,
+                                             const TreeMatchOptions& options,
+                                             TreeMatchResult* result) {
+  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
+  CUPID_RETURN_NOT_OK(CheckSimsShape(source, target, *result));
+  TypeCompatibilityTable types = TypeCompatibilityTable::Default();
+  ReferenceMatcher(source, target, types, options).Recompute(result);
   return Status::OK();
 }
 
@@ -1689,14 +1800,9 @@ Result<TreeMatchResult> TreeMatchIncremental(
         "skip_leaves_threshold == 0, and lazy_expansion / "
         "leaf_pair_feedback off");
   }
-  if (element_lsim.rows() != source.schema().num_elements() ||
-      element_lsim.cols() != target.schema().num_elements()) {
-    return Status::InvalidArgument(
-        "element_lsim dimensions do not match the schemas");
-  }
+  CUPID_RETURN_NOT_OK(CheckLsimShape(source, target, element_lsim));
   CUPID_RETURN_NOT_OK(ValidateDelta(source, target, *delta));
-  TreeMatcher matcher(source, target, types, options);
-  return matcher.RunIncremental(element_lsim, delta);
+  return TreeMatcher(source, target, types, options).Sweep(element_lsim, delta);
 }
 
 Status RecomputeNonLeafSimilaritiesIncremental(const SchemaTree& source,
@@ -1710,15 +1816,10 @@ Status RecomputeNonLeafSimilaritiesIncremental(const SchemaTree& source,
         "incremental recompute requires the incremental TreeMatch option "
         "subset");
   }
-  if (result->sims.source_nodes() != source.num_nodes() ||
-      result->sims.target_nodes() != target.num_nodes()) {
-    return Status::InvalidArgument(
-        "similarity matrix does not match the trees");
-  }
+  CUPID_RETURN_NOT_OK(CheckSimsShape(source, target, *result));
   CUPID_RETURN_NOT_OK(ValidateDelta(source, target, *delta));
   TypeCompatibilityTable types = TypeCompatibilityTable::Default();
-  TreeMatcher matcher(source, target, types, options);
-  matcher.RecomputeIncremental(delta, result);
+  TreeMatcher(source, target, types, options).Recompute(delta, result);
   return Status::OK();
 }
 

@@ -1,6 +1,15 @@
 // The TreeMatch structural matching algorithm (Section 6, Figure 3), with
 // the Section 8.4 refinements: optional-leaf discounting, leaf-count
 // pruning, depth-k leaf pruning, and lazy expansion of duplicated subtrees.
+//
+// One engine runs the sweep and the Section 7 recompute for every option set
+// SupportsIncrementalTreeMatch accepts: a visit list of the non-leaf pairs
+// surviving the leaf-count prune, over dense leaf-pair matrices. A cold
+// TreeMatch is that engine with an empty past; a warm TreeMatchIncremental
+// adds reuse of the previous run's clean pairs on top of the same sweep and
+// recompute bodies. TreeMatch is serial. The full-grid reference sweep
+// (TreeMatchReference) is the only engine for the remaining Section 8.4
+// variants and the oracle the engine is tested against.
 
 #ifndef CUPID_STRUCTURAL_TREE_MATCH_H_
 #define CUPID_STRUCTURAL_TREE_MATCH_H_
@@ -70,23 +79,13 @@ struct TreeMatchOptions {
   /// immediate-children similarity reaches this threshold adopts it as ssim
   /// without scanning the leaf sets. 0 disables (default).
   double skip_leaves_threshold = 0.0;
-  /// Accelerate the leaf-set scans of structural similarity with per-leaf
-  /// accepted-link bitsets (perf/strong_link_cache.h). Results are identical
-  /// to the naive scan; only effective when max_leaf_depth == 0 (true-leaf
-  /// frontiers). Off by default: on every measured workload shape
-  /// (bench_scalability; docs/PERFORMANCE.md) the leaf-count and
-  /// categorization prunings keep the naive early-exit scans short enough
-  /// that the bitset amortization does not pay for itself. Kept as an
-  /// opt-in for extreme schemas (thousands of leaves under single nodes).
-  bool use_strong_link_cache = false;
-  /// Worker threads for the parallel row fills (ProjectLsim, InitLeafSsim);
-  /// 0 = all hardware threads. The TreeMatch sweep itself is inherently
-  /// sequential (mutual recursion through leaf feedback).
-  int num_threads = 0;
 };
 
 /// Counters describing what a TreeMatch run did.
 struct TreeMatchStats {
+  /// Node pairs a full-grid sweep compares (leaf pairs included) and prunes
+  /// by leaf count; the visit-list engine derives them arithmetically. Warm
+  /// runs count only the pairs they rescanned or re-decided.
   int64_t pairs_compared = 0;
   int64_t pairs_pruned_leaf_count = 0;
   int64_t pairs_skipped_lazy = 0;
@@ -99,22 +98,19 @@ struct TreeMatchStats {
   int64_t link_tests = 0;
   /// Leaf-pair ssim cells rescaled by increase/decrease feedback.
   int64_t scale_ops = 0;
-  /// Incremental runs only: node pairs whose similarities were copied from
-  /// the previous run instead of rescanned.
+  /// Warm runs only: node pairs whose similarities were copied from the
+  /// previous run instead of rescanned.
   int64_t pairs_reused = 0;
-  /// Incremental runs only: matrix rows bulk-copied from the previous run's
-  /// final state by the gather engine (ssim/wsim/count rows combined).
+  /// Warm runs only: matrix rows bulk-copied from the previous run's final
+  /// state (ssim/wsim/count rows combined).
   int64_t rows_gathered = 0;
-  /// Incremental runs only: node pairs on the sweep's visit list (non-leaf
+  /// Visit-list engine only: node pairs on the sweep's visit list (non-leaf
   /// pairs surviving the leaf-count prune). The dense leaf-pair block —
-  /// (leaves x leaves) minus this — never enters the per-pair loop at all.
+  /// (leaves x leaves) — never enters the per-pair loop at all.
   int64_t visit_list_pairs = 0;
-  /// Incremental runs only: node pairs whose feedback decision diverged from
-  /// the previous run (their leaf blocks were re-marked dirty).
+  /// Warm runs only: node pairs whose feedback decision diverged from the
+  /// previous run (their leaf blocks were re-marked dirty).
   int64_t feedback_divergences = 0;
-  /// Strong-link cache activity (0 when the cache is disabled).
-  int64_t strong_link_queries = 0;
-  int64_t strong_link_rebuilds = 0;
 };
 
 /// Per-pair integer tallies of the structural-similarity fraction
@@ -165,6 +161,9 @@ struct TreeMatchResult {
 ///   3. wsim = wstruct*ssim + (1-wstruct)*lsim is snapshotted;
 ///   4. wsim > th_high scales all leaf-pair ssims in the two subtrees by
 ///      c_inc (capped at 1); wsim < th_low scales them by c_dec.
+///
+/// Runs the visit-list engine when SupportsIncrementalTreeMatch(options),
+/// the reference sweep otherwise; both give bit-identical results.
 Result<TreeMatchResult> TreeMatch(const SchemaTree& source,
                                   const SchemaTree& target,
                                   const Matrix<float>& element_lsim,
@@ -179,6 +178,23 @@ Status RecomputeNonLeafSimilarities(const SchemaTree& source,
                                     const SchemaTree& target,
                                     const TreeMatchOptions& options,
                                     TreeMatchResult* result);
+
+/// \brief The full-grid reference implementation of Figure 3: every
+/// (source, target) node pair is visited in post-order. Supports every
+/// option; the only engine for depth-k frontiers, the skip-leaves fast
+/// path, lazy expansion and leaf-pair self-feedback, and the bit-identity
+/// oracle of the visit-list engine.
+Result<TreeMatchResult> TreeMatchReference(const SchemaTree& source,
+                                           const SchemaTree& target,
+                                           const Matrix<float>& element_lsim,
+                                           const TypeCompatibilityTable& types,
+                                           const TreeMatchOptions& options = {});
+
+/// \brief The full-grid reference implementation of the Section 7 pass.
+Status RecomputeNonLeafSimilaritiesReference(const SchemaTree& source,
+                                             const SchemaTree& target,
+                                             const TreeMatchOptions& options,
+                                             TreeMatchResult* result);
 
 /// \brief Validates option ranges (thresholds within [0,1], factors
 /// positive, th_low <= th_accept <= th_high).
@@ -258,7 +274,7 @@ struct TreeMatchDelta {
   }
   /// Per NEW tree node: the node is unmapped, or its true-leaf frontier
   /// SIZE differs from its previous counterpart's. Only such nodes can
-  /// change a pair's leaf-count prune decision, so the gather engine runs
+  /// change a pair's leaf-count prune decision, so the warm sweep runs
   /// prune-divergence checks and stale-cell fixups over these rows/columns
   /// alone instead of the full pair grid.
   std::vector<uint8_t> source_size_changed;
@@ -316,18 +332,19 @@ int PrevFeedbackDecision(const TreeMatchOptions& options,
                          const NodeSimilarities& prev_final, TreeNodeId os,
                          TreeNodeId ot);
 
-/// \brief True iff `options` are in the subset the incremental warm start
-/// supports: true-leaf frontiers (max_leaf_depth == 0), no
+/// \brief True iff `options` are in the subset the visit-list engine (cold
+/// and warm) supports: true-leaf frontiers (max_leaf_depth == 0), no
 /// skip-leaves fast path, no lazy expansion, no leaf-pair self-feedback.
-/// Everything else (threads, strong-link cache, thresholds, optional
-/// discounting, leaf-count pruning) composes with warm starts.
+/// Everything else (thresholds, weights, optional discounting, leaf-count
+/// pruning) composes with it.
 bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options);
 
 /// \brief TreeMatch warm-started from a previous run.
 ///
-/// Produces a result bit-identical to TreeMatch(source, target,
-/// element_lsim, types, options): node pairs whose inputs provably match the
-/// previous run's copy their similarities; only pairs reachable from the
+/// The same engine as a cold TreeMatch, with a past. Produces a result
+/// bit-identical to TreeMatch(source, target, element_lsim, types,
+/// options): node pairs whose inputs provably match the previous run's copy
+/// their similarities; only pairs reachable from the
 /// delta's dirty leaf set (plus pairs whose feedback decision diverges,
 /// detected on the fly) are rescanned. `delta->dirty` is updated in place.
 Result<TreeMatchResult> TreeMatchIncremental(const SchemaTree& source,

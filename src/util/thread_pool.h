@@ -1,7 +1,7 @@
 // A small fixed-size thread pool plus a deterministic ParallelFor helper.
 //
-// Used to parallelize the embarrassingly parallel row blocks of the matcher
-// (lsim matrix fill, ProjectLsim, InitLeafSsim). Tasks must write disjoint
+// Used to parallelize the embarrassingly parallel row blocks of the lsim
+// matrix fill (TreeMatch is serial). Tasks must write disjoint
 // state; under that contract results are identical at any thread count,
 // which the perf tests assert.
 

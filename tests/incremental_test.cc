@@ -3,7 +3,7 @@
 // the warm start may only skip work, never change results. Random edit
 // streams drive every edit kind through the session and compare lsim, node
 // similarities and both mappings value-for-value at every step, at 1 and N
-// threads, with and without the strong-link cache.
+// threads.
 
 #include <gtest/gtest.h>
 
@@ -69,12 +69,6 @@ TEST(MatchSessionPropertyTest, EditStreamBitIdenticalMultiThread) {
   CupidConfig config;
   config.SetNumThreads(4);
   RunEditStream(config, 11, 12);
-}
-
-TEST(MatchSessionPropertyTest, EditStreamBitIdenticalStrongLinkCache) {
-  CupidConfig config = SingleThreaded();
-  config.tree_match.use_strong_link_cache = true;
-  RunEditStream(config, 21, 12);
 }
 
 TEST(MatchSessionPropertyTest, EditStreamBitIdenticalNaiveLinguistic) {

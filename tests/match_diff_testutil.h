@@ -1,7 +1,9 @@
-// Shared helpers of the incremental differential test harnesses
-// (tests/incremental_test.cc, tests/property_test.cc): bitwise comparison
-// of a MatchSession result against a from-scratch CupidMatcher run, and a
-// seeded random schema-edit generator covering every supported edit kind.
+// Shared helpers of the differential test harnesses (tests/incremental_test.cc,
+// tests/property_test.cc, tests/structural_test.cc): bitwise comparison of a
+// MatchSession result against a from-scratch CupidMatcher run, bitwise
+// comparison of a structural phase against the full-grid reference sweep,
+// and a seeded random schema-edit generator covering every supported edit
+// kind.
 
 #ifndef CUPID_TESTS_MATCH_DIFF_TESTUTIL_H_
 #define CUPID_TESTS_MATCH_DIFF_TESTUTIL_H_
@@ -13,6 +15,7 @@
 
 #include "core/cupid_matcher.h"
 #include "incremental/schema_edit.h"
+#include "structural/tree_match.h"
 #include "util/random.h"
 
 namespace cupid {
@@ -69,6 +72,65 @@ inline void ExpectIdenticalResults(const MatchResult& inc,
   expect_mapping(inc.leaf_mapping, ref.leaf_mapping, "leaf mapping");
   expect_mapping(inc.nonleaf_mapping, ref.nonleaf_mapping,
                  "nonleaf mapping");
+}
+
+/// Bitwise comparison of two structural results: the lsim/ssim/wsim node
+/// matrices, the recorded structural counts, and the feedback events in
+/// firing order. Returns on the first mismatch.
+inline void ExpectIdenticalStructural(const TreeMatchResult& got,
+                                      const TreeMatchResult& want,
+                                      const std::string& context) {
+  const NodeSimilarities& a = got.sims;
+  const NodeSimilarities& b = want.sims;
+  ASSERT_EQ(a.source_nodes(), b.source_nodes()) << context;
+  ASSERT_EQ(a.target_nodes(), b.target_nodes()) << context;
+  for (TreeNodeId s = 0; s < a.source_nodes(); ++s) {
+    for (TreeNodeId t = 0; t < a.target_nodes(); ++t) {
+      ASSERT_EQ(a.lsim(s, t), b.lsim(s, t))
+          << context << " lsim(" << s << "," << t << ")";
+      ASSERT_EQ(a.ssim(s, t), b.ssim(s, t))
+          << context << " ssim(" << s << "," << t << ")";
+      ASSERT_EQ(a.wsim(s, t), b.wsim(s, t))
+          << context << " wsim(" << s << "," << t << ")";
+    }
+  }
+  ASSERT_EQ(got.counts.strong.rows(), want.counts.strong.rows()) << context;
+  ASSERT_EQ(got.counts.strong.cols(), want.counts.strong.cols()) << context;
+  for (int64_t s = 0; s < got.counts.strong.rows(); ++s) {
+    for (int64_t t = 0; t < got.counts.strong.cols(); ++t) {
+      ASSERT_EQ(got.counts.strong(s, t), want.counts.strong(s, t))
+          << context << " counts.strong(" << s << "," << t << ")";
+      ASSERT_EQ(got.counts.included(s, t), want.counts.included(s, t))
+          << context << " counts.included(" << s << "," << t << ")";
+    }
+  }
+  ASSERT_EQ(got.events.size(), want.events.size()) << context << " events";
+  for (size_t i = 0; i < got.events.size(); ++i) {
+    ASSERT_EQ(got.events[i].source, want.events[i].source)
+        << context << " events[" << i << "]";
+    ASSERT_EQ(got.events[i].target, want.events[i].target)
+        << context << " events[" << i << "]";
+    ASSERT_EQ(got.events[i].direction, want.events[i].direction)
+        << context << " events[" << i << "]";
+  }
+}
+
+/// The structural phase of `result` must equal the full-grid reference
+/// sweep and recompute run on the same trees and linguistic similarities.
+inline void ExpectMatchesReferenceSweep(const MatchResult& result,
+                                        const CupidConfig& config,
+                                        const std::string& context) {
+  auto ref = TreeMatchReference(result.source_tree, result.target_tree,
+                                result.linguistic.lsim,
+                                config.type_compatibility, config.tree_match);
+  ASSERT_TRUE(ref.ok()) << context << ": " << ref.status().ToString();
+  ASSERT_TRUE(RecomputeNonLeafSimilaritiesReference(
+                  result.source_tree, result.target_tree, config.tree_match,
+                  &*ref)
+                  .ok())
+      << context;
+  ExpectIdenticalStructural(result.tree_match, *ref,
+                            context + " (vs reference sweep)");
 }
 
 /// A random edit over the current schemas: every kind is exercised,

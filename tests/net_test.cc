@@ -391,6 +391,29 @@ TEST(SocketServerTest, BoundaryRejectionsKeepConnectionAlive) {
   EXPECT_GE(fx.CounterValue("cupid.net.frames_rejected"), 1);
 }
 
+TEST(SocketServerTest, ClientConfigCannotChooseThreadCount) {
+  // A client-chosen thread count used to reach the matcher unchecked, so a
+  // large one made a match spawn that many threads. Matches now always run
+  // their phases single-threaded: the knob is ignored, and the config
+  // fingerprint (which digests the thread count) is the same as without it.
+  ServerFixture fx;
+  TestClient client(fx.port());
+  ASSERT_TRUE(client.connected());
+  const std::string match =
+      "{\"cmd\":\"match\",\"source\":\"a\",\"target\":\"b\","
+      "\"use_session\":false,\"use_result_cache\":false,";
+  ASSERT_TRUE(client.Send(match + "\"config\":{\"th_accept\":0.5}}"));
+  std::string plain = client.ReadLine();
+  ASSERT_TRUE(client.Send(
+      match + "\"config\":{\"th_accept\":0.5,\"num_threads\":100000}}"));
+  std::string threaded = client.ReadLine();
+  EXPECT_EQ(JsonField(plain, "status"), "ok") << plain;
+  EXPECT_EQ(JsonField(threaded, "status"), "ok") << threaded;
+  EXPECT_FALSE(JsonField(plain, "config_fingerprint").empty()) << plain;
+  EXPECT_EQ(JsonField(plain, "config_fingerprint"),
+            JsonField(threaded, "config_fingerprint"));
+}
+
 TEST(SocketServerTest, LoadIsRejectedInSocketMode) {
   ServerFixture fx;
   TestClient client(fx.port());

@@ -1,7 +1,7 @@
 // Tests for the performance layer (src/perf, src/util/thread_pool.h) and
 // its integration: interner identity, memo hit semantics, cached-vs-naive
-// bit-for-bit equivalence, thread-count determinism, strong-link cache
-// epoch invalidation, and the hashed path index.
+// bit-for-bit equivalence, thread-count determinism, and the hashed path
+// index.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "eval/synthetic.h"
 #include "linguistic/linguistic_matcher.h"
 #include "perf/interned_names.h"
-#include "perf/strong_link_cache.h"
 #include "perf/token_interner.h"
 #include "schema/schema_builder.h"
 #include "structural/tree_match.h"
@@ -178,50 +177,7 @@ TEST(PerfEquivalenceTest, LsimIsIdenticalAtAnyThreadCount) {
   }
 }
 
-// ------------------------------------- cached vs naive TreeMatch equality --
-
-TEST(PerfEquivalenceTest, StrongLinkCacheLeavesSimilaritiesUnchanged) {
-  SyntheticOptions sopt;
-  // Wide and flat, so leaf sets exceed the cache's minimum-scan gate and
-  // the bitsets actually serve queries.
-  sopt.num_elements = 300;
-  sopt.max_children = 100;
-  sopt.max_depth = 3;
-  sopt.seed = 13;
-  SyntheticPair p = GenerateSyntheticPair(sopt);
-  Thesaurus th = DefaultThesaurus();
-  LinguisticOptions lo;
-  lo.num_threads = 1;
-  auto lres = LinguisticMatcher(&th, lo).Match(p.source, p.target);
-  ASSERT_TRUE(lres.ok());
-  auto t1 = BuildSchemaTree(p.source);
-  auto t2 = BuildSchemaTree(p.target);
-  ASSERT_TRUE(t1.ok());
-  ASSERT_TRUE(t2.ok());
-  TypeCompatibilityTable types = TypeCompatibilityTable::Default();
-
-  TreeMatchOptions cached_opts;
-  cached_opts.use_strong_link_cache = true;
-  cached_opts.num_threads = 1;
-  TreeMatchOptions naive_opts = cached_opts;
-  naive_opts.use_strong_link_cache = false;
-
-  auto rc = TreeMatch(*t1, *t2, lres->lsim, types, cached_opts);
-  auto rn = TreeMatch(*t1, *t2, lres->lsim, types, naive_opts);
-  ASSERT_TRUE(rc.ok());
-  ASSERT_TRUE(rn.ok());
-  EXPECT_GT(rc->stats.strong_link_queries, 0);
-  EXPECT_EQ(rn->stats.strong_link_queries, 0);
-  EXPECT_EQ(rn->stats.pairs_compared, rc->stats.pairs_compared);
-  for (TreeNodeId s = 0; s < t1->num_nodes(); ++s) {
-    for (TreeNodeId t = 0; t < t2->num_nodes(); ++t) {
-      ASSERT_EQ(rn->sims.ssim(s, t), rc->sims.ssim(s, t))
-          << "ssim at (" << s << "," << t << ")";
-      ASSERT_EQ(rn->sims.wsim(s, t), rc->sims.wsim(s, t))
-          << "wsim at (" << s << "," << t << ")";
-    }
-  }
-}
+// --------------------------------------- cached vs naive end-to-end match --
 
 TEST(PerfEquivalenceTest, EndToEndMatchIsIdenticalWithAndWithoutCaches) {
   SyntheticOptions sopt;
@@ -231,10 +187,10 @@ TEST(PerfEquivalenceTest, EndToEndMatchIsIdenticalWithAndWithoutCaches) {
   Thesaurus th = DefaultThesaurus();
 
   CupidConfig cached_cfg;
-  cached_cfg.SetPerfCacheEnabled(true);  // linguistic AND strong-link cache
+  cached_cfg.linguistic.use_perf_cache = true;
   cached_cfg.SetNumThreads(1);
   CupidConfig naive_cfg = cached_cfg;
-  naive_cfg.SetPerfCacheEnabled(false);
+  naive_cfg.linguistic.use_perf_cache = false;
 
   auto rc = CupidMatcher(&th, cached_cfg).Match(p.source, p.target);
   auto rn = CupidMatcher(&th, naive_cfg).Match(p.source, p.target);
@@ -250,82 +206,6 @@ TEST(PerfEquivalenceTest, EndToEndMatchIsIdenticalWithAndWithoutCaches) {
       ASSERT_EQ(sn.wsim(s, t), sc.wsim(s, t));
     }
   }
-}
-
-// ------------------------------------------------------- strong-link cache --
-
-class StrongLinkCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    XmlSchemaBuilder b1("S1");
-    ElementId item = b1.AddElement(b1.root(), "Item");
-    b1.AddAttribute(item, "Qty", DataType::kDecimal);
-    b1.AddAttribute(item, "Price", DataType::kMoney);
-    s1_ = std::move(b1).Build();
-    XmlSchemaBuilder b2("S2");
-    ElementId item2 = b2.AddElement(b2.root(), "Item");
-    b2.AddAttribute(item2, "Quantity", DataType::kDecimal);
-    b2.AddAttribute(item2, "Cost", DataType::kMoney);
-    s2_ = std::move(b2).Build();
-    t1_ = std::move(BuildSchemaTree(s1_)).ValueOrDie();
-    t2_ = std::move(BuildSchemaTree(s2_)).ValueOrDie();
-  }
-
-  TreeNodeId Node(const SchemaTree& t, const std::string& path) {
-    TreeNodeId n = t.FindNodeByPath(path);
-    EXPECT_NE(n, kNoTreeNode) << path;
-    return n;
-  }
-
-  Schema s1_{""}, s2_{""};
-  SchemaTree t1_{nullptr}, t2_{nullptr};
-};
-
-TEST_F(StrongLinkCacheTest, InvalidationAfterScaleSubtreeLeaves) {
-  // th_accept 0.5, wstruct_leaf 0.5: strength = 0.5*ssim + 0.5*lsim.
-  StrongLinkCache cache(t1_, t2_, /*th_accept=*/0.5, /*wstruct_leaf=*/0.5);
-  NodeSimilarities sims(t1_.num_nodes(), t2_.num_nodes());
-
-  TreeNodeId qty = Node(t1_, "S1.Item.Qty");
-  TreeNodeId quantity = Node(t2_, "S2.Item.Quantity");
-  TreeNodeId item_s = Node(t1_, "S1.Item");
-  TreeNodeId item_t = Node(t2_, "S2.Item");
-
-  sims.set_ssim(qty, quantity, 0.8);
-  sims.set_lsim(qty, quantity, 0.8);  // strength 0.8 >= 0.5: linked
-  EXPECT_TRUE(cache.SourceLeafHasLink(sims, qty, item_t));
-  EXPECT_TRUE(cache.TargetLeafHasLink(sims, quantity, item_s));
-  int64_t rebuilds = cache.stats().rebuilds;
-
-  // Served from the bitsets now: no further rebuilds.
-  EXPECT_TRUE(cache.SourceLeafHasLink(sims, qty, item_t));
-  EXPECT_EQ(cache.stats().rebuilds, rebuilds);
-
-  // Mutating ssim WITHOUT invalidation leaves the cached answer stale...
-  sims.set_ssim(qty, quantity, 0.0);
-  sims.set_lsim(qty, quantity, 0.0);
-  EXPECT_TRUE(cache.SourceLeafHasLink(sims, qty, item_t));
-
-  // ...and InvalidateBlock makes the next query rebuild and see the change,
-  // exactly what TreeMatch does after ScaleSubtreeLeaves.
-  cache.InvalidateBlock(item_s, item_t);
-  EXPECT_FALSE(cache.SourceLeafHasLink(sims, qty, item_t));
-  EXPECT_FALSE(cache.TargetLeafHasLink(sims, quantity, item_s));
-  EXPECT_GT(cache.stats().rebuilds, rebuilds);
-}
-
-TEST_F(StrongLinkCacheTest, InvalidateAllDropsEveryBitset) {
-  StrongLinkCache cache(t1_, t2_, 0.5, 0.5);
-  NodeSimilarities sims(t1_.num_nodes(), t2_.num_nodes());
-  TreeNodeId price = Node(t1_, "S1.Item.Price");
-  TreeNodeId cost = Node(t2_, "S2.Item.Cost");
-  TreeNodeId item_t = Node(t2_, "S2.Item");
-
-  sims.set_lsim(price, cost, 1.0);
-  EXPECT_TRUE(cache.SourceLeafHasLink(sims, price, item_t));
-  sims.set_lsim(price, cost, 0.0);
-  cache.InvalidateAll();
-  EXPECT_FALSE(cache.SourceLeafHasLink(sims, price, item_t));
 }
 
 // -------------------------------------------------------------- path index --

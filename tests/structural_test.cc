@@ -1,13 +1,21 @@
 // Tests for structural matching (src/structural): type compatibility,
 // TreeMatch dynamics (increases/decreases, pruning, optionality, lazy
-// expansion) and the recompute pass.
+// expansion), the recompute pass, and the visit-list engine against the
+// full-grid reference sweep.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "eval/datasets.h"
+#include "eval/synthetic.h"
 #include "linguistic/linguistic_matcher.h"
+#include "perf/leaf_bitset_index.h"
 #include "schema/schema_builder.h"
 #include "structural/tree_match.h"
 #include "structural/type_compatibility.h"
+#include "tests/match_diff_testutil.h"
 #include "thesaurus/default_thesaurus.h"
 #include "tree/tree_builder.h"
 
@@ -406,6 +414,125 @@ TEST(TreeMatchTest, RecomputeDimensionMismatchRejected) {
   auto tree = BuildSchemaTree(s).ValueOrDie();
   EXPECT_TRUE(RecomputeNonLeafSimilarities(tree, *f.tree2, {}, &result)
                   .IsInvalidArgument());
+}
+
+// ------------------------------------------- engine vs reference oracle --
+
+/// One option variant inside the engine's supported subset.
+struct OracleVariant {
+  const char* name;
+  TreeMatchOptions options;
+};
+
+std::vector<OracleVariant> OracleVariants() {
+  TreeMatchOptions no_prune;
+  no_prune.leaf_count_ratio = 0.0;
+  TreeMatchOptions no_discount;
+  no_discount.optional_discount = false;
+  TreeMatchOptions th_low_accept;
+  th_low_accept.th_accept = 0.4;
+  TreeMatchOptions th_high_accept;
+  th_high_accept.th_accept = 0.6;
+  return {{"defaults (leaf_count_ratio 2)", {}},
+          {"leaf_count_ratio 0", no_prune},
+          {"optional_discount off", no_discount},
+          {"th_accept 0.4", th_low_accept},
+          {"th_accept 0.6", th_high_accept}};
+}
+
+/// A cold TreeMatch + RecomputeNonLeafSimilarities must equal the reference
+/// sweep + recompute bit for bit, after the sweep and after the recompute.
+void ExpectColdEngineMatchesReference(const Schema& source,
+                                      const Schema& target,
+                                      const std::string& label) {
+  Thesaurus th = DefaultThesaurus();
+  auto lres = LinguisticMatcher(&th, {}).Match(source, target);
+  ASSERT_TRUE(lres.ok()) << label;
+  auto t1 = BuildSchemaTree(source);
+  auto t2 = BuildSchemaTree(target);
+  ASSERT_TRUE(t1.ok() && t2.ok()) << label;
+  TypeCompatibilityTable types = TypeCompatibilityTable::Default();
+  for (const OracleVariant& v : OracleVariants()) {
+    const TreeMatchOptions& opts = v.options;
+    ASSERT_TRUE(SupportsIncrementalTreeMatch(opts)) << v.name;
+    const std::string context = label + " / " + v.name;
+    auto got = TreeMatch(*t1, *t2, lres->lsim, types, opts);
+    auto want = TreeMatchReference(*t1, *t2, lres->lsim, types, opts);
+    ASSERT_TRUE(got.ok() && want.ok()) << context;
+    ExpectIdenticalStructural(*got, *want, context + " after the sweep");
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(got->stats.pairs_compared, want->stats.pairs_compared)
+        << context;
+    EXPECT_EQ(got->stats.pairs_pruned_leaf_count,
+              want->stats.pairs_pruned_leaf_count)
+        << context;
+    EXPECT_EQ(got->stats.link_tests, want->stats.link_tests) << context;
+    EXPECT_EQ(got->stats.scale_ops, want->stats.scale_ops) << context;
+    EXPECT_EQ(got->stats.increases_applied, want->stats.increases_applied)
+        << context;
+    EXPECT_EQ(got->stats.decreases_applied, want->stats.decreases_applied)
+        << context;
+    ASSERT_TRUE(RecomputeNonLeafSimilarities(*t1, *t2, opts, &*got).ok());
+    ASSERT_TRUE(
+        RecomputeNonLeafSimilaritiesReference(*t1, *t2, opts, &*want).ok());
+    ExpectIdenticalStructural(*got, *want, context + " after the recompute");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EngineOracleTest, Fig2) {
+  Dataset d = Fig2Dataset();
+  ExpectColdEngineMatchesReference(d.source, d.target, "Fig2");
+}
+
+TEST(EngineOracleTest, CidxExcel) {
+  auto d = CidxExcelDataset();
+  ASSERT_TRUE(d.ok());
+  ExpectColdEngineMatchesReference(d->source, d->target, "CIDX-Excel");
+}
+
+TEST(EngineOracleTest, RdbStarJoinViews) {
+  auto d = RdbStarDataset();
+  ASSERT_TRUE(d.ok());
+  // The join views make the tree a DAG: some node's leaves are not one
+  // contiguous dense range, which the engine must scan leaf by leaf.
+  auto tree = BuildSchemaTree(d->source);
+  ASSERT_TRUE(tree.ok());
+  LeafIndex leaves(*tree);
+  int non_contiguous = 0;
+  for (TreeNodeId n = 0; n < tree->num_nodes(); ++n) {
+    if (!leaves.range_contiguous(n)) ++non_contiguous;
+  }
+  EXPECT_GT(non_contiguous, 0);
+  ExpectColdEngineMatchesReference(d->source, d->target, "RDB-Star");
+}
+
+TEST(EngineOracleTest, CanonicalExamples) {
+  for (int test = 1; test <= 6; ++test) {
+    auto d = CanonicalExample(test);
+    ASSERT_TRUE(d.ok()) << test;
+    ExpectColdEngineMatchesReference(d->source, d->target,
+                                     "canonical " + std::to_string(test));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EngineOracleTest, SeededSyntheticPairs) {
+  struct Shape {
+    int elements;
+    uint64_t seed;
+  };
+  for (const Shape& shape : {Shape{40, 1}, Shape{90, 2}, Shape{160, 3}}) {
+    SyntheticOptions opt;
+    opt.num_elements = shape.elements;
+    opt.seed = shape.seed;
+    SyntheticPair p = GenerateSyntheticPair(opt);
+    ExpectColdEngineMatchesReference(
+        p.source, p.target,
+        "synthetic " + std::to_string(shape.elements) + " seed " +
+            std::to_string(shape.seed));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
