@@ -24,17 +24,24 @@
 //                                edits where every response must equal the
 //                                direct CupidMatcher::Match bit for bit
 //                                (mapping_mismatches must be exactly 0)
+//   * BM_ServiceColdGrid         a 6x6 synthetic grid cycled past a
+//                                16-session LRU, result cache off: every
+//                                request builds a cold session on its
+//                                source's shared LsimCache; also a guard
+//                                (mapping_mismatches must be exactly 0)
 //
 // CI runs this with --benchmark_out=BENCH_service.json, asserts the guard
-// counter and that warm throughput beats cold throughput.
+// counters and that warm throughput beats cold throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cupid_matcher.h"
+#include "eval/synthetic.h"
 #include "obs/trace.h"
 #include "service/job_scheduler.h"
 #include "service/match_service.h"
@@ -281,6 +288,94 @@ void BM_ServiceEqualsDirect(benchmark::State& state) {
   state.counters["mapping_mismatches"] = mapping_mismatches;
 }
 BENCHMARK(BM_ServiceEqualsDirect)->Iterations(1);
+
+/// True iff two mappings agree element for element, bit for bit.
+bool SameMapping(const Mapping& got, const Mapping& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const MappingElement& a = got.elements[i];
+    const MappingElement& b = want.elements[i];
+    if (a.source_path != b.source_path || a.target_path != b.target_path ||
+        a.wsim != b.wsim || a.ssim != b.ssim || a.lsim != b.lsim) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Cold matches through the service: 6 synthetic sources x 6 targets,
+/// cycled in a fixed shuffled order past a 16-session LRU with the result
+/// cache off, so every request builds a cold session — while its source's
+/// other sessions keep that source's LsimCache alive and warm. Every
+/// response is compared against a direct CupidMatcher::Match computed up
+/// front; CI requires mapping_mismatches == 0.
+void BM_ServiceColdGrid(benchmark::State& state) {
+  constexpr int kSide = 6;
+  SchemaRepository repo;
+  for (int i = 0; i < kSide; ++i) {
+    SyntheticOptions options;
+    options.num_elements = 96;
+    options.seed = 6100 + static_cast<uint64_t>(i);
+    SyntheticPair pair = GenerateSyntheticPair(options);
+    if (!repo.Register("s" + std::to_string(i), std::move(pair.source))
+             .ok() ||
+        !repo.Register("t" + std::to_string(i), std::move(pair.target))
+             .ok()) {
+      state.SkipWithError("register failed");
+      return;
+    }
+  }
+  Thesaurus thesaurus = DefaultThesaurus();
+  const CupidConfig config = SingleThreadedConfig();
+  // Row-major pairs visited by a fixed stride coprime with 36: every pair
+  // once per cycle, sources interleaved as in a shuffled workload.
+  std::vector<MatchRequest> requests;
+  std::vector<std::pair<Mapping, Mapping>> want;
+  CupidMatcher matcher(&thesaurus, config);
+  for (int k = 0; k < kSide * kSide; ++k) {
+    const int pair = (k * 7) % (kSide * kSide);
+    MatchRequest request;
+    request.source = "s" + std::to_string(pair / kSide);
+    request.target = "t" + std::to_string(pair % kSide);
+    request.config = config;
+    request.use_result_cache = false;
+    auto ref = matcher.Match(**repo.Get(request.source),
+                             **repo.Get(request.target));
+    if (!ref.ok()) {
+      state.SkipWithError("direct match failed");
+      return;
+    }
+    want.emplace_back(std::move(ref->leaf_mapping),
+                      std::move(ref->nonleaf_mapping));
+    requests.push_back(std::move(request));
+  }
+
+  MatchService::Options options;
+  options.result_cache_capacity = 0;
+  options.session_capacity = 16;
+  MatchService service(&thesaurus, &repo, options);
+  double mapping_mismatches = 0.0;
+  int64_t served = 0;
+  for (auto _ : state) {
+    for (size_t k = 0; k < requests.size(); ++k) {
+      auto response = service.Match(requests[k]);
+      if (!response.ok()) {
+        state.SkipWithError("match failed");
+        return;
+      }
+      if (!SameMapping(response->leaf_mapping, want[k].first) ||
+          !SameMapping(response->nonleaf_mapping, want[k].second)) {
+        ++mapping_mismatches;
+      }
+    }
+    served += static_cast<int64_t>(requests.size());
+  }
+  state.SetItemsProcessed(served);
+  state.counters["mapping_mismatches"] = mapping_mismatches;
+  state.counters["sessions_reused"] =
+      static_cast<double>(service.cache_stats().sessions_reused);
+}
+BENCHMARK(BM_ServiceColdGrid)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace cupid

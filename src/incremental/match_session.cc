@@ -442,9 +442,18 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
 
 MatchSession::MatchSession(const Thesaurus* thesaurus, Schema source,
                            Schema target, CupidConfig config)
+    : MatchSession(thesaurus, std::move(source), std::move(target),
+                   std::move(config), nullptr) {}
+
+MatchSession::MatchSession(const Thesaurus* thesaurus, Schema source,
+                           Schema target, CupidConfig config,
+                           std::shared_ptr<LsimCache> lsim_cache)
     : thesaurus_(thesaurus),
       config_(std::move(config)),
-      lsim_cache_(thesaurus, config_.linguistic),
+      lsim_cache_(lsim_cache != nullptr
+                      ? std::move(lsim_cache)
+                      : std::make_shared<LsimCache>(thesaurus,
+                                                    config_.linguistic)),
       work_source_(std::make_unique<Schema>(std::move(source))),
       work_target_(std::make_unique<Schema>(std::move(target))) {}
 
@@ -513,10 +522,10 @@ Result<const MatchResult*> MatchSession::Rematch() {
     LsimGatherPlan plan =
         BuildLsimGatherPlan(*s, *t, *cur_source_, *cur_target_);
     CUPID_ASSIGN_OR_RETURN(
-        lres, linguistic.MatchGather(*s, *t, &lsim_cache_, plan,
+        lres, linguistic.MatchGather(*s, *t, lsim_cache_.get(), plan,
                                      result_->linguistic));
   } else {
-    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(*s, *t, &lsim_cache_));
+    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(*s, *t, lsim_cache_.get()));
   }
 
   auto t1 = std::chrono::steady_clock::now();
@@ -567,9 +576,11 @@ Result<const MatchResult*> MatchSession::Rematch() {
     CUPID_ASSIGN_OR_RETURN(
         tmres, TreeMatch(source_tree, target_tree, lres.lsim,
                          config_.type_compatibility, config_.tree_match));
+    t4 = std::chrono::steady_clock::now();
     sweep = std::make_unique<Matrix<float>>(tmres.sims.ssim_matrix());
     CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilarities(
         source_tree, target_tree, config_.tree_match, &tmres));
+    t5 = std::chrono::steady_clock::now();
   }
 
   // Phase 3: mapping generation, identical to CupidMatcher::Match.
@@ -592,7 +603,7 @@ Result<const MatchResult*> MatchSession::Rematch() {
   if (tgt_owner) cur_target_ = std::move(tgt_owner);
   stats_.incremental = warm;
   stats_.tree_match = result_->tree_match.stats;
-  stats_.lsim_cached_pairs = lsim_cache_.num_cached_pairs();
+  stats_.lsim_cached_pairs = lsim_cache_->num_cached_pairs();
   stats_.lsim_gathered_rows = result_->linguistic.gathered_rows;
   if (span.enabled()) {
     auto t7 = std::chrono::steady_clock::now();

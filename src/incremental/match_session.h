@@ -3,12 +3,15 @@
 // Section 8.4 of the paper envisions feeding a (possibly corrected)
 // previous mapping back into a re-run; the serving pattern behind it is a
 // schema repository whose schemas change a few elements at a time. A
-// session owns one source/target pair plus all per-run state (token
-// interner, token-pair memo, name-level lsim table, similarity snapshots)
-// and recomputes, after each batch of edits, only what those edits dirtied:
+// session owns one source/target pair plus its similarity snapshots, and
+// reads name-level state (token interner, token-pair memo, name-pair table)
+// from an LsimCache: its own, or one shared with other sessions of the same
+// source schema (MatchService shares one per source). After each batch of
+// edits it recomputes only what those edits dirtied:
 //
-//   * linguistic phase — name-pair similarities persist in an LsimCache;
-//     new or renamed names miss, everything else is a table read;
+//   * linguistic phase — name-pair similarities persist in the LsimCache;
+//     names no session of the cache has seen miss, everything else is a
+//     table read;
 //   * structural phase — TreeMatch warm-starts from the previous run's
 //     similarity snapshots via a node correspondence and a dirty
 //     leaf-pair bitset (structural/tree_match.h, TreeMatchDelta);
@@ -67,7 +70,8 @@ struct RematchStats {
   /// TreeMatch stats of the run (sweep + recompute combined). For warm
   /// starts, pairs_reused counts node pairs served from the snapshots.
   TreeMatchStats tree_match;
-  /// Cumulative distinct name pairs memoized by the session's LsimCache.
+  /// Cumulative distinct name pairs memoized by the session's LsimCache —
+  /// with a shared cache, by every session of that cache.
   int64_t lsim_cached_pairs = 0;
   /// Lsim rows bulk-copied from the previous run by the gather (0 on cold
   /// runs, with the perf cache off, or when the gather fell back to the
@@ -79,8 +83,16 @@ struct RematchStats {
 class MatchSession {
  public:
   /// `thesaurus` must outlive the session; the schemas are owned by it.
+  /// The session keeps a private LsimCache.
   MatchSession(const Thesaurus* thesaurus, Schema source, Schema target,
                CupidConfig config = {});
+  /// Reads and fills name-level state through `lsim_cache`, which other
+  /// sessions may share: it must be bound to `thesaurus` and to
+  /// `config.linguistic`'s name-similarity options (Rematch fails
+  /// otherwise), and its side 1 holds source names. Null = a private
+  /// cache. Results are bit-identical either way.
+  MatchSession(const Thesaurus* thesaurus, Schema source, Schema target,
+               CupidConfig config, std::shared_ptr<LsimCache> lsim_cache);
 
   MatchSession(const MatchSession&) = delete;
   MatchSession& operator=(const MatchSession&) = delete;
@@ -109,7 +121,7 @@ class MatchSession {
 
   const Thesaurus* thesaurus_;
   CupidConfig config_;
-  LsimCache lsim_cache_;
+  std::shared_ptr<LsimCache> lsim_cache_;  // never null
 
   /// Schemas being edited; null while identical to the matched ones.
   std::unique_ptr<Schema> work_source_, work_target_;

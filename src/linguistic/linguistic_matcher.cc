@@ -314,8 +314,7 @@ LsimGatherPlan BuildLsimGatherPlan(const Schema& s1, const Schema& s2,
   return plan;
 }
 
-Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
-                                                  const Schema& s2) const {
+Status LinguisticMatcher::ValidateOptions() const {
   if (options_.thns < 0.0 || options_.thns > 1.0) {
     return Status::InvalidArgument("thns must be within [0,1]");
   }
@@ -325,6 +324,29 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
   if (options_.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
+  return Status::OK();
+}
+
+Status LinguisticMatcher::CheckCacheBinding(const LsimCache& cache) const {
+  if (cache.thesaurus_ != thesaurus_) {
+    return Status::InvalidArgument(
+        "LsimCache is bound to a different thesaurus");
+  }
+  // Cached name similarities depend on the substring options and token
+  // weights they were computed under; reject a cache bound differently.
+  const LinguisticOptions& co = cache.options_;
+  if (co.substring.scale != options_.substring.scale ||
+      co.substring.min_affix != options_.substring.min_affix ||
+      co.token_weights.w != options_.token_weights.w) {
+    return Status::InvalidArgument(
+        "LsimCache is bound to different linguistic options");
+  }
+  return ValidateOptions();
+}
+
+Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
+                                                  const Schema& s2) const {
+  CUPID_RETURN_NOT_OK(ValidateOptions());
   if (options_.use_perf_cache) return MatchCached(s1, s2);
 
   // Naive path: every element pair is compared from scratch. Kept as the
@@ -374,54 +396,96 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
   return out;
 }
 
-Result<LinguisticResult> LinguisticMatcher::MatchCached(
-    const Schema& s1, const Schema& s2, LsimCache* cache) const {
-  if (cache == nullptr) return MatchCachedImpl(s1, s2, nullptr);
-  // The whole serial fill runs under the cache mutex (see lsim_cache.h);
-  // the pool workers in the scatter below only read run-local state.
-  SharedMutexLock lock(&cache->mu_);
-  LsimCacheView view = cache->LockedView();
-  return MatchCachedImpl(s1, s2, &view);
+namespace {
+
+/// Normalized names of a schema's elements, gathered from a distinct-name
+/// registry by each element's registry index.
+std::shared_ptr<std::vector<NormalizedName>> CollectNames(
+    const std::vector<int32_t>& of_element,
+    const std::vector<NormalizedName>& registry) {
+  auto names = std::make_shared<std::vector<NormalizedName>>();
+  names->reserve(of_element.size());
+  for (int32_t id : of_element) {
+    names->push_back(registry[static_cast<size_t>(id)]);
+  }
+  return names;
 }
 
-Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
-    const Schema& s1, const Schema& s2, LsimCacheView* view) const {
+/// Run-local inputs of the lsim scatter: per-element distinct-name indices,
+/// the best category scale per element pair, and annotation vectors.
+struct ScatterInputs {
+  const LinguisticOptions* options;
+  const std::vector<int32_t>* of_element1;
+  const std::vector<int32_t>* of_element2;
+  const Matrix<float>* best_scale;
+  const std::vector<AnnotationVector>* docs1;
+  const std::vector<AnnotationVector>* docs2;
+};
+
+/// Scatters distinct name-pair similarities into lsim rows [begin, end),
+/// applying the per-pair category scale and annotation blend — the one
+/// scatter every cached path shares. `ns_of(d1, d2, &ns)` serves the
+/// similarity of distinct pair (d1, d2) or returns false; the scatter then
+/// stops and returns the row it stopped in (`end` when every row completed).
+/// Comparisons of completed rows only are added to `*comparisons`, so a
+/// caller resuming from the returned row counts each cell once.
+template <typename NsOf>
+int64_t ScatterRows(const ScatterInputs& in, int64_t begin, int64_t end,
+                    NsOf&& ns_of, Matrix<float>* lsim, int64_t* comparisons) {
+  const double w = in.options->annotation_weight;
+  const int64_t cols = lsim->cols();
+  const int32_t* idx2 = in.of_element2->data();
+  for (int64_t e1 = begin; e1 < end; ++e1) {
+    const int32_t d1 = (*in.of_element1)[static_cast<size_t>(e1)];
+    const float* scale_row = in.best_scale->row(e1);
+    float* lsim_row = lsim->row(e1);
+    const bool blend = w > 0.0 && !(*in.docs1)[static_cast<size_t>(e1)].empty();
+    int64_t local = 0;
+    for (int64_t e2 = 0; e2 < cols; ++e2) {
+      float scale = scale_row[e2];
+      if (scale <= 0.0f) continue;
+      ++local;
+      double ns;
+      if (!ns_of(d1, idx2[e2], &ns)) return e1;
+      double lsim_value =
+          std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
+      if (blend && !(*in.docs2)[static_cast<size_t>(e2)].empty()) {
+        lsim_value = (1.0 - w) * lsim_value +
+                     w * AnnotationCosine((*in.docs1)[static_cast<size_t>(e1)],
+                                          (*in.docs2)[static_cast<size_t>(e2)]);
+      }
+      lsim_row[e2] = static_cast<float>(lsim_value);
+    }
+    *comparisons += local;
+  }
+  return end;
+}
+
+}  // namespace
+
+Result<LinguisticResult> LinguisticMatcher::MatchCached(const Schema& s1,
+                                                        const Schema& s2) const {
   LinguisticResult out;
-  // Run-local interner, used when no cross-run cache is supplied.
-  TokenInterner local_interner;
-  TokenInterner* interner = view ? view->interner() : &local_interner;
+  TokenInterner interner;
 
   // Distinct raw names, each normalized and interned exactly once. Elements
   // sharing a raw name share the distinct entry (normalization is a pure
-  // function of the raw name). With a cache, the registries persist across
-  // calls and indices are cumulative — entries of names edited away stay
-  // allocated, bounded by the distinct names ever seen.
-  LsimCache::SideNames local_d1, local_d2;
-  LsimCache::SideNames& d1 = view ? view->side1() : local_d1;
-  LsimCache::SideNames& d2 = view ? view->side2() : local_d2;
+  // function of the raw name).
+  LsimCache::SideNames d1, d2;
   std::vector<int32_t> of_element1, of_element2;
   auto build_distinct = [&](const Schema& s, LsimCache::SideNames& d,
                             std::vector<int32_t>* of_element) {
     of_element->reserve(static_cast<size_t>(s.num_elements()));
     for (ElementId id : s.AllElements()) {
       of_element->push_back(
-          d.Register(s.element(id).name, normalizer_, interner));
+          d.Register(s.element(id).name, normalizer_, &interner));
     }
   };
   build_distinct(s1, d1, &of_element1);
   build_distinct(s2, d2, &of_element2);
 
-  auto collect_names = [](const std::vector<int32_t>& of_element,
-                          const LsimCache::SideNames& d) {
-    auto names = std::make_shared<std::vector<NormalizedName>>();
-    names->reserve(of_element.size());
-    for (int32_t id : of_element) {
-      names->push_back(d.names[static_cast<size_t>(id)]);
-    }
-    return names;
-  };
-  out.names1 = collect_names(of_element1, d1);
-  out.names2 = collect_names(of_element2, d2);
+  out.names1 = CollectNames(of_element1, d1.names);
+  out.names2 = CollectNames(of_element2, d2.names);
   out.categories1 = std::make_shared<const Categorization>(
       CategorizeSchema(s1, *out.names1, normalizer_));
   out.categories2 = std::make_shared<const Categorization>(
@@ -429,8 +493,8 @@ Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
   out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
 
   Matrix<float> best_scale = ComputeBestScaleInterned(
-      options_, thesaurus_, *out.categories1, *out.categories2, interner,
-      view ? view->memo() : nullptr, s1.num_elements(), s2.num_elements());
+      options_, thesaurus_, *out.categories1, *out.categories2, &interner,
+      /*external_memo=*/nullptr, s1.num_elements(), s2.num_elements());
 
   std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
   std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
@@ -462,74 +526,39 @@ Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
     pool = std::make_unique<ThreadPool>(threads);
   }
 
-  // Name similarity once per needed distinct pair. Without a cache, each
-  // row block carries its own memo (TokenSimilarity is pure, so per-thread
-  // memos change nothing but hit rates); concurrent memos stay hash-backed
-  // so they don't each pay the dense table's vocab-squared zero-fill. With
-  // a cache, values persist in it and uncached pairs are filled serially
-  // (the persistent memo is not thread-safe) — after a warm first run only
-  // pairs involving edited names miss.
-  Matrix<double> local_ns;
-  if (view) {
-    view->EnsureCapacity(num_d1, num_d2);
-    for (int64_t i = 0; i < num_d1; ++i) {
-      const uint8_t* needed_row = &needed(i, 0);
+  // Name similarity once per needed distinct pair. Each row block carries
+  // its own memo (TokenSimilarity is pure, so per-thread memos change
+  // nothing but hit rates); concurrent memos stay hash-backed so they don't
+  // each pay the dense table's vocab-squared zero-fill.
+  Matrix<double> distinct_ns(num_d1, num_d2);
+  ParallelFor(pool.get(), num_d1, [&](int64_t begin, int64_t end) {
+    TokenPairMemo memo(&interner, thesaurus_, options_.substring,
+                       /*use_dense=*/pool == nullptr);
+    for (int64_t i = begin; i < end; ++i) {
       for (int64_t j = 0; j < num_d2; ++j) {
-        if (needed_row[j]) {
-          view->NameSimilarity(static_cast<int32_t>(i),
-                               static_cast<int32_t>(j),
-                               options_.token_weights);
-        }
+        if (!needed(i, j)) continue;
+        distinct_ns(i, j) = InternedNameSimilarity(
+            d1.interned[static_cast<size_t>(i)],
+            d2.interned[static_cast<size_t>(j)], options_.token_weights,
+            &memo);
       }
     }
-  } else {
-    local_ns = Matrix<double>(num_d1, num_d2);
-    ParallelFor(pool.get(), num_d1, [&](int64_t begin, int64_t end) {
-      TokenPairMemo memo(interner, thesaurus_, options_.substring,
-                         /*use_dense=*/pool == nullptr);
-      for (int64_t i = begin; i < end; ++i) {
-        for (int64_t j = 0; j < num_d2; ++j) {
-          if (!needed(i, j)) continue;
-          local_ns(i, j) = InternedNameSimilarity(
-              d1.interned[static_cast<size_t>(i)],
-              d2.interned[static_cast<size_t>(j)], options_.token_weights,
-              &memo);
-        }
-      }
-    });
-  }
-  const Matrix<double>& distinct_ns = view ? view->ns() : local_ns;
+  });
 
-  // Scatter the distinct similarities into the element-pair lsim table,
-  // applying the per-pair category scale and annotation blend.
+  // Scatter into the element-pair lsim table, row blocks in parallel (the
+  // blocks write disjoint rows).
+  const ScatterInputs in{&options_,   &of_element1, &of_element2,
+                         &best_scale, &docs1,       &docs2};
   std::atomic<int64_t> comparisons{0};
   ParallelFor(pool.get(), s1.num_elements(), [&](int64_t begin, int64_t end) {
     int64_t local = 0;
-    const int64_t cols = s2.num_elements();
-    const int32_t* idx2 = of_element2.data();
-    for (ElementId e1 = static_cast<ElementId>(begin);
-         e1 < static_cast<ElementId>(end); ++e1) {
-      const double* ns_row =
-          distinct_ns.row(of_element1[static_cast<size_t>(e1)]);
-      const float* scale_row = &best_scale(e1, 0);
-      float* lsim_row = &out.lsim(e1, 0);
-      const bool blend = options_.annotation_weight > 0.0 &&
-                         !docs1[static_cast<size_t>(e1)].empty();
-      for (int64_t e2 = 0; e2 < cols; ++e2) {
-        float scale = scale_row[e2];
-        if (scale <= 0.0f) continue;
-        ++local;
-        double lsim = std::clamp(
-            ns_row[idx2[e2]] * static_cast<double>(scale), 0.0, 1.0);
-        if (blend && !docs2[static_cast<size_t>(e2)].empty()) {
-          double w = options_.annotation_weight;
-          lsim = (1.0 - w) * lsim +
-                 w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                      docs2[static_cast<size_t>(e2)]);
-        }
-        lsim_row[e2] = static_cast<float>(lsim);
-      }
-    }
+    ScatterRows(
+        in, begin, end,
+        [&](int32_t i, int32_t j, double* ns) {
+          *ns = distinct_ns(i, j);
+          return true;
+        },
+        &out.lsim, &local);
     comparisons.fetch_add(local, std::memory_order_relaxed);
   });
   out.comparisons = comparisons.load();
@@ -540,105 +569,69 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2,
                                                   LsimCache* cache) const {
   if (cache == nullptr) return Match(s1, s2);
-  if (cache->thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  // Cached name similarities depend on the substring options and token
-  // weights they were computed under; reject a cache bound differently.
-  const LinguisticOptions& co = cache->options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  return MatchCached(s1, s2, cache);
-}
+  CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
 
-Result<LinguisticResult> LinguisticMatcher::MatchWarmed(
-    const Schema& s1, const Schema& s2, const LsimCache& cache) const {
-  if (cache.thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  const LinguisticOptions& co = cache.options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
-
-  SharedReaderLock lock(&cache.mu_);
-  LsimCacheReadView view = cache.LockedReadView();
-
-  // Distinct-name lookup only: a name the exclusive passes never registered
-  // means the candidate was not warmed — report it, never fill.
+  // Distinct names: looked up under the shared lock; only a schema holding
+  // a name the cache never saw takes the exclusive lock to register it.
+  // Registry indices are stable once assigned, so they stay valid after
+  // the lock is dropped.
   LinguisticResult out;
   std::vector<int32_t> of_element1, of_element2;
-  auto lookup_distinct = [](const Schema& s, auto&& find,
-                            std::vector<int32_t>* of_element) {
+  auto lookup = [](const Schema& s, const LsimCache::SideNames& d,
+                   std::vector<int32_t>* of_element) {
+    of_element->clear();
     of_element->reserve(static_cast<size_t>(s.num_elements()));
     for (ElementId id : s.AllElements()) {
-      int32_t d = find(s.element(id).name);
-      if (d < 0) return false;
-      of_element->push_back(d);
+      auto it = d.ids.find(s.element(id).name);
+      if (it == d.ids.end()) return false;
+      of_element->push_back(it->second);
     }
     return true;
   };
-  if (!lookup_distinct(
-          s1, [&](const std::string& raw) { return view.FindSide1(raw); },
-          &of_element1) ||
-      !lookup_distinct(
-          s2, [&](const std::string& raw) { return view.FindSide2(raw); },
-          &of_element2)) {
-    return Status::Unavailable(
-        "MatchWarmed: schema contains names not warmed into the LsimCache");
+  bool registered;
+  {
+    SharedReaderLock lock(&cache->mu_);
+    LsimCacheReadView view = cache->LockedReadView();
+    registered = lookup(s1, view.side1(), &of_element1) &&
+                 lookup(s2, view.side2(), &of_element2);
+    if (registered) {
+      out.names1 = CollectNames(of_element1, view.side1().names);
+      out.names2 = CollectNames(of_element2, view.side2().names);
+    }
+  }
+  if (!registered) {
+    out.cache_filled = true;
+    SharedMutexLock lock(&cache->mu_);
+    LsimCacheView view = cache->LockedView();
+    auto register_all = [&](const Schema& s, LsimCache::SideNames& d,
+                            std::vector<int32_t>* of_element) {
+      of_element->clear();
+      of_element->reserve(static_cast<size_t>(s.num_elements()));
+      for (ElementId id : s.AllElements()) {
+        of_element->push_back(
+            d.Register(s.element(id).name, normalizer_, view.interner()));
+      }
+    };
+    register_all(s1, view.side1(), &of_element1);
+    register_all(s2, view.side2(), &of_element2);
+    out.names1 = CollectNames(of_element1, view.side1().names);
+    out.names2 = CollectNames(of_element2, view.side2().names);
   }
 
-  auto collect_names = [](const std::vector<int32_t>& of_element,
-                          const std::vector<NormalizedName>& registry) {
-    auto names = std::make_shared<std::vector<NormalizedName>>();
-    names->reserve(of_element.size());
-    for (int32_t id : of_element) {
-      names->push_back(registry[static_cast<size_t>(id)]);
-    }
-    return names;
-  };
-  out.names1 = collect_names(of_element1, view.names1());
-  out.names2 = collect_names(of_element2, view.names2());
+  // Run-local element state, outside any lock. Category scaling goes
+  // through a RUN-LOCAL interner and memo: the keyword similarities are pure
+  // functions of the token strings, so the values are bit-identical to the
+  // uncached pipeline's while never touching the shared interner.
   out.categories1 = std::make_shared<const Categorization>(
       CategorizeSchema(s1, *out.names1, normalizer_));
   out.categories2 = std::make_shared<const Categorization>(
       CategorizeSchema(s2, *out.names2, normalizer_));
   out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
-
-  // Category scaling through a RUN-LOCAL interner and memo: the keyword
-  // similarities are pure functions of the token strings, so the values are
-  // bit-identical to the cached pass while never touching the shared
-  // interner (which a reader must not grow).
   TokenInterner local_interner;
   Matrix<float> best_scale = ComputeBestScaleInterned(
       options_, thesaurus_, *out.categories1, *out.categories2,
       &local_interner, /*external_memo=*/nullptr, s1.num_elements(),
       s2.num_elements());
-
   std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
   std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
   if (options_.annotation_weight > 0.0) {
@@ -646,38 +639,40 @@ Result<LinguisticResult> LinguisticMatcher::MatchWarmed(
     docs2 = BuildDocs(s2, *thesaurus_);
   }
 
-  // Serial scatter, same arithmetic as MatchCachedImpl's (the scatter writes
-  // disjoint cells, so threading never affects values; corpus-search
-  // parallelism comes from running many MatchWarmed calls concurrently).
-  int64_t comparisons = 0;
-  const int64_t cols = s2.num_elements();
-  const int32_t* idx2 = of_element2.data();
-  for (ElementId e1 = 0; e1 < s1.num_elements(); ++e1) {
-    const int32_t d1 = of_element1[static_cast<size_t>(e1)];
-    const float* scale_row = &best_scale(e1, 0);
-    float* lsim_row = &out.lsim(e1, 0);
-    const bool blend = options_.annotation_weight > 0.0 &&
-                       !docs1[static_cast<size_t>(e1)].empty();
-    for (int64_t e2 = 0; e2 < cols; ++e2) {
-      float scale = scale_row[e2];
-      if (scale <= 0.0f) continue;
-      ++comparisons;
-      double ns;
-      if (!view.NameSimilarityIfKnown(d1, idx2[e2], &ns)) {
-        return Status::Unavailable(
-            "MatchWarmed: name pair not warmed into the LsimCache");
-      }
-      double lsim = std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      if (blend && !docs2[static_cast<size_t>(e2)].empty()) {
-        double w = options_.annotation_weight;
-        lsim = (1.0 - w) * lsim +
-               w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                    docs2[static_cast<size_t>(e2)]);
-      }
-      lsim_row[e2] = static_cast<float>(lsim);
-    }
+  // Serial scatter (the server runs one match per worker; parallelism
+  // comes from concurrent matches over the shared cache). Read-first: rows
+  // are served under the shared lock until the first name pair never
+  // computed; the exclusive pass resumes from that row and fills only the
+  // pairs this schema pair needs.
+  const ScatterInputs in{&options_,   &of_element1, &of_element2,
+                         &best_scale, &docs1,       &docs2};
+  const int64_t rows = s1.num_elements();
+  int64_t resume;
+  {
+    SharedReaderLock lock(&cache->mu_);
+    LsimCacheReadView view = cache->LockedReadView();
+    resume = ScatterRows(
+        in, 0, rows,
+        [&view](int32_t i, int32_t j, double* ns) {
+          return view.NameSimilarityIfKnown(i, j, ns);
+        },
+        &out.lsim, &out.comparisons);
   }
-  out.comparisons = comparisons;
+  if (resume < rows) {
+    out.cache_filled = true;
+    SharedMutexLock lock(&cache->mu_);
+    LsimCacheView view = cache->LockedView();
+    view.EnsureCapacity(static_cast<int64_t>(view.side1().names.size()),
+                        static_cast<int64_t>(view.side2().names.size()));
+    const TokenTypeWeights& tw = options_.token_weights;
+    ScatterRows(
+        in, resume, rows,
+        [&view, &tw](int32_t i, int32_t j, double* ns) {
+          *ns = view.NameSimilarity(i, j, tw);
+          return true;
+        },
+        &out.lsim, &out.comparisons);
+  }
   return out;
 }
 
@@ -705,24 +700,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
           frac * static_cast<double>(n2)) {
     return Match(s1, s2, cache);
   }
-  // Cache-binding and option validation, as in Match(s1, s2, cache).
-  if (cache->thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  const LinguisticOptions& co = cache->options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
+  CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
 
   obs::ScopedSpan span("lsim.gather");
   auto g0 = std::chrono::steady_clock::now();
@@ -759,15 +737,6 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     }
     return true;
   };
-  auto collect_names = [](const std::vector<int32_t>& of_element,
-                          const LsimCache::SideNames& d) {
-    auto names = std::make_shared<std::vector<NormalizedName>>();
-    names->reserve(of_element.size());
-    for (int32_t id : of_element) {
-      names->push_back(d.names[static_cast<size_t>(id)]);
-    }
-    return names;
-  };
   const bool src_identity =
       prev.names1 != nullptr && prev.categories1 != nullptr &&
       identity_side(plan.source_map, plan.changed_sources,
@@ -780,7 +749,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     out.names1 = prev.names1;
     out.categories1 = prev.categories1;
   } else {
-    out.names1 = collect_names(of_element1, view.side1());
+    out.names1 = CollectNames(of_element1, view.side1().names);
     out.categories1 = std::make_shared<const Categorization>(
         CategorizeSchema(s1, *out.names1, normalizer_));
   }
@@ -788,7 +757,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     out.names2 = prev.names2;
     out.categories2 = prev.categories2;
   } else {
-    out.names2 = collect_names(of_element2, view.side2());
+    out.names2 = CollectNames(of_element2, view.side2().names);
     out.categories2 = std::make_shared<const Categorization>(
         CategorizeSchema(s2, *out.names2, normalizer_));
   }

@@ -23,7 +23,6 @@
 namespace cupid {
 
 class LsimCache;
-class LsimCacheView;
 
 /// Tunables of the linguistic phase.
 struct LinguisticOptions {
@@ -53,8 +52,9 @@ struct LinguisticOptions {
   /// per-row scatter has a worse constant once most rows need recomputing).
   /// Results are identical either way.
   double gather_full_rebuild_fraction = 0.25;
-  /// Worker threads for the lsim matrix fill; 0 = all hardware threads.
-  /// Results are identical at any thread count.
+  /// Worker threads for the one-shot lsim fill (Match without a cache;
+  /// cached and gather runs are serial); 0 = all hardware threads. Results
+  /// are identical at any thread count.
   int num_threads = 0;
 };
 
@@ -78,6 +78,10 @@ struct LinguisticResult {
   /// MatchGather runs only: lsim rows bulk-copied from the previous run
   /// (0 when the gather fell back to the batch pipeline).
   int64_t gathered_rows = 0;
+  /// Match(s1, s2, cache) runs only: the run took the cache's exclusive
+  /// lock to register names or compute name pairs (false = served entirely
+  /// under the shared lock).
+  bool cache_filled = false;
 };
 
 /// \brief Element correspondence between the current schema pair and the
@@ -130,11 +134,19 @@ class LinguisticMatcher {
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2) const;
 
   /// \brief Match serving name-level work from a persistent cross-run cache
-  /// (linguistic/lsim_cache.h). Bit-identical to Match with the perf cache
-  /// on: cached values were computed by the same pure functions. The cache
-  /// must be bound to this matcher's thesaurus and options; a null cache
-  /// falls through to Match. Categorization and the lsim scatter are still
-  /// recomputed per run (they are cheap and schema-shape dependent).
+  /// (linguistic/lsim_cache.h), which many matches may share. Bit-identical
+  /// to Match: cached values were computed by the same pure functions. The
+  /// cache must be bound to this matcher's thesaurus and options; a null
+  /// cache falls through to Match.
+  ///
+  /// Read-first: names are looked up and name-pair similarities scattered
+  /// under a SHARED hold of the cache mutex, so matches over a warm cache
+  /// run concurrently. Only a name the cache never registered, or a needed
+  /// name pair it never computed, takes the mutex exclusively — and then
+  /// registers and fills just this pair's missing entries (reported by
+  /// LinguisticResult::cache_filled). Categorization, category scaling and
+  /// the lsim scatter are recomputed per run (they are cheap and
+  /// schema-shape dependent), serially.
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2,
                                  LsimCache* cache) const;
 
@@ -154,39 +166,23 @@ class LinguisticMatcher {
                                        const LsimGatherPlan& plan,
                                        const LinguisticResult& prev) const;
 
-  /// \brief Read-only cached match: serves every name-pair similarity from
-  /// `cache` under a SHARED (reader) hold of its mutex, so any number of
-  /// MatchWarmed calls over one cache run concurrently. Never fills the
-  /// cache; returns Unavailable if either schema contains a name — or needs
-  /// a name pair — that no exclusive Match(s1, s2, cache) pass has
-  /// computed, in which case the caller falls back to that exclusive call.
-  /// Bit-identical to Match with or without the cache: cached values were
-  /// computed by the same pure functions, and categorization / category
-  /// scaling / the annotation blend are recomputed run-locally here.
-  Result<LinguisticResult> MatchWarmed(const Schema& s1, const Schema& s2,
-                                       const LsimCache& cache) const;
-
   /// \brief Name similarity of two single names under this matcher's
   /// thesaurus and weights (normalization applied). Exposed for tests and
   /// for the path-name matcher used in experiment E5.
   double NameSimilarity(std::string_view a, std::string_view b) const;
 
  private:
-  /// The cached fast path: distinct-name dedup + interning + memoization,
-  /// parallel over row blocks. Same output as the naive path in Match. With
-  /// a non-null `cache`, interner/memo/name registry live in the cache and
-  /// survive across calls; name-pair fills then run serially (the persistent
-  /// memo is not thread-safe), which only costs on the cold first run.
-  /// Takes the cache mutex for the whole call and delegates to
-  /// MatchCachedImpl through a locked view.
-  Result<LinguisticResult> MatchCached(const Schema& s1, const Schema& s2,
-                                       LsimCache* cache = nullptr) const;
+  /// InvalidArgument on out-of-domain options.
+  Status ValidateOptions() const;
+  /// ValidateOptions, plus InvalidArgument when `cache` is bound to another
+  /// thesaurus or to other name-similarity options.
+  Status CheckCacheBinding(const LsimCache& cache) const;
 
-  /// Body of MatchCached. `view` is a locked view of the cache (null when
-  /// running without one); working through plain pointers keeps the
-  /// critical section checkable without annotating the fill lambdas.
-  Result<LinguisticResult> MatchCachedImpl(const Schema& s1, const Schema& s2,
-                                           LsimCacheView* view) const;
+  /// The one-shot fast path: distinct-name dedup + interning + memoization
+  /// with run-local state, parallel over row blocks. Same output as the
+  /// naive path in Match.
+  Result<LinguisticResult> MatchCached(const Schema& s1,
+                                       const Schema& s2) const;
 
   const Thesaurus* thesaurus_;
   LinguisticOptions options_;

@@ -1,7 +1,10 @@
 // Cross-run linguistic cache: the per-run state of the cached lsim pipeline
 // (token interner, token-pair memo, distinct-name registry, name-pair
-// similarities), made persistent so repeated matching over evolving schemas
-// (incremental/match_session.h) re-pays only the names an edit introduced.
+// similarities), made persistent so repeated matching re-pays only the
+// names it has not seen: a session over an evolving schema pair
+// (incremental/match_session.h) re-pays the names an edit introduced, and
+// every session of one source schema in a MatchService shares one cache,
+// so a cold match over names other pairs already scored is a table read.
 //
 // Name-pair similarity is a pure function of the two raw names (under a
 // fixed thesaurus and option set), so serving it from this cache is
@@ -12,23 +15,25 @@
 //
 // A cache is bound at construction to one thesaurus and one option set;
 // LinguisticMatcher::Match(s1, s2, cache) rejects a cache bound differently
-// (mixing would serve values computed under other inputs).
+// (mixing would serve values computed under other inputs). Callers that
+// share caches key them by LsimCacheBindingKey.
 //
 // Concurrency: the mutable state is guarded by an internal reader/writer
-// mutex. Mutating paths (Match/MatchGather with a cache) take it
-// exclusively and work through a LsimCacheView for the whole serial fill —
-// the persistent memo is not thread-safe, so mutating calls over one cache
-// serialize by design. The corpus-search read path (MatchWarmed) takes the
-// mutex SHARED and works through a const LsimCacheReadView: once an
-// exclusive Match has registered a pair's names and filled every needed
-// name-pair similarity, any number of candidate matches scatter from the
-// table concurrently without touching the interner or memo (they fall back
-// to the exclusive path on a miss). Cached values are pure functions of the
-// raw names, so both paths are bit-identical to recomputation.
+// mutex. LinguisticMatcher::Match(s1, s2, cache) is read-first: it looks
+// up names and scatters name-pair similarities under a SHARED hold through
+// a const LsimCacheReadView, so any number of matches over a warm cache
+// run concurrently. Only a name never registered, or a needed name pair
+// never computed, takes the mutex exclusively, and then works through a
+// LsimCacheView that fills just that match's missing entries — the
+// persistent memo is not thread-safe, so fills serialize by design.
+// MatchGather (the warm session path) holds the mutex exclusively for its
+// whole patch. Cached values are pure functions of the raw names, so every
+// path is bit-identical to recomputation.
 
 #ifndef CUPID_LINGUISTIC_LSIM_CACHE_H_
 #define CUPID_LINGUISTIC_LSIM_CACHE_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,20 +48,36 @@
 
 namespace cupid {
 
+namespace obs {
+class Gauge;
+}  // namespace obs
+
 class LsimCacheView;
 class LsimCacheReadView;
+
+/// \brief Key of the linguistic option fields a cache is bound to
+/// (substring scale/min_affix, token type weights — exactly what
+/// LinguisticMatcher's binding check compares, as bit patterns so e.g.
+/// -0.0 and 0.0 never alias). Options with equal keys may share a cache.
+std::string LsimCacheBindingKey(const LinguisticOptions& options);
 
 /// \brief Persistent state of the cached linguistic pipeline.
 class LsimCache {
  public:
   /// `thesaurus` must outlive the cache. `options` must equal the options of
-  /// every LinguisticMatcher the cache is used with.
-  LsimCache(const Thesaurus* thesaurus, const LinguisticOptions& options)
+  /// every LinguisticMatcher the cache is used with. A non-null
+  /// `bytes_gauge` (which must outlive the cache) tracks bytes(): the cache
+  /// adds each growth of its name-pair table and subtracts the table when
+  /// it dies, so one gauge sums a set of live caches.
+  LsimCache(const Thesaurus* thesaurus, const LinguisticOptions& options,
+            obs::Gauge* bytes_gauge = nullptr)
       : thesaurus_(thesaurus),
         options_(options),
+        bytes_gauge_(bytes_gauge),
         // Hash-mode memo: the dense table is sized to the interner at
         // construction time, which keeps growing here.
         memo_(&interner_, thesaurus, options.substring, /*use_dense=*/false) {}
+  ~LsimCache();
 
   LsimCache(const LsimCache&) = delete;
   LsimCache& operator=(const LsimCache&) = delete;
@@ -74,6 +95,12 @@ class LsimCache {
   int64_t num_cached_pairs() const EXCLUDES(mu_) {
     SharedReaderLock lock(&mu_);
     return cached_pairs_;
+  }
+  /// Allocated size of the name-pair table (similarities plus known bits),
+  /// in bytes — the part of the cache that grows with rows x cols.
+  int64_t bytes() const EXCLUDES(mu_) {
+    SharedReaderLock lock(&mu_);
+    return TableBytes();
   }
 
  private:
@@ -107,8 +134,14 @@ class LsimCache {
   /// the lifetime of the view (see LsimCacheReadView).
   inline LsimCacheReadView LockedReadView() const REQUIRES_SHARED(mu_);
 
+  int64_t TableBytes() const REQUIRES_SHARED(mu_) {
+    return ns_.rows() * ns_.cols() *
+           static_cast<int64_t>(sizeof(double) + sizeof(uint8_t));
+  }
+
   const Thesaurus* thesaurus_;   // immutable binding, checked by the matcher
   LinguisticOptions options_;    // immutable binding
+  obs::Gauge* bytes_gauge_;      // null = untracked
   mutable SharedMutex mu_;
   TokenInterner interner_ GUARDED_BY(mu_);
   TokenPairMemo memo_ GUARDED_BY(mu_);
@@ -133,11 +166,9 @@ class LsimCacheView {
   LsimCache::SideNames& side1() const { return *side1_; }
   LsimCache::SideNames& side2() const { return *side2_; }
   TokenPairMemo* memo() const { return memo_; }
-  /// The name-pair similarity table (grown by EnsureCapacity; entries are
-  /// meaningful where the known bit is set).
-  const Matrix<double>& ns() const { return *ns_; }
-
   /// Grows the ns/known matrices to cover [rows x cols], preserving content.
+  /// Only a dimension that overflows grows (geometrically), so a stream of
+  /// new names on one side never inflates the other.
   void EnsureCapacity(int64_t rows, int64_t cols);
 
   /// ns of registered name pair (i, j), computed through the persistent memo
@@ -160,7 +191,8 @@ class LsimCacheView {
         side2_(&cache->side2_),
         ns_(&cache->ns_),
         known_(&cache->known_),
-        cached_pairs_(&cache->cached_pairs_) {}
+        cached_pairs_(&cache->cached_pairs_),
+        bytes_gauge_(cache->bytes_gauge_) {}
 
   double ComputeNameSimilarity(int32_t i, int32_t j,
                                const TokenTypeWeights& weights);
@@ -172,6 +204,7 @@ class LsimCacheView {
   Matrix<double>* ns_;
   Matrix<uint8_t>* known_;
   int64_t* cached_pairs_;
+  obs::Gauge* bytes_gauge_;
 };
 
 inline LsimCacheView LsimCache::LockedView() { return LsimCacheView(this); }
@@ -180,29 +213,15 @@ inline LsimCacheView LsimCache::LockedView() { return LsimCacheView(this); }
 /// LockedReadView() under a SHARED hold of the cache mutex.
 ///
 /// The read view can only look up names already registered and similarities
-/// already computed by an exclusive Match — every method reports misses
-/// instead of filling. Any number of readers scatter from the
-/// table concurrently; callers fall back to the exclusive path on a miss.
+/// already computed by an exclusive fill — every method reports misses
+/// instead of filling. Any number of readers scatter from the table
+/// concurrently; LinguisticMatcher::Match takes the exclusive path only for
+/// what a reader missed.
 class LsimCacheReadView {
  public:
-  /// Index of `raw` in the side-1 / side-2 registry, or -1 if never seen.
-  int32_t FindSide1(const std::string& raw) const {
-    auto it = side1_->ids.find(raw);
-    return it == side1_->ids.end() ? -1 : it->second;
-  }
-  int32_t FindSide2(const std::string& raw) const {
-    auto it = side2_->ids.find(raw);
-    return it == side2_->ids.end() ? -1 : it->second;
-  }
-
-  const std::vector<NormalizedName>& names1() const { return side1_->names; }
-  const std::vector<NormalizedName>& names2() const { return side2_->names; }
-  const std::vector<InternedName>& interned1() const {
-    return side1_->interned;
-  }
-  const std::vector<InternedName>& interned2() const {
-    return side2_->interned;
-  }
+  /// The side-1 / side-2 distinct-name registries.
+  const LsimCache::SideNames& side1() const { return *side1_; }
+  const LsimCache::SideNames& side2() const { return *side2_; }
 
   /// If the similarity of registered pair (i, j) has been computed, stores it
   /// in `*ns` and returns true. Never computes.

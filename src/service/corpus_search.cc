@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <unordered_set>
 #include <utility>
 
@@ -73,16 +72,17 @@ struct CandidateScore {
 
 /// Full three-phase match of (source, target) — the same pipeline as
 /// CupidMatcher::Match, with the linguistic phase optionally served from
-/// the shared cache: the warmed read path first, falling back to the
-/// exclusive cached path when the candidate misses (all three produce
-/// bit-identical lsim, so the score never depends on which path ran).
+/// the shared cache (read-first: a candidate whose names and name pairs the
+/// cache holds never takes its exclusive lock; both paths produce
+/// bit-identical lsim, so the score never depends on which one ran).
 Result<CandidateScore> ScoreCandidate(const Thesaurus* thesaurus,
                                       const CupidConfig& config,
                                       const Schema& source,
                                       const Schema& target,
                                       LsimCache* cache) {
   LinguisticMatcher linguistic(thesaurus, config.linguistic);
-  LinguisticResult lres;
+  CUPID_ASSIGN_OR_RETURN(LinguisticResult lres,
+                         linguistic.Match(source, target, cache));
   if (cache != nullptr) {
     static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
         "cupid.corpus.shared_cache.hits",
@@ -90,19 +90,7 @@ Result<CandidateScore> ScoreCandidate(const Thesaurus* thesaurus,
     static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
         "cupid.corpus.shared_cache.misses",
         "Candidates that fell back to the exclusive cached path");
-    Result<LinguisticResult> warmed =
-        linguistic.MatchWarmed(source, target, *cache);
-    if (warmed.ok()) {
-      shared_hits->Increment();
-      lres = std::move(warmed).ValueOrDie();
-    } else if (warmed.status().IsUnavailable()) {
-      shared_misses->Increment();
-      CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(source, target, cache));
-    } else {
-      return warmed.status();
-    }
-  } else {
-    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(source, target));
+    (lres.cache_filled ? shared_misses : shared_hits)->Increment();
   }
 
   CUPID_ASSIGN_OR_RETURN(SchemaTree source_tree,
@@ -265,24 +253,11 @@ CorpusSearchService::CorpusSearchService(const Thesaurus* thesaurus,
       options_(options) {}
 
 LsimCache* CorpusSearchService::SharedCacheFor(const CupidConfig& config) {
-  // Key on exactly the fields LinguisticMatcher's cache binding check
-  // compares (bit patterns, so e.g. -0.0 vs 0.0 never alias): requests
-  // whose bindings agree share one cache — and one TokenInterner — across
-  // searches; anything else gets its own.
+  // Requests whose bindings agree share one cache — and one TokenInterner —
+  // across searches; anything else gets its own.
   const LinguisticOptions& lo = config.linguistic;
-  std::string key;
-  auto add_double = [&key](double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    key += StringFormat("%016llx.", static_cast<unsigned long long>(bits));
-  };
-  add_double(lo.substring.scale);
-  key += StringFormat("%llu.",
-                      static_cast<unsigned long long>(lo.substring.min_affix));
-  for (double w : lo.token_weights.w) add_double(w);
-
   MutexLock lock(&caches_mu_);
-  std::unique_ptr<LsimCache>& slot = caches_[key];
+  std::unique_ptr<LsimCache>& slot = caches_[LsimCacheBindingKey(lo)];
   if (slot == nullptr) {
     slot = std::make_unique<LsimCache>(thesaurus_, lo);
   }

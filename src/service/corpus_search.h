@@ -6,11 +6,12 @@
 // is the naive answer; this service layers three optimizations on top of
 // it, each preserving bit-identical results:
 //
-//   1. one shared cross-pair LsimCache (single TokenInterner) for the whole
-//      service: candidates read name-pair similarities from it under a
-//      shared lock (LinguisticMatcher::MatchWarmed); a candidate with a
-//      name pair the cache has not seen yet runs the exclusive
-//      Match(cache) once, which fills the table for every later search;
+//   1. one shared cross-pair LsimCache (single TokenInterner) per
+//      linguistic binding for the whole service: candidates read name-pair
+//      similarities from it under a shared lock (the read-first
+//      LinguisticMatcher::Match(s1, s2, cache)); a candidate with a name
+//      pair the cache has not seen yet takes the exclusive lock once to
+//      fill it, which serves every later search;
 //   2. a cheap linguistic pre-screen — distinct-token cosine overlap,
 //      computed without touching the matcher — prunes the candidate set to
 //      top-k' before any full TreeMatch runs (an exhaustive knob disables
@@ -207,8 +208,7 @@ class CorpusSearchService {
   Options options_;
 
   mutable Mutex caches_mu_;
-  /// Keyed by the linguistic option fields the cache binding check uses
-  /// (substring scale/min_affix, token type weights).
+  /// Keyed by LsimCacheBindingKey of the request's linguistic options.
   std::unordered_map<std::string, std::unique_ptr<LsimCache>> caches_
       GUARDED_BY(caches_mu_);
 

@@ -147,6 +147,12 @@ MatchService::MatchService(const Thesaurus* thesaurus,
       "Rematches that took the incremental warm-start path");
   request_ms_ = reg->GetHistogram("cupid.service.request_ms",
                                   "End-to-end Match() latency, ms");
+  lsim_caches_gauge_ =
+      reg->GetGauge("cupid.service.lsim_caches",
+                    "Live per-source LsimCaches shared by pair sessions");
+  lsim_cache_bytes_ = reg->GetGauge(
+      "cupid.service.lsim_cache_bytes",
+      "Name-pair table bytes of the live per-source LsimCaches");
   baseline_ = CacheStats{result_hits_->value(),
                          result_misses_->value(),
                          result_evictions_->value(),
@@ -154,6 +160,35 @@ MatchService::MatchService(const Thesaurus* thesaurus,
                          sessions_reused_->value(),
                          sessions_evicted_->value(),
                          incremental_rematches_->value()};
+}
+
+std::shared_ptr<LsimCache> MatchService::LsimCacheFor(
+    const std::string& source, const CupidConfig& config) {
+  // \x1f cannot appear in schema names read from files or protocols.
+  std::string key = source + '\x1f' + LsimCacheBindingKey(config.linguistic);
+  MutexLock lock(&lsim_caches_mu_);
+  std::weak_ptr<LsimCache>& slot = lsim_caches_[key];
+  if (std::shared_ptr<LsimCache> live = slot.lock()) return live;
+  // Erasing every expired slot but this one is order-independent, and
+  // keeps the map bounded by the live caches plus one.
+  // NOLINTNEXTLINE(determinism:unordered-iteration)
+  for (auto it = lsim_caches_.begin(); it != lsim_caches_.end();) {
+    if (&it->second != &slot && it->second.expired()) {
+      it = lsim_caches_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  obs::Gauge* live_caches = lsim_caches_gauge_;
+  std::shared_ptr<LsimCache> cache(
+      new LsimCache(thesaurus_, config.linguistic, lsim_cache_bytes_),
+      [live_caches](LsimCache* dead) {
+        live_caches->Add(-1);
+        delete dead;
+      });
+  live_caches->Add(1);
+  slot = cache;
+  return cache;
 }
 
 std::shared_ptr<const MatchResponse> MatchService::CacheLookup(
@@ -338,7 +373,8 @@ Status MatchService::MatchOnSession(const MatchRequest& request,
 
   if (entry->session == nullptr) {
     entry->session = std::make_unique<MatchSession>(
-        thesaurus_, *source, *target, request.config);
+        thesaurus_, *source, *target, request.config,
+        LsimCacheFor(request.source, request.config));
     sessions_created_->Increment();
   } else {
     sessions_reused_->Increment();
@@ -367,17 +403,22 @@ Status MatchService::MatchOnSession(const MatchRequest& request,
 }
 
 void MatchService::InvalidateAll() {
-  // Lock order matches Match(): cache_mu_ and sessions_mu_ never nest.
+  // Lock order matches Match(): cache_mu_, sessions_mu_ and
+  // lsim_caches_mu_ never nest.
   {
     MutexLock lock(&cache_mu_);
     lru_.clear();
     result_cache_.clear();
   }
-  MutexLock lock(&sessions_mu_);
-  // In-flight requests holding a PairEntry shared_ptr finish safely on the
-  // detached entry; new requests build fresh ones.
-  sessions_.clear();
-  session_lru_.clear();
+  {
+    MutexLock lock(&sessions_mu_);
+    // In-flight requests holding a PairEntry shared_ptr finish safely on
+    // the detached entry; new requests build fresh ones.
+    sessions_.clear();
+    session_lru_.clear();
+  }
+  MutexLock lock(&lsim_caches_mu_);
+  lsim_caches_.clear();
 }
 
 MatchService::CacheStats MatchService::cache_stats() const {

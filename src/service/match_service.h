@@ -7,10 +7,16 @@
 //   * an LRU result cache keyed by (source@version, target@version,
 //     ConfigFingerprint) — a repeated request is a lookup;
 //   * one MatchSession per (source, target, ConfigFingerprint) pair,
-//     carrying the session's LsimCache/TokenInterner and similarity
-//     snapshots across requests — when the repository's latest versions
-//     moved by a pure edit chain, the service replays the edits into the
-//     session and Rematch takes the incremental path;
+//     carrying the session's similarity snapshots across requests — when
+//     the repository's latest versions moved by a pure edit chain, the
+//     service replays the edits into the session and Rematch takes the
+//     incremental path;
+//   * one LsimCache per (source schema name, linguistic binding), shared by
+//     every session of that source: a cold session reads the name-pair
+//     similarities its source's other pairs already scored under the
+//     cache's shared lock. The service holds each cache weakly and the
+//     sessions own it, so the session LRU bounds the caches too — a cache
+//     dies with its source's last session;
 //   * a direct CupidMatcher path for requests that opt out of session
 //     state (use_session=false).
 //
@@ -132,10 +138,11 @@ class MatchService {
 
   SchemaRepository* repository() const { return repository_; }
 
-  /// \brief Drops every cached result and warm session. Required after the
-  /// backing repository is replaced wholesale (e.g. a "load" command):
-  /// version numbers restart, so stale sessions could otherwise collide
-  /// with the new lineage.
+  /// \brief Drops every cached result, warm session and per-source
+  /// LsimCache. Required after the backing repository is replaced
+  /// wholesale (e.g. a "load" command): version numbers restart, so stale
+  /// sessions could otherwise collide with the new lineage. In-flight
+  /// requests finish on their detached sessions; their caches die with them.
   void InvalidateAll();
 
   /// Cross-request cache effectiveness counters (monotonic). A view over
@@ -181,6 +188,12 @@ class MatchService {
     int target_version GUARDED_BY(mu) = 0;
   };
 
+  /// The LsimCache shared by every session of `source` whose linguistic
+  /// options bind like `config`'s (LsimCacheBindingKey), created on first
+  /// use and alive while any such session is.
+  std::shared_ptr<LsimCache> LsimCacheFor(const std::string& source,
+                                          const CupidConfig& config);
+
   std::shared_ptr<const MatchResponse> CacheLookup(const ResultKey& key);
   void CacheInsert(const ResultKey& key,
                    std::shared_ptr<const MatchResponse> response);
@@ -222,6 +235,12 @@ class MatchService {
       std::list<std::pair<std::string, std::shared_ptr<PairEntry>>>::iterator>
       sessions_ GUARDED_BY(sessions_mu_);
 
+  Mutex lsim_caches_mu_;
+  /// Keyed (source \x1f LsimCacheBindingKey). Weak: sessions own the
+  /// caches; expired slots are swept whenever a cache is created.
+  std::unordered_map<std::string, std::weak_ptr<LsimCache>> lsim_caches_
+      GUARDED_BY(lsim_caches_mu_);
+
   /// Registry counter handles (lock-free increments on the request path)
   /// and the construction-time baseline cache_stats() subtracts.
   obs::Counter* result_hits_;
@@ -232,6 +251,8 @@ class MatchService {
   obs::Counter* sessions_evicted_;
   obs::Counter* incremental_rematches_;
   obs::Histogram* request_ms_;
+  obs::Gauge* lsim_caches_gauge_;  ///< live per-source LsimCaches
+  obs::Gauge* lsim_cache_bytes_;   ///< sum of their bytes()
   CacheStats baseline_;
 };
 

@@ -279,6 +279,46 @@ TEST(EnvTest, FlagParsingContract) {
   unsetenv("CUPID_TEST_FLAG");
 }
 
+/// Value of attribute `key` on `span`, or -1 when the span lacks it.
+double SpanAttr(const obs::SpanRecord& span, const char* key) {
+  for (size_t i = 0; i < span.attr_count; ++i) {
+    if (std::string(span.attrs[i].key) == key) return span.attrs[i].value;
+  }
+  return -1.0;
+}
+
+/// A cold session.rematch span attributes its time to the phases that ran:
+/// the sweep and the Section 7 recompute, not the mapping stage after them.
+TEST(TraceTest, ColdRematchSpanReportsSweepAndRecompute) {
+  SyntheticOptions opt;
+  opt.num_elements = 60;
+  opt.seed = 20261017;
+  SyntheticPair pair = GenerateSyntheticPair(opt);
+  Thesaurus thesaurus = DefaultThesaurus();
+  CupidConfig config;
+  config.SetNumThreads(1);
+  MatchSession session(&thesaurus, pair.source, pair.target, config);
+
+  obs::VectorTraceSink sink;
+  {
+    ScopedSink installed(&sink);
+    auto result = session.Rematch();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  ASSERT_FALSE(session.last_stats().incremental);
+  int rematch_spans = 0;
+  for (const obs::SpanRecord& span : sink.spans()) {
+    if (std::string(span.name) != "session.rematch") continue;
+    ++rematch_spans;
+    EXPECT_EQ(SpanAttr(span, "warm"), 0.0);
+    EXPECT_EQ(SpanAttr(span, "delta_ms"), 0.0);  // cold runs build no delta
+    EXPECT_GT(SpanAttr(span, "sweep_ms"), 0.0);
+    EXPECT_GT(SpanAttr(span, "recompute_ms"), 0.0);
+    EXPECT_GE(SpanAttr(span, "mapping_ms"), 0.0);
+  }
+  EXPECT_EQ(rematch_spans, 1);
+}
+
 /// The tentpole guarantee: tracing must never influence match results.
 /// Two sessions run the same edit stream — one with a sink installed, one
 /// with tracing disabled — and every Rematch must be bit-identical.

@@ -12,6 +12,7 @@
 #include "core/cupid_matcher.h"
 #include "eval/synthetic.h"
 #include "linguistic/linguistic_matcher.h"
+#include "linguistic/lsim_cache.h"
 #include "perf/interned_names.h"
 #include "perf/token_interner.h"
 #include "schema/schema_builder.h"
@@ -206,6 +207,54 @@ TEST(PerfEquivalenceTest, EndToEndMatchIsIdenticalWithAndWithoutCaches) {
       ASSERT_EQ(sn.wsim(s, t), sc.wsim(s, t));
     }
   }
+}
+
+// ------------------------------------------------------ lsim cache growth --
+
+/// A cache that sees one new target name per match (a per-source cache
+/// under a stream of targets) grows only its columns: the table stays
+/// within twice the registered rows x cols, never inflating the rows.
+TEST(LsimCacheTest, TableGrowsOnlyTheOverflowingDimension) {
+  Thesaurus th = DefaultThesaurus();
+  LinguisticOptions options;
+  options.num_threads = 1;
+  LinguisticMatcher matcher(&th, options);
+  LsimCache cache(&th, options);
+
+  XmlSchemaBuilder source_builder("Src");
+  for (int i = 0; i < 9; ++i) {
+    source_builder.AddAttribute(source_builder.root(),
+                                "a" + std::to_string(i), DataType::kString);
+  }
+  Schema source = std::move(source_builder).Build();
+
+  constexpr int64_t kCell = sizeof(double) + sizeof(uint8_t);
+  for (int k = 0; k < 1000; ++k) {
+    XmlSchemaBuilder target_builder("Tgt");
+    target_builder.AddAttribute(target_builder.root(),
+                                "t" + std::to_string(k), DataType::kString);
+    Schema target = std::move(target_builder).Build();
+    auto cached = matcher.Match(source, target, &cache);
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    const int64_t rows = static_cast<int64_t>(cache.num_source_names());
+    const int64_t cols = static_cast<int64_t>(cache.num_target_names());
+    ASSERT_LT(cache.bytes(), 2 * rows * cols * kCell)
+        << "after " << k + 1 << " targets (" << rows << " x " << cols
+        << " names)";
+    if (k == 999) {
+      auto plain = matcher.Match(source, target);
+      ASSERT_TRUE(plain.ok());
+      EXPECT_EQ(cached->comparisons, plain->comparisons);
+      for (int64_t i = 0; i < plain->lsim.rows(); ++i) {
+        for (int64_t j = 0; j < plain->lsim.cols(); ++j) {
+          ASSERT_EQ(cached->lsim(i, j), plain->lsim(i, j));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cache.num_source_names(), 10u);
+  EXPECT_EQ(cache.num_target_names(), 1001u);
+  EXPECT_GT(cache.bytes(), 0);
 }
 
 // -------------------------------------------------------------- path index --

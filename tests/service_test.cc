@@ -20,6 +20,7 @@
 
 #include "core/cupid_matcher.h"
 #include "eval/datasets.h"
+#include "eval/synthetic.h"
 #include "importers/native_format.h"
 #include "schema/schema_printer.h"
 #include "obs/metrics.h"
@@ -687,6 +688,147 @@ TEST(MatchServiceTest, ConcurrentClientsBitIdentical) {
   MatchService::CacheStats stats = service.cache_stats();
   EXPECT_GT(stats.result_hits, 0);   // the cache actually served traffic
   EXPECT_GT(stats.sessions_reused, 0);
+}
+
+/// True iff two mappings agree element for element, bit for bit.
+bool SameMapping(const Mapping& got, const Mapping& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const MappingElement& a = got.elements[i];
+    const MappingElement& b = want.elements[i];
+    if (a.source_path != b.source_path || a.target_path != b.target_path ||
+        a.wsim != b.wsim || a.ssim != b.ssim || a.lsim != b.lsim) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Renames the element at `*path` of repository schema `name` to a fresh
+/// name and points `*path` at it — a pure edit chain, so surviving
+/// sessions of `name` replay it and rematch warm.
+Status RenameInRepository(SchemaRepository* repo, const std::string& name,
+                          int step, std::string* path) {
+  std::string fresh = "Renamed" + std::to_string(step);
+  CUPID_RETURN_NOT_OK(
+      repo->ApplyEdit(name, SchemaEdit::RenameElement(EditSide::kSource,
+                                                      *path, fresh))
+          .status());
+  *path = path->substr(0, path->rfind('.') + 1) + fresh;
+  return Status::OK();
+}
+
+/// Every session of one source shares that source's LsimCache. A 4x4 grid
+/// through one service from 4 threads, with a 3-session LRU forcing
+/// evictions (and so cache re-creation), repository edits on two sources
+/// (warm gathers on a shared cache) and an InvalidateAll mid-run: every
+/// response equals a direct match on its versions, and once every request
+/// finished and the service is invalidated no cache survives.
+TEST(MatchServiceTest, PerSourceLsimCachesUnderChurnBitIdentical) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  constexpr int kSide = 4;
+  std::vector<std::string> edit_paths;
+  for (int i = 0; i < kSide; ++i) {
+    SyntheticOptions opt;
+    opt.num_elements = 36;
+    opt.seed = 4100 + static_cast<uint64_t>(i);
+    SyntheticPair pair = GenerateSyntheticPair(opt);
+    // The last element whose path leads back to itself is the edit target.
+    for (ElementId e = pair.source.num_elements() - 1; e > 0; --e) {
+      if (pair.source.FindByPath(pair.source.PathName(e)) == e) {
+        edit_paths.push_back(pair.source.PathName(e));
+        break;
+      }
+    }
+    ASSERT_EQ(edit_paths.size(), static_cast<size_t>(i + 1));
+    ASSERT_TRUE(repo.Register("s" + std::to_string(i), pair.source).ok());
+    ASSERT_TRUE(repo.Register("t" + std::to_string(i), pair.target).ok());
+  }
+  obs::MetricsRegistry metrics;
+  MatchService::Options options;
+  options.result_cache_capacity = 0;  // every request runs on a session
+  options.session_capacity = 3;
+  options.metrics = &metrics;
+  MatchService service(&thesaurus, &repo, options);
+  obs::Gauge* live_caches = metrics.GetGauge("cupid.service.lsim_caches", "");
+  obs::Gauge* cache_bytes =
+      metrics.GetGauge("cupid.service.lsim_cache_bytes", "");
+  const CupidConfig config = SingleThreaded();
+
+  auto request_for = [&](int source, int target) {
+    MatchRequest request;
+    request.source = "s" + std::to_string(source);
+    request.target = "t" + std::to_string(target);
+    request.config = config;
+    return request;
+  };
+  auto matches_direct = [&](const MatchResponse& r) {
+    auto source = repo.Get(r.source, r.source_version);
+    auto target = repo.Get(r.target, r.target_version);
+    if (!source.ok() || !target.ok()) return false;
+    auto ref = CupidMatcher(&thesaurus, config).Match(**source, **target);
+    return ref.ok() && SameMapping(r.leaf_mapping, ref->leaf_mapping) &&
+           SameMapping(r.nonleaf_mapping, ref->nonleaf_mapping);
+  };
+
+  // Step k: every thread matches source k % 4, against its own target, so
+  // the sessions of one source run concurrently on one cache. Thread 0
+  // edits sources 0 and 1 from the second cycle on; thread 3 invalidates
+  // the service once while the others are in flight.
+  constexpr int kThreads = 4;
+  constexpr int kSteps = 12;
+  std::atomic<int> mismatches{0}, failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kThreads; ++c) {
+    threads.emplace_back([&, c] {
+      for (int k = 0; k < kSteps; ++k) {
+        const int source = k % kSide;
+        if (c == 0 && k >= kSide && source < 2) {
+          if (!RenameInRepository(&repo, "s" + std::to_string(source), k,
+                                  &edit_paths[static_cast<size_t>(source)])
+                   .ok()) {
+            ++failures;
+          }
+        }
+        if (c == 3 && k == 6) service.InvalidateAll();
+        auto r = service.Match(request_for(source, (c + k) % kSide));
+        if (!r.ok()) {
+          ++failures;
+        } else if (!matches_direct(*r)) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(service.cache_stats().sessions_evicted, 0);
+
+  // Deterministic tail: two sessions of s0 share one cache, and an edit of
+  // s0 rematches warm on it.
+  service.InvalidateAll();
+  EXPECT_EQ(live_caches->value(), 0);
+  for (auto [source, target] : {std::pair{0, 0}, {0, 1}}) {
+    auto r = service.Match(request_for(source, target));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(matches_direct(*r));
+  }
+  EXPECT_EQ(live_caches->value(), 1) << "sessions of s0 share one cache";
+  ASSERT_TRUE(service.Match(request_for(1, 0)).ok());
+  EXPECT_EQ(live_caches->value(), 2);
+  EXPECT_GT(cache_bytes->value(), 0);
+  ASSERT_TRUE(RenameInRepository(&repo, "s0", kSteps, &edit_paths[0]).ok());
+  auto warm = service.Match(request_for(0, 0));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->session_reused);
+  EXPECT_TRUE(warm->incremental);
+  EXPECT_TRUE(matches_direct(*warm));
+
+  service.InvalidateAll();
+  EXPECT_EQ(live_caches->value(), 0);
+  EXPECT_EQ(cache_bytes->value(), 0);
 }
 
 // ----------------------------------------------------------- job scheduler --
