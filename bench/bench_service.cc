@@ -21,9 +21,11 @@
 //   * BM_ServiceEditRematch      one repository edit then a re-match per
 //                                iteration — the incremental serving path
 //   * BM_ServiceEqualsDirect     correctness guard: a mixed workload with
-//                                edits where every response must equal the
-//                                direct CupidMatcher::Match bit for bit
-//                                (mapping_mismatches must be exactly 0)
+//                                edits of every kind where every response
+//                                must equal the direct CupidMatcher::Match
+//                                bit for bit and render byte for byte as
+//                                printf would (mapping_mismatches and
+//                                render_mismatches must be exactly 0)
 //   * BM_ServiceColdGrid         a 6x6 synthetic grid cycled past a
 //                                16-session LRU, result cache off: every
 //                                request builds a cold session on its
@@ -35,8 +37,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -47,6 +51,7 @@
 #include "service/match_service.h"
 #include "service/schema_repository.h"
 #include "thesaurus/default_thesaurus.h"
+#include "util/json.h"
 
 namespace cupid {
 namespace {
@@ -214,11 +219,82 @@ void BM_ServiceEditRematch(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceEditRematch)->UseRealTime();
 
-/// Correctness guard: a mixed workload (all pairs, cache on/off, edits in
-/// between) where every response must reproduce the direct
-/// CupidMatcher::Match mappings exactly. CI requires the counter == 0.
+/// True iff two mappings agree element for element, bit for bit.
+bool SameMapping(const Mapping& got, const Mapping& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const MappingElement& a = got.elements[i];
+    const MappingElement& b = want.elements[i];
+    if (a.source_path != b.source_path || a.target_path != b.target_path ||
+        a.wsim != b.wsim || a.ssim != b.ssim || a.lsim != b.lsim) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Appends `"key":{...}` exactly as MatchResponse::ToJson writes a mapping,
+/// but with every number printed by printf's %.6f.
+void AppendReferenceMapping(const char* key, const Mapping& mapping,
+                            std::string* out) {
+  *out += '"';
+  *out += key;
+  *out += "\":{\"source_schema\":\"";
+  JsonEscapeTo(mapping.source_schema, out);
+  *out += "\",\"target_schema\":\"";
+  JsonEscapeTo(mapping.target_schema, out);
+  *out += "\",\"elements\":[";
+  for (size_t i = 0; i < mapping.elements.size(); ++i) {
+    const MappingElement& e = mapping.elements[i];
+    if (i > 0) *out += ',';
+    *out += "{\"source\":\"";
+    JsonEscapeTo(e.source_path, out);
+    *out += "\",\"target\":\"";
+    JsonEscapeTo(e.target_path, out);
+    char numbers[1024];
+    std::snprintf(numbers, sizeof(numbers),
+                  "\",\"wsim\":%.6f,\"ssim\":%.6f,\"lsim\":%.6f}", e.wsim,
+                  e.ssim, e.lsim);
+    *out += numbers;
+  }
+  *out += "]}";
+}
+
+/// The mapping section of a ToJson(true) payload: from "leaf_mapping" to
+/// the end of "nonleaf_mapping" (the payload's closing brace excluded).
+std::string MappingSection(const std::string& json) {
+  size_t at = json.find("\"leaf_mapping\":");
+  if (at == std::string::npos || json.empty()) return "";
+  return json.substr(at, json.size() - 1 - at);
+}
+
+/// Correctness guard: a mixed workload (all pairs, cache on/off, edits of
+/// every kind in between, warm sessions replaying them) where every
+/// response must reproduce the direct CupidMatcher::Match mappings exactly
+/// and render them byte for byte as printf would. CI requires both
+/// counters == 0.
 void BM_ServiceEqualsDirect(benchmark::State& state) {
   double mapping_mismatches = 0.0;
+  double render_mismatches = 0.0;
+  Element added;
+  added.name = "lineNote";
+  added.kind = ElementKind::kAtomic;
+  added.data_type = DataType::kString;
+  // (round, schema, edit): the cidx/excel pair runs on a warm session, so
+  // its add and remove go through the session's node correspondence.
+  const std::vector<std::tuple<int, std::string, SchemaEdit>> edits = {
+      {3, "excel",
+       SchemaEdit::AddElement(EditSide::kTarget, "PurchaseOrder.Items.Item",
+                              added)},
+      {4, "po",
+       SchemaEdit::RenameElement(EditSide::kSource, "PO.POLines.Item.Qty",
+                                 "Quantity")},
+      {6, "cidx",
+       SchemaEdit::RemoveElement(EditSide::kSource,
+                                 "PO.Contact.ContactFunctionCode")},
+      {8, "star",
+       SchemaEdit::ChangeDataType(EditSide::kSource, "star.SALES.UnitPrice",
+                                  DataType::kDecimal)}};
   for (auto _ : state) {
     std::unique_ptr<Workload> workload = Workload::Create();
     if (workload == nullptr) {
@@ -229,23 +305,8 @@ void BM_ServiceEqualsDirect(benchmark::State& state) {
     MatchService service(&thesaurus, &workload->repo);
     CupidMatcher matcher(&thesaurus, SingleThreadedConfig());
     for (int round = 0; round < 12; ++round) {
-      if (round == 4) {
-        if (!workload->repo
-                 .ApplyEdit("po", SchemaEdit::RenameElement(
-                                      EditSide::kSource,
-                                      "PO.POLines.Item.Qty", "Quantity"))
-                 .ok()) {
-          state.SkipWithError("edit failed");
-          return;
-        }
-      }
-      if (round == 8) {
-        if (!workload->repo
-                 .ApplyEdit("star", SchemaEdit::ChangeDataType(
-                                        EditSide::kSource,
-                                        "star.SALES.UnitPrice",
-                                        DataType::kDecimal))
-                 .ok()) {
+      for (const auto& [at, schema, edit] : edits) {
+        if (at == round && !workload->repo.ApplyEdit(schema, edit).ok()) {
           state.SkipWithError("edit failed");
           return;
         }
@@ -267,41 +328,23 @@ void BM_ServiceEqualsDirect(benchmark::State& state) {
         state.SkipWithError("direct match failed");
         return;
       }
-      const Mapping& got = response->leaf_mapping;
-      const Mapping& want = ref->leaf_mapping;
-      if (got.size() != want.size()) {
+      if (!SameMapping(response->leaf_mapping, ref->leaf_mapping) ||
+          !SameMapping(response->nonleaf_mapping, ref->nonleaf_mapping)) {
         ++mapping_mismatches;
-        continue;
       }
-      for (size_t i = 0; i < got.size(); ++i) {
-        if (got.elements[i].source_path != want.elements[i].source_path ||
-            got.elements[i].target_path != want.elements[i].target_path ||
-            got.elements[i].wsim != want.elements[i].wsim ||
-            got.elements[i].ssim != want.elements[i].ssim ||
-            got.elements[i].lsim != want.elements[i].lsim) {
-          ++mapping_mismatches;
-          break;
-        }
+      std::string want;
+      AppendReferenceMapping("leaf_mapping", ref->leaf_mapping, &want);
+      want += ',';
+      AppendReferenceMapping("nonleaf_mapping", ref->nonleaf_mapping, &want);
+      if (MappingSection(response->ToJson(true)) != want) {
+        ++render_mismatches;
       }
     }
   }
   state.counters["mapping_mismatches"] = mapping_mismatches;
+  state.counters["render_mismatches"] = render_mismatches;
 }
 BENCHMARK(BM_ServiceEqualsDirect)->Iterations(1);
-
-/// True iff two mappings agree element for element, bit for bit.
-bool SameMapping(const Mapping& got, const Mapping& want) {
-  if (got.size() != want.size()) return false;
-  for (size_t i = 0; i < got.size(); ++i) {
-    const MappingElement& a = got.elements[i];
-    const MappingElement& b = want.elements[i];
-    if (a.source_path != b.source_path || a.target_path != b.target_path ||
-        a.wsim != b.wsim || a.ssim != b.ssim || a.lsim != b.lsim) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Cold matches through the service: 6 synthetic sources x 6 targets,
 /// cycled in a fixed shuffled order past a 16-session LRU with the result

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,24 +24,27 @@ bool HasJoinViews(const SchemaTree& tree) {
   return false;
 }
 
-/// All node context paths, built top-down (path(n) = path(parent) + "." +
-/// name) so the whole tree costs O(total path length), not O(depth) walks
-/// per node. Node ids are assigned in DFS pre-order, so parents precede
-/// children. Path SYNTAX must stay in sync with SchemaTree::PathName
-/// (tree/schema_tree.cc) and the element-level ElementPaths in
-/// linguistic/linguistic_matcher.cc.
-std::vector<std::string> NodePaths(const SchemaTree& tree) {
-  std::vector<std::string> paths(static_cast<size_t>(tree.num_nodes()));
-  for (TreeNodeId n = 0; n < tree.num_nodes(); ++n) {
-    TreeNodeId p = tree.node(n).parent;
-    if (p == kNoTreeNode) {
-      paths[static_cast<size_t>(n)] = tree.NodeName(n);
-    } else {
-      paths[static_cast<size_t>(n)] =
-          paths[static_cast<size_t>(p)] + "." + tree.NodeName(n);
-    }
+/// Nodes grouped by context path (same-named siblings share one), read
+/// off the tree's stored paths and path index. Per node: `first`, the
+/// group's lowest id (FindNodeByPath's answer), and `rank`, the node's
+/// position in its group by id; `size` is indexed by a group's first id.
+struct PathGroups {
+  std::vector<size_t> first, rank, size;
+};
+
+PathGroups GroupByPath(const SchemaTree& tree) {
+  const size_t n = static_cast<size_t>(tree.num_nodes());
+  PathGroups g;
+  g.first.resize(n);
+  g.rank.resize(n);
+  g.size.assign(n, 0);
+  for (size_t v = 0; v < n; ++v) {
+    const size_t f = static_cast<size_t>(
+        tree.FindNodeByPath(tree.PathName(static_cast<TreeNodeId>(v))));
+    g.first[v] = f;
+    g.rank[v] = g.size[f]++;
   }
-  return paths;
+  return g;
 }
 
 /// Node correspondence new -> old by context path. Same-named siblings make
@@ -55,9 +57,9 @@ std::vector<std::string> NodePaths(const SchemaTree& tree) {
 /// degrades to recomputation, never to reuse of wrong values.
 void MapByPath(const SchemaTree& nw, const SchemaTree& old,
                std::vector<TreeNodeId>* map) {
-  // An unedited side's tree is a copy of the previous run's tree over the
-  // SAME Schema object (Rematch only rebuilds edited sides), so node ids
-  // coincide and the map is the identity — no paths needed.
+  // An unedited side passes the previous run's tree as both `nw` and `old`
+  // (Rematch only rebuilds edited sides), so node ids coincide and the map
+  // is the identity — no paths needed.
   if (&nw.schema() == &old.schema() && nw.num_nodes() == old.num_nodes()) {
     map->resize(static_cast<size_t>(nw.num_nodes()));
     for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
@@ -90,28 +92,29 @@ void MapByPath(const SchemaTree& nw, const SchemaTree& old,
       return;
     }
   }
-  std::vector<std::string> old_paths = NodePaths(old);
-  std::vector<std::string> new_paths = NodePaths(nw);
-  std::unordered_map<std::string, std::vector<TreeNodeId>> old_groups;
-  old_groups.reserve(old_paths.size());
-  for (TreeNodeId o = 0; o < old.num_nodes(); ++o) {
-    old_groups[old_paths[static_cast<size_t>(o)]].push_back(o);
+  const PathGroups og = GroupByPath(old);
+  const PathGroups ng = GroupByPath(nw);
+  // Old group members laid out group by group, each in id order: the k-th
+  // member of the group whose first id is f sits at members[start[f] + k].
+  const size_t num_old = static_cast<size_t>(old.num_nodes());
+  std::vector<size_t> start(num_old, 0);
+  for (size_t o = 0, at = 0; o < num_old; ++o) {
+    if (og.first[o] != o) continue;
+    start[o] = at;
+    at += og.size[o];
   }
-  std::unordered_map<std::string, std::vector<TreeNodeId>> new_groups;
-  new_groups.reserve(new_paths.size());
-  for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-    new_groups[new_paths[static_cast<size_t>(n)]].push_back(n);
+  std::vector<TreeNodeId> members(num_old);
+  for (size_t o = 0; o < num_old; ++o) {
+    members[start[og.first[o]] + og.rank[o]] = static_cast<TreeNodeId>(o);
   }
   map->assign(static_cast<size_t>(nw.num_nodes()), kNoTreeNode);
-  // Each path's group writes a disjoint slice of `map` (a node has one
-  // path), so visiting the groups in hash order cannot change the result.
-  // NOLINTNEXTLINE(determinism:unordered-iteration)
-  for (const auto& [path, news] : new_groups) {
-    auto it = old_groups.find(path);
-    if (it == old_groups.end() || it->second.size() != news.size()) continue;
-    for (size_t i = 0; i < news.size(); ++i) {
-      (*map)[static_cast<size_t>(news[i])] = it->second[i];
-    }
+  for (size_t n = 0; n < map->size(); ++n) {
+    const TreeNodeId f =
+        old.FindNodeByPath(nw.PathName(static_cast<TreeNodeId>(n)));
+    if (f == kNoTreeNode) continue;
+    const size_t of = static_cast<size_t>(f);
+    if (og.size[of] != ng.size[ng.first[n]]) continue;
+    (*map)[n] = members[start[of] + ng.rank[n]];
   }
 }
 
@@ -530,20 +533,24 @@ Result<const MatchResult*> MatchSession::Rematch() {
 
   auto t1 = std::chrono::steady_clock::now();
 
-  // Phase 2: trees — an unedited side reuses the previous tree (it points
-  // at the same, unchanged Schema object), the edited side rebuilds.
-  SchemaTree source_tree{nullptr};
-  if (!src_owner && result_ != nullptr) {
-    source_tree = result_->source_tree;
-  } else {
-    CUPID_ASSIGN_OR_RETURN(source_tree, BuildSchemaTree(*s, config_.tree_build));
+  // Phase 2: trees — an unedited side reads the previous tree in place (it
+  // points at the same, unchanged Schema object) and hands it over to the
+  // new result at commit; only the edited side is built.
+  SchemaTree built_source{nullptr}, built_target{nullptr};
+  const bool reuse_source = !src_owner && result_ != nullptr;
+  const bool reuse_target = !tgt_owner && result_ != nullptr;
+  if (!reuse_source) {
+    CUPID_ASSIGN_OR_RETURN(built_source,
+                           BuildSchemaTree(*s, config_.tree_build));
   }
-  SchemaTree target_tree{nullptr};
-  if (!tgt_owner && result_ != nullptr) {
-    target_tree = result_->target_tree;
-  } else {
-    CUPID_ASSIGN_OR_RETURN(target_tree, BuildSchemaTree(*t, config_.tree_build));
+  if (!reuse_target) {
+    CUPID_ASSIGN_OR_RETURN(built_target,
+                           BuildSchemaTree(*t, config_.tree_build));
   }
+  const SchemaTree& source_tree =
+      reuse_source ? result_->source_tree : built_source;
+  const SchemaTree& target_tree =
+      reuse_target ? result_->target_tree : built_target;
 
   bool warm = result_ != nullptr &&
               SupportsIncrementalTreeMatch(config_.tree_match) &&
@@ -591,12 +598,14 @@ Result<const MatchResult*> MatchSession::Rematch() {
   auto t6 = std::chrono::steady_clock::now();
 
   // Commit. The old result (and the old schemas it references) die here;
-  // the new result references the schemas owned below.
+  // the new result references the schemas owned below and takes over the
+  // unedited side's tree from the old result.
   guard.committed = true;
-  auto new_result = std::make_unique<MatchResult>(
-      MatchResult{std::move(source_tree), std::move(target_tree),
-                  std::move(lres), std::move(tmres), std::move(leaf_mapping),
-                  std::move(nonleaf_mapping)});
+  auto new_result = std::make_unique<MatchResult>(MatchResult{
+      std::move(reuse_source ? result_->source_tree : built_source),
+      std::move(reuse_target ? result_->target_tree : built_target),
+      std::move(lres), std::move(tmres), std::move(leaf_mapping),
+      std::move(nonleaf_mapping)});
   result_ = std::move(new_result);
   sweep_ssim_ = std::move(sweep);
   if (src_owner) cur_source_ = std::move(src_owner);

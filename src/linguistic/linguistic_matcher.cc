@@ -155,8 +155,7 @@ std::vector<AnnotationVector> BuildDocs(const Schema& schema,
 /// which at worst degrades mapping to recomputation, never to wrong reuse —
 /// the feature check below is what licenses a copy, not the map).
 /// Path SYNTAX (dot-joined names) must stay in sync with the node-level
-/// builders: NodePaths in incremental/match_session.cc and the path index
-/// in tree/schema_tree.cc (SchemaTree::PathName / Finalize).
+/// context paths SchemaTree::Finalize stores (tree/schema_tree.cc).
 std::vector<std::string> ElementPaths(const Schema& s) {
   std::vector<std::string> paths(static_cast<size_t>(s.num_elements()));
   for (ElementId id = 0; id < s.num_elements(); ++id) {

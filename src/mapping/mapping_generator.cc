@@ -70,40 +70,34 @@ MappingElement MakeElement(const SchemaTree& source, const SchemaTree& target,
 }
 
 /// The paper's naive scheme: best acceptable source per target node.
-/// Scope lists are hoisted and the wsim submatrix is transposed into a
-/// target-major buffer once, so the per-target argmax scans stream
-/// sequential floats instead of striding a column through the full matrix.
-/// Candidate visit order (ascending source id per target) is unchanged, so
-/// the selected pairs are identical to the naive double loop's.
+/// Source rows stream in ascending id (sequential wsim reads) while each
+/// target keeps its best candidate so far, so every target sees its
+/// candidates in the same order as a per-target column scan would and the
+/// selected pairs are identical to the naive double loop's.
 void GenerateOneToMany(const SchemaTree& source, const SchemaTree& target,
                        const NodeSimilarities& sims,
                        const MappingGeneratorOptions& opt, Mapping* out) {
   CandidateRank rank(source, target, sims);
-  std::vector<TreeNodeId> srcs, tgts;
-  for (TreeNodeId s = 0; s < source.num_nodes(); ++s) {
-    if (InScope(source, s, opt.scope)) srcs.push_back(s);
-  }
+  std::vector<TreeNodeId> tgts;
   for (TreeNodeId t = 0; t < target.num_nodes(); ++t) {
     if (InScope(target, t, opt.scope)) tgts.push_back(t);
   }
-  std::vector<float> wsim_t(srcs.size() * tgts.size());
-  for (size_t si = 0; si < srcs.size(); ++si) {
+  std::vector<TreeNodeId> best(tgts.size(), kNoTreeNode);
+  for (TreeNodeId s = 0; s < source.num_nodes(); ++s) {
+    if (!InScope(source, s, opt.scope)) continue;
+    const float* wsim_row = sims.wsim_matrix().row(s);
     for (size_t ti = 0; ti < tgts.size(); ++ti) {
-      wsim_t[ti * srcs.size() + si] =
-          static_cast<float>(sims.wsim(srcs[si], tgts[ti]));
+      if (static_cast<double>(wsim_row[tgts[ti]]) < opt.th_accept) continue;
+      if (best[ti] == kNoTreeNode || rank.Better(s, best[ti], tgts[ti])) {
+        best[ti] = s;
+      }
     }
   }
+  out->elements.reserve(tgts.size());
   for (size_t ti = 0; ti < tgts.size(); ++ti) {
-    const TreeNodeId t = tgts[ti];
-    const float* row = &wsim_t[ti * srcs.size()];
-    TreeNodeId best = kNoTreeNode;
-    for (size_t si = 0; si < srcs.size(); ++si) {
-      if (static_cast<double>(row[si]) < opt.th_accept) continue;
-      TreeNodeId s = srcs[si];
-      if (best == kNoTreeNode || rank.Better(s, best, t)) best = s;
-    }
-    if (best != kNoTreeNode) {
-      out->elements.push_back(MakeElement(source, target, sims, best, t));
+    if (best[ti] != kNoTreeNode) {
+      out->elements.push_back(
+          MakeElement(source, target, sims, best[ti], tgts[ti]));
     }
   }
 }

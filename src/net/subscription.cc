@@ -9,20 +9,19 @@ namespace cupid {
 
 namespace {
 
-std::vector<std::pair<std::string, std::string>> LeafPairs(
-    const Mapping& mapping) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  pairs.reserve(mapping.elements.size());
+using PathPairs = std::vector<std::pair<std::string, std::string>>;
+
+std::shared_ptr<const PathPairs> SortedLeafPairs(const Mapping& mapping) {
+  auto pairs = std::make_shared<PathPairs>();
+  pairs->reserve(mapping.elements.size());
   for (const MappingElement& e : mapping.elements) {
-    pairs.emplace_back(e.source_path, e.target_path);
+    pairs->emplace_back(e.source_path, e.target_path);
   }
-  std::sort(pairs.begin(), pairs.end());
+  std::sort(pairs->begin(), pairs->end());
   return pairs;
 }
 
-void AppendPairArray(
-    const std::vector<std::pair<std::string, std::string>>& pairs,
-    std::string* out) {
+void AppendPairArray(const PathPairs& pairs, std::string* out) {
   out->push_back('[');
   bool first = true;
   for (const auto& p : pairs) {
@@ -104,8 +103,7 @@ Status SubscriptionBroker::Subscribe(uint64_t client_id,
     request.config = config;
     auto primed = service_->Match(request);
     if (primed.ok()) {
-      sub.last_leaf_pairs = LeafPairs(primed->leaf_mapping);
-      sub.primed = true;
+      sub.last_leaf_pairs = SortedLeafPairs(primed->leaf_mapping);
     }
     // On failure the subscription still registers; the first push is then
     // all-added against an empty baseline.
@@ -266,21 +264,20 @@ void SubscriptionBroker::ProcessEvent(const Event& event) {
     if (git == groups.end()) continue;
     const Result<MatchResponse>& result = git->second.result;
     std::string frame;
-    std::vector<std::pair<std::string, std::string>> leaf_pairs;
+    std::shared_ptr<const PathPairs> leaf_pairs;
     if (result.ok()) {
       const MatchResponse& response = *result;
-      leaf_pairs = LeafPairs(response.leaf_mapping);
-      std::vector<std::pair<std::string, std::string>> added, removed;
-      if (sub.primed) {
-        std::set_difference(leaf_pairs.begin(), leaf_pairs.end(),
-                            sub.last_leaf_pairs.begin(),
-                            sub.last_leaf_pairs.end(),
+      leaf_pairs = SortedLeafPairs(response.leaf_mapping);
+      PathPairs added, removed;
+      if (sub.last_leaf_pairs != nullptr) {
+        const PathPairs& last = *sub.last_leaf_pairs;
+        std::set_difference(leaf_pairs->begin(), leaf_pairs->end(),
+                            last.begin(), last.end(),
                             std::back_inserter(added));
-        std::set_difference(sub.last_leaf_pairs.begin(),
-                            sub.last_leaf_pairs.end(), leaf_pairs.begin(),
-                            leaf_pairs.end(), std::back_inserter(removed));
+        std::set_difference(last.begin(), last.end(), leaf_pairs->begin(),
+                            leaf_pairs->end(), std::back_inserter(removed));
       } else {
-        added = leaf_pairs;  // first push: everything is new
+        added = *leaf_pairs;  // first push: everything is new
       }
       frame = "{\"v\":1,\"event\":\"push\",\"source\":\"";
       JsonEscapeTo(sub.source, &frame);
@@ -332,7 +329,6 @@ void SubscriptionBroker::ProcessEvent(const Event& event) {
       auto sit = subs_.find(SubKey{sub.client_id, sub.source, sub.target});
       if (sit != subs_.end() && sit->second.fingerprint == sub.fingerprint) {
         sit->second.last_leaf_pairs = std::move(leaf_pairs);
-        sit->second.primed = true;
       }
     }
   }

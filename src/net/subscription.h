@@ -141,9 +141,11 @@ class SubscriptionBroker {
     CupidConfig config;
     uint64_t fingerprint = 0;
     /// Leaf (source_path, target_path) pairs of the last pushed mapping,
-    /// sorted — the baseline the next push's delta diffs against.
-    std::vector<std::pair<std::string, std::string>> last_leaf_pairs;
-    bool primed = false;  ///< last_leaf_pairs is meaningful
+    /// sorted — the baseline the next push's delta diffs against. Shared,
+    /// so an event's snapshot of the subscription does not copy it. Null
+    /// until the first successful match (the first push is then all-added).
+    std::shared_ptr<const std::vector<std::pair<std::string, std::string>>>
+        last_leaf_pairs;
   };
 
   /// Key: client + pair. std::map keeps delivery order deterministic.

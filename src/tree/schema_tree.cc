@@ -1,9 +1,24 @@
 #include "tree/schema_tree.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 namespace cupid {
+
+SchemaTree::SchemaTree(const SchemaTree& other)
+    : schema_(other.schema_),
+      nodes_(other.nodes_),
+      leaves_(other.leaves_),
+      post_order_(other.post_order_),
+      element_nodes_(other.element_nodes_),
+      paths_(other.paths_) {
+  IndexPaths();
+}
+
+SchemaTree& SchemaTree::operator=(const SchemaTree& other) {
+  if (this != &other) *this = SchemaTree(other);
+  return *this;
+}
 
 TreeNodeId SchemaTree::AddNode(ElementId source, TreeNodeId parent,
                                bool optional) {
@@ -21,20 +36,6 @@ TreeNodeId SchemaTree::AddNode(ElementId source, TreeNodeId parent,
 
 void SchemaTree::AddSharedChild(TreeNodeId parent, TreeNodeId child) {
   nodes_[static_cast<size_t>(parent)].children.push_back(child);
-}
-
-std::string SchemaTree::PathName(TreeNodeId id) const {
-  std::vector<TreeNodeId> chain;
-  for (TreeNodeId cur = id; cur != kNoTreeNode;
-       cur = nodes_[static_cast<size_t>(cur)].parent) {
-    chain.push_back(cur);
-  }
-  std::string out;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    if (!out.empty()) out += '.';
-    out += NodeName(*it);
-  }
-  return out;
 }
 
 int SchemaTree::Depth(TreeNodeId id) const {
@@ -128,29 +129,33 @@ Status SchemaTree::Finalize() {
     }
   }
 
-  // Path -> node index; first (lowest-id) node wins on duplicate paths.
-  // Paths are built top-down reusing the parent's string (parents have
-  // lower ids than their primary children in AddNode order) — the same
-  // strings PathName produces, in O(total path length).
-  path_index_.clear();
-  path_index_.reserve(n);
-  {
-    std::vector<std::string> paths(n);
-    for (size_t i = 0; i < n; ++i) {
-      TreeNodeId p = nodes_[i].parent;
-      if (p == kNoTreeNode) {
-        paths[i] = NodeName(static_cast<TreeNodeId>(i));
-      } else if (static_cast<size_t>(p) < i) {
-        paths[i] = paths[static_cast<size_t>(p)];
-        paths[i] += '.';
-        paths[i] += NodeName(static_cast<TreeNodeId>(i));
-      } else {
-        paths[i] = PathName(static_cast<TreeNodeId>(i));
-      }
-      path_index_.emplace(paths[i], static_cast<TreeNodeId>(i));
+  // Context paths, built top-down reusing the parent's string (AddNode
+  // links a node under an existing one, so parents have lower ids than
+  // their primary children) in O(total path length).
+  paths_.assign(n, {});
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& name = NodeName(static_cast<TreeNodeId>(i));
+    TreeNodeId p = nodes_[i].parent;
+    if (p == kNoTreeNode) {
+      paths_[i] = name;
+      continue;
     }
+    const std::string& prefix = paths_[static_cast<size_t>(p)];
+    paths_[i].reserve(prefix.size() + 1 + name.size());
+    paths_[i] += prefix;
+    paths_[i] += '.';
+    paths_[i] += name;
   }
+  IndexPaths();
   return Status::OK();
+}
+
+void SchemaTree::IndexPaths() {
+  path_index_.clear();
+  path_index_.reserve(paths_.size());
+  for (size_t i = 0; i < paths_.size(); ++i) {
+    path_index_.emplace(paths_[i], static_cast<TreeNodeId>(i));
+  }
 }
 
 }  // namespace cupid

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -59,9 +60,15 @@ struct TreeNode {
 /// \brief Expanded schema tree with cached leaf sets and traversal orders.
 ///
 /// Built by BuildSchemaTree (tree/tree_builder.h); immutable afterwards.
+/// Finalize stores every node's context path once; the path index refers
+/// into those strings, so a copy re-indexes its own and a move keeps them.
 class SchemaTree {
  public:
   SchemaTree(const Schema* schema) : schema_(schema) {}  // NOLINT
+  SchemaTree(const SchemaTree& other);
+  SchemaTree& operator=(const SchemaTree& other);
+  SchemaTree(SchemaTree&&) = default;
+  SchemaTree& operator=(SchemaTree&&) = default;
 
   const Schema& schema() const { return *schema_; }
 
@@ -91,14 +98,21 @@ class SchemaTree {
     return element_nodes_[static_cast<size_t>(e)];
   }
 
-  /// Dotted context path, e.g. "PurchaseOrder.DeliverTo.Address.Street".
-  std::string PathName(TreeNodeId id) const;
+  /// \brief Dotted context path, e.g.
+  /// "PurchaseOrder.DeliverTo.Address.Street", stored by Finalize (O(1)).
+  ///
+  /// The reference is valid until the tree is destroyed, assigned to or
+  /// finalized again. Moving the tree keeps it valid (the moved-to tree owns
+  /// the same string); a copy owns its own strings.
+  const std::string& PathName(TreeNodeId id) const {
+    return paths_[static_cast<size_t>(id)];
+  }
 
   /// \brief Node whose dotted context path equals `path`; kNoTreeNode when
   /// absent. Hashed lookup over the index built by Finalize. When the DAG
   /// yields duplicate paths the lowest node id wins (the answer a linear
   /// scan in id order would give).
-  TreeNodeId FindNodeByPath(const std::string& path) const {
+  TreeNodeId FindNodeByPath(std::string_view path) const {
     auto it = path_index_.find(path);
     return it == path_index_.end() ? kNoTreeNode : it->second;
   }
@@ -120,17 +134,24 @@ class SchemaTree {
   /// join-view augmentation, creating the DAG.
   void AddSharedChild(TreeNodeId parent, TreeNodeId child);
 
-  /// \brief Recomputes leaves_, post_order_ and element_nodes_. Must be
-  /// called after all nodes/edges are added. Fails on malformed structure.
+  /// \brief Recomputes leaves_, post_order_, element_nodes_ and the context
+  /// paths. Must be called after all nodes/edges are added. Fails on
+  /// malformed structure.
   Status Finalize();
 
  private:
+  /// Rebuilds path_index_ over paths_; the first (lowest-id) node wins on
+  /// duplicate paths.
+  void IndexPaths();
+
   const Schema* schema_;
   std::vector<TreeNode> nodes_;
   std::vector<std::vector<LeafRef>> leaves_;
   std::vector<TreeNodeId> post_order_;
   std::vector<std::vector<TreeNodeId>> element_nodes_;
-  std::unordered_map<std::string, TreeNodeId> path_index_;
+  /// Context path per node; path_index_'s keys view these strings.
+  std::vector<std::string> paths_;
+  std::unordered_map<std::string_view, TreeNodeId> path_index_;
 };
 
 }  // namespace cupid

@@ -2,7 +2,9 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <system_error>
 
 #include "util/strings.h"
 
@@ -79,7 +81,18 @@ void JsonWriter::Double(double value) {
 
 void JsonWriter::FixedDouble(double value, int precision) {
   Prefix();
-  out_ += StringFormat("%.*f", precision, value);
+  // std::to_chars in fixed format with a precision is specified to print
+  // what printf("%.*f") prints, without the format-string machinery. The
+  // buffer fits the largest double (309 integral digits) at the precisions
+  // callers use; anything longer falls back to printf.
+  char buf[384];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, precision);
+  if (ec == std::errc()) {
+    out_.append(buf, end);
+  } else {
+    out_ += StringFormat("%.*f", precision, value);
+  }
 }
 
 void JsonWriter::Bool(bool value) {

@@ -56,7 +56,8 @@ class JsonWriter {
   void UInt(uint64_t value);
   /// Shortest round-trippable representation ("%.17g" trimmed).
   void Double(double value);
-  /// Fixed-point representation, e.g. FixedDouble(0.5, 6) -> "0.500000".
+  /// Fixed-point representation, e.g. FixedDouble(0.5, 6) -> "0.500000";
+  /// byte-identical to printf("%.*f", precision, value).
   void FixedDouble(double value, int precision);
   void Bool(bool value);
   void Null();

@@ -130,6 +130,49 @@ TEST(MatchSessionTest, SingleRenameUsesWarmStartAndReusesPairs) {
   EXPECT_GT(session.last_stats().lsim_cached_pairs, 0);
 }
 
+// A target-only edit leaves the source schema untouched, so the new result
+// takes over the previous source tree instead of a copy: its stored paths
+// are the very same string objects. Renames keep the node count and adds
+// change it, so both node-correspondence branches run on the edited side.
+TEST(MatchSessionTest, TargetEditHandsOverTheSourceTree) {
+  SyntheticOptions opt;
+  opt.num_elements = 60;
+  opt.seed = 12;
+  SyntheticPair pair = GenerateSyntheticPair(opt);
+  Thesaurus thesaurus = DefaultThesaurus();
+  CupidConfig config = SingleThreaded();
+  MatchSession session(&thesaurus, pair.source, pair.target, config);
+  auto r0 = session.Rematch();
+  ASSERT_TRUE(r0.ok()) << r0.status().ToString();
+  const std::string* root_path = &(*r0)->source_tree.PathName(0);
+  CupidMatcher scratch(&thesaurus, config);
+
+  ElementId leaf = kNoElement;
+  for (ElementId id = 1; id < session.target().num_elements(); ++id) {
+    if (session.target().IsLeaf(id)) leaf = id;
+  }
+  ASSERT_NE(leaf, kNoElement);
+  Element added;
+  added.name = "ShipToCity";
+  added.kind = ElementKind::kAtomic;
+  added.data_type = DataType::kString;
+  const SchemaEdit edits[] = {
+      SchemaEdit::RenameElement(EditSide::kTarget,
+                                session.target().PathName(leaf), "Amount"),
+      SchemaEdit::AddElement(EditSide::kTarget, session.target().PathName(0),
+                             added)};
+  for (const SchemaEdit& edit : edits) {
+    ASSERT_TRUE(session.ApplyEdit(edit).ok()) << edit.path;
+    auto r = session.Rematch();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(session.last_stats().incremental);
+    EXPECT_EQ(&(*r)->source_tree.PathName(0), root_path) << edit.path;
+    auto ref = scratch.Match(session.source(), session.target());
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ExpectIdenticalResults(**r, *ref, "target edit " + edit.path);
+  }
+}
+
 TEST(MatchSessionTest, ServesCachedResultWhenUnedited) {
   SyntheticOptions opt;
   opt.num_elements = 30;

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "schema/schema_builder.h"
 #include "tree/lazy_expansion.h"
@@ -273,6 +276,54 @@ TEST(LazyExpansionTest, ThreeContextsAllAlignToFirst) {
   ASSERT_EQ(instances.size(), 3u);
   EXPECT_EQ(dup.canon(instances[1]), instances[0]);
   EXPECT_EQ(dup.canon(instances[2]), instances[0]);
+}
+
+// A copy owns its paths and path index: with the original destroyed, every
+// node's path and path lookup must still resolve on the copy (the sanitizer
+// builds catch any view left pointing into the original's strings).
+TEST(SchemaTreeTest, CopyOutlivesOriginal) {
+  // A shared type expanded in two contexts, same-named siblings (duplicate
+  // paths) and a name too long for the small-string buffer.
+  XmlSchemaBuilder b("S");
+  ElementId address = b.AddComplexType("Address");
+  b.AddAttribute(address, "street", DataType::kString);
+  b.AddAttribute(address, "city", DataType::kString);
+  ASSERT_TRUE(b.SetType(b.AddElement(b.root(), "BillTo"), address).ok());
+  ASSERT_TRUE(b.SetType(b.AddElement(b.root(), "ShipTo"), address).ok());
+  b.AddAttribute(b.root(), "Note", DataType::kString);
+  b.AddAttribute(b.root(), "Note", DataType::kString);
+  b.AddAttribute(b.root(), "averyveryverylongattributenamepastsso",
+                 DataType::kInteger);
+  Schema s = std::move(b).Build();
+
+  auto original = std::make_unique<SchemaTree>(&s);
+  {
+    auto built = BuildSchemaTree(s);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    *original = std::move(*built);
+  }
+  std::vector<std::string> paths;
+  for (TreeNodeId n = 0; n < original->num_nodes(); ++n) {
+    paths.push_back(original->PathName(n));
+  }
+  SchemaTree copy(*original);
+  SchemaTree assigned(&s);
+  assigned = *original;
+  original.reset();
+  for (const SchemaTree* t : {&copy, &assigned}) {
+    ASSERT_EQ(t->num_nodes(), static_cast<int64_t>(paths.size()));
+    for (TreeNodeId n = 0; n < t->num_nodes(); ++n) {
+      EXPECT_EQ(t->PathName(n), paths[static_cast<size_t>(n)]);
+      // Duplicate paths resolve to their lowest id; every path resolves
+      // to a node carrying it.
+      TreeNodeId found = t->FindNodeByPath(paths[static_cast<size_t>(n)]);
+      ASSERT_NE(found, kNoTreeNode) << paths[static_cast<size_t>(n)];
+      EXPECT_LE(found, n);
+      EXPECT_EQ(t->PathName(found), paths[static_cast<size_t>(n)]);
+    }
+  }
+  EXPECT_NE(copy.FindNodeByPath("S.ShipTo.city"), kNoTreeNode);
+  EXPECT_EQ(copy.FindNodeByPath("S.Nowhere"), kNoTreeNode);
 }
 
 }  // namespace

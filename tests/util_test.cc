@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "util/json.h"
 #include "util/matrix.h"
@@ -295,6 +299,57 @@ TEST(JsonWriterTest, ObjectsArraysAndCommas) {
   EXPECT_EQ(std::move(w).str(),
             "{\"s\":\"a\\\"b\\\\c\\n\",\"i\":-3,"
             "\"list\":[1,true,null,{}],\"f\":0.500}");
+}
+
+std::string WriterFixed(double value, int precision) {
+  JsonWriter w;
+  w.FixedDouble(value, precision);
+  return std::move(w).str();
+}
+
+std::string PrintfFixed(double value, int precision) {
+  char buf[512];  // the largest double at %.6f takes 317 bytes
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+  return buf;
+}
+
+// Mapping similarities are rendered with FixedDouble and compared byte for
+// byte against references rendered with printf, so the two formatters must
+// never diverge: not on any bit pattern, not on exact decimal ties (which
+// both round half to even), not on signed zeros, infinities or NaN.
+TEST(JsonWriterTest, FixedDoubleMatchesPrintf) {
+  int64_t mismatches = 0;
+  std::string first_mismatch;
+  auto check_at = [&](double v, int precision) {
+    std::string got = WriterFixed(v, precision);
+    std::string want = PrintfFixed(v, precision);
+    if (got != want && mismatches++ == 0) {
+      first_mismatch = "p=" + std::to_string(precision) + ": " + got +
+                       " vs printf " + want;
+    }
+  };
+  auto check = [&](double v) {
+    check_at(v, 3);
+    check_at(v, 6);
+  };
+  SplitMix64 rng(20011);
+  for (int i = 0; i < 1000000; ++i) {
+    // Raw bit patterns: both signs, denormals, values above 1e300, NaNs.
+    uint64_t bits = rng.Next();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    check(v);
+  }
+  for (int i = 0; i < 1000000; ++i) check(rng.NextDouble());
+  // Exact decimal ties: m/128 has seven decimals, m/16 has four.
+  for (int64_t m = 1; m < 2000000; m += 2) {
+    check_at(static_cast<double>(m) / 128.0, 6);
+    check_at(static_cast<double>(m) / 16.0, 3);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double v : {0.0, -0.0, inf, -inf, nan, -nan}) check(v);
+  EXPECT_EQ(mismatches, 0) << first_mismatch;
 }
 
 TEST(JsonWriterTest, EscapesControlCharacters) {
