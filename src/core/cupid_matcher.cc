@@ -100,10 +100,8 @@ Status GenerateStandardMappings(const SchemaTree& source,
                                 const TreeMatchResult& tmres,
                                 const CupidConfig& config, Mapping* leaf,
                                 Mapping* nonleaf) {
-  MappingGeneratorOptions leaf_opts = config.mapping;
-  leaf_opts.scope = MappingScope::kLeaves;
   CUPID_ASSIGN_OR_RETURN(*leaf,
-                         GenerateMapping(source, target, tmres, leaf_opts));
+                         GenerateLeafMapping(source, target, tmres, config));
 
   MappingGeneratorOptions nonleaf_opts = config.mapping;
   nonleaf_opts.scope = MappingScope::kNonLeaves;
@@ -111,6 +109,15 @@ Status GenerateStandardMappings(const SchemaTree& source,
   CUPID_ASSIGN_OR_RETURN(
       *nonleaf, GenerateMapping(source, target, tmres, nonleaf_opts));
   return Status::OK();
+}
+
+Result<Mapping> GenerateLeafMapping(const SchemaTree& source,
+                                    const SchemaTree& target,
+                                    const TreeMatchResult& tmres,
+                                    const CupidConfig& config) {
+  MappingGeneratorOptions leaf_opts = config.mapping;
+  leaf_opts.scope = MappingScope::kLeaves;
+  return GenerateMapping(source, target, tmres, leaf_opts);
 }
 
 }  // namespace cupid

@@ -49,13 +49,20 @@ struct MatchResult {
 
 /// \brief Phase-3 mapping generation shared by CupidMatcher::Match and
 /// MatchSession::Rematch: the leaf mapping with the configured cardinality
-/// plus the naive 1:n non-leaf mapping. `tmres` must already have been
-/// through the Section 7 recompute pass.
+/// (GenerateLeafMapping) plus the naive 1:n non-leaf mapping. `tmres` must
+/// already have been through the Section 7 recompute pass.
 Status GenerateStandardMappings(const SchemaTree& source,
                                 const SchemaTree& target,
                                 const TreeMatchResult& tmres,
                                 const CupidConfig& config, Mapping* leaf,
                                 Mapping* nonleaf);
+
+/// \brief The leaf half of GenerateStandardMappings, for callers that only
+/// need the leaf mapping (corpus search ranks by it).
+Result<Mapping> GenerateLeafMapping(const SchemaTree& source,
+                                    const SchemaTree& target,
+                                    const TreeMatchResult& tmres,
+                                    const CupidConfig& config);
 
 /// \brief The Cupid generic schema matcher.
 class CupidMatcher {

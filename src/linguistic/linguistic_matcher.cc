@@ -86,16 +86,13 @@ Matrix<float> ComputeBestScale(const LinguisticOptions& options,
 }
 
 /// ComputeBestScale with the category-keyword similarities routed through
-/// the interner + memo (the naive version recomputes thesaurus and affix
-/// work for every one of the |C1|*|C2| category pairs). Same values. With a
-/// non-null `external_memo` (the cross-run cache path) the keyword
-/// similarities persist across calls; otherwise a run-local memo is used.
+/// a run-local interner + memo (the naive version recomputes thesaurus and
+/// affix work for every one of the |C1|*|C2| category pairs). Same values.
 Matrix<float> ComputeBestScaleInterned(const LinguisticOptions& options,
                                        const Thesaurus* thesaurus,
                                        const Categorization& categories1,
                                        const Categorization& categories2,
                                        TokenInterner* interner,
-                                       TokenPairMemo* external_memo,
                                        int64_t rows, int64_t cols) {
   const auto& cats1 = categories1.categories;
   const auto& cats2 = categories2.categories;
@@ -112,13 +109,7 @@ Matrix<float> ComputeBestScaleInterned(const LinguisticOptions& options,
   };
   std::vector<std::vector<TokenId>> kw1 = intern_keywords(cats1);
   std::vector<std::vector<TokenId>> kw2 = intern_keywords(cats2);
-  std::unique_ptr<TokenPairMemo> local_memo;
-  TokenPairMemo* memo = external_memo;
-  if (memo == nullptr) {
-    local_memo = std::make_unique<TokenPairMemo>(interner, thesaurus,
-                                                 options.substring);
-    memo = local_memo.get();
-  }
+  TokenPairMemo memo(interner, thesaurus, options.substring);
 
   Matrix<float> cat_sim(static_cast<int64_t>(cats1.size()),
                         static_cast<int64_t>(cats2.size()));
@@ -126,7 +117,7 @@ Matrix<float> ComputeBestScaleInterned(const LinguisticOptions& options,
     for (size_t j = 0; j < cats2.size(); ++j) {
       cat_sim(static_cast<int64_t>(i), static_cast<int64_t>(j)) =
           static_cast<float>(
-              InternedTokenSetSimilarity(kw1[i], kw2[j], memo));
+              InternedTokenSetSimilarity(kw1[i], kw2[j], &memo));
     }
   }
   return ScatterBestScale(options, cat_sim, categories1, categories2, rows,
@@ -397,19 +388,6 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
 
 namespace {
 
-/// Normalized names of a schema's elements, gathered from a distinct-name
-/// registry by each element's registry index.
-std::shared_ptr<std::vector<NormalizedName>> CollectNames(
-    const std::vector<int32_t>& of_element,
-    const std::vector<NormalizedName>& registry) {
-  auto names = std::make_shared<std::vector<NormalizedName>>();
-  names->reserve(of_element.size());
-  for (int32_t id : of_element) {
-    names->push_back(registry[static_cast<size_t>(id)]);
-  }
-  return names;
-}
-
 /// Run-local inputs of the lsim scatter: per-element distinct-name indices,
 /// the best category scale per element pair, and annotation vectors.
 struct ScatterInputs {
@@ -483,8 +461,8 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(const Schema& s1,
   build_distinct(s1, d1, &of_element1);
   build_distinct(s2, d2, &of_element2);
 
-  out.names1 = CollectNames(of_element1, d1.names);
-  out.names2 = CollectNames(of_element2, d2.names);
+  out.names1 = d1.Collect(of_element1);
+  out.names2 = d2.Collect(of_element2);
   out.categories1 = std::make_shared<const Categorization>(
       CategorizeSchema(s1, *out.names1, normalizer_));
   out.categories2 = std::make_shared<const Categorization>(
@@ -493,7 +471,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(const Schema& s1,
 
   Matrix<float> best_scale = ComputeBestScaleInterned(
       options_, thesaurus_, *out.categories1, *out.categories2, &interner,
-      /*external_memo=*/nullptr, s1.num_elements(), s2.num_elements());
+      s1.num_elements(), s2.num_elements());
 
   std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
   std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
@@ -568,84 +546,87 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2,
                                                   LsimCache* cache) const {
   if (cache == nullptr) return Match(s1, s2);
+  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedLsimSource> source,
+                         Prepare(s1, cache));
+  CUPID_ASSIGN_OR_RETURN(LinguisticResult out, Match(*source, s2, cache));
+  out.cache_filled = out.cache_filled || source->cache_filled;
+  return out;
+}
+
+Result<std::shared_ptr<const PreparedLsimSource>> LinguisticMatcher::Prepare(
+    const Schema& s1, LsimCache* cache) const {
+  if (cache == nullptr) {
+    return Status::InvalidArgument("Prepare requires an LsimCache");
+  }
   CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
+  auto source = std::make_shared<PreparedLsimSource>();
+  source->cache_id = cache->id_;
+  source->cache_filled = cache->LookupNames(
+      LsimCache::Side::kSource, s1, normalizer_, &source->name_ids,
+      &source->names);
+  source->categories = std::make_shared<const Categorization>(
+      CategorizeSchema(s1, *source->names, normalizer_));
+  // Labels are registered even when categories are off: a prepared source
+  // serves any matcher bound to the cache, whatever its use_categories.
+  if (cache->LookupLabels(LsimCache::Side::kSource, *source->categories,
+                          &source->label_ids)) {
+    source->cache_filled = true;
+  }
+  source->docs = BuildDocs(s1, *thesaurus_);
+  return std::shared_ptr<const PreparedLsimSource>(std::move(source));
+}
 
-  // Distinct names: looked up under the shared lock; only a schema holding
-  // a name the cache never saw takes the exclusive lock to register it.
-  // Registry indices are stable once assigned, so they stay valid after
-  // the lock is dropped.
+Result<LinguisticResult> LinguisticMatcher::Match(
+    const PreparedLsimSource& source, const Schema& s2,
+    LsimCache* cache) const {
+  if (cache == nullptr) {
+    return Status::InvalidArgument("a prepared source requires its LsimCache");
+  }
+  CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
+  if (source.cache_id != cache->id_) {
+    return Status::InvalidArgument(
+        "prepared source belongs to another LsimCache");
+  }
+
   LinguisticResult out;
-  std::vector<int32_t> of_element1, of_element2;
-  auto lookup = [](const Schema& s, const LsimCache::SideNames& d,
-                   std::vector<int32_t>* of_element) {
-    of_element->clear();
-    of_element->reserve(static_cast<size_t>(s.num_elements()));
-    for (ElementId id : s.AllElements()) {
-      auto it = d.ids.find(s.element(id).name);
-      if (it == d.ids.end()) return false;
-      of_element->push_back(it->second);
-    }
-    return true;
-  };
-  bool registered;
-  {
-    SharedReaderLock lock(&cache->mu_);
-    LsimCacheReadView view = cache->LockedReadView();
-    registered = lookup(s1, view.side1(), &of_element1) &&
-                 lookup(s2, view.side2(), &of_element2);
-    if (registered) {
-      out.names1 = CollectNames(of_element1, view.side1().names);
-      out.names2 = CollectNames(of_element2, view.side2().names);
-    }
-  }
-  if (!registered) {
-    out.cache_filled = true;
-    SharedMutexLock lock(&cache->mu_);
-    LsimCacheView view = cache->LockedView();
-    auto register_all = [&](const Schema& s, LsimCache::SideNames& d,
-                            std::vector<int32_t>* of_element) {
-      of_element->clear();
-      of_element->reserve(static_cast<size_t>(s.num_elements()));
-      for (ElementId id : s.AllElements()) {
-        of_element->push_back(
-            d.Register(s.element(id).name, normalizer_, view.interner()));
-      }
-    };
-    register_all(s1, view.side1(), &of_element1);
-    register_all(s2, view.side2(), &of_element2);
-    out.names1 = CollectNames(of_element1, view.side1().names);
-    out.names2 = CollectNames(of_element2, view.side2().names);
-  }
-
-  // Run-local element state, outside any lock. Category scaling goes
-  // through a RUN-LOCAL interner and memo: the keyword similarities are pure
-  // functions of the token strings, so the values are bit-identical to the
-  // uncached pipeline's while never touching the shared interner.
-  out.categories1 = std::make_shared<const Categorization>(
-      CategorizeSchema(s1, *out.names1, normalizer_));
+  out.names1 = source.names;
+  out.categories1 = source.categories;
+  std::vector<int32_t> of_element2;
+  out.cache_filled = cache->LookupNames(LsimCache::Side::kTarget, s2,
+                                        normalizer_, &of_element2,
+                                        &out.names2);
   out.categories2 = std::make_shared<const Categorization>(
       CategorizeSchema(s2, *out.names2, normalizer_));
-  out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
-  TokenInterner local_interner;
-  Matrix<float> best_scale = ComputeBestScaleInterned(
-      options_, thesaurus_, *out.categories1, *out.categories2,
-      &local_interner, /*external_memo=*/nullptr, s1.num_elements(),
-      s2.num_elements());
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
+  const int64_t rows = static_cast<int64_t>(source.name_ids.size());
+  out.lsim = Matrix<float>(rows, s2.num_elements());
+
+  // Category scaling reads the cache's label-pair table: a category's
+  // keywords are a pure function of its label, so each label pair's
+  // similarity is computed once per cache, bit-identical to recomputing it.
+  Matrix<float> cat_sim;
+  if (options_.use_categories) {
+    std::vector<int32_t> labels2;
+    if (cache->LookupLabels(LsimCache::Side::kTarget, *out.categories2,
+                            &labels2)) {
+      out.cache_filled = true;
+    }
+    if (cache->CategorySimilarities(source.label_ids, labels2, &cat_sim)) {
+      out.cache_filled = true;
+    }
   }
+  Matrix<float> best_scale =
+      ScatterBestScale(options_, cat_sim, *out.categories1, *out.categories2,
+                       rows, s2.num_elements());
+  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
+  if (options_.annotation_weight > 0.0) docs2 = BuildDocs(s2, *thesaurus_);
 
   // Serial scatter (the server runs one match per worker; parallelism
   // comes from concurrent matches over the shared cache). Read-first: rows
   // are served under the shared lock until the first name pair never
   // computed; the exclusive pass resumes from that row and fills only the
   // pairs this schema pair needs.
-  const ScatterInputs in{&options_,   &of_element1, &of_element2,
-                         &best_scale, &docs1,       &docs2};
-  const int64_t rows = s1.num_elements();
+  const ScatterInputs in{&options_,   &source.name_ids, &of_element2,
+                         &best_scale, &source.docs,     &docs2};
   int64_t resume;
   {
     SharedReaderLock lock(&cache->mu_);
@@ -704,8 +685,8 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
   obs::ScopedSpan span("lsim.gather");
   auto g0 = std::chrono::steady_clock::now();
   LinguisticResult out;
-  // As in MatchCached: the whole patch pipeline holds the cache mutex and
-  // works through a locked view (the row/column fills run serially here).
+  // The whole patch pipeline holds the cache mutex exclusively and works
+  // through a locked view (the row/column fills run serially here).
   SharedMutexLock cache_lock(&cache->mu_);
   LsimCacheView view = cache->LockedView();
   TokenInterner* interner = view.interner();
@@ -748,7 +729,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     out.names1 = prev.names1;
     out.categories1 = prev.categories1;
   } else {
-    out.names1 = CollectNames(of_element1, view.side1().names);
+    out.names1 = view.side1().Collect(of_element1);
     out.categories1 = std::make_shared<const Categorization>(
         CategorizeSchema(s1, *out.names1, normalizer_));
   }
@@ -756,7 +737,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     out.names2 = prev.names2;
     out.categories2 = prev.categories2;
   } else {
-    out.names2 = CollectNames(of_element2, view.side2().names);
+    out.names2 = view.side2().Collect(of_element2);
     out.categories2 = std::make_shared<const Categorization>(
         CategorizeSchema(s2, *out.names2, normalizer_));
   }
@@ -794,48 +775,24 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
 
   const auto& cats1v = out.categories1->categories;
   const auto& cats2v = out.categories2->categories;
-  auto intern_keywords = [&](const std::vector<Category>& cats) {
-    std::vector<std::vector<TokenId>> kw;
-    kw.reserve(cats.size());
-    for (const Category& c : cats) {
-      std::vector<TokenId> ids;
-      ids.reserve(c.keywords.size());
-      for (const Token& t : c.keywords) ids.push_back(interner->Intern(t));
-      kw.push_back(std::move(ids));
+  // Category similarities come from the cache's label-pair table (a changed
+  // element belongs to a handful of categories; only their pairs are ever
+  // read, and a pair never seen is computed through the persistent memo).
+  // Values are exactly the cat_sim cells of the batch pipeline.
+  std::vector<int32_t> labels1, labels2;
+  if (options_.use_categories) {
+    labels1.reserve(cats1v.size());
+    labels2.reserve(cats2v.size());
+    for (const Category& c : cats1v) {
+      labels1.push_back(view.RegisterLabel(&view.labels1(), c));
     }
-    return kw;
-  };
-  std::vector<std::vector<TokenId>> kw1 = intern_keywords(cats1v);
-  std::vector<std::vector<TokenId>> kw2 = intern_keywords(cats2v);
-  TokenPairMemo* memo = view.memo();
-
-  // Category-similarity rows/columns on demand (a changed element belongs
-  // to a handful of categories; only those rows/columns are ever computed,
-  // through the persistent token-pair memo). Values are exactly the cat_sim
-  // cells ComputeBestScaleInterned would produce.
-  std::unordered_map<int, std::vector<float>> c1_rows, c2_cols;
-  auto cat_row = [&](int c1) -> const std::vector<float>& {
-    auto [it, inserted] = c1_rows.try_emplace(c1);
-    if (inserted) {
-      it->second.resize(cats2v.size());
-      for (size_t j = 0; j < cats2v.size(); ++j) {
-        it->second[j] = static_cast<float>(InternedTokenSetSimilarity(
-            kw1[static_cast<size_t>(c1)], kw2[j], memo));
-      }
+    for (const Category& c : cats2v) {
+      labels2.push_back(view.RegisterLabel(&view.labels2(), c));
     }
-    return it->second;
-  };
-  auto cat_col = [&](int c2) -> const std::vector<float>& {
-    auto [it, inserted] = c2_cols.try_emplace(c2);
-    if (inserted) {
-      it->second.resize(cats1v.size());
-      for (size_t i = 0; i < cats1v.size(); ++i) {
-        it->second[i] = static_cast<float>(InternedTokenSetSimilarity(
-            kw1[i], kw2[static_cast<size_t>(c2)], memo));
-      }
-    }
-    return it->second;
-  };
+    view.EnsureCategoryCapacity(
+        static_cast<int64_t>(view.labels1().keywords.size()),
+        static_cast<int64_t>(view.labels2().keywords.size()));
+  }
 
   const double w = options_.annotation_weight;
   const TokenTypeWeights& tw = options_.token_weights;
@@ -853,9 +810,9 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     } else {
       for (int c1 :
            out.categories1->element_categories[static_cast<size_t>(e1)]) {
-        const std::vector<float>& row = cat_row(c1);
+        const int32_t l1 = labels1[static_cast<size_t>(c1)];
         for (size_t j = 0; j < cats2v.size(); ++j) {
-          float scale = row[j];
+          float scale = view.CategorySimilarity(l1, labels2[j]);
           if (scale <= options_.thns) continue;
           for (ElementId e2 : cats2v[j].members) {
             float& cell = best[static_cast<size_t>(e2)];
@@ -897,9 +854,9 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     } else {
       for (int c2 :
            out.categories2->element_categories[static_cast<size_t>(e2)]) {
-        const std::vector<float>& col = cat_col(c2);
+        const int32_t l2 = labels2[static_cast<size_t>(c2)];
         for (size_t i = 0; i < cats1v.size(); ++i) {
-          float scale = col[i];
+          float scale = view.CategorySimilarity(labels1[i], l2);
           if (scale <= options_.thns) continue;
           for (ElementId e1 : cats1v[i].members) {
             float& cell = best[static_cast<size_t>(e1)];

@@ -10,9 +10,11 @@
 #ifndef CUPID_LINGUISTIC_LINGUISTIC_MATCHER_H_
 #define CUPID_LINGUISTIC_LINGUISTIC_MATCHER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "linguistic/annotations.h"
 #include "linguistic/categorizer.h"
 #include "linguistic/name_similarity.h"
 #include "linguistic/normalizer.h"
@@ -78,9 +80,30 @@ struct LinguisticResult {
   /// MatchGather runs only: lsim rows bulk-copied from the previous run
   /// (0 when the gather fell back to the batch pipeline).
   int64_t gathered_rows = 0;
-  /// Match(s1, s2, cache) runs only: the run took the cache's exclusive
-  /// lock to register names or compute name pairs (false = served entirely
-  /// under the shared lock).
+  /// Match(..., cache) runs only: the run took the cache's exclusive lock to
+  /// register names or category labels, or to compute name or label pairs
+  /// (false = served entirely under the shared lock).
+  bool cache_filled = false;
+};
+
+/// \brief The source side of cached matches, prepared once by
+/// LinguisticMatcher::Prepare against one LsimCache and then shared,
+/// read-only, by any number of Match(source, s2, cache) calls — one corpus
+/// search prepares its probe once for all its candidates. Everything here is
+/// a pure function of the source schema under the cache's binding.
+struct PreparedLsimSource {
+  /// Identity of the LsimCache the registry indices below belong to; Match
+  /// rejects any other cache.
+  uint64_t cache_id = 0;
+  /// Per element: index in the cache's source name registry.
+  std::vector<int32_t> name_ids;
+  std::shared_ptr<const std::vector<NormalizedName>> names;
+  std::shared_ptr<const Categorization> categories;
+  /// Per category: index in the cache's source label registry.
+  std::vector<int32_t> label_ids;
+  /// Per element annotation vector (empty for undocumented elements).
+  std::vector<AnnotationVector> docs;
+  /// Preparing took the cache's exclusive lock.
   bool cache_filled = false;
 };
 
@@ -133,22 +156,36 @@ class LinguisticMatcher {
   /// \brief Computes the full linguistic result for a schema pair.
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2) const;
 
-  /// \brief Match serving name-level work from a persistent cross-run cache
-  /// (linguistic/lsim_cache.h), which many matches may share. Bit-identical
-  /// to Match: cached values were computed by the same pure functions. The
-  /// cache must be bound to this matcher's thesaurus and options; a null
-  /// cache falls through to Match.
-  ///
-  /// Read-first: names are looked up and name-pair similarities scattered
-  /// under a SHARED hold of the cache mutex, so matches over a warm cache
-  /// run concurrently. Only a name the cache never registered, or a needed
-  /// name pair it never computed, takes the mutex exclusively — and then
-  /// registers and fills just this pair's missing entries (reported by
-  /// LinguisticResult::cache_filled). Categorization, category scaling and
-  /// the lsim scatter are recomputed per run (they are cheap and
-  /// schema-shape dependent), serially.
+  /// \brief Match serving name- and label-level work from a persistent
+  /// cross-run cache (linguistic/lsim_cache.h), which many matches may
+  /// share: Prepare(s1, cache), then Match(prepared, s2, cache).
+  /// Bit-identical to Match: cached values were computed by the same pure
+  /// functions. The cache must be bound to this matcher's thesaurus and
+  /// options; a null cache falls through to Match. LinguisticResult::
+  /// cache_filled reports an exclusive lock taken by either step.
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2,
                                  LsimCache* cache) const;
+
+  /// \brief The source half of Match(s1, s2, cache): registers s1's names
+  /// and category labels in `cache` (read-first: the exclusive lock only
+  /// for ones never seen), categorizes s1 and builds its annotation
+  /// vectors. The result serves any number of targets, concurrently.
+  Result<std::shared_ptr<const PreparedLsimSource>> Prepare(
+      const Schema& s1, LsimCache* cache) const;
+
+  /// \brief The target half of Match(s1, s2, cache), for a source prepared
+  /// against this same `cache` (another cache is InvalidArgument).
+  ///
+  /// Read-first: names and labels are looked up, category similarities read
+  /// from the cache's label-pair table and name-pair similarities scattered
+  /// under a SHARED hold of the cache mutex, so matches over a warm cache
+  /// run concurrently. Only a name or label the cache never registered, or
+  /// a needed name or label pair it never computed, takes the mutex
+  /// exclusively — and then registers and fills just this pair's missing
+  /// entries. What depends on s2's shape (its categorization, the best-scale
+  /// pruning, the lsim scatter) runs per call, serially.
+  Result<LinguisticResult> Match(const PreparedLsimSource& source,
+                                 const Schema& s2, LsimCache* cache) const;
 
   /// \brief The incremental lsim gather: rows/columns of unchanged elements
   /// are bulk-copied from `prev.lsim` (the previous run's result under the
@@ -160,7 +197,8 @@ class LinguisticMatcher {
   /// (a pure function of the unchanged element features). Falls back to
   /// the full call when the changed fraction exceeds
   /// gather_full_rebuild_fraction on either side. `cache` is required (the
-  /// recomputed cells are served from the persistent name-pair table).
+  /// recomputed cells are served from the persistent name-pair and
+  /// label-pair tables).
   Result<LinguisticResult> MatchGather(const Schema& s1, const Schema& s2,
                                        LsimCache* cache,
                                        const LsimGatherPlan& plan,

@@ -1,6 +1,7 @@
 #include "linguistic/lsim_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -22,39 +23,213 @@ std::string LsimCacheBindingKey(const LinguisticOptions& options) {
   return key;
 }
 
+namespace {
+
+/// Heap bytes a registered label is charged in bytes(): its map node (key
+/// string, index, bucket links) and its keyword vector.
+int64_t LabelBytes(const std::string& label, size_t keywords) {
+  return static_cast<int64_t>(sizeof(std::string) + label.size() +
+                              sizeof(int32_t) + 2 * sizeof(void*) +
+                              sizeof(std::vector<TokenId>) +
+                              keywords * sizeof(TokenId));
+}
+
+/// Grows `values` and its same-shaped `known` bits to cover [rows x cols],
+/// preserving content, and returns the number of cells added. Grows
+/// geometrically so a stream introducing one name or label at a time does
+/// not copy the matrices per match — but only the overflowing dimension: a
+/// per-source cache sees a few hundred source names against thousands of
+/// target names, and doubling both would balloon the rows with the columns.
+template <typename T>
+int64_t GrowTable(int64_t rows, int64_t cols, Matrix<T>* values,
+                  Matrix<uint8_t>* known) {
+  if (rows <= values->rows() && cols <= values->cols()) return 0;
+  const int64_t new_rows = rows <= values->rows()
+                               ? values->rows()
+                               : std::max<int64_t>(rows, values->rows() * 2);
+  const int64_t new_cols = cols <= values->cols()
+                               ? values->cols()
+                               : std::max<int64_t>(cols, values->cols() * 2);
+  Matrix<T> grown_values(new_rows, new_cols);
+  Matrix<uint8_t> grown_known(new_rows, new_cols);
+  for (int64_t i = 0; values->cols() > 0 && i < values->rows(); ++i) {
+    std::memcpy(grown_values.row(i), values->row(i),
+                static_cast<size_t>(values->cols()) * sizeof(T));
+    std::memcpy(grown_known.row(i), known->row(i),
+                static_cast<size_t>(values->cols()) * sizeof(uint8_t));
+  }
+  const int64_t added = new_rows * new_cols - values->rows() * values->cols();
+  *values = std::move(grown_values);
+  *known = std::move(grown_known);
+  return added;
+}
+
+}  // namespace
+
+LsimCache::LsimCache(const Thesaurus* thesaurus,
+                     const LinguisticOptions& options,
+                     obs::Gauge* bytes_gauge)
+    : id_([] {
+        static std::atomic<uint64_t> next_id{1};
+        return next_id.fetch_add(1, std::memory_order_relaxed);
+      }()),
+      thesaurus_(thesaurus),
+      options_(options),
+      bytes_gauge_(bytes_gauge),
+      // Hash-mode memo: the dense table is sized to the interner at
+      // construction time, which keeps growing here.
+      memo_(&interner_, thesaurus, options.substring, /*use_dense=*/false) {}
+
 LsimCache::~LsimCache() {
   // No reader can hold the mutex of a cache being destroyed; the lock only
   // satisfies the guarded-access analysis.
   SharedReaderLock lock(&mu_);
-  if (bytes_gauge_ != nullptr) bytes_gauge_->Add(-TableBytes());
+  if (bytes_gauge_ != nullptr) bytes_gauge_->Add(-bytes_);
+}
+
+std::shared_ptr<const std::vector<NormalizedName>>
+LsimCache::SideNames::Collect(const std::vector<int32_t>& of_element) const {
+  auto out = std::make_shared<std::vector<NormalizedName>>();
+  out->reserve(of_element.size());
+  for (int32_t id : of_element) out->push_back(names[static_cast<size_t>(id)]);
+  return out;
+}
+
+bool LsimCache::LookupNames(
+    Side side, const Schema& schema, const NameNormalizer& normalizer,
+    std::vector<int32_t>* ids,
+    std::shared_ptr<const std::vector<NormalizedName>>* names) {
+  ids->clear();
+  ids->reserve(static_cast<size_t>(schema.num_elements()));
+  {
+    SharedReaderLock lock(&mu_);
+    const SideNames& registry = side == Side::kSource ? side1_ : side2_;
+    for (ElementId e : schema.AllElements()) {
+      auto it = registry.ids.find(schema.element(e).name);
+      if (it == registry.ids.end()) break;
+      ids->push_back(it->second);
+    }
+    if (ids->size() == static_cast<size_t>(schema.num_elements())) {
+      *names = registry.Collect(*ids);
+      return false;
+    }
+  }
+  SharedMutexLock lock(&mu_);
+  SideNames& registry = side == Side::kSource ? side1_ : side2_;
+  ids->clear();
+  for (ElementId e : schema.AllElements()) {
+    ids->push_back(
+        registry.Register(schema.element(e).name, normalizer, &interner_));
+  }
+  *names = registry.Collect(*ids);
+  return true;
+}
+
+bool LsimCache::LookupLabels(Side side, const Categorization& categories,
+                             std::vector<int32_t>* ids) {
+  const std::vector<Category>& cats = categories.categories;
+  ids->clear();
+  ids->reserve(cats.size());
+  {
+    SharedReaderLock lock(&mu_);
+    const SideLabels& registry = side == Side::kSource ? labels1_ : labels2_;
+    for (const Category& c : cats) {
+      auto it = registry.ids.find(c.label);
+      if (it == registry.ids.end()) break;
+      ids->push_back(it->second);
+    }
+    if (ids->size() == cats.size()) return false;
+  }
+  SharedMutexLock lock(&mu_);
+  LsimCacheView view = LockedView();
+  SideLabels* registry =
+      side == Side::kSource ? &view.labels1() : &view.labels2();
+  ids->clear();
+  for (const Category& c : cats) {
+    ids->push_back(view.RegisterLabel(registry, c));
+  }
+  return true;
+}
+
+bool LsimCache::CategorySimilarities(const std::vector<int32_t>& labels1,
+                                     const std::vector<int32_t>& labels2,
+                                     Matrix<float>* cat_sim) {
+  const int64_t rows = static_cast<int64_t>(labels1.size());
+  const int64_t cols = static_cast<int64_t>(labels2.size());
+  *cat_sim = Matrix<float>(rows, cols);
+  {
+    SharedReaderLock lock(&mu_);
+    bool complete = true;
+    for (int64_t i = 0; complete && i < rows; ++i) {
+      const int32_t l1 = labels1[static_cast<size_t>(i)];
+      float* out = cat_sim->row(i);
+      for (int64_t j = 0; j < cols; ++j) {
+        const int32_t l2 = labels2[static_cast<size_t>(j)];
+        if (l1 >= cat_known_.rows() || l2 >= cat_known_.cols() ||
+            !cat_known_(l1, l2)) {
+          complete = false;
+          break;
+        }
+        out[j] = cat_sim_(l1, l2);
+      }
+    }
+    if (complete) return false;
+  }
+  SharedMutexLock lock(&mu_);
+  LsimCacheView view = LockedView();
+  view.EnsureCategoryCapacity(static_cast<int64_t>(labels1_.keywords.size()),
+                              static_cast<int64_t>(labels2_.keywords.size()));
+  for (int64_t i = 0; i < rows; ++i) {
+    float* out = cat_sim->row(i);
+    for (int64_t j = 0; j < cols; ++j) {
+      out[j] = view.CategorySimilarity(labels1[static_cast<size_t>(i)],
+                                       labels2[static_cast<size_t>(j)]);
+    }
+  }
+  return true;
+}
+
+void LsimCacheView::AddBytes(int64_t delta) {
+  *bytes_ += delta;
+  if (bytes_gauge_ != nullptr) bytes_gauge_->Add(delta);
 }
 
 void LsimCacheView::EnsureCapacity(int64_t rows, int64_t cols) {
-  Matrix<double>& ns = *ns_;
-  Matrix<uint8_t>& known = *known_;
-  if (rows <= ns.rows() && cols <= ns.cols()) return;
-  // Grow geometrically so an edit stream introducing one name at a time does
-  // not copy the matrices per edit — but only the overflowing dimension: a
-  // per-source cache sees a few hundred source names against thousands of
-  // target names, and doubling both would balloon the rows with the columns.
-  int64_t new_rows =
-      rows <= ns.rows() ? ns.rows() : std::max<int64_t>(rows, ns.rows() * 2);
-  int64_t new_cols =
-      cols <= ns.cols() ? ns.cols() : std::max<int64_t>(cols, ns.cols() * 2);
-  Matrix<double> grown_ns(new_rows, new_cols);
-  Matrix<uint8_t> grown_known(new_rows, new_cols);
-  for (int64_t i = 0; ns.cols() > 0 && i < ns.rows(); ++i) {
-    std::memcpy(grown_ns.row(i), ns.row(i),
-                static_cast<size_t>(ns.cols()) * sizeof(double));
-    std::memcpy(grown_known.row(i), known.row(i),
-                static_cast<size_t>(ns.cols()) * sizeof(uint8_t));
-  }
-  if (bytes_gauge_ != nullptr) {
-    const int64_t cell = sizeof(double) + sizeof(uint8_t);
-    bytes_gauge_->Add((new_rows * new_cols - ns.rows() * ns.cols()) * cell);
-  }
-  ns = std::move(grown_ns);
-  known = std::move(grown_known);
+  AddBytes(GrowTable(rows, cols, ns_, known_) *
+           static_cast<int64_t>(sizeof(double) + sizeof(uint8_t)));
+}
+
+void LsimCacheView::EnsureCategoryCapacity(int64_t rows, int64_t cols) {
+  AddBytes(GrowTable(rows, cols, cat_sim_, cat_known_) *
+           static_cast<int64_t>(sizeof(float) + sizeof(uint8_t)));
+}
+
+int32_t LsimCacheView::RegisterLabel(LsimCache::SideLabels* labels,
+                                     const Category& category) {
+  // Find first: the gather registers every category of both schemas on
+  // each run, and nearly all of them are known.
+  auto it = labels->ids.find(category.label);
+  if (it != labels->ids.end()) return it->second;
+  const auto id = static_cast<int32_t>(labels->keywords.size());
+  labels->ids.emplace(category.label, id);
+  std::vector<TokenId> ids;
+  ids.reserve(category.keywords.size());
+  for (const Token& t : category.keywords) ids.push_back(interner_->Intern(t));
+  labels->keywords.push_back(std::move(ids));
+  AddBytes(LabelBytes(category.label, category.keywords.size()));
+  return id;
+}
+
+float LsimCacheView::ComputeCategorySimilarity(int32_t l1, int32_t l2) {
+  // The same float cast of the same token-set formula as the batch
+  // pipeline's cat_sim cell; the persistent memo serves token pairs that
+  // name similarities or other labels already resolved.
+  const float sim = static_cast<float>(InternedTokenSetSimilarity(
+      labels1_->keywords[static_cast<size_t>(l1)],
+      labels2_->keywords[static_cast<size_t>(l2)], memo_));
+  (*cat_sim_)(l1, l2) = sim;
+  (*cat_known_)(l1, l2) = 1;
+  return sim;
 }
 
 double LsimCacheView::ComputeNameSimilarity(int32_t i, int32_t j,

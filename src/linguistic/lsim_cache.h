@@ -1,17 +1,23 @@
 // Cross-run linguistic cache: the per-run state of the cached lsim pipeline
-// (token interner, token-pair memo, distinct-name registry, name-pair
-// similarities), made persistent so repeated matching re-pays only the
-// names it has not seen: a session over an evolving schema pair
-// (incremental/match_session.h) re-pays the names an edit introduced, and
-// every session of one source schema in a MatchService shares one cache,
-// so a cold match over names other pairs already scored is a table read.
+// (token interner, token-pair memo, distinct-name and category-label
+// registries, name-pair and label-pair similarities), made persistent so
+// repeated matching re-pays only the names and labels it has not seen: a
+// session over an evolving schema pair (incremental/match_session.h)
+// re-pays the names an edit introduced, and every session of one source
+// schema in a MatchService shares one cache, so a cold match over names
+// other pairs already scored is a table read.
 //
 // Name-pair similarity is a pure function of the two raw names (under a
 // fixed thesaurus and option set), so serving it from this cache is
 // bit-identical to recomputing it: the cached value *was* computed by
-// InternedNameSimilarity on first sight. Element-level state (categories,
-// best-scale pruning, the lsim scatter) is cheap and recomputed every run —
-// only the expensive name-level work is memoized.
+// InternedNameSimilarity on first sight. The same holds one level up: a
+// category's keywords are a pure function of its label (the categorizer's
+// locality contract, linguistic/categorizer.h), so each side also keeps a
+// category-label registry and the cache a label-pair table of category
+// similarities, computed once through the persistent token-pair memo. What
+// stays per run is what depends on a schema's shape: its categorization
+// (done once per schema for a prepared source, LinguisticMatcher::Prepare),
+// the best-scale pruning and the lsim scatter.
 //
 // A cache is bound at construction to one thesaurus and one option set;
 // LinguisticMatcher::Match(s1, s2, cache) rejects a cache bound differently
@@ -20,24 +26,27 @@
 //
 // Concurrency: the mutable state is guarded by an internal reader/writer
 // mutex. LinguisticMatcher::Match(s1, s2, cache) is read-first: it looks
-// up names and scatters name-pair similarities under a SHARED hold through
-// a const LsimCacheReadView, so any number of matches over a warm cache
-// run concurrently. Only a name never registered, or a needed name pair
-// never computed, takes the mutex exclusively, and then works through a
+// up names and category labels, reads label-pair similarities and scatters
+// name-pair similarities (through a const LsimCacheReadView) under a SHARED
+// hold, so any number of matches over a warm cache run concurrently. Only
+// a name or label never registered, or a needed name or label pair never
+// computed, takes the mutex exclusively, and then works through a
 // LsimCacheView that fills just that match's missing entries — the
 // persistent memo is not thread-safe, so fills serialize by design.
 // MatchGather (the warm session path) holds the mutex exclusively for its
-// whole patch. Cached values are pure functions of the raw names, so every
-// path is bit-identical to recomputation.
+// whole patch. Cached values are pure functions of the raw names and
+// labels, so every path is bit-identical to recomputation.
 
 #ifndef CUPID_LINGUISTIC_LSIM_CACHE_H_
 #define CUPID_LINGUISTIC_LSIM_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "linguistic/categorizer.h"
 #include "linguistic/linguistic_matcher.h"
 #include "linguistic/normalizer.h"
 #include "perf/interned_names.h"
@@ -67,16 +76,10 @@ class LsimCache {
   /// `thesaurus` must outlive the cache. `options` must equal the options of
   /// every LinguisticMatcher the cache is used with. A non-null
   /// `bytes_gauge` (which must outlive the cache) tracks bytes(): the cache
-  /// adds each growth of its name-pair table and subtracts the table when
-  /// it dies, so one gauge sums a set of live caches.
+  /// adds each growth and subtracts its total when it dies, so one gauge
+  /// sums a set of live caches.
   LsimCache(const Thesaurus* thesaurus, const LinguisticOptions& options,
-            obs::Gauge* bytes_gauge = nullptr)
-      : thesaurus_(thesaurus),
-        options_(options),
-        bytes_gauge_(bytes_gauge),
-        // Hash-mode memo: the dense table is sized to the interner at
-        // construction time, which keeps growing here.
-        memo_(&interner_, thesaurus, options.substring, /*use_dense=*/false) {}
+            obs::Gauge* bytes_gauge = nullptr);
   ~LsimCache();
 
   LsimCache(const LsimCache&) = delete;
@@ -91,22 +94,41 @@ class LsimCache {
     SharedReaderLock lock(&mu_);
     return side2_.names.size();
   }
+  /// Distinct category labels seen so far on each side (diagnostics).
+  size_t num_source_labels() const EXCLUDES(mu_) {
+    SharedReaderLock lock(&mu_);
+    return labels1_.keywords.size();
+  }
+  size_t num_target_labels() const EXCLUDES(mu_) {
+    SharedReaderLock lock(&mu_);
+    return labels2_.keywords.size();
+  }
   /// Name pairs whose similarity has been computed and memoized.
   int64_t num_cached_pairs() const EXCLUDES(mu_) {
     SharedReaderLock lock(&mu_);
     return cached_pairs_;
   }
-  /// Allocated size of the name-pair table (similarities plus known bits),
-  /// in bytes — the part of the cache that grows with rows x cols.
+  /// Bytes of the parts of the cache that grow with use: the name-pair
+  /// table, the label-pair table (values plus known bits, as allocated) and
+  /// the label registries (estimated heap bytes).
   int64_t bytes() const EXCLUDES(mu_) {
     SharedReaderLock lock(&mu_);
-    return TableBytes();
+    return bytes_;
+  }
+  /// Allocated size of the name-pair table alone (similarities plus known
+  /// bits) — the part of bytes() that grows with names x names.
+  int64_t name_table_bytes() const EXCLUDES(mu_) {
+    SharedReaderLock lock(&mu_);
+    return ns_.rows() * ns_.cols() *
+           static_cast<int64_t>(sizeof(double) + sizeof(uint8_t));
   }
 
  private:
   friend class LinguisticMatcher;
   friend class LsimCacheView;
   friend class LsimCacheReadView;
+
+  enum class Side { kSource, kTarget };
 
   /// One side's registry: every distinct raw name ever seen, normalized and
   /// interned exactly once. Indices are stable across runs.
@@ -124,7 +146,40 @@ class LsimCache {
       }
       return it->second;
     }
+
+    /// Normalized names of a schema's elements, by registry index.
+    std::shared_ptr<const std::vector<NormalizedName>> Collect(
+        const std::vector<int32_t>& of_element) const;
   };
+
+  /// One side's category-label registry: every distinct label ever seen,
+  /// with its keywords interned once. A label's keywords are a pure function
+  /// of the label, so the first sighting's serve every later schema.
+  /// Indices are stable across runs.
+  struct SideLabels {
+    std::unordered_map<std::string, int32_t> ids;  // label -> index
+    std::vector<std::vector<TokenId>> keywords;
+  };
+
+  /// Registry indices of every element name of `schema` on `side`, looked
+  /// up under the shared lock; a schema holding a name the cache never saw
+  /// takes the exclusive lock to register it. `*names` receives the
+  /// normalized names by element. Returns whether the lock was exclusive.
+  bool LookupNames(Side side, const Schema& schema,
+                   const NameNormalizer& normalizer, std::vector<int32_t>* ids,
+                   std::shared_ptr<const std::vector<NormalizedName>>* names)
+      EXCLUDES(mu_);
+  /// Registry indices of every category label of `categories` on `side`,
+  /// with the same read-first locking as LookupNames.
+  bool LookupLabels(Side side, const Categorization& categories,
+                    std::vector<int32_t>* ids) EXCLUDES(mu_);
+  /// The category similarity of every (labels1[i], labels2[j]) pair into
+  /// `*cat_sim` (|labels1| x |labels2|): read from the label-pair table under
+  /// the shared lock; a pair never computed takes the exclusive lock, which
+  /// fills it through the persistent memo. Returns whether it did.
+  bool CategorySimilarities(const std::vector<int32_t>& labels1,
+                            const std::vector<int32_t>& labels2,
+                            Matrix<float>* cat_sim) EXCLUDES(mu_);
 
   /// Plain-pointer view of the guarded state; the caller holds mu_ for the
   /// lifetime of the view (see LsimCacheView).
@@ -134,11 +189,9 @@ class LsimCache {
   /// the lifetime of the view (see LsimCacheReadView).
   inline LsimCacheReadView LockedReadView() const REQUIRES_SHARED(mu_);
 
-  int64_t TableBytes() const REQUIRES_SHARED(mu_) {
-    return ns_.rows() * ns_.cols() *
-           static_cast<int64_t>(sizeof(double) + sizeof(uint8_t));
-  }
-
+  /// Process-unique identity, checked when a prepared source
+  /// (LinguisticMatcher::Prepare) is matched against a cache.
+  const uint64_t id_;
   const Thesaurus* thesaurus_;   // immutable binding, checked by the matcher
   LinguisticOptions options_;    // immutable binding
   obs::Gauge* bytes_gauge_;      // null = untracked
@@ -146,10 +199,15 @@ class LsimCache {
   TokenInterner interner_ GUARDED_BY(mu_);
   TokenPairMemo memo_ GUARDED_BY(mu_);
   SideNames side1_ GUARDED_BY(mu_), side2_ GUARDED_BY(mu_);
+  SideLabels labels1_ GUARDED_BY(mu_), labels2_ GUARDED_BY(mu_);
   /// Name-pair similarities indexed by (side1 index, side2 index).
   Matrix<double> ns_ GUARDED_BY(mu_);
   Matrix<uint8_t> known_ GUARDED_BY(mu_);
+  /// Category similarities indexed by (side1 label, side2 label).
+  Matrix<float> cat_sim_ GUARDED_BY(mu_);
+  Matrix<uint8_t> cat_known_ GUARDED_BY(mu_);
   int64_t cached_pairs_ GUARDED_BY(mu_) = 0;
+  int64_t bytes_ GUARDED_BY(mu_) = 0;  // what bytes() reports
 };
 
 /// \brief Pointer view of one LsimCache's guarded state, handed out by
@@ -165,11 +223,14 @@ class LsimCacheView {
   TokenInterner* interner() const { return interner_; }
   LsimCache::SideNames& side1() const { return *side1_; }
   LsimCache::SideNames& side2() const { return *side2_; }
-  TokenPairMemo* memo() const { return memo_; }
+  LsimCache::SideLabels& labels1() const { return *labels1_; }
+  LsimCache::SideLabels& labels2() const { return *labels2_; }
   /// Grows the ns/known matrices to cover [rows x cols], preserving content.
   /// Only a dimension that overflows grows (geometrically), so a stream of
   /// new names on one side never inflates the other.
   void EnsureCapacity(int64_t rows, int64_t cols);
+  /// EnsureCapacity for the label-pair table, [labels1 x labels2].
+  void EnsureCategoryCapacity(int64_t rows, int64_t cols);
 
   /// ns of registered name pair (i, j), computed through the persistent memo
   /// on first request. Caller must have EnsureCapacity'd. The hit path is
@@ -181,6 +242,19 @@ class LsimCacheView {
     return ComputeNameSimilarity(i, j, weights);
   }
 
+  /// Index of `category`'s label in `labels` (labels1() or labels2()),
+  /// registering the label and interning its keywords on first sight.
+  int32_t RegisterLabel(LsimCache::SideLabels* labels,
+                        const Category& category);
+
+  /// Category similarity of registered label pair (l1, l2) — the float
+  /// cat_sim cell of the batch pipeline — computed through the persistent
+  /// memo on first request. Caller must have EnsureCategoryCapacity'd.
+  float CategorySimilarity(int32_t l1, int32_t l2) {
+    if ((*cat_known_)(l1, l2)) return (*cat_sim_)(l1, l2);
+    return ComputeCategorySimilarity(l1, l2);
+  }
+
  private:
   friend class LsimCache;
 
@@ -189,21 +263,34 @@ class LsimCacheView {
         memo_(&cache->memo_),
         side1_(&cache->side1_),
         side2_(&cache->side2_),
+        labels1_(&cache->labels1_),
+        labels2_(&cache->labels2_),
         ns_(&cache->ns_),
         known_(&cache->known_),
+        cat_sim_(&cache->cat_sim_),
+        cat_known_(&cache->cat_known_),
         cached_pairs_(&cache->cached_pairs_),
+        bytes_(&cache->bytes_),
         bytes_gauge_(cache->bytes_gauge_) {}
 
   double ComputeNameSimilarity(int32_t i, int32_t j,
                                const TokenTypeWeights& weights);
+  float ComputeCategorySimilarity(int32_t l1, int32_t l2);
+  /// Adds `delta` to bytes() and to the bytes gauge, if any.
+  void AddBytes(int64_t delta);
 
   TokenInterner* interner_;
   TokenPairMemo* memo_;
   LsimCache::SideNames* side1_;
   LsimCache::SideNames* side2_;
+  LsimCache::SideLabels* labels1_;
+  LsimCache::SideLabels* labels2_;
   Matrix<double>* ns_;
   Matrix<uint8_t>* known_;
+  Matrix<float>* cat_sim_;
+  Matrix<uint8_t>* cat_known_;
   int64_t* cached_pairs_;
+  int64_t* bytes_;
   obs::Gauge* bytes_gauge_;
 };
 
@@ -212,17 +299,12 @@ inline LsimCacheView LsimCache::LockedView() { return LsimCacheView(this); }
 /// \brief Const pointer view of one LsimCache's warmed state, handed out by
 /// LockedReadView() under a SHARED hold of the cache mutex.
 ///
-/// The read view can only look up names already registered and similarities
-/// already computed by an exclusive fill — every method reports misses
-/// instead of filling. Any number of readers scatter from the table
-/// concurrently; LinguisticMatcher::Match takes the exclusive path only for
-/// what a reader missed.
+/// The read view can only read name-pair similarities already computed by an
+/// exclusive fill — it reports misses instead of filling. Any number of
+/// readers scatter from the table concurrently; LinguisticMatcher::Match
+/// takes the exclusive path only for what a reader missed.
 class LsimCacheReadView {
  public:
-  /// The side-1 / side-2 distinct-name registries.
-  const LsimCache::SideNames& side1() const { return *side1_; }
-  const LsimCache::SideNames& side2() const { return *side2_; }
-
   /// If the similarity of registered pair (i, j) has been computed, stores it
   /// in `*ns` and returns true. Never computes.
   bool NameSimilarityIfKnown(int32_t i, int32_t j, double* ns) const {
@@ -238,13 +320,8 @@ class LsimCacheReadView {
   friend class LsimCache;
 
   explicit LsimCacheReadView(const LsimCache* cache)
-      : side1_(&cache->side1_),
-        side2_(&cache->side2_),
-        ns_(&cache->ns_),
-        known_(&cache->known_) {}
+      : ns_(&cache->ns_), known_(&cache->known_) {}
 
-  const LsimCache::SideNames* side1_;
-  const LsimCache::SideNames* side2_;
   const Matrix<double>* ns_;
   const Matrix<uint8_t>* known_;
 };

@@ -70,54 +70,6 @@ struct CandidateScore {
   int64_t leaf_elements = 0;
 };
 
-/// Full three-phase match of (source, target) — the same pipeline as
-/// CupidMatcher::Match, with the linguistic phase optionally served from
-/// the shared cache (read-first: a candidate whose names and name pairs the
-/// cache holds never takes its exclusive lock; both paths produce
-/// bit-identical lsim, so the score never depends on which one ran).
-Result<CandidateScore> ScoreCandidate(const Thesaurus* thesaurus,
-                                      const CupidConfig& config,
-                                      const Schema& source,
-                                      const Schema& target,
-                                      LsimCache* cache) {
-  LinguisticMatcher linguistic(thesaurus, config.linguistic);
-  CUPID_ASSIGN_OR_RETURN(LinguisticResult lres,
-                         linguistic.Match(source, target, cache));
-  if (cache != nullptr) {
-    static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
-        "cupid.corpus.shared_cache.hits",
-        "Candidates whose linguistic phase was served warm from the shared cache");
-    static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
-        "cupid.corpus.shared_cache.misses",
-        "Candidates that fell back to the exclusive cached path");
-    (lres.cache_filled ? shared_misses : shared_hits)->Increment();
-  }
-
-  CUPID_ASSIGN_OR_RETURN(SchemaTree source_tree,
-                         BuildSchemaTree(source, config.tree_build));
-  CUPID_ASSIGN_OR_RETURN(SchemaTree target_tree,
-                         BuildSchemaTree(target, config.tree_build));
-  CUPID_ASSIGN_OR_RETURN(
-      TreeMatchResult tmres,
-      TreeMatch(source_tree, target_tree, lres.lsim,
-                config.type_compatibility, config.tree_match));
-  CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilarities(
-      source_tree, target_tree, config.tree_match, &tmres));
-
-  Mapping leaf_mapping, nonleaf_mapping;
-  CUPID_RETURN_NOT_OK(GenerateStandardMappings(source_tree, target_tree,
-                                               tmres, config, &leaf_mapping,
-                                               &nonleaf_mapping));
-
-  MatchResult result{std::move(source_tree), std::move(target_tree),
-                     std::move(lres),        std::move(tmres),
-                     std::move(leaf_mapping), std::move(nonleaf_mapping)};
-  CandidateScore out;
-  out.score = CorpusRankingScore(result);
-  out.leaf_elements = static_cast<int64_t>(result.leaf_mapping.size());
-  return out;
-}
-
 /// The scoring phase of one search, shared by the searching thread and its
 /// helper tasks. Held by shared_ptr: a helper that starts after Search
 /// returned finds every slot claimed and exits having touched only this.
@@ -128,6 +80,11 @@ struct ScoringShard {
   const Thesaurus* thesaurus = nullptr;
   CupidConfig config;
   std::shared_ptr<const Schema> source;
+  /// The probe's side of every match, built once per search before any
+  /// slot is claimed and read-only afterwards: its tree and, with the
+  /// shared cache, its linguistic side prepared against `cache`.
+  std::unique_ptr<const SchemaTree> source_tree;
+  std::shared_ptr<const PreparedLsimSource> prepared;
   std::vector<std::shared_ptr<const Schema>> targets;  ///< one per slot
   LsimCache* cache = nullptr;                          ///< null = unshared
 
@@ -138,14 +95,57 @@ struct ScoringShard {
   std::vector<Result<CandidateScore>> slots GUARDED_BY(mu);
 };
 
+/// Full three-phase match of the shard's probe against `target` — the
+/// pipeline of CupidMatcher::Match with the probe's side taken from the
+/// shard, and with the linguistic phase served from the shared cache when
+/// there is one (read-first: a candidate whose names, labels and their
+/// pairs the cache holds never takes its exclusive lock; every path
+/// produces bit-identical lsim, so the score never depends on which one
+/// ran). Only the leaf mapping is generated: it is all the score reads.
+Result<CandidateScore> ScoreCandidate(const ScoringShard& shard,
+                                      const Schema& target) {
+  const CupidConfig& config = shard.config;
+  LinguisticMatcher linguistic(shard.thesaurus, config.linguistic);
+  LinguisticResult lres;
+  if (shard.prepared != nullptr) {
+    CUPID_ASSIGN_OR_RETURN(
+        lres, linguistic.Match(*shard.prepared, target, shard.cache));
+    static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
+        "cupid.corpus.shared_cache.hits",
+        "Candidates whose linguistic phase was served warm from the shared cache");
+    static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
+        "cupid.corpus.shared_cache.misses",
+        "Candidates that fell back to the exclusive cached path");
+    (lres.cache_filled ? shared_misses : shared_hits)->Increment();
+  } else {
+    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(*shard.source, target));
+  }
+
+  const SchemaTree& source_tree = *shard.source_tree;
+  CUPID_ASSIGN_OR_RETURN(SchemaTree target_tree,
+                         BuildSchemaTree(target, config.tree_build));
+  CUPID_ASSIGN_OR_RETURN(
+      TreeMatchResult tmres,
+      TreeMatch(source_tree, target_tree, lres.lsim,
+                config.type_compatibility, config.tree_match));
+  CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilarities(
+      source_tree, target_tree, config.tree_match, &tmres));
+  CUPID_ASSIGN_OR_RETURN(
+      Mapping leaf_mapping,
+      GenerateLeafMapping(source_tree, target_tree, tmres, config));
+
+  CandidateScore out;
+  out.score = CorpusRankingScore(source_tree, target_tree, leaf_mapping);
+  out.leaf_elements = static_cast<int64_t>(leaf_mapping.size());
+  return out;
+}
+
 /// Claims and scores slots until none are left.
 void ScoreClaimedSlots(ScoringShard* shard) {
   const size_t n = shard->targets.size();
   for (size_t i = shard->next.fetch_add(1, std::memory_order_relaxed); i < n;
        i = shard->next.fetch_add(1, std::memory_order_relaxed)) {
-    Result<CandidateScore> score =
-        ScoreCandidate(shard->thesaurus, shard->config, *shard->source,
-                       *shard->targets[i], shard->cache);
+    Result<CandidateScore> score = ScoreCandidate(*shard, *shard->targets[i]);
     MutexLock lock(&shard->mu);
     shard->slots[i] = std::move(score);
     if (++shard->done == n) shard->all_done.SignalAll();
@@ -164,14 +164,21 @@ std::vector<Result<CandidateScore>> TakeFilledSlots(ScoringShard* shard) {
 }  // namespace
 
 double CorpusRankingScore(const MatchResult& result) {
+  return CorpusRankingScore(result.source_tree, result.target_tree,
+                            result.leaf_mapping);
+}
+
+double CorpusRankingScore(const SchemaTree& source_tree,
+                          const SchemaTree& target_tree,
+                          const Mapping& leaf_mapping) {
   double total = 0.0;
-  for (const MappingElement& e : result.leaf_mapping.elements) {
+  for (const MappingElement& e : leaf_mapping.elements) {
     total += e.wsim;
   }
-  const int64_t source_leaves = static_cast<int64_t>(
-      result.source_tree.leaves(result.source_tree.root()).size());
-  const int64_t target_leaves = static_cast<int64_t>(
-      result.target_tree.leaves(result.target_tree.root()).size());
+  const int64_t source_leaves =
+      static_cast<int64_t>(source_tree.leaves(source_tree.root()).size());
+  const int64_t target_leaves =
+      static_cast<int64_t>(target_tree.leaves(target_tree.root()).size());
   const int64_t denom =
       std::max<int64_t>({source_leaves, target_leaves, int64_t{1}});
   return total / static_cast<double>(denom);
@@ -219,6 +226,8 @@ std::string SearchResponse::ToJson() const {
   w.FixedDouble(timings.total_ms, 3);
   w.Key("prescreen_ms");
   w.FixedDouble(timings.prescreen_ms, 3);
+  w.Key("prepare_ms");
+  w.FixedDouble(timings.prepare_ms, 3);
   w.Key("match_ms");
   w.FixedDouble(timings.match_ms, 3);
   w.EndObject();
@@ -367,12 +376,6 @@ Result<SearchResponse> CorpusSearchService::Search(
       response.candidates_total - static_cast<int64_t>(kept.size());
   response.full_matches = static_cast<int64_t>(kept.size());
 
-  // Scoring: this thread and up to one helper per scheduler worker claim
-  // slots from a shared index, each writing its preallocated slot, so
-  // results assemble in candidate order no matter who scored what. This
-  // thread waits only for claimed slots to fill, never for a helper to
-  // start: a rejected or still-queued helper just leaves it more to score.
-  Clock::time_point t_match = Clock::now();
   auto shard = std::make_shared<ScoringShard>(kept.size());
   shard->thesaurus = thesaurus_;
   shard->config = request.config;
@@ -385,6 +388,31 @@ Result<SearchResponse> CorpusSearchService::Search(
     shard->cache = SharedCacheFor(request.config);
     response.shared_cache = true;
   }
+
+  // The probe's side of every match, once per search: its tree and, with
+  // the shared cache, its names, categories and labels. Scorers only read
+  // them, so the candidates pay for their own side alone.
+  Clock::time_point t_prepare = Clock::now();
+  if (!kept.empty()) {
+    CUPID_ASSIGN_OR_RETURN(
+        SchemaTree source_tree,
+        BuildSchemaTree(*source.schema, request.config.tree_build));
+    shard->source_tree =
+        std::make_unique<const SchemaTree>(std::move(source_tree));
+    if (shard->cache != nullptr) {
+      LinguisticMatcher linguistic(thesaurus_, request.config.linguistic);
+      CUPID_ASSIGN_OR_RETURN(shard->prepared,
+                             linguistic.Prepare(*source.schema, shard->cache));
+    }
+  }
+  response.timings.prepare_ms = MsSince(t_prepare);
+
+  // Scoring: this thread and up to one helper per scheduler worker claim
+  // slots from a shared index, each writing its preallocated slot, so
+  // results assemble in candidate order no matter who scored what. This
+  // thread waits only for claimed slots to fill, never for a helper to
+  // start: a rejected or still-queued helper just leaves it more to score.
+  Clock::time_point t_match = Clock::now();
   if (scheduler_ != nullptr && kept.size() > 1) {
     const size_t helpers = std::min(
         static_cast<size_t>(scheduler_->num_threads()), kept.size() - 1);
@@ -399,6 +427,10 @@ Result<SearchResponse> CorpusSearchService::Search(
   }
   ScoreClaimedSlots(shard.get());
   std::vector<Result<CandidateScore>> slots = TakeFilledSlots(shard.get());
+  // Every slot is filled, so no scorer reads the probe's side again; a
+  // helper that has yet to start keeps only the shard's schemas alive.
+  shard->source_tree.reset();
+  shard->prepared.reset();
   response.timings.match_ms = MsSince(t_match);
 
   // First failure in candidate order wins (deterministic, like MatchBatch's
@@ -446,6 +478,7 @@ Result<SearchResponse> CorpusSearchService::Search(
   span.Attr("full_matches", response.full_matches);
   span.Attr("shared_cache", response.shared_cache ? 1 : 0);
   span.Attr("prescreen_ms", response.timings.prescreen_ms);
+  span.Attr("prepare_ms", response.timings.prepare_ms);
   span.Attr("match_ms", response.timings.match_ms);
   return response;
 }

@@ -7,11 +7,13 @@
 // it, each preserving bit-identical results:
 //
 //   1. one shared cross-pair LsimCache (single TokenInterner) per
-//      linguistic binding for the whole service: candidates read name-pair
-//      similarities from it under a shared lock (the read-first
-//      LinguisticMatcher::Match(s1, s2, cache)); a candidate with a name
-//      pair the cache has not seen yet takes the exclusive lock once to
-//      fill it, which serves every later search;
+//      linguistic binding for the whole service: each search prepares the
+//      probe's linguistic side (names, categories, labels) and builds its
+//      SchemaTree once; candidates then read name-pair and label-pair
+//      similarities from the cache under a shared lock (the read-first
+//      LinguisticMatcher::Match(prepared, s2, cache)); a candidate with a
+//      name, label or pair the cache has not seen yet takes the exclusive
+//      lock once to fill it, which serves every later search;
 //   2. a cheap linguistic pre-screen — distinct-token cosine overlap,
 //      computed without touching the matcher — prunes the candidate set to
 //      top-k' before any full TreeMatch runs (an exhaustive knob disables
@@ -95,9 +97,12 @@ struct SearchTimings {
   double total_ms = 0.0;
   /// Candidate enumeration + pre-screen scoring.
   double prescreen_ms = 0.0;
+  /// The probe's side of every match, once per search: its SchemaTree and,
+  /// with the shared cache, its prepared linguistic side.
+  double prepare_ms = 0.0;
   /// Every full per-candidate match, including the exclusive fallback fill
-  /// of name pairs the shared cache has not seen (wall clock of the
-  /// scoring phase, not the sum of per-candidate times).
+  /// of names, labels and pairs the shared cache has not seen (wall clock
+  /// of the scoring phase, not the sum of per-candidate times).
   double match_ms = 0.0;
 };
 
@@ -134,6 +139,12 @@ struct SearchResponse {
 /// two schemas that cover each other. Public so tests and benches can rank
 /// an exhaustive CupidMatcher sweep with the exact same formula.
 double CorpusRankingScore(const MatchResult& result);
+
+/// \brief CorpusRankingScore from the parts it reads: both trees and the
+/// leaf mapping (what a search scorer builds).
+double CorpusRankingScore(const SchemaTree& source_tree,
+                          const SchemaTree& target_tree,
+                          const Mapping& leaf_mapping);
 
 /// \brief Ranked one-vs-N search front door over a SchemaRepository.
 class CorpusSearchService {

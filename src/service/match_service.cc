@@ -152,7 +152,8 @@ MatchService::MatchService(const Thesaurus* thesaurus,
                     "Live per-source LsimCaches shared by pair sessions");
   lsim_cache_bytes_ = reg->GetGauge(
       "cupid.service.lsim_cache_bytes",
-      "Name-pair table bytes of the live per-source LsimCaches");
+      "Name- and label-pair table and label registry bytes of the live "
+      "per-source LsimCaches");
   baseline_ = CacheStats{result_hits_->value(),
                          result_misses_->value(),
                          result_evictions_->value(),

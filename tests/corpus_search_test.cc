@@ -171,6 +171,48 @@ TEST(CorpusSearch, RepeatedSearchesAreBitIdentical) {
   }
 }
 
+/// Several probes on one service share its LsimCache: each probe's labels
+/// land in the same side-1 registry, so the label-pair table serves more
+/// than one source schema. Three probes (the generated one and two stored
+/// schemas), interleaved and each searched twice on a 4-worker scheduler,
+/// must score every candidate exactly as a fresh CupidMatcher::Match does.
+TEST(CorpusSearch, SharedCacheAcrossProbesEqualsNaiveSweep) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SyntheticCorpus corpus = GenerateSyntheticCorpus(SmallCorpusOptions());
+  SchemaRepository repo;
+  RegisterCorpus(corpus, &repo);
+
+  MatchService match_service(&thesaurus, &repo);
+  JobScheduler::Options sched_opt;
+  sched_opt.num_threads = 4;
+  JobScheduler scheduler(&match_service, sched_opt);
+  CorpusSearchService::Options opt;
+  opt.share_lsim_cache = true;
+  CorpusSearchService search(&thesaurus, &repo, &scheduler, opt);
+
+  const std::vector<std::string> probes = {"probe", corpus.names[3],
+                                           corpus.names[17]};
+  const int all = static_cast<int>(corpus.targets.size());
+  std::vector<std::vector<SearchHit>> want;
+  for (const std::string& probe : probes) {
+    want.push_back(NaiveSweep(&thesaurus, CupidConfig(), &repo, probe, all));
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (size_t p = 0; p < probes.size(); ++p) {
+      SearchRequest request;
+      request.source = probes[p];
+      request.top_k = all;
+      request.exhaustive = true;
+      auto response = search.Search(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_TRUE(response->shared_cache);
+      ExpectHitsEqual(response->hits, want[p],
+                      "probe " + probes[p] + " round " +
+                          std::to_string(round));
+    }
+  }
+}
+
 /// Default-registry value of a corpus counter (0 before first use).
 int64_t CorpusCounter(const std::string& name) {
   for (const obs::MetricSnapshot& m :

@@ -7,12 +7,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cupid_matcher.h"
 #include "eval/synthetic.h"
 #include "linguistic/linguistic_matcher.h"
 #include "linguistic/lsim_cache.h"
+#include "obs/metrics.h"
 #include "perf/interned_names.h"
 #include "perf/token_interner.h"
 #include "schema/schema_builder.h"
@@ -211,9 +214,22 @@ TEST(PerfEquivalenceTest, EndToEndMatchIsIdenticalWithAndWithoutCaches) {
 
 // ------------------------------------------------------ lsim cache growth --
 
+void ExpectLsimEqual(const LinguisticResult& got, const LinguisticResult& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.lsim.rows(), want.lsim.rows()) << context;
+  ASSERT_EQ(got.lsim.cols(), want.lsim.cols()) << context;
+  for (int64_t i = 0; i < want.lsim.rows(); ++i) {
+    for (int64_t j = 0; j < want.lsim.cols(); ++j) {
+      ASSERT_EQ(got.lsim(i, j), want.lsim(i, j))
+          << context << " at (" << i << "," << j << ")";
+    }
+  }
+}
+
+
 /// A cache that sees one new target name per match (a per-source cache
-/// under a stream of targets) grows only its columns: the table stays
-/// within twice the registered rows x cols, never inflating the rows.
+/// under a stream of targets) grows only its columns: the name-pair table
+/// stays within twice the registered rows x cols, never inflating the rows.
 TEST(LsimCacheTest, TableGrowsOnlyTheOverflowingDimension) {
   Thesaurus th = DefaultThesaurus();
   LinguisticOptions options;
@@ -238,7 +254,7 @@ TEST(LsimCacheTest, TableGrowsOnlyTheOverflowingDimension) {
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
     const int64_t rows = static_cast<int64_t>(cache.num_source_names());
     const int64_t cols = static_cast<int64_t>(cache.num_target_names());
-    ASSERT_LT(cache.bytes(), 2 * rows * cols * kCell)
+    ASSERT_LT(cache.name_table_bytes(), 2 * rows * cols * kCell)
         << "after " << k + 1 << " targets (" << rows << " x " << cols
         << " names)";
     if (k == 999) {
@@ -254,7 +270,259 @@ TEST(LsimCacheTest, TableGrowsOnlyTheOverflowingDimension) {
   }
   EXPECT_EQ(cache.num_source_names(), 10u);
   EXPECT_EQ(cache.num_target_names(), 1001u);
-  EXPECT_GT(cache.bytes(), 0);
+  EXPECT_GT(cache.name_table_bytes(), 0);
+  // bytes() also counts the label registries and the label-pair table.
+  EXPECT_GT(cache.bytes(), cache.name_table_bytes());
+}
+
+/// bytes() — and the gauge that tracks it — counts the category-label
+/// registries and the label-pair table: preparing a source whose names are
+/// all known but whose categories bring a new label raises both, with the
+/// name-pair table untouched. The gauge returns to zero when the cache dies.
+TEST(LsimCacheTest, NewLabelsAloneRaiseBytesAndTheGauge) {
+  Thesaurus th = DefaultThesaurus();
+  LinguisticOptions options;
+  LinguisticMatcher matcher(&th, options);
+  obs::MetricsRegistry registry;
+  obs::Gauge* gauge = registry.GetGauge("test.lsim_cache_bytes", "");
+
+  auto build = [](DataType price_type) {
+    XmlSchemaBuilder b("Order");
+    ElementId item = b.AddElement(b.root(), "Item");
+    b.AddAttribute(item, "Price", price_type);
+    b.AddAttribute(item, "Name", DataType::kString);
+    return std::move(b).Build();
+  };
+  Schema as_string = build(DataType::kString);
+  Schema as_money = build(DataType::kMoney);  // same names, new type label
+  {
+    LsimCache cache(&th, options, gauge);
+    auto first = matcher.Prepare(as_string, &cache);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_TRUE((*first)->cache_filled);
+    const int64_t bytes_before = cache.bytes();
+    const size_t labels_before = cache.num_source_labels();
+    EXPECT_GT(bytes_before, 0);
+    EXPECT_EQ(gauge->value(), bytes_before);
+
+    auto again = matcher.Prepare(as_string, &cache);
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE((*again)->cache_filled);  // all names and labels known
+    EXPECT_EQ(cache.bytes(), bytes_before);
+
+    auto retyped = matcher.Prepare(as_money, &cache);
+    ASSERT_TRUE(retyped.ok());
+    EXPECT_TRUE((*retyped)->cache_filled);
+    EXPECT_EQ(cache.num_source_names(), static_cast<size_t>(4));
+    EXPECT_GT(cache.num_source_labels(), labels_before);
+    EXPECT_EQ(cache.name_table_bytes(), 0);
+    EXPECT_GT(cache.bytes(), bytes_before);
+    EXPECT_EQ(gauge->value(), cache.bytes());
+
+    // Matching allocates the label-pair table; the gauge follows.
+    auto matched = matcher.Match(**retyped, as_string, &cache);
+    ASSERT_TRUE(matched.ok()) << matched.status().ToString();
+    EXPECT_TRUE(matched->cache_filled);
+    EXPECT_GT(cache.bytes(), cache.name_table_bytes());
+    EXPECT_EQ(gauge->value(), cache.bytes());
+  }
+  EXPECT_EQ(gauge->value(), 0);
+}
+
+/// `cache_filled` reports label work too: with every name and name pair
+/// already in the cache (a categories-off match needs all of them), a match
+/// that only registers target labels, or only computes new label pairs,
+/// still took the exclusive lock — and says so.
+TEST(LsimCacheTest, LabelFillsAloneSetCacheFilled) {
+  Thesaurus th = DefaultThesaurus();
+  LinguisticOptions options;
+  LinguisticOptions no_categories = options;
+  no_categories.use_categories = false;
+  LinguisticMatcher matcher(&th, options);
+
+  auto source_with = [](DataType price_type) {
+    XmlSchemaBuilder b("Order");
+    ElementId item = b.AddElement(b.root(), "Item");
+    b.AddAttribute(item, "Price", price_type);
+    b.AddAttribute(item, "Name", DataType::kString);
+    return std::move(b).Build();
+  };
+  Schema source = source_with(DataType::kString);
+  Schema retyped = source_with(DataType::kMoney);  // same names, new label
+  XmlSchemaBuilder tb("Purchase");
+  ElementId line = tb.AddElement(tb.root(), "Line");
+  tb.AddAttribute(line, "Cost", DataType::kMoney);
+  tb.AddAttribute(line, "Title", DataType::kString);
+  Schema target = std::move(tb).Build();
+
+  LsimCache cache(&th, options);
+  ASSERT_TRUE(LinguisticMatcher(&th, no_categories)
+                  .Match(source, target, &cache)
+                  .ok());
+  const int64_t pairs = cache.num_cached_pairs();
+  EXPECT_EQ(cache.num_target_labels(), 0u);
+
+  auto expect = [&](const Schema& s, bool filled, const char* step) {
+    auto prepared = matcher.Prepare(s, &cache);
+    ASSERT_TRUE(prepared.ok()) << step;
+    auto got = matcher.Match(**prepared, target, &cache);
+    ASSERT_TRUE(got.ok()) << step;
+    EXPECT_EQ(got->cache_filled, filled) << step;
+    auto want = matcher.Match(s, target);
+    ASSERT_TRUE(want.ok());
+    ExpectLsimEqual(*got, *want, step);
+  };
+  expect(source, true, "target labels");
+  expect(source, false, "warm");
+  expect(retyped, true, "new label pairs only");
+  expect(retyped, false, "warm again");
+  EXPECT_EQ(cache.num_cached_pairs(), pairs);  // no name pair was computed
+}
+
+/// A prepared source carries registry indices of the cache it was prepared
+/// against; any other cache — even one with the same binding — is refused.
+TEST(LsimCacheTest, PreparedSourceIsBoundToItsCache) {
+  Thesaurus th = DefaultThesaurus();
+  LinguisticOptions options;
+  LinguisticMatcher matcher(&th, options);
+  SyntheticOptions sopt;
+  sopt.num_elements = 30;
+  sopt.seed = 3;
+  SyntheticPair p = GenerateSyntheticPair(sopt);
+  LsimCache cache(&th, options), other(&th, options);
+  auto prepared = matcher.Prepare(p.source, &cache);
+  ASSERT_TRUE(prepared.ok());
+  auto wrong = matcher.Match(**prepared, p.target, &other);
+  EXPECT_TRUE(wrong.status().IsInvalidArgument()) << wrong.status().ToString();
+  auto null_cache = matcher.Match(**prepared, p.target, nullptr);
+  EXPECT_TRUE(null_cache.status().IsInvalidArgument());
+  EXPECT_TRUE(matcher.Prepare(p.source, nullptr).status().IsInvalidArgument());
+  auto right = matcher.Match(**prepared, p.target, &cache);
+  EXPECT_TRUE(right.ok()) << right.status().ToString();
+}
+
+/// One LsimCache warmed over a 4 x 4 grid of sources and targets of two
+/// sizes, in a shuffled order, so both label registries — and the
+/// label-pair table in both dimensions — grow while matches run. Matchers
+/// that differ only in thns or use_categories share the cache (neither is
+/// part of its binding). Every Match(s1, s2, cache), every MatchGather
+/// patching from another pair, and concurrent readers of the warm cache
+/// must equal the uncached Match(s1, s2) bit for bit.
+TEST(LsimCacheTest, SharedLabelTableEqualsUncachedAcrossPairsAndOptions) {
+  Thesaurus th = DefaultThesaurus();
+  std::vector<Schema> sources, targets;
+  for (int k = 0; k < 4; ++k) {
+    SyntheticOptions sopt;
+    sopt.num_elements = k % 2 == 0 ? 60 : 256;
+    sopt.seed = 500 + static_cast<uint64_t>(k);
+    SyntheticPair p = GenerateSyntheticPair(sopt);
+    sources.push_back(std::move(p.source));
+    targets.push_back(std::move(p.target));
+  }
+  struct Variant {
+    std::string name;
+    LinguisticOptions options;
+  };
+  std::vector<Variant> variants(4);
+  variants[0].name = "default";
+  variants[1].name = "thns=0";
+  variants[1].options.thns = 0.0;
+  variants[2].name = "thns=0.9";
+  variants[2].options.thns = 0.9;
+  variants[3].name = "no-categories";
+  variants[3].options.use_categories = false;
+  for (Variant& v : variants) {
+    v.options.num_threads = 1;
+    v.options.gather_full_rebuild_fraction = 1.0;  // always patch
+  }
+
+  // Uncached reference per (variant, source, target).
+  std::vector<LinguisticResult> want;
+  for (const Variant& v : variants) {
+    LinguisticMatcher matcher(&th, v.options);
+    for (const Schema& s : sources) {
+      for (const Schema& t : targets) {
+        auto r = matcher.Match(s, t);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        want.push_back(std::move(*r));
+      }
+    }
+  }
+  auto want_at = [&](size_t v, size_t i, size_t j) -> const LinguisticResult& {
+    return want[(v * 4 + i) * 4 + j];
+  };
+
+  // A fixed shuffle of the 16 pairs (a multiplicative permutation of 0..15).
+  std::vector<size_t> order;
+  for (size_t k = 0; k < 16; ++k) order.push_back((k * 7 + 3) % 16);
+
+  LsimCache cache(&th, variants[0].options);
+  size_t labels1 = 0, labels2 = 0;
+  bool grew_source = false, grew_target = false;
+  size_t prev_i = order.back() / 4, prev_j = order.back() % 4;
+  for (size_t k : order) {
+    const size_t i = k / 4, j = k % 4;
+    for (size_t v = 0; v < variants.size(); ++v) {
+      LinguisticMatcher matcher(&th, variants[v].options);
+      const std::string context = variants[v].name + " source " +
+                                  std::to_string(i) + " target " +
+                                  std::to_string(j);
+      auto cached = matcher.Match(sources[i], targets[j], &cache);
+      ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+      ExpectLsimEqual(*cached, want_at(v, i, j), "match " + context);
+      EXPECT_EQ(cached->comparisons, want_at(v, i, j).comparisons) << context;
+
+      // Patch this pair from the previous one: every changed row and
+      // column reads the label-pair table.
+      LsimGatherPlan plan = BuildLsimGatherPlan(
+          sources[i], targets[j], sources[prev_i], targets[prev_j]);
+      auto gathered =
+          matcher.MatchGather(sources[i], targets[j], &cache, plan,
+                              want_at(v, prev_i, prev_j));
+      ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+      ExpectLsimEqual(*gathered, want_at(v, i, j), "gather " + context);
+    }
+    prev_i = i;
+    prev_j = j;
+    if (labels1 != 0 && cache.num_source_labels() > labels1) grew_source = true;
+    if (labels2 != 0 && cache.num_target_labels() > labels2) grew_target = true;
+    labels1 = cache.num_source_labels();
+    labels2 = cache.num_target_labels();
+  }
+  EXPECT_TRUE(grew_source);
+  EXPECT_TRUE(grew_target);
+
+  // Warm: four concurrent readers, each over every pair and variant, never
+  // fill and still equal the reference.
+  std::atomic<int> mismatches{0}, fills{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t n = 0; n < 16; ++n) {
+        const size_t k = (n + static_cast<size_t>(r) * 5) % 16;
+        const size_t i = k / 4, j = k % 4;
+        for (size_t v = 0; v < variants.size(); ++v) {
+          LinguisticMatcher matcher(&th, variants[v].options);
+          auto got = matcher.Match(sources[i], targets[j], &cache);
+          if (!got.ok()) {
+            ++mismatches;
+            continue;
+          }
+          if (got->cache_filled) ++fills;
+          const Matrix<float>& a = got->lsim;
+          const Matrix<float>& b = want_at(v, i, j).lsim;
+          for (int64_t x = 0; x < b.rows(); ++x) {
+            for (int64_t y = 0; y < b.cols(); ++y) {
+              if (a(x, y) != b(x, y)) ++mismatches;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(fills.load(), 0);
 }
 
 // -------------------------------------------------------------- path index --
