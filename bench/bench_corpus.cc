@@ -44,14 +44,6 @@
 namespace cupid {
 namespace {
 
-CupidConfig SingleThreadedConfig() {
-  // Per-pair phases stay sequential; parallelism comes from the search's
-  // candidate sharding, so the two knobs are not conflated.
-  CupidConfig config;
-  config.SetNumThreads(1);
-  return config;
-}
-
 constexpr int kNumTargets = 200;
 constexpr int kTopK = 10;
 
@@ -82,7 +74,6 @@ struct Workload {
     SearchRequest request;
     request.source = source;
     request.top_k = top_k;
-    request.config = SingleThreadedConfig();
     request.exhaustive = exhaustive;
     request.prune_fraction = 0.1;
     request.prune_min_keep = 16;
@@ -96,7 +87,7 @@ struct Workload {
 std::vector<SearchHit> NaiveSweep(const Thesaurus* thesaurus, const Workload& w,
                                   const std::string& probe = "probe",
                                   int top_k = kTopK) {
-  CupidMatcher matcher(thesaurus, SingleThreadedConfig());
+  CupidMatcher matcher(thesaurus, CupidConfig());
   auto source = w.repo.Resolve(probe);
   if (!source.ok()) return {};
   std::vector<SearchHit> hits;

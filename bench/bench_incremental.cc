@@ -45,14 +45,6 @@ SyntheticPair MakePair() {
   return GenerateSyntheticPair(opt);
 }
 
-// Single-threaded so scratch vs incremental is a controlled comparison (the
-// sweep, where the warm start saves its work, is sequential either way).
-CupidConfig Config() {
-  CupidConfig cfg;
-  cfg.SetNumThreads(1);
-  return cfg;
-}
-
 /// Deterministic stream of single-element edits cycling through rename,
 /// retype, add and remove, alternating sides. Add/remove pair up so the
 /// schemas neither grow nor shrink over a long run.
@@ -115,7 +107,7 @@ class BenchEditStream {
 void BM_ScratchSingleEdit(benchmark::State& state) {
   SyntheticPair p = MakePair();
   Thesaurus th = DefaultThesaurus();
-  CupidMatcher matcher(&th, Config());
+  CupidMatcher matcher(&th, CupidConfig());
   Schema src = p.source, tgt = p.target;
   BenchEditStream edits;
   for (auto _ : state) {
@@ -135,7 +127,7 @@ BENCHMARK(BM_ScratchSingleEdit);
 void BM_IncrementalSingleEdit(benchmark::State& state) {
   SyntheticPair p = MakePair();
   Thesaurus th = DefaultThesaurus();
-  MatchSession session(&th, p.source, p.target, Config());
+  MatchSession session(&th, p.source, p.target, CupidConfig());
   if (!session.Rematch().ok()) state.SkipWithError("cold match failed");
   BenchEditStream edits;
   for (auto _ : state) {
@@ -160,7 +152,7 @@ BENCHMARK(BM_IncrementalSingleEdit);
 void BM_IncrementalEqualsScratch(benchmark::State& state) {
   SyntheticPair p = MakePair();
   Thesaurus th = DefaultThesaurus();
-  CupidConfig cfg = Config();
+  CupidConfig cfg;
   double sim_diff = 0.0;
   double mapping_mismatches = 0.0;
   for (auto _ : state) {

@@ -3,9 +3,11 @@
 //
 // google-benchmark over synthetic schema pairs of growing size, measuring
 // the full match pipeline and its linguistic phase in two configurations:
-//   * cached: the src/perf layer (token interning, token-pair memoization,
-//     distinct-name dedup), the default;
-//   * naive:  the reference implementation with the perf layer disabled.
+//   * cached: the shipped path — the linguistic phase runs on a fresh
+//     LsimCache (token interning, token-pair memoization, distinct-name
+//     dedup);
+//   * naive:  the same pipeline with the linguistic phase replaced by the
+//     reference implementation, LinguisticMatchReference.
 // BM_CachedEqualsNaive cross-checks that both produce identical matrices
 // (the max_abs_diff counters must be 0). BM_StructuralPhase measures the
 // shipped structural engine (TreeMatch + the Section 7 recompute).
@@ -36,20 +38,36 @@ SyntheticPair MakePair(int64_t elements) {
   return GenerateSyntheticPair(opt);
 }
 
-// "cached" is the shipped default configuration (linguistic perf cache on);
-// "naive" disables it.
-CupidConfig Config(bool cached) {
-  CupidConfig cfg;
-  cfg.linguistic.use_perf_cache = cached;
-  return cfg;
+/// The pipeline of CupidMatcher::Match with the naive linguistic phase.
+Result<MatchResult> NaiveMatch(const Thesaurus* th, const CupidConfig& cfg,
+                               const Schema& source, const Schema& target) {
+  CUPID_ASSIGN_OR_RETURN(
+      LinguisticResult lres,
+      LinguisticMatchReference(th, cfg.linguistic, source, target));
+  CUPID_ASSIGN_OR_RETURN(SchemaTree t1,
+                         BuildSchemaTree(source, cfg.tree_build));
+  CUPID_ASSIGN_OR_RETURN(SchemaTree t2,
+                         BuildSchemaTree(target, cfg.tree_build));
+  CUPID_ASSIGN_OR_RETURN(TreeMatchResult tm,
+                         TreeMatch(t1, t2, lres.lsim, cfg.type_compatibility,
+                                   cfg.tree_match));
+  CUPID_RETURN_NOT_OK(
+      RecomputeNonLeafSimilarities(t1, t2, cfg.tree_match, &tm));
+  Mapping leaf, nonleaf;
+  CUPID_RETURN_NOT_OK(
+      GenerateStandardMappings(t1, t2, tm, cfg, &leaf, &nonleaf));
+  return MatchResult{std::move(t1),   std::move(t2),   std::move(lres),
+                     std::move(tm),   std::move(leaf), std::move(nonleaf)};
 }
 
 void RunFullMatch(benchmark::State& state, bool cached) {
   SyntheticPair p = MakePair(state.range(0));
   Thesaurus th = DefaultThesaurus();
-  CupidMatcher m(&th, Config(cached));
+  CupidConfig cfg;
+  CupidMatcher m(&th, cfg);
   for (auto _ : state) {
-    auto r = m.Match(p.source, p.target);
+    auto r = cached ? m.Match(p.source, p.target)
+                    : NaiveMatch(&th, cfg, p.source, p.target);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -70,10 +88,10 @@ void RunLinguistic(benchmark::State& state, bool cached) {
   SyntheticPair p = MakePair(state.range(0));
   Thesaurus th = DefaultThesaurus();
   LinguisticOptions opts;
-  opts.use_perf_cache = cached;
   LinguisticMatcher lm(&th, opts);
   for (auto _ : state) {
-    auto r = lm.Match(p.source, p.target);
+    auto r = cached ? lm.Match(p.source, p.target)
+                    : LinguisticMatchReference(&th, opts, p.source, p.target);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -132,20 +150,21 @@ void BM_TreeBuild(benchmark::State& state) {
 BENCHMARK(BM_TreeBuild)->RangeMultiplier(4)->Range(16, 1024)->Complexity();
 
 /// Correctness guard for the comparison above: cached and naive pipelines
-/// must produce identical lsim and wsim matrices (single-threaded, so the
-/// counters below must be exactly 0).
+/// must produce identical lsim and wsim matrices (the counters below must
+/// be exactly 0).
 void BM_CachedEqualsNaive(benchmark::State& state) {
   SyntheticPair p = MakePair(state.range(0));
   Thesaurus th = DefaultThesaurus();
-  CupidConfig cached_cfg = Config(true);
-  cached_cfg.SetNumThreads(1);
-  CupidConfig naive_cfg = Config(false);
-  naive_cfg.SetNumThreads(1);
+  CupidConfig cfg;
 
   double lsim_diff = 0.0, wsim_diff = 0.0;
   for (auto _ : state) {
-    auto rc = CupidMatcher(&th, cached_cfg).Match(p.source, p.target);
-    auto rn = CupidMatcher(&th, naive_cfg).Match(p.source, p.target);
+    auto rc = CupidMatcher(&th, cfg).Match(p.source, p.target);
+    auto rn = NaiveMatch(&th, cfg, p.source, p.target);
+    if (!rc.ok() || !rn.ok()) {
+      state.SkipWithError("match failed");
+      return;
+    }
     const NodeSimilarities& sc = rc->tree_match.sims;
     const NodeSimilarities& sn = rn->tree_match.sims;
     for (TreeNodeId s = 0; s < sc.source_nodes(); ++s) {

@@ -56,14 +56,6 @@
 namespace cupid {
 namespace {
 
-CupidConfig SingleThreadedConfig() {
-  // Per-match phases stay sequential; parallelism comes from the
-  // scheduler's workers, so the two knobs are not conflated.
-  CupidConfig config;
-  config.SetNumThreads(1);
-  return config;
-}
-
 /// The three shipped schema pairs, loaded from data/ through the importers.
 struct Workload {
   SchemaRepository repo;
@@ -94,7 +86,6 @@ struct Workload {
     MatchRequest request;
     request.source = pairs[which % pairs.size()].first;
     request.target = pairs[which % pairs.size()].second;
-    request.config = SingleThreadedConfig();
     request.use_result_cache = use_result_cache;
     request.use_session = use_session;
     return request;
@@ -303,7 +294,7 @@ void BM_ServiceEqualsDirect(benchmark::State& state) {
     }
     Thesaurus thesaurus = DefaultThesaurus();
     MatchService service(&thesaurus, &workload->repo);
-    CupidMatcher matcher(&thesaurus, SingleThreadedConfig());
+    CupidMatcher matcher(&thesaurus, CupidConfig());
     for (int round = 0; round < 12; ++round) {
       for (const auto& [at, schema, edit] : edits) {
         if (at == round && !workload->repo.ApplyEdit(schema, edit).ok()) {
@@ -369,7 +360,7 @@ void BM_ServiceColdGrid(benchmark::State& state) {
     }
   }
   Thesaurus thesaurus = DefaultThesaurus();
-  const CupidConfig config = SingleThreadedConfig();
+  const CupidConfig config = CupidConfig();
   // Row-major pairs visited by a fixed stride coprime with 36: every pair
   // once per cycle, sources interleaved as in a shuffled workload.
   std::vector<MatchRequest> requests;

@@ -5,12 +5,7 @@
 namespace cupid {
 
 Status CupidConfig::Validate() const {
-  if (linguistic.thns < 0.0 || linguistic.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (linguistic.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
+  CUPID_RETURN_NOT_OK(ValidateLinguisticOptions(linguistic));
   CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(tree_match));
   if (mapping.th_accept < 0.0 || mapping.th_accept > 1.0) {
     return Status::InvalidArgument("mapping th_accept must be within [0,1]");
@@ -76,8 +71,6 @@ uint64_t ConfigFingerprint(const CupidConfig& c) {
   d.I64(static_cast<int64_t>(c.linguistic.substring.min_affix));
   d.B(c.linguistic.use_categories);
   d.F64(c.linguistic.annotation_weight);
-  d.B(c.linguistic.use_perf_cache);
-  d.I64(c.linguistic.num_threads);
   // Tree building.
   d.B(c.tree_build.expand_join_views);
   d.B(c.tree_build.expand_views);

@@ -39,11 +39,9 @@ struct CupidConfig {
   /// predefined maximum value", Section 8.4).
   double initial_mapping_boost = 1.0;
 
-  /// \brief Sets the worker-thread count of the one parallelized phase,
-  /// the linguistic lsim fill (TreeMatch is serial). 0 (the default) uses
-  /// all hardware threads; 1 forces fully sequential execution. Results are
-  /// identical at any setting.
-  void SetNumThreads(int n) { linguistic.num_threads = n; }
+  /// \brief Does nothing: every match runs on the calling thread. Kept
+  /// only so existing callers still compile; do not add new ones.
+  void SetNumThreads(int /*n*/) {}
 
   /// \brief Range-checks every parameter; keeps Table 1's ordering
   /// constraints (th_low <= th_accept <= th_high).
@@ -58,10 +56,8 @@ std::string DescribeParameters(const CupidConfig& config);
 /// thresholds, weights, flags, the type-compatibility table, cardinality
 /// and scope). Two configs with equal fingerprints produce identical match
 /// results on identical inputs, so the fingerprint is a safe result-cache
-/// key component (service/match_service.h). Thread counts and perf-cache
-/// toggles ARE included even though results are invariant to them — a
-/// conservative over-split that can only cost cache hits, never serve a
-/// wrong result.
+/// key component (service/match_service.h). The incremental gather's
+/// rebuild fraction is left out: results are invariant to it.
 uint64_t ConfigFingerprint(const CupidConfig& config);
 
 }  // namespace cupid

@@ -1,10 +1,9 @@
 #include "core/cupid_matcher.h"
 
-#include <algorithm>
 #include <tuple>
 
+#include "core/match_pipeline.h"
 #include "mapping/mapping_generator.h"
-#include "tree/tree_builder.h"
 
 namespace cupid {
 
@@ -46,53 +45,9 @@ Result<MatchResult> CupidMatcher::Match(const Schema& source,
 Result<MatchResult> CupidMatcher::Match(const Schema& source,
                                         const Schema& target,
                                         const InitialMapping& hints) const {
-  CUPID_RETURN_NOT_OK(config_.Validate());
-
-  // Phase 1: linguistic matching on the schema graphs ("the linguistic
-  // matching process is unaffected" by graph extensions, Section 8.2).
-  LinguisticMatcher linguistic(thesaurus_, config_.linguistic);
-  CUPID_ASSIGN_OR_RETURN(LinguisticResult lres,
-                         linguistic.Match(source, target));
-
-  // Initial-mapping hints raise lsim to the configured maximum.
-  for (const InitialMappingEntry& hint : hints) {
-    ElementId es = source.FindByPath(hint.source_path);
-    ElementId et = target.FindByPath(hint.target_path);
-    if (es == kNoElement) {
-      return Status::NotFound("initial mapping path not in source schema: " +
-                              hint.source_path);
-    }
-    if (et == kNoElement) {
-      return Status::NotFound("initial mapping path not in target schema: " +
-                              hint.target_path);
-    }
-    lres.lsim(es, et) = std::max<float>(
-        lres.lsim(es, et), static_cast<float>(config_.initial_mapping_boost));
-  }
-
-  // Phase 2: expand to schema trees and run TreeMatch.
-  CUPID_ASSIGN_OR_RETURN(SchemaTree source_tree,
-                         BuildSchemaTree(source, config_.tree_build));
-  CUPID_ASSIGN_OR_RETURN(SchemaTree target_tree,
-                         BuildSchemaTree(target, config_.tree_build));
-  CUPID_ASSIGN_OR_RETURN(
-      TreeMatchResult tmres,
-      TreeMatch(source_tree, target_tree, lres.lsim,
-                config_.type_compatibility, config_.tree_match));
-
-  // Phase 3: the Section 7 second pass, then mapping generation.
-  CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilarities(
-      source_tree, target_tree, config_.tree_match, &tmres));
-
-  Mapping leaf_mapping, nonleaf_mapping;
-  CUPID_RETURN_NOT_OK(GenerateStandardMappings(source_tree, target_tree,
-                                               tmres, config_, &leaf_mapping,
-                                               &nonleaf_mapping));
-
-  MatchResult result{std::move(source_tree), std::move(target_tree),
-                     std::move(lres),        std::move(tmres),
-                     std::move(leaf_mapping), std::move(nonleaf_mapping)};
-  return result;
+  return RunMatchPipeline(thesaurus_, config_, source, target, hints,
+                          /*cache=*/nullptr, /*past=*/nullptr,
+                          /*snapshot=*/nullptr, "cupid.match");
 }
 
 Status GenerateStandardMappings(const SchemaTree& source,

@@ -47,8 +47,8 @@ struct MatchResult {
   std::string BestTargetFor(const std::string& source_path) const;
 };
 
-/// \brief Phase-3 mapping generation shared by CupidMatcher::Match and
-/// MatchSession::Rematch: the leaf mapping with the configured cardinality
+/// \brief Phase-3 mapping generation of the match pipeline
+/// (core/match_pipeline.h): the leaf mapping with the configured cardinality
 /// (GenerateLeafMapping) plus the naive 1:n non-leaf mapping. `tmres` must
 /// already have been through the Section 7 recompute pass.
 Status GenerateStandardMappings(const SchemaTree& source,
@@ -71,7 +71,9 @@ class CupidMatcher {
   explicit CupidMatcher(const Thesaurus* thesaurus, CupidConfig config = {})
       : thesaurus_(thesaurus), config_(std::move(config)) {}
 
-  /// \brief Matches two schemas. The schemas must outlive the MatchResult.
+  /// \brief Matches two schemas: the match pipeline (core/match_pipeline.h)
+  /// run cold on a fresh LsimCache, traced as a `cupid.match` span. The
+  /// schemas must outlive the MatchResult.
   Result<MatchResult> Match(const Schema& source, const Schema& target) const;
 
   /// \brief Matches with user hints: the lsim of each hinted element pair is

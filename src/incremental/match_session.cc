@@ -1,447 +1,10 @@
 #include "incremental/match_session.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <utility>
-#include <vector>
 
-#include "obs/trace.h"
-
-#include "tree/tree_builder.h"
+#include "core/match_pipeline.h"
 
 namespace cupid {
-
-namespace {
-
-bool HasJoinViews(const SchemaTree& tree) {
-  for (TreeNodeId n = 0; n < tree.num_nodes(); ++n) {
-    if (tree.node(n).is_join_view) return true;
-  }
-  return false;
-}
-
-/// Nodes grouped by context path (same-named siblings share one), read
-/// off the tree's stored paths and path index. Per node: `first`, the
-/// group's lowest id (FindNodeByPath's answer), and `rank`, the node's
-/// position in its group by id; `size` is indexed by a group's first id.
-struct PathGroups {
-  std::vector<size_t> first, rank, size;
-};
-
-PathGroups GroupByPath(const SchemaTree& tree) {
-  const size_t n = static_cast<size_t>(tree.num_nodes());
-  PathGroups g;
-  g.first.resize(n);
-  g.rank.resize(n);
-  g.size.assign(n, 0);
-  for (size_t v = 0; v < n; ++v) {
-    const size_t f = static_cast<size_t>(
-        tree.FindNodeByPath(tree.PathName(static_cast<TreeNodeId>(v))));
-    g.first[v] = f;
-    g.rank[v] = g.size[f]++;
-  }
-  return g;
-}
-
-/// Node correspondence new -> old by context path. Same-named siblings make
-/// paths non-unique; occurrences are paired BY RANK when both trees hold
-/// the same number (sound: the supported edits preserve the relative order
-/// of surviving nodes, and every value-relevant input is still verified
-/// independently — leaf sets, data types, lsim cells — so even an identity
-/// mix-up between structurally interchangeable duplicates cannot change
-/// values). Groups whose sizes differ map to kNoTreeNode: ambiguity
-/// degrades to recomputation, never to reuse of wrong values.
-void MapByPath(const SchemaTree& nw, const SchemaTree& old,
-               std::vector<TreeNodeId>* map) {
-  // An unedited side passes the previous run's tree as both `nw` and `old`
-  // (Rematch only rebuilds edited sides), so node ids coincide and the map
-  // is the identity — no paths needed.
-  if (&nw.schema() == &old.schema() && nw.num_nodes() == old.num_nodes()) {
-    map->resize(static_cast<size_t>(nw.num_nodes()));
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      (*map)[static_cast<size_t>(n)] = n;
-    }
-    return;
-  }
-  // Identity-first for equal-size rebuilt trees: in-place edits (renames,
-  // retypes) keep node ids stable, and a renamed node's identity image IS
-  // its old self — which path mapping only recovers via child alignment.
-  // Any map is sound (every value-relevant input is verified
-  // independently downstream), so the name-mismatch threshold is purely a
-  // reuse-quality heuristic; adds/removes change the node count and fall
-  // through to path mapping.
-  if (nw.num_nodes() == old.num_nodes()) {
-    const int64_t thr =
-        std::max<int64_t>(4, static_cast<int64_t>(nw.num_nodes()) / 64);
-    int64_t mismatches = 0;
-    for (TreeNodeId n = 0; n < nw.num_nodes() && mismatches <= thr; ++n) {
-      if (nw.NodeName(n) != old.NodeName(n) ||
-          nw.node(n).parent != old.node(n).parent) {
-        ++mismatches;
-      }
-    }
-    if (mismatches <= thr) {
-      map->resize(static_cast<size_t>(nw.num_nodes()));
-      for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-        (*map)[static_cast<size_t>(n)] = n;
-      }
-      return;
-    }
-  }
-  const PathGroups og = GroupByPath(old);
-  const PathGroups ng = GroupByPath(nw);
-  // Old group members laid out group by group, each in id order: the k-th
-  // member of the group whose first id is f sits at members[start[f] + k].
-  const size_t num_old = static_cast<size_t>(old.num_nodes());
-  std::vector<size_t> start(num_old, 0);
-  for (size_t o = 0, at = 0; o < num_old; ++o) {
-    if (og.first[o] != o) continue;
-    start[o] = at;
-    at += og.size[o];
-  }
-  std::vector<TreeNodeId> members(num_old);
-  for (size_t o = 0; o < num_old; ++o) {
-    members[start[og.first[o]] + og.rank[o]] = static_cast<TreeNodeId>(o);
-  }
-  map->assign(static_cast<size_t>(nw.num_nodes()), kNoTreeNode);
-  for (size_t n = 0; n < map->size(); ++n) {
-    const TreeNodeId f =
-        old.FindNodeByPath(nw.PathName(static_cast<TreeNodeId>(n)));
-    if (f == kNoTreeNode) continue;
-    const size_t of = static_cast<size_t>(f);
-    if (og.size[of] != ng.size[ng.first[n]]) continue;
-    (*map)[n] = members[start[of] + ng.rank[n]];
-  }
-}
-
-/// reusable[n]: n is mapped and its leaf list corresponds entry-for-entry
-/// to the old node's (same mapped leaf, same relative optionality). This
-/// certifies MEMBERSHIP only — per-cell differences (renamed or retyped
-/// leaves) are the dirty bitset's job, so they do not clear the flag. Leaf
-/// lists are sorted by node id on both sides and the supported edits
-/// preserve the relative order of surviving nodes, so the index-wise
-/// comparison is exact; any order perturbation fails the check and
-/// degrades to recomputation.
-void ComputeReusable(const SchemaTree& nw, const SchemaTree& old,
-                     const std::vector<TreeNodeId>& map,
-                     std::vector<uint8_t>* out) {
-  out->assign(static_cast<size_t>(nw.num_nodes()), 0);
-  for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-    TreeNodeId o = map[static_cast<size_t>(n)];
-    if (o == kNoTreeNode) continue;
-    const std::vector<LeafRef>& ln = nw.leaves(n);
-    const std::vector<LeafRef>& lo = old.leaves(o);
-    if (ln.size() != lo.size()) continue;
-    bool ok = true;
-    for (size_t k = 0; k < ln.size(); ++k) {
-      if (map[static_cast<size_t>(ln[k].leaf)] != lo[k].leaf ||
-          ln[k].optional != lo[k].optional ||
-          !old.IsLeaf(lo[k].leaf)) {
-        ok = false;
-        break;
-      }
-    }
-    (*out)[static_cast<size_t>(n)] = ok ? 1 : 0;
-  }
-}
-
-}  // namespace
-
-/// Assembles the warm-start input: node correspondence, reusable flags, and
-/// the seed dirty set (new/retyped leaves as whole rows/columns, changed
-/// lsim cells pointwise, and the blocks of feedback events fired by old
-/// nodes that have no new counterpart).
-TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
-                                   const SchemaTree& tnew,
-                                   const Matrix<float>& element_lsim,
-                                   const SchemaTree& sold,
-                                   const SchemaTree& told,
-                                   const Matrix<float>& prev_sweep_ssim,
-                                   const NodeSimilarities& prev_final,
-                                   const Matrix<float>& prev_element_lsim,
-                                   const StructuralCounts* prev_final_counts,
-                                   const TreeMatchOptions& options) {
-  TreeMatchDelta d;
-  d.prev_source = &sold;
-  d.prev_target = &told;
-  d.prev_sweep_ssim = &prev_sweep_ssim;
-  d.prev_final = &prev_final;
-  d.prev_final_counts = prev_final_counts;
-  MapByPath(snew, sold, &d.source_map);
-  MapByPath(tnew, told, &d.target_map);
-
-  // Order-based alignment of unmapped children under corresponding
-  // parents: a rename keeps element identity but changes every descendant
-  // path, so path mapping alone loses the whole subtree. Pairing the
-  // unmapped children of mapped parents by position (sibling order is
-  // preserved by the supported edits) recovers it, recursively — parents
-  // precede children in id order, so one ascending pass suffices. A wrong
-  // pairing (say, a remove plus an add in one batch) is harmless: every
-  // value-relevant input is verified independently downstream.
-  auto align_children = [](const SchemaTree& nw, const SchemaTree& old,
-                           std::vector<TreeNodeId>* map) {
-    std::vector<uint8_t> covered(static_cast<size_t>(old.num_nodes()), 0);
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      TreeNodeId o = (*map)[static_cast<size_t>(n)];
-      if (o != kNoTreeNode) covered[static_cast<size_t>(o)] = 1;
-    }
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      TreeNodeId o = (*map)[static_cast<size_t>(n)];
-      if (o == kNoTreeNode) continue;
-      std::vector<TreeNodeId> new_unmapped, old_uncovered;
-      for (TreeNodeId c : nw.node(n).children) {
-        if ((*map)[static_cast<size_t>(c)] == kNoTreeNode) {
-          new_unmapped.push_back(c);
-        }
-      }
-      for (TreeNodeId c : old.node(o).children) {
-        if (!covered[static_cast<size_t>(c)]) old_uncovered.push_back(c);
-      }
-      if (new_unmapped.empty() || new_unmapped.size() != old_uncovered.size()) {
-        continue;
-      }
-      for (size_t i = 0; i < new_unmapped.size(); ++i) {
-        (*map)[static_cast<size_t>(new_unmapped[i])] = old_uncovered[i];
-        covered[static_cast<size_t>(old_uncovered[i])] = 1;
-      }
-    }
-  };
-  align_children(snew, sold, &d.source_map);
-  align_children(tnew, told, &d.target_map);
-
-  d.source_leaves = std::make_unique<LeafIndex>(snew);
-  d.target_leaves = std::make_unique<LeafIndex>(tnew);
-  d.dirty =
-      std::make_unique<LeafPairBits>(d.source_leaves.get(),
-                                     d.target_leaves.get());
-  d.dirty_transposed =
-      std::make_unique<LeafPairBits>(d.target_leaves.get(),
-                                     d.source_leaves.get());
-  d.source_leaf_dirty.assign(d.source_leaves->num_leaves(), 0);
-  d.target_leaf_dirty.assign(d.target_leaves->num_leaves(), 0);
-
-  // Lsim-locality flags: a node whose element kept every lsim-relevant
-  // local feature (and maps to a previous node) has bit-equal lsim against
-  // any other flagged node — the per-node half of the gather engine's
-  // clean-pair test (linguistic/linguistic_matcher.h). Computed before the
-  // lsim diff below so changed cells can be dirt-attributed to the side
-  // whose element actually changed.
-  auto lsim_same = [](const SchemaTree& nw, const SchemaTree& old,
-                      const std::vector<TreeNodeId>& map,
-                      std::vector<uint8_t>* out) {
-    out->assign(static_cast<size_t>(nw.num_nodes()), 0);
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      TreeNodeId o = map[static_cast<size_t>(n)];
-      if (o == kNoTreeNode) continue;
-      ElementId en = nw.node(n).source;
-      ElementId eo = old.node(o).source;
-      if (en == kNoElement || eo == kNoElement) {
-        // Element-less nodes project no lsim at all; both-less is a match.
-        (*out)[static_cast<size_t>(n)] =
-            (en == kNoElement && eo == kNoElement) ? 1 : 0;
-        continue;
-      }
-      (*out)[static_cast<size_t>(n)] =
-          SameLsimElementFeatures(nw.schema(), en, old.schema(), eo) ? 1 : 0;
-    }
-  };
-  lsim_same(snew, sold, d.source_map, &d.source_lsim_same);
-  lsim_same(tnew, told, d.target_map, &d.target_lsim_same);
-
-  // A leaf is valid iff it maps to an old leaf of the same data type: its
-  // type-seeded init ssim row then starts out equal to the previous run's.
-  auto leaf_valid = [](const SchemaTree& nw, const SchemaTree& old,
-                       const std::vector<TreeNodeId>& map, TreeNodeId x) {
-    TreeNodeId o = map[static_cast<size_t>(x)];
-    if (o == kNoTreeNode || !old.IsLeaf(o)) return false;
-    ElementId en = nw.node(x).source;
-    ElementId eo = old.node(o).source;
-    if (en == kNoElement || eo == kNoElement) return false;
-    return nw.schema().element(en).data_type ==
-           old.schema().element(eo).data_type;
-  };
-  std::vector<uint8_t> s_ok(static_cast<size_t>(snew.num_nodes()), 0);
-  std::vector<uint8_t> t_ok(static_cast<size_t>(tnew.num_nodes()), 0);
-  for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
-    TreeNodeId x = d.source_leaves->leaf(j);
-    if (leaf_valid(snew, sold, d.source_map, x)) {
-      s_ok[static_cast<size_t>(x)] = 1;
-    } else {
-      d.MarkSourceRowDirty(x);
-    }
-  }
-  for (size_t j = 0; j < d.target_leaves->num_leaves(); ++j) {
-    TreeNodeId y = d.target_leaves->leaf(j);
-    if (leaf_valid(tnew, told, d.target_map, y)) {
-      t_ok[static_cast<size_t>(y)] = 1;
-    } else {
-      d.MarkTargetColDirty(y);
-    }
-  }
-
-  // Changed linguistic similarities dirty their leaf pair (renames change
-  // whole rows; categorization ripples are caught cell by cell since the
-  // new lsim is available in full before this diff). The comparison runs
-  // over the ELEMENT matrices of the two runs: per valid source leaf, the
-  // new element row is checked against the previous run's — one memcmp
-  // dismisses a bitwise-identical row when the valid target columns align
-  // position-for-position (the common case: target untouched), and only
-  // rows that differ walk their cells.
-  {
-    struct TgtCol {
-      TreeNodeId y;
-      ElementId et, oet;
-    };
-    std::vector<TgtCol> cols;
-    cols.reserve(d.target_leaves->num_leaves());
-    bool cols_aligned =
-        element_lsim.cols() == prev_element_lsim.cols();
-    for (size_t k = 0; k < d.target_leaves->num_leaves(); ++k) {
-      TreeNodeId y = d.target_leaves->leaf(k);
-      if (!t_ok[static_cast<size_t>(y)]) continue;
-      TreeNodeId oy = d.target_map[static_cast<size_t>(y)];
-      ElementId et = tnew.node(y).source;
-      ElementId oet = told.node(oy).source;
-      cols.push_back({y, et, oet});
-      if (et != oet) cols_aligned = false;
-    }
-    const size_t row_bytes =
-        static_cast<size_t>(element_lsim.cols()) * sizeof(float);
-    // A changed cell is dirt-attributed to the side whose element features
-    // changed (a row-shaped change flags only its source leaf, a
-    // column-shaped one only its target leaf): any pair block containing
-    // the cell contains that row/column, so one side always suffices for
-    // the clean-pair test, and a single rename cannot smear "dirty" across
-    // every node of the other side. Unattributable differences (both
-    // sides feature-identical, which the locality contract rules out) flag
-    // both sides defensively.
-    auto mark_lsim_cell = [&](TreeNodeId x, TreeNodeId y) {
-      d.dirty->Set(x, y);
-      d.dirty_transposed->Set(y, x);
-      const bool src_changed = !d.source_lsim_same[static_cast<size_t>(x)];
-      const bool tgt_changed = !d.target_lsim_same[static_cast<size_t>(y)];
-      if (src_changed || !tgt_changed) {
-        d.source_leaf_dirty[static_cast<size_t>(
-            d.source_leaves->dense(x))] = 1;
-      }
-      if (tgt_changed || !src_changed) {
-        d.target_leaf_dirty[static_cast<size_t>(
-            d.target_leaves->dense(y))] = 1;
-      }
-    };
-    for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
-      TreeNodeId x = d.source_leaves->leaf(j);
-      if (!s_ok[static_cast<size_t>(x)]) continue;
-      ElementId es = snew.node(x).source;
-      ElementId oes = sold.node(
-          d.source_map[static_cast<size_t>(x)]).source;
-      const float* new_row = element_lsim.row(es);
-      const float* old_row = prev_element_lsim.row(oes);
-      if (cols_aligned &&
-          std::memcmp(new_row, old_row, row_bytes) == 0) {
-        continue;
-      }
-      for (const TgtCol& col : cols) {
-        if (new_row[col.et] != old_row[col.oet]) {
-          mark_lsim_cell(x, col.y);
-        }
-      }
-    }
-  }
-
-  // Reverse coverage: the sweep's runtime divergence check compares each
-  // NEW pair's feedback against its OLD counterpart, so feedback fired by
-  // old nodes with no new counterpart ("orphans" — removed nodes, or nodes
-  // whose path became ambiguous) would go unseen. Re-derive those events
-  // from the previous snapshot and dirty everything they scaled. Orphaned
-  // LEAVES need nothing here: their surviving partners' rows/columns are
-  // handled above, and their own cells are gone.
-  std::vector<uint8_t> covered_s(static_cast<size_t>(sold.num_nodes()), 0);
-  std::vector<uint8_t> covered_t(static_cast<size_t>(told.num_nodes()), 0);
-  for (TreeNodeId n = 0; n < snew.num_nodes(); ++n) {
-    if (d.source_map[static_cast<size_t>(n)] != kNoTreeNode) {
-      covered_s[static_cast<size_t>(d.source_map[static_cast<size_t>(n)])] = 1;
-    }
-  }
-  for (TreeNodeId n = 0; n < tnew.num_nodes(); ++n) {
-    if (d.target_map[static_cast<size_t>(n)] != kNoTreeNode) {
-      covered_t[static_cast<size_t>(d.target_map[static_cast<size_t>(n)])] = 1;
-    }
-  }
-  std::vector<TreeNodeId> old2new_s(static_cast<size_t>(sold.num_nodes()),
-                                    kNoTreeNode);
-  std::vector<TreeNodeId> old2new_t(static_cast<size_t>(told.num_nodes()),
-                                    kNoTreeNode);
-  for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
-    TreeNodeId x = d.source_leaves->leaf(j);
-    TreeNodeId o = d.source_map[static_cast<size_t>(x)];
-    if (o != kNoTreeNode) old2new_s[static_cast<size_t>(o)] = x;
-  }
-  for (size_t j = 0; j < d.target_leaves->num_leaves(); ++j) {
-    TreeNodeId y = d.target_leaves->leaf(j);
-    TreeNodeId o = d.target_map[static_cast<size_t>(y)];
-    if (o != kNoTreeNode) old2new_t[static_cast<size_t>(o)] = y;
-  }
-  // Did the old sweep fire increase/decrease feedback at (os, ot)?
-  // (PrevFeedbackDecision holds ComparePair's exact decision arithmetic.)
-  auto old_feedback_fired = [&](TreeNodeId os, TreeNodeId ot) {
-    return PrevFeedbackDecision(options, sold, told, prev_sweep_ssim,
-                                prev_final, os, ot) != 0;
-  };
-  auto dirty_old_block = [&](TreeNodeId os, TreeNodeId ot) {
-    for (const LeafRef& lx : sold.leaves(os)) {
-      TreeNodeId nx = old2new_s[static_cast<size_t>(lx.leaf)];
-      if (nx == kNoTreeNode) continue;  // removed/unmapped: already dirty
-      for (const LeafRef& ly : told.leaves(ot)) {
-        TreeNodeId ny = old2new_t[static_cast<size_t>(ly.leaf)];
-        if (ny == kNoTreeNode) continue;
-        d.MarkPairDirty(nx, ny);
-      }
-    }
-  };
-  for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
-    if (covered_s[static_cast<size_t>(os)] || sold.IsLeaf(os)) continue;
-    for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
-      if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
-    }
-  }
-  for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
-    if (covered_t[static_cast<size_t>(ot)] || told.IsLeaf(ot)) continue;
-    for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
-      // Orphan-source pairs were handled by the loop above.
-      if (!covered_s[static_cast<size_t>(os)] && !sold.IsLeaf(os)) continue;
-      if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
-    }
-  }
-
-  ComputeReusable(snew, sold, d.source_map, &d.source_reusable);
-  ComputeReusable(tnew, told, d.target_map, &d.target_reusable);
-
-  // Leaf-count change flags (mapped nodes whose true-leaf frontier size
-  // differs from the previous counterpart's): the only rows/columns where
-  // a leaf-count prune decision can flip, so the gather engine restricts
-  // its prune-divergence checks and stale-cell fixups to them.
-  auto size_changed = [](const SchemaTree& nw, const SchemaTree& old,
-                         const std::vector<TreeNodeId>& map,
-                         std::vector<uint8_t>* out) {
-    out->assign(static_cast<size_t>(nw.num_nodes()), 0);
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      TreeNodeId o = map[static_cast<size_t>(n)];
-      if (o != kNoTreeNode &&
-          nw.leaves(n).size() != old.leaves(o).size()) {
-        (*out)[static_cast<size_t>(n)] = 1;
-      }
-    }
-  };
-  size_changed(snew, sold, d.source_map, &d.source_size_changed);
-  size_changed(tnew, told, d.target_map, &d.target_size_changed);
-
-  return d;
-}
 
 MatchSession::MatchSession(const Thesaurus* thesaurus, Schema source,
                            Schema target, CupidConfig config)
@@ -486,149 +49,39 @@ Status MatchSession::ApplyEdit(const SchemaEdit& edit) {
 }
 
 Result<const MatchResult*> MatchSession::Rematch() {
-  CUPID_RETURN_NOT_OK(config_.Validate());
   if (result_ != nullptr && !work_source_ && !work_target_) {
     return result_.get();  // nothing edited since the last run
   }
 
   // Adopt this run's schemas: edited copies where present, otherwise the
-  // already-matched ones. If anything below fails, the guard puts the
-  // edited copies back so a failed Rematch neither loses queued edits nor
+  // already-matched ones, whose trees the pipeline then reuses. A failed
+  // run puts the edited copies back, so it neither loses queued edits nor
   // leaves source()/target() dangling before the first successful run.
   std::unique_ptr<Schema> src_owner = std::move(work_source_);
   std::unique_ptr<Schema> tgt_owner = std::move(work_target_);
-  struct RestoreOnError {
-    std::unique_ptr<Schema>*dst_src, *dst_tgt, *own_src, *own_tgt;
-    bool committed = false;
-    ~RestoreOnError() {
-      if (committed) return;
-      if (*own_src) *dst_src = std::move(*own_src);
-      if (*own_tgt) *dst_tgt = std::move(*own_tgt);
-    }
-  } guard{&work_source_, &work_target_, &src_owner, &tgt_owner};
-  const Schema* s = src_owner ? src_owner.get() : cur_source_.get();
-  const Schema* t = tgt_owner ? tgt_owner.get() : cur_target_.get();
-
-  // Phase 1 through the persistent name-level cache. Warm runs go down the
-  // lsim gather: unchanged element rows are bulk-copied from the previous
-  // run's lsim and only changed rows/columns recompute (bit-identical
-  // either way). With the perf cache disabled, the naive reference
-  // pipeline runs instead — the session then exercises the incremental
-  // structural path against uncached linguistic fills.
-  obs::ScopedSpan span("session.rematch");
-  auto t0 = std::chrono::steady_clock::now();
-  LinguisticMatcher linguistic(thesaurus_, config_.linguistic);
-  LinguisticResult lres;
-  if (!config_.linguistic.use_perf_cache) {
-    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(*s, *t));
-  } else if (result_ != nullptr) {
-    LsimGatherPlan plan =
-        BuildLsimGatherPlan(*s, *t, *cur_source_, *cur_target_);
-    CUPID_ASSIGN_OR_RETURN(
-        lres, linguistic.MatchGather(*s, *t, lsim_cache_.get(), plan,
-                                     result_->linguistic));
-  } else {
-    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(*s, *t, lsim_cache_.get()));
+  const Schema& s = src_owner ? *src_owner : *cur_source_;
+  const Schema& t = tgt_owner ? *tgt_owner : *cur_target_;
+  MatchPast past{cur_source_.get(), cur_target_.get(), result_.get(),
+                 &sweep_ssim_};
+  MatchSnapshot snapshot;
+  Result<MatchResult> run = RunMatchPipeline(
+      thesaurus_, config_, s, t, /*hints=*/{}, lsim_cache_.get(),
+      result_ != nullptr ? &past : nullptr, &snapshot, "session.rematch");
+  if (!run.ok()) {
+    work_source_ = std::move(src_owner);
+    work_target_ = std::move(tgt_owner);
+    return run.status();
   }
 
-  auto t1 = std::chrono::steady_clock::now();
-
-  // Phase 2: trees — an unedited side reads the previous tree in place (it
-  // points at the same, unchanged Schema object) and hands it over to the
-  // new result at commit; only the edited side is built.
-  SchemaTree built_source{nullptr}, built_target{nullptr};
-  const bool reuse_source = !src_owner && result_ != nullptr;
-  const bool reuse_target = !tgt_owner && result_ != nullptr;
-  if (!reuse_source) {
-    CUPID_ASSIGN_OR_RETURN(built_source,
-                           BuildSchemaTree(*s, config_.tree_build));
-  }
-  if (!reuse_target) {
-    CUPID_ASSIGN_OR_RETURN(built_target,
-                           BuildSchemaTree(*t, config_.tree_build));
-  }
-  const SchemaTree& source_tree =
-      reuse_source ? result_->source_tree : built_source;
-  const SchemaTree& target_tree =
-      reuse_target ? result_->target_tree : built_target;
-
-  bool warm = result_ != nullptr &&
-              SupportsIncrementalTreeMatch(config_.tree_match) &&
-              !HasJoinViews(source_tree) && !HasJoinViews(target_tree) &&
-              !HasJoinViews(result_->source_tree) &&
-              !HasJoinViews(result_->target_tree);
-
-  auto t2 = std::chrono::steady_clock::now();
-  auto t3 = t2, t4 = t2, t5 = t2;
-  TreeMatchResult tmres;
-  std::unique_ptr<Matrix<float>> sweep;
-  if (warm) {
-    TreeMatchDelta delta = BuildTreeMatchDelta(
-        source_tree, target_tree, lres.lsim, result_->source_tree,
-        result_->target_tree, *sweep_ssim_, result_->tree_match.sims,
-        result_->linguistic.lsim, &result_->tree_match.counts,
-        config_.tree_match);
-    delta.prev_events = &result_->tree_match.events;
-    t3 = std::chrono::steady_clock::now();
-    CUPID_ASSIGN_OR_RETURN(
-        tmres, TreeMatchIncremental(source_tree, target_tree, lres.lsim,
-                                    config_.type_compatibility,
-                                    config_.tree_match, &delta));
-    t4 = std::chrono::steady_clock::now();
-    sweep = std::make_unique<Matrix<float>>(tmres.sims.ssim_matrix());
-    CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilaritiesIncremental(
-        source_tree, target_tree, config_.tree_match, &delta, &tmres));
-    t5 = std::chrono::steady_clock::now();
-  } else {
-    CUPID_ASSIGN_OR_RETURN(
-        tmres, TreeMatch(source_tree, target_tree, lres.lsim,
-                         config_.type_compatibility, config_.tree_match));
-    t4 = std::chrono::steady_clock::now();
-    sweep = std::make_unique<Matrix<float>>(tmres.sims.ssim_matrix());
-    CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilarities(
-        source_tree, target_tree, config_.tree_match, &tmres));
-    t5 = std::chrono::steady_clock::now();
-  }
-
-  // Phase 3: mapping generation, identical to CupidMatcher::Match.
-  Mapping leaf_mapping, nonleaf_mapping;
-  CUPID_RETURN_NOT_OK(GenerateStandardMappings(source_tree, target_tree,
-                                               tmres, config_, &leaf_mapping,
-                                               &nonleaf_mapping));
-  auto t6 = std::chrono::steady_clock::now();
-
-  // Commit. The old result (and the old schemas it references) die here;
-  // the new result references the schemas owned below and takes over the
-  // unedited side's tree from the old result.
-  guard.committed = true;
-  auto new_result = std::make_unique<MatchResult>(MatchResult{
-      std::move(reuse_source ? result_->source_tree : built_source),
-      std::move(reuse_target ? result_->target_tree : built_target),
-      std::move(lres), std::move(tmres), std::move(leaf_mapping),
-      std::move(nonleaf_mapping)});
-  result_ = std::move(new_result);
-  sweep_ssim_ = std::move(sweep);
+  // Commit. The old result (and the old schemas it references) die here.
+  result_ = std::make_unique<MatchResult>(std::move(*run));
+  sweep_ssim_ = std::move(snapshot.sweep_ssim);
   if (src_owner) cur_source_ = std::move(src_owner);
   if (tgt_owner) cur_target_ = std::move(tgt_owner);
-  stats_.incremental = warm;
+  stats_.incremental = snapshot.warm;
   stats_.tree_match = result_->tree_match.stats;
   stats_.lsim_cached_pairs = lsim_cache_->num_cached_pairs();
   stats_.lsim_gathered_rows = result_->linguistic.gathered_rows;
-  if (span.enabled()) {
-    auto t7 = std::chrono::steady_clock::now();
-    auto ms = [](auto a, auto b) {
-      return std::chrono::duration<double, std::milli>(b - a).count();
-    };
-    span.Attr("linguistic_ms", ms(t0, t1));
-    span.Attr("trees_ms", ms(t1, t2));
-    span.Attr("delta_ms", ms(t2, t3));
-    span.Attr("sweep_ms", ms(t3, t4));
-    span.Attr("recompute_ms", ms(t4, t5));
-    span.Attr("mapping_ms", ms(t5, t6));
-    span.Attr("commit_ms", ms(t6, t7));
-    span.Attr("warm", warm ? 1 : 0);
-    span.Attr("gathered_rows", result_->linguistic.gathered_rows);
-  }
   return result_.get();
 }
 

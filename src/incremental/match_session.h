@@ -17,6 +17,9 @@
 //     leaf-pair bitset (structural/tree_match.h, TreeMatchDelta);
 //   * mapping generation — always re-derived (cheap, similarity-driven).
 //
+// Rematch runs the pipeline of CupidMatcher::Match (core/match_pipeline.h)
+// with the previous run as its past.
+//
 // Rematch() output is bit-identical to a from-scratch CupidMatcher::Match
 // on the session's current schemas (asserted by tests/incremental_test.cc
 // and bench/bench_incremental.cc). Configurations outside the warm-start
@@ -43,25 +46,6 @@
 
 namespace cupid {
 
-/// \brief Builds the warm-start input relating the new trees to the
-/// previous run's state: node correspondence, reusable flags, seeded dirty
-/// leaf pairs, and snapshot pointers. `prev_element_lsim` is the previous
-/// run's ELEMENT-level lsim table; changed cells are found by diffing it
-/// row-wise against `element_lsim` under the element correspondence (rows
-/// that are bitwise identical are dismissed with one memcmp). Exposed for
-/// tests and benchmarks; MatchSession calls it internally on every warm
-/// Rematch.
-TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& new_source,
-                                   const SchemaTree& new_target,
-                                   const Matrix<float>& element_lsim,
-                                   const SchemaTree& prev_source,
-                                   const SchemaTree& prev_target,
-                                   const Matrix<float>& prev_sweep_ssim,
-                                   const NodeSimilarities& prev_final,
-                                   const Matrix<float>& prev_element_lsim,
-                                   const StructuralCounts* prev_final_counts,
-                                   const TreeMatchOptions& options);
-
 /// How the last Rematch ran (diagnostics; drives bench assertions).
 struct RematchStats {
   /// Warm start used (false on the first run, after unsupported configs,
@@ -74,8 +58,8 @@ struct RematchStats {
   /// with a shared cache, by every session of that cache.
   int64_t lsim_cached_pairs = 0;
   /// Lsim rows bulk-copied from the previous run by the gather (0 on cold
-  /// runs, with the perf cache off, or when the gather fell back to the
-  /// batch pipeline because too many elements changed).
+  /// runs, or when the gather fell back to the batch pipeline because too
+  /// many elements changed).
   int64_t lsim_gathered_rows = 0;
 };
 
@@ -132,7 +116,7 @@ class MatchSession {
   /// post-recompute state; only the sweep-stage ssim matrix is consulted
   /// across runs, so only it is kept).
   std::unique_ptr<MatchResult> result_;
-  std::unique_ptr<Matrix<float>> sweep_ssim_;
+  Matrix<float> sweep_ssim_;
   RematchStats stats_;
 };
 

@@ -1,10 +1,7 @@
 #include "linguistic/linguistic_matcher.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
@@ -12,11 +9,9 @@
 #include "linguistic/annotations.h"
 #include "linguistic/lsim_cache.h"
 #include "obs/trace.h"
-#include "perf/interned_names.h"
 #include "perf/token_interner.h"
 #include "util/id_runs.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 
 namespace cupid {
 
@@ -34,8 +29,8 @@ std::vector<NormalizedName> NormalizeAll(const Schema& schema,
 
 /// best_scale(e1,e2) = max cat_sim(c1,c2) over compatible category pairs
 /// (c1,c2) containing them; 0 when none. With categories disabled every
-/// pair gets scale 1. Shared by the naive and cached paths, so a pruning
-/// change cannot diverge them.
+/// pair gets scale 1. Shared by the reference and cached paths, so a
+/// pruning change cannot diverge them.
 Matrix<float> ScatterBestScale(const LinguisticOptions& options,
                                const Matrix<float>& cat_sim,
                                const Categorization& categories1,
@@ -79,45 +74,6 @@ Matrix<float> ComputeBestScale(const LinguisticOptions& options,
       cat_sim(static_cast<int64_t>(i), static_cast<int64_t>(j)) =
           static_cast<float>(CategorySimilarity(cats1[i], cats2[j], thesaurus,
                                                 options.substring));
-    }
-  }
-  return ScatterBestScale(options, cat_sim, categories1, categories2, rows,
-                          cols);
-}
-
-/// ComputeBestScale with the category-keyword similarities routed through
-/// a run-local interner + memo (the naive version recomputes thesaurus and
-/// affix work for every one of the |C1|*|C2| category pairs). Same values.
-Matrix<float> ComputeBestScaleInterned(const LinguisticOptions& options,
-                                       const Thesaurus* thesaurus,
-                                       const Categorization& categories1,
-                                       const Categorization& categories2,
-                                       TokenInterner* interner,
-                                       int64_t rows, int64_t cols) {
-  const auto& cats1 = categories1.categories;
-  const auto& cats2 = categories2.categories;
-  auto intern_keywords = [&](const std::vector<Category>& cats) {
-    std::vector<std::vector<TokenId>> out;
-    out.reserve(cats.size());
-    for (const Category& c : cats) {
-      std::vector<TokenId> ids;
-      ids.reserve(c.keywords.size());
-      for (const Token& t : c.keywords) ids.push_back(interner->Intern(t));
-      out.push_back(std::move(ids));
-    }
-    return out;
-  };
-  std::vector<std::vector<TokenId>> kw1 = intern_keywords(cats1);
-  std::vector<std::vector<TokenId>> kw2 = intern_keywords(cats2);
-  TokenPairMemo memo(interner, thesaurus, options.substring);
-
-  Matrix<float> cat_sim(static_cast<int64_t>(cats1.size()),
-                        static_cast<int64_t>(cats2.size()));
-  for (size_t i = 0; i < cats1.size(); ++i) {
-    for (size_t j = 0; j < cats2.size(); ++j) {
-      cat_sim(static_cast<int64_t>(i), static_cast<int64_t>(j)) =
-          static_cast<float>(
-              InternedTokenSetSimilarity(kw1[i], kw2[j], &memo));
     }
   }
   return ScatterBestScale(options, cat_sim, categories1, categories2, rows,
@@ -304,15 +260,12 @@ LsimGatherPlan BuildLsimGatherPlan(const Schema& s1, const Schema& s2,
   return plan;
 }
 
-Status LinguisticMatcher::ValidateOptions() const {
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
+Status ValidateLinguisticOptions(const LinguisticOptions& options) {
+  if (options.thns < 0.0 || options.thns > 1.0) {
     return Status::InvalidArgument("thns must be within [0,1]");
   }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
+  if (options.annotation_weight < 0.0 || options.annotation_weight > 1.0) {
     return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
   }
   return Status::OK();
 }
@@ -331,59 +284,13 @@ Status LinguisticMatcher::CheckCacheBinding(const LsimCache& cache) const {
     return Status::InvalidArgument(
         "LsimCache is bound to different linguistic options");
   }
-  return ValidateOptions();
+  return ValidateLinguisticOptions(options_);
 }
 
 Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2) const {
-  CUPID_RETURN_NOT_OK(ValidateOptions());
-  if (options_.use_perf_cache) return MatchCached(s1, s2);
-
-  // Naive path: every element pair is compared from scratch. Kept as the
-  // reference implementation for equivalence tests and benchmarks.
-  LinguisticResult out;
-  out.names1 = std::make_shared<const std::vector<NormalizedName>>(
-      NormalizeAll(s1, normalizer_));
-  out.names2 = std::make_shared<const std::vector<NormalizedName>>(
-      NormalizeAll(s2, normalizer_));
-  out.categories1 = std::make_shared<const Categorization>(
-      CategorizeSchema(s1, *out.names1, normalizer_));
-  out.categories2 = std::make_shared<const Categorization>(
-      CategorizeSchema(s2, *out.names2, normalizer_));
-  out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
-
-  Matrix<float> best_scale =
-      ComputeBestScale(options_, *thesaurus_, *out.categories1,
-                       *out.categories2, s1.num_elements(),
-                       s2.num_elements());
-
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
-  }
-
-  for (ElementId e1 = 0; e1 < s1.num_elements(); ++e1) {
-    for (ElementId e2 = 0; e2 < s2.num_elements(); ++e2) {
-      float scale = best_scale(e1, e2);
-      if (scale <= 0.0f) continue;
-      ++out.comparisons;
-      double ns = ElementNameSimilarity(
-          (*out.names1)[static_cast<size_t>(e1)],
-          (*out.names2)[static_cast<size_t>(e2)], *thesaurus_,
-          options_.token_weights, options_.substring);
-      double lsim = std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      const AnnotationVector& d1 = docs1[static_cast<size_t>(e1)];
-      const AnnotationVector& d2 = docs2[static_cast<size_t>(e2)];
-      if (options_.annotation_weight > 0.0 && !d1.empty() && !d2.empty()) {
-        double w = options_.annotation_weight;
-        lsim = (1.0 - w) * lsim + w * AnnotationCosine(d1, d2);
-      }
-      out.lsim(e1, e2) = static_cast<float>(lsim);
-    }
-  }
-  return out;
+  LsimCache cache(thesaurus_, options_);
+  return Match(s1, s2, &cache);
 }
 
 namespace {
@@ -439,108 +346,6 @@ int64_t ScatterRows(const ScatterInputs& in, int64_t begin, int64_t end,
 }
 
 }  // namespace
-
-Result<LinguisticResult> LinguisticMatcher::MatchCached(const Schema& s1,
-                                                        const Schema& s2) const {
-  LinguisticResult out;
-  TokenInterner interner;
-
-  // Distinct raw names, each normalized and interned exactly once. Elements
-  // sharing a raw name share the distinct entry (normalization is a pure
-  // function of the raw name).
-  LsimCache::SideNames d1, d2;
-  std::vector<int32_t> of_element1, of_element2;
-  auto build_distinct = [&](const Schema& s, LsimCache::SideNames& d,
-                            std::vector<int32_t>* of_element) {
-    of_element->reserve(static_cast<size_t>(s.num_elements()));
-    for (ElementId id : s.AllElements()) {
-      of_element->push_back(
-          d.Register(s.element(id).name, normalizer_, &interner));
-    }
-  };
-  build_distinct(s1, d1, &of_element1);
-  build_distinct(s2, d2, &of_element2);
-
-  out.names1 = d1.Collect(of_element1);
-  out.names2 = d2.Collect(of_element2);
-  out.categories1 = std::make_shared<const Categorization>(
-      CategorizeSchema(s1, *out.names1, normalizer_));
-  out.categories2 = std::make_shared<const Categorization>(
-      CategorizeSchema(s2, *out.names2, normalizer_));
-  out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
-
-  Matrix<float> best_scale = ComputeBestScaleInterned(
-      options_, thesaurus_, *out.categories1, *out.categories2, &interner,
-      s1.num_elements(), s2.num_elements());
-
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
-  }
-
-  // A distinct name pair needs its similarity iff some un-pruned element
-  // pair maps onto it — categorization pruning is preserved.
-  const int64_t num_d1 = static_cast<int64_t>(d1.names.size());
-  const int64_t num_d2 = static_cast<int64_t>(d2.names.size());
-  Matrix<uint8_t> needed(num_d1, num_d2);
-  for (ElementId e1 = 0; e1 < s1.num_elements(); ++e1) {
-    uint8_t* needed_row = &needed(of_element1[static_cast<size_t>(e1)], 0);
-    const float* scale_row = &best_scale(e1, 0);
-    const int32_t* idx2 = of_element2.data();
-    const int64_t cols = s2.num_elements();
-    for (int64_t e2 = 0; e2 < cols; ++e2) {
-      if (scale_row[e2] > 0.0f) needed_row[idx2[e2]] = 1;
-    }
-  }
-
-  int threads = ThreadPool::EffectiveThreads(options_.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  // Spawning workers only pays when some row block is big enough to leave
-  // ParallelFor's inline path (2 * its 16-row minimum chunk).
-  if (threads > 1 && std::max(num_d1, s1.num_elements()) >= 32) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
-
-  // Name similarity once per needed distinct pair. Each row block carries
-  // its own memo (TokenSimilarity is pure, so per-thread memos change
-  // nothing but hit rates); concurrent memos stay hash-backed so they don't
-  // each pay the dense table's vocab-squared zero-fill.
-  Matrix<double> distinct_ns(num_d1, num_d2);
-  ParallelFor(pool.get(), num_d1, [&](int64_t begin, int64_t end) {
-    TokenPairMemo memo(&interner, thesaurus_, options_.substring,
-                       /*use_dense=*/pool == nullptr);
-    for (int64_t i = begin; i < end; ++i) {
-      for (int64_t j = 0; j < num_d2; ++j) {
-        if (!needed(i, j)) continue;
-        distinct_ns(i, j) = InternedNameSimilarity(
-            d1.interned[static_cast<size_t>(i)],
-            d2.interned[static_cast<size_t>(j)], options_.token_weights,
-            &memo);
-      }
-    }
-  });
-
-  // Scatter into the element-pair lsim table, row blocks in parallel (the
-  // blocks write disjoint rows).
-  const ScatterInputs in{&options_,   &of_element1, &of_element2,
-                         &best_scale, &docs1,       &docs2};
-  std::atomic<int64_t> comparisons{0};
-  ParallelFor(pool.get(), s1.num_elements(), [&](int64_t begin, int64_t end) {
-    int64_t local = 0;
-    ScatterRows(
-        in, begin, end,
-        [&](int32_t i, int32_t j, double* ns) {
-          *ns = distinct_ns(i, j);
-          return true;
-        },
-        &out.lsim, &local);
-    comparisons.fetch_add(local, std::memory_order_relaxed);
-  });
-  out.comparisons = comparisons.load();
-  return out;
-}
 
 Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2,
@@ -915,6 +720,56 @@ double LinguisticMatcher::NameSimilarity(std::string_view a,
   return ElementNameSimilarity(normalizer_.Normalize(a),
                                normalizer_.Normalize(b), *thesaurus_,
                                options_.token_weights, options_.substring);
+}
+
+Result<LinguisticResult> LinguisticMatchReference(
+    const Thesaurus* thesaurus, const LinguisticOptions& options,
+    const Schema& s1, const Schema& s2) {
+  CUPID_RETURN_NOT_OK(ValidateLinguisticOptions(options));
+  const NameNormalizer normalizer(thesaurus);
+  LinguisticResult out;
+  out.names1 = std::make_shared<const std::vector<NormalizedName>>(
+      NormalizeAll(s1, normalizer));
+  out.names2 = std::make_shared<const std::vector<NormalizedName>>(
+      NormalizeAll(s2, normalizer));
+  out.categories1 = std::make_shared<const Categorization>(
+      CategorizeSchema(s1, *out.names1, normalizer));
+  out.categories2 = std::make_shared<const Categorization>(
+      CategorizeSchema(s2, *out.names2, normalizer));
+  out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
+
+  Matrix<float> best_scale =
+      ComputeBestScale(options, *thesaurus, *out.categories1,
+                       *out.categories2, s1.num_elements(),
+                       s2.num_elements());
+
+  std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
+  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
+  if (options.annotation_weight > 0.0) {
+    docs1 = BuildDocs(s1, *thesaurus);
+    docs2 = BuildDocs(s2, *thesaurus);
+  }
+
+  for (ElementId e1 = 0; e1 < s1.num_elements(); ++e1) {
+    for (ElementId e2 = 0; e2 < s2.num_elements(); ++e2) {
+      float scale = best_scale(e1, e2);
+      if (scale <= 0.0f) continue;
+      ++out.comparisons;
+      double ns = ElementNameSimilarity(
+          (*out.names1)[static_cast<size_t>(e1)],
+          (*out.names2)[static_cast<size_t>(e2)], *thesaurus,
+          options.token_weights, options.substring);
+      double lsim = std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
+      const AnnotationVector& d1 = docs1[static_cast<size_t>(e1)];
+      const AnnotationVector& d2 = docs2[static_cast<size_t>(e2)];
+      if (options.annotation_weight > 0.0 && !d1.empty() && !d2.empty()) {
+        double w = options.annotation_weight;
+        lsim = (1.0 - w) * lsim + w * AnnotationCosine(d1, d2);
+      }
+      out.lsim(e1, e2) = static_cast<float>(lsim);
+    }
+  }
+  return out;
 }
 
 }  // namespace cupid

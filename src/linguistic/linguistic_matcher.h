@@ -42,23 +42,18 @@ struct LinguisticOptions {
   /// The paper lists annotation use as immediate future work (Section 10);
   /// 0 disables it.
   double annotation_weight = 0.25;
-  /// Use the src/perf caching layer: token interning, token-pair similarity
-  /// memoization, and distinct-name deduplication (names are normalized and
-  /// compared once per distinct raw name instead of once per element). The
-  /// resulting lsim is bit-identical to the naive path; off only to
-  /// benchmark the naive implementation.
-  bool use_perf_cache = true;
   /// Incremental runs only (MatchGather): when the fraction of elements
   /// with changed lsim-relevant features exceeds this on either side, the
   /// gather stops patching rows and falls back to the batch pipeline (the
   /// per-row scatter has a worse constant once most rows need recomputing).
   /// Results are identical either way.
   double gather_full_rebuild_fraction = 0.25;
-  /// Worker threads for the one-shot lsim fill (Match without a cache;
-  /// cached and gather runs are serial); 0 = all hardware threads. Results
-  /// are identical at any thread count.
-  int num_threads = 0;
 };
+
+/// \brief InvalidArgument when thns or annotation_weight lies outside
+/// [0,1] — the one range check of the linguistic options, shared by
+/// LinguisticMatcher and CupidConfig::Validate.
+Status ValidateLinguisticOptions(const LinguisticOptions& options);
 
 /// Output of the linguistic phase.
 struct LinguisticResult {
@@ -153,15 +148,16 @@ class LinguisticMatcher {
   LinguisticMatcher(const Thesaurus* thesaurus, LinguisticOptions options)
       : thesaurus_(thesaurus), options_(options), normalizer_(thesaurus) {}
 
-  /// \brief Computes the full linguistic result for a schema pair.
+  /// \brief Computes the full linguistic result for a schema pair:
+  /// Match(s1, s2, cache) over a fresh LsimCache.
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2) const;
 
-  /// \brief Match serving name- and label-level work from a persistent
-  /// cross-run cache (linguistic/lsim_cache.h), which many matches may
-  /// share: Prepare(s1, cache), then Match(prepared, s2, cache).
-  /// Bit-identical to Match: cached values were computed by the same pure
+  /// \brief Match serving name- and label-level work from a cross-run cache
+  /// (linguistic/lsim_cache.h), which many matches may share:
+  /// Prepare(s1, cache), then Match(prepared, s2, cache). Bit-identical to
+  /// LinguisticMatchReference: cached values were computed by the same pure
   /// functions. The cache must be bound to this matcher's thesaurus and
-  /// options; a null cache falls through to Match. LinguisticResult::
+  /// options; a null cache means a fresh one. LinguisticResult::
   /// cache_filled reports an exclusive lock taken by either step.
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2,
                                  LsimCache* cache) const;
@@ -210,17 +206,9 @@ class LinguisticMatcher {
   double NameSimilarity(std::string_view a, std::string_view b) const;
 
  private:
-  /// InvalidArgument on out-of-domain options.
-  Status ValidateOptions() const;
-  /// ValidateOptions, plus InvalidArgument when `cache` is bound to another
-  /// thesaurus or to other name-similarity options.
+  /// ValidateLinguisticOptions, plus InvalidArgument when `cache` is bound
+  /// to another thesaurus or to other name-similarity options.
   Status CheckCacheBinding(const LsimCache& cache) const;
-
-  /// The one-shot fast path: distinct-name dedup + interning + memoization
-  /// with run-local state, parallel over row blocks. Same output as the
-  /// naive path in Match.
-  Result<LinguisticResult> MatchCached(const Schema& s1,
-                                       const Schema& s2) const;
 
   const Thesaurus* thesaurus_;
   LinguisticOptions options_;
@@ -228,6 +216,14 @@ class LinguisticMatcher {
   /// construct one per call.
   NameNormalizer normalizer_;
 };
+
+/// \brief The naive reference implementation of the linguistic phase: every
+/// element pair is normalized, categorized and compared from scratch, with
+/// no interning, memo or cache. The bit-identity oracle of every
+/// LinguisticMatcher path; `thesaurus` must outlive the call.
+Result<LinguisticResult> LinguisticMatchReference(
+    const Thesaurus* thesaurus, const LinguisticOptions& options,
+    const Schema& s1, const Schema& s2);
 
 }  // namespace cupid
 

@@ -76,9 +76,7 @@ LsimCache::LsimCache(const Thesaurus* thesaurus,
       thesaurus_(thesaurus),
       options_(options),
       bytes_gauge_(bytes_gauge),
-      // Hash-mode memo: the dense table is sized to the interner at
-      // construction time, which keeps growing here.
-      memo_(&interner_, thesaurus, options.substring, /*use_dense=*/false) {}
+      memo_(&interner_, thesaurus, options.substring) {}
 
 LsimCache::~LsimCache() {
   // No reader can hold the mutex of a cache being destroyed; the lock only
@@ -194,6 +192,11 @@ void LsimCacheView::AddBytes(int64_t delta) {
   if (bytes_gauge_ != nullptr) bytes_gauge_->Add(delta);
 }
 
+void LsimCacheView::ChargeMemo(int64_t memo_bytes_before) {
+  const int64_t grown = memo_->dense_bytes() - memo_bytes_before;
+  if (grown != 0) AddBytes(grown);
+}
+
 void LsimCacheView::EnsureCapacity(int64_t rows, int64_t cols) {
   AddBytes(GrowTable(rows, cols, ns_, known_) *
            static_cast<int64_t>(sizeof(double) + sizeof(uint8_t)));
@@ -224,9 +227,11 @@ float LsimCacheView::ComputeCategorySimilarity(int32_t l1, int32_t l2) {
   // The same float cast of the same token-set formula as the batch
   // pipeline's cat_sim cell; the persistent memo serves token pairs that
   // name similarities or other labels already resolved.
+  const int64_t memo_bytes = memo_->dense_bytes();
   const float sim = static_cast<float>(InternedTokenSetSimilarity(
       labels1_->keywords[static_cast<size_t>(l1)],
       labels2_->keywords[static_cast<size_t>(l2)], memo_));
+  ChargeMemo(memo_bytes);
   (*cat_sim_)(l1, l2) = sim;
   (*cat_known_)(l1, l2) = 1;
   return sim;
@@ -243,9 +248,11 @@ double LsimCacheView::ComputeNameSimilarity(int32_t i, int32_t j,
       obs::MetricsRegistry::Default()->GetCounter(
           "cupid.lsim_cache.pairs_computed",
           "Name-pair similarities computed (cache misses) across caches");
+  const int64_t memo_bytes = memo_->dense_bytes();
   (*ns_)(i, j) = InternedNameSimilarity(
       side1_->interned[static_cast<size_t>(i)],
       side2_->interned[static_cast<size_t>(j)], weights, memo_);
+  ChargeMemo(memo_bytes);
   (*known_)(i, j) = 1;
   ++*cached_pairs_;
   pairs_computed->Increment();

@@ -1,11 +1,12 @@
-// Cross-run linguistic cache: the per-run state of the cached lsim pipeline
-// (token interner, token-pair memo, distinct-name and category-label
-// registries, name-pair and label-pair similarities), made persistent so
-// repeated matching re-pays only the names and labels it has not seen: a
-// session over an evolving schema pair (incremental/match_session.h)
-// re-pays the names an edit introduced, and every session of one source
-// schema in a MatchService shares one cache, so a cold match over names
-// other pairs already scored is a table read.
+// The state of the linguistic phase: token interner, token-pair memo,
+// distinct-name and category-label registries, and name-pair and label-pair
+// similarities. Every LinguisticMatcher match runs on one. A one-shot match
+// (LinguisticMatcher::Match(s1, s2), CupidMatcher::Match) uses a fresh cache
+// and drops it; a session over an evolving schema pair
+// (incremental/match_session.h) keeps its cache and re-pays only the names
+// an edit introduced; every session of one source schema in a MatchService
+// shares one cache, so a cold match over names other pairs already scored
+// is a table read.
 //
 // Name-pair similarity is a pure function of the two raw names (under a
 // fixed thesaurus and option set), so serving it from this cache is
@@ -17,7 +18,8 @@
 // similarities, computed once through the persistent token-pair memo. What
 // stays per run is what depends on a schema's shape: its categorization
 // (done once per schema for a prepared source, LinguisticMatcher::Prepare),
-// the best-scale pruning and the lsim scatter.
+// the best-scale pruning and the lsim scatter. The naive oracle every path
+// is tested against is LinguisticMatchReference.
 //
 // A cache is bound at construction to one thesaurus and one option set;
 // LinguisticMatcher::Match(s1, s2, cache) rejects a cache bound differently
@@ -109,8 +111,9 @@ class LsimCache {
     return cached_pairs_;
   }
   /// Bytes of the parts of the cache that grow with use: the name-pair
-  /// table, the label-pair table (values plus known bits, as allocated) and
-  /// the label registries (estimated heap bytes).
+  /// table, the label-pair table and the token-pair memo's dense table
+  /// (values plus known bits, as allocated) and the label registries
+  /// (estimated heap bytes).
   int64_t bytes() const EXCLUDES(mu_) {
     SharedReaderLock lock(&mu_);
     return bytes_;
@@ -278,6 +281,9 @@ class LsimCacheView {
   float ComputeCategorySimilarity(int32_t l1, int32_t l2);
   /// Adds `delta` to bytes() and to the bytes gauge, if any.
   void AddBytes(int64_t delta);
+  /// Charges bytes() for whatever the memo's dense table grew by since it
+  /// measured `memo_bytes_before` (the memo sizes it at its first lookup).
+  void ChargeMemo(int64_t memo_bytes_before);
 
   TokenInterner* interner_;
   TokenPairMemo* memo_;

@@ -40,11 +40,10 @@ void WriteDurabilityJson(const DurabilityStats& stats, JsonWriter* w) {
   w->EndObject();
 }
 
-/// Applies an optional "config" sub-object onto `config`. Per-match phases
-/// always run single-threaded; concurrency comes from the scheduler's
-/// workers, so a client cannot choose a thread count.
+/// Applies an optional "config" sub-object onto `config`. Every match runs
+/// on one thread; concurrency comes from the scheduler's workers, so a
+/// client cannot choose a thread count.
 Status ApplyConfigJson(const JsonValue& v, CupidConfig* out) {
-  out->SetNumThreads(1);
   const JsonValue* config = v.Find("config");
   if (config == nullptr) return Status::OK();
   if (!config->is_object()) {

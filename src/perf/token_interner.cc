@@ -16,17 +16,22 @@ double TokenPairMemo::Compute(TokenId a, TokenId b) const {
                          *thesaurus_, opts_);
 }
 
-double TokenPairMemo::Similarity(TokenId a, TokenId b) {
-  if (!known_.empty()) {
-    size_t idx = static_cast<size_t>(a) * num_tokens_ + static_cast<size_t>(b);
-    if (known_[idx]) {
-      ++hits_;
-      return dense_[idx];
+double TokenPairMemo::SimilaritySlow(TokenId a, TokenId b) {
+  if (!sized_) {
+    sized_ = true;
+    if (interner_->size() <= kDenseLimit) {
+      num_dense_ = interner_->size();
+      dense_.assign(num_dense_ * num_dense_, 0.0);
+      known_.assign(num_dense_ * num_dense_, 0);
     }
+  }
+  const size_t ua = static_cast<size_t>(a), ub = static_cast<size_t>(b);
+  if (ua < num_dense_ && ub < num_dense_) {
+    // The inline path already served a known dense pair.
+    const size_t idx = ua * num_dense_ + ub;
     ++misses_;
     double sim = Compute(a, b);
-    size_t mirror =
-        static_cast<size_t>(b) * num_tokens_ + static_cast<size_t>(a);
+    size_t mirror = ub * num_dense_ + ua;
     dense_[idx] = sim;
     known_[idx] = 1;
     dense_[mirror] = sim;

@@ -8,7 +8,10 @@
 // pair instead of once per element pair.
 //
 // The memoized value is bit-identical to TokenSimilarity (it is computed by
-// calling it), so cached matching reproduces the naive lsim exactly.
+// calling it), so cached matching reproduces the naive lsim exactly. Every
+// match keeps its interner and memo in an LsimCache
+// (linguistic/lsim_cache.h): a one-shot match in a fresh one, a session or
+// a service in one that persists across matches.
 
 #ifndef CUPID_PERF_TOKEN_INTERNER_H_
 #define CUPID_PERF_TOKEN_INTERNER_H_
@@ -51,34 +54,41 @@ class TokenInterner {
 /// \brief Memoized TokenSimilarity over interned token ids.
 ///
 /// Keys are unordered (TokenSimilarity is symmetric), so (a,b) and (b,a)
-/// share one entry. For small vocabularies (the normal case — schemas draw
-/// from a few hundred distinct tokens) the memo is a dense array indexed by
-/// id pair, making a lookup two loads; larger vocabularies fall back to a
-/// hash map.
-///
-/// Construct AFTER interning is complete: the dense table is sized to the
-/// interner at construction time, and later ids would be out of range.
+/// share one entry. The first lookup sizes a dense table, indexed by id
+/// pair, to the tokens interned by then (a lookup is two loads) — unless
+/// the vocabulary is larger than kDenseLimit. Pairs involving an id interned
+/// later, and every pair of a too-large vocabulary, go to a hash map, so a
+/// memo can be built before interning is complete and keep serving while it
+/// grows.
 class TokenPairMemo {
  public:
-  /// All three referents must outlive the memo. Pass use_dense = false for
-  /// short-lived per-thread memos: the dense table costs a vocab-squared
-  /// zero-fill up front, which several concurrent memos would each repeat.
+  /// All three referents must outlive the memo.
   TokenPairMemo(const TokenInterner* interner, const Thesaurus* thesaurus,
-                const SubstringSimilarityOptions& opts, bool use_dense = true)
-      : interner_(interner), thesaurus_(thesaurus), opts_(opts),
-        num_tokens_(interner->size()) {
-    if (use_dense && num_tokens_ <= kDenseLimit) {
-      dense_.assign(num_tokens_ * num_tokens_, 0.0);
-      known_.assign(num_tokens_ * num_tokens_, 0);
-    }
-  }
+                const SubstringSimilarityOptions& opts)
+      : interner_(interner), thesaurus_(thesaurus), opts_(opts) {}
 
   /// TokenSimilarity of the two interned tokens; computed on first request
-  /// per unordered pair, served from the memo afterwards.
-  double Similarity(TokenId a, TokenId b);
+  /// per unordered pair, served from the memo afterwards. The dense hit path
+  /// is inline: the name-pair kernels call this for every token pair.
+  double Similarity(TokenId a, TokenId b) {
+    const size_t ua = static_cast<size_t>(a), ub = static_cast<size_t>(b);
+    if (ua < num_dense_ && ub < num_dense_) {
+      const size_t idx = ua * num_dense_ + ub;
+      if (known_[idx]) {
+        ++hits_;
+        return dense_[idx];
+      }
+    }
+    return SimilaritySlow(a, b);
+  }
 
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
+  /// Allocated bytes of the dense table (0 before the first lookup).
+  int64_t dense_bytes() const {
+    return static_cast<int64_t>(dense_.size() * sizeof(double) +
+                                known_.size() * sizeof(uint8_t));
+  }
 
  private:
   /// Above this vocabulary size the dense table (size^2 doubles) would cost
@@ -92,14 +102,18 @@ class TokenPairMemo {
   }
 
   double Compute(TokenId a, TokenId b) const;
+  /// Similarity past the dense hit path: sizes the dense table on the
+  /// first lookup, fills a dense miss, or serves the hash map.
+  double SimilaritySlow(TokenId a, TokenId b);
 
   const TokenInterner* interner_;
   const Thesaurus* thesaurus_;
   SubstringSimilarityOptions opts_;
-  size_t num_tokens_;
+  bool sized_ = false;
+  size_t num_dense_ = 0;        // ids below this index the dense table
   std::vector<double> dense_;   // both (a,b) and (b,a) slots are filled
   std::vector<uint8_t> known_;
-  std::unordered_map<uint64_t, double> memo_;  // fallback beyond kDenseLimit
+  std::unordered_map<uint64_t, double> memo_;  // pairs outside the table
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

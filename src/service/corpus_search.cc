@@ -79,14 +79,14 @@ struct ScoringShard {
 
   const Thesaurus* thesaurus = nullptr;
   CupidConfig config;
-  std::shared_ptr<const Schema> source;
+  std::shared_ptr<const Schema> source;  ///< keeps source_tree's schema
   /// The probe's side of every match, built once per search before any
-  /// slot is claimed and read-only afterwards: its tree and, with the
-  /// shared cache, its linguistic side prepared against `cache`.
+  /// slot is claimed and read-only afterwards: its tree and its linguistic
+  /// side prepared against `cache`.
   std::unique_ptr<const SchemaTree> source_tree;
   std::shared_ptr<const PreparedLsimSource> prepared;
   std::vector<std::shared_ptr<const Schema>> targets;  ///< one per slot
-  LsimCache* cache = nullptr;                          ///< null = unshared
+  LsimCache* cache = nullptr;  ///< the service's cache for this binding
 
   std::atomic<size_t> next{0};  ///< next unclaimed slot
   Mutex mu;
@@ -97,29 +97,25 @@ struct ScoringShard {
 
 /// Full three-phase match of the shard's probe against `target` — the
 /// pipeline of CupidMatcher::Match with the probe's side taken from the
-/// shard, and with the linguistic phase served from the shared cache when
-/// there is one (read-first: a candidate whose names, labels and their
-/// pairs the cache holds never takes its exclusive lock; every path
-/// produces bit-identical lsim, so the score never depends on which one
-/// ran). Only the leaf mapping is generated: it is all the score reads.
+/// shard, and with the linguistic phase served from the shared cache
+/// (read-first: a candidate whose names, labels and their pairs the cache
+/// holds never takes its exclusive lock; either way the lsim is
+/// bit-identical, so the score never depends on what the cache held). Only
+/// the leaf mapping is generated: it is all the score reads.
 Result<CandidateScore> ScoreCandidate(const ScoringShard& shard,
                                       const Schema& target) {
   const CupidConfig& config = shard.config;
   LinguisticMatcher linguistic(shard.thesaurus, config.linguistic);
-  LinguisticResult lres;
-  if (shard.prepared != nullptr) {
-    CUPID_ASSIGN_OR_RETURN(
-        lres, linguistic.Match(*shard.prepared, target, shard.cache));
-    static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
-        "cupid.corpus.shared_cache.hits",
-        "Candidates whose linguistic phase was served warm from the shared cache");
-    static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
-        "cupid.corpus.shared_cache.misses",
-        "Candidates that fell back to the exclusive cached path");
-    (lres.cache_filled ? shared_misses : shared_hits)->Increment();
-  } else {
-    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(*shard.source, target));
-  }
+  CUPID_ASSIGN_OR_RETURN(
+      LinguisticResult lres,
+      linguistic.Match(*shard.prepared, target, shard.cache));
+  static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
+      "cupid.corpus.shared_cache.hits",
+      "Candidates whose linguistic phase was served warm from the shared cache");
+  static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
+      "cupid.corpus.shared_cache.misses",
+      "Candidates that fell back to the exclusive cached path");
+  (lres.cache_filled ? shared_misses : shared_hits)->Increment();
 
   const SchemaTree& source_tree = *shard.source_tree;
   CUPID_ASSIGN_OR_RETURN(SchemaTree target_tree,
@@ -200,8 +196,6 @@ Status SearchRequest::Validate() const {
   return config.Validate();
 }
 
-Status CorpusSearchService::Options::Validate() const { return Status::OK(); }
-
 std::string SearchResponse::ToJson() const {
   JsonWriter w;
   w.BeginObject();
@@ -218,8 +212,6 @@ std::string SearchResponse::ToJson() const {
   w.Int(candidates_pruned);
   w.Key("full_matches");
   w.Int(full_matches);
-  w.Key("shared_cache");
-  w.Bool(shared_cache);
   w.Key("timings");
   w.BeginObject();
   w.Key("total_ms");
@@ -254,12 +246,8 @@ std::string SearchResponse::ToJson() const {
 
 CorpusSearchService::CorpusSearchService(const Thesaurus* thesaurus,
                                          SchemaRepository* repository,
-                                         JobScheduler* scheduler,
-                                         Options options)
-    : thesaurus_(thesaurus),
-      repository_(repository),
-      scheduler_(scheduler),
-      options_(options) {}
+                                         JobScheduler* scheduler)
+    : thesaurus_(thesaurus), repository_(repository), scheduler_(scheduler) {}
 
 LsimCache* CorpusSearchService::SharedCacheFor(const CupidConfig& config) {
   // Requests whose bindings agree share one cache — and one TokenInterner —
@@ -310,7 +298,6 @@ Result<SearchResponse> CorpusSearchService::Search(
   obs::ScopedSpan span("corpus.search");
 
   Clock::time_point t_start = Clock::now();
-  CUPID_RETURN_NOT_OK(options_.Validate());
   CUPID_RETURN_NOT_OK(request.Validate());
 
   CUPID_ASSIGN_OR_RETURN(
@@ -384,10 +371,7 @@ Result<SearchResponse> CorpusSearchService::Search(
   for (size_t idx : kept) {
     shard->targets.push_back(candidates[idx].snapshot.schema);
   }
-  if (options_.share_lsim_cache) {
-    shard->cache = SharedCacheFor(request.config);
-    response.shared_cache = true;
-  }
+  shard->cache = SharedCacheFor(request.config);
 
   // The probe's side of every match, once per search: its tree and, with
   // the shared cache, its names, categories and labels. Scorers only read
@@ -399,11 +383,9 @@ Result<SearchResponse> CorpusSearchService::Search(
         BuildSchemaTree(*source.schema, request.config.tree_build));
     shard->source_tree =
         std::make_unique<const SchemaTree>(std::move(source_tree));
-    if (shard->cache != nullptr) {
-      LinguisticMatcher linguistic(thesaurus_, request.config.linguistic);
-      CUPID_ASSIGN_OR_RETURN(shard->prepared,
-                             linguistic.Prepare(*source.schema, shard->cache));
-    }
+    LinguisticMatcher linguistic(thesaurus_, request.config.linguistic);
+    CUPID_ASSIGN_OR_RETURN(shard->prepared,
+                           linguistic.Prepare(*source.schema, shard->cache));
   }
   response.timings.prepare_ms = MsSince(t_prepare);
 
@@ -476,7 +458,6 @@ Result<SearchResponse> CorpusSearchService::Search(
   span.Attr("candidates_total", response.candidates_total);
   span.Attr("candidates_pruned", response.candidates_pruned);
   span.Attr("full_matches", response.full_matches);
-  span.Attr("shared_cache", response.shared_cache ? 1 : 0);
   span.Attr("prescreen_ms", response.timings.prescreen_ms);
   span.Attr("prepare_ms", response.timings.prepare_ms);
   span.Attr("match_ms", response.timings.match_ms);

@@ -29,7 +29,7 @@
 //
 // tests/corpus_search_test.cc pins the equality: ranked hits (order and
 // scores) match an exhaustive per-pair CupidMatcher sweep across thread
-// counts and with the shared cache on or off.
+// counts.
 
 #ifndef CUPID_SERVICE_CORPUS_SEARCH_H_
 #define CUPID_SERVICE_CORPUS_SEARCH_H_
@@ -123,8 +123,6 @@ struct SearchResponse {
   int64_t candidates_pruned = 0;
   /// Candidates that went through the full three-phase matcher.
   int64_t full_matches = 0;
-  /// The shared cross-pair LsimCache served this search.
-  bool shared_cache = false;
 
   SearchTimings timings;
 
@@ -149,17 +147,6 @@ double CorpusRankingScore(const SchemaTree& source_tree,
 /// \brief Ranked one-vs-N search front door over a SchemaRepository.
 class CorpusSearchService {
  public:
-  struct Options {
-    /// Serve linguistic name-pair work from one service-wide LsimCache per
-    /// option binding (off = every candidate pays its own linguistic
-    /// phase; results are bit-identical either way — the ablation knob the
-    /// bench and tests exercise).
-    bool share_lsim_cache = true;
-
-    /// InvalidArgument on out-of-domain values; checked on every Search.
-    Status Validate() const;
-  };
-
   /// `thesaurus` and `repository` must outlive the service. `scheduler` is
   /// optional (null = candidates run serially on the calling thread) and
   /// must also outlive the service; search adds at most one helper task
@@ -168,12 +155,8 @@ class CorpusSearchService {
   /// scores candidates itself and never waits for a helper to start, so a
   /// search may run on one of the scheduler's own workers.
   CorpusSearchService(const Thesaurus* thesaurus,
-                      SchemaRepository* repository, JobScheduler* scheduler,
-                      Options options);
-  CorpusSearchService(const Thesaurus* thesaurus,
                       SchemaRepository* repository,
-                      JobScheduler* scheduler = nullptr)
-      : CorpusSearchService(thesaurus, repository, scheduler, Options()) {}
+                      JobScheduler* scheduler = nullptr);
 
   CorpusSearchService(const CorpusSearchService&) = delete;
   CorpusSearchService& operator=(const CorpusSearchService&) = delete;
@@ -216,7 +199,6 @@ class CorpusSearchService {
   const Thesaurus* thesaurus_;
   SchemaRepository* repository_;
   JobScheduler* scheduler_;
-  Options options_;
 
   mutable Mutex caches_mu_;
   /// Keyed by LsimCacheBindingKey of the request's linguistic options.

@@ -1,15 +1,11 @@
-// A small fixed-size thread pool plus a deterministic ParallelFor helper.
-//
-// Used to parallelize the embarrassingly parallel row blocks of the lsim
-// matrix fill (TreeMatch is serial). Tasks must write disjoint
-// state; under that contract results are identical at any thread count,
-// which the perf tests assert.
+// A small fixed-size thread pool: the JobScheduler's workers
+// (service/job_scheduler.h). Every match runs on one thread; concurrency
+// comes from running many matches at once.
 
 #ifndef CUPID_UTIL_THREAD_POOL_H_
 #define CUPID_UTIL_THREAD_POOL_H_
 
 #include <algorithm>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -104,47 +100,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
 };
-
-/// \brief Runs body(begin, end) over [0, n) split into contiguous chunks.
-///
-/// Runs inline when `pool` is null, has one worker, or the range is tiny.
-/// Blocks until every chunk finished. Chunk boundaries depend only on n and
-/// the pool size, never on scheduling, so disjoint-write bodies are
-/// deterministic.
-inline void ParallelFor(ThreadPool* pool, int64_t n,
-                        const std::function<void(int64_t, int64_t)>& body) {
-  constexpr int64_t kMinPerThread = 16;
-  if (n <= 0) return;
-  if (pool == nullptr || pool->size() <= 1 || n < 2 * kMinPerThread) {
-    body(0, n);
-    return;
-  }
-  int64_t chunks = std::min<int64_t>(pool->size(), n / kMinPerThread);
-  chunks = std::max<int64_t>(chunks, 1);
-  int64_t chunk_size = (n + chunks - 1) / chunks;
-
-  Mutex mu;
-  CondVar done;
-  int64_t remaining = chunks;  // guarded by mu (local, so not annotatable)
-  for (int64_t c = 0; c < chunks; ++c) {
-    int64_t begin = c * chunk_size;
-    int64_t end = std::min(n, begin + chunk_size);
-    bool accepted = pool->Submit([&, begin, end] {
-      body(begin, end);
-      MutexLock lock(&mu);
-      if (--remaining == 0) done.SignalAll();
-    });
-    if (!accepted) {
-      // Pool shut down mid-loop: run the chunk inline so the barrier below
-      // still completes.
-      body(begin, end);
-      MutexLock lock(&mu);
-      if (--remaining == 0) done.SignalAll();
-    }
-  }
-  MutexLock lock(&mu);
-  while (remaining != 0) done.Wait(&mu);
-}
 
 }  // namespace cupid
 

@@ -111,33 +111,25 @@ TEST(CorpusSearch, ExhaustiveEqualsNaiveSweepAcrossExecutionModes) {
   std::vector<SearchHit> want = NaiveSweep(&thesaurus, request.config, &repo,
                                            "probe", request.top_k);
 
-  for (bool shared_cache : {false, true}) {
-    for (int threads : {0, 1, 4}) {  // 0 = no scheduler (serial path)
-      MatchService match_service(&thesaurus, &repo);
-      std::unique_ptr<JobScheduler> scheduler;
-      if (threads > 0) {
-        JobScheduler::Options sched_opt;
-        sched_opt.num_threads = threads;
-        scheduler = std::make_unique<JobScheduler>(&match_service, sched_opt);
-      }
-      CorpusSearchService::Options opt;
-      opt.share_lsim_cache = shared_cache;
-      CorpusSearchService search(&thesaurus, &repo, scheduler.get(), opt);
-
-      auto response = search.Search(request);
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      std::string context = std::string("shared_cache=") +
-                            (shared_cache ? "1" : "0") +
-                            " threads=" + std::to_string(threads);
-      EXPECT_EQ(response->candidates_total,
-                static_cast<int64_t>(corpus.targets.size()))
-          << context;
-      EXPECT_EQ(response->candidates_pruned, 0) << context;
-      EXPECT_EQ(response->full_matches, response->candidates_total)
-          << context;
-      EXPECT_EQ(response->shared_cache, shared_cache) << context;
-      ExpectHitsEqual(response->hits, want, context);
+  for (int threads : {0, 1, 4}) {  // 0 = no scheduler (serial path)
+    MatchService match_service(&thesaurus, &repo);
+    std::unique_ptr<JobScheduler> scheduler;
+    if (threads > 0) {
+      JobScheduler::Options sched_opt;
+      sched_opt.num_threads = threads;
+      scheduler = std::make_unique<JobScheduler>(&match_service, sched_opt);
     }
+    CorpusSearchService search(&thesaurus, &repo, scheduler.get());
+
+    auto response = search.Search(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    std::string context = "threads=" + std::to_string(threads);
+    EXPECT_EQ(response->candidates_total,
+              static_cast<int64_t>(corpus.targets.size()))
+        << context;
+    EXPECT_EQ(response->candidates_pruned, 0) << context;
+    EXPECT_EQ(response->full_matches, response->candidates_total) << context;
+    ExpectHitsEqual(response->hits, want, context);
   }
 }
 
@@ -186,9 +178,7 @@ TEST(CorpusSearch, SharedCacheAcrossProbesEqualsNaiveSweep) {
   JobScheduler::Options sched_opt;
   sched_opt.num_threads = 4;
   JobScheduler scheduler(&match_service, sched_opt);
-  CorpusSearchService::Options opt;
-  opt.share_lsim_cache = true;
-  CorpusSearchService search(&thesaurus, &repo, &scheduler, opt);
+  CorpusSearchService search(&thesaurus, &repo, &scheduler);
 
   const std::vector<std::string> probes = {"probe", corpus.names[3],
                                            corpus.names[17]};
@@ -205,7 +195,6 @@ TEST(CorpusSearch, SharedCacheAcrossProbesEqualsNaiveSweep) {
       request.exhaustive = true;
       auto response = search.Search(request);
       ASSERT_TRUE(response.ok()) << response.status().ToString();
-      EXPECT_TRUE(response->shared_cache);
       ExpectHitsEqual(response->hits, want[p],
                       "probe " + probes[p] + " round " +
                           std::to_string(round));

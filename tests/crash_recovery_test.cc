@@ -129,7 +129,6 @@ void ExpectWarmRematchIdentical(const SchemaRepository& repo,
   auto tgt_v1 = repo.Get("tgt", 1);
   ASSERT_TRUE(src_v1.ok() && tgt_v1.ok());
   CupidConfig config;
-  config.SetNumThreads(1);
   MatchSession session(&thesaurus, **src_v1, **tgt_v1, config);
   ASSERT_TRUE(session.Rematch().ok());
 

@@ -1,16 +1,10 @@
-// Tests for the future-work extensions: annotation similarity, mapping
-// composition/inversion, and parameter auto-tuning.
+// Tests for the future-work extension of annotation similarity.
 
 #include <gtest/gtest.h>
 
 #include "core/cupid_matcher.h"
-#include "eval/autotune.h"
-#include "eval/datasets.h"
-#include "eval/metrics.h"
 #include "importers/xml_schema_loader.h"
 #include "linguistic/annotations.h"
-#include "mapping/compose.h"
-#include "mapping/mapping_io.h"
 #include "thesaurus/default_thesaurus.h"
 
 namespace cupid {
@@ -120,213 +114,10 @@ TEST(AnnotationsTest, InvalidWeightRejected) {
   Thesaurus th;
   CupidConfig bad;
   bad.linguistic.annotation_weight = 1.5;
+  EXPECT_TRUE(bad.Validate().IsInvalidArgument());
   CupidMatcher m(&th, bad);
   Schema a("A"), b("B");
   EXPECT_TRUE(m.Match(a, b).status().IsInvalidArgument());
-}
-
-// ------------------------------------------------------------ composition --
-
-Mapping MakeMapping(const std::string& from, const std::string& to,
-                    std::vector<std::tuple<std::string, std::string, double>>
-                        triples) {
-  Mapping m;
-  m.source_schema = from;
-  m.target_schema = to;
-  for (auto& [s, t, w] : triples) {
-    MappingElement e;
-    e.source_path = s;
-    e.target_path = t;
-    e.wsim = e.ssim = e.lsim = w;
-    m.elements.push_back(std::move(e));
-  }
-  return m;
-}
-
-TEST(ComposeTest, TwoHopComposition) {
-  Mapping ab = MakeMapping("A", "B", {{"A.x", "B.u", 0.9}, {"A.y", "B.v", 0.8}});
-  Mapping bc = MakeMapping("B", "C", {{"B.u", "C.p", 0.9}, {"B.v", "C.q", 0.5}});
-  auto ac = ComposeMappings(ab, bc);
-  ASSERT_TRUE(ac.ok()) << ac.status().ToString();
-  EXPECT_EQ(ac->source_schema, "A");
-  EXPECT_EQ(ac->target_schema, "C");
-  ASSERT_EQ(ac->size(), 2u);
-  EXPECT_TRUE(ac->ContainsPair("A.x", "C.p"));
-  EXPECT_TRUE(ac->ContainsPair("A.y", "C.q"));
-  for (const MappingElement& e : ac->elements) {
-    if (e.source_path == "A.x") {
-      EXPECT_NEAR(e.wsim, 0.81, 1e-9);
-    }
-    if (e.source_path == "A.y") {
-      EXPECT_NEAR(e.wsim, 0.40, 1e-9);
-    }
-  }
-}
-
-TEST(ComposeTest, ThresholdDropsWeakChains) {
-  Mapping ab = MakeMapping("A", "B", {{"A.x", "B.u", 0.5}});
-  Mapping bc = MakeMapping("B", "C", {{"B.u", "C.p", 0.4}});
-  ComposeOptions opt;
-  opt.min_wsim = 0.25;
-  auto ac = ComposeMappings(ab, bc, opt);
-  ASSERT_TRUE(ac.ok());
-  EXPECT_TRUE(ac->empty());  // 0.5*0.4 = 0.2 < 0.25
-}
-
-TEST(ComposeTest, StrongestDerivationWins) {
-  Mapping ab = MakeMapping("A", "B",
-                           {{"A.x", "B.u", 0.9}, {"A.x", "B.v", 0.8}});
-  Mapping bc = MakeMapping("B", "C",
-                           {{"B.u", "C.p", 0.5}, {"B.v", "C.p", 0.9}});
-  auto ac = ComposeMappings(ab, bc);
-  ASSERT_TRUE(ac.ok());
-  ASSERT_EQ(ac->size(), 1u);
-  // Via v: 0.8*0.9 = 0.72 beats via u: 0.9*0.5 = 0.45.
-  EXPECT_NEAR(ac->elements[0].wsim, 0.72, 1e-9);
-}
-
-TEST(ComposeTest, MiddleSchemaMismatchRejected) {
-  Mapping ab = MakeMapping("A", "B", {});
-  Mapping xc = MakeMapping("X", "C", {});
-  EXPECT_TRUE(ComposeMappings(ab, xc).status().IsInvalidArgument());
-}
-
-TEST(ComposeTest, InvertSwapsEndpoints) {
-  Mapping ab = MakeMapping("A", "B", {{"A.x", "B.u", 0.9}});
-  Mapping ba = InvertMapping(ab);
-  EXPECT_EQ(ba.source_schema, "B");
-  EXPECT_EQ(ba.target_schema, "A");
-  EXPECT_TRUE(ba.ContainsPair("B.u", "A.x"));
-}
-
-TEST(ComposeTest, RealPipelineComposition) {
-  // A -> B -> A via two real matches composes to (a subset of) identity.
-  Dataset d = Fig2Dataset();
-  Thesaurus th = DefaultThesaurus();
-  CupidMatcher m(&th);
-  auto forward = m.Match(d.source, d.target);
-  ASSERT_TRUE(forward.ok());
-  Mapping backward = InvertMapping(forward->leaf_mapping);
-  auto round = ComposeMappings(forward->leaf_mapping, backward);
-  ASSERT_TRUE(round.ok());
-  for (const MappingElement& e : round->elements) {
-    if (e.source_path == e.target_path) continue;
-    // Any non-identity pair must come from a genuine 1:n ambiguity.
-    ADD_FAILURE() << "non-identity roundtrip: " << e.source_path << " -> "
-                  << e.target_path;
-  }
-}
-
-// ------------------------------------------------------------- mapping IO --
-
-TEST(MappingIoTest, SerializeParseRoundTrip) {
-  Mapping m = MakeMapping("PO", "PurchaseOrder",
-                          {{"PO.a.b", "PurchaseOrder.x.y", 0.875},
-                           {"PO.c", "PurchaseOrder.z", 0.5}});
-  auto parsed = ParseMapping(SerializeMapping(m));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->source_schema, "PO");
-  EXPECT_EQ(parsed->target_schema, "PurchaseOrder");
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_TRUE(parsed->ContainsPair("PO.a.b", "PurchaseOrder.x.y"));
-  EXPECT_NEAR(parsed->elements[0].wsim, 0.875, 1e-6);
-}
-
-TEST(MappingIoTest, ParseRejectsMalformed) {
-  EXPECT_TRUE(ParseMapping("").status().IsParseError());
-  EXPECT_TRUE(ParseMapping("a|b|1|1|1\n").status().IsParseError());
-  EXPECT_TRUE(
-      ParseMapping("mapping A -> B\na|b|1|1\n").status().IsParseError());
-  EXPECT_TRUE(
-      ParseMapping("mapping A -> B\na|b|2.0|1|1\n").status().IsParseError());
-  EXPECT_TRUE(
-      ParseMapping("mapping A -> B\na|b|x|1|1\n").status().IsParseError());
-  EXPECT_TRUE(ParseMapping("mapping A\n").status().IsParseError());
-}
-
-TEST(MappingIoTest, HandEditedFilesTolerated) {
-  // No version header, blank lines, comments.
-  auto m = ParseMapping(
-      "\n# reviewed by alice\nmapping A -> B\n\n"
-      "A.x|B.y|0.9|0.8|1.0\n");
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_EQ(m->size(), 1u);
-}
-
-TEST(MappingIoTest, SaveLoadRoundTrip) {
-  Mapping m = MakeMapping("A", "B", {{"A.x", "B.y", 0.75}});
-  std::string path = testing::TempDir() + "/cupid_mapping_test.map";
-  ASSERT_TRUE(SaveMapping(m, path).ok());
-  auto loaded = LoadMapping(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->ContainsPair("A.x", "B.y"));
-  std::remove(path.c_str());
-  EXPECT_TRUE(LoadMapping("/nonexistent/m.map").status().code() ==
-              StatusCode::kIoError);
-}
-
-TEST(MappingIoTest, StoredMappingsCompose) {
-  // The reuse workflow: match A->B today, B->C tomorrow, compose the stored
-  // files into A->C without re-matching.
-  Mapping ab = MakeMapping("A", "B", {{"A.x", "B.u", 0.9}});
-  Mapping bc = MakeMapping("B", "C", {{"B.u", "C.p", 0.8}});
-  auto ab2 = ParseMapping(SerializeMapping(ab));
-  auto bc2 = ParseMapping(SerializeMapping(bc));
-  ASSERT_TRUE(ab2.ok() && bc2.ok());
-  auto ac = ComposeMappings(*ab2, *bc2);
-  ASSERT_TRUE(ac.ok());
-  EXPECT_TRUE(ac->ContainsPair("A.x", "C.p"));
-}
-
-// --------------------------------------------------------------- autotune --
-
-TEST(AutoTuneTest, FindsAConfigAtLeastAsGoodAsDefault) {
-  Dataset fig2 = Fig2Dataset();
-  Thesaurus th = DefaultThesaurus();
-  std::vector<TuningCase> cases{{&fig2, &th}};
-  auto r = AutoTune(cases);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->surface.size(), 27u);  // 3x3x3 grid
-
-  CupidMatcher def(&th);
-  auto rd = def.Match(fig2.source, fig2.target);
-  ASSERT_TRUE(rd.ok());
-  double default_f1 = Evaluate(rd->leaf_mapping, fig2.gold).f1();
-  EXPECT_GE(r->best.mean_f1, default_f1);
-
-  // The winning config reproduces its reported score.
-  CupidMatcher best(&th, r->best_config);
-  auto rb = best.Match(fig2.source, fig2.target);
-  ASSERT_TRUE(rb.ok());
-  EXPECT_NEAR(Evaluate(rb->leaf_mapping, fig2.gold).f1(), r->best.mean_f1,
-              1e-9);
-}
-
-TEST(AutoTuneTest, MultipleCasesAveraged) {
-  Dataset fig2 = Fig2Dataset();
-  Dataset canonical = std::move(*CanonicalExample(5));
-  Thesaurus th = DefaultThesaurus();
-  std::vector<TuningCase> cases{{&fig2, &th}, {&canonical, &th}};
-  TuningGrid grid;
-  grid.th_accept = {0.5};
-  grid.wstruct_leaf = {0.5};
-  grid.c_inc = {1.3};
-  auto r = AutoTune(cases, {}, grid);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->surface.size(), 1u);
-  EXPECT_GT(r->best.mean_f1, 0.8);
-}
-
-TEST(AutoTuneTest, Validation) {
-  EXPECT_TRUE(AutoTune({}).status().IsInvalidArgument());
-  Dataset fig2 = Fig2Dataset();
-  std::vector<TuningCase> null_case{{&fig2, nullptr}};
-  EXPECT_TRUE(AutoTune(null_case).status().IsInvalidArgument());
-  Thesaurus th;
-  std::vector<TuningCase> ok_case{{&fig2, &th}};
-  TuningGrid empty;
-  empty.c_inc.clear();
-  EXPECT_TRUE(AutoTune(ok_case, {}, empty).status().IsInvalidArgument());
 }
 
 }  // namespace

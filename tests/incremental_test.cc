@@ -2,18 +2,21 @@
 // bit-identical to a from-scratch CupidMatcher run on the edited schemas —
 // the warm start may only skip work, never change results. Random edit
 // streams drive every edit kind through the session and compare lsim, node
-// similarities and both mappings value-for-value at every step, at 1 and N
-// threads.
+// similarities and both mappings value-for-value at every step, one stream
+// at a time and four at once over a shared LsimCache.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cupid_matcher.h"
 #include "eval/datasets.h"
 #include "eval/synthetic.h"
 #include "incremental/match_session.h"
+#include "linguistic/lsim_cache.h"
 #include "tests/match_diff_testutil.h"
 #include "thesaurus/default_thesaurus.h"
 #include "util/random.h"
@@ -21,17 +24,27 @@
 namespace cupid {
 namespace {
 
-/// Drives `num_edits` random edits through a session, asserting bitwise
-/// equality with from-scratch matching after every Rematch.
-void RunEditStream(const CupidConfig& config, uint64_t seed, int num_edits) {
+/// What an edit stream's session results are compared against after every
+/// Rematch.
+enum class Oracle {
+  kCupidMatcher,  ///< a cold CupidMatcher::Match
+  kReference,     ///< ReferenceMatch: the naive linguistic oracle
+};
+
+/// Drives `num_edits` random edits through a session over `cache` (null =
+/// the session's own), asserting bitwise equality with from-scratch
+/// matching after every Rematch.
+void RunEditStream(const Thesaurus* thesaurus, const CupidConfig& config,
+                   uint64_t seed, int num_edits, Oracle oracle,
+                   std::shared_ptr<LsimCache> cache = nullptr) {
   SyntheticOptions opt;
   opt.num_elements = 60;
   opt.seed = seed;
   SyntheticPair pair = GenerateSyntheticPair(opt);
-  Thesaurus thesaurus = DefaultThesaurus();
 
-  MatchSession session(&thesaurus, pair.source, pair.target, config);
-  CupidMatcher scratch(&thesaurus, config);
+  MatchSession session(thesaurus, pair.source, pair.target, config,
+                       std::move(cache));
+  CupidMatcher scratch(thesaurus, config);
   SplitMix64 rng(seed * 7919 + 13);
 
   for (int step = 0; step <= num_edits; ++step) {
@@ -43,7 +56,10 @@ void RunEditStream(const CupidConfig& config, uint64_t seed, int num_edits) {
     }
     auto inc = session.Rematch();
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-    auto ref = scratch.Match(session.source(), session.target());
+    auto ref = oracle == Oracle::kReference
+                   ? ReferenceMatch(thesaurus, config, session.source(),
+                                    session.target())
+                   : scratch.Match(session.source(), session.target());
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     ExpectIdenticalResults(**inc, *ref,
                     "seed " + std::to_string(seed) + " step " +
@@ -52,35 +68,40 @@ void RunEditStream(const CupidConfig& config, uint64_t seed, int num_edits) {
   }
 }
 
-CupidConfig SingleThreaded() {
-  CupidConfig config;
-  config.SetNumThreads(1);
-  return config;
-}
-
 TEST(MatchSessionPropertyTest, EditStreamBitIdenticalSingleThread) {
+  Thesaurus thesaurus = DefaultThesaurus();
   for (uint64_t seed : {1u, 2u, 3u}) {
-    RunEditStream(SingleThreaded(), seed, 12);
+    RunEditStream(&thesaurus, CupidConfig(), seed, 12, Oracle::kCupidMatcher);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(MatchSessionPropertyTest, EditStreamBitIdenticalMultiThread) {
+  // Four edit streams on four threads share one LsimCache, as a service's
+  // concurrent sessions do: fills by one stream must never change another's
+  // results.
+  Thesaurus thesaurus = DefaultThesaurus();
   CupidConfig config;
-  config.SetNumThreads(4);
-  RunEditStream(config, 11, 12);
+  auto cache = std::make_shared<LsimCache>(&thesaurus, config.linguistic);
+  std::vector<std::thread> streams;
+  for (uint64_t seed : {11u, 12u, 13u, 14u}) {
+    streams.emplace_back([&, seed] {
+      RunEditStream(&thesaurus, config, seed, 12, Oracle::kCupidMatcher,
+                    cache);
+    });
+  }
+  for (std::thread& t : streams) t.join();
 }
 
 TEST(MatchSessionPropertyTest, EditStreamBitIdenticalNaiveLinguistic) {
-  // The session always runs the cached linguistic pipeline; a scratch run
-  // configured with the naive reference path must still agree bit for bit.
-  CupidConfig config = SingleThreaded();
-  config.linguistic.use_perf_cache = false;
-  RunEditStream(config, 31, 8);
+  // The session runs the cached linguistic pipeline; the naive reference
+  // path must still agree bit for bit.
+  Thesaurus thesaurus = DefaultThesaurus();
+  RunEditStream(&thesaurus, CupidConfig(), 31, 8, Oracle::kReference);
 }
 
 TEST(MatchSessionPropertyTest, UnsupportedOptionsFallBackToFullRecompute) {
-  CupidConfig config = SingleThreaded();
+  CupidConfig config;
   config.tree_match.lazy_expansion = true;  // outside the warm-start subset
   SyntheticOptions opt;
   opt.num_elements = 40;
@@ -108,8 +129,7 @@ TEST(MatchSessionTest, SingleRenameUsesWarmStartAndReusesPairs) {
   opt.seed = 9;
   SyntheticPair pair = GenerateSyntheticPair(opt);
   Thesaurus thesaurus = DefaultThesaurus();
-  MatchSession session(&thesaurus, pair.source, pair.target,
-                       SingleThreaded());
+  MatchSession session(&thesaurus, pair.source, pair.target);
   ASSERT_TRUE(session.Rematch().ok());
   EXPECT_FALSE(session.last_stats().incremental);  // cold start
 
@@ -140,7 +160,7 @@ TEST(MatchSessionTest, TargetEditHandsOverTheSourceTree) {
   opt.seed = 12;
   SyntheticPair pair = GenerateSyntheticPair(opt);
   Thesaurus thesaurus = DefaultThesaurus();
-  CupidConfig config = SingleThreaded();
+  CupidConfig config;
   MatchSession session(&thesaurus, pair.source, pair.target, config);
   auto r0 = session.Rematch();
   ASSERT_TRUE(r0.ok()) << r0.status().ToString();
@@ -179,8 +199,7 @@ TEST(MatchSessionTest, ServesCachedResultWhenUnedited) {
   opt.seed = 4;
   SyntheticPair pair = GenerateSyntheticPair(opt);
   Thesaurus thesaurus = DefaultThesaurus();
-  MatchSession session(&thesaurus, pair.source, pair.target,
-                       SingleThreaded());
+  MatchSession session(&thesaurus, pair.source, pair.target);
   auto r1 = session.Rematch();
   ASSERT_TRUE(r1.ok());
   auto r2 = session.Rematch();
@@ -196,7 +215,7 @@ TEST(MatchSessionTest, EditErrors) {
   SyntheticPair pair = GenerateSyntheticPair(opt);
   std::string root = pair.source.name();
   MatchSession session(&thesaurus, std::move(pair.source),
-                       std::move(pair.target), SingleThreaded());
+                       std::move(pair.target));
 
   EXPECT_FALSE(session
                    .ApplyEdit(SchemaEdit::RenameElement(
@@ -228,7 +247,7 @@ TEST(MatchSessionTest, FailedRematchKeepsEditedSchemas) {
   opt.seed = 8;
   SyntheticPair pair = GenerateSyntheticPair(opt);
   Thesaurus thesaurus = DefaultThesaurus();
-  CupidConfig config = SingleThreaded();
+  CupidConfig config;
   MatchSession session(&thesaurus, pair.source, pair.target, config);
   ASSERT_TRUE(session.Rematch().ok());
 
@@ -260,7 +279,7 @@ TEST(MatchSessionTest, JoinViewSchemasFallBackButStayCorrect) {
   auto rdb = RdbSchema();
   auto star = StarSchema();
   ASSERT_TRUE(rdb.ok() && star.ok());
-  CupidConfig config = SingleThreaded();
+  CupidConfig config;
   MatchSession session(&thesaurus, *rdb, *star, config);
   ASSERT_TRUE(session.Rematch().ok());
   ASSERT_TRUE(session

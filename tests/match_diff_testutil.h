@@ -1,6 +1,7 @@
 // Shared helpers of the differential test harnesses (tests/incremental_test.cc,
-// tests/property_test.cc, tests/structural_test.cc): bitwise comparison of a
-// MatchSession result against a from-scratch CupidMatcher run, bitwise
+// tests/property_test.cc, tests/structural_test.cc, tests/perf_test.cc): a
+// from-scratch match whose linguistic phase is the naive oracle, bitwise
+// comparison of a MatchSession result against a from-scratch run, bitwise
 // comparison of a structural phase against the full-grid reference sweep,
 // and a seeded random schema-edit generator covering every supported edit
 // kind.
@@ -15,10 +16,41 @@
 
 #include "core/cupid_matcher.h"
 #include "incremental/schema_edit.h"
+#include "linguistic/linguistic_matcher.h"
 #include "structural/tree_match.h"
+#include "tree/tree_builder.h"
 #include "util/random.h"
 
 namespace cupid {
+
+/// A from-scratch match of `source` against `target` whose linguistic phase
+/// is the naive LinguisticMatchReference (no interning, memo or cache) and
+/// whose later phases are the library's: the oracle the cached, cold and
+/// incremental pipelines must equal bit for bit.
+inline Result<MatchResult> ReferenceMatch(const Thesaurus* thesaurus,
+                                          const CupidConfig& config,
+                                          const Schema& source,
+                                          const Schema& target) {
+  CUPID_ASSIGN_OR_RETURN(
+      LinguisticResult lres,
+      LinguisticMatchReference(thesaurus, config.linguistic, source, target));
+  CUPID_ASSIGN_OR_RETURN(SchemaTree source_tree,
+                         BuildSchemaTree(source, config.tree_build));
+  CUPID_ASSIGN_OR_RETURN(SchemaTree target_tree,
+                         BuildSchemaTree(target, config.tree_build));
+  CUPID_ASSIGN_OR_RETURN(
+      TreeMatchResult tm,
+      TreeMatch(source_tree, target_tree, lres.lsim,
+                config.type_compatibility, config.tree_match));
+  CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilarities(
+      source_tree, target_tree, config.tree_match, &tm));
+  Mapping leaf, nonleaf;
+  CUPID_RETURN_NOT_OK(GenerateStandardMappings(source_tree, target_tree, tm,
+                                               config, &leaf, &nonleaf));
+  return MatchResult{std::move(source_tree), std::move(target_tree),
+                     std::move(lres),        std::move(tm),
+                     std::move(leaf),        std::move(nonleaf)};
+}
 
 /// Bitwise comparison of a session result against a from-scratch run:
 /// element lsim, all three node-similarity matrices, and both mappings,

@@ -289,6 +289,8 @@ double SpanAttr(const obs::SpanRecord& span, const char* key) {
 
 /// A cold session.rematch span attributes its time to the phases that ran:
 /// the sweep and the Section 7 recompute, not the mapping stage after them.
+/// A CupidMatcher::Match runs the same pipeline and reports the same phases
+/// under a cupid.match span.
 TEST(TraceTest, ColdRematchSpanReportsSweepAndRecompute) {
   SyntheticOptions opt;
   opt.num_elements = 60;
@@ -296,27 +298,40 @@ TEST(TraceTest, ColdRematchSpanReportsSweepAndRecompute) {
   SyntheticPair pair = GenerateSyntheticPair(opt);
   Thesaurus thesaurus = DefaultThesaurus();
   CupidConfig config;
-  config.SetNumThreads(1);
   MatchSession session(&thesaurus, pair.source, pair.target, config);
+  CupidMatcher matcher(&thesaurus, config);
 
   obs::VectorTraceSink sink;
   {
     ScopedSink installed(&sink);
     auto result = session.Rematch();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto direct = matcher.Match(pair.source, pair.target);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   }
   ASSERT_FALSE(session.last_stats().incremental);
-  int rematch_spans = 0;
+  int rematch_spans = 0, match_spans = 0;
   for (const obs::SpanRecord& span : sink.spans()) {
-    if (std::string(span.name) != "session.rematch") continue;
-    ++rematch_spans;
-    EXPECT_EQ(SpanAttr(span, "warm"), 0.0);
-    EXPECT_EQ(SpanAttr(span, "delta_ms"), 0.0);  // cold runs build no delta
-    EXPECT_GT(SpanAttr(span, "sweep_ms"), 0.0);
-    EXPECT_GT(SpanAttr(span, "recompute_ms"), 0.0);
-    EXPECT_GE(SpanAttr(span, "mapping_ms"), 0.0);
+    const std::string name = span.name;
+    if (name == "session.rematch") {
+      ++rematch_spans;
+    } else if (name == "cupid.match") {
+      ++match_spans;
+    } else {
+      continue;
+    }
+    EXPECT_EQ(SpanAttr(span, "warm"), 0.0) << name;
+    EXPECT_EQ(SpanAttr(span, "delta_ms"), 0.0) << name;  // no delta when cold
+    EXPECT_GT(SpanAttr(span, "linguistic_ms"), 0.0) << name;
+    EXPECT_GT(SpanAttr(span, "trees_ms"), 0.0) << name;
+    EXPECT_GT(SpanAttr(span, "sweep_ms"), 0.0) << name;
+    EXPECT_GT(SpanAttr(span, "recompute_ms"), 0.0) << name;
+    EXPECT_GE(SpanAttr(span, "mapping_ms"), 0.0) << name;
+    EXPECT_GE(SpanAttr(span, "commit_ms"), 0.0) << name;
+    EXPECT_EQ(SpanAttr(span, "gathered_rows"), 0.0) << name;
   }
   EXPECT_EQ(rematch_spans, 1);
+  EXPECT_EQ(match_spans, 1);
 }
 
 /// The tentpole guarantee: tracing must never influence match results.
@@ -329,7 +344,6 @@ TEST(TraceTest, TracingOnOffIsBitIdentical) {
   SyntheticPair pair = GenerateSyntheticPair(opt);
   Thesaurus thesaurus = DefaultThesaurus();
   CupidConfig config;
-  config.SetNumThreads(1);
 
   MatchSession traced_session(&thesaurus, pair.source, pair.target, config);
   MatchSession plain_session(&thesaurus, pair.source, pair.target, config);

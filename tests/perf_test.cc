@@ -1,7 +1,7 @@
-// Tests for the performance layer (src/perf, src/util/thread_pool.h) and
+// Tests for the performance layer (src/perf, linguistic/lsim_cache.h) and
 // its integration: interner identity, memo hit semantics, cached-vs-naive
-// bit-for-bit equivalence, thread-count determinism, and the hashed path
-// index.
+// bit-for-bit equivalence against LinguisticMatchReference, and the hashed
+// path index.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "perf/token_interner.h"
 #include "schema/schema_builder.h"
 #include "structural/tree_match.h"
+#include "tests/match_diff_testutil.h"
 #include "thesaurus/default_thesaurus.h"
 #include "tree/tree_builder.h"
 #include "util/thread_pool.h"
@@ -74,6 +75,19 @@ TEST(TokenPairMemoTest, MissesOncePerDistinctPairThenHits) {
   // The memoized value IS the naive TokenSimilarity.
   EXPECT_EQ(first, TokenSimilarity({"price", TokenType::kContent},
                                    {"cost", TokenType::kContent}, th, opts));
+
+  // The first lookup sized the dense table to the two tokens interned by
+  // then; a token interned later is served by the hash fallback, still
+  // with one miss per distinct pair.
+  EXPECT_GT(memo.dense_bytes(), 0);
+  TokenId amount = interner.Intern({"amount", TokenType::kContent});
+  double late = memo.Similarity(amount, price);
+  EXPECT_EQ(memo.misses(), 2);
+  EXPECT_EQ(memo.Similarity(price, amount), late);
+  EXPECT_EQ(memo.misses(), 2);
+  EXPECT_EQ(memo.hits(), 3);
+  EXPECT_EQ(late, TokenSimilarity({"amount", TokenType::kContent},
+                                  {"price", TokenType::kContent}, th, opts));
 }
 
 TEST(InternedNamesTest, SimilarityMatchesNaiveElementNameSimilarity) {
@@ -106,77 +120,29 @@ TEST(ThreadPoolTest, EffectiveThreadsResolvesZeroToHardware) {
   EXPECT_EQ(ThreadPool::EffectiveThreads(3), 3);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversTheRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<int> counts(1000, 0);
-  ParallelFor(&pool, 1000, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) counts[static_cast<size_t>(i)]++;
-  });
-  for (int c : counts) EXPECT_EQ(c, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForRunsInlineWithoutPool) {
-  std::atomic<int64_t> sum{0};
-  ParallelFor(nullptr, 100, [&](int64_t begin, int64_t end) {
-    sum += end - begin;
-  });
-  EXPECT_EQ(sum.load(), 100);
-}
-
 // ------------------------------------------- cached vs naive lsim equality --
 
-LinguisticOptions NaiveLinguistic() {
-  LinguisticOptions o;
-  o.use_perf_cache = false;
-  return o;
-}
-
 TEST(PerfEquivalenceTest, CachedLsimEqualsNaiveBitForBit) {
-  SyntheticOptions sopt;
-  sopt.num_elements = 120;
-  sopt.seed = 7;
-  SyntheticPair p = GenerateSyntheticPair(sopt);
   Thesaurus th = DefaultThesaurus();
-
-  LinguisticMatcher naive(&th, NaiveLinguistic());
-  LinguisticOptions cached_opts;
-  cached_opts.num_threads = 1;
-  LinguisticMatcher cached(&th, cached_opts);
-
-  auto rn = naive.Match(p.source, p.target);
-  auto rc = cached.Match(p.source, p.target);
-  ASSERT_TRUE(rn.ok());
-  ASSERT_TRUE(rc.ok());
-  EXPECT_EQ(rn->comparisons, rc->comparisons);
-  ASSERT_EQ(rn->lsim.rows(), rc->lsim.rows());
-  ASSERT_EQ(rn->lsim.cols(), rc->lsim.cols());
-  for (int64_t i = 0; i < rn->lsim.rows(); ++i) {
-    for (int64_t j = 0; j < rn->lsim.cols(); ++j) {
-      ASSERT_EQ(rn->lsim(i, j), rc->lsim(i, j)) << "at (" << i << "," << j
-                                                << ")";
-    }
-  }
-}
-
-TEST(PerfEquivalenceTest, LsimIsIdenticalAtAnyThreadCount) {
-  SyntheticOptions sopt;
-  sopt.num_elements = 90;
-  sopt.seed = 21;
-  SyntheticPair p = GenerateSyntheticPair(sopt);
-  Thesaurus th = DefaultThesaurus();
-
-  LinguisticOptions one;
-  one.num_threads = 1;
-  LinguisticOptions four;
-  four.num_threads = 4;
-  auto r1 = LinguisticMatcher(&th, one).Match(p.source, p.target);
-  auto r4 = LinguisticMatcher(&th, four).Match(p.source, p.target);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r4.ok());
-  EXPECT_EQ(r1->comparisons, r4->comparisons);
-  for (int64_t i = 0; i < r1->lsim.rows(); ++i) {
-    for (int64_t j = 0; j < r1->lsim.cols(); ++j) {
-      ASSERT_EQ(r1->lsim(i, j), r4->lsim(i, j));
+  LinguisticOptions options;
+  LinguisticMatcher cached(&th, options);
+  for (int elements : {16, 64, 256, 1024}) {
+    SyntheticOptions sopt;
+    sopt.num_elements = elements;
+    sopt.seed = 7;
+    SyntheticPair p = GenerateSyntheticPair(sopt);
+    auto rn = LinguisticMatchReference(&th, options, p.source, p.target);
+    auto rc = cached.Match(p.source, p.target);
+    ASSERT_TRUE(rn.ok());
+    ASSERT_TRUE(rc.ok());
+    EXPECT_EQ(rn->comparisons, rc->comparisons) << elements << " elements";
+    ASSERT_EQ(rn->lsim.rows(), rc->lsim.rows());
+    ASSERT_EQ(rn->lsim.cols(), rc->lsim.cols());
+    for (int64_t i = 0; i < rn->lsim.rows(); ++i) {
+      for (int64_t j = 0; j < rn->lsim.cols(); ++j) {
+        ASSERT_EQ(rn->lsim(i, j), rc->lsim(i, j))
+            << elements << " elements, at (" << i << "," << j << ")";
+      }
     }
   }
 }
@@ -189,27 +155,13 @@ TEST(PerfEquivalenceTest, EndToEndMatchIsIdenticalWithAndWithoutCaches) {
   sopt.seed = 99;
   SyntheticPair p = GenerateSyntheticPair(sopt);
   Thesaurus th = DefaultThesaurus();
+  CupidConfig config;
 
-  CupidConfig cached_cfg;
-  cached_cfg.linguistic.use_perf_cache = true;
-  cached_cfg.SetNumThreads(1);
-  CupidConfig naive_cfg = cached_cfg;
-  naive_cfg.linguistic.use_perf_cache = false;
-
-  auto rc = CupidMatcher(&th, cached_cfg).Match(p.source, p.target);
-  auto rn = CupidMatcher(&th, naive_cfg).Match(p.source, p.target);
+  auto rc = CupidMatcher(&th, config).Match(p.source, p.target);
+  auto rn = ReferenceMatch(&th, config, p.source, p.target);
   ASSERT_TRUE(rc.ok());
   ASSERT_TRUE(rn.ok());
-  const NodeSimilarities& sc = rc->tree_match.sims;
-  const NodeSimilarities& sn = rn->tree_match.sims;
-  ASSERT_EQ(sc.source_nodes(), sn.source_nodes());
-  ASSERT_EQ(sc.target_nodes(), sn.target_nodes());
-  for (TreeNodeId s = 0; s < sc.source_nodes(); ++s) {
-    for (TreeNodeId t = 0; t < sc.target_nodes(); ++t) {
-      ASSERT_EQ(sn.lsim(s, t), sc.lsim(s, t));
-      ASSERT_EQ(sn.wsim(s, t), sc.wsim(s, t));
-    }
-  }
+  ExpectIdenticalResults(*rc, *rn, "cached vs naive");
 }
 
 // ------------------------------------------------------ lsim cache growth --
@@ -233,7 +185,6 @@ void ExpectLsimEqual(const LinguisticResult& got, const LinguisticResult& want,
 TEST(LsimCacheTest, TableGrowsOnlyTheOverflowingDimension) {
   Thesaurus th = DefaultThesaurus();
   LinguisticOptions options;
-  options.num_threads = 1;
   LinguisticMatcher matcher(&th, options);
   LsimCache cache(&th, options);
 
@@ -258,7 +209,7 @@ TEST(LsimCacheTest, TableGrowsOnlyTheOverflowingDimension) {
         << "after " << k + 1 << " targets (" << rows << " x " << cols
         << " names)";
     if (k == 999) {
-      auto plain = matcher.Match(source, target);
+      auto plain = LinguisticMatchReference(&th, options, source, target);
       ASSERT_TRUE(plain.ok());
       EXPECT_EQ(cached->comparisons, plain->comparisons);
       for (int64_t i = 0; i < plain->lsim.rows(); ++i) {
@@ -368,7 +319,7 @@ TEST(LsimCacheTest, LabelFillsAloneSetCacheFilled) {
     auto got = matcher.Match(**prepared, target, &cache);
     ASSERT_TRUE(got.ok()) << step;
     EXPECT_EQ(got->cache_filled, filled) << step;
-    auto want = matcher.Match(s, target);
+    auto want = LinguisticMatchReference(&th, options, s, target);
     ASSERT_TRUE(want.ok());
     ExpectLsimEqual(*got, *want, step);
   };
@@ -407,7 +358,7 @@ TEST(LsimCacheTest, PreparedSourceIsBoundToItsCache) {
 /// that differ only in thns or use_categories share the cache (neither is
 /// part of its binding). Every Match(s1, s2, cache), every MatchGather
 /// patching from another pair, and concurrent readers of the warm cache
-/// must equal the uncached Match(s1, s2) bit for bit.
+/// must equal LinguisticMatchReference bit for bit.
 TEST(LsimCacheTest, SharedLabelTableEqualsUncachedAcrossPairsAndOptions) {
   Thesaurus th = DefaultThesaurus();
   std::vector<Schema> sources, targets;
@@ -432,17 +383,15 @@ TEST(LsimCacheTest, SharedLabelTableEqualsUncachedAcrossPairsAndOptions) {
   variants[3].name = "no-categories";
   variants[3].options.use_categories = false;
   for (Variant& v : variants) {
-    v.options.num_threads = 1;
     v.options.gather_full_rebuild_fraction = 1.0;  // always patch
   }
 
-  // Uncached reference per (variant, source, target).
+  // Naive reference per (variant, source, target).
   std::vector<LinguisticResult> want;
   for (const Variant& v : variants) {
-    LinguisticMatcher matcher(&th, v.options);
     for (const Schema& s : sources) {
       for (const Schema& t : targets) {
-        auto r = matcher.Match(s, t);
+        auto r = LinguisticMatchReference(&th, v.options, s, t);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         want.push_back(std::move(*r));
       }

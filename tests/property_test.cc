@@ -227,44 +227,28 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdProperty,
 //
 // The visit-list engine's contract: every warm Rematch is bit-identical to
 // from-scratch matching — matrices AND mappings — and its structural phase
-// to the full-grid reference sweep, with the persistent lsim cache on/off
-// and at 1/N threads. Seeded random schemas take random 20-edit
-// streams applied in batches of 1-3 edits per Rematch (incremental_test.cc
-// covers the one-edit-per-rematch cadence), and the harness additionally
-// asserts the gather fast paths actually engaged, so a silent fallback to
-// the slow path cannot masquerade as coverage.
-
-struct DiffCase {
-  bool lsim_cache;  // persistent perf/lsim cache; off = naive reference
-  int threads;
-  uint64_t seed;
-};
-
-std::string DiffCaseName(const testing::TestParamInfo<DiffCase>& info) {
-  const DiffCase& c = info.param;
-  return std::string("lc") + (c.lsim_cache ? "on" : "off") + "_t" +
-         std::to_string(c.threads) +
-         "_seed" + std::to_string(c.seed);
-}
+// to the full-grid reference sweep. The from-scratch side runs the naive
+// linguistic oracle (ReferenceMatch). Seeded random schemas take random
+// 20-edit streams applied in batches of 1-3 edits per Rematch
+// (incremental_test.cc covers the one-edit-per-rematch cadence), and the
+// harness additionally asserts the gather fast paths actually engaged, so a
+// silent fallback to the slow path cannot masquerade as coverage.
 
 class IncrementalDifferentialProperty
-    : public testing::TestWithParam<DiffCase> {};
+    : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
-  const DiffCase& c = GetParam();
+  const uint64_t seed = GetParam();
   CupidConfig config;
-  config.SetNumThreads(c.threads);
-  config.linguistic.use_perf_cache = c.lsim_cache;
 
   SyntheticOptions opt;
   opt.num_elements = 55;
-  opt.seed = c.seed;
+  opt.seed = seed;
   SyntheticPair pair = GenerateSyntheticPair(opt);
   Thesaurus thesaurus = DefaultThesaurus();
 
   MatchSession session(&thesaurus, pair.source, pair.target, config);
-  CupidMatcher scratch(&thesaurus, config);
-  SplitMix64 rng(c.seed * 104729 + 17);
+  SplitMix64 rng(seed * 104729 + 17);
 
   ASSERT_TRUE(session.Rematch().ok());
   bool gathered_lsim = false;
@@ -277,15 +261,16 @@ TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
       SchemaEdit edit = RandomSessionEdit(&rng, session.source(),
                                           session.target(), ++edits_applied);
       ASSERT_TRUE(session.ApplyEdit(edit).ok())
-          << "seed " << c.seed << " edit " << edits_applied << " path "
+          << "seed " << seed << " edit " << edits_applied << " path "
           << edit.path;
     }
     auto inc = session.Rematch();
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-    auto ref = scratch.Match(session.source(), session.target());
+    auto ref = ReferenceMatch(&thesaurus, config, session.source(),
+                              session.target());
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     const std::string context =
-        "seed " + std::to_string(c.seed) + " step " + std::to_string(++step) +
+        "seed " + std::to_string(seed) + " step " + std::to_string(++step) +
         " (edits " + std::to_string(edits_applied) + ")";
     ExpectIdenticalResults(**inc, *ref, context);
     if (::testing::Test::HasFatalFailure()) return;
@@ -294,27 +279,16 @@ TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
     warm_used |= session.last_stats().incremental;
     gathered_lsim |= session.last_stats().lsim_gathered_rows > 0;
   }
-  // The stream must have exercised the warm structural path, and — with the
-  // persistent cache on — the lsim gather (copied rows on at least one
-  // step). Otherwise the equality above proved nothing about the fast
-  // paths under test.
+  // The stream must have exercised the warm structural path and the lsim
+  // gather (copied rows on at least one step). Otherwise the equality above
+  // proved nothing about the fast paths under test.
   EXPECT_TRUE(warm_used) << "no Rematch took the incremental path";
-  if (c.lsim_cache) {
-    EXPECT_TRUE(gathered_lsim) << "no Rematch went down the lsim gather";
-  }
+  EXPECT_TRUE(gathered_lsim) << "no Rematch went down the lsim gather";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CacheMatrix, IncrementalDifferentialProperty,
-    testing::Values(
-        // Both cache settings at one thread...
-        DiffCase{false, 1, 101}, DiffCase{true, 1, 102},
-        DiffCase{false, 1, 103}, DiffCase{true, 1, 104},
-        // ...both at N threads...
-        DiffCase{true, 4, 105}, DiffCase{false, 4, 106},
-        // ...and extra seeds on the production configuration.
-        DiffCase{true, 1, 107}, DiffCase{true, 1, 108}),
-    DiffCaseName);
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferentialProperty,
+                         testing::Values(101, 102, 103, 104, 105, 106, 107,
+                                         108));
 
 }  // namespace
 }  // namespace cupid

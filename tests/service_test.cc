@@ -82,12 +82,6 @@ void ExpectIdenticalToDirect(const MatchResponse& response,
                      context + " nonleaf");
 }
 
-CupidConfig SingleThreaded() {
-  CupidConfig config;
-  config.SetNumThreads(1);
-  return config;
-}
-
 /// Edge lines sorted: reloading may renumber elements (a foreign key parsed
 /// inline sits at a different id than one linked after all tables), which
 /// permutes PrintSchemaEdges line order without changing the edge set.
@@ -252,7 +246,7 @@ struct ServiceFixture {
     EXPECT_TRUE(repo.Register("order", Fig2PurchaseOrder()).ok());
   }
 
-  MatchRequest Request(const CupidConfig& config = SingleThreaded()) {
+  MatchRequest Request(const CupidConfig& config = CupidConfig()) {
     MatchRequest request;
     request.source = "po";
     request.target = "order";
@@ -273,7 +267,7 @@ TEST(MatchServiceTest, ServesBitIdenticalMappings) {
   EXPECT_FALSE(r1->session_reused);
   EXPECT_EQ(r1->source_version, 1);
   EXPECT_EQ(r1->target_version, 1);
-  ExpectIdenticalToDirect(*r1, fx.repo, fx.thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*r1, fx.repo, fx.thesaurus, CupidConfig(),
                           "cold");
 
   // Identical request: served from the result cache, same mappings.
@@ -289,7 +283,7 @@ TEST(MatchServiceTest, ServesBitIdenticalMappings) {
   ASSERT_TRUE(r3.ok());
   EXPECT_FALSE(r3->result_cache_hit);
   EXPECT_TRUE(r3->session_reused);
-  ExpectIdenticalToDirect(*r3, fx.repo, fx.thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*r3, fx.repo, fx.thesaurus, CupidConfig(),
                           "warm session");
 
   // Session opt-out: one-shot matcher, still identical.
@@ -299,7 +293,7 @@ TEST(MatchServiceTest, ServesBitIdenticalMappings) {
   auto r4 = fx.service.Match(direct);
   ASSERT_TRUE(r4.ok());
   EXPECT_FALSE(r4->session_reused);
-  ExpectIdenticalToDirect(*r4, fx.repo, fx.thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*r4, fx.repo, fx.thesaurus, CupidConfig(),
                           "direct");
 
   MatchService::CacheStats stats = fx.service.cache_stats();
@@ -324,7 +318,7 @@ TEST(MatchServiceTest, RepositoryEditTakesIncrementalPath) {
   EXPECT_TRUE(r->incremental);  // the edit chain warm-started Rematch
   EXPECT_FALSE(r->result_cache_hit);
   EXPECT_GT(r->stats.tree_match.pairs_reused, 0);
-  ExpectIdenticalToDirect(*r, fx.repo, fx.thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*r, fx.repo, fx.thesaurus, CupidConfig(),
                           "post-edit");
 
   // Multi-edit chain (two repository edits between requests).
@@ -342,7 +336,7 @@ TEST(MatchServiceTest, RepositoryEditTakesIncrementalPath) {
   auto r2 = fx.service.Match(fx.Request());
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->incremental);
-  ExpectIdenticalToDirect(*r2, fx.repo, fx.thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*r2, fx.repo, fx.thesaurus, CupidConfig(),
                           "post-edit-chain");
   EXPECT_GE(fx.service.cache_stats().incremental_rematches, 2);
 }
@@ -358,7 +352,7 @@ TEST(MatchServiceTest, ReRegistrationRebuildsCold) {
   EXPECT_EQ(r->source_version, 2);
   EXPECT_FALSE(r->session_reused);
   EXPECT_FALSE(r->incremental);
-  ExpectIdenticalToDirect(*r, fx.repo, fx.thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*r, fx.repo, fx.thesaurus, CupidConfig(),
                           "re-registered");
 }
 
@@ -374,7 +368,7 @@ TEST(MatchServiceTest, ExplicitVersionsServeOldSnapshots) {
   auto r = fx.service.Match(old);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->source_version, 1);
-  ExpectIdenticalToDirect(*r, fx.repo, fx.thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*r, fx.repo, fx.thesaurus, CupidConfig(),
                           "pinned version");
   // Distinct cache keys: latest is not served from the pinned entry.
   auto latest = fx.service.Match(fx.Request());
@@ -420,7 +414,6 @@ TEST(MatchServiceTest, RecoveredRepositoryRewarmsIncrementalSessions) {
   MatchRequest request;
   request.source = "po";
   request.target = "order";
-  request.config = SingleThreaded();
 
   // Warm a session on the oldest version pair...
   MatchRequest pinned = request;
@@ -437,7 +430,7 @@ TEST(MatchServiceTest, RecoveredRepositoryRewarmsIncrementalSessions) {
   EXPECT_EQ(warm->source_version, 3);
   EXPECT_TRUE(warm->session_reused);
   EXPECT_TRUE(warm->incremental);
-  ExpectIdenticalToDirect(*warm, *recovered, thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*warm, *recovered, thesaurus, CupidConfig(),
                           "post-recovery incremental");
   EXPECT_GE(service.cache_stats().incremental_rematches, 1);
 }
@@ -464,7 +457,6 @@ TEST(MatchServiceTest, LruEvictionAtCapacity) {
   MatchRequest forward;
   forward.source = "po";
   forward.target = "order";
-  forward.config = SingleThreaded();
   MatchRequest backward = forward;
   backward.source = "order";
   backward.target = "po";
@@ -494,7 +486,6 @@ TEST(MatchServiceTest, CacheStatsMirrorTheMetricsRegistry) {
   MatchRequest request;
   request.source = "po";
   request.target = "order";
-  request.config = SingleThreaded();
   ASSERT_TRUE(service.Match(request).ok());  // miss, creates a session
   ASSERT_TRUE(service.Match(request).ok());  // result-cache hit
 
@@ -548,7 +539,6 @@ TEST(MatchServiceTest, SessionLruEvictionRewarmsBitIdentically) {
   MatchRequest forward;
   forward.source = "po";
   forward.target = "order";
-  forward.config = SingleThreaded();
   MatchRequest backward = forward;
   backward.source = "order";
   backward.target = "po";
@@ -564,7 +554,7 @@ TEST(MatchServiceTest, SessionLruEvictionRewarmsBitIdentically) {
   ASSERT_TRUE(rewarmed.ok()) << rewarmed.status().ToString();
   EXPECT_FALSE(rewarmed->session_reused);
   EXPECT_EQ(service.cache_stats().sessions_created, 3);
-  ExpectIdenticalToDirect(*rewarmed, repo, thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*rewarmed, repo, thesaurus, CupidConfig(),
                           "re-warmed after eviction");
 
   // The re-warmed session keeps working incrementally: a repository edit
@@ -577,7 +567,7 @@ TEST(MatchServiceTest, SessionLruEvictionRewarmsBitIdentically) {
   ASSERT_TRUE(after_edit.ok()) << after_edit.status().ToString();
   EXPECT_TRUE(after_edit->session_reused);
   EXPECT_TRUE(after_edit->incremental);
-  ExpectIdenticalToDirect(*after_edit, repo, thesaurus, SingleThreaded(),
+  ExpectIdenticalToDirect(*after_edit, repo, thesaurus, CupidConfig(),
                           "incremental on re-warmed session");
 }
 
@@ -594,7 +584,6 @@ TEST(MatchServiceTest, SessionLruTouchKeepsHotPairs) {
   MatchRequest ab;  // pair A
   ab.source = "po";
   ab.target = "order";
-  ab.config = SingleThreaded();
   MatchRequest ba = ab;  // pair B
   ba.source = "order";
   ba.target = "po";
@@ -626,7 +615,7 @@ TEST(MatchServiceTest, ConcurrentClientsBitIdentical) {
   ASSERT_TRUE(repo.Register("excel", std::move(*excel)).ok());
   MatchService service(&thesaurus, &repo);
 
-  const CupidConfig config = SingleThreaded();
+  const CupidConfig config = CupidConfig();
   struct Pair {
     const char* source;
     const char* target;
@@ -754,7 +743,7 @@ TEST(MatchServiceTest, PerSourceLsimCachesUnderChurnBitIdentical) {
   obs::Gauge* live_caches = metrics.GetGauge("cupid.service.lsim_caches", "");
   obs::Gauge* cache_bytes =
       metrics.GetGauge("cupid.service.lsim_cache_bytes", "");
-  const CupidConfig config = SingleThreaded();
+  const CupidConfig config = CupidConfig();
 
   auto request_for = [&](int source, int target) {
     MatchRequest request;
@@ -839,7 +828,7 @@ TEST(JobSchedulerTest, BatchesAtOneAndManyWorkersBitIdentical) {
   ASSERT_TRUE(repo.Register("po", Fig2Po()).ok());
   ASSERT_TRUE(repo.Register("order", Fig2PurchaseOrder()).ok());
 
-  const CupidConfig config = SingleThreaded();
+  const CupidConfig config = CupidConfig();
   CupidMatcher matcher(&thesaurus, config);
   auto ref = matcher.Match(**repo.Get("po"), **repo.Get("order"));
   ASSERT_TRUE(ref.ok());
@@ -885,7 +874,6 @@ TEST(JobSchedulerTest, BatchSurfacesPerRequestErrors) {
   MatchRequest good;
   good.source = "po";
   good.target = "order";
-  good.config = SingleThreaded();
   MatchRequest bad = good;
   bad.target = "nosuch";
   auto results = scheduler.MatchBatch({good, bad, good});

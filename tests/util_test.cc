@@ -263,19 +263,6 @@ TEST(ThreadPoolTest, SubmitAfterShutdownIsRejected) {
   pool.Shutdown();  // idempotent
 }
 
-TEST(ThreadPoolTest, ParallelForSurvivesShutdownPool) {
-  ThreadPool pool(4);
-  pool.Shutdown();
-  // All chunks run inline on the caller when the pool rejects them; the
-  // barrier must still complete with every index visited exactly once
-  // (chunks are disjoint, so plain ints suffice).
-  std::vector<int> hits(256, 0);
-  ParallelFor(&pool, 256, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) ++hits[static_cast<size_t>(i)];
-  });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
 // -------------------------------------------------------------------- json --
 
 TEST(JsonWriterTest, ObjectsArraysAndCommas) {
