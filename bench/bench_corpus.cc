@@ -18,9 +18,13 @@
 //                                    exhaustive ranking must equal the naive
 //                                    one and pruned hits their naive scores,
 //                                    bit for bit, and the generated probe's
-//                                    pruned top-1 its exhaustive top-1; CI
-//                                    requires the mismatch counters to be
-//                                    exactly 0
+//                                    pruned top-1 its exhaustive top-1; the
+//                                    pruned search follows the exhaustive
+//                                    one, so its candidates all come from
+//                                    the memo of prepared candidates
+//                                    (warm_prepared_misses counts any that
+//                                    did not); CI requires the mismatch and
+//                                    warm-miss counters to be exactly 0
 //
 // CI runs this with --benchmark_out=BENCH_corpus.json, asserts the guards
 // and that the pruned+shared-cache search beats the naive loop by the
@@ -35,6 +39,7 @@
 
 #include "core/cupid_matcher.h"
 #include "eval/synthetic.h"
+#include "obs/metrics.h"
 #include "service/corpus_search.h"
 #include "service/job_scheduler.h"
 #include "service/match_service.h"
@@ -191,8 +196,16 @@ BENCHMARK(BM_CorpusSearchPruned)
 /// wholesale and every pruned hit must score exactly as its naive match;
 /// for the generated probe the pruned top hit must also be the exhaustive
 /// one. The second probe reads the shared cache's tables the first filled.
+/// Candidates prepared for the corpus memo so far, process-wide.
+int64_t PreparedMisses() {
+  return obs::MetricsRegistry::Default()
+      ->GetCounter("cupid.corpus.prepared.misses", "")
+      ->value();
+}
+
 void BM_CorpusPrunedEqualsExhaustive(benchmark::State& state) {
   double top1_mismatch = 0.0, score_mismatch = 0.0, rank_mismatch = 0.0;
+  double warm_prepared_misses = 0.0;
   for (auto _ : state) {
     std::unique_ptr<Workload> workload = Workload::Create();
     if (workload == nullptr) {
@@ -212,8 +225,12 @@ void BM_CorpusPrunedEqualsExhaustive(benchmark::State& state) {
           NaiveSweep(&thesaurus, *workload, probe, kNumTargets);
       auto exhaustive = search.Search(
           workload->Request(/*exhaustive=*/true, probe, kNumTargets));
+      // Every candidate was prepared by the exhaustive search just above.
+      const int64_t misses_before = PreparedMisses();
       auto pruned = search.Search(workload->Request(/*exhaustive=*/false,
                                                     probe));
+      warm_prepared_misses +=
+          static_cast<double>(PreparedMisses() - misses_before);
       if (naive.empty() || !exhaustive.ok() || !pruned.ok()) {
         state.SkipWithError("search failed");
         return;
@@ -253,6 +270,7 @@ void BM_CorpusPrunedEqualsExhaustive(benchmark::State& state) {
   state.counters["top1_mismatch"] = top1_mismatch;
   state.counters["score_mismatch"] = score_mismatch;
   state.counters["rank_mismatch"] = rank_mismatch;
+  state.counters["warm_prepared_misses"] = warm_prepared_misses;
 }
 BENCHMARK(BM_CorpusPrunedEqualsExhaustive)
     ->Iterations(1)

@@ -38,6 +38,11 @@
 // "config" takes th_accept and one_to_one. Every match runs its phases
 // single-threaded; concurrency comes from the --threads workers.
 //
+// Socket mode never reaches the server's filesystem on a client's behalf:
+// "register" with "file", "save" and "load" fail with Unsupported there,
+// so socket clients register schemas as "text". Stdin mode keeps all three
+// (the process's own operator issues them).
+//
 // Subscriptions (socket mode only): after the ok-response, every schema
 // edit touching the pair produces an asynchronous
 // {"v":1,"event":"push",...} frame carrying the delta against the previous

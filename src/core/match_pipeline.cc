@@ -8,12 +8,47 @@
 #include <vector>
 
 #include "linguistic/lsim_cache.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tree/tree_builder.h"
 
 namespace cupid {
 
 namespace {
+
+/// The `cupid.match.phase_ms.*` histograms: every pipeline run, cold or
+/// warm, adds one sample to each (a phase that did not run adds 0).
+struct PhaseHistograms {
+  obs::Histogram* linguistic;
+  obs::Histogram* trees;
+  obs::Histogram* delta;
+  obs::Histogram* sweep;
+  obs::Histogram* recompute;
+  obs::Histogram* mapping;
+
+  static const PhaseHistograms& Get() {
+    static const PhaseHistograms histograms = [] {
+      obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
+      auto get = [reg](const char* name, const char* help) {
+        return reg->GetHistogram(name, help);
+      };
+      return PhaseHistograms{
+          get("cupid.match.phase_ms.linguistic",
+              "Match pipeline: linguistic phase (cold match or gather), ms"),
+          get("cupid.match.phase_ms.trees",
+              "Match pipeline: schema tree builds, ms"),
+          get("cupid.match.phase_ms.delta",
+              "Match pipeline: warm-start delta build (0 when cold), ms"),
+          get("cupid.match.phase_ms.sweep",
+              "Match pipeline: TreeMatch sweep, ms"),
+          get("cupid.match.phase_ms.recompute",
+              "Match pipeline: Section 7 non-leaf recompute, ms"),
+          get("cupid.match.phase_ms.mapping",
+              "Match pipeline: mapping generation, ms")};
+    }();
+    return histograms;
+  }
+};
 
 bool HasJoinViews(const SchemaTree& tree) {
   for (TreeNodeId n = 0; n < tree.num_nodes(); ++n) {
@@ -556,11 +591,18 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
       std::move(lres), std::move(tmres), std::move(leaf_mapping),
       std::move(nonleaf_mapping)};
   if (snapshot != nullptr) snapshot->warm = warm;
+  auto ms = [](auto a, auto b) {
+    return std::chrono::duration<double, std::milli>(b - a).count();
+  };
+  const PhaseHistograms& phases = PhaseHistograms::Get();
+  phases.linguistic->Observe(ms(t0, t1));
+  phases.trees->Observe(ms(t1, t2));
+  phases.delta->Observe(ms(t2, t3));
+  phases.sweep->Observe(ms(t3, t4));
+  phases.recompute->Observe(ms(t4, t5));
+  phases.mapping->Observe(ms(t5, t6));
   if (span.enabled()) {
     auto t7 = std::chrono::steady_clock::now();
-    auto ms = [](auto a, auto b) {
-      return std::chrono::duration<double, std::milli>(b - a).count();
-    };
     span.Attr("linguistic_ms", ms(t0, t1));
     span.Attr("trees_ms", ms(t1, t2));
     span.Attr("delta_ms", ms(t2, t3));

@@ -52,7 +52,9 @@ struct MatchSnapshot {
 ///
 /// A non-null `snapshot` (which must not alias past->sweep_ssim) receives
 /// what the next warm run needs. Phase times go to a span named
-/// `span_name`.
+/// `span_name` and, one sample per phase per run, to the
+/// `cupid.match.phase_ms.{linguistic,trees,delta,sweep,recompute,mapping}`
+/// histograms of the default metrics registry.
 Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
                                      const CupidConfig& config,
                                      const Schema& source,

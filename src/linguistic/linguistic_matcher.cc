@@ -33,23 +33,24 @@ std::vector<NormalizedName> NormalizeAll(const Schema& schema,
 /// pruning change cannot diverge them.
 Matrix<float> ScatterBestScale(const LinguisticOptions& options,
                                const Matrix<float>& cat_sim,
-                               const Categorization& categories1,
-                               const Categorization& categories2,
-                               int64_t rows, int64_t cols) {
-  const auto& cats1 = categories1.categories;
-  const auto& cats2 = categories2.categories;
+                               const CategoryMembers& cats1,
+                               const CategoryMembers& cats2, int64_t rows,
+                               int64_t cols) {
   Matrix<float> best_scale(rows, cols);
   if (!options.use_categories) {
     best_scale.Fill(1.0f);
     return best_scale;
   }
-  for (size_t i = 0; i < cats1.size(); ++i) {
-    for (size_t j = 0; j < cats2.size(); ++j) {
-      float scale = cat_sim(static_cast<int64_t>(i), static_cast<int64_t>(j));
+  const size_t n1 = cats1.num_categories(), n2 = cats2.num_categories();
+  for (size_t i = 0; i < n1; ++i) {
+    const float* sim_row = cat_sim.row(static_cast<int64_t>(i));
+    for (size_t j = 0; j < n2; ++j) {
+      float scale = sim_row[j];
       if (scale <= options.thns) continue;  // incompatible categories
-      for (ElementId e1 : cats1[i].members) {
-        for (ElementId e2 : cats2[j].members) {
-          float& cell = best_scale(e1, e2);
+      for (int32_t a = cats1.begin[i]; a < cats1.begin[i + 1]; ++a) {
+        float* out = best_scale.row(cats1.members[static_cast<size_t>(a)]);
+        for (int32_t b = cats2.begin[j]; b < cats2.begin[j + 1]; ++b) {
+          float& cell = out[cats2.members[static_cast<size_t>(b)]];
           cell = std::max(cell, scale);
         }
       }
@@ -76,8 +77,8 @@ Matrix<float> ComputeBestScale(const LinguisticOptions& options,
                                                 options.substring));
     }
   }
-  return ScatterBestScale(options, cat_sim, categories1, categories2, rows,
-                          cols);
+  return ScatterBestScale(options, cat_sim, CategoryMembers::Of(categories1),
+                          CategoryMembers::Of(categories2), rows, cols);
 }
 
 /// Annotation vectors, built once per documented element (Section 10's
@@ -270,6 +271,35 @@ Status ValidateLinguisticOptions(const LinguisticOptions& options) {
   return Status::OK();
 }
 
+CategoryMembers CategoryMembers::Of(const Categorization& categories) {
+  CategoryMembers out;
+  out.begin.reserve(categories.categories.size() + 1);
+  out.begin.push_back(0);
+  for (const Category& c : categories.categories) {
+    out.members.insert(out.members.end(), c.members.begin(), c.members.end());
+    out.begin.push_back(static_cast<int32_t>(out.members.size()));
+  }
+  return out;
+}
+
+int64_t PreparedLsimSide::kernel_bytes() const {
+  int64_t bytes = static_cast<int64_t>(sizeof(PreparedLsimSide));
+  bytes += static_cast<int64_t>(
+      (name_ids.capacity() + label_ids.capacity() +
+       category_members.begin.capacity()) *
+          sizeof(int32_t) +
+      category_members.members.capacity() * sizeof(ElementId) +
+      docs.capacity() * sizeof(AnnotationVector));
+  for (const AnnotationVector& doc : docs) {
+    bytes += static_cast<int64_t>(doc.terms.capacity() *
+                                  sizeof(doc.terms[0]));
+    for (const auto& term : doc.terms) {
+      bytes += static_cast<int64_t>(term.first.size());
+    }
+  }
+  return bytes;
+}
+
 Status LinguisticMatcher::CheckCacheBinding(const LsimCache& cache) const {
   if (cache.thesaurus_ != thesaurus_) {
     return Status::InvalidArgument(
@@ -296,7 +326,8 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
 namespace {
 
 /// Run-local inputs of the lsim scatter: per-element distinct-name indices,
-/// the best category scale per element pair, and annotation vectors.
+/// the best category scale per element pair, and annotation vectors (either
+/// vector may be empty: no element of that side is documented).
 struct ScatterInputs {
   const LinguisticOptions* options;
   const std::vector<int32_t>* of_element1;
@@ -319,11 +350,13 @@ int64_t ScatterRows(const ScatterInputs& in, int64_t begin, int64_t end,
   const double w = in.options->annotation_weight;
   const int64_t cols = lsim->cols();
   const int32_t* idx2 = in.of_element2->data();
+  const bool any_docs = w > 0.0 && !in.docs1->empty() && !in.docs2->empty();
   for (int64_t e1 = begin; e1 < end; ++e1) {
     const int32_t d1 = (*in.of_element1)[static_cast<size_t>(e1)];
     const float* scale_row = in.best_scale->row(e1);
     float* lsim_row = lsim->row(e1);
-    const bool blend = w > 0.0 && !(*in.docs1)[static_cast<size_t>(e1)].empty();
+    const bool blend =
+        any_docs && !(*in.docs1)[static_cast<size_t>(e1)].empty();
     int64_t local = 0;
     for (int64_t e2 = 0; e2 < cols; ++e2) {
       float scale = scale_row[e2];
@@ -351,87 +384,91 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2,
                                                   LsimCache* cache) const {
   if (cache == nullptr) return Match(s1, s2);
-  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedLsimSource> source,
-                         Prepare(s1, cache));
-  CUPID_ASSIGN_OR_RETURN(LinguisticResult out, Match(*source, s2, cache));
-  out.cache_filled = out.cache_filled || source->cache_filled;
+  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedLsimSide> side1,
+                         Prepare(s1, LsimSide::kSource, cache));
+  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedLsimSide> side2,
+                         Prepare(s2, LsimSide::kTarget, cache));
+  CUPID_ASSIGN_OR_RETURN(LinguisticResult out, Match(*side1, *side2, cache));
+  out.cache_filled =
+      out.cache_filled || side1->cache_filled || side2->cache_filled;
   return out;
 }
 
-Result<std::shared_ptr<const PreparedLsimSource>> LinguisticMatcher::Prepare(
-    const Schema& s1, LsimCache* cache) const {
+Result<std::shared_ptr<PreparedLsimSide>> LinguisticMatcher::Prepare(
+    const Schema& schema, LsimSide side, LsimCache* cache) const {
   if (cache == nullptr) {
     return Status::InvalidArgument("Prepare requires an LsimCache");
   }
   CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
-  auto source = std::make_shared<PreparedLsimSource>();
-  source->cache_id = cache->id_;
-  source->cache_filled = cache->LookupNames(
-      LsimCache::Side::kSource, s1, normalizer_, &source->name_ids,
-      &source->names);
-  source->categories = std::make_shared<const Categorization>(
-      CategorizeSchema(s1, *source->names, normalizer_));
-  // Labels are registered even when categories are off: a prepared source
+  auto prepared = std::make_shared<PreparedLsimSide>();
+  prepared->cache_id = cache->id_;
+  prepared->side = side;
+  prepared->cache_filled = cache->LookupNames(
+      side, schema, normalizer_, &prepared->name_ids, &prepared->names);
+  prepared->categories = std::make_shared<const Categorization>(
+      CategorizeSchema(schema, *prepared->names, normalizer_));
+  prepared->category_members = CategoryMembers::Of(*prepared->categories);
+  // Labels are registered even when categories are off: a prepared side
   // serves any matcher bound to the cache, whatever its use_categories.
-  if (cache->LookupLabels(LsimCache::Side::kSource, *source->categories,
-                          &source->label_ids)) {
-    source->cache_filled = true;
+  if (cache->LookupLabels(side, *prepared->categories,
+                          &prepared->label_ids)) {
+    prepared->cache_filled = true;
   }
-  source->docs = BuildDocs(s1, *thesaurus_);
-  return std::shared_ptr<const PreparedLsimSource>(std::move(source));
+  const ElementId n = schema.num_elements();
+  for (ElementId e = 0; e < n; ++e) {
+    if (!schema.element(e).documentation.empty()) {
+      prepared->docs = BuildDocs(schema, *thesaurus_);
+      break;
+    }
+  }
+  return prepared;
 }
 
 Result<LinguisticResult> LinguisticMatcher::Match(
-    const PreparedLsimSource& source, const Schema& s2,
+    const PreparedLsimSide& side1, const PreparedLsimSide& side2,
     LsimCache* cache) const {
   if (cache == nullptr) {
-    return Status::InvalidArgument("a prepared source requires its LsimCache");
+    return Status::InvalidArgument("prepared sides require their LsimCache");
   }
   CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
-  if (source.cache_id != cache->id_) {
+  if (side1.cache_id != cache->id_ || side2.cache_id != cache->id_) {
     return Status::InvalidArgument(
-        "prepared source belongs to another LsimCache");
+        "prepared side belongs to another LsimCache");
+  }
+  if (side1.side != LsimSide::kSource || side2.side != LsimSide::kTarget) {
+    return Status::InvalidArgument(
+        "Match takes a source-prepared side, then a target-prepared side");
   }
 
   LinguisticResult out;
-  out.names1 = source.names;
-  out.categories1 = source.categories;
-  std::vector<int32_t> of_element2;
-  out.cache_filled = cache->LookupNames(LsimCache::Side::kTarget, s2,
-                                        normalizer_, &of_element2,
-                                        &out.names2);
-  out.categories2 = std::make_shared<const Categorization>(
-      CategorizeSchema(s2, *out.names2, normalizer_));
-  const int64_t rows = static_cast<int64_t>(source.name_ids.size());
-  out.lsim = Matrix<float>(rows, s2.num_elements());
+  out.names1 = side1.names;
+  out.categories1 = side1.categories;
+  out.names2 = side2.names;
+  out.categories2 = side2.categories;
+  const int64_t rows = static_cast<int64_t>(side1.name_ids.size());
+  const int64_t cols = static_cast<int64_t>(side2.name_ids.size());
+  out.lsim = Matrix<float>(rows, cols);
 
   // Category scaling reads the cache's label-pair table: a category's
   // keywords are a pure function of its label, so each label pair's
   // similarity is computed once per cache, bit-identical to recomputing it.
   Matrix<float> cat_sim;
-  if (options_.use_categories) {
-    std::vector<int32_t> labels2;
-    if (cache->LookupLabels(LsimCache::Side::kTarget, *out.categories2,
-                            &labels2)) {
-      out.cache_filled = true;
-    }
-    if (cache->CategorySimilarities(source.label_ids, labels2, &cat_sim)) {
-      out.cache_filled = true;
-    }
+  if (options_.use_categories &&
+      cache->CategorySimilarities(side1.label_ids, side2.label_ids,
+                                  &cat_sim)) {
+    out.cache_filled = true;
   }
   Matrix<float> best_scale =
-      ScatterBestScale(options_, cat_sim, *out.categories1, *out.categories2,
-                       rows, s2.num_elements());
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0) docs2 = BuildDocs(s2, *thesaurus_);
+      ScatterBestScale(options_, cat_sim, side1.category_members,
+                       side2.category_members, rows, cols);
 
   // Serial scatter (the server runs one match per worker; parallelism
   // comes from concurrent matches over the shared cache). Read-first: rows
   // are served under the shared lock until the first name pair never
   // computed; the exclusive pass resumes from that row and fills only the
   // pairs this schema pair needs.
-  const ScatterInputs in{&options_,   &source.name_ids, &of_element2,
-                         &best_scale, &source.docs,     &docs2};
+  const ScatterInputs in{&options_,   &side1.name_ids, &side2.name_ids,
+                         &best_scale, &side1.docs,     &side2.docs};
   int64_t resume;
   {
     SharedReaderLock lock(&cache->mu_);

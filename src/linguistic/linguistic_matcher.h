@@ -61,7 +61,10 @@ struct LinguisticResult {
   /// categorizations derived from them. Shared pointers: an incremental
   /// re-match whose side is unchanged reuses the previous run's vectors
   /// without copying the underlying strings (they are immutable once
-  /// built); always non-null after a successful Match/MatchGather.
+  /// built). Non-null after a successful Match(s1, s2[, cache]) or
+  /// MatchGather; the kernel Match(side1, side2, cache) copies them from the
+  /// prepared sides, so a side prepared without them (a corpus search's
+  /// memoized candidates, service/corpus_search.h) leaves them null.
   std::shared_ptr<const std::vector<NormalizedName>> names1;
   std::shared_ptr<const std::vector<NormalizedName>> names2;
   std::shared_ptr<const Categorization> categories1;
@@ -75,31 +78,61 @@ struct LinguisticResult {
   /// MatchGather runs only: lsim rows bulk-copied from the previous run
   /// (0 when the gather fell back to the batch pipeline).
   int64_t gathered_rows = 0;
-  /// Match(..., cache) runs only: the run took the cache's exclusive lock to
-  /// register names or category labels, or to compute name or label pairs
-  /// (false = served entirely under the shared lock).
+  /// Cached runs: the run took the cache's exclusive lock to register names
+  /// or category labels, or to compute name or label pairs (false = served
+  /// entirely under the shared lock). The kernel reports its own work only;
+  /// Match(s1, s2, cache) also counts its two preparations.
   bool cache_filled = false;
 };
 
-/// \brief The source side of cached matches, prepared once by
+/// Which side of the cache's registries a prepared side indexes: the first
+/// (source, lsim rows) or the second (target, lsim columns) schema.
+enum class LsimSide { kSource, kTarget };
+
+/// \brief The categories of one schema as the lsim kernel reads them: per
+/// category, its members (category c holds members[begin[c]] up to
+/// members[begin[c + 1]]).
+struct CategoryMembers {
+  std::vector<int32_t> begin;
+  std::vector<ElementId> members;
+
+  static CategoryMembers Of(const Categorization& categories);
+  size_t num_categories() const {
+    return begin.empty() ? 0 : begin.size() - 1;
+  }
+};
+
+/// \brief One schema's side of cached matches, prepared once by
 /// LinguisticMatcher::Prepare against one LsimCache and then shared,
-/// read-only, by any number of Match(source, s2, cache) calls — one corpus
-/// search prepares its probe once for all its candidates. Everything here is
-/// a pure function of the source schema under the cache's binding.
-struct PreparedLsimSource {
-  /// Identity of the LsimCache the registry indices below belong to; Match
-  /// rejects any other cache.
+/// read-only, by any number of kernel calls Match(side1, side2, cache) — a
+/// corpus search prepares its probe once per search and each stored
+/// candidate once per version. Everything here is a pure function of the
+/// schema under the cache's binding.
+struct PreparedLsimSide {
+  /// Identity of the LsimCache the registry indices below belong to, and
+  /// the side of its registries they index; the kernel rejects any other
+  /// cache or a side passed in the wrong position.
   uint64_t cache_id = 0;
-  /// Per element: index in the cache's source name registry.
+  LsimSide side = LsimSide::kSource;
+  /// What the kernel reads. Per element: index in the cache's name registry
+  /// of `side`.
   std::vector<int32_t> name_ids;
+  /// Per category: index in the cache's label registry of `side`.
+  std::vector<int32_t> label_ids;
+  CategoryMembers category_members;
+  /// Per element annotation vector (empty for undocumented elements); empty
+  /// altogether when no element is documented.
+  std::vector<AnnotationVector> docs;
+  /// What the kernel passes through to LinguisticResult: normalized names
+  /// and the full categorization. Prepare fills them; an owner that keeps
+  /// the side only for the kernel may drop them (they are most of its size).
   std::shared_ptr<const std::vector<NormalizedName>> names;
   std::shared_ptr<const Categorization> categories;
-  /// Per category: index in the cache's source label registry.
-  std::vector<int32_t> label_ids;
-  /// Per element annotation vector (empty for undocumented elements).
-  std::vector<AnnotationVector> docs;
   /// Preparing took the cache's exclusive lock.
   bool cache_filled = false;
+
+  /// Estimated heap bytes of the kernel's part (the vectors above `names`).
+  int64_t kernel_bytes() const;
 };
 
 /// \brief Element correspondence between the current schema pair and the
@@ -154,34 +187,38 @@ class LinguisticMatcher {
 
   /// \brief Match serving name- and label-level work from a cross-run cache
   /// (linguistic/lsim_cache.h), which many matches may share:
-  /// Prepare(s1, cache), then Match(prepared, s2, cache). Bit-identical to
+  /// Prepare(s1, kSource, cache), Prepare(s2, kTarget, cache), then the
+  /// kernel Match(side1, side2, cache). Bit-identical to
   /// LinguisticMatchReference: cached values were computed by the same pure
   /// functions. The cache must be bound to this matcher's thesaurus and
-  /// options; a null cache means a fresh one. LinguisticResult::
-  /// cache_filled reports an exclusive lock taken by either step.
+  /// options; a null cache means a fresh one.
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2,
                                  LsimCache* cache) const;
 
-  /// \brief The source half of Match(s1, s2, cache): registers s1's names
-  /// and category labels in `cache` (read-first: the exclusive lock only
-  /// for ones never seen), categorizes s1 and builds its annotation
-  /// vectors. The result serves any number of targets, concurrently.
-  Result<std::shared_ptr<const PreparedLsimSource>> Prepare(
-      const Schema& s1, LsimCache* cache) const;
+  /// \brief Prepares one schema as `side` of later kernel calls: registers
+  /// its names and category labels in `cache` (read-first: the exclusive
+  /// lock only for ones never seen), categorizes it and builds its
+  /// annotation vectors. Independent of thns, use_categories and
+  /// annotation_weight, so a prepared side serves any matcher bound to the
+  /// cache, concurrently.
+  Result<std::shared_ptr<PreparedLsimSide>> Prepare(const Schema& schema,
+                                                    LsimSide side,
+                                                    LsimCache* cache) const;
 
-  /// \brief The target half of Match(s1, s2, cache), for a source prepared
-  /// against this same `cache` (another cache is InvalidArgument).
+  /// \brief The pair work of a cached match, for a source-prepared `side1`
+  /// and a target-prepared `side2`, both prepared against this `cache`
+  /// (another cache, or swapped sides, is InvalidArgument): category
+  /// similarities read from the cache's label-pair table, the best-scale
+  /// pruning and the lsim scatter.
   ///
-  /// Read-first: names and labels are looked up, category similarities read
-  /// from the cache's label-pair table and name-pair similarities scattered
-  /// under a SHARED hold of the cache mutex, so matches over a warm cache
-  /// run concurrently. Only a name or label the cache never registered, or
-  /// a needed name or label pair it never computed, takes the mutex
-  /// exclusively — and then registers and fills just this pair's missing
-  /// entries. What depends on s2's shape (its categorization, the best-scale
-  /// pruning, the lsim scatter) runs per call, serially.
-  Result<LinguisticResult> Match(const PreparedLsimSource& source,
-                                 const Schema& s2, LsimCache* cache) const;
+  /// Read-first: label pairs are read and name-pair similarities scattered
+  /// under a SHARED hold of the cache mutex, so kernels over a warm cache
+  /// run concurrently. Only a needed name or label pair the cache never
+  /// computed takes the mutex exclusively, and then fills just this pair's
+  /// missing entries.
+  Result<LinguisticResult> Match(const PreparedLsimSide& side1,
+                                 const PreparedLsimSide& side2,
+                                 LsimCache* cache) const;
 
   /// \brief The incremental lsim gather: rows/columns of unchanged elements
   /// are bulk-copied from `prev.lsim` (the previous run's result under the

@@ -94,14 +94,14 @@ LsimCache::SideNames::Collect(const std::vector<int32_t>& of_element) const {
 }
 
 bool LsimCache::LookupNames(
-    Side side, const Schema& schema, const NameNormalizer& normalizer,
+    LsimSide side, const Schema& schema, const NameNormalizer& normalizer,
     std::vector<int32_t>* ids,
     std::shared_ptr<const std::vector<NormalizedName>>* names) {
   ids->clear();
   ids->reserve(static_cast<size_t>(schema.num_elements()));
   {
     SharedReaderLock lock(&mu_);
-    const SideNames& registry = side == Side::kSource ? side1_ : side2_;
+    const SideNames& registry = side == LsimSide::kSource ? side1_ : side2_;
     for (ElementId e : schema.AllElements()) {
       auto it = registry.ids.find(schema.element(e).name);
       if (it == registry.ids.end()) break;
@@ -113,7 +113,7 @@ bool LsimCache::LookupNames(
     }
   }
   SharedMutexLock lock(&mu_);
-  SideNames& registry = side == Side::kSource ? side1_ : side2_;
+  SideNames& registry = side == LsimSide::kSource ? side1_ : side2_;
   ids->clear();
   for (ElementId e : schema.AllElements()) {
     ids->push_back(
@@ -123,14 +123,15 @@ bool LsimCache::LookupNames(
   return true;
 }
 
-bool LsimCache::LookupLabels(Side side, const Categorization& categories,
+bool LsimCache::LookupLabels(LsimSide side, const Categorization& categories,
                              std::vector<int32_t>* ids) {
   const std::vector<Category>& cats = categories.categories;
   ids->clear();
   ids->reserve(cats.size());
   {
     SharedReaderLock lock(&mu_);
-    const SideLabels& registry = side == Side::kSource ? labels1_ : labels2_;
+    const SideLabels& registry =
+        side == LsimSide::kSource ? labels1_ : labels2_;
     for (const Category& c : cats) {
       auto it = registry.ids.find(c.label);
       if (it == registry.ids.end()) break;
@@ -141,7 +142,7 @@ bool LsimCache::LookupLabels(Side side, const Categorization& categories,
   SharedMutexLock lock(&mu_);
   LsimCacheView view = LockedView();
   SideLabels* registry =
-      side == Side::kSource ? &view.labels1() : &view.labels2();
+      side == LsimSide::kSource ? &view.labels1() : &view.labels2();
   ids->clear();
   for (const Category& c : cats) {
     ids->push_back(view.RegisterLabel(registry, c));

@@ -16,9 +16,10 @@
 // locality contract, linguistic/categorizer.h), so each side also keeps a
 // category-label registry and the cache a label-pair table of category
 // similarities, computed once through the persistent token-pair memo. What
-// stays per run is what depends on a schema's shape: its categorization
-// (done once per schema for a prepared source, LinguisticMatcher::Prepare),
-// the best-scale pruning and the lsim scatter. The naive oracle every path
+// stays per schema is what depends on its shape: its categorization and
+// registry indices (LinguisticMatcher::Prepare, once per schema side); per
+// pair, the best-scale pruning and the lsim scatter (the kernel
+// LinguisticMatcher::Match(side1, side2, cache)). The naive oracle every path
 // is tested against is LinguisticMatchReference.
 //
 // A cache is bound at construction to one thesaurus and one option set;
@@ -27,10 +28,10 @@
 // share caches key them by LsimCacheBindingKey.
 //
 // Concurrency: the mutable state is guarded by an internal reader/writer
-// mutex. LinguisticMatcher::Match(s1, s2, cache) is read-first: it looks
-// up names and category labels, reads label-pair similarities and scatters
-// name-pair similarities (through a const LsimCacheReadView) under a SHARED
-// hold, so any number of matches over a warm cache run concurrently. Only
+// mutex. Preparation and the kernel are read-first: they look up names and
+// category labels, read label-pair similarities and scatter name-pair
+// similarities (through a const LsimCacheReadView) under a SHARED hold, so
+// any number of matches over a warm cache run concurrently. Only
 // a name or label never registered, or a needed name or label pair never
 // computed, takes the mutex exclusively, and then works through a
 // LsimCacheView that fills just that match's missing entries — the
@@ -131,8 +132,6 @@ class LsimCache {
   friend class LsimCacheView;
   friend class LsimCacheReadView;
 
-  enum class Side { kSource, kTarget };
-
   /// One side's registry: every distinct raw name ever seen, normalized and
   /// interned exactly once. Indices are stable across runs.
   struct SideNames {
@@ -168,13 +167,13 @@ class LsimCache {
   /// up under the shared lock; a schema holding a name the cache never saw
   /// takes the exclusive lock to register it. `*names` receives the
   /// normalized names by element. Returns whether the lock was exclusive.
-  bool LookupNames(Side side, const Schema& schema,
+  bool LookupNames(LsimSide side, const Schema& schema,
                    const NameNormalizer& normalizer, std::vector<int32_t>* ids,
                    std::shared_ptr<const std::vector<NormalizedName>>* names)
       EXCLUDES(mu_);
   /// Registry indices of every category label of `categories` on `side`,
   /// with the same read-first locking as LookupNames.
-  bool LookupLabels(Side side, const Categorization& categories,
+  bool LookupLabels(LsimSide side, const Categorization& categories,
                     std::vector<int32_t>* ids) EXCLUDES(mu_);
   /// The category similarity of every (labels1[i], labels2[j]) pair into
   /// `*cat_sim` (|labels1| x |labels2|): read from the label-pair table under
@@ -192,7 +191,7 @@ class LsimCache {
   /// the lifetime of the view (see LsimCacheReadView).
   inline LsimCacheReadView LockedReadView() const REQUIRES_SHARED(mu_);
 
-  /// Process-unique identity, checked when a prepared source
+  /// Process-unique identity, checked when a prepared side
   /// (LinguisticMatcher::Prepare) is matched against a cache.
   const uint64_t id_;
   const Thesaurus* thesaurus_;   // immutable binding, checked by the matcher

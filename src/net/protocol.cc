@@ -308,6 +308,14 @@ bool ProtocolExecutor::CmdRegister(const JsonValue& v, const Sink& sink) {
                       Status::InvalidArgument("register needs file or text")));
       return false;
     }
+    if (options_.socket_mode) {
+      // A socket client must not read the server's filesystem.
+      sink(ErrorFrame("register",
+                      Status::Unsupported(
+                          "register file is not supported in --listen mode; "
+                          "send the schema as text")));
+      return false;
+    }
     version = repository_->RegisterFile(name, path);
   }
   if (!version.ok()) {
@@ -430,6 +438,11 @@ bool ProtocolExecutor::CmdSaveLoad(const std::string& cmd, const JsonValue& v,
   std::string dir = v.GetString("dir");
   Status status =
       dir.empty() ? Status::InvalidArgument(cmd + " needs dir") : Status::OK();
+  if (status.ok() && cmd == "save" && options_.socket_mode) {
+    // A socket client must not write into the server's filesystem.
+    status = Status::Unsupported(
+        "save is not supported in --listen mode; persist with --wal-dir");
+  }
   if (status.ok() && cmd == "save") status = repository_->SaveTo(dir);
   if (status.ok() && cmd == "load" && options_.socket_mode) {
     // Replacing the repository wholesale while scheduler workers and the

@@ -13,9 +13,12 @@
 //
 // The executor is stateless between calls apart from the service stack it
 // fronts, and is safe to call concurrently from scheduler workers EXCEPT
-// for the repository-replacing "load" command — socket mode therefore
-// rejects "load" (Unsupported), and the stdin driver, which executes
-// commands one at a time, keeps it.
+// for the repository-replacing "load" command. Socket mode therefore
+// rejects "load" (Unsupported), and with it the two commands that reach
+// the server's filesystem: "register" with a "file" path and "save".
+// Socket clients register schemas as text. The stdin driver, which
+// executes commands one at a time for whoever started the process, keeps
+// all three.
 
 #ifndef CUPID_NET_PROTOCOL_H_
 #define CUPID_NET_PROTOCOL_H_
@@ -49,8 +52,9 @@ class ProtocolExecutor {
     bool default_mappings = true;
     /// Socket mode: Execute runs on scheduler workers, so match/batch call
     /// MatchService directly instead of submit-and-wait (a worker waiting
-    /// on its own pool deadlocks a single-worker scheduler), and the
-    /// repository-replacing "load" command is rejected.
+    /// on its own pool deadlocks a single-worker scheduler); the
+    /// repository-replacing "load" command and the filesystem-reaching
+    /// "register file" and "save" are rejected (Unsupported).
     bool socket_mode = false;
   };
 

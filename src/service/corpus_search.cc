@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "linguistic/linguistic_matcher.h"
+#include "linguistic/lsim_cache.h"
 #include "linguistic/normalizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -70,6 +72,94 @@ struct CandidateScore {
   int64_t leaf_elements = 0;
 };
 
+obs::Gauge* PreparedBytesGauge() {
+  static obs::Gauge* gauge = obs::MetricsRegistry::Default()->GetGauge(
+      "cupid.corpus.prepared_bytes",
+      "Estimated bytes of the corpus searches' memoized candidate sides");
+  return gauge;
+}
+
+}  // namespace
+
+class SearchBinding {
+ public:
+  SearchBinding(const Thesaurus* thesaurus, const LinguisticOptions& options)
+      : cache_(thesaurus, options) {}
+  ~SearchBinding() {
+    MutexLock lock(&mu_);
+    PreparedBytesGauge()->Add(-bytes_);
+  }
+
+  SearchBinding(const SearchBinding&) = delete;
+  SearchBinding& operator=(const SearchBinding&) = delete;
+
+  LsimCache* cache() { return &cache_; }
+
+  /// The prepared target side of `snapshot`, stored as `name`: served from
+  /// the memo when it holds that version, otherwise prepared and memoized
+  /// unless the memo already holds a newer version. A stored (name,
+  /// version) never changes, so an entry stays valid until a newer version
+  /// replaces it or the binding is dropped. Entries keep only what the
+  /// kernel reads. `*filled` reports whether preparing took the cache's
+  /// exclusive lock (false on a memo hit).
+  Result<std::shared_ptr<const PreparedLsimSide>> PreparedTarget(
+      const LinguisticMatcher& matcher, const std::string& name,
+      const SchemaRepository::SchemaSnapshot& snapshot, bool* filled) {
+    static obs::Counter* hits = obs::MetricsRegistry::Default()->GetCounter(
+        "cupid.corpus.prepared.hits",
+        "Candidates whose prepared side was served from the memo");
+    static obs::Counter* misses = obs::MetricsRegistry::Default()->GetCounter(
+        "cupid.corpus.prepared.misses",
+        "Candidates prepared (normalized, categorized) for the memo");
+    *filled = false;
+    {
+      MutexLock lock(&mu_);
+      auto it = entries_.find(name);
+      if (it != entries_.end() && it->second.version == snapshot.version) {
+        hits->Increment();
+        return it->second.side;
+      }
+    }
+    misses->Increment();
+    CUPID_ASSIGN_OR_RETURN(
+        std::shared_ptr<PreparedLsimSide> side,
+        matcher.Prepare(*snapshot.schema, LsimSide::kTarget, &cache_));
+    *filled = side->cache_filled;
+    side->names.reset();
+    side->categories.reset();
+    const int64_t bytes = side->kernel_bytes();
+    MutexLock lock(&mu_);
+    Entry& entry = entries_[name];
+    if (entry.side == nullptr || entry.version < snapshot.version) {
+      PreparedBytesGauge()->Add(bytes - entry.bytes);
+      bytes_ += bytes - entry.bytes;
+      entry = Entry{snapshot.version, side, bytes};
+    }
+    return std::shared_ptr<const PreparedLsimSide>(std::move(side));
+  }
+
+ private:
+  struct Entry {
+    int version = 0;
+    std::shared_ptr<const PreparedLsimSide> side;
+    int64_t bytes = 0;
+  };
+
+  LsimCache cache_;
+  Mutex mu_;
+  /// Keyed by repository name.
+  std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mu_);
+  int64_t bytes_ GUARDED_BY(mu_) = 0;  // what this memo adds to the gauge
+};
+
+namespace {
+
+/// One kept candidate: its repository name and the snapshot searched.
+struct ScoringTarget {
+  std::string name;
+  SchemaRepository::SchemaSnapshot snapshot;
+};
+
 /// The scoring phase of one search, shared by the searching thread and its
 /// helper tasks. Held by shared_ptr: a helper that starts after Search
 /// returned finds every slot claimed and exits having touched only this.
@@ -82,11 +172,12 @@ struct ScoringShard {
   std::shared_ptr<const Schema> source;  ///< keeps source_tree's schema
   /// The probe's side of every match, built once per search before any
   /// slot is claimed and read-only afterwards: its tree and its linguistic
-  /// side prepared against `cache`.
+  /// side prepared against the binding's cache.
   std::unique_ptr<const SchemaTree> source_tree;
-  std::shared_ptr<const PreparedLsimSource> prepared;
-  std::vector<std::shared_ptr<const Schema>> targets;  ///< one per slot
-  LsimCache* cache = nullptr;  ///< the service's cache for this binding
+  std::shared_ptr<const PreparedLsimSide> prepared;
+  std::vector<ScoringTarget> targets;  ///< one per slot
+  /// The service's cache and memo for this request's binding.
+  std::shared_ptr<SearchBinding> binding;
 
   std::atomic<size_t> next{0};  ///< next unclaimed slot
   Mutex mu;
@@ -97,29 +188,39 @@ struct ScoringShard {
 
 /// Full three-phase match of the shard's probe against `target` — the
 /// pipeline of CupidMatcher::Match with the probe's side taken from the
-/// shard, and with the linguistic phase served from the shared cache
-/// (read-first: a candidate whose names, labels and their pairs the cache
-/// holds never takes its exclusive lock; either way the lsim is
-/// bit-identical, so the score never depends on what the cache held). Only
+/// shard, the candidate's prepared side from the binding's memo, and the
+/// linguistic phase served from the shared cache (read-first: a candidate
+/// whose names, labels and their pairs the cache holds never takes its
+/// exclusive lock; either way the lsim is bit-identical, so the score never
+/// depends on what the cache held). The memo keeps no normalized names or
+/// full categorization, so `lres` carries neither for the candidate; only
 /// the leaf mapping is generated: it is all the score reads.
 Result<CandidateScore> ScoreCandidate(const ScoringShard& shard,
-                                      const Schema& target) {
+                                      const ScoringTarget& target) {
   const CupidConfig& config = shard.config;
   LinguisticMatcher linguistic(shard.thesaurus, config.linguistic);
+  bool prepared_filled = false;
+  CUPID_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedLsimSide> target_side,
+      shard.binding->PreparedTarget(linguistic, target.name, target.snapshot,
+                                    &prepared_filled));
   CUPID_ASSIGN_OR_RETURN(
       LinguisticResult lres,
-      linguistic.Match(*shard.prepared, target, shard.cache));
+      linguistic.Match(*shard.prepared, *target_side,
+                       shard.binding->cache()));
   static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
       "cupid.corpus.shared_cache.hits",
       "Candidates whose linguistic phase was served warm from the shared cache");
   static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
       "cupid.corpus.shared_cache.misses",
       "Candidates that fell back to the exclusive cached path");
-  (lres.cache_filled ? shared_misses : shared_hits)->Increment();
+  (lres.cache_filled || prepared_filled ? shared_misses : shared_hits)
+      ->Increment();
 
   const SchemaTree& source_tree = *shard.source_tree;
-  CUPID_ASSIGN_OR_RETURN(SchemaTree target_tree,
-                         BuildSchemaTree(target, config.tree_build));
+  CUPID_ASSIGN_OR_RETURN(
+      SchemaTree target_tree,
+      BuildSchemaTree(*target.snapshot.schema, config.tree_build));
   CUPID_ASSIGN_OR_RETURN(
       TreeMatchResult tmres,
       TreeMatch(source_tree, target_tree, lres.lsim,
@@ -141,7 +242,7 @@ void ScoreClaimedSlots(ScoringShard* shard) {
   const size_t n = shard->targets.size();
   for (size_t i = shard->next.fetch_add(1, std::memory_order_relaxed); i < n;
        i = shard->next.fetch_add(1, std::memory_order_relaxed)) {
-    Result<CandidateScore> score = ScoreCandidate(*shard, *shard->targets[i]);
+    Result<CandidateScore> score = ScoreCandidate(*shard, shard->targets[i]);
     MutexLock lock(&shard->mu);
     shard->slots[i] = std::move(score);
     if (++shard->done == n) shard->all_done.SignalAll();
@@ -249,16 +350,15 @@ CorpusSearchService::CorpusSearchService(const Thesaurus* thesaurus,
                                          JobScheduler* scheduler)
     : thesaurus_(thesaurus), repository_(repository), scheduler_(scheduler) {}
 
-LsimCache* CorpusSearchService::SharedCacheFor(const CupidConfig& config) {
+std::shared_ptr<SearchBinding> CorpusSearchService::BindingFor(
+    const CupidConfig& config) {
   // Requests whose bindings agree share one cache — and one TokenInterner —
-  // across searches; anything else gets its own.
+  // and one memo across searches; anything else gets its own.
   const LinguisticOptions& lo = config.linguistic;
-  MutexLock lock(&caches_mu_);
-  std::unique_ptr<LsimCache>& slot = caches_[LsimCacheBindingKey(lo)];
-  if (slot == nullptr) {
-    slot = std::make_unique<LsimCache>(thesaurus_, lo);
-  }
-  return slot.get();
+  MutexLock lock(&bindings_mu_);
+  std::shared_ptr<SearchBinding>& slot = bindings_[LsimCacheBindingKey(lo)];
+  if (slot == nullptr) slot = std::make_shared<SearchBinding>(thesaurus_, lo);
+  return slot;
 }
 
 std::shared_ptr<const CorpusSearchService::TokenSet>
@@ -284,8 +384,8 @@ CorpusSearchService::TokensFor(
 
 void CorpusSearchService::InvalidateAll() {
   {
-    MutexLock lock(&caches_mu_);
-    caches_.clear();
+    MutexLock lock(&bindings_mu_);
+    bindings_.clear();
   }
   MutexLock lock(&token_bags_mu_);
   token_bags_.clear();
@@ -369,9 +469,10 @@ Result<SearchResponse> CorpusSearchService::Search(
   shard->source = source.schema;
   shard->targets.reserve(kept.size());
   for (size_t idx : kept) {
-    shard->targets.push_back(candidates[idx].snapshot.schema);
+    shard->targets.push_back(
+        ScoringTarget{candidates[idx].name, candidates[idx].snapshot});
   }
-  shard->cache = SharedCacheFor(request.config);
+  shard->binding = BindingFor(request.config);
 
   // The probe's side of every match, once per search: its tree and, with
   // the shared cache, its names, categories and labels. Scorers only read
@@ -384,8 +485,10 @@ Result<SearchResponse> CorpusSearchService::Search(
     shard->source_tree =
         std::make_unique<const SchemaTree>(std::move(source_tree));
     LinguisticMatcher linguistic(thesaurus_, request.config.linguistic);
-    CUPID_ASSIGN_OR_RETURN(shard->prepared,
-                           linguistic.Prepare(*source.schema, shard->cache));
+    CUPID_ASSIGN_OR_RETURN(
+        shard->prepared,
+        linguistic.Prepare(*source.schema, LsimSide::kSource,
+                           shard->binding->cache()));
   }
   response.timings.prepare_ms = MsSince(t_prepare);
 
@@ -409,10 +512,12 @@ Result<SearchResponse> CorpusSearchService::Search(
   }
   ScoreClaimedSlots(shard.get());
   std::vector<Result<CandidateScore>> slots = TakeFilledSlots(shard.get());
-  // Every slot is filled, so no scorer reads the probe's side again; a
-  // helper that has yet to start keeps only the shard's schemas alive.
+  // Every slot is filled, so no scorer reads the probe's side or the
+  // binding again; a helper that has yet to start keeps only the shard's
+  // schemas alive.
   shard->source_tree.reset();
   shard->prepared.reset();
+  shard->binding.reset();
   response.timings.match_ms = MsSince(t_match);
 
   // First failure in candidate order wins (deterministic, like MatchBatch's

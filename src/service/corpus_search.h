@@ -9,11 +9,15 @@
 //   1. one shared cross-pair LsimCache (single TokenInterner) per
 //      linguistic binding for the whole service: each search prepares the
 //      probe's linguistic side (names, categories, labels) and builds its
-//      SchemaTree once; candidates then read name-pair and label-pair
-//      similarities from the cache under a shared lock (the read-first
-//      LinguisticMatcher::Match(prepared, s2, cache)); a candidate with a
-//      name, label or pair the cache has not seen yet takes the exclusive
-//      lock once to fill it, which serves every later search;
+//      SchemaTree once; each stored candidate's prepared target side is
+//      memoized beside the cache by name and version, so a candidate is
+//      normalized and categorized once per stored version, not once per
+//      search; a candidate match is then the read-first kernel
+//      LinguisticMatcher::Match(probe side, candidate side, cache), which
+//      reads name-pair and label-pair similarities under a shared lock; a
+//      candidate with a name, label or pair the cache has not seen yet
+//      takes the exclusive lock once to fill it, which serves every later
+//      search;
 //   2. a cheap linguistic pre-screen — distinct-token cosine overlap,
 //      computed without touching the matcher — prunes the candidate set to
 //      top-k' before any full TreeMatch runs (an exhaustive knob disables
@@ -43,7 +47,6 @@
 
 #include "core/config.h"
 #include "core/cupid_matcher.h"
-#include "linguistic/lsim_cache.h"
 #include "service/job_scheduler.h"
 #include "service/schema_repository.h"
 #include "thesaurus/thesaurus.h"
@@ -144,6 +147,11 @@ double CorpusRankingScore(const SchemaTree& source_tree,
                           const SchemaTree& target_tree,
                           const Mapping& leaf_mapping);
 
+/// One linguistic option binding of a CorpusSearchService: its shared
+/// LsimCache and the memo of stored schemas' prepared target sides against
+/// that cache (defined in corpus_search.cc).
+class SearchBinding;
+
 /// \brief Ranked one-vs-N search front door over a SchemaRepository.
 class CorpusSearchService {
  public:
@@ -168,9 +176,10 @@ class CorpusSearchService {
 
   SchemaRepository* repository() const { return repository_; }
 
-  /// \brief Drops the shared linguistic caches and the pre-screen token
-  /// bags (required after the backing repository is replaced wholesale,
-  /// mirroring MatchService::InvalidateAll).
+  /// \brief Drops the shared linguistic caches with their memos of prepared
+  /// candidates, and the pre-screen token bags (required after the backing
+  /// repository is replaced wholesale, mirroring MatchService::InvalidateAll).
+  /// A search already running keeps the binding it started with.
   void InvalidateAll();
 
  private:
@@ -184,10 +193,11 @@ class CorpusSearchService {
     std::shared_ptr<const TokenSet> tokens;
   };
 
-  /// The shared cache for the request's linguistic option binding, created
-  /// on first use. One cache (and thus one TokenInterner) per binding;
-  /// requests with equal bindings share it across searches.
-  LsimCache* SharedCacheFor(const CupidConfig& config);
+  /// The binding of the request's linguistic options, created on first
+  /// use. One cache (and thus one TokenInterner) and one memo of prepared
+  /// candidates per binding; requests with equal bindings share them
+  /// across searches.
+  std::shared_ptr<SearchBinding> BindingFor(const CupidConfig& config);
 
   /// The pre-screen token bag of `snapshot`, stored as `name`: served from
   /// the memo when it holds that version, otherwise built and memoized
@@ -200,10 +210,10 @@ class CorpusSearchService {
   SchemaRepository* repository_;
   JobScheduler* scheduler_;
 
-  mutable Mutex caches_mu_;
+  Mutex bindings_mu_;
   /// Keyed by LsimCacheBindingKey of the request's linguistic options.
-  std::unordered_map<std::string, std::unique_ptr<LsimCache>> caches_
-      GUARDED_BY(caches_mu_);
+  std::unordered_map<std::string, std::shared_ptr<SearchBinding>> bindings_
+      GUARDED_BY(bindings_mu_);
 
   Mutex token_bags_mu_;
   /// Keyed by repository name.

@@ -2,8 +2,9 @@
 // bit-identical to an exhaustive per-pair CupidMatcher sweep — same order,
 // same scores — no matter how it is executed (serial, sharded over a
 // scheduler, shared LsimCache on or off, admission-rejected helpers, a
-// search issued from the scheduler's only worker), repeated searches must be
-// bit-identical, the memoized pre-screen must track repository changes,
+// search issued from the scheduler's only worker, concurrent searches),
+// repeated searches must be bit-identical, the memoized pre-screen and
+// prepared candidates must track repository changes,
 // pruning must keep the planted best match, and out-of-domain requests must
 // be rejected loudly.
 
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cupid_matcher.h"
@@ -515,6 +517,165 @@ TEST(CorpusSearch, PrescreenMemoTracksRepositoryChanges) {
       &thesaurus, &repo, &memo, "after InvalidateAll");
   EXPECT_NE(PrescreenOf(after_reload, corpus.names[0]),
             PrescreenOf(before, corpus.names[0]));
+}
+
+/// Default-registry value of the memo's bytes gauge.
+int64_t PreparedBytes() {
+  return obs::MetricsRegistry::Default()
+      ->GetGauge("cupid.corpus.prepared_bytes", "")
+      ->value();
+}
+
+/// An exhaustive search for `probe` ranking every candidate.
+SearchRequest RankAll(const std::string& probe, int candidates) {
+  SearchRequest request;
+  request.source = probe;
+  request.top_k = candidates;
+  request.exhaustive = true;
+  return request;
+}
+
+/// Each stored candidate is prepared once per version: the first search
+/// fills the memo, a repeated search is served from it entirely, an edit
+/// re-prepares only the edited candidate (and its new version is what gets
+/// scored), and InvalidateAll empties it. Every search equals a per-pair
+/// CupidMatcher sweep bit for bit.
+TEST(CorpusSearch, PreparedCandidateMemoFollowsVersionsAndEqualsSweep) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SyntheticCorpus corpus = GenerateSyntheticCorpus(SmallCorpusOptions());
+  SchemaRepository repo;
+  RegisterCorpus(corpus, &repo);
+  const int all = static_cast<int>(corpus.targets.size());
+  const int64_t bytes_before = PreparedBytes();
+
+  MatchService match_service(&thesaurus, &repo);
+  JobScheduler::Options sched_opt;
+  sched_opt.num_threads = 2;
+  JobScheduler scheduler(&match_service, sched_opt);
+  CorpusSearchService search(&thesaurus, &repo, &scheduler);
+
+  // Runs one exhaustive search, checks it against the sweep, and returns
+  // how many candidates the memo served and how many it had to prepare.
+  auto search_and_check = [&](const std::string& context, int64_t* hits,
+                              int64_t* misses) {
+    const int64_t hits_before = CorpusCounter("cupid.corpus.prepared.hits");
+    const int64_t misses_before =
+        CorpusCounter("cupid.corpus.prepared.misses");
+    auto response = search.Search(RankAll("probe", all));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    *hits = CorpusCounter("cupid.corpus.prepared.hits") - hits_before;
+    *misses = CorpusCounter("cupid.corpus.prepared.misses") - misses_before;
+    EXPECT_EQ(*hits + *misses, response->full_matches) << context;
+    ExpectHitsEqual(response->hits,
+                    NaiveSweep(&thesaurus, CupidConfig(), &repo, "probe", all),
+                    context);
+  };
+
+  int64_t hits = 0, misses = 0;
+  search_and_check("first search", &hits, &misses);
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(misses, all);
+  const int64_t memo_bytes = PreparedBytes() - bytes_before;
+  EXPECT_GT(memo_bytes, 0);
+
+  search_and_check("repeated search", &hits, &misses);
+  EXPECT_EQ(hits, all);
+  EXPECT_EQ(misses, 0);
+  EXPECT_EQ(PreparedBytes() - bytes_before, memo_bytes);
+
+  // An edit stores a new version of one candidate: only it is prepared
+  // again, and the hit reports the version that was scored.
+  const std::string& edited = corpus.names[5];
+  auto snapshot = repo.Resolve(edited);
+  ASSERT_TRUE(snapshot.ok());
+  auto edited_version = repo.ApplyEdit(
+      edited, SchemaEdit::RenameElement(EditSide::kSource,
+                                        snapshot->schema->PathName(1),
+                                        "ZebraQuokkaNarwhal"));
+  ASSERT_TRUE(edited_version.ok()) << edited_version.status().ToString();
+  ASSERT_GT(*edited_version, snapshot->version);
+  search_and_check("after edit", &hits, &misses);
+  EXPECT_EQ(hits, all - 1);
+  EXPECT_EQ(misses, 1);
+  auto after_edit = search.Search(RankAll("probe", all));
+  ASSERT_TRUE(after_edit.ok());
+  bool found = false;
+  for (const SearchHit& hit : after_edit->hits) {
+    if (hit.target != edited) continue;
+    found = true;
+    EXPECT_EQ(hit.target_version, *edited_version);
+  }
+  EXPECT_TRUE(found);
+
+  // InvalidateAll drops the memo with its cache: the next search prepares
+  // every candidate again, and the gauge no longer counts the old memo.
+  search.InvalidateAll();
+  EXPECT_EQ(PreparedBytes(), bytes_before);
+  search_and_check("after InvalidateAll", &hits, &misses);
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(misses, all);
+}
+
+/// Four threads search one service concurrently on a 2-worker scheduler,
+/// starting from an empty memo and an empty shared cache, so scorers race
+/// to prepare the same candidates and fill the same cache entries. Every
+/// response equals the same search on a serial service.
+TEST(CorpusSearch, ConcurrentSearchesEqualSerialResults) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SyntheticCorpus corpus = GenerateSyntheticCorpus(SmallCorpusOptions());
+  SchemaRepository repo;
+  RegisterCorpus(corpus, &repo);
+  const int all = static_cast<int>(corpus.targets.size());
+
+  std::vector<SearchRequest> requests;
+  for (const std::string& probe :
+       {std::string("probe"), corpus.names[3], corpus.names[11],
+        corpus.names[20]}) {
+    requests.push_back(RankAll(probe, all));
+    SearchRequest pruned;
+    pruned.source = probe;
+    pruned.top_k = 5;
+    requests.push_back(pruned);
+  }
+  std::vector<std::vector<SearchHit>> want;
+  {
+    CorpusSearchService serial(&thesaurus, &repo);
+    for (const SearchRequest& request : requests) {
+      auto response = serial.Search(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      want.push_back(response->hits);
+    }
+  }
+
+  MatchService match_service(&thesaurus, &repo);
+  JobScheduler::Options sched_opt;
+  sched_opt.num_threads = 2;
+  JobScheduler scheduler(&match_service, sched_opt);
+  CorpusSearchService search(&thesaurus, &repo, &scheduler);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Result<SearchResponse>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the requests from its own offset, twice.
+      for (size_t n = 0; n < 2 * requests.size(); ++n) {
+        const size_t k = (n + 2 * static_cast<size_t>(t)) % requests.size();
+        got[static_cast<size_t>(t)].push_back(search.Search(requests[k]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& responses = got[static_cast<size_t>(t)];
+    ASSERT_EQ(responses.size(), 2 * requests.size());
+    for (size_t n = 0; n < responses.size(); ++n) {
+      const size_t k = (n + 2 * static_cast<size_t>(t)) % requests.size();
+      ASSERT_TRUE(responses[n].ok()) << responses[n].status().ToString();
+      ExpectHitsEqual(responses[n]->hits, want[k],
+                      "thread " + std::to_string(t) + " request " +
+                          std::to_string(k));
+    }
+  }
 }
 
 }  // namespace

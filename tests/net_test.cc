@@ -12,12 +12,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -421,6 +424,57 @@ TEST(SocketServerTest, LoadIsRejectedInSocketMode) {
   ASSERT_TRUE(client.Send("{\"cmd\":\"load\",\"dir\":\"/tmp/nowhere\"}"));
   std::string r = client.ReadLine();
   EXPECT_NE(r.find("\"Unsupported\""), std::string::npos) << r;
+}
+
+/// Socket clients must not reach the server's filesystem: a socket-mode
+/// executor refuses "register" with a "file" path and "save" (as it does
+/// "load"), touching nothing on disk, while a stdin-mode executor still
+/// registers the very same file.
+TEST(ProtocolExecutorTest, SocketModeRefusesFilesystemCommands) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  const std::string file = ::testing::TempDir() + "net_test_register.cupid";
+  {
+    std::ofstream out(file);
+    out << kSchemaA;
+  }
+  const std::string save_dir = ::testing::TempDir() + "net_test_save_refused";
+  std::remove(save_dir.c_str());
+
+  auto run = [&](bool socket_mode, const std::string& line) {
+    SchemaRepository repo;
+    MatchService service(&thesaurus, &repo);
+    ProtocolExecutor::Options options;
+    options.socket_mode = socket_mode;
+    ProtocolExecutor executor(&thesaurus, &repo, &service,
+                              /*scheduler=*/nullptr, /*search=*/nullptr,
+                              /*broker=*/nullptr, options);
+    std::vector<std::string> out;
+    executor.Execute(0, line, [&out](const std::string& frame) {
+      out.push_back(frame);
+    });
+    EXPECT_EQ(out.size(), 1u) << line;
+    return std::make_pair(out.empty() ? std::string() : out[0],
+                          repo.Names().size());
+  };
+  const std::string register_file =
+      "{\"cmd\":\"register\",\"name\":\"a\",\"file\":\"" + file + "\"}";
+  const std::string save =
+      "{\"cmd\":\"save\",\"dir\":\"" + save_dir + "\"}";
+
+  auto [refused_register, socket_names] = run(true, register_file);
+  EXPECT_NE(refused_register.find("\"Unsupported\""), std::string::npos)
+      << refused_register;
+  EXPECT_EQ(socket_names, 0u);
+  auto [refused_save, unused] = run(true, save);
+  EXPECT_NE(refused_save.find("\"Unsupported\""), std::string::npos)
+      << refused_save;
+  struct stat st;
+  EXPECT_NE(stat(save_dir.c_str(), &st), 0) << "save created " << save_dir;
+
+  auto [registered, stdin_names] = run(false, register_file);
+  EXPECT_EQ(JsonField(registered, "status"), "ok") << registered;
+  EXPECT_EQ(stdin_names, 1u);
+  std::remove(file.c_str());
 }
 
 TEST(SocketServerTest, ClientDisconnectMidPushClosesOnlyThatConnection) {

@@ -375,5 +375,82 @@ TEST(TraceTest, TracingOnOffIsBitIdentical) {
   EXPECT_GE(sink.size(), 7u);
 }
 
+/// Every match pipeline run adds exactly one sample to each
+/// cupid.match.phase_ms.* histogram: a cold CupidMatcher::Match and a warm
+/// MatchSession::Rematch alike, traced or not. Tracing still leaves both
+/// results bit-identical.
+TEST(MetricsRegistryTest, MatchPipelineRecordsOneSamplePerPhase) {
+  const char* kPhases[] = {
+      "cupid.match.phase_ms.linguistic", "cupid.match.phase_ms.trees",
+      "cupid.match.phase_ms.delta",      "cupid.match.phase_ms.sweep",
+      "cupid.match.phase_ms.recompute",  "cupid.match.phase_ms.mapping"};
+  auto counts = [&kPhases] {
+    std::vector<int64_t> out;
+    for (const char* name : kPhases) {
+      out.push_back(
+          obs::MetricsRegistry::Default()->GetHistogram(name, "")->count());
+    }
+    return out;
+  };
+  auto expect_one_more = [&](const std::vector<int64_t>& before,
+                             const std::string& context) {
+    std::vector<int64_t> after = counts();
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], 1) << context << ": " << kPhases[i];
+    }
+  };
+
+  SyntheticOptions opt;
+  opt.num_elements = 60;
+  opt.seed = 20261018;
+  SyntheticPair pair = GenerateSyntheticPair(opt);
+  Thesaurus thesaurus = DefaultThesaurus();
+  CupidConfig config;
+  CupidMatcher matcher(&thesaurus, config);
+  obs::VectorTraceSink sink;
+
+  std::vector<int64_t> before = counts();
+  auto plain = matcher.Match(pair.source, pair.target);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  expect_one_more(before, "untraced match");
+  before = counts();
+  Result<MatchResult> traced(Status::Internal("not run"));
+  {
+    ScopedSink installed(&sink);
+    traced = matcher.Match(pair.source, pair.target);
+  }
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  expect_one_more(before, "traced match");
+  ExpectIdenticalResults(*traced, *plain, "traced-vs-plain match");
+
+  MatchSession plain_session(&thesaurus, pair.source, pair.target, config);
+  MatchSession traced_session(&thesaurus, pair.source, pair.target, config);
+  ASSERT_TRUE(plain_session.Rematch().ok());
+  ASSERT_TRUE(traced_session.Rematch().ok());
+  SplitMix64 rng(41);
+  SchemaEdit edit = RandomSessionEdit(&rng, plain_session.source(),
+                                      plain_session.target(), 1);
+  ASSERT_TRUE(plain_session.ApplyEdit(edit).ok());
+  ASSERT_TRUE(traced_session.ApplyEdit(edit).ok());
+  before = counts();
+  auto warm_plain = plain_session.Rematch();
+  ASSERT_TRUE(warm_plain.ok()) << warm_plain.status().ToString();
+  ASSERT_TRUE(plain_session.last_stats().incremental);
+  expect_one_more(before, "untraced warm rematch");
+  before = counts();
+  Result<const MatchResult*> warm_traced(
+      Status::Internal("not run"));
+  {
+    ScopedSink installed(&sink);
+    warm_traced = traced_session.Rematch();
+  }
+  ASSERT_TRUE(warm_traced.ok()) << warm_traced.status().ToString();
+  ASSERT_TRUE(traced_session.last_stats().incremental);
+  expect_one_more(before, "traced warm rematch");
+  ExpectIdenticalResults(**warm_traced, **warm_plain,
+                         "traced-vs-plain warm rematch");
+  EXPECT_GE(sink.size(), 2u);
+}
+
 }  // namespace
 }  // namespace cupid

@@ -122,6 +122,9 @@ TEST(ThreadPoolTest, EffectiveThreadsResolvesZeroToHardware) {
 
 // ------------------------------------------- cached vs naive lsim equality --
 
+/// Both cached entry points — the one-shot Match(s1, s2) and the kernel
+/// over two prepared sides, Match(Prepare(s1, source), Prepare(s2, target),
+/// cache) — equal the naive reference bit for bit.
 TEST(PerfEquivalenceTest, CachedLsimEqualsNaiveBitForBit) {
   Thesaurus th = DefaultThesaurus();
   LinguisticOptions options;
@@ -132,16 +135,27 @@ TEST(PerfEquivalenceTest, CachedLsimEqualsNaiveBitForBit) {
     sopt.seed = 7;
     SyntheticPair p = GenerateSyntheticPair(sopt);
     auto rn = LinguisticMatchReference(&th, options, p.source, p.target);
-    auto rc = cached.Match(p.source, p.target);
     ASSERT_TRUE(rn.ok());
-    ASSERT_TRUE(rc.ok());
-    EXPECT_EQ(rn->comparisons, rc->comparisons) << elements << " elements";
-    ASSERT_EQ(rn->lsim.rows(), rc->lsim.rows());
-    ASSERT_EQ(rn->lsim.cols(), rc->lsim.cols());
-    for (int64_t i = 0; i < rn->lsim.rows(); ++i) {
-      for (int64_t j = 0; j < rn->lsim.cols(); ++j) {
-        ASSERT_EQ(rn->lsim(i, j), rc->lsim(i, j))
-            << elements << " elements, at (" << i << "," << j << ")";
+    LsimCache cache(&th, options);
+    auto side1 = cached.Prepare(p.source, LsimSide::kSource, &cache);
+    auto side2 = cached.Prepare(p.target, LsimSide::kTarget, &cache);
+    ASSERT_TRUE(side1.ok()) << side1.status().ToString();
+    ASSERT_TRUE(side2.ok()) << side2.status().ToString();
+    auto one_shot = cached.Match(p.source, p.target);
+    auto kernel = cached.Match(**side1, **side2, &cache);
+    for (const auto* rc : {&one_shot, &kernel}) {
+      const std::string path = rc == &one_shot ? "one-shot" : "kernel";
+      ASSERT_TRUE(rc->ok()) << path << ": " << rc->status().ToString();
+      EXPECT_EQ(rn->comparisons, (*rc)->comparisons)
+          << path << ", " << elements << " elements";
+      ASSERT_EQ(rn->lsim.rows(), (*rc)->lsim.rows());
+      ASSERT_EQ(rn->lsim.cols(), (*rc)->lsim.cols());
+      for (int64_t i = 0; i < rn->lsim.rows(); ++i) {
+        for (int64_t j = 0; j < rn->lsim.cols(); ++j) {
+          ASSERT_EQ(rn->lsim(i, j), (*rc)->lsim(i, j))
+              << path << ", " << elements << " elements, at (" << i << ","
+              << j << ")";
+        }
       }
     }
   }
@@ -248,7 +262,7 @@ TEST(LsimCacheTest, NewLabelsAloneRaiseBytesAndTheGauge) {
   Schema as_money = build(DataType::kMoney);  // same names, new type label
   {
     LsimCache cache(&th, options, gauge);
-    auto first = matcher.Prepare(as_string, &cache);
+    auto first = matcher.Prepare(as_string, LsimSide::kSource, &cache);
     ASSERT_TRUE(first.ok()) << first.status().ToString();
     EXPECT_TRUE((*first)->cache_filled);
     const int64_t bytes_before = cache.bytes();
@@ -256,12 +270,12 @@ TEST(LsimCacheTest, NewLabelsAloneRaiseBytesAndTheGauge) {
     EXPECT_GT(bytes_before, 0);
     EXPECT_EQ(gauge->value(), bytes_before);
 
-    auto again = matcher.Prepare(as_string, &cache);
+    auto again = matcher.Prepare(as_string, LsimSide::kSource, &cache);
     ASSERT_TRUE(again.ok());
     EXPECT_FALSE((*again)->cache_filled);  // all names and labels known
     EXPECT_EQ(cache.bytes(), bytes_before);
 
-    auto retyped = matcher.Prepare(as_money, &cache);
+    auto retyped = matcher.Prepare(as_money, LsimSide::kSource, &cache);
     ASSERT_TRUE(retyped.ok());
     EXPECT_TRUE((*retyped)->cache_filled);
     EXPECT_EQ(cache.num_source_names(), static_cast<size_t>(4));
@@ -271,7 +285,9 @@ TEST(LsimCacheTest, NewLabelsAloneRaiseBytesAndTheGauge) {
     EXPECT_EQ(gauge->value(), cache.bytes());
 
     // Matching allocates the label-pair table; the gauge follows.
-    auto matched = matcher.Match(**retyped, as_string, &cache);
+    auto target = matcher.Prepare(as_string, LsimSide::kTarget, &cache);
+    ASSERT_TRUE(target.ok()) << target.status().ToString();
+    auto matched = matcher.Match(**retyped, **target, &cache);
     ASSERT_TRUE(matched.ok()) << matched.status().ToString();
     EXPECT_TRUE(matched->cache_filled);
     EXPECT_GT(cache.bytes(), cache.name_table_bytes());
@@ -280,10 +296,11 @@ TEST(LsimCacheTest, NewLabelsAloneRaiseBytesAndTheGauge) {
   EXPECT_EQ(gauge->value(), 0);
 }
 
-/// `cache_filled` reports label work too: with every name and name pair
-/// already in the cache (a categories-off match needs all of them), a match
-/// that only registers target labels, or only computes new label pairs,
-/// still took the exclusive lock — and says so.
+/// `cache_filled` reports label work too: with every name, name pair and
+/// label already in the cache (a categories-off match needs every name
+/// pair, and preparing a side registers its labels whatever the options),
+/// a match that only computes label pairs, or only registers a new source
+/// label and its pairs, still took the exclusive lock — and says so.
 TEST(LsimCacheTest, LabelFillsAloneSetCacheFilled) {
   Thesaurus th = DefaultThesaurus();
   LinguisticOptions options;
@@ -311,27 +328,31 @@ TEST(LsimCacheTest, LabelFillsAloneSetCacheFilled) {
                   .Match(source, target, &cache)
                   .ok());
   const int64_t pairs = cache.num_cached_pairs();
-  EXPECT_EQ(cache.num_target_labels(), 0u);
+  EXPECT_GT(cache.num_target_labels(), 0u);
+  auto target_side = matcher.Prepare(target, LsimSide::kTarget, &cache);
+  ASSERT_TRUE(target_side.ok());
+  EXPECT_FALSE((*target_side)->cache_filled);  // names and labels known
 
   auto expect = [&](const Schema& s, bool filled, const char* step) {
-    auto prepared = matcher.Prepare(s, &cache);
+    auto prepared = matcher.Prepare(s, LsimSide::kSource, &cache);
     ASSERT_TRUE(prepared.ok()) << step;
-    auto got = matcher.Match(**prepared, target, &cache);
+    auto got = matcher.Match(**prepared, **target_side, &cache);
     ASSERT_TRUE(got.ok()) << step;
-    EXPECT_EQ(got->cache_filled, filled) << step;
+    EXPECT_EQ(got->cache_filled || (*prepared)->cache_filled, filled) << step;
     auto want = LinguisticMatchReference(&th, options, s, target);
     ASSERT_TRUE(want.ok());
     ExpectLsimEqual(*got, *want, step);
   };
-  expect(source, true, "target labels");
+  expect(source, true, "label pairs");
   expect(source, false, "warm");
   expect(retyped, true, "new label pairs only");
   expect(retyped, false, "warm again");
   EXPECT_EQ(cache.num_cached_pairs(), pairs);  // no name pair was computed
 }
 
-/// A prepared source carries registry indices of the cache it was prepared
-/// against; any other cache — even one with the same binding — is refused.
+/// A prepared side carries registry indices of the cache and the side it
+/// was prepared against; the kernel refuses any other cache — even one with
+/// the same binding — and a side passed in the wrong position.
 TEST(LsimCacheTest, PreparedSourceIsBoundToItsCache) {
   Thesaurus th = DefaultThesaurus();
   LinguisticOptions options;
@@ -341,15 +362,31 @@ TEST(LsimCacheTest, PreparedSourceIsBoundToItsCache) {
   sopt.seed = 3;
   SyntheticPair p = GenerateSyntheticPair(sopt);
   LsimCache cache(&th, options), other(&th, options);
-  auto prepared = matcher.Prepare(p.source, &cache);
-  ASSERT_TRUE(prepared.ok());
-  auto wrong = matcher.Match(**prepared, p.target, &other);
+  auto source = matcher.Prepare(p.source, LsimSide::kSource, &cache);
+  auto target = matcher.Prepare(p.target, LsimSide::kTarget, &cache);
+  auto other_target = matcher.Prepare(p.target, LsimSide::kTarget, &other);
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(target.ok());
+  ASSERT_TRUE(other_target.ok());
+  auto wrong = matcher.Match(**source, **target, &other);
   EXPECT_TRUE(wrong.status().IsInvalidArgument()) << wrong.status().ToString();
-  auto null_cache = matcher.Match(**prepared, p.target, nullptr);
+  auto mixed = matcher.Match(**source, **other_target, &cache);
+  EXPECT_TRUE(mixed.status().IsInvalidArgument()) << mixed.status().ToString();
+  auto source_as_target = matcher.Match(**source, **source, &cache);
+  EXPECT_TRUE(source_as_target.status().IsInvalidArgument())
+      << source_as_target.status().ToString();
+  auto swapped = matcher.Match(**target, **source, &cache);
+  EXPECT_TRUE(swapped.status().IsInvalidArgument());
+  auto null_cache = matcher.Match(**source, **target, nullptr);
   EXPECT_TRUE(null_cache.status().IsInvalidArgument());
-  EXPECT_TRUE(matcher.Prepare(p.source, nullptr).status().IsInvalidArgument());
-  auto right = matcher.Match(**prepared, p.target, &cache);
-  EXPECT_TRUE(right.ok()) << right.status().ToString();
+  EXPECT_TRUE(matcher.Prepare(p.source, LsimSide::kSource, nullptr)
+                  .status()
+                  .IsInvalidArgument());
+  auto right = matcher.Match(**source, **target, &cache);
+  ASSERT_TRUE(right.ok()) << right.status().ToString();
+  auto want = LinguisticMatchReference(&th, options, p.source, p.target);
+  ASSERT_TRUE(want.ok());
+  ExpectLsimEqual(*right, *want, "bound sides");
 }
 
 /// One LsimCache warmed over a 4 x 4 grid of sources and targets of two
