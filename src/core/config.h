@@ -56,8 +56,7 @@ std::string DescribeParameters(const CupidConfig& config);
 /// thresholds, weights, flags, the type-compatibility table, cardinality
 /// and scope). Two configs with equal fingerprints produce identical match
 /// results on identical inputs, so the fingerprint is a safe result-cache
-/// key component (service/match_service.h). The incremental gather's
-/// rebuild fraction is left out: results are invariant to it.
+/// key component (service/match_service.h).
 uint64_t ConfigFingerprint(const CupidConfig& config);
 
 }  // namespace cupid

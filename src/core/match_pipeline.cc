@@ -497,19 +497,18 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
 
   // Phase 1: linguistic matching on the schema graphs ("the linguistic
   // matching process is unaffected" by graph extensions, Section 8.2). A
-  // warm run gathers: unchanged element rows are bulk-copied from the past's
-  // lsim and only changed rows/columns recompute.
+  // warm run gathers: unchanged element rows are copied from the past's
+  // lsim, only changed rows and columns are scattered, and an unedited side
+  // keeps the past's preparation.
   LinguisticMatcher linguistic(thesaurus, config.linguistic);
-  LinguisticResult lres;
+  LsimPast lsim_past;
   if (past != nullptr) {
-    LsimGatherPlan plan =
+    lsim_past.result = &past->result->linguistic;
+    lsim_past.plan =
         BuildLsimGatherPlan(source, target, *past->source, *past->target);
-    CUPID_ASSIGN_OR_RETURN(
-        lres, linguistic.MatchGather(source, target, cache, plan,
-                                     past->result->linguistic));
-  } else {
-    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(source, target, cache));
   }
+  CUPID_ASSIGN_OR_RETURN(LinguisticResult lres,
+                         linguistic.Match(source, target, cache, lsim_past));
   // Initial-mapping hints raise lsim to the configured maximum.
   for (const InitialMappingEntry& hint : hints) {
     ElementId es = source.FindByPath(hint.source_path);

@@ -44,11 +44,13 @@ struct MatchSnapshot {
 /// - With `past == nullptr` the run is cold, and the lsim of each pair in
 ///   `hints` is raised to config.initial_mapping_boost before TreeMatch
 ///   (Section 8.4 "Initial mappings"); unresolvable paths are NotFound.
-/// - With a past, `hints` must be empty and `cache` non-null. The linguistic
-///   phase gathers from the past's lsim, and TreeMatch warm-starts from its
-///   similarities when SupportsIncrementalTreeMatch(config.tree_match) holds
-///   and no tree has join-view nodes. A side whose schema is the same
-///   object as the past's reuses the past's tree.
+/// - With a past, `hints` must be empty. The linguistic phase gathers from
+///   the past's lsim (LsimPast; it keeps the past's prepared side of an
+///   unedited schema when `cache` is the one that side was prepared
+///   against), and TreeMatch warm-starts from its similarities when
+///   SupportsIncrementalTreeMatch(config.tree_match) holds and no tree has
+///   join-view nodes. A side whose schema is the same object as the past's
+///   reuses the past's tree.
 ///
 /// A non-null `snapshot` (which must not alias past->sweep_ssim) receives
 /// what the next warm run needs. Phase times go to a span named

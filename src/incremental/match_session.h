@@ -57,9 +57,8 @@ struct RematchStats {
   /// Cumulative distinct name pairs memoized by the session's LsimCache —
   /// with a shared cache, by every session of that cache.
   int64_t lsim_cached_pairs = 0;
-  /// Lsim rows bulk-copied from the previous run by the gather (0 on cold
-  /// runs, or when the gather fell back to the batch pipeline because too
-  /// many elements changed).
+  /// Lsim rows copied from the previous run by the gather: one per source
+  /// element whose lsim-relevant features are unchanged (0 on cold runs).
   int64_t lsim_gathered_rows = 0;
 };
 

@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "linguistic/annotations.h"
 #include "linguistic/lsim_cache.h"
 #include "obs/trace.h"
-#include "perf/token_interner.h"
 #include "util/id_runs.h"
 #include "util/mutex.h"
 
@@ -27,34 +27,66 @@ std::vector<NormalizedName> NormalizeAll(const Schema& schema,
   return names;
 }
 
+/// The members of `cats` flagged in `changed`, category by category.
+CategoryMembers ChangedMembers(const CategoryMembers& cats,
+                               const std::vector<uint8_t>& changed) {
+  CategoryMembers out;
+  out.begin.reserve(cats.begin.size());
+  out.begin.push_back(0);
+  for (size_t c = 0; c < cats.num_categories(); ++c) {
+    for (int32_t a = cats.begin[c]; a < cats.begin[c + 1]; ++a) {
+      const ElementId e = cats.members[static_cast<size_t>(a)];
+      if (changed[static_cast<size_t>(e)]) out.members.push_back(e);
+    }
+    out.begin.push_back(static_cast<int32_t>(out.members.size()));
+  }
+  return out;
+}
+
 /// best_scale(e1,e2) = max cat_sim(c1,c2) over compatible category pairs
 /// (c1,c2) containing them; 0 when none. With categories disabled every
 /// pair gets scale 1. Shared by the reference and cached paths, so a
-/// pruning change cannot diverge them.
+/// pruning change cannot diverge them. A warm run (non-null `plan`) fills
+/// only the cells of changed rows and changed columns, the only ones its
+/// scatter reads; the others stay 0.
 Matrix<float> ScatterBestScale(const LinguisticOptions& options,
                                const Matrix<float>& cat_sim,
                                const CategoryMembers& cats1,
                                const CategoryMembers& cats2, int64_t rows,
-                               int64_t cols) {
+                               int64_t cols, const LsimGatherPlan* plan) {
   Matrix<float> best_scale(rows, cols);
   if (!options.use_categories) {
     best_scale.Fill(1.0f);
     return best_scale;
   }
-  const size_t n1 = cats1.num_categories(), n2 = cats2.num_categories();
-  for (size_t i = 0; i < n1; ++i) {
-    const float* sim_row = cat_sim.row(static_cast<int64_t>(i));
-    for (size_t j = 0; j < n2; ++j) {
-      float scale = sim_row[j];
-      if (scale <= options.thns) continue;  // incompatible categories
-      for (int32_t a = cats1.begin[i]; a < cats1.begin[i + 1]; ++a) {
-        float* out = best_scale.row(cats1.members[static_cast<size_t>(a)]);
-        for (int32_t b = cats2.begin[j]; b < cats2.begin[j + 1]; ++b) {
-          float& cell = out[cats2.members[static_cast<size_t>(b)]];
-          cell = std::max(cell, scale);
+  auto raise = [&](const CategoryMembers& members1,
+                   const CategoryMembers& members2) {
+    const size_t n1 = members1.num_categories();
+    const size_t n2 = members2.num_categories();
+    for (size_t i = 0; i < n1; ++i) {
+      if (members1.begin[i] == members1.begin[i + 1]) continue;
+      const float* sim_row = cat_sim.row(static_cast<int64_t>(i));
+      for (size_t j = 0; j < n2; ++j) {
+        float scale = sim_row[j];
+        if (scale <= options.thns) continue;  // incompatible categories
+        for (int32_t a = members1.begin[i]; a < members1.begin[i + 1]; ++a) {
+          float* out =
+              best_scale.row(members1.members[static_cast<size_t>(a)]);
+          for (int32_t b = members2.begin[j]; b < members2.begin[j + 1];
+               ++b) {
+            float& cell = out[members2.members[static_cast<size_t>(b)]];
+            cell = std::max(cell, scale);
+          }
         }
       }
     }
+  };
+  if (plan == nullptr) {
+    raise(cats1, cats2);
+  } else {
+    // Changed rows against every column, every row against changed columns.
+    raise(ChangedMembers(cats1, plan->source_changed), cats2);
+    raise(cats1, ChangedMembers(cats2, plan->target_changed));
   }
   return best_scale;
 }
@@ -78,7 +110,8 @@ Matrix<float> ComputeBestScale(const LinguisticOptions& options,
     }
   }
   return ScatterBestScale(options, cat_sim, CategoryMembers::Of(categories1),
-                          CategoryMembers::Of(categories2), rows, cols);
+                          CategoryMembers::Of(categories2), rows, cols,
+                          /*plan=*/nullptr);
 }
 
 /// Annotation vectors, built once per documented element (Section 10's
@@ -151,8 +184,8 @@ namespace {
 /// parents aligned by sibling order — the element-level mirror of the tree
 /// correspondence in incremental/match_session.cc), then flag every element
 /// that is unmapped or whose lsim-relevant features changed.
-int64_t PlanSide(const Schema& s, const Schema& prev,
-                 std::vector<ElementId>* map, std::vector<uint8_t>* changed) {
+void PlanSide(const Schema& s, const Schema& prev, std::vector<ElementId>* map,
+              std::vector<uint8_t>* changed) {
   const int64_t n = s.num_elements();
   // The session passes the identical Schema object for an unedited side;
   // every element then trivially maps to itself with equal features.
@@ -160,7 +193,7 @@ int64_t PlanSide(const Schema& s, const Schema& prev,
     map->resize(static_cast<size_t>(n));
     for (ElementId e = 0; e < n; ++e) (*map)[static_cast<size_t>(e)] = e;
     changed->assign(static_cast<size_t>(n), 0);
-    return 0;
+    return;
   }
   // Identity-first: the supported edits keep surviving element ids stable
   // (renames/retypes mutate in place, adds append), so most edited sides
@@ -183,7 +216,7 @@ int64_t PlanSide(const Schema& s, const Schema& prev,
         ++num_changed;
       }
     }
-    if (num_changed <= std::max<int64_t>(4, n / 64)) return num_changed;
+    if (num_changed <= std::max<int64_t>(4, n / 64)) return;
   }
   std::vector<std::string> new_paths = ElementPaths(s);
   std::vector<std::string> old_paths = ElementPaths(prev);
@@ -237,15 +270,12 @@ int64_t PlanSide(const Schema& s, const Schema& prev,
     }
   }
   changed->assign(static_cast<size_t>(n), 0);
-  int64_t num_changed = 0;
   for (ElementId e = 0; e < n; ++e) {
     ElementId o = (*map)[static_cast<size_t>(e)];
     if (o == kNoElement || !SameLsimElementFeatures(s, e, prev, o)) {
       (*changed)[static_cast<size_t>(e)] = 1;
-      ++num_changed;
     }
   }
-  return num_changed;
 }
 
 }  // namespace
@@ -254,10 +284,8 @@ LsimGatherPlan BuildLsimGatherPlan(const Schema& s1, const Schema& s2,
                                    const Schema& prev_s1,
                                    const Schema& prev_s2) {
   LsimGatherPlan plan;
-  plan.changed_sources =
-      PlanSide(s1, prev_s1, &plan.source_map, &plan.source_changed);
-  plan.changed_targets =
-      PlanSide(s2, prev_s2, &plan.target_map, &plan.target_changed);
+  PlanSide(s1, prev_s1, &plan.source_map, &plan.source_changed);
+  PlanSide(s2, prev_s2, &plan.target_map, &plan.target_changed);
   return plan;
 }
 
@@ -319,15 +347,15 @@ Status LinguisticMatcher::CheckCacheBinding(const LsimCache& cache) const {
 
 Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2) const {
-  LsimCache cache(thesaurus_, options_);
-  return Match(s1, s2, &cache);
+  return Match(s1, s2, nullptr);
 }
 
 namespace {
 
 /// Run-local inputs of the lsim scatter: per-element distinct-name indices,
-/// the best category scale per element pair, and annotation vectors (either
-/// vector may be empty: no element of that side is documented).
+/// the best category scale per element pair, annotation vectors (either
+/// vector may be empty: no element of that side is documented) and, on a
+/// warm run, which cells need scattering.
 struct ScatterInputs {
   const LinguisticOptions* options;
   const std::vector<int32_t>* of_element1;
@@ -335,6 +363,11 @@ struct ScatterInputs {
   const Matrix<float>* best_scale;
   const std::vector<AnnotationVector>* docs1;
   const std::vector<AnnotationVector>* docs2;
+  /// Warm runs: per row, 1 = scatter the whole row, 0 = only the cells in
+  /// `changed_cols` (the rest was copied from the past). Null = every row
+  /// whole (a cold run).
+  const std::vector<uint8_t>* whole_rows;
+  const std::vector<ElementId>* changed_cols;
 };
 
 /// Scatters distinct name-pair similarities into lsim rows [begin, end),
@@ -358,12 +391,12 @@ int64_t ScatterRows(const ScatterInputs& in, int64_t begin, int64_t end,
     const bool blend =
         any_docs && !(*in.docs1)[static_cast<size_t>(e1)].empty();
     int64_t local = 0;
-    for (int64_t e2 = 0; e2 < cols; ++e2) {
+    auto cell = [&](int64_t e2) {
       float scale = scale_row[e2];
-      if (scale <= 0.0f) continue;
+      if (scale <= 0.0f) return true;
       ++local;
       double ns;
-      if (!ns_of(d1, idx2[e2], &ns)) return e1;
+      if (!ns_of(d1, idx2[e2], &ns)) return false;
       double lsim_value =
           std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
       if (blend && !(*in.docs2)[static_cast<size_t>(e2)].empty()) {
@@ -372,25 +405,119 @@ int64_t ScatterRows(const ScatterInputs& in, int64_t begin, int64_t end,
                                           (*in.docs2)[static_cast<size_t>(e2)]);
       }
       lsim_row[e2] = static_cast<float>(lsim_value);
+      return true;
+    };
+    if (in.whole_rows == nullptr || (*in.whole_rows)[static_cast<size_t>(e1)]) {
+      for (int64_t e2 = 0; e2 < cols; ++e2) {
+        if (!cell(e2)) return e1;
+      }
+    } else {
+      for (ElementId e2 : *in.changed_cols) {
+        if (!cell(e2)) return e1;
+      }
     }
     *comparisons += local;
   }
   return end;
 }
 
+/// InvalidArgument unless `past` can be gathered into a rows x cols lsim:
+/// its plan covers both sides, leaves no unchanged element unmapped, and
+/// maps only to elements inside the past lsim.
+Status ValidatePast(const LsimPast& past, int64_t rows, int64_t cols) {
+  const LsimGatherPlan& plan = past.plan;
+  if (plan.source_map.size() != static_cast<size_t>(rows) ||
+      plan.target_map.size() != static_cast<size_t>(cols) ||
+      plan.source_changed.size() != plan.source_map.size() ||
+      plan.target_changed.size() != plan.target_map.size()) {
+    return Status::InvalidArgument(
+        "LsimGatherPlan does not match the schemas");
+  }
+  auto maps_inside = [](const std::vector<ElementId>& map,
+                        const std::vector<uint8_t>& changed,
+                        int64_t prev_elements) {
+    for (size_t e = 0; e < map.size(); ++e) {
+      const ElementId o = map[e];
+      if (o == kNoElement ? !changed[e] : o < 0 || o >= prev_elements) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!maps_inside(plan.source_map, plan.source_changed,
+                   past.result->lsim.rows()) ||
+      !maps_inside(plan.target_map, plan.target_changed,
+                   past.result->lsim.cols())) {
+    return Status::InvalidArgument(
+        "LsimGatherPlan does not match the past lsim");
+  }
+  return Status::OK();
+}
+
+/// The past's prepared side, when a warm match may take it over for
+/// `schema`: the plan maps the side by identity, none of its elements
+/// changed, and it was prepared against `cache_id`. Null otherwise.
+std::shared_ptr<const PreparedLsimSide> ReusableSide(
+    const std::shared_ptr<const PreparedLsimSide>& side, const Schema& schema,
+    const std::vector<ElementId>& map, const std::vector<uint8_t>& changed,
+    uint64_t cache_id) {
+  const auto n = static_cast<size_t>(schema.num_elements());
+  if (side == nullptr || side->cache_id != cache_id ||
+      side->name_ids.size() != n || map.size() != n || changed.size() != n) {
+    return nullptr;
+  }
+  for (size_t e = 0; e < map.size(); ++e) {
+    if (map[e] != static_cast<ElementId>(e) || changed[e]) return nullptr;
+  }
+  return side;
+}
+
 }  // namespace
 
 Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2,
-                                                  LsimCache* cache) const {
-  if (cache == nullptr) return Match(s1, s2);
-  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedLsimSide> side1,
-                         Prepare(s1, LsimSide::kSource, cache));
-  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedLsimSide> side2,
-                         Prepare(s2, LsimSide::kTarget, cache));
-  CUPID_ASSIGN_OR_RETURN(LinguisticResult out, Match(*side1, *side2, cache));
-  out.cache_filled =
-      out.cache_filled || side1->cache_filled || side2->cache_filled;
+                                                  LsimCache* cache,
+                                                  const LsimPast& past) const {
+  if (cache == nullptr) {
+    LsimCache fresh(thesaurus_, options_);
+    return Match(s1, s2, &fresh, past);
+  }
+  std::optional<obs::ScopedSpan> span;
+  if (past.result != nullptr) span.emplace("lsim.gather");
+  auto t0 = std::chrono::steady_clock::now();
+  std::shared_ptr<const PreparedLsimSide> side1, side2;
+  bool prepared_filled = false;
+  int prepared_sides = 0;
+  if (past.result != nullptr) {
+    side1 = ReusableSide(past.result->side1, s1, past.plan.source_map,
+                         past.plan.source_changed, cache->id_);
+    side2 = ReusableSide(past.result->side2, s2, past.plan.target_map,
+                         past.plan.target_changed, cache->id_);
+  }
+  if (side1 == nullptr) {
+    CUPID_ASSIGN_OR_RETURN(side1, Prepare(s1, LsimSide::kSource, cache));
+    prepared_filled = side1->cache_filled;
+    ++prepared_sides;
+  }
+  if (side2 == nullptr) {
+    CUPID_ASSIGN_OR_RETURN(side2, Prepare(s2, LsimSide::kTarget, cache));
+    prepared_filled = prepared_filled || side2->cache_filled;
+    ++prepared_sides;
+  }
+  auto t1 = std::chrono::steady_clock::now();
+  CUPID_ASSIGN_OR_RETURN(LinguisticResult out,
+                         Match(std::move(side1), std::move(side2), cache,
+                               past));
+  out.cache_filled = out.cache_filled || prepared_filled;
+  if (span && span->enabled()) {
+    auto ms = [](auto a, auto b) {
+      return std::chrono::duration<double, std::milli>(b - a).count();
+    };
+    span->Attr("prepare_ms", ms(t0, t1));
+    span->Attr("kernel_ms", ms(t1, std::chrono::steady_clock::now()));
+    span->Attr("prepared_sides", prepared_sides);
+    span->Attr("gathered_rows", out.gathered_rows);
+  }
   return out;
 }
 
@@ -425,28 +552,31 @@ Result<std::shared_ptr<PreparedLsimSide>> LinguisticMatcher::Prepare(
 }
 
 Result<LinguisticResult> LinguisticMatcher::Match(
-    const PreparedLsimSide& side1, const PreparedLsimSide& side2,
-    LsimCache* cache) const {
+    std::shared_ptr<const PreparedLsimSide> side1,
+    std::shared_ptr<const PreparedLsimSide> side2, LsimCache* cache,
+    const LsimPast& past) const {
   if (cache == nullptr) {
     return Status::InvalidArgument("prepared sides require their LsimCache");
   }
+  if (side1 == nullptr || side2 == nullptr) {
+    return Status::InvalidArgument("Match takes two prepared sides");
+  }
   CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
-  if (side1.cache_id != cache->id_ || side2.cache_id != cache->id_) {
+  if (side1->cache_id != cache->id_ || side2->cache_id != cache->id_) {
     return Status::InvalidArgument(
         "prepared side belongs to another LsimCache");
   }
-  if (side1.side != LsimSide::kSource || side2.side != LsimSide::kTarget) {
+  if (side1->side != LsimSide::kSource || side2->side != LsimSide::kTarget) {
     return Status::InvalidArgument(
         "Match takes a source-prepared side, then a target-prepared side");
   }
+  const int64_t rows = static_cast<int64_t>(side1->name_ids.size());
+  const int64_t cols = static_cast<int64_t>(side2->name_ids.size());
+  if (past.result != nullptr) {
+    CUPID_RETURN_NOT_OK(ValidatePast(past, rows, cols));
+  }
 
   LinguisticResult out;
-  out.names1 = side1.names;
-  out.categories1 = side1.categories;
-  out.names2 = side2.names;
-  out.categories2 = side2.categories;
-  const int64_t rows = static_cast<int64_t>(side1.name_ids.size());
-  const int64_t cols = static_cast<int64_t>(side2.name_ids.size());
   out.lsim = Matrix<float>(rows, cols);
 
   // Category scaling reads the cache's label-pair table: a category's
@@ -454,21 +584,56 @@ Result<LinguisticResult> LinguisticMatcher::Match(
   // similarity is computed once per cache, bit-identical to recomputing it.
   Matrix<float> cat_sim;
   if (options_.use_categories &&
-      cache->CategorySimilarities(side1.label_ids, side2.label_ids,
+      cache->CategorySimilarities(side1->label_ids, side2->label_ids,
                                   &cat_sim)) {
     out.cache_filled = true;
   }
+  const LsimGatherPlan* plan =
+      past.result != nullptr ? &past.plan : nullptr;
   Matrix<float> best_scale =
-      ScatterBestScale(options_, cat_sim, side1.category_members,
-                       side2.category_members, rows, cols);
+      ScatterBestScale(options_, cat_sim, side1->category_members,
+                       side2->category_members, rows, cols, plan);
+
+  // A warm run copies each unchanged source's row from the past — one
+  // memcpy per run of consecutively mapped, unchanged targets — and leaves
+  // the changed rows and the changed-target cells of copied rows (still
+  // zero) to the scatter.
+  std::vector<ElementId> changed_cols;
+  if (plan != nullptr) {
+    std::vector<ElementId> copied_cols = plan->target_map;
+    for (ElementId e2 = 0; e2 < cols; ++e2) {
+      if (plan->target_changed[static_cast<size_t>(e2)]) {
+        copied_cols[static_cast<size_t>(e2)] = kNoElement;
+        changed_cols.push_back(e2);
+      }
+    }
+    const std::vector<IdRun> runs = BuildMappedIdRuns(copied_cols);
+    for (ElementId e1 = 0; e1 < rows; ++e1) {
+      if (plan->source_changed[static_cast<size_t>(e1)]) continue;
+      float* dst = out.lsim.row(e1);
+      const float* src =
+          past.result->lsim.row(plan->source_map[static_cast<size_t>(e1)]);
+      for (const IdRun& run : runs) {
+        std::memcpy(dst + run.dst, src + run.src,
+                    static_cast<size_t>(run.len) * sizeof(float));
+      }
+      ++out.gathered_rows;
+    }
+  }
 
   // Serial scatter (the server runs one match per worker; parallelism
   // comes from concurrent matches over the shared cache). Read-first: rows
   // are served under the shared lock until the first name pair never
   // computed; the exclusive pass resumes from that row and fills only the
   // pairs this schema pair needs.
-  const ScatterInputs in{&options_,   &side1.name_ids, &side2.name_ids,
-                         &best_scale, &side1.docs,     &side2.docs};
+  const ScatterInputs in{&options_,
+                         &side1->name_ids,
+                         &side2->name_ids,
+                         &best_scale,
+                         &side1->docs,
+                         &side2->docs,
+                         plan != nullptr ? &plan->source_changed : nullptr,
+                         &changed_cols};
   int64_t resume;
   {
     SharedReaderLock lock(&cache->mu_);
@@ -484,8 +649,7 @@ Result<LinguisticResult> LinguisticMatcher::Match(
     out.cache_filled = true;
     SharedMutexLock lock(&cache->mu_);
     LsimCacheView view = cache->LockedView();
-    view.EnsureCapacity(static_cast<int64_t>(view.side1().names.size()),
-                        static_cast<int64_t>(view.side2().names.size()));
+    view.EnsureCapacity();
     const TokenTypeWeights& tw = options_.token_weights;
     ScatterRows(
         in, resume, rows,
@@ -495,260 +659,8 @@ Result<LinguisticResult> LinguisticMatcher::Match(
         },
         &out.lsim, &out.comparisons);
   }
-  return out;
-}
-
-Result<LinguisticResult> LinguisticMatcher::MatchGather(
-    const Schema& s1, const Schema& s2, LsimCache* cache,
-    const LsimGatherPlan& plan, const LinguisticResult& prev) const {
-  const Matrix<float>& prev_lsim = prev.lsim;
-  if (cache == nullptr) {
-    return Status::InvalidArgument("MatchGather requires an LsimCache");
-  }
-  const int64_t n1 = s1.num_elements(), n2 = s2.num_elements();
-  if (plan.source_map.size() != static_cast<size_t>(n1) ||
-      plan.target_map.size() != static_cast<size_t>(n2) ||
-      plan.source_changed.size() != plan.source_map.size() ||
-      plan.target_changed.size() != plan.target_map.size()) {
-    return Status::InvalidArgument(
-        "LsimGatherPlan does not match the schemas");
-  }
-  // Above the rebuild fraction the per-row patching has a worse constant
-  // than the batch pipeline; the batch call also revalidates everything.
-  const double frac = options_.gather_full_rebuild_fraction;
-  if (static_cast<double>(plan.changed_sources) >
-          frac * static_cast<double>(n1) ||
-      static_cast<double>(plan.changed_targets) >
-          frac * static_cast<double>(n2)) {
-    return Match(s1, s2, cache);
-  }
-  CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
-
-  obs::ScopedSpan span("lsim.gather");
-  auto g0 = std::chrono::steady_clock::now();
-  LinguisticResult out;
-  // The whole patch pipeline holds the cache mutex exclusively and works
-  // through a locked view (the row/column fills run serially here).
-  SharedMutexLock cache_lock(&cache->mu_);
-  LsimCacheView view = cache->LockedView();
-  TokenInterner* interner = view.interner();
-  std::vector<int32_t> of_element1, of_element2;
-  auto build_distinct = [&](const Schema& s, LsimCache::SideNames& d,
-                            std::vector<int32_t>* of_element) {
-    of_element->reserve(static_cast<size_t>(s.num_elements()));
-    for (ElementId id : s.AllElements()) {
-      of_element->push_back(
-          d.Register(s.element(id).name, normalizer_, interner));
-    }
-  };
-  build_distinct(s1, view.side1(), &of_element1);
-  build_distinct(s2, view.side2(), &of_element2);
-  auto g1 = std::chrono::steady_clock::now();
-  // Names and categorization are pure functions of the elements' local
-  // features in id order, so a side with zero changed elements under an
-  // identity map shares the previous run's vectors outright; only an
-  // edited side walks the categorizer again.
-  auto identity_side = [](const std::vector<ElementId>& map, int64_t changed,
-                          int64_t prev_elements) {
-    if (changed != 0 ||
-        prev_elements != static_cast<int64_t>(map.size())) {
-      return false;
-    }
-    for (size_t i = 0; i < map.size(); ++i) {
-      if (map[i] != static_cast<ElementId>(i)) return false;
-    }
-    return true;
-  };
-  const bool src_identity =
-      prev.names1 != nullptr && prev.categories1 != nullptr &&
-      identity_side(plan.source_map, plan.changed_sources,
-                    static_cast<int64_t>(prev.names1->size()));
-  const bool tgt_identity =
-      prev.names2 != nullptr && prev.categories2 != nullptr &&
-      identity_side(plan.target_map, plan.changed_targets,
-                    static_cast<int64_t>(prev.names2->size()));
-  if (src_identity) {
-    out.names1 = prev.names1;
-    out.categories1 = prev.categories1;
-  } else {
-    out.names1 = view.side1().Collect(of_element1);
-    out.categories1 = std::make_shared<const Categorization>(
-        CategorizeSchema(s1, *out.names1, normalizer_));
-  }
-  if (tgt_identity) {
-    out.names2 = prev.names2;
-    out.categories2 = prev.categories2;
-  } else {
-    out.names2 = view.side2().Collect(of_element2);
-    out.categories2 = std::make_shared<const Categorization>(
-        CategorizeSchema(s2, *out.names2, normalizer_));
-  }
-  auto g2 = std::chrono::steady_clock::now();
-  out.lsim = Matrix<float>(n1, n2);
-
-  // ---- gather: bulk row copies for unchanged sources --------------------
-  // One memcpy per (row, mapped-target run). Cells in changed-target
-  // columns are copied stale here and overwritten exactly by the column
-  // pass below; unmapped target columns (changed by definition) are never
-  // copied and stay zero until then.
-  std::vector<IdRun> runs = BuildMappedIdRuns(plan.target_map);
-  for (ElementId e1 = 0; e1 < n1; ++e1) {
-    if (plan.source_changed[static_cast<size_t>(e1)]) continue;
-    ElementId o1 = plan.source_map[static_cast<size_t>(e1)];
-    float* dst = out.lsim.row(e1);
-    const float* src = prev_lsim.row(o1);
-    for (const IdRun& run : runs) {
-      std::memcpy(dst + run.dst, src + run.src,
-                  static_cast<size_t>(run.len) * sizeof(float));
-    }
-    ++out.gathered_rows;
-  }
-
-  auto g3 = std::chrono::steady_clock::now();
-  // ---- recompute changed rows and columns, batch arithmetic exactly -----
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(n1));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(n2));
-  if (options_.annotation_weight > 0.0) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
-  }
-  view.EnsureCapacity(static_cast<int64_t>(view.side1().names.size()),
-                      static_cast<int64_t>(view.side2().names.size()));
-
-  const auto& cats1v = out.categories1->categories;
-  const auto& cats2v = out.categories2->categories;
-  // Category similarities come from the cache's label-pair table (a changed
-  // element belongs to a handful of categories; only their pairs are ever
-  // read, and a pair never seen is computed through the persistent memo).
-  // Values are exactly the cat_sim cells of the batch pipeline.
-  std::vector<int32_t> labels1, labels2;
-  if (options_.use_categories) {
-    labels1.reserve(cats1v.size());
-    labels2.reserve(cats2v.size());
-    for (const Category& c : cats1v) {
-      labels1.push_back(view.RegisterLabel(&view.labels1(), c));
-    }
-    for (const Category& c : cats2v) {
-      labels2.push_back(view.RegisterLabel(&view.labels2(), c));
-    }
-    view.EnsureCategoryCapacity(
-        static_cast<int64_t>(view.labels1().keywords.size()),
-        static_cast<int64_t>(view.labels2().keywords.size()));
-  }
-
-  const double w = options_.annotation_weight;
-  const TokenTypeWeights& tw = options_.token_weights;
-  std::vector<float> best;
-
-  // A changed source's whole row: per-row best compatible-category scale
-  // (max over the element's categories — the same max, threshold and float
-  // casts as ScatterBestScale), then the scale/ns/annotation mix of the
-  // batch scatter. Zero cells are written explicitly: a changed row was
-  // never copied, but fill_col also runs over copied rows.
-  auto fill_row = [&](ElementId e1) {
-    best.assign(static_cast<size_t>(n2), 0.0f);
-    if (!options_.use_categories) {
-      best.assign(static_cast<size_t>(n2), 1.0f);
-    } else {
-      for (int c1 :
-           out.categories1->element_categories[static_cast<size_t>(e1)]) {
-        const int32_t l1 = labels1[static_cast<size_t>(c1)];
-        for (size_t j = 0; j < cats2v.size(); ++j) {
-          float scale = view.CategorySimilarity(l1, labels2[j]);
-          if (scale <= options_.thns) continue;
-          for (ElementId e2 : cats2v[j].members) {
-            float& cell = best[static_cast<size_t>(e2)];
-            cell = std::max(cell, scale);
-          }
-        }
-      }
-    }
-    const int32_t d1 = of_element1[static_cast<size_t>(e1)];
-    float* lrow = out.lsim.row(e1);
-    const bool blend = w > 0.0 && !docs1[static_cast<size_t>(e1)].empty();
-    for (int64_t e2 = 0; e2 < n2; ++e2) {
-      float scale = best[static_cast<size_t>(e2)];
-      if (scale <= 0.0f) {
-        lrow[e2] = 0.0f;
-        continue;
-      }
-      ++out.comparisons;
-      double ns =
-          view.NameSimilarity(d1, of_element2[static_cast<size_t>(e2)], tw);
-      double lsim =
-          std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      if (blend && !docs2[static_cast<size_t>(e2)].empty()) {
-        lsim = (1.0 - w) * lsim +
-               w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                    docs2[static_cast<size_t>(e2)]);
-      }
-      lrow[e2] = static_cast<float>(lsim);
-    }
-  };
-
-  // A changed target's column over the UNCHANGED rows (changed rows were
-  // fully produced by fill_row); overwrites every visited cell, erasing
-  // whatever the bulk copy left there.
-  auto fill_col = [&](ElementId e2) {
-    best.assign(static_cast<size_t>(n1), 0.0f);
-    if (!options_.use_categories) {
-      best.assign(static_cast<size_t>(n1), 1.0f);
-    } else {
-      for (int c2 :
-           out.categories2->element_categories[static_cast<size_t>(e2)]) {
-        const int32_t l2 = labels2[static_cast<size_t>(c2)];
-        for (size_t i = 0; i < cats1v.size(); ++i) {
-          float scale = view.CategorySimilarity(labels1[i], l2);
-          if (scale <= options_.thns) continue;
-          for (ElementId e1 : cats1v[i].members) {
-            float& cell = best[static_cast<size_t>(e1)];
-            cell = std::max(cell, scale);
-          }
-        }
-      }
-    }
-    const int32_t d2 = of_element2[static_cast<size_t>(e2)];
-    const bool has_doc2 = w > 0.0 && !docs2[static_cast<size_t>(e2)].empty();
-    for (int64_t e1 = 0; e1 < n1; ++e1) {
-      if (plan.source_changed[static_cast<size_t>(e1)]) continue;
-      float scale = best[static_cast<size_t>(e1)];
-      if (scale <= 0.0f) {
-        out.lsim(e1, e2) = 0.0f;
-        continue;
-      }
-      ++out.comparisons;
-      double ns =
-          view.NameSimilarity(of_element1[static_cast<size_t>(e1)], d2, tw);
-      double lsim =
-          std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      if (has_doc2 && !docs1[static_cast<size_t>(e1)].empty()) {
-        lsim = (1.0 - w) * lsim +
-               w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                    docs2[static_cast<size_t>(e2)]);
-      }
-      out.lsim(e1, e2) = static_cast<float>(lsim);
-    }
-  };
-
-  auto g4 = std::chrono::steady_clock::now();
-  for (ElementId e1 = 0; e1 < n1; ++e1) {
-    if (plan.source_changed[static_cast<size_t>(e1)]) fill_row(e1);
-  }
-  for (ElementId e2 = 0; e2 < n2; ++e2) {
-    if (plan.target_changed[static_cast<size_t>(e2)]) fill_col(e2);
-  }
-  if (span.enabled()) {
-    auto g5 = std::chrono::steady_clock::now();
-    auto ms = [](auto a, auto b) {
-      return std::chrono::duration<double, std::milli>(b - a).count();
-    };
-    span.Attr("names_ms", ms(g0, g1));
-    span.Attr("categorize_ms", ms(g1, g2));
-    span.Attr("copy_ms", ms(g2, g3));
-    span.Attr("prep_ms", ms(g3, g4));
-    span.Attr("fill_ms", ms(g4, g5));
-    span.Attr("gathered_rows", out.gathered_rows);
-  }
+  out.side1 = std::move(side1);
+  out.side2 = std::move(side2);
   return out;
 }
 
@@ -764,21 +676,16 @@ Result<LinguisticResult> LinguisticMatchReference(
     const Schema& s1, const Schema& s2) {
   CUPID_RETURN_NOT_OK(ValidateLinguisticOptions(options));
   const NameNormalizer normalizer(thesaurus);
+  const std::vector<NormalizedName> names1 = NormalizeAll(s1, normalizer);
+  const std::vector<NormalizedName> names2 = NormalizeAll(s2, normalizer);
+  const Categorization categories1 = CategorizeSchema(s1, names1, normalizer);
+  const Categorization categories2 = CategorizeSchema(s2, names2, normalizer);
   LinguisticResult out;
-  out.names1 = std::make_shared<const std::vector<NormalizedName>>(
-      NormalizeAll(s1, normalizer));
-  out.names2 = std::make_shared<const std::vector<NormalizedName>>(
-      NormalizeAll(s2, normalizer));
-  out.categories1 = std::make_shared<const Categorization>(
-      CategorizeSchema(s1, *out.names1, normalizer));
-  out.categories2 = std::make_shared<const Categorization>(
-      CategorizeSchema(s2, *out.names2, normalizer));
   out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
 
   Matrix<float> best_scale =
-      ComputeBestScale(options, *thesaurus, *out.categories1,
-                       *out.categories2, s1.num_elements(),
-                       s2.num_elements());
+      ComputeBestScale(options, *thesaurus, categories1, categories2,
+                       s1.num_elements(), s2.num_elements());
 
   std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
   std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
@@ -793,9 +700,8 @@ Result<LinguisticResult> LinguisticMatchReference(
       if (scale <= 0.0f) continue;
       ++out.comparisons;
       double ns = ElementNameSimilarity(
-          (*out.names1)[static_cast<size_t>(e1)],
-          (*out.names2)[static_cast<size_t>(e2)], *thesaurus,
-          options.token_weights, options.substring);
+          names1[static_cast<size_t>(e1)], names2[static_cast<size_t>(e2)],
+          *thesaurus, options.token_weights, options.substring);
       double lsim = std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
       const AnnotationVector& d1 = docs1[static_cast<size_t>(e1)];
       const AnnotationVector& d2 = docs2[static_cast<size_t>(e2)];

@@ -42,12 +42,6 @@ struct LinguisticOptions {
   /// The paper lists annotation use as immediate future work (Section 10);
   /// 0 disables it.
   double annotation_weight = 0.25;
-  /// Incremental runs only (MatchGather): when the fraction of elements
-  /// with changed lsim-relevant features exceeds this on either side, the
-  /// gather stops patching rows and falls back to the batch pipeline (the
-  /// per-row scatter has a worse constant once most rows need recomputing).
-  /// Results are identical either way.
-  double gather_full_rebuild_fraction = 0.25;
 };
 
 /// \brief InvalidArgument when thns or annotation_weight lies outside
@@ -55,33 +49,31 @@ struct LinguisticOptions {
 /// LinguisticMatcher and CupidConfig::Validate.
 Status ValidateLinguisticOptions(const LinguisticOptions& options);
 
+struct PreparedLsimSide;
+
 /// Output of the linguistic phase.
 struct LinguisticResult {
-  /// Normalized names, indexed by ElementId, for each schema, and the
-  /// categorizations derived from them. Shared pointers: an incremental
-  /// re-match whose side is unchanged reuses the previous run's vectors
-  /// without copying the underlying strings (they are immutable once
-  /// built). Non-null after a successful Match(s1, s2[, cache]) or
-  /// MatchGather; the kernel Match(side1, side2, cache) copies them from the
-  /// prepared sides, so a side prepared without them (a corpus search's
-  /// memoized candidates, service/corpus_search.h) leaves them null.
-  std::shared_ptr<const std::vector<NormalizedName>> names1;
-  std::shared_ptr<const std::vector<NormalizedName>> names2;
-  std::shared_ptr<const Categorization> categories1;
-  std::shared_ptr<const Categorization> categories2;
+  /// The two prepared sides (source, then target) the lsim was computed
+  /// from: registry indices, categories, annotation vectors and, unless
+  /// their owner dropped them, normalized names and the full
+  /// categorization. Shared: a warm match reuses an unchanged side of its
+  /// past outright. Non-null after any LinguisticMatcher match; null from
+  /// LinguisticMatchReference, which prepares nothing.
+  std::shared_ptr<const PreparedLsimSide> side1;
+  std::shared_ptr<const PreparedLsimSide> side2;
   /// lsim, indexed by (ElementId of schema1, ElementId of schema2).
   Matrix<float> lsim;
   /// Element-to-element comparisons actually performed (diagnostics: how
-  /// much categorization pruned). On a MatchGather run that patched rows
-  /// this counts only the recomputed cells, not the gathered ones.
+  /// much categorization pruned). A warm match counts only the cells it
+  /// recomputed, not the ones it copied from its past.
   int64_t comparisons = 0;
-  /// MatchGather runs only: lsim rows bulk-copied from the previous run
-  /// (0 when the gather fell back to the batch pipeline).
+  /// Warm matches only: lsim rows copied from the past (every row whose
+  /// source element is unchanged).
   int64_t gathered_rows = 0;
   /// Cached runs: the run took the cache's exclusive lock to register names
   /// or category labels, or to compute name or label pairs (false = served
   /// entirely under the shared lock). The kernel reports its own work only;
-  /// Match(s1, s2, cache) also counts its two preparations.
+  /// Match(s1, s2, cache) also counts the sides it prepared.
   bool cache_filled = false;
 };
 
@@ -106,7 +98,8 @@ struct CategoryMembers {
 /// LinguisticMatcher::Prepare against one LsimCache and then shared,
 /// read-only, by any number of kernel calls Match(side1, side2, cache) — a
 /// corpus search prepares its probe once per search and each stored
-/// candidate once per version. Everything here is a pure function of the
+/// candidate once per version, and a session's rematch takes over the
+/// unedited side of its past. Everything here is a pure function of the
 /// schema under the cache's binding.
 struct PreparedLsimSide {
   /// Identity of the LsimCache the registry indices below belong to, and
@@ -123,9 +116,9 @@ struct PreparedLsimSide {
   /// Per element annotation vector (empty for undocumented elements); empty
   /// altogether when no element is documented.
   std::vector<AnnotationVector> docs;
-  /// What the kernel passes through to LinguisticResult: normalized names
-  /// and the full categorization. Prepare fills them; an owner that keeps
-  /// the side only for the kernel may drop them (they are most of its size).
+  /// Normalized names and the full categorization, for readers of a
+  /// LinguisticResult. Prepare fills them; an owner that keeps the side only
+  /// for the kernel may drop them (they are most of its size).
   std::shared_ptr<const std::vector<NormalizedName>> names;
   std::shared_ptr<const Categorization> categories;
   /// Preparing took the cache's exclusive lock.
@@ -136,8 +129,8 @@ struct PreparedLsimSide {
 };
 
 /// \brief Element correspondence between the current schema pair and the
-/// previous run's, with changed-feature flags — the input of the
-/// incremental lsim gather (LinguisticMatcher::MatchGather).
+/// previous run's, with changed-feature flags — what a warm match gathers
+/// by (LsimPast).
 ///
 /// lsim(e1, e2) is a pure function of the two elements' LOCAL features —
 /// raw name, data type, kind, not-instantiated flag, documentation, and the
@@ -154,8 +147,6 @@ struct LsimGatherPlan {
   /// Element is unmapped or its lsim-relevant features changed.
   std::vector<uint8_t> source_changed;
   std::vector<uint8_t> target_changed;
-  int64_t changed_sources = 0;
-  int64_t changed_targets = 0;
 };
 
 /// \brief Relates (s1, s2) to the previous run's schemas and flags the
@@ -163,6 +154,14 @@ struct LsimGatherPlan {
 LsimGatherPlan BuildLsimGatherPlan(const Schema& s1, const Schema& s2,
                                    const Schema& prev_s1,
                                    const Schema& prev_s2);
+
+/// \brief The previous run a warm match gathers from. The empty past (null
+/// `result`) is a cold match.
+struct LsimPast {
+  /// The previous run's result, over the schemas `plan` was built against.
+  const LinguisticResult* result = nullptr;
+  LsimGatherPlan plan;
+};
 
 /// \brief True iff element `e` of `s` and element `pe` of `ps` agree on
 /// every lsim-relevant local feature (raw name, kind, data type,
@@ -188,12 +187,16 @@ class LinguisticMatcher {
   /// \brief Match serving name- and label-level work from a cross-run cache
   /// (linguistic/lsim_cache.h), which many matches may share:
   /// Prepare(s1, kSource, cache), Prepare(s2, kTarget, cache), then the
-  /// kernel Match(side1, side2, cache). Bit-identical to
-  /// LinguisticMatchReference: cached values were computed by the same pure
-  /// functions. The cache must be bound to this matcher's thesaurus and
-  /// options; a null cache means a fresh one.
+  /// kernel. Bit-identical to LinguisticMatchReference: cached values were
+  /// computed by the same pure functions. The cache must be bound to this
+  /// matcher's thesaurus and options; a null cache means a fresh one.
+  ///
+  /// A warm match (non-empty `past`) takes a side over from the past result
+  /// instead of preparing it when the plan maps that side by identity, no
+  /// element of it changed, and it was prepared against `cache`.
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2,
-                                 LsimCache* cache) const;
+                                 LsimCache* cache,
+                                 const LsimPast& past = {}) const;
 
   /// \brief Prepares one schema as `side` of later kernel calls: registers
   /// its names and category labels in `cache` (read-first: the exclusive
@@ -207,35 +210,26 @@ class LinguisticMatcher {
 
   /// \brief The pair work of a cached match, for a source-prepared `side1`
   /// and a target-prepared `side2`, both prepared against this `cache`
-  /// (another cache, or swapped sides, is InvalidArgument): category
-  /// similarities read from the cache's label-pair table, the best-scale
-  /// pruning and the lsim scatter.
+  /// (another cache, or swapped or null sides, is InvalidArgument):
+  /// category similarities read from the cache's label-pair table, the
+  /// best-scale pruning and the lsim scatter.
+  ///
+  /// A warm kernel (non-empty `past`) copies each unchanged source's row
+  /// from the past lsim, except its cells in changed target columns, and
+  /// scatters only changed rows and changed columns — through the same best
+  /// scale and cell arithmetic, so the result is bit-identical to the cold
+  /// kernel. A plan that does not cover the sides, leaves an unchanged
+  /// element unmapped or maps outside the past lsim is InvalidArgument.
   ///
   /// Read-first: label pairs are read and name-pair similarities scattered
   /// under a SHARED hold of the cache mutex, so kernels over a warm cache
   /// run concurrently. Only a needed name or label pair the cache never
   /// computed takes the mutex exclusively, and then fills just this pair's
   /// missing entries.
-  Result<LinguisticResult> Match(const PreparedLsimSide& side1,
-                                 const PreparedLsimSide& side2,
-                                 LsimCache* cache) const;
-
-  /// \brief The incremental lsim gather: rows/columns of unchanged elements
-  /// are bulk-copied from `prev.lsim` (the previous run's result under the
-  /// schemas `plan` was built against) and only the rows/columns of changed
-  /// elements are recomputed — through the same category-scatter, name-pair
-  /// and annotation arithmetic as the batch pipeline, so the result is
-  /// bit-identical to Match(s1, s2, cache). A side with zero changed
-  /// elements under an identity map also reuses `prev`'s categorization
-  /// (a pure function of the unchanged element features). Falls back to
-  /// the full call when the changed fraction exceeds
-  /// gather_full_rebuild_fraction on either side. `cache` is required (the
-  /// recomputed cells are served from the persistent name-pair and
-  /// label-pair tables).
-  Result<LinguisticResult> MatchGather(const Schema& s1, const Schema& s2,
-                                       LsimCache* cache,
-                                       const LsimGatherPlan& plan,
-                                       const LinguisticResult& prev) const;
+  Result<LinguisticResult> Match(std::shared_ptr<const PreparedLsimSide> side1,
+                                 std::shared_ptr<const PreparedLsimSide> side2,
+                                 LsimCache* cache,
+                                 const LsimPast& past = {}) const;
 
   /// \brief Name similarity of two single names under this matcher's
   /// thesaurus and weights (normalization applied). Exposed for tests and

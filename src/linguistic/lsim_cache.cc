@@ -97,25 +97,26 @@ bool LsimCache::LookupNames(
     LsimSide side, const Schema& schema, const NameNormalizer& normalizer,
     std::vector<int32_t>* ids,
     std::shared_ptr<const std::vector<NormalizedName>>* names) {
+  const ElementId n = schema.num_elements();
   ids->clear();
-  ids->reserve(static_cast<size_t>(schema.num_elements()));
+  ids->reserve(static_cast<size_t>(n));
   {
     SharedReaderLock lock(&mu_);
     const SideNames& registry = side == LsimSide::kSource ? side1_ : side2_;
-    for (ElementId e : schema.AllElements()) {
+    for (ElementId e = 0; e < n; ++e) {
       auto it = registry.ids.find(schema.element(e).name);
       if (it == registry.ids.end()) break;
       ids->push_back(it->second);
     }
-    if (ids->size() == static_cast<size_t>(schema.num_elements())) {
+    if (ids->size() == static_cast<size_t>(n)) {
       *names = registry.Collect(*ids);
       return false;
     }
   }
+  // Registries only grow, so the indices found so far stay valid.
   SharedMutexLock lock(&mu_);
   SideNames& registry = side == LsimSide::kSource ? side1_ : side2_;
-  ids->clear();
-  for (ElementId e : schema.AllElements()) {
+  for (auto e = static_cast<ElementId>(ids->size()); e < n; ++e) {
     ids->push_back(
         registry.Register(schema.element(e).name, normalizer, &interner_));
   }
@@ -141,11 +142,9 @@ bool LsimCache::LookupLabels(LsimSide side, const Categorization& categories,
   }
   SharedMutexLock lock(&mu_);
   LsimCacheView view = LockedView();
-  SideLabels* registry =
-      side == LsimSide::kSource ? &view.labels1() : &view.labels2();
-  ids->clear();
-  for (const Category& c : cats) {
-    ids->push_back(view.RegisterLabel(registry, c));
+  SideLabels* registry = side == LsimSide::kSource ? &labels1_ : &labels2_;
+  for (size_t c = ids->size(); c < cats.size(); ++c) {
+    ids->push_back(view.RegisterLabel(registry, cats[c]));
   }
   return true;
 }
@@ -176,8 +175,7 @@ bool LsimCache::CategorySimilarities(const std::vector<int32_t>& labels1,
   }
   SharedMutexLock lock(&mu_);
   LsimCacheView view = LockedView();
-  view.EnsureCategoryCapacity(static_cast<int64_t>(labels1_.keywords.size()),
-                              static_cast<int64_t>(labels2_.keywords.size()));
+  view.EnsureCategoryCapacity();
   for (int64_t i = 0; i < rows; ++i) {
     float* out = cat_sim->row(i);
     for (int64_t j = 0; j < cols; ++j) {
@@ -198,20 +196,24 @@ void LsimCacheView::ChargeMemo(int64_t memo_bytes_before) {
   if (grown != 0) AddBytes(grown);
 }
 
-void LsimCacheView::EnsureCapacity(int64_t rows, int64_t cols) {
-  AddBytes(GrowTable(rows, cols, ns_, known_) *
+void LsimCacheView::EnsureCapacity() {
+  AddBytes(GrowTable(static_cast<int64_t>(side1_->names.size()),
+                     static_cast<int64_t>(side2_->names.size()), ns_,
+                     known_) *
            static_cast<int64_t>(sizeof(double) + sizeof(uint8_t)));
 }
 
-void LsimCacheView::EnsureCategoryCapacity(int64_t rows, int64_t cols) {
-  AddBytes(GrowTable(rows, cols, cat_sim_, cat_known_) *
+void LsimCacheView::EnsureCategoryCapacity() {
+  AddBytes(GrowTable(static_cast<int64_t>(labels1_->keywords.size()),
+                     static_cast<int64_t>(labels2_->keywords.size()),
+                     cat_sim_, cat_known_) *
            static_cast<int64_t>(sizeof(float) + sizeof(uint8_t)));
 }
 
 int32_t LsimCacheView::RegisterLabel(LsimCache::SideLabels* labels,
                                      const Category& category) {
-  // Find first: the gather registers every category of both schemas on
-  // each run, and nearly all of them are known.
+  // Find first: an exclusive LookupLabels registers every category from its
+  // first unknown one on, and usually only a few of them are new.
   auto it = labels->ids.find(category.label);
   if (it != labels->ids.end()) return it->second;
   const auto id = static_cast<int32_t>(labels->keywords.size());

@@ -28,17 +28,16 @@
 // share caches key them by LsimCacheBindingKey.
 //
 // Concurrency: the mutable state is guarded by an internal reader/writer
-// mutex. Preparation and the kernel are read-first: they look up names and
-// category labels, read label-pair similarities and scatter name-pair
-// similarities (through a const LsimCacheReadView) under a SHARED hold, so
-// any number of matches over a warm cache run concurrently. Only
-// a name or label never registered, or a needed name or label pair never
-// computed, takes the mutex exclusively, and then works through a
-// LsimCacheView that fills just that match's missing entries — the
-// persistent memo is not thread-safe, so fills serialize by design.
-// MatchGather (the warm session path) holds the mutex exclusively for its
-// whole patch. Cached values are pure functions of the raw names and
-// labels, so every path is bit-identical to recomputation.
+// mutex. Preparation and the kernel — cold or warm (a session's rematch
+// runs the same kernel) — are read-first: they look up names and category
+// labels, read label-pair similarities and scatter name-pair similarities
+// (through a const LsimCacheReadView) under a SHARED hold, so any number of
+// matches over a warm cache run concurrently. Only a name or label never
+// registered, or a needed name or label pair never computed, takes the
+// mutex exclusively, and then works through a LsimCacheView that fills just
+// that match's missing entries — the persistent memo is not thread-safe, so
+// fills serialize by design. Cached values are pure functions of the raw
+// names and labels, so every path is bit-identical to recomputation.
 
 #ifndef CUPID_LINGUISTIC_LSIM_CACHE_H_
 #define CUPID_LINGUISTIC_LSIM_CACHE_H_
@@ -222,29 +221,29 @@ class LsimCache {
 /// analyzed as separate functions and would not inherit the held capability.
 class LsimCacheView {
  public:
-  TokenInterner* interner() const { return interner_; }
-  LsimCache::SideNames& side1() const { return *side1_; }
-  LsimCache::SideNames& side2() const { return *side2_; }
-  LsimCache::SideLabels& labels1() const { return *labels1_; }
-  LsimCache::SideLabels& labels2() const { return *labels2_; }
-  /// Grows the ns/known matrices to cover [rows x cols], preserving content.
-  /// Only a dimension that overflows grows (geometrically), so a stream of
-  /// new names on one side never inflates the other.
-  void EnsureCapacity(int64_t rows, int64_t cols);
-  /// EnsureCapacity for the label-pair table, [labels1 x labels2].
-  void EnsureCategoryCapacity(int64_t rows, int64_t cols);
+  /// Grows the ns/known matrices to cover every registered name pair,
+  /// preserving content. Only a dimension that overflows grows
+  /// (geometrically), so a stream of new names on one side never inflates
+  /// the other.
+  void EnsureCapacity();
 
   /// ns of registered name pair (i, j), computed through the persistent memo
   /// on first request. Caller must have EnsureCapacity'd. The hit path is
-  /// inline: on a warm rematch nearly every needed pair hits, and the fill
-  /// loop visits all of them.
+  /// inline: a warm kernel's exclusive pass visits every needed pair, and
+  /// nearly all of them hit.
   double NameSimilarity(int32_t i, int32_t j,
                         const TokenTypeWeights& weights) {
     if ((*known_)(i, j)) return (*ns_)(i, j);
     return ComputeNameSimilarity(i, j, weights);
   }
 
-  /// Index of `category`'s label in `labels` (labels1() or labels2()),
+ private:
+  friend class LsimCache;
+
+  /// EnsureCapacity for the label-pair table.
+  void EnsureCategoryCapacity();
+
+  /// Index of `category`'s label in `labels` (either side's registry),
   /// registering the label and interning its keywords on first sight.
   int32_t RegisterLabel(LsimCache::SideLabels* labels,
                         const Category& category);
@@ -256,9 +255,6 @@ class LsimCacheView {
     if ((*cat_known_)(l1, l2)) return (*cat_sim_)(l1, l2);
     return ComputeCategorySimilarity(l1, l2);
   }
-
- private:
-  friend class LsimCache;
 
   explicit LsimCacheView(LsimCache* cache)
       : interner_(&cache->interner_),

@@ -206,7 +206,7 @@ Result<CandidateScore> ScoreCandidate(const ScoringShard& shard,
                                     &prepared_filled));
   CUPID_ASSIGN_OR_RETURN(
       LinguisticResult lres,
-      linguistic.Match(*shard.prepared, *target_side,
+      linguistic.Match(shard.prepared, std::move(target_side),
                        shard.binding->cache()));
   static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
       "cupid.corpus.shared_cache.hits",

@@ -142,7 +142,7 @@ TEST(PerfEquivalenceTest, CachedLsimEqualsNaiveBitForBit) {
     ASSERT_TRUE(side1.ok()) << side1.status().ToString();
     ASSERT_TRUE(side2.ok()) << side2.status().ToString();
     auto one_shot = cached.Match(p.source, p.target);
-    auto kernel = cached.Match(**side1, **side2, &cache);
+    auto kernel = cached.Match(*side1, *side2, &cache);
     for (const auto* rc : {&one_shot, &kernel}) {
       const std::string path = rc == &one_shot ? "one-shot" : "kernel";
       ASSERT_TRUE(rc->ok()) << path << ": " << rc->status().ToString();
@@ -287,7 +287,7 @@ TEST(LsimCacheTest, NewLabelsAloneRaiseBytesAndTheGauge) {
     // Matching allocates the label-pair table; the gauge follows.
     auto target = matcher.Prepare(as_string, LsimSide::kTarget, &cache);
     ASSERT_TRUE(target.ok()) << target.status().ToString();
-    auto matched = matcher.Match(**retyped, **target, &cache);
+    auto matched = matcher.Match(*retyped, *target, &cache);
     ASSERT_TRUE(matched.ok()) << matched.status().ToString();
     EXPECT_TRUE(matched->cache_filled);
     EXPECT_GT(cache.bytes(), cache.name_table_bytes());
@@ -336,7 +336,7 @@ TEST(LsimCacheTest, LabelFillsAloneSetCacheFilled) {
   auto expect = [&](const Schema& s, bool filled, const char* step) {
     auto prepared = matcher.Prepare(s, LsimSide::kSource, &cache);
     ASSERT_TRUE(prepared.ok()) << step;
-    auto got = matcher.Match(**prepared, **target_side, &cache);
+    auto got = matcher.Match(*prepared, *target_side, &cache);
     ASSERT_TRUE(got.ok()) << step;
     EXPECT_EQ(got->cache_filled || (*prepared)->cache_filled, filled) << step;
     auto want = LinguisticMatchReference(&th, options, s, target);
@@ -352,7 +352,7 @@ TEST(LsimCacheTest, LabelFillsAloneSetCacheFilled) {
 
 /// A prepared side carries registry indices of the cache and the side it
 /// was prepared against; the kernel refuses any other cache — even one with
-/// the same binding — and a side passed in the wrong position.
+/// the same binding — a side passed in the wrong position, and a null side.
 TEST(LsimCacheTest, PreparedSourceIsBoundToItsCache) {
   Thesaurus th = DefaultThesaurus();
   LinguisticOptions options;
@@ -368,21 +368,23 @@ TEST(LsimCacheTest, PreparedSourceIsBoundToItsCache) {
   ASSERT_TRUE(source.ok());
   ASSERT_TRUE(target.ok());
   ASSERT_TRUE(other_target.ok());
-  auto wrong = matcher.Match(**source, **target, &other);
+  auto wrong = matcher.Match(*source, *target, &other);
   EXPECT_TRUE(wrong.status().IsInvalidArgument()) << wrong.status().ToString();
-  auto mixed = matcher.Match(**source, **other_target, &cache);
+  auto mixed = matcher.Match(*source, *other_target, &cache);
   EXPECT_TRUE(mixed.status().IsInvalidArgument()) << mixed.status().ToString();
-  auto source_as_target = matcher.Match(**source, **source, &cache);
+  auto source_as_target = matcher.Match(*source, *source, &cache);
   EXPECT_TRUE(source_as_target.status().IsInvalidArgument())
       << source_as_target.status().ToString();
-  auto swapped = matcher.Match(**target, **source, &cache);
+  auto swapped = matcher.Match(*target, *source, &cache);
   EXPECT_TRUE(swapped.status().IsInvalidArgument());
-  auto null_cache = matcher.Match(**source, **target, nullptr);
+  auto null_cache = matcher.Match(*source, *target, nullptr);
   EXPECT_TRUE(null_cache.status().IsInvalidArgument());
+  EXPECT_TRUE(
+      matcher.Match(nullptr, *target, &cache).status().IsInvalidArgument());
   EXPECT_TRUE(matcher.Prepare(p.source, LsimSide::kSource, nullptr)
                   .status()
                   .IsInvalidArgument());
-  auto right = matcher.Match(**source, **target, &cache);
+  auto right = matcher.Match(*source, *target, &cache);
   ASSERT_TRUE(right.ok()) << right.status().ToString();
   auto want = LinguisticMatchReference(&th, options, p.source, p.target);
   ASSERT_TRUE(want.ok());
@@ -393,7 +395,7 @@ TEST(LsimCacheTest, PreparedSourceIsBoundToItsCache) {
 /// sizes, in a shuffled order, so both label registries — and the
 /// label-pair table in both dimensions — grow while matches run. Matchers
 /// that differ only in thns or use_categories share the cache (neither is
-/// part of its binding). Every Match(s1, s2, cache), every MatchGather
+/// part of its binding). Every Match(s1, s2, cache), every warm Match
 /// patching from another pair, and concurrent readers of the warm cache
 /// must equal LinguisticMatchReference bit for bit.
 TEST(LsimCacheTest, SharedLabelTableEqualsUncachedAcrossPairsAndOptions) {
@@ -419,9 +421,6 @@ TEST(LsimCacheTest, SharedLabelTableEqualsUncachedAcrossPairsAndOptions) {
   variants[2].options.thns = 0.9;
   variants[3].name = "no-categories";
   variants[3].options.use_categories = false;
-  for (Variant& v : variants) {
-    v.options.gather_full_rebuild_fraction = 1.0;  // always patch
-  }
 
   // Naive reference per (variant, source, target).
   std::vector<LinguisticResult> want;
@@ -460,11 +459,11 @@ TEST(LsimCacheTest, SharedLabelTableEqualsUncachedAcrossPairsAndOptions) {
 
       // Patch this pair from the previous one: every changed row and
       // column reads the label-pair table.
-      LsimGatherPlan plan = BuildLsimGatherPlan(
-          sources[i], targets[j], sources[prev_i], targets[prev_j]);
-      auto gathered =
-          matcher.MatchGather(sources[i], targets[j], &cache, plan,
-                              want_at(v, prev_i, prev_j));
+      LsimPast past;
+      past.result = &want_at(v, prev_i, prev_j);
+      past.plan = BuildLsimGatherPlan(sources[i], targets[j],
+                                      sources[prev_i], targets[prev_j]);
+      auto gathered = matcher.Match(sources[i], targets[j], &cache, past);
       ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
       ExpectLsimEqual(*gathered, want_at(v, i, j), "gather " + context);
     }
@@ -509,6 +508,132 @@ TEST(LsimCacheTest, SharedLabelTableEqualsUncachedAcrossPairsAndOptions) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(fills.load(), 0);
+}
+
+/// A warm Match runs the one kernel: it takes the unedited side over from
+/// its past (only the edited side is prepared), copies the rows of
+/// unchanged sources however many elements changed, prepares again a side
+/// the past prepared against another cache, and on a warm cache never takes
+/// the exclusive lock — each result equal to the reference.
+TEST(LsimCacheTest, WarmMatchReusesUneditedSideAndPatchesAnyChange) {
+  Thesaurus th = DefaultThesaurus();
+  SyntheticOptions sopt;
+  sopt.num_elements = 256;
+  sopt.seed = 610;
+  SyntheticPair p = GenerateSyntheticPair(sopt);
+  LinguisticOptions options;
+  LinguisticMatcher matcher(&th, options);
+  LsimCache cache(&th, options);
+  auto cold = matcher.Match(p.source, p.target, &cache);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_NE(cold->side1, nullptr);
+  ASSERT_NE(cold->side2, nullptr);
+
+  auto warm_from = [&](const LinguisticResult& prev, const Schema& source,
+                       LsimCache* on, const Schema* target = nullptr) {
+    if (target == nullptr) target = &p.target;
+    LsimPast past;
+    past.result = &prev;
+    past.plan = BuildLsimGatherPlan(source, *target, p.source, p.target);
+    return matcher.Match(source, *target, on, past);
+  };
+  auto reference = [&](const Schema& source, const Schema* target = nullptr) {
+    auto want = LinguisticMatchReference(&th, options, source,
+                                         target ? *target : p.target);
+    EXPECT_TRUE(want.ok());
+    return std::move(*want);
+  };
+
+  // One renamed source element: the target side is the past's, the source
+  // side is prepared again; a repeat on the now-warm cache fills nothing.
+  Schema renamed = p.source;
+  const ElementId leaf = renamed.num_elements() - 1;
+  renamed.mutable_element(leaf)->name += "Renamed";
+  auto one = warm_from(*cold, renamed, &cache);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->side2.get(), cold->side2.get());
+  EXPECT_NE(one->side1.get(), cold->side1.get());
+  EXPECT_EQ(one->gathered_rows, renamed.num_elements() - 1);
+  EXPECT_TRUE(one->cache_filled);  // the new name was registered
+  const LinguisticResult want_one = reference(renamed);
+  ExpectLsimEqual(*one, want_one, "one rename");
+  auto again = warm_from(*cold, renamed, &cache);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_FALSE(again->cache_filled);
+  ExpectLsimEqual(*again, want_one, "one rename on a warm cache");
+
+  // A third of the source and a fifth of the target renamed: still
+  // patched, not rebuilt, changed columns of copied rows included.
+  Schema many = p.source;
+  for (ElementId e = 1; e < many.num_elements(); e += 3) {
+    many.mutable_element(e)->name += "X";
+  }
+  Schema many_targets = p.target;
+  for (ElementId e = 2; e < many_targets.num_elements(); e += 5) {
+    many_targets.mutable_element(e)->name += "Y";
+  }
+  auto patched = warm_from(*cold, many, &cache, &many_targets);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  EXPECT_GT(patched->gathered_rows, 0);
+  EXPECT_LT(patched->gathered_rows, many.num_elements() * 3 / 4);
+  ExpectLsimEqual(*patched, reference(many, &many_targets),
+                  "a third of the sources, a fifth of the targets renamed");
+
+  // A past prepared against another cache: neither side is reused.
+  LsimCache other(&th, options);
+  auto other_cold = matcher.Match(p.source, p.target, &other);
+  ASSERT_TRUE(other_cold.ok());
+  auto crossed = warm_from(*other_cold, renamed, &cache);
+  ASSERT_TRUE(crossed.ok()) << crossed.status().ToString();
+  EXPECT_NE(crossed->side2.get(), other_cold->side2.get());
+  EXPECT_NE(crossed->side1.get(), other_cold->side1.get());
+  EXPECT_EQ(crossed->gathered_rows, renamed.num_elements() - 1);
+  ExpectLsimEqual(*crossed, want_one, "past from another cache");
+}
+
+/// A past whose plan does not fit it is InvalidArgument, never an
+/// out-of-bounds copy: a plan built for other schemas than the past's lsim,
+/// a plan of the wrong size, and an unchanged element left unmapped.
+TEST(LsimCacheTest, MismatchedPastIsInvalidArgument) {
+  Thesaurus th = DefaultThesaurus();
+  SyntheticOptions sopt;
+  sopt.num_elements = 60;
+  sopt.seed = 620;
+  SyntheticPair small = GenerateSyntheticPair(sopt);
+  sopt.num_elements = 256;
+  SyntheticPair big = GenerateSyntheticPair(sopt);
+  LinguisticOptions options;
+  LinguisticMatcher matcher(&th, options);
+  LsimCache cache(&th, options);
+  auto small_result = matcher.Match(small.source, small.target, &cache);
+  ASSERT_TRUE(small_result.ok());
+
+  // The plan relates `big` to itself, but the past lsim is small's.
+  LsimPast past;
+  past.result = &*small_result;
+  past.plan = BuildLsimGatherPlan(big.source, big.target, big.source,
+                                  big.target);
+  auto outside = matcher.Match(big.source, big.target, &cache, past);
+  EXPECT_TRUE(outside.status().IsInvalidArgument())
+      << outside.status().ToString();
+
+  // A plan sized for another pair.
+  past.plan = BuildLsimGatherPlan(small.source, small.target, small.source,
+                                  small.target);
+  auto sized = matcher.Match(big.source, big.target, &cache, past);
+  EXPECT_TRUE(sized.status().IsInvalidArgument()) << sized.status().ToString();
+
+  // An unchanged but unmapped source element.
+  past.plan.source_map[3] = kNoElement;
+  auto unmapped = matcher.Match(small.source, small.target, &cache, past);
+  EXPECT_TRUE(unmapped.status().IsInvalidArgument())
+      << unmapped.status().ToString();
+
+  // The plan intact: the warm match equals the cold one.
+  past.plan.source_map[3] = 3;
+  auto fine = matcher.Match(small.source, small.target, &cache, past);
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  ExpectLsimEqual(*fine, *small_result, "intact plan");
 }
 
 // -------------------------------------------------------------- path index --
