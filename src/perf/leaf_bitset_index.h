@@ -3,6 +3,9 @@
 // (structural/tree_match.h):
 //   * every TreeMatch lays its dense leaf-pair matrices out over a
 //     LeafIndex per tree, streaming a subtree's leaves as one dense range;
+//   * a cold TreeMatch keeps its strong-link bits in LeafPairBits' row
+//     layout (one row of column-index words per row leaf) and counts a
+//     node's linked leaves against its mask over the mask's word span;
 //   * the warm start keeps per-leaf *dirtiness* bitsets and asks "does the
 //     block leaves(ns) x leaves(nt) contain any dirty pair?" for every node
 //     pair.

@@ -66,6 +66,32 @@ class FrontierProvider {
   std::vector<std::vector<LeafRef>> frontiers_;
 };
 
+/// Set bits of one word. Portable bit arithmetic: without a -m flag the
+/// compiler lowers __builtin_popcountll to a library call.
+inline int64_t PopCount(uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ULL);
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int64_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
+/// One side of a structural-similarity fraction, counted over the word span
+/// [begin, end) of a node's leaf mask: every leaf in `mask` that is also in
+/// `linked` is strong and included; an unlinked leaf is included when it is
+/// in `counted` (its non-optional leaves, or all of them when optional
+/// discounting is off).
+inline void CountLinkedLeaves(const uint64_t* linked, const uint64_t* mask,
+                              const uint64_t* counted, uint32_t begin,
+                              uint32_t end, int64_t* strong,
+                              int64_t* included) {
+  for (uint32_t w = begin; w < end; ++w) {
+    const uint64_t hit = linked[w] & mask[w];
+    const int64_t n = PopCount(hit);
+    *strong += n;
+    *included += n + PopCount(counted[w] & ~hit);
+  }
+}
+
 /// Groups of duplicated subtrees on the source side, for lazy expansion:
 /// for each top canonical node, the aligned (canonical descendant, copy
 /// descendant) node pairs across all its copies.
@@ -420,9 +446,13 @@ class ReferenceMatcher : private MatcherBase {
 ///
 /// A cold run is the engine with an empty past (a TreeMatchDelta holding
 /// only the two leaf indexes): every visit-list pair is scanned and nothing
-/// is reused, replayed or gathered. A warm run adds, on top of the same
-/// sweep and recompute bodies, reuse of provably clean pairs from the
-/// previous run. Its correctness rests on three facts. (1) Surviving nodes
+/// is reused, replayed or gathered. Its scans read strong-link bits kept
+/// exact beside the dense leaf ssim; Section 6's ssim is a set quantity, so
+/// a word of bits answers 64 leaf-link tests. A warm run adds, on top of
+/// the same sweep and recompute bodies, reuse of provably clean pairs from
+/// the previous run. It rescans only a few dirty pairs, which would not
+/// repay an O(leaves^2) bit build, so it keeps the float scans and never
+/// builds bits. Its correctness rests on three facts. (1) Surviving nodes
 /// keep their relative post-order across the supported edits (schema
 /// children are appended, removals preserve sibling order), so the
 /// feedback events touching any clean leaf pair happen in the same order
@@ -505,7 +535,9 @@ class TreeMatcher : private MatcherBase {
   /// carries a previous run.
   ///
   /// Cold, every leaf pair re-mixes its wsim from the final leaf state and
-  /// every visit-list pair is rescanned. Warm, clean regions of the final
+  /// sets its strong-link bit; the bits are unioned into per-node link sets,
+  /// and every visit-list pair counts its strong and included leaves by
+  /// popcount over them. Warm, clean regions of the final
   /// matrices are first bulk-copied row-wise from the previous run under
   /// the correspondence maps (memcpy per maximal run of consecutively-mapped
   /// target nodes — one memcpy per row when the maps are identities), and
@@ -532,12 +564,14 @@ class TreeMatcher : private MatcherBase {
         past_ && prev_counts != nullptr &&
         prev_counts->strong.rows() == delta.prev_source->num_nodes() &&
         prev_counts->strong.cols() == delta.prev_target->num_nodes();
-    auto r1 = r0, r2 = r0;
+    // Phases: gather (warm) or count allocation (cold), leaf re-mix, link
+    // bitsets (cold), stale-cell fixup (warm), visit-list walk.
+    auto r1 = r0, r2 = r0, r3 = r0;
     if (past_) {
       GatherFinalRows(delta, have_counts, result);
       r1 = std::chrono::steady_clock::now();
       MixDirtyLeafWsim(delta, sims);
-      r2 = std::chrono::steady_clock::now();
+      r2 = r3 = std::chrono::steady_clock::now();
       ZeroStaleCells(delta, result);
     } else {
       result->counts.strong = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
@@ -546,9 +580,11 @@ class TreeMatcher : private MatcherBase {
       r1 = std::chrono::steady_clock::now();
       MixFinalLeafWsim(delta, sims);
       r2 = std::chrono::steady_clock::now();
+      BuildNodeLinkSets(delta);
+      r3 = std::chrono::steady_clock::now();
     }
 
-    auto r3 = std::chrono::steady_clock::now();
+    auto r4 = std::chrono::steady_clock::now();
     // ---- visit list: clean-skip / reuse / tally adjustment / rescan -----
     // Clean-pair test as in the sweep, over the POST-sweep dirty state: a
     // clean x clean pair's gathered ssim/wsim/counts are bitwise what the
@@ -575,21 +611,26 @@ class TreeMatcher : private MatcherBase {
           continue;
         }
         sims->set_ssim(ns, nt,
-                       StructuralSimilarity(*sims, s_.leaves(ns),
-                                            t_.leaves(nt), &strong, &included));
+                       past_ ? StructuralSimilarity(*sims, s_.leaves(ns),
+                                                    t_.leaves(nt), &strong,
+                                                    &included)
+                             : CountedStructuralSimilarity(delta, ns, nt,
+                                                           &strong,
+                                                           &included));
         sims->set_wsim(ns, nt,
                        MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
       }
     }
     if (span.enabled()) {
-      auto r4 = std::chrono::steady_clock::now();
+      auto r5 = std::chrono::steady_clock::now();
       auto ms = [](auto a, auto b) {
         return std::chrono::duration<double, std::milli>(b - a).count();
       };
       span.Attr("gather_ms", ms(r0, r1));
       span.Attr("dirtymix_ms", ms(r1, r2));
-      span.Attr("fixup_ms", ms(r2, r3));
-      span.Attr("walk_ms", ms(r3, r4));
+      span.Attr("bits_ms", ms(r2, r3));
+      span.Attr("fixup_ms", ms(r3, r4));
+      span.Attr("walk_ms", ms(r4, r5));
     }
   }
 
@@ -722,36 +763,132 @@ class TreeMatcher : private MatcherBase {
   }
 
   /// Cold recompute: every leaf pair re-mixes wsim from the final leaf
-  /// state.
+  /// state, and a strong pair (the mix >= th_accept: LinkStrength's test)
+  /// sets its bit in both leaves' link sets — the source leaf's row of
+  /// target leaves and the target leaf's row of source leaves.
   void MixFinalLeafWsim(const TreeMatchDelta& delta, NodeSimilarities* sims) {
     const LeafIndex& sl = *delta.source_leaves;
     const LeafIndex& tl = *delta.target_leaves;
+    src_links_.assign(static_cast<size_t>(s_.num_nodes()) * tl.words(), 0);
+    tgt_links_.assign(static_cast<size_t>(t_.num_nodes()) * sl.words(), 0);
     for (size_t r = 0; r < sl.num_leaves(); ++r) {
       const TreeNodeId x = sl.leaf(r);
+      uint64_t* xrow = src_links_.data() + static_cast<size_t>(x) * tl.words();
+      const uint64_t rbit = uint64_t{1} << (r % LeafIndex::kWordBits);
+      const size_t rword = r / LeafIndex::kWordBits;
       for (size_t c = 0; c < tl.num_leaves(); ++c) {
         const TreeNodeId y = tl.leaf(c);
-        sims->set_wsim(x, y, MixWsim(*sims, x, y, sims->ssim(x, y), true));
+        const double strength = MixWsim(*sims, x, y, sims->ssim(x, y), true);
+        sims->set_wsim(x, y, strength);
+        if (strength >= opt_.th_accept) {
+          xrow[c / LeafIndex::kWordBits] |= uint64_t{1}
+                                            << (c % LeafIndex::kWordBits);
+          tgt_links_[static_cast<size_t>(y) * sl.words() + rword] |= rbit;
+        }
       }
     }
   }
 
+  /// Cold recompute: the per-node link sets. A node's set is the union of
+  /// its children's (post-order puts children first, and set union keeps
+  /// DAG nodes exact: leaves() is deduplicated), plus each side's counted
+  /// masks for the optional discount.
+  void BuildNodeLinkSets(const TreeMatchDelta& d) {
+    auto union_children = [](const SchemaTree& tree, size_t words,
+                             std::vector<uint64_t>* links) {
+      for (TreeNodeId n : tree.post_order()) {
+        uint64_t* row = links->data() + static_cast<size_t>(n) * words;
+        for (TreeNodeId c : tree.node(n).children) {
+          const uint64_t* crow =
+              links->data() + static_cast<size_t>(c) * words;
+          for (size_t w = 0; w < words; ++w) row[w] |= crow[w];
+        }
+      }
+    };
+    union_children(s_, d.target_leaves->words(), &src_links_);
+    union_children(t_, d.source_leaves->words(), &tgt_links_);
+    BuildCountedMasks(s_, *d.source_leaves, &s_counted_);
+    BuildCountedMasks(t_, *d.target_leaves, &t_counted_);
+  }
+
+  /// Per node, the leaves an unlinked member still counts in `included`:
+  /// those non-optional relative to the node (path-relative flags of
+  /// leaves()). Left empty without optional discounting, where every leaf
+  /// counts and the node's LeafIndex mask serves (see Counted).
+  void BuildCountedMasks(const SchemaTree& tree, const LeafIndex& li,
+                         std::vector<uint64_t>* out) const {
+    out->clear();
+    if (!opt_.optional_discount) return;
+    out->assign(static_cast<size_t>(tree.num_nodes()) * li.words(), 0);
+    for (TreeNodeId n = 0; n < tree.num_nodes(); ++n) {
+      uint64_t* row = out->data() + static_cast<size_t>(n) * li.words();
+      for (const LeafRef& lr : tree.leaves(n)) {
+        if (lr.optional) continue;
+        const size_t j = static_cast<size_t>(li.dense(lr.leaf));
+        row[j / LeafIndex::kWordBits] |= uint64_t{1}
+                                         << (j % LeafIndex::kWordBits);
+      }
+    }
+  }
+
+  static const uint64_t* Counted(const LeafIndex& li,
+                                 const std::vector<uint64_t>& counted,
+                                 TreeNodeId n) {
+    return counted.empty()
+               ? li.mask(n)
+               : counted.data() + static_cast<size_t>(n) * li.words();
+  }
+
+  /// Cold recompute: StructuralSimilarity from the link sets, by popcount
+  /// over the two nodes' mask spans — the source leaves of ns inside
+  /// nt's link set and the target leaves of nt inside ns's.
+  double CountedStructuralSimilarity(const TreeMatchDelta& d, TreeNodeId ns,
+                                     TreeNodeId nt, int32_t* strong_out,
+                                     int32_t* included_out) const {
+    const LeafIndex& sl = *d.source_leaves;
+    const LeafIndex& tl = *d.target_leaves;
+    int64_t strong = 0, included = 0;
+    CountLinkedLeaves(tgt_links_.data() + static_cast<size_t>(nt) * sl.words(),
+                      sl.mask(ns), Counted(sl, s_counted_, ns),
+                      sl.mask_begin(ns), sl.mask_end(ns), &strong, &included);
+    CountLinkedLeaves(src_links_.data() + static_cast<size_t>(ns) * tl.words(),
+                      tl.mask(nt), Counted(tl, t_counted_, nt),
+                      tl.mask_begin(nt), tl.mask_end(nt), &strong, &included);
+    *strong_out = static_cast<int32_t>(strong);
+    *included_out = static_cast<int32_t>(included);
+    return included == 0 ? 0.0
+                         : static_cast<double>(strong) /
+                               static_cast<double>(included);
+  }
+
   /// Cold sweep: the sweep-stage wsim of every leaf pair. Feedback only
   /// scales leaf pairs under a strictly later non-leaf pair in post-order,
-  /// so a full grid mixes each leaf pair from its type-seeded ssim.
+  /// so a full grid mixes each leaf pair from its type-seeded ssim. The same
+  /// mix seeds the strong-link bits the cold scans read, and the target
+  /// side's counted masks are built beside them.
   void MixSweepLeafWsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
     const size_t nsl = d.source_leaves->num_leaves();
     const size_t ntl = d.target_leaves->num_leaves();
+    const size_t words = d.target_leaves->words();
     const double w = opt_.wstruct_leaf;
     Matrix<float>* wsim_m = sims->mutable_wsim_matrix();
+    leaf_strong_.assign(nsl * words, 0);
+    link_acc_.assign(words, 0);
     for (size_t r = 0; r < nsl; ++r) {
       const float* srow = leaf_ssim_.row(static_cast<int64_t>(r));
       const float* lrow = leaf_lsim_.row(static_cast<int64_t>(r));
       float* wrow = wsim_m->row(d.source_leaves->leaf(r));
+      uint64_t* brow = leaf_strong_.data() + r * words;
       for (size_t c = 0; c < ntl; ++c) {
-        wrow[d.target_leaves->leaf(c)] =
-            static_cast<float>(w * srow[c] + (1.0 - w) * lrow[c]);
+        const double strength = w * srow[c] + (1.0 - w) * lrow[c];
+        wrow[d.target_leaves->leaf(c)] = static_cast<float>(strength);
+        if (strength >= opt_.th_accept) {
+          brow[c / LeafIndex::kWordBits] |= uint64_t{1}
+                                            << (c % LeafIndex::kWordBits);
+        }
       }
     }
+    BuildCountedMasks(t_, *d.target_leaves, &t_counted_);
   }
 
   /// Warm recompute: zeroes gathered cells a cold run never writes. Only
@@ -1267,7 +1404,8 @@ class TreeMatcher : private MatcherBase {
       reused = true;
       ++result->stats.pairs_reused;
     } else {
-      sims.set_ssim(ns, nt, SweepStructuralSimilarity(*d, ns, nt));
+      sims.set_ssim(ns, nt, past_ ? SweepStructuralSimilarity(*d, ns, nt)
+                                  : SweepLinkBits(*d, ns, nt));
     }
     ++result->stats.pairs_compared;
     double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), false);
@@ -1532,11 +1670,94 @@ class TreeMatcher : private MatcherBase {
                                static_cast<double>(included);
   }
 
+  /// Cold sweep: SweepStructuralSimilarity over the strong-link bits, in
+  /// one pass over the rows of leaves(ns). A row has a link into leaves(nt)
+  /// iff it meets nt's mask; the rows' union is the set of target leaves
+  /// with a link into leaves(ns), counted against nt's masks. link_tests
+  /// counts the 64-bit words tested.
+  double SweepLinkBits(const TreeMatchDelta& d, TreeNodeId ns,
+                       TreeNodeId nt) {
+    const LeafIndex& tl = *d.target_leaves;
+    const size_t words = tl.words();
+    const uint64_t* tmask = tl.mask(nt);
+    const uint32_t cb = tl.mask_begin(nt), ce = tl.mask_end(nt);
+    uint64_t* acc = link_acc_.data();
+    std::fill(acc + cb, acc + ce, uint64_t{0});
+    int64_t strong = 0, included = 0;
+    for (const LeafRef& x : s_.leaves(ns)) {
+      const uint64_t* row =
+          leaf_strong_.data() +
+          static_cast<size_t>(d.source_leaves->dense(x.leaf)) * words;
+      uint64_t hit = 0;
+      for (uint32_t w = cb; w < ce; ++w) {
+        hit |= row[w] & tmask[w];
+        acc[w] |= row[w];
+      }
+      link_tests_ += ce - cb;
+      if (hit != 0) {
+        ++strong;
+        ++included;
+      } else if (!(opt_.optional_discount && x.optional)) {
+        ++included;
+      }
+    }
+    CountLinkedLeaves(acc, tmask, Counted(tl, t_counted_, nt), cb, ce, &strong,
+                      &included);
+    return included == 0 ? 0.0
+                         : static_cast<double>(strong) /
+                               static_cast<double>(included);
+  }
+
+  /// Cold sweep: keeps the strong-link bits of block leaves(ns) x
+  /// leaves(nt) equal to the scaled floats. Scaling is monotone in ssim and
+  /// the strength in ssim, so an increase (factor > 1) can only set clear
+  /// bits and a decrease only clear set ones; only those are re-tested, with
+  /// the same double expression MixSweepLeafWsim used.
+  void RetestBlockBits(const TreeMatchDelta& d, TreeNodeId ns, TreeNodeId nt,
+                       double factor) {
+    const LeafIndex& sl = *d.source_leaves;
+    const LeafIndex& tl = *d.target_leaves;
+    const size_t words = tl.words();
+    const bool increase = factor > 1.0;
+    const double w = opt_.wstruct_leaf;
+    const uint64_t* rmask = sl.mask(ns);
+    const uint64_t* cmask = tl.mask(nt);
+    const uint32_t cb = tl.mask_begin(nt), ce = tl.mask_end(nt);
+    for (uint32_t rw = sl.mask_begin(ns); rw < sl.mask_end(ns); ++rw) {
+      for (uint64_t rows = rmask[rw]; rows != 0; rows &= rows - 1) {
+        const size_t r = static_cast<size_t>(rw) * LeafIndex::kWordBits +
+                         static_cast<size_t>(__builtin_ctzll(rows));
+        const float* srow = leaf_ssim_.row(static_cast<int64_t>(r));
+        const float* lrow = leaf_lsim_.row(static_cast<int64_t>(r));
+        uint64_t* brow = leaf_strong_.data() + r * words;
+        for (uint32_t cw = cb; cw < ce; ++cw) {
+          uint64_t todo = (increase ? ~brow[cw] : brow[cw]) & cmask[cw];
+          for (; todo != 0; todo &= todo - 1) {
+            const unsigned b = static_cast<unsigned>(__builtin_ctzll(todo));
+            const size_t c = static_cast<size_t>(cw) * LeafIndex::kWordBits + b;
+            if (w * srow[c] + (1.0 - w) * lrow[c] >= opt_.th_accept) {
+              brow[cw] |= uint64_t{1} << b;
+            } else {
+              brow[cw] &= ~(uint64_t{1} << b);
+            }
+          }
+        }
+      }
+    }
+  }
+
   /// Feedback replay as contiguous block scaling over the dense leaf ssim —
   /// ScaleSsim's exact cast-then-clamp arithmetic, without per-cell 2D
-  /// indexing or cache-patching branches.
+  /// indexing or cache-patching branches. A cold sweep re-tests the
+  /// block's strong-link bits after the floats.
   void ScaleBlockDense(const TreeMatchDelta& d, TreeNodeId ns, TreeNodeId nt,
                        double factor) {
+    ScaleBlockFloats(d, ns, nt, factor);
+    if (!past_) RetestBlockBits(d, ns, nt, factor);
+  }
+
+  void ScaleBlockFloats(const TreeMatchDelta& d, TreeNodeId ns, TreeNodeId nt,
+                        double factor) {
     const bool contig = d.source_leaves->range_contiguous(ns) &&
                         d.target_leaves->range_contiguous(nt);
     if (contig) {
@@ -1586,6 +1807,16 @@ class TreeMatcher : private MatcherBase {
   /// sweep and the recompute).
   Matrix<float> leaf_ssim_;
   Matrix<float> leaf_lsim_;
+  /// Cold runs only. The sweep's strong-link bits beside leaf_ssim_: per
+  /// dense source leaf, target_leaves->words() words (LeafPairBits'
+  /// layout), plus the scan's union accumulator. The recompute's per-node
+  /// link sets: per source node the target leaves with a strong link into
+  /// its leaves, per target node the source leaves likewise. Counted masks
+  /// per node: see BuildCountedMasks.
+  std::vector<uint64_t> leaf_strong_;
+  std::vector<uint64_t> link_acc_;
+  std::vector<uint64_t> src_links_, tgt_links_;
+  std::vector<uint64_t> s_counted_, t_counted_;
   std::vector<uint8_t> s_clean_, t_clean_;
   /// A mid-sweep divergence dirtied new leaf blocks; re-derive the clean
   /// flags before trusting them again.

@@ -7,9 +7,12 @@
 // surviving the leaf-count prune, over dense leaf-pair matrices. A cold
 // TreeMatch is that engine with an empty past; a warm TreeMatchIncremental
 // adds reuse of the previous run's clean pairs on top of the same sweep and
-// recompute bodies. TreeMatch is serial. The full-grid reference sweep
-// (TreeMatchReference) is the only engine for the remaining Section 8.4
-// variants and the oracle the engine is tested against.
+// recompute bodies. A cold run keeps the strong-link predicate of every leaf
+// pair (leaf wsim >= th_accept) as bits: its sweep scans test 64 leaf links
+// per word, and its recompute counts links by popcount over per-node link
+// sets. Warm runs keep their float scans. TreeMatch is serial. The full-grid
+// reference sweep (TreeMatchReference) is the only engine for the remaining
+// Section 8.4 variants and the oracle the engine is tested against.
 
 #ifndef CUPID_STRUCTURAL_TREE_MATCH_H_
 #define CUPID_STRUCTURAL_TREE_MATCH_H_
@@ -93,8 +96,10 @@ struct TreeMatchStats {
   int64_t leaf_scans_skipped = 0;
   int64_t increases_applied = 0;
   int64_t decreases_applied = 0;
-  /// Leaf-pair link-strength evaluations performed by structural-similarity
-  /// scans (the dominant sweep cost on deep schemas).
+  /// Work of the sweep's structural-similarity scans (the dominant sweep
+  /// cost on deep schemas). The reference sweep and warm rescans count
+  /// leaf-pair link-strength evaluations; a cold visit-list sweep counts the
+  /// 64-bit words of strong-link bits it tests.
   int64_t link_tests = 0;
   /// Leaf-pair ssim cells rescaled by increase/decrease feedback.
   int64_t scale_ops = 0;

@@ -433,11 +433,31 @@ std::vector<OracleVariant> OracleVariants() {
   th_low_accept.th_accept = 0.4;
   TreeMatchOptions th_high_accept;
   th_high_accept.th_accept = 0.6;
+  // Increase-heavy: more pairs clear th_high and each increase is steeper,
+  // so the cold sweep sets many clear strong-link bits.
+  TreeMatchOptions increase_heavy;
+  increase_heavy.th_high = 0.5;
+  increase_heavy.c_inc = 1.5;
+  // Unit factors: the fired direction scales nothing, and no bit may move.
+  TreeMatchOptions unit_inc;
+  unit_inc.c_inc = 1.0;
+  TreeMatchOptions unit_dec;
+  unit_dec.c_dec = 1.0;
+  // Link strength from lsim alone, or from ssim alone.
+  TreeMatchOptions lsim_only;
+  lsim_only.wstruct_leaf = 0.0;
+  TreeMatchOptions ssim_only;
+  ssim_only.wstruct_leaf = 1.0;
   return {{"defaults (leaf_count_ratio 2)", {}},
           {"leaf_count_ratio 0", no_prune},
           {"optional_discount off", no_discount},
           {"th_accept 0.4", th_low_accept},
-          {"th_accept 0.6", th_high_accept}};
+          {"th_accept 0.6", th_high_accept},
+          {"th_high 0.5, c_inc 1.5", increase_heavy},
+          {"c_inc 1.0", unit_inc},
+          {"c_dec 1.0", unit_dec},
+          {"wstruct_leaf 0.0", lsim_only},
+          {"wstruct_leaf 1.0", ssim_only}};
 }
 
 /// A cold TreeMatch + RecomputeNonLeafSimilarities must equal the reference
@@ -466,7 +486,10 @@ void ExpectColdEngineMatchesReference(const Schema& source,
     EXPECT_EQ(got->stats.pairs_pruned_leaf_count,
               want->stats.pairs_pruned_leaf_count)
         << context;
-    EXPECT_EQ(got->stats.link_tests, want->stats.link_tests) << context;
+    // The engine's cold scans count 64-bit words of strong-link bits, the
+    // reference counts leaf pairs; only whether any scan ran is comparable.
+    EXPECT_EQ(got->stats.link_tests > 0, want->stats.link_tests > 0)
+        << context;
     EXPECT_EQ(got->stats.scale_ops, want->stats.scale_ops) << context;
     EXPECT_EQ(got->stats.increases_applied, want->stats.increases_applied)
         << context;
@@ -522,7 +545,9 @@ TEST(EngineOracleTest, SeededSyntheticPairs) {
     int elements;
     uint64_t seed;
   };
-  for (const Shape& shape : {Shape{40, 1}, Shape{90, 2}, Shape{160, 3}}) {
+  // 256 elements is the size the cold_match benchmark workload matches.
+  for (const Shape& shape :
+       {Shape{40, 1}, Shape{90, 2}, Shape{160, 3}, Shape{256, 4}}) {
     SyntheticOptions opt;
     opt.num_elements = shape.elements;
     opt.seed = shape.seed;

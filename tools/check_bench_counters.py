@@ -2,12 +2,15 @@
 """Runs a google-benchmark binary and checks its equality-guard counters.
 
 Usage: check_bench_counters.py BINARY FILTER COUNTER [COUNTER ...]
+                               [-- FILTER COUNTER [COUNTER ...] ...]
 
 Runs BINARY with --benchmark_filter=FILTER and JSON output on stdout, then
 exits non-zero unless at least one benchmark ran, none reported an error,
 and every named COUNTER is present and exactly 0 on each benchmark that
-ran. CMakeLists.txt registers the equality guards through this script as
-ctest tests.
+ran. Further FILTER COUNTER... groups after `--` run BINARY once more each,
+for benchmarks of one binary that report different counters.
+CMakeLists.txt registers the equality guards through this script as ctest
+tests.
 """
 
 import json
@@ -15,11 +18,8 @@ import subprocess
 import sys
 
 
-def main(argv):
-    if len(argv) < 4:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    binary, pattern, counters = argv[1], argv[2], argv[3:]
+def check(binary, pattern, counters):
+    """Runs one filter of BINARY; returns the exit code for its group."""
     run = subprocess.run(
         [binary, f'--benchmark_filter={pattern}', '--benchmark_format=json'],
         stdout=subprocess.PIPE, universal_newlines=True, check=False)
@@ -48,6 +48,22 @@ def main(argv):
     names = ', '.join(b['name'] for b in benchmarks)
     print(f'{names}: {", ".join(counters)} all 0')
     return 0
+
+
+def main(argv):
+    groups = []
+    for arg in argv[2:]:
+        if arg == '--' or not groups:
+            groups.append([])
+        if arg != '--':
+            groups[-1].append(arg)
+    if len(argv) < 2 or not groups or any(len(g) < 2 for g in groups):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    failed = False
+    for pattern, *counters in groups:
+        failed = check(argv[1], pattern, counters) != 0 or failed
+    return 1 if failed else 0
 
 
 if __name__ == '__main__':
