@@ -197,14 +197,12 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
                                    const Matrix<float>& prev_sweep_ssim,
                                    const NodeSimilarities& prev_final,
                                    const Matrix<float>& prev_element_lsim,
-                                   const StructuralCounts* prev_final_counts,
                                    const TreeMatchOptions& options) {
   TreeMatchDelta d;
   d.prev_source = &sold;
   d.prev_target = &told;
   d.prev_sweep_ssim = &prev_sweep_ssim;
   d.prev_final = &prev_final;
-  d.prev_final_counts = prev_final_counts;
   MapByPath(snew, sold, &d.source_map);
   MapByPath(tnew, told, &d.target_map);
 
@@ -252,9 +250,6 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
   d.dirty =
       std::make_unique<LeafPairBits>(d.source_leaves.get(),
                                      d.target_leaves.get());
-  d.dirty_transposed =
-      std::make_unique<LeafPairBits>(d.target_leaves.get(),
-                                     d.source_leaves.get());
   d.source_leaf_dirty.assign(d.source_leaves->num_leaves(), 0);
   d.target_leaf_dirty.assign(d.target_leaves->num_leaves(), 0);
 
@@ -355,7 +350,6 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
     // both sides defensively.
     auto mark_lsim_cell = [&](TreeNodeId x, TreeNodeId y) {
       d.dirty->Set(x, y);
-      d.dirty_transposed->Set(y, x);
       const bool src_changed = !d.source_lsim_same[static_cast<size_t>(x)];
       const bool tgt_changed = !d.target_lsim_same[static_cast<size_t>(y)];
       if (src_changed || !tgt_changed) {
@@ -557,7 +551,7 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
     delta = BuildTreeMatchDelta(
         source_tree, target_tree, lres.lsim, prev.source_tree,
         prev.target_tree, *past->sweep_ssim, prev.tree_match.sims,
-        prev.linguistic.lsim, &prev.tree_match.counts, config.tree_match);
+        prev.linguistic.lsim, config.tree_match);
     delta.prev_events = &prev.tree_match.events;
     t3 = std::chrono::steady_clock::now();
   }

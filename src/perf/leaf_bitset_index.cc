@@ -55,7 +55,6 @@ void LeafPairBits::Set(TreeNodeId x, TreeNodeId y) {
   row(r)[c / LeafIndex::kWordBits] |= uint64_t{1}
                                       << (c % LeafIndex::kWordBits);
   FlagRow(r);
-  ++set_count_;
 }
 
 void LeafPairBits::SetRowAll(TreeNodeId x) {
@@ -66,7 +65,6 @@ void LeafPairBits::SetRowAll(TreeNodeId x) {
   size_t rest = cols_->num_leaves() % LeafIndex::kWordBits;
   if (rest > 0) bits[full] = (uint64_t{1} << rest) - 1;
   FlagRow(r);
-  ++set_count_;
 }
 
 void LeafPairBits::SetColAll(TreeNodeId y) {
@@ -77,7 +75,6 @@ void LeafPairBits::SetColAll(TreeNodeId y) {
     row(r)[w] |= bit;
     FlagRow(r);
   }
-  ++set_count_;
 }
 
 void LeafPairBits::SetBlock(TreeNodeId ns, TreeNodeId nt) {
@@ -95,7 +92,6 @@ void LeafPairBits::SetBlock(TreeNodeId ns, TreeNodeId nt) {
       FlagRow(r);
     }
   }
-  ++set_count_;
 }
 
 bool LeafPairBits::AnyInBlock(TreeNodeId ns, TreeNodeId nt) const {
@@ -112,20 +108,6 @@ bool LeafPairBits::AnyInBlock(TreeNodeId ns, TreeNodeId nt) const {
         if (bits[w] & col_mask[w]) return true;
       }
     }
-  }
-  return false;
-}
-
-bool LeafPairBits::AnyInRow(TreeNodeId x, TreeNodeId nt) const {
-  size_t r = static_cast<size_t>(rows_->dense(x));
-  if (!(row_any_[r / LeafIndex::kWordBits] >> (r % LeafIndex::kWordBits) &
-        1)) {
-    return false;
-  }
-  const uint64_t* bits = row(r);
-  const uint64_t* col_mask = cols_->mask(nt);
-  for (uint32_t w = cols_->mask_begin(nt); w < cols_->mask_end(nt); ++w) {
-    if (bits[w] & col_mask[w]) return true;
   }
   return false;
 }

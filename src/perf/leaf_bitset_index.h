@@ -3,9 +3,10 @@
 // (structural/tree_match.h):
 //   * every TreeMatch lays its dense leaf-pair matrices out over a
 //     LeafIndex per tree, streaming a subtree's leaves as one dense range;
-//   * a cold TreeMatch keeps its strong-link bits in LeafPairBits' row
-//     layout (one row of column-index words per row leaf) and counts a
-//     node's linked leaves against its mask over the mask's word span;
+//   * a cold sweep keeps its strong-link bits in LeafPairBits' row layout
+//     (one row of column-index words per row leaf), and every Section 7
+//     recompute counts a node's linked leaves against its mask over the
+//     mask's word span;
 //   * the warm start keeps per-leaf *dirtiness* bitsets and asks "does the
 //     block leaves(ns) x leaves(nt) contain any dirty pair?" for every node
 //     pair.
@@ -117,62 +118,6 @@ class LeafPairBits {
   /// ANDs; only flagged rows are probed against the column mask.
   bool AnyInBlock(TreeNodeId ns, TreeNodeId nt) const;
 
-  /// True iff any pair of row leaf `x`'s row within leaves(nt) is marked.
-  bool AnyInRow(TreeNodeId x, TreeNodeId nt) const;
-
-  /// Calls `fn(row leaf id)` for every row leaf in leaves(ns) whose row has
-  /// a marked pair within leaves(nt). Flagged-row enumeration: cost is a
-  /// few word ANDs plus work proportional to the marked rows only.
-  template <typename Fn>
-  void ForEachDirtyRowInBlock(TreeNodeId ns, TreeNodeId nt, Fn&& fn) const {
-    const uint64_t* row_mask = rows_->mask(ns);
-    for (uint32_t rw = rows_->mask_begin(ns); rw < rows_->mask_end(ns);
-         ++rw) {
-      uint64_t flagged = row_mask[rw] & row_any_[rw];
-      while (flagged != 0) {
-        size_t r = static_cast<size_t>(rw) * LeafIndex::kWordBits +
-                   static_cast<size_t>(__builtin_ctzll(flagged));
-        flagged &= flagged - 1;
-        const uint64_t* bits = row(r);
-        const uint64_t* col_mask = cols_->mask(nt);
-        for (uint32_t w = cols_->mask_begin(nt); w < cols_->mask_end(nt);
-             ++w) {
-          if (bits[w] & col_mask[w]) {
-            fn(rows_->leaf(r));
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  /// Calls `fn(row leaf id, col leaf id)` for every marked pair. Skips
-  /// clean rows through the summary bitset, then word-scans only marked
-  /// rows: cost is proportional to the marked pairs, not the matrix.
-  template <typename Fn>
-  void ForEachSet(Fn&& fn) const {
-    for (size_t rw = 0; rw < row_any_.size(); ++rw) {
-      uint64_t flagged = row_any_[rw];
-      while (flagged != 0) {
-        size_t r = rw * LeafIndex::kWordBits +
-                   static_cast<size_t>(__builtin_ctzll(flagged));
-        flagged &= flagged - 1;
-        const uint64_t* bits = row(r);
-        for (size_t w = 0; w < cols_->words(); ++w) {
-          uint64_t word = bits[w];
-          while (word != 0) {
-            size_t c = w * LeafIndex::kWordBits +
-                       static_cast<size_t>(__builtin_ctzll(word));
-            word &= word - 1;
-            fn(rows_->leaf(r), cols_->leaf(c));
-          }
-        }
-      }
-    }
-  }
-
-  int64_t set_count() const { return set_count_; }
-
  private:
   const uint64_t* row(size_t dense_row) const {
     return &bits_[dense_row * cols_->words()];
@@ -187,7 +132,6 @@ class LeafPairBits {
   const LeafIndex* cols_;
   std::vector<uint64_t> bits_;     // per row leaf, cols_->words() words
   std::vector<uint64_t> row_any_;  // summary: rows with any bit set
-  int64_t set_count_ = 0;          // marks applied (diagnostics)
 };
 
 }  // namespace cupid

@@ -164,9 +164,7 @@ class MatcherBase {
   /// and denominator when optional_discount is on.
   double StructuralSimilarity(const NodeSimilarities& sims,
                               const std::vector<LeafRef>& ls,
-                              const std::vector<LeafRef>& lt,
-                              int32_t* strong_out = nullptr,
-                              int32_t* included_out = nullptr) const {
+                              const std::vector<LeafRef>& lt) const {
     int64_t strong = 0, included = 0;
     for (const LeafRef& x : ls) {
       bool has_link = false;
@@ -199,10 +197,6 @@ class MatcherBase {
       } else if (!(opt_.optional_discount && y.optional)) {
         ++included;
       }
-    }
-    if (strong_out != nullptr) {
-      *strong_out = static_cast<int32_t>(strong);
-      *included_out = static_cast<int32_t>(included);
     }
     return included == 0 ? 0.0
                          : static_cast<double>(strong) /
@@ -266,11 +260,8 @@ class ReferenceMatcher : private MatcherBase {
 
   void Recompute(TreeMatchResult* result) {
     // Second pass (Section 7): leaf similarities are final; refresh every
-    // wsim and recompute non-leaf ssim from the final leaf state, recording
-    // the integer tallies behind each ssim.
+    // wsim and recompute non-leaf ssim from the final leaf state.
     NodeSimilarities* sims = &result->sims;
-    result->counts.strong = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
-    result->counts.included = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
     for (TreeNodeId ns : s_.post_order()) {
       for (TreeNodeId nt : t_.post_order()) {
         if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) {
@@ -281,9 +272,7 @@ class ReferenceMatcher : private MatcherBase {
         if (PruneByLeafCount(ns, nt)) continue;
         sims->set_ssim(ns, nt,
                        StructuralSimilarity(*sims, s_frontier_.of(ns),
-                                            t_frontier_.of(nt),
-                                            &result->counts.strong(ns, nt),
-                                            &result->counts.included(ns, nt)));
+                                            t_frontier_.of(nt)));
         // Mix from the float-stored ssim, exactly as ComparePair does.
         sims->set_wsim(ns, nt,
                        MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
@@ -448,20 +437,21 @@ class ReferenceMatcher : private MatcherBase {
 /// only the two leaf indexes): every visit-list pair is scanned and nothing
 /// is reused, replayed or gathered. Its scans read strong-link bits kept
 /// exact beside the dense leaf ssim; Section 6's ssim is a set quantity, so
-/// a word of bits answers 64 leaf-link tests. A warm run adds, on top of
-/// the same sweep and recompute bodies, reuse of provably clean pairs from
-/// the previous run. It rescans only a few dirty pairs, which would not
-/// repay an O(leaves^2) bit build, so it keeps the float scans and never
-/// builds bits. Its correctness rests on three facts. (1) Surviving nodes
-/// keep their relative post-order across the supported edits (schema
-/// children are appended, removals preserve sibling order), so the
-/// feedback events touching any clean leaf pair happen in the same order
-/// as before. (2) Feedback scalings are replayed physically, so clean leaf
-/// cells evolve through exactly the previous run's value sequence and
-/// dirty-pair rescans always read a state equal to what a cold sweep would
-/// see at that point. (3) Any feedback decision that diverges from the
-/// previous run immediately marks its whole leaf block dirty, so
-/// downstream consumers never reuse values the divergence invalidated.
+/// a word of bits answers 64 leaf-link tests. A warm sweep adds reuse of
+/// provably clean pairs from the previous run. It rescans only a few dirty
+/// pairs, which would not repay an O(leaves^2) bit build, so it keeps the
+/// float scans and builds no sweep bits. The Section 7 recompute is the
+/// same popcount pass on both. The warm sweep's correctness rests on three
+/// facts. (1) Surviving nodes keep their relative post-order across the
+/// supported edits (schema children are appended, removals preserve
+/// sibling order), so the feedback events touching any clean leaf pair
+/// happen in the same order as before. (2) Feedback scalings are replayed
+/// physically, so clean leaf cells evolve through exactly the previous
+/// run's value sequence and dirty-pair rescans always read a state equal
+/// to what a cold sweep would see at that point. (3) Any feedback decision
+/// that diverges from the previous run immediately marks its whole leaf
+/// block dirty, so downstream consumers never reuse values the divergence
+/// invalidated.
 class TreeMatcher : private MatcherBase {
  public:
   TreeMatcher(const SchemaTree& source, const SchemaTree& target,
@@ -484,10 +474,11 @@ class TreeMatcher : private MatcherBase {
     auto t2 = std::chrono::steady_clock::now();
     BuildVisitList(delta, &result.stats);
     auto t3 = std::chrono::steady_clock::now();
-    if (past_) PruneDivergencePrepass(delta, &result.stats);
+    const bool replay = past_ && CanReplay(*delta);
+    if (replay) GatherSweepSsim(*delta, &result.sims);
+    if (past_) PruneDivergencePrepass(delta, &result);
     auto t4 = std::chrono::steady_clock::now();
-    if (past_ && CanReplay(*delta)) {
-      GatherSweepSsim(*delta, &result.sims);
+    if (replay) {
       DeriveCleanFlags(*delta);
       ReplayLoop(delta, &result);
     } else {
@@ -531,106 +522,40 @@ class TreeMatcher : private MatcherBase {
     return result;
   }
 
-  /// \brief The Section 7 pass over the visit list; warm when `delta`
-  /// carries a previous run.
-  ///
-  /// Cold, every leaf pair re-mixes its wsim from the final leaf state and
-  /// sets its strong-link bit; the bits are unioned into per-node link sets,
-  /// and every visit-list pair counts its strong and included leaves by
-  /// popcount over them. Warm, clean regions of the final
-  /// matrices are first bulk-copied row-wise from the previous run under
-  /// the correspondence maps (memcpy per maximal run of consecutively-mapped
-  /// target nodes — one memcpy per row when the maps are identities), and
-  /// only three sparse sets are then touched:
-  ///   * dirty leaf pairs re-mix their wsim from the final leaf state
-  ///     (clean leaf pairs have bit-identical ssim and lsim, hence wsim);
-  ///   * rows/columns of nodes whose leaf-count changed re-check the prune
-  ///     decision, and nodes that became leaves drop their gathered
-  ///     tallies, zeroing cells a cold run would never write;
-  ///   * the visit list is walked once — a reusable pair's gathered values
-  ///     already equal what a rescan would produce, so it costs one
-  ///     clean-block test; the rest adjust the previous tallies
-  ///     leaf-by-leaf or rescan.
-  void Recompute(TreeMatchDelta* delta_in, TreeMatchResult* result) {
+  /// \brief The Section 7 pass over the visit list, one body for cold and
+  /// warm runs: every leaf pair re-mixes its wsim from the final leaf state
+  /// and sets its strong-link bit, the bits are unioned into per-node link
+  /// sets, and every visit-list pair counts its strong and included leaves
+  /// by popcount over them. A warm run reuses only the delta's leaf indexes
+  /// and the visit list its sweep built. Every other cell is a pruned pair,
+  /// which the sweep left at zero.
+  void Recompute(TreeMatchDelta* delta, TreeMatchResult* result) {
     obs::ScopedSpan span("treematch.recompute");
-    auto r0 = std::chrono::steady_clock::now();
-    BuildVisitList(delta_in, /*stats=*/nullptr);
-    const TreeMatchDelta& delta = *delta_in;
-    past_ = delta.prev_final != nullptr;
     NodeSimilarities* sims = &result->sims;
-    TreeMatchStats* stats = &result->stats;
-    const StructuralCounts* prev_counts = delta.prev_final_counts;
-    const bool have_counts =
-        past_ && prev_counts != nullptr &&
-        prev_counts->strong.rows() == delta.prev_source->num_nodes() &&
-        prev_counts->strong.cols() == delta.prev_target->num_nodes();
-    // Phases: gather (warm) or count allocation (cold), leaf re-mix, link
-    // bitsets (cold), stale-cell fixup (warm), visit-list walk.
-    auto r1 = r0, r2 = r0, r3 = r0;
-    if (past_) {
-      GatherFinalRows(delta, have_counts, result);
-      r1 = std::chrono::steady_clock::now();
-      MixDirtyLeafWsim(delta, sims);
-      r2 = r3 = std::chrono::steady_clock::now();
-      ZeroStaleCells(delta, result);
-    } else {
-      result->counts.strong = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
-      result->counts.included =
-          Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
-      r1 = std::chrono::steady_clock::now();
-      MixFinalLeafWsim(delta, sims);
-      r2 = std::chrono::steady_clock::now();
-      BuildNodeLinkSets(delta);
-      r3 = std::chrono::steady_clock::now();
-    }
-
-    auto r4 = std::chrono::steady_clock::now();
-    // ---- visit list: clean-skip / reuse / tally adjustment / rescan -----
-    // Clean-pair test as in the sweep, over the POST-sweep dirty state: a
-    // clean x clean pair's gathered ssim/wsim/counts are bitwise what the
-    // reuse branch would write, so the pair costs two flag loads. Without
-    // previous counts nothing can be reused at all (matching the branch
-    // conditions below), so the skip is disabled too.
-    const bool can_skip = have_counts && !delta.source_lsim_same.empty() &&
-                          !delta.target_lsim_same.empty();
-    if (can_skip) DeriveCleanFlags(delta);
+    auto r0 = std::chrono::steady_clock::now();
+    MixFinalLeafWsim(*delta, sims);
+    auto r1 = std::chrono::steady_clock::now();
+    BuildNodeLinkSets(*delta);
+    auto r2 = std::chrono::steady_clock::now();
+    BuildVisitList(delta, /*stats=*/nullptr);
     for (TreeNodeId ns : s_.post_order()) {
-      const int32_t begin = delta.visit_begin[static_cast<size_t>(ns)];
-      const int32_t end = delta.visit_end[static_cast<size_t>(ns)];
-      const bool row_clean = can_skip && s_clean_[static_cast<size_t>(ns)];
+      const int32_t begin = delta->visit_begin[static_cast<size_t>(ns)];
+      const int32_t end = delta->visit_end[static_cast<size_t>(ns)];
       for (int32_t i = begin; i < end; ++i) {
-        TreeNodeId nt = delta.visit_data[static_cast<size_t>(i)];
-        if (row_clean && t_clean_[static_cast<size_t>(nt)]) {
-          ++stats->pairs_reused;
-          continue;
-        }
-        int32_t& strong = result->counts.strong(ns, nt);
-        int32_t& included = result->counts.included(ns, nt);
-        if (have_counts && RecomputeFromPast(delta, ns, nt, &strong,
-                                             &included, result)) {
-          continue;
-        }
-        sims->set_ssim(ns, nt,
-                       past_ ? StructuralSimilarity(*sims, s_.leaves(ns),
-                                                    t_.leaves(nt), &strong,
-                                                    &included)
-                             : CountedStructuralSimilarity(delta, ns, nt,
-                                                           &strong,
-                                                           &included));
+        TreeNodeId nt = delta->visit_data[static_cast<size_t>(i)];
+        sims->set_ssim(ns, nt, CountedStructuralSimilarity(*delta, ns, nt));
         sims->set_wsim(ns, nt,
                        MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
       }
     }
     if (span.enabled()) {
-      auto r5 = std::chrono::steady_clock::now();
+      auto r3 = std::chrono::steady_clock::now();
       auto ms = [](auto a, auto b) {
         return std::chrono::duration<double, std::milli>(b - a).count();
       };
-      span.Attr("gather_ms", ms(r0, r1));
-      span.Attr("dirtymix_ms", ms(r1, r2));
-      span.Attr("bits_ms", ms(r2, r3));
-      span.Attr("fixup_ms", ms(r3, r4));
-      span.Attr("walk_ms", ms(r4, r5));
+      span.Attr("dirtymix_ms", ms(r0, r1));
+      span.Attr("bits_ms", ms(r1, r2));
+      span.Attr("walk_ms", ms(r2, r3));
     }
   }
 
@@ -667,102 +592,7 @@ class TreeMatcher : private MatcherBase {
            order_preserved(t_.post_order(), d.target_map, *d.prev_target);
   }
 
-  /// Warm recompute, first step: the final matrices (and, with previous
-  /// counts, the tallies) of every mapped row are bulk-copied from the
-  /// previous final state — one memcpy per (row, mapped-target run). Leaf
-  /// rows restrict the ssim copy to non-leaf target segments: their
-  /// leaf-pair cells already hold the final replayed leaf state scattered
-  /// by the sweep.
-  void GatherFinalRows(const TreeMatchDelta& delta, bool have_counts,
-                       TreeMatchResult* result) {
-    const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
-    const StructuralCounts* prev_counts = delta.prev_final_counts;
-    // Identity maps (rename/retype edit streams) let the counts start as a
-    // straight copy of the previous run's — one memcpy each instead of a
-    // zero fill plus per-row copies. Cells the copy "seeds wrong" are
-    // exactly the non-clean ones, all rewritten by the walk.
-    auto identity = [](const std::vector<TreeNodeId>& map, int64_t prev_n) {
-      if (static_cast<int64_t>(map.size()) != prev_n) return false;
-      for (size_t i = 0; i < map.size(); ++i) {
-        if (map[i] != static_cast<TreeNodeId>(i)) return false;
-      }
-      return true;
-    };
-    const bool identity_maps =
-        have_counts &&
-        identity(delta.source_map, delta.prev_source->num_nodes()) &&
-        identity(delta.target_map, delta.prev_target->num_nodes());
-    if (identity_maps) {
-      result->counts.strong = prev_counts->strong;
-      result->counts.included = prev_counts->included;
-    } else {
-      result->counts.strong = Matrix<int32_t>(num_s, num_t);
-      result->counts.included = Matrix<int32_t>(num_s, num_t);
-    }
-
-    std::vector<IdRun> runs = BuildMappedIdRuns(delta.target_map);
-    struct SubSeg {
-      TreeNodeId nt, ot;
-      int32_t len;
-    };
-    std::vector<SubSeg> nonleaf_segs;
-    for (const IdRun& run : runs) {
-      for (int32_t k = 0; k < run.len;) {
-        if (t_.IsLeaf(run.dst + k)) {
-          ++k;
-          continue;
-        }
-        int32_t e = k + 1;
-        while (e < run.len && !t_.IsLeaf(run.dst + e)) ++e;
-        nonleaf_segs.push_back({run.dst + k, run.src + k, e - k});
-        k = e;
-      }
-    }
-    Matrix<float>* ssim_m = result->sims.mutable_ssim_matrix();
-    Matrix<float>* wsim_m = result->sims.mutable_wsim_matrix();
-    const Matrix<float>& prev_ssim = delta.prev_final->ssim_matrix();
-    const Matrix<float>& prev_wsim = delta.prev_final->wsim_matrix();
-    for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-      TreeNodeId os = delta.source_map[static_cast<size_t>(ns)];
-      if (os == kNoTreeNode) continue;
-      const bool leaf_row = s_.IsLeaf(ns);
-      for (const IdRun& run : runs) {
-        size_t bytes = static_cast<size_t>(run.len) * sizeof(float);
-        std::memcpy(wsim_m->row(ns) + run.dst, prev_wsim.row(os) + run.src,
-                    bytes);
-        if (!leaf_row) {
-          std::memcpy(ssim_m->row(ns) + run.dst, prev_ssim.row(os) + run.src,
-                      bytes);
-        }
-        if (have_counts && !identity_maps) {
-          size_t ibytes = static_cast<size_t>(run.len) * sizeof(int32_t);
-          std::memcpy(result->counts.strong.row(ns) + run.dst,
-                      prev_counts->strong.row(os) + run.src, ibytes);
-          std::memcpy(result->counts.included.row(ns) + run.dst,
-                      prev_counts->included.row(os) + run.src, ibytes);
-        }
-      }
-      if (leaf_row) {
-        for (const SubSeg& seg : nonleaf_segs) {
-          std::memcpy(ssim_m->row(ns) + seg.nt, prev_ssim.row(os) + seg.ot,
-                      static_cast<size_t>(seg.len) * sizeof(float));
-        }
-      }
-      result->stats.rows_gathered += 2;
-    }
-  }
-
-  /// Warm recompute: dirty leaf pairs re-mix wsim from the final leaf
-  /// state. Clean leaf pairs keep the gathered previous wsim (same final
-  /// ssim and lsim bits => same mix); unmapped rows/columns are fully dirty
-  /// by construction, so every cell the gather could not cover is re-mixed.
-  void MixDirtyLeafWsim(const TreeMatchDelta& delta, NodeSimilarities* sims) {
-    delta.dirty->ForEachSet([&](TreeNodeId x, TreeNodeId y) {
-      sims->set_wsim(x, y, MixWsim(*sims, x, y, sims->ssim(x, y), true));
-    });
-  }
-
-  /// Cold recompute: every leaf pair re-mixes wsim from the final leaf
+  /// Recompute: every leaf pair re-mixes wsim from the final leaf
   /// state, and a strong pair (the mix >= th_accept: LinkStrength's test)
   /// sets its bit in both leaves' link sets — the source leaf's row of
   /// target leaves and the target leaf's row of source leaves.
@@ -789,7 +619,7 @@ class TreeMatcher : private MatcherBase {
     }
   }
 
-  /// Cold recompute: the per-node link sets. A node's set is the union of
+  /// Recompute: the per-node link sets. A node's set is the union of
   /// its children's (post-order puts children first, and set union keeps
   /// DAG nodes exact: leaves() is deduplicated), plus each side's counted
   /// masks for the optional discount.
@@ -839,12 +669,11 @@ class TreeMatcher : private MatcherBase {
                : counted.data() + static_cast<size_t>(n) * li.words();
   }
 
-  /// Cold recompute: StructuralSimilarity from the link sets, by popcount
+  /// Recompute: StructuralSimilarity from the link sets, by popcount
   /// over the two nodes' mask spans — the source leaves of ns inside
   /// nt's link set and the target leaves of nt inside ns's.
   double CountedStructuralSimilarity(const TreeMatchDelta& d, TreeNodeId ns,
-                                     TreeNodeId nt, int32_t* strong_out,
-                                     int32_t* included_out) const {
+                                     TreeNodeId nt) const {
     const LeafIndex& sl = *d.source_leaves;
     const LeafIndex& tl = *d.target_leaves;
     int64_t strong = 0, included = 0;
@@ -854,8 +683,6 @@ class TreeMatcher : private MatcherBase {
     CountLinkedLeaves(src_links_.data() + static_cast<size_t>(ns) * tl.words(),
                       tl.mask(nt), Counted(tl, t_counted_, nt),
                       tl.mask_begin(nt), tl.mask_end(nt), &strong, &included);
-    *strong_out = static_cast<int32_t>(strong);
-    *included_out = static_cast<int32_t>(included);
     return included == 0 ? 0.0
                          : static_cast<double>(strong) /
                                static_cast<double>(included);
@@ -891,105 +718,9 @@ class TreeMatcher : private MatcherBase {
     BuildCountedMasks(t_, *d.target_leaves, &t_counted_);
   }
 
-  /// Warm recompute: zeroes gathered cells a cold run never writes. Only
-  /// rows/columns of size-changed nodes can flip a prune decision; cells
-  /// pruned NOW must read as never-written (zero), whatever the previous
-  /// run stored there. A node that became a leaf turns scanned non-leaf
-  /// pairs into leaf pairs, whose ssim and wsim the sweep and the dirty mix
-  /// rewrite but whose tallies must go.
-  void ZeroStaleCells(const TreeMatchDelta& delta, TreeMatchResult* result) {
-    const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
-    Matrix<float>* ssim_m = result->sims.mutable_ssim_matrix();
-    Matrix<float>* wsim_m = result->sims.mutable_wsim_matrix();
-    StructuralCounts* counts = &result->counts;
-    auto zero_if_pruned = [&](TreeNodeId ns, TreeNodeId nt) {
-      if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) return;
-      if (!PruneByLeafCount(ns, nt)) return;
-      (*ssim_m)(ns, nt) = 0.0f;
-      (*wsim_m)(ns, nt) = 0.0f;
-      counts->strong(ns, nt) = 0;
-      counts->included(ns, nt) = 0;
-    };
-    for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-      if (!delta.source_size_changed[static_cast<size_t>(ns)]) continue;
-      for (TreeNodeId nt = 0; nt < num_t; ++nt) zero_if_pruned(ns, nt);
-    }
-    for (TreeNodeId nt = 0; nt < num_t; ++nt) {
-      if (!delta.target_size_changed[static_cast<size_t>(nt)]) continue;
-      for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-        if (delta.source_size_changed[static_cast<size_t>(ns)]) continue;
-        zero_if_pruned(ns, nt);
-      }
-    }
-    auto became_leaf = [](const SchemaTree& now, const SchemaTree& prev,
-                          const std::vector<TreeNodeId>& map, TreeNodeId n) {
-      TreeNodeId o = map[static_cast<size_t>(n)];
-      return o != kNoTreeNode && now.IsLeaf(n) && !prev.IsLeaf(o);
-    };
-    const LeafIndex& sl = *delta.source_leaves;
-    const LeafIndex& tl = *delta.target_leaves;
-    for (size_t r = 0; r < sl.num_leaves(); ++r) {
-      const TreeNodeId ns = sl.leaf(r);
-      if (!became_leaf(s_, *delta.prev_source, delta.source_map, ns)) continue;
-      for (size_t c = 0; c < tl.num_leaves(); ++c) {
-        counts->strong(ns, tl.leaf(c)) = 0;
-        counts->included(ns, tl.leaf(c)) = 0;
-      }
-    }
-    for (size_t c = 0; c < tl.num_leaves(); ++c) {
-      const TreeNodeId nt = tl.leaf(c);
-      if (!became_leaf(t_, *delta.prev_target, delta.target_map, nt)) continue;
-      for (size_t r = 0; r < sl.num_leaves(); ++r) {
-        counts->strong(sl.leaf(r), nt) = 0;
-        counts->included(sl.leaf(r), nt) = 0;
-      }
-    }
-  }
-
-  /// Warm recompute of one visit-list pair from the previous final state:
-  /// a reusable pair keeps its gathered values, and a pair whose previous
-  /// counterpart was scanned adjusts the previous tallies. False when
-  /// neither applies and the pair must be rescanned.
-  bool RecomputeFromPast(const TreeMatchDelta& delta, TreeNodeId ns,
-                         TreeNodeId nt, int32_t* strong, int32_t* included,
-                         TreeMatchResult* result) {
-    NodeSimilarities* sims = &result->sims;
-    TreeNodeId os = delta.source_map[static_cast<size_t>(ns)];
-    TreeNodeId ot = delta.target_map[static_cast<size_t>(nt)];
-    if (CanReuse(*sims, delta, ns, nt)) {
-      // Gathered ssim/wsim/counts already hold the previous final values;
-      // only a leaf row's skipped ssim cell still needs the explicit write.
-      if (s_.IsLeaf(ns)) {
-        sims->set_ssim(ns, nt, delta.prev_final->ssim(os, ot));
-      }
-      ++result->stats.pairs_reused;
-      return true;
-    }
-    // The old pair must have been scanned as a non-leaf pair for its
-    // tallies to exist at all.
-    if (os == kNoTreeNode || ot == kNoTreeNode ||
-        (delta.prev_source->IsLeaf(os) && delta.prev_target->IsLeaf(ot)) ||
-        PrevPruned(delta, os, ot)) {
-      return false;
-    }
-    sims->set_ssim(ns, nt, DeltaStructuralSimilarity(*sims, delta, ns, nt, os,
-                                                     ot, strong, included));
-    sims->set_wsim(ns, nt, MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
-    ++result->stats.pairs_reused;
-    return true;
-  }
-
   bool PruneByLeafCount(TreeNodeId ns, TreeNodeId nt) const {
     return PrunedByLeafCount(opt_, s_.leaves(ns).size(),
                              t_.leaves(nt).size());
-  }
-
-  /// Leaf-count pruning replicated on the previous run's trees (true-leaf
-  /// frontiers only — enforced by SupportsIncrementalTreeMatch).
-  bool PrevPruned(const TreeMatchDelta& d, TreeNodeId os,
-                  TreeNodeId ot) const {
-    return PrunedByLeafCount(opt_, d.prev_source->leaves(os).size(),
-                             d.prev_target->leaves(ot).size());
   }
 
   /// The previous run's feedback decision at the pair corresponding to
@@ -1023,160 +754,6 @@ class TreeMatcher : private MatcherBase {
     TreeNodeId ot = d.target_map[static_cast<size_t>(nt)];
     if (sims.lsim(ns, nt) != d.prev_final->lsim(os, ot)) return false;
     return !d.dirty->AnyInBlock(ns, nt);
-  }
-
-  /// Final-state link strength of leaf pair (x, y) in the current run —
-  /// exactly Recompute's LinkStrength arithmetic for true-leaf frontiers.
-  double FinalLeafStrength(const NodeSimilarities& sims, TreeNodeId x,
-                           TreeNodeId y) const {
-    return opt_.wstruct_leaf * sims.ssim(x, y) +
-           (1.0 - opt_.wstruct_leaf) * sims.lsim(x, y);
-  }
-  /// Same over the previous run's final snapshot.
-  double PrevFinalLeafStrength(const TreeMatchDelta& d, TreeNodeId ox,
-                               TreeNodeId oy) const {
-    return opt_.wstruct_leaf * d.prev_final->ssim(ox, oy) +
-           (1.0 - opt_.wstruct_leaf) * d.prev_final->lsim(ox, oy);
-  }
-
-  /// \brief Recompute-pass structural similarity by adjusting the previous
-  /// run's integer tallies: only leaves that were added, removed, or touch
-  /// a dirty cell re-evaluate their link boolean (against the new final
-  /// state), and the matching old boolean (against the previous final
-  /// state) is backed out. Unaffected leaves keep identical contributions
-  /// on both runs, so the adjusted integers — and therefore the division —
-  /// equal what a full rescan would produce.
-  double DeltaStructuralSimilarity(const NodeSimilarities& sims,
-                                   const TreeMatchDelta& d, TreeNodeId ns,
-                                   TreeNodeId nt, TreeNodeId os,
-                                   TreeNodeId ot, int32_t* strong_out,
-                                   int32_t* included_out) const {
-    int64_t strong = d.prev_final_counts->strong(os, ot);
-    int64_t included = d.prev_final_counts->included(os, ot);
-    const double th = opt_.th_accept;
-
-    // Membership changes on one side alter the scan universe of the OTHER
-    // side's booleans (a removed leaf leaves no dirty column behind), so
-    // every opposite-side leaf becomes affected. reusable[] certifies an
-    // unchanged leaf list (conservatively: a type-invalid leaf also clears
-    // it, which only costs a wider re-evaluation, never correctness).
-    const bool src_members_changed =
-        !d.source_reusable[static_cast<size_t>(ns)];
-    const bool tgt_members_changed =
-        !d.target_reusable[static_cast<size_t>(nt)];
-
-    auto new_bool_src = [&](TreeNodeId x) {
-      for (const LeafRef& y : t_.leaves(nt)) {
-        if (FinalLeafStrength(sims, x, y.leaf) >= th) return true;
-      }
-      return false;
-    };
-    auto old_bool_src = [&](TreeNodeId ox) {
-      for (const LeafRef& y : d.prev_target->leaves(ot)) {
-        if (PrevFinalLeafStrength(d, ox, y.leaf) >= th) return true;
-      }
-      return false;
-    };
-    auto new_bool_tgt = [&](TreeNodeId y) {
-      for (const LeafRef& x : s_.leaves(ns)) {
-        if (FinalLeafStrength(sims, x.leaf, y) >= th) return true;
-      }
-      return false;
-    };
-    auto old_bool_tgt = [&](TreeNodeId oy) {
-      for (const LeafRef& x : d.prev_source->leaves(os)) {
-        if (PrevFinalLeafStrength(d, x.leaf, oy) >= th) return true;
-      }
-      return false;
-    };
-    // Contribution of one leaf to (strong, included).
-    auto contrib = [&](bool linked, bool optional, int64_t* str,
-                       int64_t* inc, int64_t sign) {
-      if (linked) {
-        *str += sign;
-        *inc += sign;
-      } else if (!(opt_.optional_discount && optional)) {
-        *inc += sign;
-      }
-    };
-
-    // One side's adjustment: merge the new and old leaf lists in old-id
-    // order; re-evaluate added/removed/flag-changed/dirty leaves.
-    auto adjust_side = [&](const std::vector<LeafRef>& ln,
-                           const std::vector<LeafRef>& lo,
-                           const std::vector<TreeNodeId>& map,
-                           const LeafPairBits& bits, TreeNodeId other_node,
-                           bool other_members_changed, auto&& new_bool,
-                           auto&& old_bool) {
-      size_t i = 0, j = 0;
-      while (i < ln.size() || j < lo.size()) {
-        TreeNodeId mapped =
-            i < ln.size() ? map[static_cast<size_t>(ln[i].leaf)] : kNoTreeNode;
-        if (i < ln.size() &&
-            (mapped == kNoTreeNode ||
-             (j < lo.size() ? mapped < lo[j].leaf : true))) {
-          // Added here (no old counterpart inside this block).
-          contrib(new_bool(ln[i].leaf), ln[i].optional, &strong, &included,
-                  +1);
-          ++i;
-          continue;
-        }
-        if (j < lo.size() && (i >= ln.size() || lo[j].leaf < mapped)) {
-          // Removed from this block.
-          contrib(old_bool(lo[j].leaf), lo[j].optional, &strong, &included,
-                  -1);
-          ++j;
-          continue;
-        }
-        // Common leaf (mapped == lo[j].leaf).
-        if (other_members_changed || ln[i].optional != lo[j].optional ||
-            bits.AnyInRow(ln[i].leaf, other_node)) {
-          contrib(old_bool(lo[j].leaf), lo[j].optional, &strong, &included,
-                  -1);
-          contrib(new_bool(ln[i].leaf), ln[i].optional, &strong, &included,
-                  +1);
-        }
-        ++i;
-        ++j;
-      }
-    };
-    // Fast path: both leaf lists certified unchanged — only rows/columns
-    // carrying dirty bits inside the block re-evaluate. The flags of a
-    // dirty leaf are found by binary search in the (id-sorted) leaf list;
-    // reusable[] guarantees the old flags match the new ones.
-    auto optional_of = [](const std::vector<LeafRef>& list, TreeNodeId leaf) {
-      auto it = std::lower_bound(
-          list.begin(), list.end(), leaf,
-          [](const LeafRef& a, TreeNodeId b) { return a.leaf < b; });
-      return it->optional;
-    };
-    if (!src_members_changed && !tgt_members_changed) {
-      d.dirty->ForEachDirtyRowInBlock(ns, nt, [&](TreeNodeId x) {
-        bool optional = optional_of(s_.leaves(ns), x);
-        contrib(old_bool_src(d.source_map[static_cast<size_t>(x)]), optional,
-                &strong, &included, -1);
-        contrib(new_bool_src(x), optional, &strong, &included, +1);
-      });
-      d.dirty_transposed->ForEachDirtyRowInBlock(nt, ns, [&](TreeNodeId y) {
-        bool optional = optional_of(t_.leaves(nt), y);
-        contrib(old_bool_tgt(d.target_map[static_cast<size_t>(y)]), optional,
-                &strong, &included, -1);
-        contrib(new_bool_tgt(y), optional, &strong, &included, +1);
-      });
-    } else {
-      adjust_side(s_.leaves(ns), d.prev_source->leaves(os), d.source_map,
-                  *d.dirty, nt, tgt_members_changed, new_bool_src,
-                  old_bool_src);
-      adjust_side(t_.leaves(nt), d.prev_target->leaves(ot), d.target_map,
-                  *d.dirty_transposed, ns, src_members_changed, new_bool_tgt,
-                  old_bool_tgt);
-    }
-
-    *strong_out = static_cast<int32_t>(strong);
-    *included_out = static_cast<int32_t>(included);
-    return included == 0 ? 0.0
-                         : static_cast<double>(strong) /
-                               static_cast<double>(included);
   }
 
   // ------------------------------------------------- dense leaf state --
@@ -1291,8 +868,8 @@ class TreeMatcher : private MatcherBase {
   /// The sweep/recompute visit list: per source node, the target nodes
   /// forming a non-leaf pair with it that survive the leaf-count prune, in
   /// target post-order. Everything off the list is either a leaf pair
-  /// (fires nothing, final wsim produced by the recompute gather) or pruned
-  /// (never written by a from-scratch run). Stored on the delta so the
+  /// (fires nothing, final wsim produced by the recompute's leaf re-mix) or
+  /// pruned (never written by a from-scratch run). Stored on the delta so the
   /// sweep and the recompute pass build it once between them.
   void BuildVisitList(TreeMatchDelta* d, TreeMatchStats* stats) {
     const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
@@ -1364,15 +941,20 @@ class TreeMatcher : private MatcherBase {
   /// sweep runs this test on every pruned pair. Marking before the
   /// sweep instead of at the pair's post-order position is sound: dirty
   /// bits only ever force recomputation, and a rescan of a truly clean pair
-  /// reproduces the reusable value bit for bit.
-  void PruneDivergencePrepass(TreeMatchDelta* d, TreeMatchStats* stats) {
+  /// reproduces the reusable value bit for bit. The same pairs are the only
+  /// ones GatherSweepSsim can have given a stale value (a pair pruned on
+  /// both runs holds zero there), so their ssim is zeroed here, as a cold
+  /// sweep leaves it.
+  void PruneDivergencePrepass(TreeMatchDelta* d, TreeMatchResult* result) {
     const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
+    Matrix<float>* ssim_m = result->sims.mutable_ssim_matrix();
     auto check_pair = [&](TreeNodeId ns, TreeNodeId nt) {
       if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) return;
       if (!PruneByLeafCount(ns, nt)) return;
+      (*ssim_m)(ns, nt) = 0.0f;
       if (PrevFeedback(*d, ns, nt) != Feedback::kNone) {
         d->MarkBlockDirty(ns, nt);
-        if (stats != nullptr) ++stats->feedback_divergences;
+        ++result->stats.feedback_divergences;
       }
     };
     for (TreeNodeId ns = 0; ns < num_s; ++ns) {
@@ -1433,10 +1015,10 @@ class TreeMatcher : private MatcherBase {
   /// Bulk-copies the previous post-sweep ssim into the new matrix for every
   /// mapped row. The replay loop then writes only non-clean pairs; every
   /// skipped pair's snapshot cell already holds its bit-identical value.
-  /// Cells of pairs pruned or leaf-paired NOW are never consulted by the
-  /// next run's divergence checks (they test prune/leaf status before
-  /// reading), so stale copies there are harmless, and leaf-pair cells are
-  /// overwritten by ScatterLeafSsim at the end of the sweep.
+  /// Leaf-pair cells are overwritten by ScatterLeafSsim at the end of the
+  /// sweep, and PruneDivergencePrepass zeroes the cells of pairs pruned now
+  /// but not before, so the post-sweep ssim equals a cold sweep's cell for
+  /// cell.
   void GatherSweepSsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
     Matrix<float>* ssim_m = sims->mutable_ssim_matrix();
     const Matrix<float>& prev = *d.prev_sweep_ssim;
@@ -1807,12 +1389,12 @@ class TreeMatcher : private MatcherBase {
   /// sweep and the recompute).
   Matrix<float> leaf_ssim_;
   Matrix<float> leaf_lsim_;
-  /// Cold runs only. The sweep's strong-link bits beside leaf_ssim_: per
-  /// dense source leaf, target_leaves->words() words (LeafPairBits'
-  /// layout), plus the scan's union accumulator. The recompute's per-node
-  /// link sets: per source node the target leaves with a strong link into
-  /// its leaves, per target node the source leaves likewise. Counted masks
-  /// per node: see BuildCountedMasks.
+  /// Cold sweeps only: the strong-link bits beside leaf_ssim_, per dense
+  /// source leaf target_leaves->words() words (LeafPairBits' layout), plus
+  /// the scan's union accumulator. The recompute's per-node link sets: per
+  /// source node the target leaves with a strong link into its leaves, per
+  /// target node the source leaves likewise. Counted masks per node: see
+  /// BuildCountedMasks.
   std::vector<uint64_t> leaf_strong_;
   std::vector<uint64_t> link_acc_;
   std::vector<uint64_t> src_links_, tgt_links_;
@@ -1987,7 +1569,7 @@ Status ValidateDelta(const SchemaTree& source, const SchemaTree& target,
   if (delta.prev_source == nullptr || delta.prev_target == nullptr ||
       delta.prev_sweep_ssim == nullptr || delta.prev_final == nullptr ||
       delta.source_leaves == nullptr || delta.target_leaves == nullptr ||
-      delta.dirty == nullptr || delta.dirty_transposed == nullptr) {
+      delta.dirty == nullptr) {
     return Status::InvalidArgument("TreeMatchDelta is incomplete");
   }
   if (delta.source_map.size() != static_cast<size_t>(source.num_nodes()) ||

@@ -6,13 +6,14 @@
 // SupportsIncrementalTreeMatch accepts: a visit list of the non-leaf pairs
 // surviving the leaf-count prune, over dense leaf-pair matrices. A cold
 // TreeMatch is that engine with an empty past; a warm TreeMatchIncremental
-// adds reuse of the previous run's clean pairs on top of the same sweep and
-// recompute bodies. A cold run keeps the strong-link predicate of every leaf
-// pair (leaf wsim >= th_accept) as bits: its sweep scans test 64 leaf links
-// per word, and its recompute counts links by popcount over per-node link
-// sets. Warm runs keep their float scans. TreeMatch is serial. The full-grid
-// reference sweep (TreeMatchReference) is the only engine for the remaining
-// Section 8.4 variants and the oracle the engine is tested against.
+// adds reuse of the previous run's clean pairs on top of the same sweep. A
+// cold sweep keeps the strong-link predicate of every leaf pair (leaf wsim
+// >= th_accept) as bits, so its scans test 64 leaf links per word; a warm
+// sweep rescans its few dirty pairs with float scans. The Section 7
+// recompute is one body for both: it counts links by popcount over
+// per-node link sets. TreeMatch is serial. The full-grid reference sweep
+// (TreeMatchReference) is the only engine for the remaining Section 8.4
+// variants and the oracle the engine is tested against.
 
 #ifndef CUPID_STRUCTURAL_TREE_MATCH_H_
 #define CUPID_STRUCTURAL_TREE_MATCH_H_
@@ -103,12 +104,10 @@ struct TreeMatchStats {
   int64_t link_tests = 0;
   /// Leaf-pair ssim cells rescaled by increase/decrease feedback.
   int64_t scale_ops = 0;
-  /// Warm runs only: node pairs whose similarities were copied from the
-  /// previous run instead of rescanned.
+  /// Warm runs only: sweep visit-list pairs whose post-sweep ssim was
+  /// copied from the previous run (or whose feedback event was replayed)
+  /// instead of rescanned.
   int64_t pairs_reused = 0;
-  /// Warm runs only: matrix rows bulk-copied from the previous run's final
-  /// state (ssim/wsim/count rows combined).
-  int64_t rows_gathered = 0;
   /// Visit-list engine only: node pairs on the sweep's visit list (non-leaf
   /// pairs surviving the leaf-count prune). The dense leaf-pair block —
   /// (leaves x leaves) — never enters the per-pair loop at all.
@@ -116,16 +115,6 @@ struct TreeMatchStats {
   /// Warm runs only: node pairs whose feedback decision diverged from the
   /// previous run (their leaf blocks were re-marked dirty).
   int64_t feedback_divergences = 0;
-};
-
-/// Per-pair integer tallies of the structural-similarity fraction
-/// (ssim = strong / included), recorded for every scanned non-leaf pair.
-/// Incremental re-matching adjusts these counts leaf-by-leaf instead of
-/// re-scanning whole leaf sets; the adjusted integers reproduce the exact
-/// division a full scan would perform.
-struct StructuralCounts {
-  Matrix<int32_t> strong;
-  Matrix<int32_t> included;
 };
 
 /// One increase/decrease feedback event of a structural sweep, recorded in
@@ -142,9 +131,6 @@ struct FeedbackEvent {
 /// Result of structural matching.
 struct TreeMatchResult {
   NodeSimilarities sims;
-  /// Counts behind the current ssim values: post-sweep after TreeMatch,
-  /// overwritten with final counts by the Section 7 recompute passes.
-  StructuralCounts counts;
   /// The sweep's feedback events in firing order (input of the next
   /// incremental run's clean-pair replay; empty after Recompute-only calls).
   std::vector<FeedbackEvent> events;
@@ -210,10 +196,10 @@ Status ValidateTreeMatchOptions(const TreeMatchOptions& options);
 /// \brief Cross-run warm-start input for TreeMatchIncremental, describing
 /// how the current trees relate to the previous run's trees.
 ///
-/// Built by incremental/match_session.cc (BuildTreeMatchDelta); consumed and
+/// Built by core/match_pipeline.cc (BuildTreeMatchDelta); consumed and
 /// MUTATED by TreeMatchIncremental: feedback divergences mark further leaf
-/// blocks dirty, and the post-sweep dirty set is exactly what
-/// RecomputeNonLeafSimilaritiesIncremental must then be called with.
+/// blocks dirty, and the sweep stores its visit list here for
+/// RecomputeNonLeafSimilaritiesIncremental to reuse.
 struct TreeMatchDelta {
   /// Per NEW tree node, the corresponding node of the previous run's tree
   /// (matched by unique context path), or kNoTreeNode.
@@ -230,11 +216,9 @@ struct TreeMatchDelta {
   std::unique_ptr<LeafIndex> source_leaves;
   std::unique_ptr<LeafIndex> target_leaves;
   /// Leaf pairs whose link-relevant inputs (lsim, type-seeded ssim, or
-  /// feedback history) may differ from the previous run; `dirty` is
-  /// row-major over source leaves, `dirty_transposed` mirrors every mark
-  /// over target leaves so both sides support fast per-row queries.
+  /// feedback history) may differ from the previous run, row-major over
+  /// source leaves.
   std::unique_ptr<LeafPairBits> dirty;
-  std::unique_ptr<LeafPairBits> dirty_transposed;
   /// Side-attributed dirt, by DENSE leaf index: a full-row mark dirties
   /// only its source leaf, a full-column mark only its target leaf, and
   /// sparse/block marks both sides. A node pair whose source range has no
@@ -246,10 +230,9 @@ struct TreeMatchDelta {
   std::vector<uint8_t> source_leaf_dirty;
   std::vector<uint8_t> target_leaf_dirty;
 
-  /// Marks leaves(ns) x leaves(nt) dirty in both orientations.
+  /// Marks leaves(ns) x leaves(nt) dirty.
   void MarkBlockDirty(TreeNodeId ns, TreeNodeId nt) {
     dirty->SetBlock(ns, nt);
-    dirty_transposed->SetBlock(nt, ns);
     // Bounding dense ranges: a superset for DAG-shaped trees, which only
     // forces recomputation.
     for (int32_t r = source_leaves->range_begin(ns);
@@ -263,25 +246,22 @@ struct TreeMatchDelta {
   }
   void MarkPairDirty(TreeNodeId x, TreeNodeId y) {
     dirty->Set(x, y);
-    dirty_transposed->Set(y, x);
     source_leaf_dirty[static_cast<size_t>(source_leaves->dense(x))] = 1;
     target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
   }
   void MarkSourceRowDirty(TreeNodeId x) {
     dirty->SetRowAll(x);
-    dirty_transposed->SetColAll(x);
     source_leaf_dirty[static_cast<size_t>(source_leaves->dense(x))] = 1;
   }
   void MarkTargetColDirty(TreeNodeId y) {
     dirty->SetColAll(y);
-    dirty_transposed->SetRowAll(y);
     target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
   }
   /// Per NEW tree node: the node is unmapped, or its true-leaf frontier
   /// SIZE differs from its previous counterpart's. Only such nodes can
   /// change a pair's leaf-count prune decision, so the warm sweep runs
-  /// prune-divergence checks and stale-cell fixups over these rows/columns
-  /// alone instead of the full pair grid.
+  /// prune-divergence checks and zeroes stale post-sweep ssim over these
+  /// rows/columns alone instead of the full pair grid.
   std::vector<uint8_t> source_size_changed;
   std::vector<uint8_t> target_size_changed;
   /// Per NEW tree node: the node maps to a previous node whose element has
@@ -304,17 +284,14 @@ struct TreeMatchDelta {
   /// The previous run's trees (for leaf-count prune replication) and
   /// similarity snapshots: the post-sweep ssim matrix (before the Section 7
   /// recompute; its lsim/wsim companions are never consulted, so only ssim
-  /// is kept) and the final NodeSimilarities (after the recompute), plus the
-  /// structural counts recorded at the final stage. All must outlive the
-  /// incremental calls.
+  /// is kept) and the final NodeSimilarities (after the recompute). The
+  /// post-sweep ssim is exact: a warm sweep zeroes the cells of pairs
+  /// pruned now, so by induction from a cold start it equals a cold
+  /// sweep's ssim cell for cell. All must outlive the incremental calls.
   const SchemaTree* prev_source = nullptr;
   const SchemaTree* prev_target = nullptr;
   const Matrix<float>* prev_sweep_ssim = nullptr;
   const NodeSimilarities* prev_final = nullptr;
-  /// Counts behind prev_final's non-leaf ssim values (recorded by the
-  /// recompute passes). May be null when the previous run predates counts
-  /// recording; the incremental recompute then falls back to full scans.
-  const StructuralCounts* prev_final_counts = nullptr;
 };
 
 /// \brief The leaf-count pruning rule of the sweep, over two frontier
@@ -359,11 +336,10 @@ Result<TreeMatchResult> TreeMatchIncremental(const SchemaTree& source,
                                              const TreeMatchOptions& options,
                                              TreeMatchDelta* delta);
 
-/// \brief The Section 7 recompute pass warm-started from the previous run's
-/// final similarities. Must be called with the delta as left by
-/// TreeMatchIncremental (its dirty set reflects the finished sweep; the
-/// visit list it built is reused, and built here when absent).
-/// Bit-identical to RecomputeNonLeafSimilarities.
+/// \brief The Section 7 recompute pass after TreeMatchIncremental: the
+/// same popcount pass as RecomputeNonLeafSimilarities, over the delta's
+/// leaf indexes and the visit list the sweep left on it (built here when
+/// absent). Bit-identical to RecomputeNonLeafSimilarities.
 Status RecomputeNonLeafSimilaritiesIncremental(const SchemaTree& source,
                                                const SchemaTree& target,
                                                const TreeMatchOptions& options,

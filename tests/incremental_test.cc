@@ -13,9 +13,11 @@
 #include <vector>
 
 #include "core/cupid_matcher.h"
+#include "core/match_pipeline.h"
 #include "eval/datasets.h"
 #include "eval/synthetic.h"
 #include "incremental/match_session.h"
+#include "incremental/schema_edit.h"
 #include "linguistic/lsim_cache.h"
 #include "tests/match_diff_testutil.h"
 #include "thesaurus/default_thesaurus.h"
@@ -98,6 +100,78 @@ TEST(MatchSessionPropertyTest, EditStreamBitIdenticalNaiveLinguistic) {
   // path must still agree bit for bit.
   Thesaurus thesaurus = DefaultThesaurus();
   RunEditStream(&thesaurus, CupidConfig(), 31, 8, Oracle::kReference);
+}
+
+TEST(MatchPipelineTest, WarmSweepSnapshotEqualsColdSnapshot) {
+  // A warm run's post-sweep ssim is the next warm run's past, so it must
+  // equal a cold sweep's cell for cell, pruned pairs included: batches of
+  // size-changing adds and removes flip leaf-count prune decisions, and a
+  // cell pruned now must read 0 whatever the past stored there.
+  Thesaurus thesaurus = DefaultThesaurus();
+  CupidConfig config;
+  LsimCache cache(&thesaurus, config.linguistic);
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SyntheticOptions opt;
+    opt.num_elements = 60;
+    opt.seed = seed;
+    SyntheticPair pair = GenerateSyntheticPair(opt);
+    auto source = std::make_unique<Schema>(pair.source);
+    auto target = std::make_unique<Schema>(pair.target);
+    MatchSnapshot snapshot;
+    auto first = RunMatchPipeline(&thesaurus, config, *source, *target, {},
+                                  &cache, nullptr, &snapshot, "test.cold");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    auto result = std::make_unique<MatchResult>(std::move(*first));
+    Matrix<float> sweep_ssim = std::move(snapshot.sweep_ssim);
+    SplitMix64 rng(seed * 7919 + 13);
+    for (int step = 1; step <= 8; ++step) {
+      const std::string context =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      // Only edited sides are copied, so an unedited side's tree is reused
+      // as a session would.
+      std::unique_ptr<Schema> next_source, next_target;
+      for (int k = 0; k < 3; ++k) {
+        SchemaEdit edit = RandomSessionEdit(
+            &rng, next_source ? *next_source : *source,
+            next_target ? *next_target : *target, step * 10 + k);
+        std::unique_ptr<Schema>& next =
+            edit.side == EditSide::kSource ? next_source : next_target;
+        if (!next) {
+          next = std::make_unique<Schema>(
+              edit.side == EditSide::kSource ? *source : *target);
+        }
+        ASSERT_TRUE(ApplySchemaEdit(next.get(), edit).ok())
+            << context << " path " << edit.path;
+      }
+      const Schema& s = next_source ? *next_source : *source;
+      const Schema& t = next_target ? *next_target : *target;
+      MatchSnapshot cold;
+      auto scratch = RunMatchPipeline(&thesaurus, config, s, t, {}, nullptr,
+                                      nullptr, &cold, "test.cold");
+      ASSERT_TRUE(scratch.ok()) << context << ": "
+                                << scratch.status().ToString();
+      MatchPast past{source.get(), target.get(), result.get(), &sweep_ssim};
+      MatchSnapshot warm;
+      auto run = RunMatchPipeline(&thesaurus, config, s, t, {}, &cache, &past,
+                                  &warm, "test.warm");
+      ASSERT_TRUE(run.ok()) << context << ": " << run.status().ToString();
+      ASSERT_TRUE(warm.warm) << context;
+      ASSERT_EQ(warm.sweep_ssim.rows(), cold.sweep_ssim.rows()) << context;
+      ASSERT_EQ(warm.sweep_ssim.cols(), cold.sweep_ssim.cols()) << context;
+      for (int64_t ns = 0; ns < warm.sweep_ssim.rows(); ++ns) {
+        for (int64_t nt = 0; nt < warm.sweep_ssim.cols(); ++nt) {
+          ASSERT_EQ(warm.sweep_ssim(ns, nt), cold.sweep_ssim(ns, nt))
+              << context << " sweep_ssim(" << ns << "," << nt << ")";
+        }
+      }
+      ExpectIdenticalResults(*run, *scratch, context);
+      if (::testing::Test::HasFatalFailure()) return;
+      result = std::make_unique<MatchResult>(std::move(*run));
+      sweep_ssim = std::move(warm.sweep_ssim);
+      if (next_source) source = std::move(next_source);
+      if (next_target) target = std::move(next_target);
+    }
+  }
 }
 
 TEST(MatchSessionPropertyTest, UnsupportedOptionsFallBackToFullRecompute) {
