@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -57,97 +56,58 @@ bool HasJoinViews(const SchemaTree& tree) {
   return false;
 }
 
-/// Nodes grouped by context path (same-named siblings share one), read
-/// off the tree's stored paths and path index. Per node: `first`, the
-/// group's lowest id (FindNodeByPath's answer), and `rank`, the node's
-/// position in its group by id; `size` is indexed by a group's first id.
-struct PathGroups {
-  std::vector<size_t> first, rank, size;
-};
-
-PathGroups GroupByPath(const SchemaTree& tree) {
-  const size_t n = static_cast<size_t>(tree.num_nodes());
-  PathGroups g;
-  g.first.resize(n);
-  g.rank.resize(n);
-  g.size.assign(n, 0);
-  for (size_t v = 0; v < n; ++v) {
-    const size_t f = static_cast<size_t>(
-        tree.FindNodeByPath(tree.PathName(static_cast<TreeNodeId>(v))));
-    g.first[v] = f;
-    g.rank[v] = g.size[f]++;
-  }
-  return g;
-}
-
-/// Node correspondence new -> old by context path. Same-named siblings make
-/// paths non-unique; occurrences are paired BY RANK when both trees hold
-/// the same number (sound: the supported edits preserve the relative order
-/// of surviving nodes, and every value-relevant input is still verified
-/// independently — leaf sets, data types, lsim cells — so even an identity
-/// mix-up between structurally interchangeable duplicates cannot change
-/// values). Groups whose sizes differ map to kNoTreeNode: ambiguity
-/// degrades to recomputation, never to reuse of wrong values.
-void MapByPath(const SchemaTree& nw, const SchemaTree& old,
-               std::vector<TreeNodeId>* map) {
-  // An unedited side passes the previous run's tree as both `nw` and `old`
-  // (the pipeline only builds the trees of edited sides), so node ids
-  // coincide and the map is the identity — no paths needed.
-  if (&nw.schema() == &old.schema() && nw.num_nodes() == old.num_nodes()) {
-    map->resize(static_cast<size_t>(nw.num_nodes()));
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      (*map)[static_cast<size_t>(n)] = n;
-    }
-    return;
-  }
-  // Identity-first for equal-size rebuilt trees: in-place edits (renames,
-  // retypes) keep node ids stable, and a renamed node's identity image IS
-  // its old self — which path mapping only recovers via child alignment.
-  // Any map is sound (every value-relevant input is verified
-  // independently downstream), so the name-mismatch threshold is purely a
-  // reuse-quality heuristic; adds/removes change the node count and fall
-  // through to path mapping.
-  if (nw.num_nodes() == old.num_nodes()) {
-    const int64_t thr =
-        std::max<int64_t>(4, static_cast<int64_t>(nw.num_nodes()) / 64);
-    int64_t mismatches = 0;
-    for (TreeNodeId n = 0; n < nw.num_nodes() && mismatches <= thr; ++n) {
-      if (nw.NodeName(n) != old.NodeName(n) ||
-          nw.node(n).parent != old.node(n).parent) {
-        ++mismatches;
-      }
-    }
-    if (mismatches <= thr) {
-      map->resize(static_cast<size_t>(nw.num_nodes()));
-      for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-        (*map)[static_cast<size_t>(n)] = n;
-      }
-      return;
-    }
-  }
-  const PathGroups og = GroupByPath(old);
-  const PathGroups ng = GroupByPath(nw);
-  // Old group members laid out group by group, each in id order: the k-th
-  // member of the group whose first id is f sits at members[start[f] + k].
-  const size_t num_old = static_cast<size_t>(old.num_nodes());
-  std::vector<size_t> start(num_old, 0);
-  for (size_t o = 0, at = 0; o < num_old; ++o) {
-    if (og.first[o] != o) continue;
-    start[o] = at;
-    at += og.size[o];
-  }
-  std::vector<TreeNodeId> members(num_old);
-  for (size_t o = 0; o < num_old; ++o) {
-    members[start[og.first[o]] + og.rank[o]] = static_cast<TreeNodeId>(o);
-  }
+/// Node correspondence new -> old, read off the lsim plan's element map
+/// (`element_map`) and anchored at the parent: a node maps to the first
+/// unclaimed child of its parent's counterpart whose element is the plan's
+/// counterpart of its own, so the map stays injective; `inverse` receives
+/// old -> new. Type substitution (Section 8.2) expands a shared type once
+/// per context, and the parent tells the contexts apart. Parents precede
+/// children in id order (the pre-order build of Figure 4), so one
+/// ascending pass suffices; the root maps to the old root when its element
+/// maps to the old root's element. A node without a source element stays
+/// unmapped. Any map is sound: every value-relevant input is verified
+/// independently downstream, so a wrong pairing only costs reuse.
+void MapNodes(const SchemaTree& nw, const SchemaTree& old,
+              const std::vector<ElementId>& element_map,
+              std::vector<TreeNodeId>* map,
+              std::vector<TreeNodeId>* inverse) {
   map->assign(static_cast<size_t>(nw.num_nodes()), kNoTreeNode);
-  for (size_t n = 0; n < map->size(); ++n) {
-    const TreeNodeId f =
-        old.FindNodeByPath(nw.PathName(static_cast<TreeNodeId>(n)));
-    if (f == kNoTreeNode) continue;
-    const size_t of = static_cast<size_t>(f);
-    if (og.size[of] != ng.size[ng.first[n]]) continue;
-    (*map)[n] = members[start[of] + ng.rank[n]];
+  inverse->assign(static_cast<size_t>(old.num_nodes()), kNoTreeNode);
+  auto claim = [&](TreeNodeId n, TreeNodeId o) {
+    (*map)[static_cast<size_t>(n)] = o;
+    (*inverse)[static_cast<size_t>(o)] = n;
+  };
+  // Per old node, its first child not yet claimed: the supported edits keep
+  // sibling order, so the claimed child is usually the one at the cursor.
+  std::vector<size_t> cursor(static_cast<size_t>(old.num_nodes()), 0);
+  for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
+    const ElementId e = nw.node(n).source;
+    if (e == kNoElement) continue;
+    const ElementId oe = element_map[static_cast<size_t>(e)];
+    if (oe == kNoElement) continue;
+    if (n == nw.root()) {
+      if (old.num_nodes() > 0 && old.node(old.root()).source == oe) {
+        claim(n, old.root());
+      }
+      continue;
+    }
+    const TreeNodeId op = (*map)[static_cast<size_t>(nw.node(n).parent)];
+    if (op == kNoTreeNode) continue;
+    const std::vector<TreeNodeId>& kids = old.node(op).children;
+    size_t& first = cursor[static_cast<size_t>(op)];
+    for (size_t i = first; i < kids.size(); ++i) {
+      const TreeNodeId c = kids[i];
+      if ((*inverse)[static_cast<size_t>(c)] != kNoTreeNode ||
+          old.node(c).source != oe) {
+        continue;
+      }
+      claim(n, c);
+      while (first < kids.size() &&
+             (*inverse)[static_cast<size_t>(kids[first])] != kNoTreeNode) {
+        ++first;
+      }
+      break;
+    }
   }
 }
 
@@ -183,67 +143,27 @@ void ComputeReusable(const SchemaTree& nw, const SchemaTree& old,
 }
 
 /// The warm-start input relating the new trees to the previous run's state:
-/// node correspondence, reusable flags, and the seed dirty set (new/retyped
-/// leaves as whole rows/columns, changed lsim cells pointwise, and the
-/// blocks of feedback events fired by old nodes that have no new
-/// counterpart). Changed lsim cells are found by diffing the ELEMENT-level
-/// lsim tables of the two runs row-wise under the element correspondence
-/// (rows that are bitwise identical are dismissed with one memcmp).
-TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
-                                   const SchemaTree& tnew,
-                                   const Matrix<float>& element_lsim,
-                                   const SchemaTree& sold,
-                                   const SchemaTree& told,
-                                   const Matrix<float>& prev_sweep_ssim,
-                                   const NodeSimilarities& prev_final,
-                                   const Matrix<float>& prev_element_lsim,
-                                   const TreeMatchOptions& options) {
+/// node correspondence and per-node lsim flags read off the lsim plan of the
+/// same run, reusable flags, and the seed dirty set (new/retyped leaves as
+/// whole rows/columns, changed lsim cells pointwise, and the blocks of
+/// feedback events fired by old nodes that have no new counterpart).
+TreeMatchDelta BuildTreeMatchDelta(
+    const SchemaTree& snew, const SchemaTree& tnew,
+    const Matrix<float>& element_lsim, const LsimGatherPlan& plan,
+    const SchemaTree& sold, const SchemaTree& told,
+    const Matrix<float>& prev_sweep_ssim, const NodeSimilarities& prev_final,
+    const Matrix<float>& prev_element_lsim,
+    const std::vector<FeedbackEvent>& prev_events,
+    const TreeMatchOptions& options) {
   TreeMatchDelta d;
   d.prev_source = &sold;
   d.prev_target = &told;
   d.prev_sweep_ssim = &prev_sweep_ssim;
   d.prev_final = &prev_final;
-  MapByPath(snew, sold, &d.source_map);
-  MapByPath(tnew, told, &d.target_map);
-
-  // Order-based alignment of unmapped children under corresponding
-  // parents: a rename keeps element identity but changes every descendant
-  // path, so path mapping alone loses the whole subtree. Pairing the
-  // unmapped children of mapped parents by position (sibling order is
-  // preserved by the supported edits) recovers it, recursively — parents
-  // precede children in id order, so one ascending pass suffices. A wrong
-  // pairing (say, a remove plus an add in one batch) is harmless: every
-  // value-relevant input is verified independently downstream.
-  auto align_children = [](const SchemaTree& nw, const SchemaTree& old,
-                           std::vector<TreeNodeId>* map) {
-    std::vector<uint8_t> covered(static_cast<size_t>(old.num_nodes()), 0);
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      TreeNodeId o = (*map)[static_cast<size_t>(n)];
-      if (o != kNoTreeNode) covered[static_cast<size_t>(o)] = 1;
-    }
-    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      TreeNodeId o = (*map)[static_cast<size_t>(n)];
-      if (o == kNoTreeNode) continue;
-      std::vector<TreeNodeId> new_unmapped, old_uncovered;
-      for (TreeNodeId c : nw.node(n).children) {
-        if ((*map)[static_cast<size_t>(c)] == kNoTreeNode) {
-          new_unmapped.push_back(c);
-        }
-      }
-      for (TreeNodeId c : old.node(o).children) {
-        if (!covered[static_cast<size_t>(c)]) old_uncovered.push_back(c);
-      }
-      if (new_unmapped.empty() || new_unmapped.size() != old_uncovered.size()) {
-        continue;
-      }
-      for (size_t i = 0; i < new_unmapped.size(); ++i) {
-        (*map)[static_cast<size_t>(new_unmapped[i])] = old_uncovered[i];
-        covered[static_cast<size_t>(old_uncovered[i])] = 1;
-      }
-    }
-  };
-  align_children(snew, sold, &d.source_map);
-  align_children(tnew, told, &d.target_map);
+  d.prev_events = &prev_events;
+  std::vector<TreeNodeId> s_inverse, t_inverse;
+  MapNodes(snew, sold, plan.source_map, &d.source_map, &s_inverse);
+  MapNodes(tnew, told, plan.target_map, &d.target_map, &t_inverse);
 
   d.source_leaves = std::make_unique<LeafIndex>(snew);
   d.target_leaves = std::make_unique<LeafIndex>(tnew);
@@ -253,45 +173,33 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
   d.source_leaf_dirty.assign(d.source_leaves->num_leaves(), 0);
   d.target_leaf_dirty.assign(d.target_leaves->num_leaves(), 0);
 
-  // Lsim-locality flags: a node whose element kept every lsim-relevant
-  // local feature (and maps to a previous node) has bit-equal lsim against
-  // any other flagged node — the per-node half of the gather engine's
-  // clean-pair test (linguistic/linguistic_matcher.h). Computed before the
-  // lsim diff below so changed cells can be dirt-attributed to the side
-  // whose element actually changed.
-  auto lsim_same = [](const SchemaTree& nw, const SchemaTree& old,
+  // Lsim-locality flags: a mapped node whose element the plan left
+  // unchanged. Its counterpart's element is the plan's counterpart of its
+  // own, so every lsim cell between two flagged nodes is bitwise equal to
+  // the previous run's.
+  auto lsim_same = [](const SchemaTree& nw,
                       const std::vector<TreeNodeId>& map,
+                      const std::vector<uint8_t>& changed,
                       std::vector<uint8_t>* out) {
     out->assign(static_cast<size_t>(nw.num_nodes()), 0);
     for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
-      TreeNodeId o = map[static_cast<size_t>(n)];
-      if (o == kNoTreeNode) continue;
-      ElementId en = nw.node(n).source;
-      ElementId eo = old.node(o).source;
-      if (en == kNoElement || eo == kNoElement) {
-        // Element-less nodes project no lsim at all; both-less is a match.
-        (*out)[static_cast<size_t>(n)] =
-            (en == kNoElement && eo == kNoElement) ? 1 : 0;
-        continue;
-      }
+      if (map[static_cast<size_t>(n)] == kNoTreeNode) continue;
       (*out)[static_cast<size_t>(n)] =
-          SameLsimElementFeatures(nw.schema(), en, old.schema(), eo) ? 1 : 0;
+          changed[static_cast<size_t>(nw.node(n).source)] ? 0 : 1;
     }
   };
-  lsim_same(snew, sold, d.source_map, &d.source_lsim_same);
-  lsim_same(tnew, told, d.target_map, &d.target_lsim_same);
+  lsim_same(snew, d.source_map, plan.source_changed, &d.source_lsim_same);
+  lsim_same(tnew, d.target_map, plan.target_changed, &d.target_lsim_same);
 
   // A leaf is valid iff it maps to an old leaf of the same data type: its
   // type-seeded init ssim row then starts out equal to the previous run's.
+  // (Mapped nodes have source elements on both sides.)
   auto leaf_valid = [](const SchemaTree& nw, const SchemaTree& old,
                        const std::vector<TreeNodeId>& map, TreeNodeId x) {
     TreeNodeId o = map[static_cast<size_t>(x)];
-    if (o == kNoTreeNode || !old.IsLeaf(o)) return false;
-    ElementId en = nw.node(x).source;
-    ElementId eo = old.node(o).source;
-    if (en == kNoElement || eo == kNoElement) return false;
-    return nw.schema().element(en).data_type ==
-           old.schema().element(eo).data_type;
+    return o != kNoTreeNode && old.IsLeaf(o) &&
+           nw.schema().element(nw.node(x).source).data_type ==
+               old.schema().element(old.node(o).source).data_type;
   };
   std::vector<uint8_t> s_ok(static_cast<size_t>(snew.num_nodes()), 0);
   std::vector<uint8_t> t_ok(static_cast<size_t>(tnew.num_nodes()), 0);
@@ -312,70 +220,46 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
     }
   }
 
-  // Changed linguistic similarities dirty their leaf pair (renames change
-  // whole rows; categorization ripples are caught cell by cell since the
-  // new lsim is available in full before this diff). The comparison runs
-  // over the ELEMENT matrices of the two runs: per valid source leaf, the
-  // new element row is checked against the previous run's — one memcmp
-  // dismisses a bitwise-identical row when the valid target columns align
-  // position-for-position (the common case: target untouched), and only
-  // rows that differ walk their cells.
+  // Changed linguistic similarities dirty their leaf pair. The warm lsim
+  // kernel copied every cell between two unchanged elements from the past
+  // lsim (linguistic/linguistic_matcher.h), so only cells with a changed
+  // side can differ: changed valid source rows are diffed against every
+  // valid target column, unchanged rows against the changed valid columns
+  // only. A changed cell is dirt-attributed to its changed side(s): any
+  // pair block containing the cell contains that row/column, so the
+  // clean-pair test needs no more, and a single rename cannot smear
+  // "dirty" across every node of the other side.
   {
     struct TgtCol {
       TreeNodeId y;
       ElementId et, oet;
+      bool changed;
     };
-    std::vector<TgtCol> cols;
-    cols.reserve(d.target_leaves->num_leaves());
-    bool cols_aligned =
-        element_lsim.cols() == prev_element_lsim.cols();
+    std::vector<TgtCol> cols, changed_cols;
     for (size_t k = 0; k < d.target_leaves->num_leaves(); ++k) {
       TreeNodeId y = d.target_leaves->leaf(k);
       if (!t_ok[static_cast<size_t>(y)]) continue;
-      TreeNodeId oy = d.target_map[static_cast<size_t>(y)];
-      ElementId et = tnew.node(y).source;
-      ElementId oet = told.node(oy).source;
-      cols.push_back({y, et, oet});
-      if (et != oet) cols_aligned = false;
+      const TgtCol col{
+          y, tnew.node(y).source,
+          told.node(d.target_map[static_cast<size_t>(y)]).source,
+          !d.target_lsim_same[static_cast<size_t>(y)]};
+      cols.push_back(col);
+      if (col.changed) changed_cols.push_back(col);
     }
-    const size_t row_bytes =
-        static_cast<size_t>(element_lsim.cols()) * sizeof(float);
-    // A changed cell is dirt-attributed to the side whose element features
-    // changed (a row-shaped change flags only its source leaf, a
-    // column-shaped one only its target leaf): any pair block containing
-    // the cell contains that row/column, so one side always suffices for
-    // the clean-pair test, and a single rename cannot smear "dirty" across
-    // every node of the other side. Unattributable differences (both
-    // sides feature-identical, which the locality contract rules out) flag
-    // both sides defensively.
-    auto mark_lsim_cell = [&](TreeNodeId x, TreeNodeId y) {
-      d.dirty->Set(x, y);
-      const bool src_changed = !d.source_lsim_same[static_cast<size_t>(x)];
-      const bool tgt_changed = !d.target_lsim_same[static_cast<size_t>(y)];
-      if (src_changed || !tgt_changed) {
-        d.source_leaf_dirty[static_cast<size_t>(
-            d.source_leaves->dense(x))] = 1;
-      }
-      if (tgt_changed || !src_changed) {
-        d.target_leaf_dirty[static_cast<size_t>(
-            d.target_leaves->dense(y))] = 1;
-      }
-    };
     for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
       TreeNodeId x = d.source_leaves->leaf(j);
       if (!s_ok[static_cast<size_t>(x)]) continue;
-      ElementId es = snew.node(x).source;
-      ElementId oes = sold.node(
-          d.source_map[static_cast<size_t>(x)]).source;
-      const float* new_row = element_lsim.row(es);
-      const float* old_row = prev_element_lsim.row(oes);
-      if (cols_aligned &&
-          std::memcmp(new_row, old_row, row_bytes) == 0) {
-        continue;
-      }
-      for (const TgtCol& col : cols) {
-        if (new_row[col.et] != old_row[col.oet]) {
-          mark_lsim_cell(x, col.y);
+      const bool row_changed = !d.source_lsim_same[static_cast<size_t>(x)];
+      const float* new_row = element_lsim.row(snew.node(x).source);
+      const float* old_row = prev_element_lsim.row(
+          sold.node(d.source_map[static_cast<size_t>(x)]).source);
+      for (const TgtCol& col : row_changed ? cols : changed_cols) {
+        if (new_row[col.et] == old_row[col.oet]) continue;
+        d.dirty->Set(x, col.y);
+        if (row_changed) d.source_leaf_dirty[j] = 1;
+        if (col.changed) {
+          d.target_leaf_dirty[static_cast<size_t>(
+              d.target_leaves->dense(col.y))] = 1;
         }
       }
     }
@@ -384,36 +268,16 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
   // Reverse coverage: the sweep's runtime divergence check compares each
   // NEW pair's feedback against its OLD counterpart, so feedback fired by
   // old nodes with no new counterpart ("orphans" — removed nodes, or nodes
-  // whose path became ambiguous) would go unseen. Re-derive those events
-  // from the previous snapshot and dirty everything they scaled. Orphaned
-  // LEAVES need nothing here: their surviving partners' rows/columns are
-  // handled above, and their own cells are gone.
-  std::vector<uint8_t> covered_s(static_cast<size_t>(sold.num_nodes()), 0);
-  std::vector<uint8_t> covered_t(static_cast<size_t>(told.num_nodes()), 0);
-  for (TreeNodeId n = 0; n < snew.num_nodes(); ++n) {
-    if (d.source_map[static_cast<size_t>(n)] != kNoTreeNode) {
-      covered_s[static_cast<size_t>(d.source_map[static_cast<size_t>(n)])] = 1;
-    }
-  }
-  for (TreeNodeId n = 0; n < tnew.num_nodes(); ++n) {
-    if (d.target_map[static_cast<size_t>(n)] != kNoTreeNode) {
-      covered_t[static_cast<size_t>(d.target_map[static_cast<size_t>(n)])] = 1;
-    }
-  }
-  std::vector<TreeNodeId> old2new_s(static_cast<size_t>(sold.num_nodes()),
-                                    kNoTreeNode);
-  std::vector<TreeNodeId> old2new_t(static_cast<size_t>(told.num_nodes()),
-                                    kNoTreeNode);
-  for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
-    TreeNodeId x = d.source_leaves->leaf(j);
-    TreeNodeId o = d.source_map[static_cast<size_t>(x)];
-    if (o != kNoTreeNode) old2new_s[static_cast<size_t>(o)] = x;
-  }
-  for (size_t j = 0; j < d.target_leaves->num_leaves(); ++j) {
-    TreeNodeId y = d.target_leaves->leaf(j);
-    TreeNodeId o = d.target_map[static_cast<size_t>(y)];
-    if (o != kNoTreeNode) old2new_t[static_cast<size_t>(o)] = y;
-  }
+  // the correspondence left unclaimed) would go unseen. Re-derive those
+  // events from the previous snapshot and dirty everything they scaled.
+  // Orphaned LEAVES need nothing here: their surviving partners'
+  // rows/columns are handled above, and their own cells are gone.
+  // The new leaf an old leaf maps to, if any.
+  auto new_leaf = [](const SchemaTree& nw,
+                     const std::vector<TreeNodeId>& inverse, TreeNodeId o) {
+    const TreeNodeId n = inverse[static_cast<size_t>(o)];
+    return n != kNoTreeNode && nw.IsLeaf(n) ? n : kNoTreeNode;
+  };
   // Did the old sweep fire increase/decrease feedback at (os, ot)?
   // (PrevFeedbackDecision holds ComparePair's exact decision arithmetic.)
   auto old_feedback_fired = [&](TreeNodeId os, TreeNodeId ot) {
@@ -422,26 +286,30 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
   };
   auto dirty_old_block = [&](TreeNodeId os, TreeNodeId ot) {
     for (const LeafRef& lx : sold.leaves(os)) {
-      TreeNodeId nx = old2new_s[static_cast<size_t>(lx.leaf)];
+      TreeNodeId nx = new_leaf(snew, s_inverse, lx.leaf);
       if (nx == kNoTreeNode) continue;  // removed/unmapped: already dirty
       for (const LeafRef& ly : told.leaves(ot)) {
-        TreeNodeId ny = old2new_t[static_cast<size_t>(ly.leaf)];
+        TreeNodeId ny = new_leaf(tnew, t_inverse, ly.leaf);
         if (ny == kNoTreeNode) continue;
         d.MarkPairDirty(nx, ny);
       }
     }
   };
+  auto orphan = [](const SchemaTree& old,
+                   const std::vector<TreeNodeId>& inverse, TreeNodeId o) {
+    return inverse[static_cast<size_t>(o)] == kNoTreeNode && !old.IsLeaf(o);
+  };
   for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
-    if (covered_s[static_cast<size_t>(os)] || sold.IsLeaf(os)) continue;
+    if (!orphan(sold, s_inverse, os)) continue;
     for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
       if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
     }
   }
   for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
-    if (covered_t[static_cast<size_t>(ot)] || told.IsLeaf(ot)) continue;
+    if (!orphan(told, t_inverse, ot)) continue;
     for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
       // Orphan-source pairs were handled by the loop above.
-      if (!covered_s[static_cast<size_t>(os)] && !sold.IsLeaf(os)) continue;
+      if (orphan(sold, s_inverse, os)) continue;
       if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
     }
   }
@@ -549,10 +417,10 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
   if (warm) {
     const MatchResult& prev = *past->result;
     delta = BuildTreeMatchDelta(
-        source_tree, target_tree, lres.lsim, prev.source_tree,
-        prev.target_tree, *past->sweep_ssim, prev.tree_match.sims,
-        prev.linguistic.lsim, config.tree_match);
-    delta.prev_events = &prev.tree_match.events;
+        source_tree, target_tree, lres.lsim, lsim_past.plan,
+        prev.source_tree, prev.target_tree, *past->sweep_ssim,
+        prev.tree_match.sims, prev.linguistic.lsim, prev.tree_match.events,
+        config.tree_match);
     t3 = std::chrono::steady_clock::now();
   }
   CUPID_ASSIGN_OR_RETURN(

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "linguistic/annotations.h"
@@ -151,8 +150,9 @@ std::vector<std::string> ElementPaths(const Schema& s) {
   return paths;
 }
 
-}  // namespace
-
+/// True iff element `e` of `s` and element `pe` of `ps` agree on every
+/// lsim-relevant local feature (raw name, kind, data type, not-instantiated
+/// flag, documentation, containment parent's root-ness/raw name/kind).
 /// Equal features imply bit-equal lsim against any other feature-equal
 /// element — regardless of whether the correspondence paired "the same"
 /// element (the categorizer's locality contract, linguistic/categorizer.h).
@@ -177,13 +177,25 @@ bool SameLsimElementFeatures(const Schema& s, ElementId e, const Schema& ps,
          s.element(pa).kind == ps.element(pb).kind;
 }
 
-namespace {
+/// Flags every element of `s` that `map` leaves unmapped or whose
+/// lsim-relevant features differ from its counterpart's in `prev`.
+void FlagChanged(const Schema& s, const Schema& prev,
+                 const std::vector<ElementId>& map,
+                 std::vector<uint8_t>* changed) {
+  changed->assign(map.size(), 0);
+  for (ElementId e = 0; e < s.num_elements(); ++e) {
+    ElementId o = map[static_cast<size_t>(e)];
+    if (o == kNoElement || !SameLsimElementFeatures(s, e, prev, o)) {
+      (*changed)[static_cast<size_t>(e)] = 1;
+    }
+  }
+}
 
 /// One side of the plan: map current -> previous elements by containment
 /// path (same-named occurrences paired by rank, unmapped children of mapped
-/// parents aligned by sibling order — the element-level mirror of the tree
-/// correspondence in incremental/match_session.cc), then flag every element
-/// that is unmapped or whose lsim-relevant features changed.
+/// parents aligned by sibling order), then flag every element that is
+/// unmapped or whose lsim-relevant features changed. The warm structural
+/// delta derives its node correspondence from this map.
 void PlanSide(const Schema& s, const Schema& prev, std::vector<ElementId>* map,
               std::vector<uint8_t>* changed) {
   const int64_t n = s.num_elements();
@@ -197,26 +209,27 @@ void PlanSide(const Schema& s, const Schema& prev, std::vector<ElementId>* map,
   }
   // Identity-first: the supported edits keep surviving element ids stable
   // (renames/retypes mutate in place, adds append), so most edited sides
-  // map by identity with a handful of changed flags. Any pairing is sound
-  // — the feature flags are what license reuse — so the fallback to path
-  // mapping below is purely about reuse QUALITY after wholesale id shifts
-  // (removals rebuild the schema with compacted ids).
+  // map by identity: ids shared with the previous schema map to themselves
+  // and appended ids stay unmapped. Any pairing is sound — the feature
+  // flags are what license reuse — so the fallback to path mapping below
+  // is purely about reuse QUALITY after wholesale id shifts (removals
+  // rebuild the schema with compacted ids), which show as shared ids whose
+  // name or parent moved. A rename alone moves one name however many
+  // descendants' paths it changes (the root's included).
+  map->assign(static_cast<size_t>(n), kNoElement);
   if (n >= prev.num_elements()) {
-    map->assign(static_cast<size_t>(n), kNoElement);
-    changed->assign(static_cast<size_t>(n), 0);
-    int64_t num_changed = 0;
-    for (ElementId e = 0; e < n; ++e) {
-      // Ids shared with the previous schema map to themselves
-      // unconditionally (the flag, not the map, gates reuse); appended ids
-      // stay unmapped. Either way a flagged element counts as changed.
-      const bool in_prev = e < prev.num_elements();
-      if (in_prev) (*map)[static_cast<size_t>(e)] = e;
-      if (!in_prev || !SameLsimElementFeatures(s, e, prev, e)) {
-        (*changed)[static_cast<size_t>(e)] = 1;
-        ++num_changed;
+    int64_t moved = 0;
+    for (ElementId e = 0; e < prev.num_elements(); ++e) {
+      (*map)[static_cast<size_t>(e)] = e;
+      if (s.element(e).name != prev.element(e).name ||
+          s.parent(e) != prev.parent(e)) {
+        ++moved;
       }
     }
-    if (num_changed <= std::max<int64_t>(4, n / 64)) return;
+    if (moved <= std::max<int64_t>(4, n / 64)) {
+      FlagChanged(s, prev, *map, changed);
+      return;
+    }
   }
   std::vector<std::string> new_paths = ElementPaths(s);
   std::vector<std::string> old_paths = ElementPaths(prev);
@@ -269,13 +282,7 @@ void PlanSide(const Schema& s, const Schema& prev, std::vector<ElementId>* map,
       covered[static_cast<size_t>(old_uncovered[i])] = 1;
     }
   }
-  changed->assign(static_cast<size_t>(n), 0);
-  for (ElementId e = 0; e < n; ++e) {
-    ElementId o = (*map)[static_cast<size_t>(e)];
-    if (o == kNoElement || !SameLsimElementFeatures(s, e, prev, o)) {
-      (*changed)[static_cast<size_t>(e)] = 1;
-    }
-  }
+  FlagChanged(s, prev, *map, changed);
 }
 
 }  // namespace
@@ -482,8 +489,7 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
     LsimCache fresh(thesaurus_, options_);
     return Match(s1, s2, &fresh, past);
   }
-  std::optional<obs::ScopedSpan> span;
-  if (past.result != nullptr) span.emplace("lsim.gather");
+  obs::ScopedSpan span("lsim.match");
   auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<const PreparedLsimSide> side1, side2;
   bool prepared_filled = false;
@@ -509,14 +515,15 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                          Match(std::move(side1), std::move(side2), cache,
                                past));
   out.cache_filled = out.cache_filled || prepared_filled;
-  if (span && span->enabled()) {
+  if (span.enabled()) {
     auto ms = [](auto a, auto b) {
       return std::chrono::duration<double, std::milli>(b - a).count();
     };
-    span->Attr("prepare_ms", ms(t0, t1));
-    span->Attr("kernel_ms", ms(t1, std::chrono::steady_clock::now()));
-    span->Attr("prepared_sides", prepared_sides);
-    span->Attr("gathered_rows", out.gathered_rows);
+    span.Attr("prepare_ms", ms(t0, t1));
+    span.Attr("kernel_ms", ms(t1, std::chrono::steady_clock::now()));
+    span.Attr("warm", past.result != nullptr ? 1 : 0);
+    span.Attr("prepared_sides", prepared_sides);
+    span.Attr("gathered_rows", out.gathered_rows);
   }
   return out;
 }

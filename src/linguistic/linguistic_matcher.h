@@ -130,7 +130,8 @@ struct PreparedLsimSide {
 
 /// \brief Element correspondence between the current schema pair and the
 /// previous run's, with changed-feature flags — what a warm match gathers
-/// by (LsimPast).
+/// by (LsimPast), and what the warm structural delta reads its node
+/// correspondence and lsim flags off (core/match_pipeline.cc).
 ///
 /// lsim(e1, e2) is a pure function of the two elements' LOCAL features —
 /// raw name, data type, kind, not-instantiated flag, documentation, and the
@@ -139,9 +140,11 @@ struct PreparedLsimSide {
 /// the previous run therefore keeps its entire lsim row/column against any
 /// other unchanged element, bit for bit.
 struct LsimGatherPlan {
-  /// Per CURRENT element, the corresponding previous element (matched by
-  /// containment path, same-named occurrences paired by rank, unmapped
-  /// children of mapped parents aligned by sibling order), or kNoElement.
+  /// Per CURRENT element, the corresponding previous element, or
+  /// kNoElement: the same id when few shared ids changed their name or
+  /// parent, else matched by containment path (same-named occurrences
+  /// paired by rank, unmapped children of mapped parents aligned by
+  /// sibling order).
   std::vector<ElementId> source_map;
   std::vector<ElementId> target_map;
   /// Element is unmapped or its lsim-relevant features changed.
@@ -162,16 +165,6 @@ struct LsimPast {
   const LinguisticResult* result = nullptr;
   LsimGatherPlan plan;
 };
-
-/// \brief True iff element `e` of `s` and element `pe` of `ps` agree on
-/// every lsim-relevant local feature (raw name, kind, data type,
-/// not-instantiated flag, documentation, containment parent's
-/// root-ness/raw name/kind). By the categorizer's locality contract, lsim
-/// between two feature-equal elements is bitwise equal to lsim between
-/// their counterparts — shared by the lsim gather and the structural
-/// delta's clean-pair analysis.
-bool SameLsimElementFeatures(const Schema& s, ElementId e, const Schema& ps,
-                             ElementId pe);
 
 /// \brief Runs normalization, categorization and comparison.
 class LinguisticMatcher {

@@ -225,7 +225,7 @@ void MatchService::CacheInsert(const ResultKey& key,
 }
 
 Result<MatchResponse> MatchService::Match(const MatchRequest& request) {
-  // Per-request trace state: inner spans (session.rematch, lsim.gather,
+  // Per-request trace state: inner spans (session.rematch, lsim.match,
   // treematch.*) pick this up from the thread-local and stamp "match" as
   // their label.
   obs::TraceContext trace_ctx("match");

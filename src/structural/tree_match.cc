@@ -561,13 +561,12 @@ class TreeMatcher : private MatcherBase {
 
  private:
   /// The warm-start replay merge assumes mapped nodes keep their RELATIVE
-  /// post-order across runs (fact (1)), and needs the previous sweep's
-  /// events and the per-node lsim flags. A correspondence that violates the
+  /// post-order across runs (fact (1)). A correspondence that violates the
   /// order — conceivable after shape-changing remove+add batches under the
-  /// identity-first maps — could let the merge's skip pointer run past a
-  /// clean pair's recorded event and silently drop its replay. Verified in
-  /// O(N) per side; without replay every visit pair runs the per-pair body
-  /// (bit-identical, just slower).
+  /// identity-first element maps — could let the merge's skip pointer run
+  /// past a clean pair's recorded event and silently drop its replay.
+  /// Verified in O(N) per side; without replay every visit pair runs the
+  /// per-pair body (bit-identical, just slower).
   bool CanReplay(const TreeMatchDelta& d) const {
     auto order_preserved = [](const std::vector<TreeNodeId>& order,
                               const std::vector<TreeNodeId>& map,
@@ -586,9 +585,7 @@ class TreeMatcher : private MatcherBase {
       }
       return true;
     };
-    return d.prev_events != nullptr && !d.source_lsim_same.empty() &&
-           !d.target_lsim_same.empty() &&
-           order_preserved(s_.post_order(), d.source_map, *d.prev_source) &&
+    return order_preserved(s_.post_order(), d.source_map, *d.prev_source) &&
            order_preserved(t_.post_order(), d.target_map, *d.prev_target);
   }
 
@@ -780,12 +777,9 @@ class TreeMatcher : private MatcherBase {
     // feature-changed target columns — the only ones a copied row could get
     // wrong — are re-projected individually, and every other row falls
     // back to the fresh projection.
-    const bool can_copy = !d.source_lsim_same.empty() &&
-                          !d.target_lsim_same.empty() &&
-                          d.prev_final != nullptr;
     std::vector<IdRun> runs;
     std::vector<TreeNodeId> fix_cols;
-    if (can_copy) {
+    if (past_) {
       runs = BuildMappedIdRuns(d.target_map);
       // Unmapped columns (outside every run) and feature-changed mapped
       // columns both need the fresh projection.
@@ -797,13 +791,13 @@ class TreeMatcher : private MatcherBase {
       }
     }
     const Matrix<float>* prev_lsim =
-        can_copy ? &d.prev_final->lsim_matrix() : nullptr;
+        past_ ? &d.prev_final->lsim_matrix() : nullptr;
     for (TreeNodeId ns = 0; ns < s_.num_nodes(); ++ns) {
       ElementId es = s_.node(ns).source;
       if (es == kNoElement) continue;
       const float* erow = element_lsim.row(es);
       float* lrow = lsim_m->row(ns);
-      if (can_copy && d.source_lsim_same[static_cast<size_t>(ns)]) {
+      if (past_ && d.source_lsim_same[static_cast<size_t>(ns)]) {
         const float* prow =
             prev_lsim->row(d.source_map[static_cast<size_t>(ns)]);
         for (const IdRun& run : runs) {
@@ -1427,6 +1421,10 @@ Status ValidateTreeMatchOptions(const TreeMatchOptions& o) {
   if (o.c_dec <= 0.0 || o.c_dec > 1.0) {
     return Status::InvalidArgument("c_dec must be within (0,1]");
   }
+  if (o.leaf_count_ratio > 0.0 && o.leaf_count_ratio < 1.0) {
+    return Status::InvalidArgument(
+        "leaf_count_ratio must be >= 1 (or <= 0 to disable pruning)");
+  }
   if (o.max_leaf_depth < 0) {
     return Status::InvalidArgument("max_leaf_depth must be >= 0");
   }
@@ -1569,7 +1567,7 @@ Status ValidateDelta(const SchemaTree& source, const SchemaTree& target,
   if (delta.prev_source == nullptr || delta.prev_target == nullptr ||
       delta.prev_sweep_ssim == nullptr || delta.prev_final == nullptr ||
       delta.source_leaves == nullptr || delta.target_leaves == nullptr ||
-      delta.dirty == nullptr) {
+      delta.dirty == nullptr || delta.prev_events == nullptr) {
     return Status::InvalidArgument("TreeMatchDelta is incomplete");
   }
   if (delta.source_map.size() != static_cast<size_t>(source.num_nodes()) ||
@@ -1577,18 +1575,11 @@ Status ValidateDelta(const SchemaTree& source, const SchemaTree& target,
       delta.source_reusable.size() != delta.source_map.size() ||
       delta.target_reusable.size() != delta.target_map.size() ||
       delta.source_size_changed.size() != delta.source_map.size() ||
-      delta.target_size_changed.size() != delta.target_map.size()) {
+      delta.target_size_changed.size() != delta.target_map.size() ||
+      delta.source_lsim_same.size() != delta.source_map.size() ||
+      delta.target_lsim_same.size() != delta.target_map.size()) {
     return Status::InvalidArgument(
         "TreeMatchDelta maps do not match the trees");
-  }
-  // The lsim-locality flags and event list are optional (their absence
-  // just disables the replay fast path), but when present they must match.
-  if ((!delta.source_lsim_same.empty() &&
-       delta.source_lsim_same.size() != delta.source_map.size()) ||
-      (!delta.target_lsim_same.empty() &&
-       delta.target_lsim_same.size() != delta.target_map.size())) {
-    return Status::InvalidArgument(
-        "TreeMatchDelta lsim flags do not match the trees");
   }
   if (delta.prev_sweep_ssim->rows() != delta.prev_source->num_nodes() ||
       delta.prev_sweep_ssim->cols() != delta.prev_target->num_nodes() ||

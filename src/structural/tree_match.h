@@ -54,6 +54,8 @@ struct TreeMatchOptions {
   double wstruct_nonleaf = 0.6;
   /// Skip comparing elements whose subtree leaf counts differ by more than
   /// this factor (Section 6, "say within a factor of 2"); <= 0 disables.
+  /// Values in (0, 1) are InvalidArgument: they would prune every non-leaf
+  /// pair, even one of equal leaf counts.
   double leaf_count_ratio = 2.0;
   /// Drop optional leaves with no strong link from both numerator and
   /// denominator of ssim (Section 8.4 "Optionality").
@@ -201,8 +203,9 @@ Status ValidateTreeMatchOptions(const TreeMatchOptions& options);
 /// blocks dirty, and the sweep stores its visit list here for
 /// RecomputeNonLeafSimilaritiesIncremental to reuse.
 struct TreeMatchDelta {
-  /// Per NEW tree node, the corresponding node of the previous run's tree
-  /// (matched by unique context path), or kNoTreeNode.
+  /// Per NEW tree node, the corresponding node of the previous run's tree,
+  /// or kNoTreeNode. One-to-one; read off the lsim plan's element
+  /// correspondence and anchored at the parent's counterpart.
   std::vector<TreeNodeId> source_map;
   std::vector<TreeNodeId> target_map;
   /// Node is mapped AND its leaf set corresponds leaf-for-leaf to the
@@ -264,16 +267,15 @@ struct TreeMatchDelta {
   /// rows/columns alone instead of the full pair grid.
   std::vector<uint8_t> source_size_changed;
   std::vector<uint8_t> target_size_changed;
-  /// Per NEW tree node: the node maps to a previous node whose element has
-  /// identical lsim-relevant local features (the categorizer's locality
-  /// contract, linguistic/categorizer.h), so every lsim cell between two
-  /// flagged nodes is bitwise equal to its previous counterpart. False is
-  /// always safe (it only forces recomputation).
+  /// Per NEW tree node: the node is mapped and the lsim plan left its
+  /// element unchanged (the categorizer's locality contract,
+  /// linguistic/categorizer.h), so every lsim cell between two flagged
+  /// nodes is bitwise equal to its previous counterpart. False is always
+  /// safe (it only forces recomputation).
   std::vector<uint8_t> source_lsim_same;
   std::vector<uint8_t> target_lsim_same;
-  /// The previous sweep's feedback events in firing order (optional; null
-  /// disables the clean-pair replay fast path and every visit-list pair is
-  /// recomputed instead — same results either way).
+  /// The previous sweep's feedback events in firing order, replayed on
+  /// clean pairs.
   const std::vector<FeedbackEvent>* prev_events = nullptr;
   /// The sweep/recompute visit list: per source node, [visit_begin[ns],
   /// visit_end[ns]) spans into visit_data (target nodes in post-order that

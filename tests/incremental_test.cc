@@ -197,6 +197,37 @@ TEST(MatchSessionPropertyTest, UnsupportedOptionsFallBackToFullRecompute) {
   ExpectIdenticalResults(**r, *ref, "lazy-expansion fallback");
 }
 
+// A leaf-count ratio in (0, 1) prunes even equal-size non-leaf pairs, so a
+// leaf that gains a child turns a compared leaf pair into a pruned pair
+// without any leaf-count change the warm start could see. Section 6 only
+// means ratios of at least 1 ("within a factor of 2"); smaller positive
+// ones are rejected up front.
+TEST(MatchSessionTest, LeafCountRatioBelowOneIsInvalidArgument) {
+  for (double ratio : {0.5, 0.99}) {
+    CupidConfig config;
+    config.tree_match.leaf_count_ratio = ratio;
+    EXPECT_TRUE(ValidateTreeMatchOptions(config.tree_match)
+                    .IsInvalidArgument())
+        << ratio;
+    EXPECT_TRUE(config.Validate().IsInvalidArgument()) << ratio;
+  }
+  for (double ratio : {0.0, 1.0, 2.0, 2.5}) {
+    CupidConfig config;
+    config.tree_match.leaf_count_ratio = ratio;
+    EXPECT_TRUE(ValidateTreeMatchOptions(config.tree_match).ok()) << ratio;
+    EXPECT_TRUE(config.Validate().ok()) << ratio;
+  }
+  SyntheticOptions opt;
+  opt.num_elements = 60;
+  opt.seed = 1;
+  SyntheticPair pair = GenerateSyntheticPair(opt);
+  Thesaurus thesaurus = DefaultThesaurus();
+  CupidConfig config;
+  config.tree_match.leaf_count_ratio = 0.5;
+  MatchSession session(&thesaurus, pair.source, pair.target, config);
+  EXPECT_TRUE(session.Rematch().status().IsInvalidArgument());
+}
+
 TEST(MatchSessionTest, SingleRenameUsesWarmStartAndReusesPairs) {
   SyntheticOptions opt;
   opt.num_elements = 80;

@@ -290,7 +290,8 @@ double SpanAttr(const obs::SpanRecord& span, const char* key) {
 /// A cold session.rematch span attributes its time to the phases that ran:
 /// the sweep and the Section 7 recompute, not the mapping stage after them.
 /// A CupidMatcher::Match runs the same pipeline and reports the same phases
-/// under a cupid.match span.
+/// under a cupid.match span. Each cold linguistic phase, the direct match's
+/// included, splits its time into prepare and kernel in an lsim.match span.
 TEST(TraceTest, ColdRematchSpanReportsSweepAndRecompute) {
   SyntheticOptions opt;
   opt.num_elements = 60;
@@ -311,8 +312,20 @@ TEST(TraceTest, ColdRematchSpanReportsSweepAndRecompute) {
   }
   ASSERT_FALSE(session.last_stats().incremental);
   int rematch_spans = 0, match_spans = 0;
+  int lsim_spans = 0, direct_lsim_spans = 0;
   for (const obs::SpanRecord& span : sink.spans()) {
     const std::string name = span.name;
+    if (name == "lsim.match") {
+      // Spans close inner-first, so an lsim.match after the session's
+      // rematch span belongs to the direct CupidMatcher::Match.
+      ++lsim_spans;
+      if (rematch_spans == 1) ++direct_lsim_spans;
+      EXPECT_EQ(SpanAttr(span, "warm"), 0.0);
+      EXPECT_GT(SpanAttr(span, "prepare_ms"), 0.0);
+      EXPECT_GE(SpanAttr(span, "kernel_ms"), 0.0);
+      EXPECT_EQ(SpanAttr(span, "prepared_sides"), 2.0);
+      continue;
+    }
     if (name == "session.rematch") {
       ++rematch_spans;
     } else if (name == "cupid.match") {
@@ -332,6 +345,8 @@ TEST(TraceTest, ColdRematchSpanReportsSweepAndRecompute) {
   }
   EXPECT_EQ(rematch_spans, 1);
   EXPECT_EQ(match_spans, 1);
+  EXPECT_EQ(lsim_spans, 2);
+  EXPECT_EQ(direct_lsim_spans, 1);
 }
 
 /// The tentpole guarantee: tracing must never influence match results.

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cupid_matcher.h"
+#include "eval/datasets.h"
 #include "eval/metrics.h"
 #include "eval/synthetic.h"
 #include "incremental/match_session.h"
@@ -228,38 +232,94 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdProperty,
 // The visit-list engine's contract: every warm Rematch is bit-identical to
 // from-scratch matching — matrices AND mappings — and its structural phase
 // to the full-grid reference sweep. The from-scratch side runs the naive
-// linguistic oracle (ReferenceMatch). Seeded random schemas take random
+// linguistic oracle (ReferenceMatch). Seeded schema pairs take random
 // 20-edit streams applied in batches of 1-3 edits per Rematch
 // (incremental_test.cc covers the one-edit-per-rematch cadence), and the
 // harness additionally asserts the gather fast paths actually engaged, so a
-// silent fallback to the slow path cannot masquerade as coverage.
+// silent fallback to the slow path cannot masquerade as coverage. Besides
+// synthetic pairs, which have no shared types, the streams run over the
+// Figure 2 pair (a shared Address type under DeliverTo and InvoiceTo) and
+// CIDX -> Excel (shared AddressType and ContactType, Section 9.2).
 
-class IncrementalDifferentialProperty
-    : public testing::TestWithParam<uint64_t> {};
+enum class DiffPair { kSynthetic, kFig2, kCidxExcel };
 
-TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
-  const uint64_t seed = GetParam();
-  CupidConfig config;
+struct DiffInput {
+  DiffPair pair;
+  uint64_t seed;
+};
 
+void PrintTo(const DiffInput& in, std::ostream* os) {
+  static const char* kNames[] = {"synthetic", "fig2", "cidx_excel"};
+  *os << kNames[static_cast<int>(in.pair)] << " seed " << in.seed;
+}
+
+std::pair<Schema, Schema> SchemaPairOf(const DiffInput& in) {
+  switch (in.pair) {
+    case DiffPair::kSynthetic:
+      break;
+    case DiffPair::kFig2:
+      return {Fig2Po(), Fig2PurchaseOrder()};
+    case DiffPair::kCidxExcel: {
+      Dataset dataset = CidxExcelDataset().ValueOrDie();
+      return {std::move(dataset.source), std::move(dataset.target)};
+    }
+  }
   SyntheticOptions opt;
   opt.num_elements = 55;
-  opt.seed = seed;
+  opt.seed = in.seed;
   SyntheticPair pair = GenerateSyntheticPair(opt);
+  return {std::move(pair.source), std::move(pair.target)};
+}
+
+class IncrementalDifferentialProperty
+    : public testing::TestWithParam<DiffInput> {};
+
+TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
+  const uint64_t seed = GetParam().seed;
+  CupidConfig config;
+
+  auto [source, target] = SchemaPairOf(GetParam());
   Thesaurus thesaurus = DefaultThesaurus();
 
-  MatchSession session(&thesaurus, pair.source, pair.target, config);
+  MatchSession session(&thesaurus, source, target, config);
   SplitMix64 rng(seed * 104729 + 17);
 
   ASSERT_TRUE(session.Rematch().ok());
   bool gathered_lsim = false;
   bool warm_used = false;
+  bool pairs_reused = false;
   int edits_applied = 0;
   int step = 0;
+  // The Figure 2 stream first removes the DeliverTo referrer of the shared
+  // Address type, renames the InvoiceTo referrer and adds a member under
+  // it (edit paths follow containment, so the type's own members are not
+  // addressable): the remaining context's Street and City must still find
+  // their previous nodes through their parent.
+  std::vector<SchemaEdit> fixed;
+  if (GetParam().pair == DiffPair::kFig2) {
+    Element suite;
+    suite.name = "Suite";
+    suite.kind = ElementKind::kAtomic;
+    suite.data_type = DataType::kString;
+    fixed = {SchemaEdit::RemoveElement(EditSide::kTarget,
+                                       "PurchaseOrder.DeliverTo.Address"),
+             SchemaEdit::RenameElement(EditSide::kTarget,
+                                       "PurchaseOrder.InvoiceTo.Address",
+                                       "BillingAddress"),
+             SchemaEdit::AddElement(EditSide::kTarget,
+                                    "PurchaseOrder.InvoiceTo.BillingAddress",
+                                    std::move(suite))};
+  }
   while (edits_applied < 20) {
-    int batch = 1 + static_cast<int>(rng.NextBounded(3));
+    const bool fixed_step = step == 0 && !fixed.empty();
+    const int batch = fixed_step ? static_cast<int>(fixed.size())
+                                 : 1 + static_cast<int>(rng.NextBounded(3));
     for (int b = 0; b < batch && edits_applied < 20; ++b) {
-      SchemaEdit edit = RandomSessionEdit(&rng, session.source(),
-                                          session.target(), ++edits_applied);
+      SchemaEdit edit =
+          fixed_step ? fixed[static_cast<size_t>(b)]
+                     : RandomSessionEdit(&rng, session.source(),
+                                         session.target(), edits_applied + 1);
+      ++edits_applied;
       ASSERT_TRUE(session.ApplyEdit(edit).ok())
           << "seed " << seed << " edit " << edits_applied << " path "
           << edit.path;
@@ -270,25 +330,46 @@ TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
                               session.target());
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     const std::string context =
-        "seed " + std::to_string(seed) + " step " + std::to_string(++step) +
-        " (edits " + std::to_string(edits_applied) + ")";
+        testing::PrintToString(GetParam()) + " step " +
+        std::to_string(++step) + " (edits " + std::to_string(edits_applied) +
+        ")";
     ExpectIdenticalResults(**inc, *ref, context);
     if (::testing::Test::HasFatalFailure()) return;
     ExpectMatchesReferenceSweep(**inc, config, context);
     if (::testing::Test::HasFatalFailure()) return;
     warm_used |= session.last_stats().incremental;
     gathered_lsim |= session.last_stats().lsim_gathered_rows > 0;
+    pairs_reused |= session.last_stats().tree_match.pairs_reused > 0;
   }
-  // The stream must have exercised the warm structural path and the lsim
-  // gather (copied rows on at least one step). Otherwise the equality above
-  // proved nothing about the fast paths under test.
+  // The stream must have exercised the warm structural path, its reuse and
+  // the lsim gather (copied rows on at least one step). Otherwise the
+  // equality above proved nothing about the fast paths under test.
   EXPECT_TRUE(warm_used) << "no Rematch took the incremental path";
+  EXPECT_TRUE(pairs_reused) << "no warm Rematch reused a pair";
   EXPECT_TRUE(gathered_lsim) << "no Rematch went down the lsim gather";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferentialProperty,
-                         testing::Values(101, 102, 103, 104, 105, 106, 107,
-                                         108));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, IncrementalDifferentialProperty,
+    testing::Values(DiffInput{DiffPair::kSynthetic, 101},
+                    DiffInput{DiffPair::kSynthetic, 102},
+                    DiffInput{DiffPair::kSynthetic, 103},
+                    DiffInput{DiffPair::kSynthetic, 104},
+                    DiffInput{DiffPair::kSynthetic, 105},
+                    DiffInput{DiffPair::kSynthetic, 106},
+                    DiffInput{DiffPair::kSynthetic, 107},
+                    DiffInput{DiffPair::kSynthetic, 108}));
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedTypes, IncrementalDifferentialProperty,
+    testing::Values(DiffInput{DiffPair::kFig2, 1},
+                    DiffInput{DiffPair::kFig2, 2},
+                    DiffInput{DiffPair::kFig2, 3},
+                    DiffInput{DiffPair::kFig2, 4},
+                    DiffInput{DiffPair::kCidxExcel, 1},
+                    DiffInput{DiffPair::kCidxExcel, 2},
+                    DiffInput{DiffPair::kCidxExcel, 3},
+                    DiffInput{DiffPair::kCidxExcel, 4}));
 
 }  // namespace
 }  // namespace cupid
