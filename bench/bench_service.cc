@@ -29,8 +29,10 @@
 //   * BM_ServiceColdGrid         a 6x6 synthetic grid cycled past a
 //                                16-session LRU, result cache off: every
 //                                request builds a cold session on its
-//                                source's shared LsimCache; also a guard
-//                                (mapping_mismatches must be exactly 0)
+//                                source's shared LsimCache and the live
+//                                artifacts of its versions (artifact_hits);
+//                                also a guard (mapping_mismatches must be
+//                                exactly 0)
 //
 // CI runs this with --benchmark_out=BENCH_service.json, asserts the guard
 // counters and that warm throughput beats cold throughput.
@@ -46,6 +48,7 @@
 
 #include "core/cupid_matcher.h"
 #include "eval/synthetic.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/job_scheduler.h"
 #include "service/match_service.h"
@@ -384,9 +387,11 @@ void BM_ServiceColdGrid(benchmark::State& state) {
     requests.push_back(std::move(request));
   }
 
+  obs::MetricsRegistry metrics;
   MatchService::Options options;
   options.result_cache_capacity = 0;
   options.session_capacity = 16;
+  options.metrics = &metrics;
   MatchService service(&thesaurus, &repo, options);
   double mapping_mismatches = 0.0;
   int64_t served = 0;
@@ -408,6 +413,9 @@ void BM_ServiceColdGrid(benchmark::State& state) {
   state.counters["mapping_mismatches"] = mapping_mismatches;
   state.counters["sessions_reused"] =
       static_cast<double>(service.cache_stats().sessions_reused);
+  // Cold sessions whose versions another live session already matched.
+  state.counters["artifact_hits"] = static_cast<double>(
+      metrics.GetCounter("cupid.service.artifacts.hits", "")->value());
 }
 BENCHMARK(BM_ServiceColdGrid)->Unit(benchmark::kMillisecond)->UseRealTime();
 

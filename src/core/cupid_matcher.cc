@@ -1,5 +1,6 @@
 #include "core/cupid_matcher.h"
 
+#include <memory>
 #include <tuple>
 
 #include "core/match_pipeline.h"
@@ -45,7 +46,10 @@ Result<MatchResult> CupidMatcher::Match(const Schema& source,
 Result<MatchResult> CupidMatcher::Match(const Schema& source,
                                         const Schema& target,
                                         const InitialMapping& hints) const {
-  return RunMatchPipeline(thesaurus_, config_, source, target, hints,
+  // The run's artifacts only view the caller's schemas (an empty owner).
+  const std::shared_ptr<void> none;
+  return RunMatchPipeline(thesaurus_, config_, {{none, &source}, nullptr},
+                          {{none, &target}, nullptr}, hints,
                           /*cache=*/nullptr, /*past=*/nullptr,
                           /*snapshot=*/nullptr, "cupid.match");
 }

@@ -343,10 +343,10 @@ TreeMatchDelta BuildTreeMatchDelta(
 
 Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
                                      const CupidConfig& config,
-                                     const Schema& source,
-                                     const Schema& target,
+                                     const MatchSide& source_side,
+                                     const MatchSide& target_side,
                                      const InitialMapping& hints,
-                                     LsimCache* cache, MatchPast* past,
+                                     LsimCache* cache, const MatchPast* past,
                                      MatchSnapshot* snapshot,
                                      const char* span_name) {
   CUPID_RETURN_NOT_OK(config.Validate());
@@ -356,9 +356,12 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
   }
   obs::ScopedSpan span(span_name);
   auto t0 = std::chrono::steady_clock::now();
+  const Schema& source = *source_side.schema;
+  const Schema& target = *target_side.schema;
 
   // Phase 1: linguistic matching on the schema graphs ("the linguistic
-  // matching process is unaffected" by graph extensions, Section 8.2). A
+  // matching process is unaffected" by graph extensions, Section 8.2),
+  // preparing each side from its artifact's analysis when it has one. A
   // warm run gathers: unchanged element rows are copied from the past's
   // lsim, only changed rows and columns are scattered, and an unedited side
   // keeps the past's preparation.
@@ -367,10 +370,16 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
   if (past != nullptr) {
     lsim_past.result = &past->result->linguistic;
     lsim_past.plan =
-        BuildLsimGatherPlan(source, target, *past->source, *past->target);
+        BuildLsimGatherPlan(source, target, *past->snapshot->source->schema,
+                            *past->snapshot->target->schema);
   }
-  CUPID_ASSIGN_OR_RETURN(LinguisticResult lres,
-                         linguistic.Match(source, target, cache, lsim_past));
+  auto analysis = [](const MatchSide& side) {
+    return side.artifact != nullptr ? &side.artifact->linguistics : nullptr;
+  };
+  CUPID_ASSIGN_OR_RETURN(
+      LinguisticResult lres,
+      linguistic.Match(source, target, cache, lsim_past,
+                       analysis(source_side), analysis(target_side)));
   // Initial-mapping hints raise lsim to the configured maximum.
   for (const InitialMappingEntry& hint : hints) {
     ElementId es = source.FindByPath(hint.source_path);
@@ -388,24 +397,24 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
   }
   auto t1 = std::chrono::steady_clock::now();
 
-  // Phase 2: schema trees, then TreeMatch. A side whose schema is the past's
-  // reads the past's tree in place and takes it over at the end; a side
-  // with a new schema builds its tree.
-  const bool reuse_source = past != nullptr && &source == past->source;
-  const bool reuse_target = past != nullptr && &target == past->target;
-  SchemaTree built_source{nullptr}, built_target{nullptr};
-  if (!reuse_source) {
-    CUPID_ASSIGN_OR_RETURN(built_source,
-                           BuildSchemaTree(source, config.tree_build));
-  }
-  if (!reuse_target) {
-    CUPID_ASSIGN_OR_RETURN(built_target,
-                           BuildSchemaTree(target, config.tree_build));
-  }
-  const SchemaTree& source_tree =
-      reuse_source ? past->result->source_tree : built_source;
-  const SchemaTree& target_tree =
-      reuse_target ? past->result->target_tree : built_target;
+  // Phase 2: schema trees, then TreeMatch. A side without an artifact
+  // builds its tree and becomes one, keeping the analysis it was prepared
+  // from.
+  auto artifact_of = [&config](const MatchSide& side,
+                               const SchemaLinguistics& prepared)
+      -> Result<std::shared_ptr<const SchemaArtifact>> {
+    if (side.artifact != nullptr) return side.artifact;
+    CUPID_ASSIGN_OR_RETURN(SchemaTree tree,
+                           BuildSchemaTree(*side.schema, config.tree_build));
+    return std::make_shared<const SchemaArtifact>(
+        SchemaArtifact{side.schema, std::move(tree), prepared});
+  };
+  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaArtifact> source_artifact,
+                         artifact_of(source_side, *lres.side1));
+  CUPID_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaArtifact> target_artifact,
+                         artifact_of(target_side, *lres.side2));
+  const SchemaTree& source_tree = source_artifact->tree;
+  const SchemaTree& target_tree = target_artifact->tree;
   const bool warm = past != nullptr &&
                     SupportsIncrementalTreeMatch(config.tree_match) &&
                     !HasJoinViews(source_tree) && !HasJoinViews(target_tree) &&
@@ -418,7 +427,7 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
     const MatchResult& prev = *past->result;
     delta = BuildTreeMatchDelta(
         source_tree, target_tree, lres.lsim, lsim_past.plan,
-        prev.source_tree, prev.target_tree, *past->sweep_ssim,
+        prev.source_tree, prev.target_tree, past->snapshot->sweep_ssim,
         prev.tree_match.sims, prev.linguistic.lsim, prev.tree_match.events,
         config.tree_match);
     t3 = std::chrono::steady_clock::now();
@@ -430,8 +439,9 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
                                   &delta)
            : TreeMatch(source_tree, target_tree, lres.lsim,
                        config.type_compatibility, config.tree_match));
-  auto t4 = std::chrono::steady_clock::now();
+  // The snapshot copy is the sweep's output, so the sweep phase pays it.
   if (snapshot != nullptr) snapshot->sweep_ssim = tmres.sims.ssim_matrix();
+  auto t4 = std::chrono::steady_clock::now();
 
   // Phase 3: the Section 7 second pass, then mapping generation.
   CUPID_RETURN_NOT_OK(
@@ -446,12 +456,15 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
                                                &nonleaf_mapping));
   auto t6 = std::chrono::steady_clock::now();
 
-  MatchResult result{
-      std::move(reuse_source ? past->result->source_tree : built_source),
-      std::move(reuse_target ? past->result->target_tree : built_target),
-      std::move(lres), std::move(tmres), std::move(leaf_mapping),
-      std::move(nonleaf_mapping)};
-  if (snapshot != nullptr) snapshot->warm = warm;
+  MatchResult result{source_tree,     target_tree,
+                     std::move(lres), std::move(tmres),
+                     std::move(leaf_mapping),
+                     std::move(nonleaf_mapping)};
+  if (snapshot != nullptr) {
+    snapshot->warm = warm;
+    snapshot->source = std::move(source_artifact);
+    snapshot->target = std::move(target_artifact);
+  }
   auto ms = [](auto a, auto b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };

@@ -8,25 +8,32 @@
 #ifndef CUPID_CORE_MATCH_PIPELINE_H_
 #define CUPID_CORE_MATCH_PIPELINE_H_
 
+#include <memory>
+
 #include "core/config.h"
 #include "core/cupid_matcher.h"
 #include "util/matrix.h"
 
 namespace cupid {
 
-/// \brief The previous run a warm pipeline run starts from.
-struct MatchPast {
-  /// The schemas `result` was matched on; they must stay alive and
-  /// unchanged for the whole run.
-  const Schema* source = nullptr;
-  const Schema* target = nullptr;
-  /// The previous result. When the run succeeds, the tree of each side
-  /// whose schema is the same object as the past's is moved out of it into
-  /// the new result.
-  MatchResult* result = nullptr;
-  /// ssim of that run after its sweep, before the Section 7 recompute
-  /// (MatchSnapshot::sweep_ssim).
-  const Matrix<float>* sweep_ssim = nullptr;
+/// \brief Everything the pipeline derives from one schema version alone:
+/// its context tree (Section 8.2) and its linguistic analysis (Section 5,
+/// LinguisticMatcher::Analyze), functions of the schema, the thesaurus and
+/// config.tree_build only. Immutable: runs, sessions and threads share one,
+/// and every MatchResult over it shares its tree's state.
+struct SchemaArtifact {
+  /// Pins the version (MatchService, MatchSession), or only views the
+  /// caller's schema (CupidMatcher::Match).
+  std::shared_ptr<const Schema> schema;
+  SchemaTree tree;
+  SchemaLinguistics linguistics;
+};
+
+/// \brief One side of a run: a schema with its artifact, or with null for
+/// the run to build it.
+struct MatchSide {
+  std::shared_ptr<const Schema> schema;
+  std::shared_ptr<const SchemaArtifact> artifact;
 };
 
 /// \brief What a run leaves for the next warm start besides its result.
@@ -35,6 +42,15 @@ struct MatchSnapshot {
   Matrix<float> sweep_ssim;
   /// TreeMatch warm-started from the past.
   bool warm = false;
+  /// The artifacts of the run's two sides, given or built by the run.
+  std::shared_ptr<const SchemaArtifact> source, target;
+};
+
+/// \brief The previous run a warm pipeline run starts from: its result and
+/// its snapshot, both alive and unchanged for the whole run.
+struct MatchPast {
+  const MatchResult* result = nullptr;
+  const MatchSnapshot* snapshot = nullptr;
 };
 
 /// \brief Matches `source` against `target` under `config`.
@@ -49,20 +65,21 @@ struct MatchSnapshot {
 ///   unedited schema when `cache` is the one that side was prepared
 ///   against), and TreeMatch warm-starts from its similarities when
 ///   SupportsIncrementalTreeMatch(config.tree_match) holds and no tree has
-///   join-view nodes. A side whose schema is the same object as the past's
-///   reuses the past's tree.
+///   join-view nodes.
 ///
-/// A non-null `snapshot` (which must not alias past->sweep_ssim) receives
-/// what the next warm run needs. Phase times go to a span named
-/// `span_name` and, one sample per phase per run, to the
+/// A side's artifact, given or built (its analysis in the linguistic phase,
+/// its tree in the trees phase), supplies that side's tree and analysis;
+/// the result's trees share its tree. A non-null `snapshot` (which must not
+/// be past->snapshot) receives what the next warm run needs. Phase times
+/// go to a span named `span_name` and, one sample per phase per run, to the
 /// `cupid.match.phase_ms.{linguistic,trees,delta,sweep,recompute,mapping}`
 /// histograms of the default metrics registry.
 Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
                                      const CupidConfig& config,
-                                     const Schema& source,
-                                     const Schema& target,
+                                     const MatchSide& source,
+                                     const MatchSide& target,
                                      const InitialMapping& hints,
-                                     LsimCache* cache, MatchPast* past,
+                                     LsimCache* cache, const MatchPast* past,
                                      MatchSnapshot* snapshot,
                                      const char* span_name);
 

@@ -7,12 +7,17 @@
 namespace cupid {
 
 MatchSession::MatchSession(const Thesaurus* thesaurus, Schema source,
-                           Schema target, CupidConfig config)
-    : MatchSession(thesaurus, std::move(source), std::move(target),
-                   std::move(config), nullptr) {}
-
-MatchSession::MatchSession(const Thesaurus* thesaurus, Schema source,
                            Schema target, CupidConfig config,
+                           std::shared_ptr<LsimCache> lsim_cache)
+    : MatchSession(thesaurus,
+                   MatchSide{std::make_shared<const Schema>(std::move(source)),
+                             nullptr},
+                   MatchSide{std::make_shared<const Schema>(std::move(target)),
+                             nullptr},
+                   std::move(config), std::move(lsim_cache)) {}
+
+MatchSession::MatchSession(const Thesaurus* thesaurus, MatchSide source,
+                           MatchSide target, CupidConfig config,
                            std::shared_ptr<LsimCache> lsim_cache)
     : thesaurus_(thesaurus),
       config_(std::move(config)),
@@ -20,32 +25,24 @@ MatchSession::MatchSession(const Thesaurus* thesaurus, Schema source,
                       ? std::move(lsim_cache)
                       : std::make_shared<LsimCache>(thesaurus,
                                                     config_.linguistic)),
-      work_source_(std::make_unique<Schema>(std::move(source))),
-      work_target_(std::make_unique<Schema>(std::move(target))) {}
+      source_(std::move(source)),
+      target_(std::move(target)) {}
 
 const Schema& MatchSession::source() const {
-  return work_source_ ? *work_source_ : *cur_source_;
+  return work_source_ ? *work_source_ : *source_.schema;
 }
 
 const Schema& MatchSession::target() const {
-  return work_target_ ? *work_target_ : *cur_target_;
-}
-
-void MatchSession::EnsureEditable(EditSide side) {
-  // Copy only the edited side: the other schema object stays identical, so
-  // Rematch can reuse its tree wholesale.
-  if (side == EditSide::kSource) {
-    if (!work_source_) work_source_ = std::make_unique<Schema>(*cur_source_);
-  } else {
-    if (!work_target_) work_target_ = std::make_unique<Schema>(*cur_target_);
-  }
+  return work_target_ ? *work_target_ : *target_.schema;
 }
 
 Status MatchSession::ApplyEdit(const SchemaEdit& edit) {
-  EnsureEditable(edit.side);
-  Schema* schema = edit.side == EditSide::kSource ? work_source_.get()
-                                                  : work_target_.get();
-  return ApplySchemaEdit(schema, edit);
+  // Copy only the edited side: the other keeps its artifact, so Rematch
+  // reuses its tree and analysis wholesale.
+  const bool src = edit.side == EditSide::kSource;
+  std::shared_ptr<Schema>& work = src ? work_source_ : work_target_;
+  if (!work) work = std::make_shared<Schema>(src ? source() : target());
+  return ApplySchemaEdit(work.get(), edit);
 }
 
 Result<const MatchResult*> MatchSession::Rematch() {
@@ -53,32 +50,28 @@ Result<const MatchResult*> MatchSession::Rematch() {
     return result_.get();  // nothing edited since the last run
   }
 
-  // Adopt this run's schemas: edited copies where present, otherwise the
-  // already-matched ones, whose trees the pipeline then reuses. A failed
-  // run puts the edited copies back, so it neither loses queued edits nor
-  // leaves source()/target() dangling before the first successful run.
-  std::unique_ptr<Schema> src_owner = std::move(work_source_);
-  std::unique_ptr<Schema> tgt_owner = std::move(work_target_);
-  const Schema& s = src_owner ? *src_owner : *cur_source_;
-  const Schema& t = tgt_owner ? *tgt_owner : *cur_target_;
-  MatchPast past{cur_source_.get(), cur_target_.get(), result_.get(),
-                 &sweep_ssim_};
+  // This run's sides: edited copies (whose artifacts the run builds) where
+  // present, otherwise the matched ones. A failed run keeps the edited
+  // copies, so it loses no queued edits.
+  auto side = [](const std::shared_ptr<Schema>& work, const MatchSide& cur) {
+    return work ? MatchSide{work, nullptr} : cur;
+  };
+  MatchPast past{result_.get(), &snapshot_};
   MatchSnapshot snapshot;
   Result<MatchResult> run = RunMatchPipeline(
-      thesaurus_, config_, s, t, /*hints=*/{}, lsim_cache_.get(),
+      thesaurus_, config_, side(work_source_, source_),
+      side(work_target_, target_), /*hints=*/{}, lsim_cache_.get(),
       result_ != nullptr ? &past : nullptr, &snapshot, "session.rematch");
-  if (!run.ok()) {
-    work_source_ = std::move(src_owner);
-    work_target_ = std::move(tgt_owner);
-    return run.status();
-  }
+  if (!run.ok()) return run.status();
 
-  // Commit. The old result (and the old schemas it references) die here.
+  // Commit. The old result and the artifacts only it used die here.
   result_ = std::make_unique<MatchResult>(std::move(*run));
-  sweep_ssim_ = std::move(snapshot.sweep_ssim);
-  if (src_owner) cur_source_ = std::move(src_owner);
-  if (tgt_owner) cur_target_ = std::move(tgt_owner);
-  stats_.incremental = snapshot.warm;
+  snapshot_ = std::move(snapshot);
+  source_ = MatchSide{snapshot_.source->schema, snapshot_.source};
+  target_ = MatchSide{snapshot_.target->schema, snapshot_.target};
+  work_source_.reset();
+  work_target_.reset();
+  stats_.incremental = snapshot_.warm;
   stats_.tree_match = result_->tree_match.stats;
   stats_.lsim_cached_pairs = lsim_cache_->num_cached_pairs();
   stats_.lsim_gathered_rows = result_->linguistic.gathered_rows;

@@ -40,7 +40,7 @@
 
 #include <memory>
 
-#include "core/cupid_matcher.h"
+#include "core/match_pipeline.h"
 #include "incremental/schema_edit.h"
 #include "linguistic/lsim_cache.h"
 
@@ -66,15 +66,18 @@ struct RematchStats {
 class MatchSession {
  public:
   /// `thesaurus` must outlive the session; the schemas are owned by it.
-  /// The session keeps a private LsimCache.
-  MatchSession(const Thesaurus* thesaurus, Schema source, Schema target,
-               CupidConfig config = {});
-  /// Reads and fills name-level state through `lsim_cache`, which other
+  /// Name-level state is read and filled through `lsim_cache`, which other
   /// sessions may share: it must be bound to `thesaurus` and to
   /// `config.linguistic`'s name-similarity options (Rematch fails
   /// otherwise), and its side 1 holds source names. Null = a private
   /// cache. Results are bit-identical either way.
   MatchSession(const Thesaurus* thesaurus, Schema source, Schema target,
+               CupidConfig config = {},
+               std::shared_ptr<LsimCache> lsim_cache = nullptr);
+  /// Starts from shared schemas, each with its artifact when one exists
+  /// (built under `thesaurus` and `config.tree_build`); the first Rematch
+  /// builds the missing ones, and only an edit copies a schema.
+  MatchSession(const Thesaurus* thesaurus, MatchSide source, MatchSide target,
                CupidConfig config, std::shared_ptr<LsimCache> lsim_cache);
 
   MatchSession(const MatchSession&) = delete;
@@ -97,25 +100,28 @@ class MatchSession {
   const MatchResult* last_result() const { return result_.get(); }
   const RematchStats& last_stats() const { return stats_; }
   const CupidConfig& config() const { return config_; }
+  /// The artifact of `side`'s last matched schema (before the first
+  /// Rematch: the one given, or null).
+  const std::shared_ptr<const SchemaArtifact>& artifact(EditSide side) const {
+    return side == EditSide::kSource ? source_.artifact : target_.artifact;
+  }
 
  private:
-  /// Copies one matched schema into its editable slot on first edit.
-  void EnsureEditable(EditSide side);
-
   const Thesaurus* thesaurus_;
   CupidConfig config_;
   std::shared_ptr<LsimCache> lsim_cache_;  // never null
 
-  /// Schemas being edited; null while identical to the matched ones.
-  std::unique_ptr<Schema> work_source_, work_target_;
-  /// Schemas of the last match, alive as long as result_ references them.
-  std::unique_ptr<Schema> cur_source_, cur_target_;
-  /// Last match output plus the post-sweep ssim snapshot the next warm
-  /// start seeds from (result_->tree_match.sims is the *final*,
-  /// post-recompute state; only the sweep-stage ssim matrix is consulted
-  /// across runs, so only it is kept).
+  /// The sides of the last match (before the first: the given ones). Their
+  /// artifacts keep the schemas result_ references alive.
+  MatchSide source_, target_;
+  /// Edited copies not yet matched; null while a side is unedited.
+  std::shared_ptr<Schema> work_source_, work_target_;
+  /// Last match output plus the snapshot the next warm start seeds from
+  /// (result_->tree_match.sims is the *final*, post-recompute state; only
+  /// the sweep-stage ssim matrix is consulted across runs, so only it is
+  /// kept).
   std::unique_ptr<MatchResult> result_;
-  Matrix<float> sweep_ssim_;
+  MatchSnapshot snapshot_;
   RematchStats stats_;
 };
 

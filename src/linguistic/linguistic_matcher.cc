@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 
 #include "linguistic/annotations.h"
@@ -481,19 +482,33 @@ std::shared_ptr<const PreparedLsimSide> ReusableSide(
 
 }  // namespace
 
-Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
-                                                  const Schema& s2,
-                                                  LsimCache* cache,
-                                                  const LsimPast& past) const {
+Result<LinguisticResult> LinguisticMatcher::Match(
+    const Schema& s1, const Schema& s2, LsimCache* cache, const LsimPast& past,
+    const SchemaLinguistics* analysis1,
+    const SchemaLinguistics* analysis2) const {
   if (cache == nullptr) {
     LsimCache fresh(thesaurus_, options_);
-    return Match(s1, s2, &fresh, past);
+    return Match(s1, s2, &fresh, past, analysis1, analysis2);
   }
   obs::ScopedSpan span("lsim.match");
   auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<const PreparedLsimSide> side1, side2;
   bool prepared_filled = false;
   int prepared_sides = 0;
+  // Prepares a side the past cannot lend: from its given analysis, else
+  // analyzing it with the past side's names lent (same cache, so same
+  // thesaurus).
+  auto prepare = [&](const Schema& s, const SchemaLinguistics* analysis,
+                     LsimSide side) {
+    ++prepared_sides;
+    if (analysis != nullptr) return Prepare(s, *analysis, side, cache);
+    const PreparedLsimSide* lent =
+        past.result == nullptr ? nullptr
+        : side == LsimSide::kSource ? past.result->side1.get()
+                                    : past.result->side2.get();
+    if (lent != nullptr && lent->cache_id != cache->id_) lent = nullptr;
+    return Prepare(s, Analyze(s, lent), side, cache);
+  };
   if (past.result != nullptr) {
     side1 = ReusableSide(past.result->side1, s1, past.plan.source_map,
                          past.plan.source_changed, cache->id_);
@@ -501,14 +516,12 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                          past.plan.target_changed, cache->id_);
   }
   if (side1 == nullptr) {
-    CUPID_ASSIGN_OR_RETURN(side1, Prepare(s1, LsimSide::kSource, cache));
+    CUPID_ASSIGN_OR_RETURN(side1, prepare(s1, analysis1, LsimSide::kSource));
     prepared_filled = side1->cache_filled;
-    ++prepared_sides;
   }
   if (side2 == nullptr) {
-    CUPID_ASSIGN_OR_RETURN(side2, Prepare(s2, LsimSide::kTarget, cache));
+    CUPID_ASSIGN_OR_RETURN(side2, prepare(s2, analysis2, LsimSide::kTarget));
     prepared_filled = prepared_filled || side2->cache_filled;
-    ++prepared_sides;
   }
   auto t1 = std::chrono::steady_clock::now();
   CUPID_ASSIGN_OR_RETURN(LinguisticResult out,
@@ -528,32 +541,67 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
   return out;
 }
 
+SchemaLinguistics LinguisticMatcher::Analyze(
+    const Schema& schema, const SchemaLinguistics* prior) const {
+  // Each distinct raw name is normalized once, or taken from `prior`: at
+  // the same id, else (a removal moved ids) by raw name.
+  const std::vector<NormalizedName>* lent =
+      prior != nullptr ? prior->names.get() : nullptr;
+  std::unordered_map<std::string_view, const NormalizedName*> by_raw;
+  auto names = std::make_shared<std::vector<NormalizedName>>();
+  // Reserved: the map points into `names` as it grows.
+  names->reserve(static_cast<size_t>(schema.num_elements()));
+  for (ElementId id : schema.AllElements()) {
+    const std::string& raw = schema.element(id).name;
+    const auto i = static_cast<size_t>(id);
+    if (lent != nullptr && i < lent->size() && (*lent)[i].original == raw) {
+      names->push_back((*lent)[i]);
+      continue;
+    }
+    if (lent != nullptr && by_raw.empty()) {  // first miss: index `prior`
+      for (const NormalizedName& n : *lent) by_raw.emplace(n.original, &n);
+    }
+    auto [it, fresh] = by_raw.try_emplace(raw, nullptr);
+    names->push_back(fresh ? normalizer_.Normalize(raw) : *it->second);
+    if (fresh) it->second = &names->back();
+  }
+  SchemaLinguistics out;
+  out.categories = std::make_shared<const Categorization>(
+      CategorizeSchema(schema, *names, normalizer_));
+  out.category_members = CategoryMembers::Of(*out.categories);
+  out.names = std::move(names);
+  for (ElementId e = 0; e < schema.num_elements(); ++e) {
+    if (!schema.element(e).documentation.empty()) {
+      out.docs = BuildDocs(schema, *thesaurus_);
+      break;
+    }
+  }
+  return out;
+}
+
 Result<std::shared_ptr<PreparedLsimSide>> LinguisticMatcher::Prepare(
     const Schema& schema, LsimSide side, LsimCache* cache) const {
+  return Prepare(schema, Analyze(schema), side, cache);
+}
+
+Result<std::shared_ptr<PreparedLsimSide>> LinguisticMatcher::Prepare(
+    const Schema& schema, SchemaLinguistics analysis, LsimSide side,
+    LsimCache* cache) const {
   if (cache == nullptr) {
     return Status::InvalidArgument("Prepare requires an LsimCache");
   }
   CUPID_RETURN_NOT_OK(CheckCacheBinding(*cache));
   auto prepared = std::make_shared<PreparedLsimSide>();
+  static_cast<SchemaLinguistics&>(*prepared) = std::move(analysis);
   prepared->cache_id = cache->id_;
   prepared->side = side;
-  prepared->cache_filled = cache->LookupNames(
-      side, schema, normalizer_, &prepared->name_ids, &prepared->names);
-  prepared->categories = std::make_shared<const Categorization>(
-      CategorizeSchema(schema, *prepared->names, normalizer_));
-  prepared->category_members = CategoryMembers::Of(*prepared->categories);
+  prepared->cache_filled = cache->LookupNames(side, schema, *prepared->names,
+                                              &prepared->name_ids);
   // Labels are registered even when categories are off: a prepared side
   // serves any matcher bound to the cache, whatever its use_categories.
   if (cache->LookupLabels(side, *prepared->categories,
                           &prepared->label_ids)) {
     prepared->cache_filled = true;
-  }
-  const ElementId n = schema.num_elements();
-  for (ElementId e = 0; e < n; ++e) {
-    if (!schema.element(e).documentation.empty()) {
-      prepared->docs = BuildDocs(schema, *thesaurus_);
-      break;
-    }
   }
   return prepared;
 }

@@ -94,37 +94,42 @@ struct CategoryMembers {
   }
 };
 
+/// \brief The cache-independent part of preparing one schema
+/// (LinguisticMatcher::Analyze), which one schema version's artifact
+/// (core/match_pipeline.h) keeps for every LsimCache, side and pair.
+struct SchemaLinguistics {
+  /// Normalized names and the full categorization; an owner that keeps a
+  /// prepared side only for the kernel may drop them (most of its size).
+  std::shared_ptr<const std::vector<NormalizedName>> names;
+  std::shared_ptr<const Categorization> categories;
+  /// What the kernel reads: the categories' members, and per element
+  /// annotation vector (empty when no element is documented).
+  CategoryMembers category_members;
+  std::vector<AnnotationVector> docs;
+};
+
 /// \brief One schema's side of cached matches, prepared once by
 /// LinguisticMatcher::Prepare against one LsimCache and then shared,
 /// read-only, by any number of kernel calls Match(side1, side2, cache) — a
 /// corpus search prepares its probe once per search and each stored
 /// candidate once per version, and a session's rematch takes over the
 /// unedited side of its past. Everything here is a pure function of the
-/// schema under the cache's binding.
-struct PreparedLsimSide {
+/// schema under the cache's binding: the schema's analysis plus its
+/// registry indices.
+struct PreparedLsimSide : SchemaLinguistics {
   /// Identity of the LsimCache the registry indices below belong to, and
   /// the side of its registries they index; the kernel rejects any other
   /// cache or a side passed in the wrong position.
   uint64_t cache_id = 0;
   LsimSide side = LsimSide::kSource;
-  /// What the kernel reads. Per element: index in the cache's name registry
-  /// of `side`.
+  /// Per element: index in the cache's name registry of `side`.
   std::vector<int32_t> name_ids;
   /// Per category: index in the cache's label registry of `side`.
   std::vector<int32_t> label_ids;
-  CategoryMembers category_members;
-  /// Per element annotation vector (empty for undocumented elements); empty
-  /// altogether when no element is documented.
-  std::vector<AnnotationVector> docs;
-  /// Normalized names and the full categorization, for readers of a
-  /// LinguisticResult. Prepare fills them; an owner that keeps the side only
-  /// for the kernel may drop them (they are most of its size).
-  std::shared_ptr<const std::vector<NormalizedName>> names;
-  std::shared_ptr<const Categorization> categories;
   /// Preparing took the cache's exclusive lock.
   bool cache_filled = false;
 
-  /// Estimated heap bytes of the kernel's part (the vectors above `names`).
+  /// Estimated heap bytes of the kernel's part (all but names/categories).
   int64_t kernel_bytes() const;
 };
 
@@ -183,23 +188,37 @@ class LinguisticMatcher {
   /// kernel. Bit-identical to LinguisticMatchReference: cached values were
   /// computed by the same pure functions. The cache must be bound to this
   /// matcher's thesaurus and options; a null cache means a fresh one.
+  /// Non-null `analysis1`/`analysis2` are Analyze(s1)/Analyze(s2), which
+  /// the sides are then prepared from.
   ///
   /// A warm match (non-empty `past`) takes a side over from the past result
   /// instead of preparing it when the plan maps that side by identity, no
-  /// element of it changed, and it was prepared against `cache`.
-  Result<LinguisticResult> Match(const Schema& s1, const Schema& s2,
-                                 LsimCache* cache,
-                                 const LsimPast& past = {}) const;
+  /// element of it changed, and it was prepared against `cache`; a side it
+  /// analyzes reuses the past side's normalized names.
+  Result<LinguisticResult> Match(
+      const Schema& s1, const Schema& s2, LsimCache* cache,
+      const LsimPast& past = {}, const SchemaLinguistics* analysis1 = nullptr,
+      const SchemaLinguistics* analysis2 = nullptr) const;
 
-  /// \brief Prepares one schema as `side` of later kernel calls: registers
-  /// its names and category labels in `cache` (read-first: the exclusive
-  /// lock only for ones never seen), categorizes it and builds its
-  /// annotation vectors. Independent of thns, use_categories and
-  /// annotation_weight, so a prepared side serves any matcher bound to the
-  /// cache, concurrently.
+  /// \brief Normalizes, categorizes and builds the annotation vectors of
+  /// `schema`, under this thesaurus and no option. `prior`, an analysis of
+  /// an earlier version under this thesaurus, lends the normalized names of
+  /// the raw names it holds (a name normalizes the same in any schema).
+  SchemaLinguistics Analyze(const Schema& schema,
+                            const SchemaLinguistics* prior = nullptr) const;
+
+  /// \brief Prepares one schema as `side` of later kernel calls: analyzes it
+  /// (or takes `analysis`, which must be Analyze(schema)) and looks up its
+  /// names and category labels in `cache`'s registries (read-first: the
+  /// exclusive lock only to register ones never seen). Independent of
+  /// thns, use_categories and annotation_weight, so a prepared side serves
+  /// any matcher bound to the cache, concurrently.
   Result<std::shared_ptr<PreparedLsimSide>> Prepare(const Schema& schema,
                                                     LsimSide side,
                                                     LsimCache* cache) const;
+  Result<std::shared_ptr<PreparedLsimSide>> Prepare(
+      const Schema& schema, SchemaLinguistics analysis, LsimSide side,
+      LsimCache* cache) const;
 
   /// \brief The pair work of a cached match, for a source-prepared `side1`
   /// and a target-prepared `side2`, both prepared against this `cache`

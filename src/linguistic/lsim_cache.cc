@@ -85,18 +85,9 @@ LsimCache::~LsimCache() {
   if (bytes_gauge_ != nullptr) bytes_gauge_->Add(-bytes_);
 }
 
-std::shared_ptr<const std::vector<NormalizedName>>
-LsimCache::SideNames::Collect(const std::vector<int32_t>& of_element) const {
-  auto out = std::make_shared<std::vector<NormalizedName>>();
-  out->reserve(of_element.size());
-  for (int32_t id : of_element) out->push_back(names[static_cast<size_t>(id)]);
-  return out;
-}
-
-bool LsimCache::LookupNames(
-    LsimSide side, const Schema& schema, const NameNormalizer& normalizer,
-    std::vector<int32_t>* ids,
-    std::shared_ptr<const std::vector<NormalizedName>>* names) {
+bool LsimCache::LookupNames(LsimSide side, const Schema& schema,
+                            const std::vector<NormalizedName>& names,
+                            std::vector<int32_t>* ids) {
   const ElementId n = schema.num_elements();
   ids->clear();
   ids->reserve(static_cast<size_t>(n));
@@ -108,19 +99,16 @@ bool LsimCache::LookupNames(
       if (it == registry.ids.end()) break;
       ids->push_back(it->second);
     }
-    if (ids->size() == static_cast<size_t>(n)) {
-      *names = registry.Collect(*ids);
-      return false;
-    }
+    if (ids->size() == static_cast<size_t>(n)) return false;
   }
   // Registries only grow, so the indices found so far stay valid.
   SharedMutexLock lock(&mu_);
   SideNames& registry = side == LsimSide::kSource ? side1_ : side2_;
   for (auto e = static_cast<ElementId>(ids->size()); e < n; ++e) {
-    ids->push_back(
-        registry.Register(schema.element(e).name, normalizer, &interner_));
+    ids->push_back(registry.Register(schema.element(e).name,
+                                     names[static_cast<size_t>(e)],
+                                     &interner_));
   }
-  *names = registry.Collect(*ids);
   return true;
 }
 
@@ -197,8 +185,8 @@ void LsimCacheView::ChargeMemo(int64_t memo_bytes_before) {
 }
 
 void LsimCacheView::EnsureCapacity() {
-  AddBytes(GrowTable(static_cast<int64_t>(side1_->names.size()),
-                     static_cast<int64_t>(side2_->names.size()), ns_,
+  AddBytes(GrowTable(static_cast<int64_t>(side1_->interned.size()),
+                     static_cast<int64_t>(side2_->interned.size()), ns_,
                      known_) *
            static_cast<int64_t>(sizeof(double) + sizeof(uint8_t)));
 }

@@ -90,11 +90,11 @@ class LsimCache {
   /// Distinct raw names seen so far on each side (diagnostics).
   size_t num_source_names() const EXCLUDES(mu_) {
     SharedReaderLock lock(&mu_);
-    return side1_.names.size();
+    return side1_.interned.size();
   }
   size_t num_target_names() const EXCLUDES(mu_) {
     SharedReaderLock lock(&mu_);
-    return side2_.names.size();
+    return side2_.interned.size();
   }
   /// Distinct category labels seen so far on each side (diagnostics).
   size_t num_source_labels() const EXCLUDES(mu_) {
@@ -131,26 +131,19 @@ class LsimCache {
   friend class LsimCacheView;
   friend class LsimCacheReadView;
 
-  /// One side's registry: every distinct raw name ever seen, normalized and
-  /// interned exactly once. Indices are stable across runs.
+  /// One side's registry: every distinct raw name ever seen, interned
+  /// exactly once from its normalized form. Indices are stable across runs.
   struct SideNames {
     std::unordered_map<std::string, int32_t> ids;  // raw name -> index
-    std::vector<NormalizedName> names;
     std::vector<InternedName> interned;
 
-    int32_t Register(const std::string& raw, const NameNormalizer& normalizer,
+    int32_t Register(const std::string& raw, const NormalizedName& normalized,
                      TokenInterner* interner) {
-      auto [it, inserted] = ids.emplace(raw, static_cast<int32_t>(names.size()));
-      if (inserted) {
-        names.push_back(normalizer.Normalize(raw));
-        interned.push_back(InternName(names.back(), interner));
-      }
+      auto [it, inserted] =
+          ids.emplace(raw, static_cast<int32_t>(interned.size()));
+      if (inserted) interned.push_back(InternName(normalized, interner));
       return it->second;
     }
-
-    /// Normalized names of a schema's elements, by registry index.
-    std::shared_ptr<const std::vector<NormalizedName>> Collect(
-        const std::vector<int32_t>& of_element) const;
   };
 
   /// One side's category-label registry: every distinct label ever seen,
@@ -164,12 +157,11 @@ class LsimCache {
 
   /// Registry indices of every element name of `schema` on `side`, looked
   /// up under the shared lock; a schema holding a name the cache never saw
-  /// takes the exclusive lock to register it. `*names` receives the
-  /// normalized names by element. Returns whether the lock was exclusive.
+  /// takes the exclusive lock to register it from `names` (the schema's
+  /// normalized names, by element). Returns whether the lock was exclusive.
   bool LookupNames(LsimSide side, const Schema& schema,
-                   const NameNormalizer& normalizer, std::vector<int32_t>* ids,
-                   std::shared_ptr<const std::vector<NormalizedName>>* names)
-      EXCLUDES(mu_);
+                   const std::vector<NormalizedName>& names,
+                   std::vector<int32_t>* ids) EXCLUDES(mu_);
   /// Registry indices of every category label of `categories` on `side`,
   /// with the same read-first locking as LookupNames.
   bool LookupLabels(LsimSide side, const Categorization& categories,

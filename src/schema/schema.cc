@@ -104,8 +104,11 @@ ElementId Schema::FindByPath(std::string_view dotted_path) const {
                                       ? std::string_view::npos
                                       : dot - start);
     if (cur == kNoElement) {
-      if (part != elements_[0].name) return kNoElement;
-      cur = 0;
+      // The root (id 0, so it wins a tie) or a parentless type, as PathName.
+      for (ElementId e = 0; e < num_elements() && cur == kNoElement; ++e) {
+        if (parents_[e] == kNoElement && elements_[e].name == part) cur = e;
+      }
+      if (cur == kNoElement) return kNoElement;
     } else {
       ElementId next = kNoElement;
       for (ElementId c : children_[cur]) {

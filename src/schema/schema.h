@@ -155,8 +155,8 @@ class Schema {
   /// "PO.POLines.Item.Qty". The root name is included.
   std::string PathName(ElementId id) const;
 
-  /// \brief Resolves a dotted containment path ("PO.POLines.Item.Qty" —
-  /// root name included) to an element id; kNoElement if absent.
+  /// \brief Inverts PathName ("PO.POLines.Item.Qty", or a parentless
+  /// type's "AddressType.Street"): the element's id; kNoElement if absent.
   ElementId FindByPath(std::string_view dotted_path) const;
 
   /// \brief First element (in id order) named `name`, of any kind;

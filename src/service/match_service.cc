@@ -44,6 +44,16 @@ void WriteMapping(const Mapping& mapping, JsonWriter* w) {
   w->EndObject();
 }
 
+/// Store key of `name`@`version`'s artifact: the version plus every config
+/// field the normalizer, categorizer and tree builder might read.
+std::string ArtifactKey(const std::string& name, int version,
+                        const CupidConfig& config) {
+  return name + '\x1f' + std::to_string(version) + '\x1f' +
+         LsimCacheBindingKey(config.linguistic) +
+         (config.tree_build.expand_join_views ? 'j' : '-') +
+         (config.tree_build.expand_views ? 'v' : '-');
+}
+
 }  // namespace
 
 std::string MatchResponse::ToJson(bool include_mappings) const {
@@ -154,6 +164,15 @@ MatchService::MatchService(const Thesaurus* thesaurus,
       "cupid.service.lsim_cache_bytes",
       "Name- and label-pair table and label registry bytes of the live "
       "per-source LsimCaches");
+  artifact_hits_ = reg->GetCounter(
+      "cupid.service.artifacts.hits",
+      "Cold-session sides whose schema version's artifact was alive");
+  artifact_misses_ = reg->GetCounter(
+      "cupid.service.artifacts.misses",
+      "Cold-session sides that built their schema version's artifact");
+  artifacts_live_ = reg->GetGauge(
+      "cupid.service.artifacts.live",
+      "Live schema-version artifacts in the store, as of its last update");
   baseline_ = CacheStats{result_hits_->value(),
                          result_misses_->value(),
                          result_evictions_->value(),
@@ -190,6 +209,29 @@ std::shared_ptr<LsimCache> MatchService::LsimCacheFor(
   live_caches->Add(1);
   slot = cache;
   return cache;
+}
+
+MatchSide MatchService::ArtifactSide(
+    const std::string& key, const SchemaRepository::SchemaSnapshot& snapshot) {
+  MutexLock lock(&artifacts_mu_);
+  auto it = artifacts_.find(key);
+  std::shared_ptr<const SchemaArtifact> live;
+  if (it != artifacts_.end()) live = it->second.lock();
+  if (live != nullptr && live->schema != snapshot.schema) live = nullptr;
+  return MatchSide{snapshot.schema, std::move(live)};
+}
+
+void MatchService::PublishArtifact(
+    const std::string& key,
+    const std::shared_ptr<const SchemaArtifact>& artifact) {
+  MutexLock lock(&artifacts_mu_);
+  artifacts_[key] = artifact;
+  // Erasing every dead entry is order-independent.
+  // NOLINTNEXTLINE(determinism:unordered-iteration)
+  for (auto it = artifacts_.begin(); it != artifacts_.end();) {
+    it = it->second.expired() ? artifacts_.erase(it) : std::next(it);
+  }
+  artifacts_live_->Set(static_cast<int64_t>(artifacts_.size()));
 }
 
 std::shared_ptr<const MatchResponse> MatchService::CacheLookup(
@@ -279,6 +321,14 @@ Result<MatchResponse> MatchService::Match(const MatchRequest& request) {
     response.leaf_mapping = std::move(result.leaf_mapping);
     response.nonleaf_mapping = std::move(result.nonleaf_mapping);
   } else {
+    // Take the versions' live artifacts before the LRU below can evict the
+    // last session holding them.
+    const std::string source_key =
+        ArtifactKey(request.source, source.version, request.config);
+    const std::string target_key =
+        ArtifactKey(request.target, target.version, request.config);
+    const MatchSide source_side = ArtifactSide(source_key, source);
+    const MatchSide target_side = ArtifactSide(target_key, target);
     std::shared_ptr<PairEntry> entry;
     {
       MutexLock lock(&sessions_mu_);
@@ -309,7 +359,14 @@ Result<MatchResponse> MatchService::Match(const MatchRequest& request) {
     PairEntry* e = entry.get();
     MutexLock lock(&e->mu);
     CUPID_RETURN_NOT_OK(
-        MatchOnSession(request, e, source.schema, target.schema, &response));
+        MatchOnSession(request, e, source_side, target_side, &response));
+    if (!response.session_reused) {
+      // A cold session: store the artifacts it took or built.
+      (source_side.artifact ? artifact_hits_ : artifact_misses_)->Increment();
+      (target_side.artifact ? artifact_hits_ : artifact_misses_)->Increment();
+      PublishArtifact(source_key, e->session->artifact(EditSide::kSource));
+      PublishArtifact(target_key, e->session->artifact(EditSide::kTarget));
+    }
   }
 
   response.timings.total_ms = MsSince(t_start);
@@ -325,9 +382,8 @@ Result<MatchResponse> MatchService::Match(const MatchRequest& request) {
 }
 
 Status MatchService::MatchOnSession(const MatchRequest& request,
-                                    PairEntry* entry,
-                                    std::shared_ptr<const Schema> source,
-                                    std::shared_ptr<const Schema> target,
+                                    PairEntry* entry, const MatchSide& source,
+                                    const MatchSide& target,
                                     MatchResponse* response) {
   const int source_version = response->source_version;
   const int target_version = response->target_version;
@@ -374,7 +430,7 @@ Status MatchService::MatchOnSession(const MatchRequest& request,
 
   if (entry->session == nullptr) {
     entry->session = std::make_unique<MatchSession>(
-        thesaurus_, *source, *target, request.config,
+        thesaurus_, source, target, request.config,
         LsimCacheFor(request.source, request.config));
     sessions_created_->Increment();
   } else {
@@ -404,8 +460,8 @@ Status MatchService::MatchOnSession(const MatchRequest& request,
 }
 
 void MatchService::InvalidateAll() {
-  // Lock order matches Match(): cache_mu_, sessions_mu_ and
-  // lsim_caches_mu_ never nest.
+  // Lock order matches Match(): cache_mu_, sessions_mu_, lsim_caches_mu_
+  // and artifacts_mu_ never nest.
   {
     MutexLock lock(&cache_mu_);
     lru_.clear();
@@ -418,8 +474,13 @@ void MatchService::InvalidateAll() {
     sessions_.clear();
     session_lru_.clear();
   }
-  MutexLock lock(&lsim_caches_mu_);
-  lsim_caches_.clear();
+  {
+    MutexLock lock(&lsim_caches_mu_);
+    lsim_caches_.clear();
+  }
+  MutexLock lock(&artifacts_mu_);
+  artifacts_.clear();
+  artifacts_live_->Set(0);
 }
 
 MatchService::CacheStats MatchService::cache_stats() const {

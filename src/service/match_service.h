@@ -17,6 +17,9 @@
 //     cache's shared lock. The service holds each cache weakly and the
 //     sessions own it, so the session LRU bounds the caches too — a cache
 //     dies with its source's last session;
+//   * one SchemaArtifact (tree and linguistic analysis) per schema version
+//     and binding, held by the sessions and found through a weak map, so a
+//     cold session over versions other sessions match builds neither;
 //   * a direct CupidMatcher path for requests that opt out of session
 //     state (use_session=false).
 //
@@ -138,8 +141,8 @@ class MatchService {
 
   SchemaRepository* repository() const { return repository_; }
 
-  /// \brief Drops every cached result, warm session and per-source
-  /// LsimCache. Required after the backing repository is replaced
+  /// \brief Drops every cached result, warm session, per-source LsimCache
+  /// and artifact. Required after the backing repository is replaced
   /// wholesale (e.g. a "load" command): version numbers restart, so stale
   /// sessions could otherwise collide with the new lineage. In-flight
   /// requests finish on their detached sessions; their caches die with them.
@@ -203,9 +206,16 @@ class MatchService {
   /// versions, fingerprint — are already set by Match). entry->mu must be
   /// held.
   Status MatchOnSession(const MatchRequest& request, PairEntry* entry,
-                        std::shared_ptr<const Schema> source,
-                        std::shared_ptr<const Schema> target,
+                        const MatchSide& source, const MatchSide& target,
                         MatchResponse* response) REQUIRES(entry->mu);
+
+  /// `snapshot`'s schema with the artifact stored under `key` when that is
+  /// alive and pins this very schema (so a reloaded lineage never matches).
+  MatchSide ArtifactSide(const std::string& key,
+                         const SchemaRepository::SchemaSnapshot& snapshot);
+  /// Stores `artifact` under `key` (weakly) and sweeps dead entries.
+  void PublishArtifact(const std::string& key,
+                       const std::shared_ptr<const SchemaArtifact>& artifact);
 
   const Thesaurus* thesaurus_;
   SchemaRepository* repository_;
@@ -241,6 +251,13 @@ class MatchService {
   std::unordered_map<std::string, std::weak_ptr<LsimCache>> lsim_caches_
       GUARDED_BY(lsim_caches_mu_);
 
+  Mutex artifacts_mu_;
+  /// Keyed (name \x1f version \x1f binding). Weak: sessions own the
+  /// artifacts; storing one sweeps the dead entries, so the map holds the
+  /// artifacts alive at the last store plus those that died since.
+  std::unordered_map<std::string, std::weak_ptr<const SchemaArtifact>>
+      artifacts_ GUARDED_BY(artifacts_mu_);
+
   /// Registry counter handles (lock-free increments on the request path)
   /// and the construction-time baseline cache_stats() subtracts.
   obs::Counter* result_hits_;
@@ -253,6 +270,9 @@ class MatchService {
   obs::Histogram* request_ms_;
   obs::Gauge* lsim_caches_gauge_;  ///< live per-source LsimCaches
   obs::Gauge* lsim_cache_bytes_;   ///< sum of their bytes()
+  obs::Counter* artifact_hits_;    ///< cold-session sides found live
+  obs::Counter* artifact_misses_;  ///< cold-session sides built
+  obs::Gauge* artifacts_live_;     ///< store entries alive at the last store
   CacheStats baseline_;
 };
 

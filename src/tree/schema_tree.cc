@@ -5,37 +5,23 @@
 
 namespace cupid {
 
-SchemaTree::SchemaTree(const SchemaTree& other)
-    : schema_(other.schema_),
-      nodes_(other.nodes_),
-      leaves_(other.leaves_),
-      post_order_(other.post_order_),
-      element_nodes_(other.element_nodes_),
-      paths_(other.paths_) {
-  IndexPaths();
-}
-
-SchemaTree& SchemaTree::operator=(const SchemaTree& other) {
-  if (this != &other) *this = SchemaTree(other);
-  return *this;
-}
-
 TreeNodeId SchemaTree::AddNode(ElementId source, TreeNodeId parent,
                                bool optional) {
-  TreeNodeId id = static_cast<TreeNodeId>(nodes_.size());
+  std::vector<TreeNode>& nodes = state_->nodes;
+  TreeNodeId id = static_cast<TreeNodeId>(nodes.size());
   TreeNode n;
   n.source = source;
   n.parent = parent;
   n.optional = optional;
-  nodes_.push_back(std::move(n));
+  nodes.push_back(std::move(n));
   if (parent != kNoTreeNode) {
-    nodes_[static_cast<size_t>(parent)].children.push_back(id);
+    nodes[static_cast<size_t>(parent)].children.push_back(id);
   }
   return id;
 }
 
 void SchemaTree::AddSharedChild(TreeNodeId parent, TreeNodeId child) {
-  nodes_[static_cast<size_t>(parent)].children.push_back(child);
+  mutable_node(parent)->children.push_back(child);
 }
 
 int SchemaTree::Depth(TreeNodeId id) const {
@@ -48,13 +34,15 @@ int SchemaTree::Depth(TreeNodeId id) const {
 }
 
 Status SchemaTree::Finalize() {
-  const size_t n = nodes_.size();
+  State& st = *state_;
+  const std::vector<TreeNode>& nodes = st.nodes;
+  const size_t n = nodes.size();
   if (n == 0) return Status::Internal("schema tree has no nodes");
 
   // Inverse-topological order over child edges (DFS post-order with visited
   // marks; children may be shared). color: 0 unvisited, 1 on stack, 2 done.
-  post_order_.clear();
-  post_order_.reserve(n);
+  st.post_order.clear();
+  st.post_order.reserve(n);
   std::vector<uint8_t> color(n, 0);
   // Iterative DFS from every node to also cover disconnected nodes (none
   // expected, but cheap to be safe).
@@ -65,7 +53,7 @@ Status SchemaTree::Finalize() {
     color[static_cast<size_t>(start)] = 1;
     while (!stack.empty()) {
       auto& [cur, next_child] = stack.back();
-      const auto& kids = nodes_[static_cast<size_t>(cur)].children;
+      const auto& kids = nodes[static_cast<size_t>(cur)].children;
       if (next_child < kids.size()) {
         TreeNodeId c = kids[next_child++];
         if (color[static_cast<size_t>(c)] == 1) {
@@ -78,20 +66,20 @@ Status SchemaTree::Finalize() {
         }
       } else {
         color[static_cast<size_t>(cur)] = 2;
-        post_order_.push_back(cur);
+        st.post_order.push_back(cur);
         stack.pop_back();
       }
     }
   }
 
-  // Leaf sets with relative optionality, bottom-up over post_order_.
+  // Leaf sets with relative optionality, bottom-up over st.post_order.
   // A leaf l is optional relative to node v iff every path v->l passes an
   // optional node below v; merging over children:
   //   opt_v(l) = AND over children c reaching l of (c.optional || opt_c(l)).
-  leaves_.assign(n, {});
-  for (TreeNodeId v : post_order_) {
-    auto& out = leaves_[static_cast<size_t>(v)];
-    const TreeNode& nv = nodes_[static_cast<size_t>(v)];
+  st.leaves.assign(n, {});
+  for (TreeNodeId v : st.post_order) {
+    auto& out = st.leaves[static_cast<size_t>(v)];
+    const TreeNode& nv = nodes[static_cast<size_t>(v)];
     if (nv.children.empty()) {
       out.push_back({v, false});
       continue;
@@ -101,8 +89,8 @@ Status SchemaTree::Finalize() {
     // would produce, without a hash table per node. Duplicates only exist
     // under shared children (join views / type sharing).
     for (TreeNodeId c : nv.children) {
-      bool child_opt = nodes_[static_cast<size_t>(c)].optional;
-      for (const LeafRef& lr : leaves_[static_cast<size_t>(c)]) {
+      bool child_opt = nodes[static_cast<size_t>(c)].optional;
+      for (const LeafRef& lr : st.leaves[static_cast<size_t>(c)]) {
         out.push_back({lr.leaf, child_opt || lr.optional});
       }
     }
@@ -120,11 +108,11 @@ Status SchemaTree::Finalize() {
   }
 
   // Element -> nodes index.
-  element_nodes_.assign(static_cast<size_t>(schema_->num_elements()), {});
+  st.element_nodes.assign(static_cast<size_t>(schema_->num_elements()), {});
   for (size_t i = 0; i < n; ++i) {
-    ElementId e = nodes_[i].source;
+    ElementId e = nodes[i].source;
     if (e != kNoElement) {
-      element_nodes_[static_cast<size_t>(e)].push_back(
+      st.element_nodes[static_cast<size_t>(e)].push_back(
           static_cast<TreeNodeId>(i));
     }
   }
@@ -132,30 +120,27 @@ Status SchemaTree::Finalize() {
   // Context paths, built top-down reusing the parent's string (AddNode
   // links a node under an existing one, so parents have lower ids than
   // their primary children) in O(total path length).
-  paths_.assign(n, {});
+  st.paths.assign(n, {});
   for (size_t i = 0; i < n; ++i) {
     const std::string& name = NodeName(static_cast<TreeNodeId>(i));
-    TreeNodeId p = nodes_[i].parent;
+    TreeNodeId p = nodes[i].parent;
     if (p == kNoTreeNode) {
-      paths_[i] = name;
+      st.paths[i] = name;
       continue;
     }
-    const std::string& prefix = paths_[static_cast<size_t>(p)];
-    paths_[i].reserve(prefix.size() + 1 + name.size());
-    paths_[i] += prefix;
-    paths_[i] += '.';
-    paths_[i] += name;
+    const std::string& prefix = st.paths[static_cast<size_t>(p)];
+    st.paths[i].reserve(prefix.size() + 1 + name.size());
+    st.paths[i] += prefix;
+    st.paths[i] += '.';
+    st.paths[i] += name;
   }
-  IndexPaths();
+  // The first (lowest-id) node wins on duplicate paths.
+  st.path_index.clear();
+  st.path_index.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    st.path_index.emplace(st.paths[i], static_cast<TreeNodeId>(i));
+  }
   return Status::OK();
-}
-
-void SchemaTree::IndexPaths() {
-  path_index_.clear();
-  path_index_.reserve(paths_.size());
-  for (size_t i = 0; i < paths_.size(); ++i) {
-    path_index_.emplace(paths_[i], static_cast<TreeNodeId>(i));
-  }
 }
 
 }  // namespace cupid

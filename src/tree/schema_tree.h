@@ -16,6 +16,7 @@
 #define CUPID_TREE_SCHEMA_TREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -60,25 +61,26 @@ struct TreeNode {
 /// \brief Expanded schema tree with cached leaf sets and traversal orders.
 ///
 /// Built by BuildSchemaTree (tree/tree_builder.h); immutable afterwards.
-/// Finalize stores every node's context path once; the path index refers
-/// into those strings, so a copy re-indexes its own and a move keeps them.
+/// The built state sits behind one shared pointer, so a copy is cheap and
+/// shares it: a schema version's artifact (core/match_pipeline.h) and every
+/// MatchResult over that version read one tree. References handed out
+/// (PathName, leaves, ...) stay valid while any copy lives.
 class SchemaTree {
  public:
-  SchemaTree(const Schema* schema) : schema_(schema) {}  // NOLINT
-  SchemaTree(const SchemaTree& other);
-  SchemaTree& operator=(const SchemaTree& other);
-  SchemaTree(SchemaTree&&) = default;
-  SchemaTree& operator=(SchemaTree&&) = default;
+  SchemaTree(const Schema* schema)  // NOLINT
+      : schema_(schema), state_(std::make_shared<State>()) {}
 
   const Schema& schema() const { return *schema_; }
 
   TreeNodeId root() const { return 0; }
-  int64_t num_nodes() const { return static_cast<int64_t>(nodes_.size()); }
+  int64_t num_nodes() const {
+    return static_cast<int64_t>(state_->nodes.size());
+  }
   const TreeNode& node(TreeNodeId id) const {
-    return nodes_[static_cast<size_t>(id)];
+    return state_->nodes[static_cast<size_t>(id)];
   }
   TreeNode* mutable_node(TreeNodeId id) {
-    return &nodes_[static_cast<size_t>(id)];
+    return &state_->nodes[static_cast<size_t>(id)];
   }
 
   bool IsLeaf(TreeNodeId id) const { return node(id).children.empty(); }
@@ -86,26 +88,24 @@ class SchemaTree {
   /// Leaves of the subtree rooted at `id` (id itself when a leaf), with
   /// per-leaf optionality relative to `id`. Deduplicated (DAG-safe).
   const std::vector<LeafRef>& leaves(TreeNodeId id) const {
-    return leaves_[static_cast<size_t>(id)];
+    return state_->leaves[static_cast<size_t>(id)];
   }
 
   /// \brief Inverse-topological enumeration of all nodes: every node appears
   /// after all of its children. Equals post-order for pure trees.
-  const std::vector<TreeNodeId>& post_order() const { return post_order_; }
+  const std::vector<TreeNodeId>& post_order() const {
+    return state_->post_order;
+  }
 
   /// Tree nodes materializing schema element `e` (one per context).
   const std::vector<TreeNodeId>& nodes_for_element(ElementId e) const {
-    return element_nodes_[static_cast<size_t>(e)];
+    return state_->element_nodes[static_cast<size_t>(e)];
   }
 
   /// \brief Dotted context path, e.g.
   /// "PurchaseOrder.DeliverTo.Address.Street", stored by Finalize (O(1)).
-  ///
-  /// The reference is valid until the tree is destroyed, assigned to or
-  /// finalized again. Moving the tree keeps it valid (the moved-to tree owns
-  /// the same string); a copy owns its own strings.
   const std::string& PathName(TreeNodeId id) const {
-    return paths_[static_cast<size_t>(id)];
+    return state_->paths[static_cast<size_t>(id)];
   }
 
   /// \brief Node whose dotted context path equals `path`; kNoTreeNode when
@@ -113,8 +113,8 @@ class SchemaTree {
   /// yields duplicate paths the lowest node id wins (the answer a linear
   /// scan in id order would give).
   TreeNodeId FindNodeByPath(std::string_view path) const {
-    auto it = path_index_.find(path);
-    return it == path_index_.end() ? kNoTreeNode : it->second;
+    auto it = state_->path_index.find(path);
+    return it == state_->path_index.end() ? kNoTreeNode : it->second;
   }
 
   /// Source element name of `id` (join views use their RefInt name).
@@ -126,6 +126,7 @@ class SchemaTree {
   int Depth(TreeNodeId id) const;
 
   // -- Construction interface (used by tree_builder / join_view) ------------
+  // Only on a tree no copy has been taken of: copies share the state.
 
   /// Appends a node; links it under `parent` (primary). Returns its id.
   TreeNodeId AddNode(ElementId source, TreeNodeId parent, bool optional);
@@ -140,18 +141,18 @@ class SchemaTree {
   Status Finalize();
 
  private:
-  /// Rebuilds path_index_ over paths_; the first (lowest-id) node wins on
-  /// duplicate paths.
-  void IndexPaths();
+  struct State {
+    std::vector<TreeNode> nodes;
+    std::vector<std::vector<LeafRef>> leaves;
+    std::vector<TreeNodeId> post_order;
+    std::vector<std::vector<TreeNodeId>> element_nodes;
+    /// Context path per node; path_index's keys view these strings.
+    std::vector<std::string> paths;
+    std::unordered_map<std::string_view, TreeNodeId> path_index;
+  };
 
   const Schema* schema_;
-  std::vector<TreeNode> nodes_;
-  std::vector<std::vector<LeafRef>> leaves_;
-  std::vector<TreeNodeId> post_order_;
-  std::vector<std::vector<TreeNodeId>> element_nodes_;
-  /// Context path per node; path_index_'s keys view these strings.
-  std::vector<std::string> paths_;
-  std::unordered_map<std::string_view, TreeNodeId> path_index_;
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace cupid

@@ -115,42 +115,49 @@ TEST(MatchPipelineTest, WarmSweepSnapshotEqualsColdSnapshot) {
     opt.num_elements = 60;
     opt.seed = seed;
     SyntheticPair pair = GenerateSyntheticPair(opt);
-    auto source = std::make_unique<Schema>(pair.source);
-    auto target = std::make_unique<Schema>(pair.target);
     MatchSnapshot snapshot;
-    auto first = RunMatchPipeline(&thesaurus, config, *source, *target, {},
-                                  &cache, nullptr, &snapshot, "test.cold");
+    auto first = RunMatchPipeline(
+        &thesaurus, config,
+        {std::make_shared<const Schema>(pair.source), nullptr},
+        {std::make_shared<const Schema>(pair.target), nullptr}, {}, &cache,
+        nullptr, &snapshot, "test.cold");
     ASSERT_TRUE(first.ok()) << first.status().ToString();
     auto result = std::make_unique<MatchResult>(std::move(*first));
-    Matrix<float> sweep_ssim = std::move(snapshot.sweep_ssim);
     SplitMix64 rng(seed * 7919 + 13);
     for (int step = 1; step <= 8; ++step) {
       const std::string context =
           "seed " + std::to_string(seed) + " step " + std::to_string(step);
-      // Only edited sides are copied, so an unedited side's tree is reused
-      // as a session would.
-      std::unique_ptr<Schema> next_source, next_target;
+      // Only edited sides are copied, so an unedited side keeps its
+      // artifact as a session's would.
+      const Schema& source = *snapshot.source->schema;
+      const Schema& target = *snapshot.target->schema;
+      std::shared_ptr<Schema> next_source, next_target;
       for (int k = 0; k < 3; ++k) {
         SchemaEdit edit = RandomSessionEdit(
-            &rng, next_source ? *next_source : *source,
-            next_target ? *next_target : *target, step * 10 + k);
-        std::unique_ptr<Schema>& next =
+            &rng, next_source ? *next_source : source,
+            next_target ? *next_target : target, step * 10 + k);
+        std::shared_ptr<Schema>& next =
             edit.side == EditSide::kSource ? next_source : next_target;
         if (!next) {
-          next = std::make_unique<Schema>(
-              edit.side == EditSide::kSource ? *source : *target);
+          next = std::make_shared<Schema>(
+              edit.side == EditSide::kSource ? source : target);
         }
         ASSERT_TRUE(ApplySchemaEdit(next.get(), edit).ok())
             << context << " path " << edit.path;
       }
-      const Schema& s = next_source ? *next_source : *source;
-      const Schema& t = next_target ? *next_target : *target;
+      auto side = [](const std::shared_ptr<Schema>& next,
+                     const std::shared_ptr<const SchemaArtifact>& cur) {
+        return next ? MatchSide{next, nullptr} : MatchSide{cur->schema, cur};
+      };
+      const MatchSide s = side(next_source, snapshot.source);
+      const MatchSide t = side(next_target, snapshot.target);
       MatchSnapshot cold;
-      auto scratch = RunMatchPipeline(&thesaurus, config, s, t, {}, nullptr,
+      auto scratch = RunMatchPipeline(&thesaurus, config, {s.schema, nullptr},
+                                      {t.schema, nullptr}, {}, nullptr,
                                       nullptr, &cold, "test.cold");
       ASSERT_TRUE(scratch.ok()) << context << ": "
                                 << scratch.status().ToString();
-      MatchPast past{source.get(), target.get(), result.get(), &sweep_ssim};
+      MatchPast past{result.get(), &snapshot};
       MatchSnapshot warm;
       auto run = RunMatchPipeline(&thesaurus, config, s, t, {}, &cache, &past,
                                   &warm, "test.warm");
@@ -167,9 +174,7 @@ TEST(MatchPipelineTest, WarmSweepSnapshotEqualsColdSnapshot) {
       ExpectIdenticalResults(*run, *scratch, context);
       if (::testing::Test::HasFatalFailure()) return;
       result = std::make_unique<MatchResult>(std::move(*run));
-      sweep_ssim = std::move(warm.sweep_ssim);
-      if (next_source) source = std::move(next_source);
-      if (next_target) target = std::move(next_target);
+      snapshot = std::move(warm);
     }
   }
 }

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "core/cupid_matcher.h"
+#include "eval/datasets.h"
 #include "eval/synthetic.h"
+#include "incremental/schema_edit.h"
 #include "linguistic/linguistic_matcher.h"
 #include "linguistic/lsim_cache.h"
 #include "obs/metrics.h"
@@ -634,6 +636,87 @@ TEST(LsimCacheTest, MismatchedPastIsInvalidArgument) {
   auto fine = matcher.Match(small.source, small.target, &cache, past);
   ASSERT_TRUE(fine.ok()) << fine.status().ToString();
   ExpectLsimEqual(*fine, *small_result, "intact plan");
+}
+
+/// Field-for-field equality of two schema analyses.
+void ExpectSameAnalysis(const SchemaLinguistics& got,
+                        const SchemaLinguistics& want,
+                        const std::string& context) {
+  ASSERT_NE(got.names, nullptr) << context;
+  ASSERT_EQ(got.names->size(), want.names->size()) << context;
+  for (size_t e = 0; e < got.names->size(); ++e) {
+    const NormalizedName& g = (*got.names)[e];
+    const NormalizedName& w = (*want.names)[e];
+    EXPECT_EQ(g.original, w.original) << context << " name " << e;
+    EXPECT_EQ(g.tokens, w.tokens) << context << " name " << e;
+    EXPECT_EQ(g.concepts, w.concepts) << context << " name " << e;
+  }
+  const std::vector<Category>& gc = got.categories->categories;
+  const std::vector<Category>& wc = want.categories->categories;
+  ASSERT_EQ(gc.size(), wc.size()) << context;
+  for (size_t c = 0; c < gc.size(); ++c) {
+    EXPECT_EQ(gc[c].label, wc[c].label) << context << " category " << c;
+    EXPECT_EQ(gc[c].keywords, wc[c].keywords) << context << " category " << c;
+    EXPECT_EQ(gc[c].members, wc[c].members) << context << " category " << c;
+  }
+  EXPECT_EQ(got.categories->element_categories,
+            want.categories->element_categories)
+      << context;
+  EXPECT_EQ(got.category_members.begin, want.category_members.begin)
+      << context;
+  EXPECT_EQ(got.category_members.members, want.category_members.members)
+      << context;
+  ASSERT_EQ(got.docs.size(), want.docs.size()) << context;
+  for (size_t e = 0; e < got.docs.size(); ++e) {
+    EXPECT_EQ(got.docs[e].terms, want.docs[e].terms) << context << " doc " << e;
+  }
+}
+
+/// An artifact's analysis prepares the same side as the schema itself, on
+/// either side of a fresh cache; and an analysis lent an earlier version's
+/// names equals a fresh one.
+TEST(LinguisticPrepareTest, PreparedFromAnalysisEqualsPreparedFromSchema) {
+  Thesaurus th = DefaultThesaurus();
+  LinguisticMatcher matcher(&th, LinguisticOptions());
+  SyntheticOptions sopt;
+  sopt.num_elements = 80;
+  sopt.seed = 27;
+  Schema documented = Fig2Po();
+  documented.mutable_element(1)->documentation = "Purchase order lines";
+  documented.mutable_element(2)->documentation = "Ordered item quantity";
+  const std::vector<Schema> schemas = {
+      Fig2PurchaseOrder(), documented, GenerateSyntheticPair(sopt).source};
+  for (const Schema& schema : schemas) {
+    for (LsimSide side : {LsimSide::kSource, LsimSide::kTarget}) {
+      const std::string context =
+          schema.name() + (side == LsimSide::kSource ? " source" : " target");
+      LsimCache a(&th, LinguisticOptions()), b(&th, LinguisticOptions());
+      auto want = matcher.Prepare(schema, side, &a);
+      auto got = matcher.Prepare(schema, matcher.Analyze(schema), side, &b);
+      ASSERT_TRUE(want.ok() && got.ok()) << context;
+      const PreparedLsimSide& w = **want;
+      const PreparedLsimSide& g = **got;
+      EXPECT_NE(g.cache_id, w.cache_id) << context;  // caches a and b
+      EXPECT_EQ(g.side, w.side) << context;
+      EXPECT_EQ(g.name_ids, w.name_ids) << context;
+      EXPECT_EQ(g.label_ids, w.label_ids) << context;
+      EXPECT_EQ(g.cache_filled, w.cache_filled) << context;
+      ExpectSameAnalysis(g, w, context);
+    }
+    // Lent names: a rename, and a removal that shifts every later id.
+    Schema renamed = schema;
+    renamed.mutable_element(renamed.num_elements() - 1)->name = "Renamed";
+    Schema removed = schema;
+    ASSERT_TRUE(ApplySchemaEdit(&removed, SchemaEdit::RemoveElement(
+                                              EditSide::kSource,
+                                              schema.PathName(2)))
+                    .ok());
+    const SchemaLinguistics prior = matcher.Analyze(schema);
+    for (const Schema* edited : {&renamed, &removed}) {
+      ExpectSameAnalysis(matcher.Analyze(*edited, &prior),
+                         matcher.Analyze(*edited), schema.name() + " lent");
+    }
+  }
 }
 
 // -------------------------------------------------------------- path index --

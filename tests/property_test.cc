@@ -292,31 +292,34 @@ TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
   int step = 0;
   // The Figure 2 stream first removes the DeliverTo referrer of the shared
   // Address type, renames the InvoiceTo referrer and adds a member under
-  // it (edit paths follow containment, so the type's own members are not
-  // addressable): the remaining context's Street and City must still find
-  // their previous nodes through their parent.
-  std::vector<SchemaEdit> fixed;
+  // it: the remaining context's Street and City must still find their
+  // previous nodes through their parent. Its second step renames a member
+  // of the type itself, which every context of the type sees.
+  std::vector<std::vector<SchemaEdit>> fixed;
   if (GetParam().pair == DiffPair::kFig2) {
     Element suite;
     suite.name = "Suite";
     suite.kind = ElementKind::kAtomic;
     suite.data_type = DataType::kString;
-    fixed = {SchemaEdit::RemoveElement(EditSide::kTarget,
-                                       "PurchaseOrder.DeliverTo.Address"),
-             SchemaEdit::RenameElement(EditSide::kTarget,
-                                       "PurchaseOrder.InvoiceTo.Address",
-                                       "BillingAddress"),
-             SchemaEdit::AddElement(EditSide::kTarget,
-                                    "PurchaseOrder.InvoiceTo.BillingAddress",
-                                    std::move(suite))};
+    fixed = {{SchemaEdit::RemoveElement(EditSide::kTarget,
+                                        "PurchaseOrder.DeliverTo.Address"),
+              SchemaEdit::RenameElement(EditSide::kTarget,
+                                        "PurchaseOrder.InvoiceTo.Address",
+                                        "BillingAddress"),
+              SchemaEdit::AddElement(EditSide::kTarget,
+                                     "PurchaseOrder.InvoiceTo.BillingAddress",
+                                     std::move(suite))},
+             {SchemaEdit::RenameElement(EditSide::kTarget,
+                                        "AddressType.Street", "StreetLine")}};
   }
   while (edits_applied < 20) {
-    const bool fixed_step = step == 0 && !fixed.empty();
-    const int batch = fixed_step ? static_cast<int>(fixed.size())
-                                 : 1 + static_cast<int>(rng.NextBounded(3));
+    const bool fixed_step = step < static_cast<int>(fixed.size());
+    const int batch =
+        fixed_step ? static_cast<int>(fixed[static_cast<size_t>(step)].size())
+                   : 1 + static_cast<int>(rng.NextBounded(3));
     for (int b = 0; b < batch && edits_applied < 20; ++b) {
       SchemaEdit edit =
-          fixed_step ? fixed[static_cast<size_t>(b)]
+          fixed_step ? fixed[static_cast<size_t>(step)][static_cast<size_t>(b)]
                      : RandomSessionEdit(&rng, session.source(),
                                          session.target(), edits_applied + 1);
       ++edits_applied;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/datasets.h"
 #include "schema/data_type.h"
 #include "schema/schema.h"
 #include "schema/schema_builder.h"
@@ -102,6 +103,32 @@ TEST(SchemaTest, FindByPath) {
   EXPECT_EQ(s.FindByPath("RDB.Nope"), kNoElement);
   EXPECT_EQ(s.FindByPath("Wrong.Orders"), kNoElement);
   EXPECT_EQ(s.FindByPath(""), kNoElement);
+}
+
+TEST(SchemaTest, FindByPathInvertsPathNameOnShippedDatasets) {
+  // PathName names a shared type's members from the parentless type
+  // ("AddressType.Street"), so FindByPath must start there too.
+  std::vector<Schema> schemas = {Fig2Po(), Fig2PurchaseOrder()};
+  for (int test = 1; test <= 6; ++test) {
+    Dataset d = CanonicalExample(test).ValueOrDie();
+    schemas.push_back(std::move(d.source));
+    schemas.push_back(std::move(d.target));
+  }
+  for (auto* load : {&CidxSchema, &ExcelSchema, &RdbSchema, &StarSchema}) {
+    schemas.push_back(load().ValueOrDie());
+  }
+  for (const Schema& s : schemas) {
+    for (ElementId e = 0; e < s.num_elements(); ++e) {
+      const std::string path = s.PathName(e);
+      const ElementId found = s.FindByPath(path);
+      ASSERT_NE(found, kNoElement) << s.name() << ": " << path;
+      EXPECT_EQ(s.PathName(found), path) << s.name();
+    }
+  }
+  const Schema po = Fig2PurchaseOrder();
+  const ElementId street = po.FindByPath("AddressType.Street");
+  ASSERT_NE(street, kNoElement);
+  EXPECT_EQ(po.parent(po.parent(street)), kNoElement);
 }
 
 TEST(SchemaTest, FindByName) {

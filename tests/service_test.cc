@@ -820,6 +820,166 @@ TEST(MatchServiceTest, PerSourceLsimCachesUnderChurnBitIdentical) {
   EXPECT_EQ(cache_bytes->value(), 0);
 }
 
+/// Synthetic schemas s0..s{n-1} and t0..t{n-1} of 36 elements.
+void RegisterSyntheticGrid(SchemaRepository* repo, int n, uint64_t seed) {
+  for (int i = 0; i < n; ++i) {
+    SyntheticOptions opt;
+    opt.num_elements = 36;
+    opt.seed = seed + static_cast<uint64_t>(i);
+    SyntheticPair pair = GenerateSyntheticPair(opt);
+    ASSERT_TRUE(repo->Register("s" + std::to_string(i), pair.source).ok());
+    ASSERT_TRUE(repo->Register("t" + std::to_string(i), pair.target).ok());
+  }
+}
+
+MatchRequest GridRequest(int source, int target,
+                         const CupidConfig& config = CupidConfig()) {
+  MatchRequest request;
+  request.source = "s" + std::to_string(source);
+  request.target = "t" + std::to_string(target);
+  request.config = config;
+  return request;
+}
+
+/// Two cold sessions over one schema version share its artifact: the
+/// second builds neither its tree nor its analysis, and both results read
+/// one tree state. The artifact dies with the last session holding it.
+TEST(MatchServiceTest, ColdSessionsShareOneArtifactPerVersion) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  RegisterSyntheticGrid(&repo, 2, 2700);
+  const CupidConfig config;
+  auto side = [&](const std::string& name) {
+    return MatchSide{*repo.Get(name), nullptr};
+  };
+  auto first = std::make_unique<MatchSession>(&thesaurus, side("s0"),
+                                              side("t0"), config, nullptr);
+  ASSERT_TRUE(first->Rematch().ok());
+  std::shared_ptr<const SchemaArtifact> shared =
+      first->artifact(EditSide::kSource);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared->schema, *repo.Get("s0"));  // pinned, not copied
+  auto second = std::make_unique<MatchSession>(
+      &thesaurus, MatchSide{shared->schema, shared}, side("t1"), config,
+      nullptr);
+  ASSERT_TRUE(second->Rematch().ok());
+  EXPECT_EQ(second->artifact(EditSide::kSource), shared);
+  EXPECT_EQ(&second->last_result()->source_tree.node(0),
+            &first->last_result()->source_tree.node(0));
+  auto want = CupidMatcher(&thesaurus, config)
+                  .Match(**repo.Get("s0"), **repo.Get("t1"));
+  ASSERT_TRUE(want.ok());
+  EXPECT_TRUE(SameMapping(second->last_result()->leaf_mapping,
+                          want->leaf_mapping));
+  EXPECT_TRUE(SameMapping(second->last_result()->nonleaf_mapping,
+                          want->nonleaf_mapping));
+
+  std::weak_ptr<const SchemaArtifact> watch = shared;
+  shared.reset();
+  first.reset();
+  EXPECT_FALSE(watch.expired());  // the second session still holds it
+  second.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+/// The service's store: a cold session takes every live artifact of its
+/// versions, and storing an artifact sweeps the dead ones, so the map holds
+/// live artifacts only (at most two per live session).
+TEST(MatchServiceTest, ArtifactStoreSharesLiveVersionsOnly) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  RegisterSyntheticGrid(&repo, 2, 2710);
+  obs::MetricsRegistry metrics;
+  MatchService::Options options;
+  options.result_cache_capacity = 0;
+  options.session_capacity = 2;
+  options.metrics = &metrics;
+  MatchService service(&thesaurus, &repo, options);
+  obs::Counter* hits = metrics.GetCounter("cupid.service.artifacts.hits", "");
+  obs::Counter* misses =
+      metrics.GetCounter("cupid.service.artifacts.misses", "");
+  obs::Gauge* live = metrics.GetGauge("cupid.service.artifacts.live", "");
+  struct Step {
+    int source, target;
+    int64_t hits, misses, live;
+  };
+  // Sessions: (s0,t0); +(s0,t1); (s1,t1) evicts (s0,t0), so t0 dies;
+  // (s1,t0) evicts (s0,t1), so s0 dies, and rebuilds t0.
+  const Step steps[] = {{0, 0, 0, 2, 2},
+                        {0, 1, 1, 3, 3},
+                        {1, 1, 2, 4, 3},
+                        {1, 0, 3, 5, 3}};
+  for (const Step& step : steps) {
+    const std::string context =
+        "s" + std::to_string(step.source) + " t" + std::to_string(step.target);
+    auto r = service.Match(GridRequest(step.source, step.target));
+    ASSERT_TRUE(r.ok()) << context << ": " << r.status().ToString();
+    EXPECT_FALSE(r->session_reused) << context;
+    ExpectIdenticalToDirect(*r, repo, thesaurus, CupidConfig(), context);
+    EXPECT_EQ(hits->value(), step.hits) << context;
+    EXPECT_EQ(misses->value(), step.misses) << context;
+    EXPECT_EQ(live->value(), step.live) << context;
+  }
+}
+
+/// An artifact is served only for its own schema snapshot and binding:
+/// re-registration keys a new version, a repository replaced under the
+/// service (same name and version, other content) finds the old artifact
+/// pinning another schema, InvalidateAll empties the store, and configs
+/// whose tree build or linguistic binding differ build their own.
+TEST(MatchServiceTest, ArtifactStoreNeverServesStaleOrForeignArtifacts) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  RegisterSyntheticGrid(&repo, 3, 2720);
+  obs::MetricsRegistry metrics;
+  MatchService::Options options;
+  options.result_cache_capacity = 0;
+  options.metrics = &metrics;
+  MatchService service(&thesaurus, &repo, options);
+  obs::Counter* hits = metrics.GetCounter("cupid.service.artifacts.hits", "");
+  obs::Counter* misses =
+      metrics.GetCounter("cupid.service.artifacts.misses", "");
+  auto expect_run = [&](const MatchRequest& request, int64_t new_hits,
+                        int64_t new_misses, const std::string& context) {
+    const int64_t h = hits->value(), m = misses->value();
+    auto r = service.Match(request);
+    ASSERT_TRUE(r.ok()) << context << ": " << r.status().ToString();
+    ExpectIdenticalToDirect(*r, repo, thesaurus, request.config, context);
+    EXPECT_EQ(hits->value() - h, new_hits) << context;
+    EXPECT_EQ(misses->value() - m, new_misses) << context;
+  };
+  expect_run(GridRequest(0, 0), 0, 2, "cold");
+  expect_run(GridRequest(0, 2), 1, 1, "s0@1 shared");
+
+  SyntheticOptions other;
+  other.num_elements = 40;
+  other.seed = 2799;
+  ASSERT_TRUE(repo.Register("s0", GenerateSyntheticPair(other).source).ok());
+  expect_run(GridRequest(0, 1), 0, 2, "re-registered s0@2");
+
+  // Same names and versions, other content, while the sessions above still
+  // hold the old s0@1 and t1@1 artifacts. (The (s0, t1) session itself is
+  // at s0@2, so it rebuilds cold.)
+  SchemaRepository replaced;
+  RegisterSyntheticGrid(&replaced, 3, 2730);
+  repo = std::move(replaced);
+  expect_run(GridRequest(0, 1), 0, 2, "replaced repository");
+
+  service.InvalidateAll();
+  expect_run(GridRequest(1, 1), 0, 2, "invalidated");
+
+  CupidConfig no_views;
+  no_views.tree_build.expand_views = false;
+  expect_run(GridRequest(1, 1, no_views), 0, 2, "tree build differs");
+  CupidConfig weights;
+  weights.linguistic.token_weights.w[0] *= 0.5;
+  expect_run(GridRequest(1, 1, weights), 0, 2, "linguistic binding differs");
+  CupidConfig thns;
+  thns.linguistic.thns = 0.6;  // not read before the kernel
+  expect_run(GridRequest(1, 1, thns), 2, 0, "binding equal");
+}
+
+
 // ----------------------------------------------------------- job scheduler --
 
 TEST(JobSchedulerTest, BatchesAtOneAndManyWorkersBitIdentical) {

@@ -31,6 +31,26 @@ GATES = [
         # stops engaging.
         'min_ratio': 2.5,
     },
+    {
+        'name': 'match-service warm over cold',
+        'results': 'BENCH_service.json',
+        # Both serve 24 requests per iteration: cold runs a one-shot
+        # matcher per request, warm repeats them through the result cache.
+        'baseline': 'BM_ServiceColdDirect/1/real_time',
+        'candidate': 'BM_ServiceWarmRepeated/1/real_time',
+        # Locally ~50x; a ratio near 1 means cross-request caching stopped
+        # working.
+        'min_ratio': 2.0,
+    },
+    {
+        'name': 'corpus search pruned over naive loop',
+        'results': 'BENCH_corpus.json',
+        'baseline': 'BM_CorpusNaiveLoop/real_time',
+        'candidate': 'BM_CorpusSearchPruned/1/real_time',
+        # Locally ~7.6x (200 candidates -> 20 full matches); fails if the
+        # pre-screen or the shared cache silently stops engaging.
+        'min_ratio': 3.0,
+    },
 ]
 
 
