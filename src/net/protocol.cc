@@ -169,6 +169,13 @@ std::string Selfcheck(const MatchResponse& response,
   std::string nonleaf =
       compare(response.nonleaf_mapping, ref->nonleaf_mapping, "nonleaf");
   if (!nonleaf.empty()) return nonleaf;
+  // The reply carries the stored rendering, not the mappings above.
+  if (response.mapping_json != nullptr &&
+      *response.mapping_json !=
+          RenderMappingMembers(ref->leaf_mapping, ref->nonleaf_mapping,
+                               /*renders=*/nullptr)) {
+    return "mismatch: rendered mappings";
+  }
   return "ok";
 }
 
@@ -269,21 +276,25 @@ bool ProtocolExecutor::EmitMatchResponse(const MatchResponse& response,
                                          const CupidConfig& config,
                                          bool include_mappings,
                                          const Sink& sink) {
-  std::string json = response.ToJson(include_mappings);
-  // Splice server-side fields into the response object: the protocol
-  // version up front, status (and selfcheck) at the tail.
-  json.insert(1, "\"v\":" + std::to_string(kProtocolVersion) + ",");
-  json.pop_back();  // trailing '}'
-  json += ",\"status\":\"ok\"";
+  // The protocol version up front, the response's own members (its stored
+  // mapping JSON spliced in), then status (and selfcheck) at the tail.
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("v");
+  w.Int(kProtocolVersion);
+  response.WriteJsonFields(include_mappings, &w);
+  w.Key("status");
+  w.String("ok");
   bool ok = true;
   if (options_.selfcheck) {
     std::string verdict =
         Selfcheck(response, *repository_, *thesaurus_, config);
-    json += ",\"selfcheck\":\"" + JsonEscape(verdict) + "\"";
+    w.Key("selfcheck");
+    w.String(verdict);
     if (verdict != "ok") ok = false;
   }
-  json += "}";
-  sink(json);
+  w.EndObject();
+  sink(w.str());
   return ok;
 }
 
@@ -425,11 +436,17 @@ bool ProtocolExecutor::CmdSearch(const JsonValue& v, const Sink& sink) {
     sink(ErrorFrame("search", response.status()));
     return false;
   }
-  std::string json = response->ToJson();
-  json.insert(1, "\"v\":" + std::to_string(kProtocolVersion) + ",");
-  json.pop_back();  // trailing '}'
-  json += ",\"status\":\"ok\",\"cmd\":\"search\"}";
-  sink(json);
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("v");
+  w.Int(kProtocolVersion);
+  response->WriteJsonFields(&w);
+  w.Key("status");
+  w.String("ok");
+  w.Key("cmd");
+  w.String("search");
+  w.EndObject();
+  sink(w.str());
   return true;
 }
 

@@ -292,7 +292,9 @@ void SubscriptionBroker::ProcessEvent(const Event& event) {
       frame.append(",\"removed\":");
       AppendPairArray(removed, &frame);
       // The embedded response is MatchResponse::ToJson verbatim — byte-equal
-      // to the `response` object of a fresh `match` at these versions.
+      // to the `response` object of a fresh `match` at these versions. Its
+      // mappings are the group's one stored rendering, so N subscribers of
+      // a pair cost one render and N copies.
       frame.append("},\"response\":");
       frame.append(response.ToJson(true));
       frame.push_back('}');

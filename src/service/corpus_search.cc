@@ -300,49 +300,53 @@ Status SearchRequest::Validate() const {
 std::string SearchResponse::ToJson() const {
   JsonWriter w;
   w.BeginObject();
-  w.Key("source");
-  w.String(source);
-  w.Key("source_version");
-  w.Int(source_version);
-  w.Key("config_fingerprint");
-  w.String(StringFormat("%016llx",
-                        static_cast<unsigned long long>(config_fingerprint)));
-  w.Key("candidates_total");
-  w.Int(candidates_total);
-  w.Key("candidates_pruned");
-  w.Int(candidates_pruned);
-  w.Key("full_matches");
-  w.Int(full_matches);
-  w.Key("timings");
-  w.BeginObject();
-  w.Key("total_ms");
-  w.FixedDouble(timings.total_ms, 3);
-  w.Key("prescreen_ms");
-  w.FixedDouble(timings.prescreen_ms, 3);
-  w.Key("prepare_ms");
-  w.FixedDouble(timings.prepare_ms, 3);
-  w.Key("match_ms");
-  w.FixedDouble(timings.match_ms, 3);
-  w.EndObject();
-  w.Key("hits");
-  w.BeginArray();
-  for (const SearchHit& hit : hits) {
-    w.BeginObject();
-    w.Key("target");
-    w.String(hit.target);
-    w.Key("target_version");
-    w.Int(hit.target_version);
-    w.Key("score");
-    w.FixedDouble(hit.score, 6);
-    w.Key("prescreen");
-    w.FixedDouble(hit.prescreen, 6);
-    w.Key("leaf_elements");
-    w.Int(hit.leaf_elements);
-    w.EndObject();
-  }
-  w.EndArray();
+  WriteJsonFields(&w);
   w.EndObject();
   return std::move(w).str();
+}
+
+void SearchResponse::WriteJsonFields(JsonWriter* w) const {
+  w->Key("source");
+  w->String(source);
+  w->Key("source_version");
+  w->Int(source_version);
+  w->Key("config_fingerprint");
+  w->String(StringFormat("%016llx",
+                         static_cast<unsigned long long>(config_fingerprint)));
+  w->Key("candidates_total");
+  w->Int(candidates_total);
+  w->Key("candidates_pruned");
+  w->Int(candidates_pruned);
+  w->Key("full_matches");
+  w->Int(full_matches);
+  w->Key("timings");
+  w->BeginObject();
+  w->Key("total_ms");
+  w->FixedDouble(timings.total_ms, 3);
+  w->Key("prescreen_ms");
+  w->FixedDouble(timings.prescreen_ms, 3);
+  w->Key("prepare_ms");
+  w->FixedDouble(timings.prepare_ms, 3);
+  w->Key("match_ms");
+  w->FixedDouble(timings.match_ms, 3);
+  w->EndObject();
+  w->Key("hits");
+  w->BeginArray();
+  for (const SearchHit& hit : hits) {
+    w->BeginObject();
+    w->Key("target");
+    w->String(hit.target);
+    w->Key("target_version");
+    w->Int(hit.target_version);
+    w->Key("score");
+    w->FixedDouble(hit.score, 6);
+    w->Key("prescreen");
+    w->FixedDouble(hit.prescreen, 6);
+    w->Key("leaf_elements");
+    w->Int(hit.leaf_elements);
+    w->EndObject();
+  }
+  w->EndArray();
 }
 
 CorpusSearchService::CorpusSearchService(const Thesaurus* thesaurus,

@@ -56,6 +56,8 @@
 
 namespace cupid {
 
+class JsonWriter;
+
 /// One ranked search against the repository's stored schemas.
 struct SearchRequest {
   std::string source;      ///< repository name of the probe schema
@@ -132,6 +134,9 @@ struct SearchResponse {
   /// \brief Compact JSON object (the JSONL protocol payload). Scores use 6
   /// fixed decimals, timings 3, matching MatchResponse::ToJson.
   std::string ToJson() const;
+
+  /// \brief Writes ToJson's members into `w`'s open object.
+  void WriteJsonFields(JsonWriter* w) const;
 };
 
 /// \brief Ranking score of one full match result: total leaf-mapping wsim

@@ -44,6 +44,20 @@ void WriteMapping(const Mapping& mapping, JsonWriter* w) {
   w->EndObject();
 }
 
+constexpr char kMappingRenders[] = "cupid.service.mapping_renders";
+constexpr char kMappingRendersHelp[] =
+    "Match results rendered to mapping JSON (once per result; cached reads, "
+    "batch items and pushes reuse it)";
+
+/// The process-wide render counter, for responses that carry no rendering
+/// of their own (hand-built ones), which no service counts.
+obs::Counter* UnstoredRenders() {
+  static obs::Counter* const renders =
+      obs::MetricsRegistry::Default()->GetCounter(kMappingRenders,
+                                                  kMappingRendersHelp);
+  return renders;
+}
+
 /// Store key of `name`@`version`'s artifact: the version plus every config
 /// field the normalizer, categorizer and tree builder might read.
 std::string ArtifactKey(const std::string& name, int version,
@@ -59,53 +73,70 @@ std::string ArtifactKey(const std::string& name, int version,
 std::string MatchResponse::ToJson(bool include_mappings) const {
   JsonWriter w;
   w.BeginObject();
-  w.Key("source");
-  w.String(source);
-  w.Key("source_version");
-  w.Int(source_version);
-  w.Key("target");
-  w.String(target);
-  w.Key("target_version");
-  w.Int(target_version);
-  w.Key("config_fingerprint");
-  w.String(StringFormat("%016llx",
-                        static_cast<unsigned long long>(config_fingerprint)));
-  w.Key("result_cache_hit");
-  w.Bool(result_cache_hit);
-  w.Key("session_reused");
-  w.Bool(session_reused);
-  w.Key("incremental");
-  w.Bool(incremental);
-  w.Key("timings");
-  w.BeginObject();
-  w.Key("total_ms");
-  w.FixedDouble(timings.total_ms, 3);
-  w.Key("match_ms");
-  w.FixedDouble(timings.match_ms, 3);
-  w.Key("queue_ms");
-  w.FixedDouble(timings.queue_ms, 3);
+  WriteJsonFields(include_mappings, &w);
   w.EndObject();
-  w.Key("stats");
-  w.BeginObject();
-  w.Key("pairs_reused");
-  w.Int(stats.tree_match.pairs_reused);
-  w.Key("link_tests");
-  w.Int(stats.tree_match.link_tests);
-  w.Key("lsim_cached_pairs");
-  w.Int(stats.lsim_cached_pairs);
-  w.EndObject();
-  if (include_mappings) {
-    w.Key("leaf_mapping");
-    WriteMapping(leaf_mapping, &w);
-    w.Key("nonleaf_mapping");
-    WriteMapping(nonleaf_mapping, &w);
+  return std::move(w).str();
+}
+
+void MatchResponse::WriteJsonFields(bool include_mappings,
+                                    JsonWriter* w) const {
+  w->Key("source");
+  w->String(source);
+  w->Key("source_version");
+  w->Int(source_version);
+  w->Key("target");
+  w->String(target);
+  w->Key("target_version");
+  w->Int(target_version);
+  w->Key("config_fingerprint");
+  w->String(StringFormat("%016llx",
+                         static_cast<unsigned long long>(config_fingerprint)));
+  w->Key("result_cache_hit");
+  w->Bool(result_cache_hit);
+  w->Key("session_reused");
+  w->Bool(session_reused);
+  w->Key("incremental");
+  w->Bool(incremental);
+  w->Key("timings");
+  w->BeginObject();
+  w->Key("total_ms");
+  w->FixedDouble(timings.total_ms, 3);
+  w->Key("match_ms");
+  w->FixedDouble(timings.match_ms, 3);
+  w->Key("queue_ms");
+  w->FixedDouble(timings.queue_ms, 3);
+  w->EndObject();
+  w->Key("stats");
+  w->BeginObject();
+  w->Key("pairs_reused");
+  w->Int(stats.tree_match.pairs_reused);
+  w->Key("link_tests");
+  w->Int(stats.tree_match.link_tests);
+  w->Key("lsim_cached_pairs");
+  w->Int(stats.lsim_cached_pairs);
+  w->EndObject();
+  if (!include_mappings) {
+    w->Key("leaf_elements");
+    w->Int(static_cast<int64_t>(leaf_mapping.size()));
+    w->Key("nonleaf_elements");
+    w->Int(static_cast<int64_t>(nonleaf_mapping.size()));
+  } else if (mapping_json != nullptr) {
+    w->RawMembers(*mapping_json);
   } else {
-    w.Key("leaf_elements");
-    w.Int(static_cast<int64_t>(leaf_mapping.size()));
-    w.Key("nonleaf_elements");
-    w.Int(static_cast<int64_t>(nonleaf_mapping.size()));
+    w->RawMembers(RenderMappingMembers(leaf_mapping, nonleaf_mapping,
+                                       UnstoredRenders()));
   }
-  w.EndObject();
+}
+
+std::string RenderMappingMembers(const Mapping& leaf_mapping,
+                                 const Mapping& nonleaf_mapping,
+                                 obs::Counter* renders) {
+  if (renders != nullptr) renders->Increment();
+  JsonWriter w;  // a bare member list
+  w.Key("leaf_mapping");
+  WriteMapping(leaf_mapping, &w);
+  w.Key("nonleaf_mapping");
+  WriteMapping(nonleaf_mapping, &w);
   return std::move(w).str();
 }
 
@@ -173,6 +204,7 @@ MatchService::MatchService(const Thesaurus* thesaurus,
   artifacts_live_ = reg->GetGauge(
       "cupid.service.artifacts.live",
       "Live schema-version artifacts in the store, as of its last update");
+  mapping_renders_ = reg->GetCounter(kMappingRenders, kMappingRendersHelp);
   baseline_ = CacheStats{result_hits_->value(),
                          result_misses_->value(),
                          result_evictions_->value(),
@@ -235,28 +267,31 @@ void MatchService::PublishArtifact(
 }
 
 std::shared_ptr<const MatchResponse> MatchService::CacheLookup(
-    const ResultKey& key) {
+    const ResultKey& key, const std::shared_ptr<const Schema>& source,
+    const std::shared_ptr<const Schema>& target) {
   MutexLock lock(&cache_mu_);
   auto it = result_cache_.find(key);
-  if (it == result_cache_.end()) {
+  if (it == result_cache_.end() ||
+      it->second->second.source_schema.lock() != source ||
+      it->second->second.target_schema.lock() != target) {
+    // A stale entry stays until this request's result replaces it.
     result_misses_->Increment();
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // touch
   result_hits_->Increment();
-  return it->second->second;
+  return it->second->second.response;
 }
 
-void MatchService::CacheInsert(const ResultKey& key,
-                               std::shared_ptr<const MatchResponse> response) {
+void MatchService::CacheInsert(const ResultKey& key, CachedResult result) {
   MutexLock lock(&cache_mu_);
   auto it = result_cache_.find(key);
   if (it != result_cache_.end()) {
-    it->second->second = std::move(response);
+    it->second->second = std::move(result);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(response));
+  lru_.emplace_front(key, std::move(result));
   result_cache_[key] = lru_.begin();
   while (result_cache_.size() >
          static_cast<size_t>(options_.result_cache_capacity)) {
@@ -290,8 +325,10 @@ Result<MatchResponse> MatchService::Match(const MatchRequest& request) {
   bool cacheable =
       request.use_result_cache && options_.result_cache_capacity > 0;
   if (cacheable) {
-    if (std::shared_ptr<const MatchResponse> hit = CacheLookup(key)) {
-      MatchResponse response = *hit;  // value copy; the cached one is shared
+    if (std::shared_ptr<const MatchResponse> hit =
+            CacheLookup(key, source.schema, target.schema)) {
+      // Value copy; the cached one, and its rendering, are shared.
+      MatchResponse response = *hit;
       response.result_cache_hit = true;
       response.session_reused = false;
       response.incremental = false;
@@ -369,14 +406,24 @@ Result<MatchResponse> MatchService::Match(const MatchRequest& request) {
     }
   }
 
+  // Rendered once here; every reply of this result splices these bytes.
+  Clock::time_point t_render = Clock::now();
+  response.mapping_json = std::make_shared<const std::string>(
+      RenderMappingMembers(response.leaf_mapping, response.nonleaf_mapping,
+                           mapping_renders_));
+  const double render_ms = MsSince(t_render);
+
   response.timings.total_ms = MsSince(t_start);
   request_ms_->Observe(response.timings.total_ms);
   span.Attr("cache_hit", 0);
   span.Attr("session_reused", response.session_reused ? 1 : 0);
   span.Attr("incremental", response.incremental ? 1 : 0);
   span.Attr("match_ms", response.timings.match_ms);
+  span.Attr("render_ms", render_ms);
   if (cacheable) {
-    CacheInsert(key, std::make_shared<const MatchResponse>(response));
+    CacheInsert(key, CachedResult{std::make_shared<const MatchResponse>(
+                                      response),
+                                  source.schema, target.schema});
   }
   return response;
 }
@@ -388,6 +435,15 @@ Status MatchService::MatchOnSession(const MatchRequest& request,
   const int source_version = response->source_version;
   const int target_version = response->target_version;
   bool reused;
+  if (entry->session != nullptr &&
+      !(StillInRepository(request.source, entry->source_version,
+                          entry->source_schema) &&
+        StillInRepository(request.target, entry->target_version,
+                          entry->target_schema))) {
+    // The repository was replaced under the session: its versions name
+    // other schemas now, and no edit chain leads from what it matched.
+    entry->session.reset();
+  }
   if (entry->session != nullptr &&
       (entry->source_version != source_version ||
        entry->target_version != target_version)) {
@@ -448,6 +504,8 @@ Status MatchService::MatchOnSession(const MatchRequest& request,
   response->timings.match_ms = MsSince(t_match);
   entry->source_version = source_version;
   entry->target_version = target_version;
+  entry->source_schema = source.schema;
+  entry->target_schema = target.schema;
 
   const MatchResult* result = *rematch;
   response->leaf_mapping = result->leaf_mapping;
@@ -457,6 +515,15 @@ Status MatchService::MatchOnSession(const MatchRequest& request,
   response->incremental = response->stats.incremental;
   if (response->incremental) incremental_rematches_->Increment();
   return Status::OK();
+}
+
+bool MatchService::StillInRepository(
+    const std::string& name, int version,
+    const std::weak_ptr<const Schema>& seen) const {
+  const std::shared_ptr<const Schema> schema = seen.lock();
+  if (schema == nullptr) return false;
+  auto held = repository_->Get(name, version);
+  return held.ok() && *held == schema;
 }
 
 void MatchService::InvalidateAll() {

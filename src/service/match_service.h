@@ -23,10 +23,12 @@
 //   * a direct CupidMatcher path for requests that opt out of session
 //     state (use_session=false).
 //
-// Responses carry value-semantic mappings (safe to cache and share) and
-// are bit-identical to CupidMatcher::Match on the same schema versions
-// regardless of which path served them (tests/service_test.cc hammers this
-// from N concurrent clients).
+// Responses carry value-semantic mappings (safe to cache and share) plus
+// their JSON rendering, made once per result and shared by every cached
+// read, batch item and push of it. They are bit-identical to
+// CupidMatcher::Match on the same schema versions regardless of which path
+// served them (tests/service_test.cc hammers this from N concurrent
+// clients).
 
 #ifndef CUPID_SERVICE_MATCH_SERVICE_H_
 #define CUPID_SERVICE_MATCH_SERVICE_H_
@@ -47,6 +49,8 @@
 #include "util/thread_annotations.h"
 
 namespace cupid {
+
+class JsonWriter;
 
 /// One match request against repository schemas.
 struct MatchRequest {
@@ -94,10 +98,28 @@ struct MatchResponse {
 
   ServiceTimings timings;
 
+  /// `"leaf_mapping":{…},"nonleaf_mapping":{…}` rendered from this
+  /// response's own mappings, shared by every copy (immutable). Only
+  /// MatchService sets it, on the results it returns and caches; it is null
+  /// on hand-built responses, whose mappings ToJson renders itself. Whoever
+  /// changes a copy's mappings must reset it.
+  std::shared_ptr<const std::string> mapping_json;
+
   /// \brief Compact JSON object (the JSONL protocol payload). Mapping
   /// similarity values use 6 fixed decimals, matching RenderMappingJson.
   std::string ToJson(bool include_mappings = true) const;
+
+  /// \brief Writes ToJson's members into `w`'s open object, so a reply
+  /// that adds fields of its own copies the mappings only once.
+  void WriteJsonFields(bool include_mappings, JsonWriter* w) const;
 };
+
+/// \brief The mapping members of MatchResponse::ToJson(true):
+/// `"leaf_mapping":{…},"nonleaf_mapping":{…}`. Counts one render on
+/// `renders` when that is non-null.
+std::string RenderMappingMembers(const Mapping& leaf_mapping,
+                                 const Mapping& nonleaf_mapping,
+                                 obs::Counter* renders);
 
 /// \brief Concurrent match front door over a SchemaRepository.
 class MatchService {
@@ -183,12 +205,23 @@ class MatchService {
     size_t operator()(const ResultKey& k) const;
   };
 
+  /// A cached response and the repository schemas it was computed from: a
+  /// repository replaced under the service may reuse names and versions.
+  struct CachedResult {
+    std::shared_ptr<const MatchResponse> response;
+    std::weak_ptr<const Schema> source_schema, target_schema;
+  };
+
   /// Warm per-pair state; `mu` serializes matches on the pair.
   struct PairEntry {
     Mutex mu;
     std::unique_ptr<MatchSession> session GUARDED_BY(mu);
     int source_version GUARDED_BY(mu) = 0;
     int target_version GUARDED_BY(mu) = 0;
+    /// The repository's schemas at those versions when the session last
+    /// matched them; the session is reused only over these very objects.
+    std::weak_ptr<const Schema> source_schema GUARDED_BY(mu);
+    std::weak_ptr<const Schema> target_schema GUARDED_BY(mu);
   };
 
   /// The LsimCache shared by every session of `source` whose linguistic
@@ -197,9 +230,12 @@ class MatchService {
   std::shared_ptr<LsimCache> LsimCacheFor(const std::string& source,
                                           const CupidConfig& config);
 
-  std::shared_ptr<const MatchResponse> CacheLookup(const ResultKey& key);
-  void CacheInsert(const ResultKey& key,
-                   std::shared_ptr<const MatchResponse> response);
+  /// The response cached under `key` when it was computed from these very
+  /// schemas; anything else counts as a miss.
+  std::shared_ptr<const MatchResponse> CacheLookup(
+      const ResultKey& key, const std::shared_ptr<const Schema>& source,
+      const std::shared_ptr<const Schema>& target);
+  void CacheInsert(const ResultKey& key, CachedResult result);
 
   /// Runs the request on the pair's (possibly warmed) session, filling
   /// `response`'s mappings/flags/stats (its header fields — names,
@@ -208,6 +244,9 @@ class MatchService {
   Status MatchOnSession(const MatchRequest& request, PairEntry* entry,
                         const MatchSide& source, const MatchSide& target,
                         MatchResponse* response) REQUIRES(entry->mu);
+  /// True when the repository still holds `seen` as `name`@`version`.
+  bool StillInRepository(const std::string& name, int version,
+                         const std::weak_ptr<const Schema>& seen) const;
 
   /// `snapshot`'s schema with the artifact stored under `key` when that is
   /// alive and pins this very schema (so a reloaded lineage never matches).
@@ -223,12 +262,9 @@ class MatchService {
 
   mutable Mutex cache_mu_;
   /// LRU: most recent at front; map values point into the list.
-  std::list<std::pair<ResultKey, std::shared_ptr<const MatchResponse>>> lru_
-      GUARDED_BY(cache_mu_);
+  std::list<std::pair<ResultKey, CachedResult>> lru_ GUARDED_BY(cache_mu_);
   std::unordered_map<ResultKey,
-                     std::list<std::pair<
-                         ResultKey, std::shared_ptr<const MatchResponse>>>::
-                         iterator,
+                     std::list<std::pair<ResultKey, CachedResult>>::iterator,
                      ResultKeyHash>
       result_cache_ GUARDED_BY(cache_mu_);
 
@@ -273,6 +309,7 @@ class MatchService {
   obs::Counter* artifact_hits_;    ///< cold-session sides found live
   obs::Counter* artifact_misses_;  ///< cold-session sides built
   obs::Gauge* artifacts_live_;     ///< store entries alive at the last store
+  obs::Counter* mapping_renders_;  ///< results rendered to JSON
   CacheStats baseline_;
 };
 

@@ -11,20 +11,22 @@
 namespace cupid {
 
 void JsonEscapeTo(std::string_view s, std::string* out) {
-  for (char c : s) {
+  // Bytes that need no escape are appended a run at a time.
+  size_t start = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + start, i - start);
+    start = i + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
       case '\n': *out += "\\n"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StringFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
+      default: *out += StringFormat("\\u%04x", c);
     }
   }
+  out->append(s.data() + start, s.size() - start);
 }
 
 std::string JsonEscape(std::string_view s) {
@@ -52,6 +54,15 @@ void JsonWriter::Key(std::string_view name) {
   JsonEscapeTo(name, &out_);
   out_ += "\":";
   after_key_ = true;
+}
+
+void JsonWriter::RawMembers(std::string_view members) {
+  assert(!after_key_);
+  Prefix();
+  // Headroom for the closing members and braces that usually follow, so a
+  // large splice is copied once.
+  out_.reserve(out_.size() + members.size() + 64);
+  out_.append(members);
 }
 
 void JsonWriter::String(std::string_view value) {

@@ -48,8 +48,14 @@ class JsonWriter {
   void BeginArray() { Prefix(); out_ += '['; PushContainer(); }
   void EndArray() { PopContainer(); out_ += ']'; }
 
-  /// Emits `"name":` (must be inside an object, before a value).
+  /// Emits `"name":` (must be inside an object, before a value). At the
+  /// top level, Key/value pairs form a bare member list (`"a":1,"b":2`),
+  /// the form RawMembers splices.
   void Key(std::string_view name);
+
+  /// Splices pre-rendered members (`"a":1,"b":{…}`, non-empty) into the
+  /// open object, comma-separated from their siblings like one Key/value.
+  void RawMembers(std::string_view members);
 
   void String(std::string_view value);
   void Int(int64_t value);

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/cupid_matcher.h"
 #include "incremental/schema_edit.h"
 #include "net/poll_reader.h"
 #include "net/protocol.h"
@@ -325,6 +326,30 @@ std::string JsonField(const std::string& json, const char* key) {
   return parsed->GetString(key);
 }
 
+/// The mapping members a direct CupidMatcher run of repository schemas a
+/// and b renders: what every reply's mapping section must equal.
+std::string DirectMappingMembers(const SchemaRepository& repo) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  auto a = repo.Get("a");
+  auto b = repo.Get("b");
+  if (!a.ok() || !b.ok()) return "<schemas missing>";
+  auto ref = CupidMatcher(&thesaurus, CupidConfig()).Match(**a, **b);
+  if (!ref.ok()) return "<direct match failed>";
+  return RenderMappingMembers(ref->leaf_mapping, ref->nonleaf_mapping,
+                              /*renders=*/nullptr);
+}
+
+/// `reply` from `"leaf_mapping":` up to (not including) `end`, which is
+/// searched from the back.
+std::string MappingMembers(const std::string& reply, const std::string& end) {
+  size_t start = reply.find("\"leaf_mapping\":");
+  size_t stop = reply.rfind(end);
+  if (start == std::string::npos || stop == std::string::npos || stop < start) {
+    return "<no mapping members in " + reply + ">";
+  }
+  return reply.substr(start, stop - start);
+}
+
 // ---------------------------------------------------------------------------
 // SocketServer protocol behavior
 // ---------------------------------------------------------------------------
@@ -475,6 +500,106 @@ TEST(ProtocolExecutorTest, SocketModeRefusesFilesystemCommands) {
   EXPECT_EQ(JsonField(registered, "status"), "ok") << registered;
   EXPECT_EQ(stdin_names, 1u);
   std::remove(file.c_str());
+}
+
+/// Match, cached-read and batch replies splice the result's one stored
+/// rendering after the protocol version, and the bytes equal a direct
+/// match's rendering; a cached read renders nothing.
+TEST(ProtocolExecutorTest, RepliesSpliceOneRenderingPerResult) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  ASSERT_TRUE(repo.RegisterText("a", SchemaFormat::kNative, kSchemaA).ok());
+  ASSERT_TRUE(repo.RegisterText("b", SchemaFormat::kNative, kSchemaB).ok());
+  obs::MetricsRegistry metrics;
+  MatchService::Options service_options;
+  service_options.metrics = &metrics;
+  MatchService service(&thesaurus, &repo, service_options);
+  obs::Counter* renders =
+      metrics.GetCounter("cupid.service.mapping_renders", "");
+  ProtocolExecutor::Options options;
+  options.selfcheck = true;  // also checks the spliced bytes
+  ProtocolExecutor executor(&thesaurus, &repo, &service,
+                            /*scheduler=*/nullptr, /*search=*/nullptr,
+                            /*broker=*/nullptr, options);
+  auto run = [&](const std::string& line) {
+    std::vector<std::string> out;
+    EXPECT_TRUE(executor.Execute(0, line, [&out](const std::string& frame) {
+      out.push_back(frame);
+    })) << line;
+    return out;
+  };
+  const std::string want = DirectMappingMembers(repo);
+  auto expect_reply = [&](const std::string& reply, bool hit,
+                          const std::string& context) {
+    EXPECT_EQ(reply.rfind("{\"v\":1,\"source\":\"a\",", 0), 0u)
+        << context << ": " << reply;
+    EXPECT_EQ(MappingMembers(reply, ",\"status\":\"ok\""), want) << context;
+    EXPECT_NE(reply.find(",\"status\":\"ok\",\"selfcheck\":\"ok\"}"),
+              std::string::npos)
+        << context << ": " << reply;
+    EXPECT_NE(reply.find(hit ? "\"result_cache_hit\":true"
+                             : "\"result_cache_hit\":false"),
+              std::string::npos)
+        << context << ": " << reply;
+  };
+  const std::string match =
+      "{\"cmd\":\"match\",\"source\":\"a\",\"target\":\"b\"}";
+  std::vector<std::string> cold = run(match);
+  ASSERT_EQ(cold.size(), 1u);
+  expect_reply(cold[0], false, "cold");
+  EXPECT_EQ(renders->value(), 1);
+
+  std::vector<std::string> cached = run(match);
+  ASSERT_EQ(cached.size(), 1u);
+  expect_reply(cached[0], true, "cached read");
+  EXPECT_EQ(renders->value(), 1);
+
+  std::vector<std::string> batch = run(
+      "{\"cmd\":\"batch\",\"requests\":["
+      "{\"source\":\"a\",\"target\":\"b\"},"
+      "{\"source\":\"a\",\"target\":\"b\",\"use_result_cache\":false},"
+      "{\"source\":\"a\",\"target\":\"b\",\"mappings\":false}]}");
+  ASSERT_EQ(batch.size(), 3u);
+  expect_reply(batch[0], true, "batch cached");
+  expect_reply(batch[1], false, "batch uncached");
+  EXPECT_NE(batch[2].find("\"leaf_elements\":"), std::string::npos)
+      << batch[2];
+  EXPECT_EQ(batch[2].find("\"leaf_mapping\""), std::string::npos) << batch[2];
+  EXPECT_EQ(renders->value(), 2);  // the uncached item only
+}
+
+/// One mutation pushed to N subscribers of one pair renders its result
+/// once; every frame embeds the same bytes, equal to a direct match's.
+TEST(SubscriptionTest, PushToManySubscribersRendersOnce) {
+  constexpr int kSubscribers = 4;
+  ServerFixture fx;
+  std::vector<std::unique_ptr<TestClient>> subscribers;
+  for (int i = 0; i < kSubscribers; ++i) {
+    subscribers.push_back(std::make_unique<TestClient>(fx.port()));
+    ASSERT_TRUE(subscribers.back()->connected());
+    ASSERT_TRUE(subscribers.back()->Send(
+        "{\"cmd\":\"subscribe\",\"source\":\"a\",\"target\":\"b\"}"));
+    EXPECT_EQ(JsonField(subscribers.back()->ReadLine(), "cmd"), "subscribe");
+  }
+  obs::Counter* unstored = obs::MetricsRegistry::Default()->GetCounter(
+      "cupid.service.mapping_renders", "");
+  const int64_t renders = fx.CounterValue("cupid.service.mapping_renders");
+  const int64_t unstored_renders = unstored->value();
+
+  ASSERT_TRUE(fx.repo()
+                  ->ApplyEdit("a", SchemaEdit::RenameElement(
+                                       EditSide::kSource, "A.R.Qty",
+                                       "Quantity"))
+                  .ok());
+  std::vector<std::string> frames;
+  for (auto& subscriber : subscribers) {
+    frames.push_back(subscriber->ReadLine());
+    ASSERT_EQ(JsonField(frames.back(), "event"), "push") << frames.back();
+  }
+  for (const std::string& frame : frames) EXPECT_EQ(frame, frames[0]);
+  EXPECT_EQ(MappingMembers(frames[0], "}}"), DirectMappingMembers(*fx.repo()));
+  EXPECT_EQ(fx.CounterValue("cupid.service.mapping_renders") - renders, 1);
+  EXPECT_EQ(unstored->value() - unstored_renders, 0);
 }
 
 TEST(SocketServerTest, ClientDisconnectMidPushClosesOnlyThatConnection) {

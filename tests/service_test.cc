@@ -980,6 +980,180 @@ TEST(MatchServiceTest, ArtifactStoreNeverServesStaleOrForeignArtifacts) {
 }
 
 
+constexpr char kOldA[] =
+    "schema A\n"
+    "node R\n"
+    "  leaf Qty decimal\n"
+    "  leaf City string\n"
+    "  leaf Street string\n";
+constexpr char kNewA[] =
+    "schema A\n"
+    "node R\n"
+    "  leaf Qty decimal\n"
+    "  leaf Town string\n"
+    "  leaf Zip integer\n";
+constexpr char kB[] =
+    "schema B\n"
+    "node R\n"
+    "  leaf Quantity decimal\n"
+    "  leaf City string\n"
+    "  leaf Street string\n";
+
+/// A repository replaced under the service repeats names and versions with
+/// other content. Neither a cached result nor a warm session of the old
+/// schemas may serve it: not at equal versions, and not by replaying the
+/// new lineage's edit chain onto the old session.
+TEST(MatchServiceTest, ReplacedRepositoryServesNoStaleResults) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  MatchRequest request;
+  request.source = "a";
+  request.target = "b";
+  for (int capacity : {128, 0}) {
+    for (bool edited : {false, true}) {
+      const std::string context =
+          StringFormat("result cache %d, %s", capacity,
+                       edited ? "new lineage edited" : "same versions");
+      SchemaRepository repo;
+      ASSERT_TRUE(repo.RegisterText("a", SchemaFormat::kNative, kOldA).ok());
+      ASSERT_TRUE(repo.RegisterText("b", SchemaFormat::kNative, kB).ok());
+      obs::MetricsRegistry metrics;
+      MatchService::Options options;
+      options.result_cache_capacity = capacity;
+      options.metrics = &metrics;
+      MatchService service(&thesaurus, &repo, options);
+      ASSERT_TRUE(service.Match(request).ok()) << context;
+
+      SchemaRepository replaced;
+      ASSERT_TRUE(
+          replaced.RegisterText("a", SchemaFormat::kNative, kNewA).ok());
+      ASSERT_TRUE(replaced.RegisterText("b", SchemaFormat::kNative, kB).ok());
+      if (edited) {
+        ASSERT_TRUE(replaced
+                        .ApplyEdit("a", SchemaEdit::RenameElement(
+                                            EditSide::kSource, "A.R.Qty",
+                                            "Quantity"))
+                        .ok());
+      }
+      repo = std::move(replaced);
+
+      auto r = service.Match(request);
+      ASSERT_TRUE(r.ok()) << context << ": " << r.status().ToString();
+      EXPECT_FALSE(r->result_cache_hit) << context;
+      EXPECT_FALSE(r->session_reused) << context;
+      ExpectIdenticalToDirect(*r, repo, thesaurus, CupidConfig(), context);
+      // The rebuilt state serves the new schemas from then on.
+      auto again = service.Match(request);
+      ASSERT_TRUE(again.ok()) << context;
+      EXPECT_EQ(again->result_cache_hit, capacity > 0) << context;
+      EXPECT_EQ(again->session_reused, capacity == 0) << context;
+      ExpectIdenticalToDirect(*again, repo, thesaurus, CupidConfig(),
+                              context + " again");
+    }
+  }
+}
+
+/// `response` carries its rendering, and splicing it writes the bytes a
+/// fresh render of the response's own mappings writes.
+void ExpectSplicedEqualsRendered(const MatchResponse& response,
+                                 const std::string& context) {
+  ASSERT_NE(response.mapping_json, nullptr) << context;
+  MatchResponse unstored = response;
+  unstored.mapping_json.reset();
+  EXPECT_EQ(response.ToJson(true), unstored.ToJson(true)) << context;
+  EXPECT_EQ(response.ToJson(false), unstored.ToJson(false)) << context;
+}
+
+/// Every result is rendered once, by the service, and every reply of it
+/// (cached reads, batch items) splices those very bytes.
+TEST(MatchServiceTest, EachResultRendersOnceAndRepliesStayByteEqual) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  ASSERT_TRUE(repo.Register("po", Fig2Po()).ok());
+  ASSERT_TRUE(repo.Register("order", Fig2PurchaseOrder()).ok());
+  obs::MetricsRegistry metrics;
+  MatchService::Options options;
+  options.metrics = &metrics;
+  MatchService service(&thesaurus, &repo, options);
+  obs::Counter* renders =
+      metrics.GetCounter("cupid.service.mapping_renders", "");
+  MatchRequest request;
+  request.source = "po";
+  request.target = "order";
+
+  auto cold = service.Match(request);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ExpectSplicedEqualsRendered(*cold, "cold");
+  EXPECT_EQ(renders->value(), 1);
+
+  auto hit = service.Match(request);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->result_cache_hit);
+  EXPECT_EQ(hit->mapping_json.get(), cold->mapping_json.get());
+  ExpectSplicedEqualsRendered(*hit, "cache hit");
+  EXPECT_EQ(renders->value(), 1);
+
+  MatchRequest uncached = request;
+  uncached.use_result_cache = false;
+  auto warm = service.Match(uncached);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->session_reused);
+  ExpectSplicedEqualsRendered(*warm, "use_result_cache:false");
+  EXPECT_EQ(*warm->mapping_json, *cold->mapping_json);
+  EXPECT_EQ(renders->value(), 2);
+
+  MatchRequest direct = uncached;
+  direct.use_session = false;
+  auto one_shot = service.Match(direct);
+  ASSERT_TRUE(one_shot.ok());
+  ExpectSplicedEqualsRendered(*one_shot, "one-shot");
+  EXPECT_EQ(*one_shot->mapping_json, *cold->mapping_json);
+  EXPECT_EQ(renders->value(), 3);
+
+  // K edits, each pushed once and read three times: K renders.
+  constexpr int kEdits = 4;
+  std::string path = "PO.POLines.Item.Qty";
+  const int64_t before_edits = renders->value();
+  for (int k = 0; k < kEdits; ++k) {
+    const std::string context = "edit " + std::to_string(k);
+    ASSERT_TRUE(RenameInRepository(&repo, "po", k, &path).ok()) << context;
+    auto pushed = service.Match(request);
+    ASSERT_TRUE(pushed.ok()) << context;
+    EXPECT_TRUE(pushed->incremental) << context;
+    ExpectSplicedEqualsRendered(*pushed, context);
+    ExpectIdenticalToDirect(*pushed, repo, thesaurus, CupidConfig(), context);
+    for (int read = 0; read < 3; ++read) {
+      auto r = service.Match(request);
+      ASSERT_TRUE(r.ok()) << context;
+      EXPECT_TRUE(r->result_cache_hit) << context;
+      EXPECT_EQ(r->mapping_json.get(), pushed->mapping_json.get()) << context;
+    }
+  }
+  EXPECT_EQ(renders->value() - before_edits, kEdits);
+
+  // Batch items: the cached ones share the stored bytes, the uncached one
+  // renders its own.
+  auto stored = service.Match(request);
+  ASSERT_TRUE(stored.ok());
+  JobScheduler::Options scheduler_options;
+  scheduler_options.num_threads = 2;
+  JobScheduler scheduler(&service, scheduler_options);
+  const int64_t before_batch = renders->value();
+  std::vector<Result<MatchResponse>> items =
+      scheduler.MatchBatch({request, request, uncached, request});
+  ASSERT_EQ(items.size(), 4u);
+  for (size_t i = 0; i < items.size(); ++i) {
+    const std::string context = "batch item " + std::to_string(i);
+    ASSERT_TRUE(items[i].ok()) << context;
+    ExpectSplicedEqualsRendered(*items[i], context);
+    EXPECT_EQ(*items[i]->mapping_json, *stored->mapping_json) << context;
+    if (i != 2) {
+      EXPECT_EQ(items[i]->mapping_json.get(), stored->mapping_json.get())
+          << context;
+    }
+  }
+  EXPECT_EQ(renders->value() - before_batch, 1);
+}
+
 // ----------------------------------------------------------- job scheduler --
 
 TEST(JobSchedulerTest, BatchesAtOneAndManyWorkersBitIdentical) {

@@ -343,6 +343,74 @@ TEST(JsonWriterTest, EscapesControlCharacters) {
   EXPECT_EQ(JsonEscape(std::string("a\x01" "b\tc", 5)), "a\\u0001b\\tc");
 }
 
+/// The per-character escaper JsonEscapeTo replaced: the run-appending one
+/// must write the same bytes.
+std::string ReferenceEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StringFormat("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonWriterTest, EscapeMatchesPerCharacterReference) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    const std::string framed = "ab" + one + "cd" + one;
+    EXPECT_EQ(JsonEscape(one), ReferenceEscape(one)) << "byte " << b;
+    EXPECT_EQ(JsonEscape(framed), ReferenceEscape(framed)) << "byte " << b;
+  }
+  SplitMix64 rng(2801);
+  for (int i = 0; i < 20000; ++i) {
+    std::string s(rng.NextBounded(40), '\0');
+    // Mostly plain bytes, with escapes in runs, at the ends and adjacent.
+    for (char& c : s) {
+      c = static_cast<char>(rng.NextBounded(4) == 0 ? rng.NextBounded(0x24)
+                                                    : rng.NextBounded(256));
+    }
+    std::string appended = "prefix";
+    JsonEscapeTo(s, &appended);
+    ASSERT_EQ(appended, "prefix" + ReferenceEscape(s)) << "string " << i;
+  }
+}
+
+TEST(JsonWriterTest, RawMembersSpliceLikeKeyValuePairs) {
+  JsonWriter members;  // a bare member list at the top level
+  members.Key("a");
+  members.Int(1);
+  members.Key("b");
+  members.BeginObject();
+  members.EndObject();
+  ASSERT_EQ(members.str(), "\"a\":1,\"b\":{}");
+
+  JsonWriter first;
+  first.BeginObject();
+  first.RawMembers(members.str());
+  first.Key("c");
+  first.Bool(true);
+  first.EndObject();
+  EXPECT_EQ(std::move(first).str(), "{\"a\":1,\"b\":{},\"c\":true}");
+
+  JsonWriter after;
+  after.BeginObject();
+  after.Key("c");
+  after.Bool(true);
+  after.RawMembers(members.str());
+  after.EndObject();
+  EXPECT_EQ(std::move(after).str(), "{\"c\":true,\"a\":1,\"b\":{}}");
+}
+
 TEST(JsonParserTest, ParsesDocuments) {
   auto r = ParseJson(
       R"({"cmd":"match","n":2.5,"deep":{"list":[1,-2,3e2]},"on":true,"x":null})");

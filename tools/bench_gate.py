@@ -51,6 +51,18 @@ GATES = [
         # pre-screen or the shared cache silently stops engaging.
         'min_ratio': 3.0,
     },
+    {
+        'name': 'tracing overhead on the warm path',
+        'results': 'BENCH_trace_overhead.json',
+        # The same 24 warm requests per iteration, untraced and traced into
+        # a null sink. Traced throughput >= 0.85x untraced; the isolated
+        # cost is ~75 ns per request, under 1% of a warm request, so the
+        # bound only catches a disabled fast path regressing to always-on
+        # formatting or worse.
+        'baseline': 'BM_ServiceWarmRepeated/1/real_time',
+        'candidate': 'BM_ServiceWarmTraced/1/real_time',
+        'min_ratio': 0.85,
+    },
 ]
 
 
