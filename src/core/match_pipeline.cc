@@ -59,8 +59,8 @@ bool HasJoinViews(const SchemaTree& tree) {
 /// Node correspondence new -> old, read off the lsim plan's element map
 /// (`element_map`) and anchored at the parent: a node maps to the first
 /// unclaimed child of its parent's counterpart whose element is the plan's
-/// counterpart of its own, so the map stays injective; `inverse` receives
-/// old -> new. Type substitution (Section 8.2) expands a shared type once
+/// counterpart of its own, so the map stays injective and a mapped node's
+/// parent is mapped. Type substitution (Section 8.2) expands a shared type once
 /// per context, and the parent tells the contexts apart. Parents precede
 /// children in id order (the pre-order build of Figure 4), so one
 /// ascending pass suffices; the root maps to the old root when its element
@@ -69,13 +69,12 @@ bool HasJoinViews(const SchemaTree& tree) {
 /// independently downstream, so a wrong pairing only costs reuse.
 void MapNodes(const SchemaTree& nw, const SchemaTree& old,
               const std::vector<ElementId>& element_map,
-              std::vector<TreeNodeId>* map,
-              std::vector<TreeNodeId>* inverse) {
+              std::vector<TreeNodeId>* map) {
   map->assign(static_cast<size_t>(nw.num_nodes()), kNoTreeNode);
-  inverse->assign(static_cast<size_t>(old.num_nodes()), kNoTreeNode);
+  std::vector<uint8_t> claimed(static_cast<size_t>(old.num_nodes()), 0);
   auto claim = [&](TreeNodeId n, TreeNodeId o) {
     (*map)[static_cast<size_t>(n)] = o;
-    (*inverse)[static_cast<size_t>(o)] = n;
+    claimed[static_cast<size_t>(o)] = 1;
   };
   // Per old node, its first child not yet claimed: the supported edits keep
   // sibling order, so the claimed child is usually the one at the cursor.
@@ -97,13 +96,11 @@ void MapNodes(const SchemaTree& nw, const SchemaTree& old,
     size_t& first = cursor[static_cast<size_t>(op)];
     for (size_t i = first; i < kids.size(); ++i) {
       const TreeNodeId c = kids[i];
-      if ((*inverse)[static_cast<size_t>(c)] != kNoTreeNode ||
-          old.node(c).source != oe) {
+      if (claimed[static_cast<size_t>(c)] || old.node(c).source != oe) {
         continue;
       }
       claim(n, c);
-      while (first < kids.size() &&
-             (*inverse)[static_cast<size_t>(kids[first])] != kNoTreeNode) {
+      while (first < kids.size() && claimed[static_cast<size_t>(kids[first])]) {
         ++first;
       }
       break;
@@ -145,25 +142,24 @@ void ComputeReusable(const SchemaTree& nw, const SchemaTree& old,
 /// The warm-start input relating the new trees to the previous run's state:
 /// node correspondence and per-node lsim flags read off the lsim plan of the
 /// same run, reusable flags, and the seed dirty set (new/retyped leaves as
-/// whole rows/columns, changed lsim cells pointwise, and the blocks of
-/// feedback events fired by old nodes that have no new counterpart).
+/// whole rows/columns, changed lsim cells pointwise). Feedback fired by old
+/// nodes without a counterpart needs no dirt: the correspondence is closed
+/// upward, so no leaf under such a node survives into the new trees.
 TreeMatchDelta BuildTreeMatchDelta(
     const SchemaTree& snew, const SchemaTree& tnew,
     const Matrix<float>& element_lsim, const LsimGatherPlan& plan,
     const SchemaTree& sold, const SchemaTree& told,
     const Matrix<float>& prev_sweep_ssim, const NodeSimilarities& prev_final,
     const Matrix<float>& prev_element_lsim,
-    const std::vector<FeedbackEvent>& prev_events,
-    const TreeMatchOptions& options) {
+    const std::vector<FeedbackEvent>& prev_events) {
   TreeMatchDelta d;
   d.prev_source = &sold;
   d.prev_target = &told;
   d.prev_sweep_ssim = &prev_sweep_ssim;
   d.prev_final = &prev_final;
   d.prev_events = &prev_events;
-  std::vector<TreeNodeId> s_inverse, t_inverse;
-  MapNodes(snew, sold, plan.source_map, &d.source_map, &s_inverse);
-  MapNodes(tnew, told, plan.target_map, &d.target_map, &t_inverse);
+  MapNodes(snew, sold, plan.source_map, &d.source_map);
+  MapNodes(tnew, told, plan.target_map, &d.target_map);
 
   d.source_leaves = std::make_unique<LeafIndex>(snew);
   d.target_leaves = std::make_unique<LeafIndex>(tnew);
@@ -265,62 +261,13 @@ TreeMatchDelta BuildTreeMatchDelta(
     }
   }
 
-  // Reverse coverage: the sweep's runtime divergence check compares each
-  // NEW pair's feedback against its OLD counterpart, so feedback fired by
-  // old nodes with no new counterpart ("orphans" — removed nodes, or nodes
-  // the correspondence left unclaimed) would go unseen. Re-derive those
-  // events from the previous snapshot and dirty everything they scaled.
-  // Orphaned LEAVES need nothing here: their surviving partners'
-  // rows/columns are handled above, and their own cells are gone.
-  // The new leaf an old leaf maps to, if any.
-  auto new_leaf = [](const SchemaTree& nw,
-                     const std::vector<TreeNodeId>& inverse, TreeNodeId o) {
-    const TreeNodeId n = inverse[static_cast<size_t>(o)];
-    return n != kNoTreeNode && nw.IsLeaf(n) ? n : kNoTreeNode;
-  };
-  // Did the old sweep fire increase/decrease feedback at (os, ot)?
-  // (PrevFeedbackDecision holds ComparePair's exact decision arithmetic.)
-  auto old_feedback_fired = [&](TreeNodeId os, TreeNodeId ot) {
-    return PrevFeedbackDecision(options, sold, told, prev_sweep_ssim,
-                                prev_final, os, ot) != 0;
-  };
-  auto dirty_old_block = [&](TreeNodeId os, TreeNodeId ot) {
-    for (const LeafRef& lx : sold.leaves(os)) {
-      TreeNodeId nx = new_leaf(snew, s_inverse, lx.leaf);
-      if (nx == kNoTreeNode) continue;  // removed/unmapped: already dirty
-      for (const LeafRef& ly : told.leaves(ot)) {
-        TreeNodeId ny = new_leaf(tnew, t_inverse, ly.leaf);
-        if (ny == kNoTreeNode) continue;
-        d.MarkPairDirty(nx, ny);
-      }
-    }
-  };
-  auto orphan = [](const SchemaTree& old,
-                   const std::vector<TreeNodeId>& inverse, TreeNodeId o) {
-    return inverse[static_cast<size_t>(o)] == kNoTreeNode && !old.IsLeaf(o);
-  };
-  for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
-    if (!orphan(sold, s_inverse, os)) continue;
-    for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
-      if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
-    }
-  }
-  for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
-    if (!orphan(told, t_inverse, ot)) continue;
-    for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
-      // Orphan-source pairs were handled by the loop above.
-      if (orphan(sold, s_inverse, os)) continue;
-      if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
-    }
-  }
-
   ComputeReusable(snew, sold, d.source_map, &d.source_reusable);
   ComputeReusable(tnew, told, d.target_map, &d.target_reusable);
 
   // Leaf-count change flags (mapped nodes whose true-leaf frontier size
   // differs from the previous counterpart's): the only rows/columns where
-  // a leaf-count prune decision can flip, so the gather engine restricts
-  // its prune-divergence checks and stale-cell fixups to them.
+  // a leaf-count prune decision can flip, so the warm sweep restricts its
+  // stale-cell zeroing to them.
   auto size_changed = [](const SchemaTree& nw, const SchemaTree& old,
                          const std::vector<TreeNodeId>& map,
                          std::vector<uint8_t>* out) {
@@ -369,9 +316,10 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
   LsimPast lsim_past;
   if (past != nullptr) {
     lsim_past.result = &past->result->linguistic;
-    lsim_past.plan =
-        BuildLsimGatherPlan(source, target, *past->snapshot->source->schema,
-                            *past->snapshot->target->schema);
+    lsim_past.plan = BuildLsimGatherPlan(
+        source, target, *past->snapshot->source->schema,
+        *past->snapshot->target->schema, past->source_prior_ids,
+        past->target_prior_ids);
   }
   auto analysis = [](const MatchSide& side) {
     return side.artifact != nullptr ? &side.artifact->linguistics : nullptr;
@@ -428,8 +376,7 @@ Result<MatchResult> RunMatchPipeline(const Thesaurus* thesaurus,
     delta = BuildTreeMatchDelta(
         source_tree, target_tree, lres.lsim, lsim_past.plan,
         prev.source_tree, prev.target_tree, past->snapshot->sweep_ssim,
-        prev.tree_match.sims, prev.linguistic.lsim, prev.tree_match.events,
-        config.tree_match);
+        prev.tree_match.sims, prev.linguistic.lsim, prev.tree_match.events);
     t3 = std::chrono::steady_clock::now();
   }
   CUPID_ASSIGN_OR_RETURN(

@@ -9,6 +9,7 @@
 #define CUPID_CORE_MATCH_PIPELINE_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/config.h"
 #include "core/cupid_matcher.h"
@@ -47,10 +48,16 @@ struct MatchSnapshot {
 };
 
 /// \brief The previous run a warm pipeline run starts from: its result and
-/// its snapshot, both alive and unchanged for the whole run.
+/// its snapshot, both alive and unchanged for the whole run, and how the
+/// edits since then moved each side's element ids.
 struct MatchPast {
   const MatchResult* result = nullptr;
   const MatchSnapshot* snapshot = nullptr;
+  /// Per element of this run's source (target) schema, its id in the
+  /// past's schema or kNoElement (ApplySchemaEdit's prior ids, composed
+  /// over the edits); null maps by identity over the shared ids.
+  const std::vector<ElementId>* source_prior_ids = nullptr;
+  const std::vector<ElementId>* target_prior_ids = nullptr;
 };
 
 /// \brief Matches `source` against `target` under `config`.

@@ -41,8 +41,21 @@ Status MatchSession::ApplyEdit(const SchemaEdit& edit) {
   // reuses its tree and analysis wholesale.
   const bool src = edit.side == EditSide::kSource;
   std::shared_ptr<Schema>& work = src ? work_source_ : work_target_;
-  if (!work) work = std::make_shared<Schema>(src ? source() : target());
-  return ApplySchemaEdit(work.get(), edit);
+  std::vector<ElementId>& ids = src ? work_source_ids_ : work_target_ids_;
+  if (!work) {
+    work = std::make_shared<Schema>(src ? source() : target());
+    ids.resize(static_cast<size_t>(work->num_elements()));
+    for (ElementId e = 0; e < work->num_elements(); ++e) {
+      ids[static_cast<size_t>(e)] = e;
+    }
+  }
+  std::vector<ElementId> prior;
+  CUPID_RETURN_NOT_OK(ApplySchemaEdit(work.get(), edit, &prior));
+  for (ElementId& p : prior) {
+    if (p != kNoElement) p = ids[static_cast<size_t>(p)];
+  }
+  ids = std::move(prior);
+  return Status::OK();
 }
 
 Result<const MatchResult*> MatchSession::Rematch() {
@@ -56,7 +69,9 @@ Result<const MatchResult*> MatchSession::Rematch() {
   auto side = [](const std::shared_ptr<Schema>& work, const MatchSide& cur) {
     return work ? MatchSide{work, nullptr} : cur;
   };
-  MatchPast past{result_.get(), &snapshot_};
+  MatchPast past{result_.get(), &snapshot_,
+                 work_source_ ? &work_source_ids_ : nullptr,
+                 work_target_ ? &work_target_ids_ : nullptr};
   MatchSnapshot snapshot;
   Result<MatchResult> run = RunMatchPipeline(
       thesaurus_, config_, side(work_source_, source_),

@@ -39,6 +39,7 @@
 #define CUPID_INCREMENTAL_MATCH_SESSION_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/match_pipeline.h"
 #include "incremental/schema_edit.h"
@@ -114,8 +115,11 @@ class MatchSession {
   /// The sides of the last match (before the first: the given ones). Their
   /// artifacts keep the schemas result_ references alive.
   MatchSide source_, target_;
-  /// Edited copies not yet matched; null while a side is unedited.
+  /// Edited copies not yet matched; null while a side is unedited. Per
+  /// element of an edited copy, its id in the side's last matched schema
+  /// (or kNoElement if added since), composed from each edit's id map.
   std::shared_ptr<Schema> work_source_, work_target_;
+  std::vector<ElementId> work_source_ids_, work_target_ids_;
   /// Last match output plus the snapshot the next warm start seeds from
   /// (result_->tree_match.sims is the *final*, post-recompute state; only
   /// the sweep-stage ssim matrix is consulted across runs, so only it is

@@ -43,7 +43,8 @@ SchemaEdit SchemaEdit::ChangeDataType(EditSide side, std::string path,
   return e;
 }
 
-Result<Schema> RemoveSubtree(const Schema& schema, ElementId victim) {
+Result<Schema> RemoveSubtree(const Schema& schema, ElementId victim,
+                             std::vector<ElementId>* prior_ids) {
   if (!schema.Contains(victim)) {
     return Status::InvalidArgument("RemoveSubtree: element id out of range");
   }
@@ -108,14 +109,28 @@ Result<Schema> RemoveSubtree(const Schema& schema, ElementId victim) {
     }
   }
   CUPID_RETURN_NOT_OK(out.Validate());
+  if (prior_ids != nullptr) {
+    prior_ids->assign(static_cast<size_t>(out.num_elements()), kNoElement);
+    for (ElementId id = 0; id < schema.num_elements(); ++id) {
+      const ElementId to = remap[static_cast<size_t>(id)];
+      if (to != kNoElement) (*prior_ids)[static_cast<size_t>(to)] = id;
+    }
+  }
   return out;
 }
 
-Status ApplySchemaEdit(Schema* schema, const SchemaEdit& edit) {
+Status ApplySchemaEdit(Schema* schema, const SchemaEdit& edit,
+                       std::vector<ElementId>* prior_ids) {
   ElementId id = schema->FindByPath(edit.path);
   if (id == kNoElement) {
     return Status::NotFound("edit path not in schema: " + edit.path);
   }
+  if (edit.kind == SchemaEdit::Kind::kRemoveElement) {
+    CUPID_ASSIGN_OR_RETURN(*schema, RemoveSubtree(*schema, id, prior_ids));
+    return Status::OK();
+  }
+  // The other edits keep every id; an added element is appended.
+  const int64_t before = schema->num_elements();
   switch (edit.kind) {
     case SchemaEdit::Kind::kAddElement: {
       if (edit.element.name.empty()) {
@@ -132,28 +147,33 @@ Status ApplySchemaEdit(Schema* schema, const SchemaEdit& edit) {
             "attach their reference edges)");
       }
       schema->AddElement(edit.element, id);
-      return Status::OK();
-    }
-    case SchemaEdit::Kind::kRemoveElement: {
-      CUPID_ASSIGN_OR_RETURN(*schema, RemoveSubtree(*schema, id));
-      return Status::OK();
+      break;
     }
     case SchemaEdit::Kind::kRenameElement: {
       if (edit.new_name.empty()) {
         return Status::InvalidArgument("new element name must be non-empty");
       }
       schema->mutable_element(id)->name = edit.new_name;
-      return Status::OK();
+      break;
     }
     case SchemaEdit::Kind::kChangeDataType: {
       if (id == schema->root()) {
         return Status::InvalidArgument("cannot retype the schema root");
       }
       schema->mutable_element(id)->data_type = edit.new_type;
-      return Status::OK();
+      break;
+    }
+    default:
+      return Status::InvalidArgument("unknown edit kind");
+  }
+  if (prior_ids != nullptr) {
+    prior_ids->assign(static_cast<size_t>(schema->num_elements()),
+                      kNoElement);
+    for (ElementId e = 0; e < before; ++e) {
+      (*prior_ids)[static_cast<size_t>(e)] = e;
     }
   }
-  return Status::InvalidArgument("unknown edit kind");
+  return Status::OK();
 }
 
 }  // namespace cupid

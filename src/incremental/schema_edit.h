@@ -5,12 +5,13 @@
 //
 // Edits address elements by dotted containment paths (Schema::FindByPath,
 // root name included), so they are stable across the id compaction a
-// removal performs.
+// removal performs; ApplySchemaEdit reports how each edit moved the ids.
 
 #ifndef CUPID_INCREMENTAL_SCHEMA_EDIT_H_
 #define CUPID_INCREMENTAL_SCHEMA_EDIT_H_
 
 #include <string>
+#include <vector>
 
 #include "schema/schema.h"
 #include "util/status.h"
@@ -47,18 +48,23 @@ struct SchemaEdit {
                                    DataType new_type);
 };
 
-/// \brief Applies `edit` to `schema` in place.
+/// \brief Applies `edit` to `schema` in place. On success a non-null
+/// `prior_ids` receives, per element of the edited schema, its id before
+/// the edit, or kNoElement for the added element.
 ///
-/// kRemoveElement rebuilds the schema without the subtree (ElementIds are
-/// compacted; address elements by path, not id, across edits). Dangling
-/// non-containment edges are dropped, and RefInt elements left referencing
-/// nothing are removed with the subtree. The root can be renamed but not
-/// removed or retyped.
-Status ApplySchemaEdit(Schema* schema, const SchemaEdit& edit);
+/// kRemoveElement rebuilds the schema without the subtree (surviving
+/// ElementIds are compacted in their relative order; `prior_ids` relates
+/// them). Dangling non-containment edges are dropped, and RefInt elements
+/// left referencing nothing are removed with the subtree. The root can be
+/// renamed but not removed or retyped.
+Status ApplySchemaEdit(Schema* schema, const SchemaEdit& edit,
+                       std::vector<ElementId>* prior_ids = nullptr);
 
 /// \brief Copy of `schema` without the containment subtree rooted at
-/// `victim` (which must not be the root).
-Result<Schema> RemoveSubtree(const Schema& schema, ElementId victim);
+/// `victim` (which must not be the root). A non-null `prior_ids` receives,
+/// per element of the copy, its id in `schema`.
+Result<Schema> RemoveSubtree(const Schema& schema, ElementId victim,
+                             std::vector<ElementId>* prior_ids = nullptr);
 
 }  // namespace cupid
 

@@ -129,28 +129,6 @@ std::vector<AnnotationVector> BuildDocs(const Schema& schema,
   return docs;
 }
 
-/// All element containment paths ("Root.Address.Street"). Ids are assigned
-/// parent-before-child by Schema::AddElement, so one ascending pass builds
-/// every path in O(total path length); detached elements use their bare
-/// name (and a defensive bare-name fallback covers any out-of-order parent,
-/// which at worst degrades mapping to recomputation, never to wrong reuse —
-/// the feature check below is what licenses a copy, not the map).
-/// Path SYNTAX (dot-joined names) must stay in sync with the node-level
-/// context paths SchemaTree::Finalize stores (tree/schema_tree.cc).
-std::vector<std::string> ElementPaths(const Schema& s) {
-  std::vector<std::string> paths(static_cast<size_t>(s.num_elements()));
-  for (ElementId id = 0; id < s.num_elements(); ++id) {
-    ElementId p = s.parent(id);
-    if (p == kNoElement || p >= id) {
-      paths[static_cast<size_t>(id)] = s.element(id).name;
-    } else {
-      paths[static_cast<size_t>(id)] =
-          paths[static_cast<size_t>(p)] + "." + s.element(id).name;
-    }
-  }
-  return paths;
-}
-
 /// True iff element `e` of `s` and element `pe` of `ps` agree on every
 /// lsim-relevant local feature (raw name, kind, data type, not-instantiated
 /// flag, documentation, containment parent's root-ness/raw name/kind).
@@ -178,27 +156,31 @@ bool SameLsimElementFeatures(const Schema& s, ElementId e, const Schema& ps,
          s.element(pa).kind == ps.element(pb).kind;
 }
 
-/// Flags every element of `s` that `map` leaves unmapped or whose
-/// lsim-relevant features differ from its counterpart's in `prev`.
+/// Flags every element of `s` that `map` leaves unmapped (or maps outside
+/// `prev`) or whose lsim-relevant features differ from its counterpart's.
 void FlagChanged(const Schema& s, const Schema& prev,
                  const std::vector<ElementId>& map,
                  std::vector<uint8_t>* changed) {
-  changed->assign(map.size(), 0);
-  for (ElementId e = 0; e < s.num_elements(); ++e) {
-    ElementId o = map[static_cast<size_t>(e)];
-    if (o == kNoElement || !SameLsimElementFeatures(s, e, prev, o)) {
-      (*changed)[static_cast<size_t>(e)] = 1;
+  changed->assign(map.size(), 1);
+  const auto n = static_cast<size_t>(s.num_elements());
+  for (size_t e = 0; e < std::min(map.size(), n); ++e) {
+    const ElementId o = map[e];
+    if (prev.Contains(o) &&
+        SameLsimElementFeatures(s, static_cast<ElementId>(e), prev, o)) {
+      (*changed)[e] = 0;
     }
   }
 }
 
-/// One side of the plan: map current -> previous elements by containment
-/// path (same-named occurrences paired by rank, unmapped children of mapped
-/// parents aligned by sibling order), then flag every element that is
-/// unmapped or whose lsim-relevant features changed. The warm structural
-/// delta derives its node correspondence from this map.
-void PlanSide(const Schema& s, const Schema& prev, std::vector<ElementId>* map,
-              std::vector<uint8_t>* changed) {
+/// One side of the plan: map current -> previous elements by `prior_ids`
+/// (the edits' own id map), or without one by identity over the ids both
+/// schemas have, then flag every element that is unmapped or whose
+/// lsim-relevant features changed. Any pairing is sound — the flags are
+/// what license reuse — so the map only decides how much is reused. The
+/// warm structural delta derives its node correspondence from this map.
+void PlanSide(const Schema& s, const Schema& prev,
+              const std::vector<ElementId>* prior_ids,
+              std::vector<ElementId>* map, std::vector<uint8_t>* changed) {
   const int64_t n = s.num_elements();
   // The session passes the identical Schema object for an unedited side;
   // every element then trivially maps to itself with equal features.
@@ -208,79 +190,12 @@ void PlanSide(const Schema& s, const Schema& prev, std::vector<ElementId>* map,
     changed->assign(static_cast<size_t>(n), 0);
     return;
   }
-  // Identity-first: the supported edits keep surviving element ids stable
-  // (renames/retypes mutate in place, adds append), so most edited sides
-  // map by identity: ids shared with the previous schema map to themselves
-  // and appended ids stay unmapped. Any pairing is sound — the feature
-  // flags are what license reuse — so the fallback to path mapping below
-  // is purely about reuse QUALITY after wholesale id shifts (removals
-  // rebuild the schema with compacted ids), which show as shared ids whose
-  // name or parent moved. A rename alone moves one name however many
-  // descendants' paths it changes (the root's included).
-  map->assign(static_cast<size_t>(n), kNoElement);
-  if (n >= prev.num_elements()) {
-    int64_t moved = 0;
-    for (ElementId e = 0; e < prev.num_elements(); ++e) {
+  if (prior_ids != nullptr) {
+    *map = *prior_ids;
+  } else {
+    map->assign(static_cast<size_t>(n), kNoElement);
+    for (ElementId e = 0; e < std::min(n, prev.num_elements()); ++e) {
       (*map)[static_cast<size_t>(e)] = e;
-      if (s.element(e).name != prev.element(e).name ||
-          s.parent(e) != prev.parent(e)) {
-        ++moved;
-      }
-    }
-    if (moved <= std::max<int64_t>(4, n / 64)) {
-      FlagChanged(s, prev, *map, changed);
-      return;
-    }
-  }
-  std::vector<std::string> new_paths = ElementPaths(s);
-  std::vector<std::string> old_paths = ElementPaths(prev);
-  std::unordered_map<std::string, std::vector<ElementId>> old_groups;
-  old_groups.reserve(old_paths.size());
-  for (ElementId o = 0; o < prev.num_elements(); ++o) {
-    old_groups[old_paths[static_cast<size_t>(o)]].push_back(o);
-  }
-  std::unordered_map<std::string, std::vector<ElementId>> new_groups;
-  new_groups.reserve(new_paths.size());
-  for (ElementId e = 0; e < n; ++e) {
-    new_groups[new_paths[static_cast<size_t>(e)]].push_back(e);
-  }
-  map->assign(static_cast<size_t>(n), kNoElement);
-  // Each path's group writes a disjoint slice of `map` (an element has one
-  // path), so visiting the groups in hash order cannot change the result.
-  // NOLINTNEXTLINE(determinism:unordered-iteration)
-  for (const auto& [path, news] : new_groups) {
-    auto it = old_groups.find(path);
-    if (it == old_groups.end() || it->second.size() != news.size()) continue;
-    for (size_t i = 0; i < news.size(); ++i) {
-      (*map)[static_cast<size_t>(news[i])] = it->second[i];
-    }
-  }
-  // Order-based alignment of unmapped children under mapped parents: a
-  // rename keeps element identity but changes every descendant path.
-  // Parents precede children in id order, so one ascending pass recurses.
-  std::vector<uint8_t> covered(static_cast<size_t>(prev.num_elements()), 0);
-  for (ElementId e = 0; e < n; ++e) {
-    ElementId o = (*map)[static_cast<size_t>(e)];
-    if (o != kNoElement) covered[static_cast<size_t>(o)] = 1;
-  }
-  for (ElementId e = 0; e < n; ++e) {
-    ElementId o = (*map)[static_cast<size_t>(e)];
-    if (o == kNoElement) continue;
-    std::vector<ElementId> new_unmapped, old_uncovered;
-    for (ElementId c : s.children(e)) {
-      if ((*map)[static_cast<size_t>(c)] == kNoElement) {
-        new_unmapped.push_back(c);
-      }
-    }
-    for (ElementId c : prev.children(o)) {
-      if (!covered[static_cast<size_t>(c)]) old_uncovered.push_back(c);
-    }
-    if (new_unmapped.empty() || new_unmapped.size() != old_uncovered.size()) {
-      continue;
-    }
-    for (size_t i = 0; i < new_unmapped.size(); ++i) {
-      (*map)[static_cast<size_t>(new_unmapped[i])] = old_uncovered[i];
-      covered[static_cast<size_t>(old_uncovered[i])] = 1;
     }
   }
   FlagChanged(s, prev, *map, changed);
@@ -288,12 +203,15 @@ void PlanSide(const Schema& s, const Schema& prev, std::vector<ElementId>* map,
 
 }  // namespace
 
-LsimGatherPlan BuildLsimGatherPlan(const Schema& s1, const Schema& s2,
-                                   const Schema& prev_s1,
-                                   const Schema& prev_s2) {
+LsimGatherPlan BuildLsimGatherPlan(
+    const Schema& s1, const Schema& s2, const Schema& prev_s1,
+    const Schema& prev_s2, const std::vector<ElementId>* source_prior_ids,
+    const std::vector<ElementId>* target_prior_ids) {
   LsimGatherPlan plan;
-  PlanSide(s1, prev_s1, &plan.source_map, &plan.source_changed);
-  PlanSide(s2, prev_s2, &plan.target_map, &plan.target_changed);
+  PlanSide(s1, prev_s1, source_prior_ids, &plan.source_map,
+           &plan.source_changed);
+  PlanSide(s2, prev_s2, target_prior_ids, &plan.target_map,
+           &plan.target_changed);
   return plan;
 }
 

@@ -146,10 +146,9 @@ struct PreparedLsimSide : SchemaLinguistics {
 /// other unchanged element, bit for bit.
 struct LsimGatherPlan {
   /// Per CURRENT element, the corresponding previous element, or
-  /// kNoElement: the same id when few shared ids changed their name or
-  /// parent, else matched by containment path (same-named occurrences
-  /// paired by rank, unmapped children of mapped parents aligned by
-  /// sibling order).
+  /// kNoElement: the edits' id map when the caller has one (an added
+  /// element is kNoElement), else the same id for the ids both schemas
+  /// have.
   std::vector<ElementId> source_map;
   std::vector<ElementId> target_map;
   /// Element is unmapped or its lsim-relevant features changed.
@@ -158,10 +157,17 @@ struct LsimGatherPlan {
 };
 
 /// \brief Relates (s1, s2) to the previous run's schemas and flags the
-/// elements whose lsim-relevant features changed.
-LsimGatherPlan BuildLsimGatherPlan(const Schema& s1, const Schema& s2,
-                                   const Schema& prev_s1,
-                                   const Schema& prev_s2);
+/// elements whose lsim-relevant features changed. A non-null
+/// `source_prior_ids` / `target_prior_ids` gives, per current element, its
+/// id in the previous schema or kNoElement (ApplySchemaEdit's map,
+/// composed over the edits since the previous run); null maps by identity
+/// over the shared ids. Any map is sound; only an exact one reuses every
+/// unchanged element after a removal compacted the ids.
+LsimGatherPlan BuildLsimGatherPlan(
+    const Schema& s1, const Schema& s2, const Schema& prev_s1,
+    const Schema& prev_s2,
+    const std::vector<ElementId>* source_prior_ids = nullptr,
+    const std::vector<ElementId>* target_prior_ids = nullptr);
 
 /// \brief The previous run a warm match gathers from. The empty past (null
 /// `result`) is a cold match.

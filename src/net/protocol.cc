@@ -68,8 +68,10 @@ Result<MatchRequest> ParseMatchRequest(const JsonValue& v) {
   if (request.source.empty() || request.target.empty()) {
     return Status::InvalidArgument("match needs source and target");
   }
-  request.source_version = static_cast<int>(v.GetInt("source_version", 0));
-  request.target_version = static_cast<int>(v.GetInt("target_version", 0));
+  CUPID_ASSIGN_OR_RETURN(request.source_version,
+                         v.GetCheckedInt("source_version", 0));
+  CUPID_ASSIGN_OR_RETURN(request.target_version,
+                         v.GetCheckedInt("target_version", 0));
   request.use_result_cache = v.GetBool("use_result_cache", true);
   request.use_session = v.GetBool("use_session", true);
   CUPID_RETURN_NOT_OK(ApplyConfigJson(v, &request.config));
@@ -85,14 +87,17 @@ Result<SearchRequest> ParseSearchRequest(const JsonValue& v) {
   if (request.source.empty()) {
     return Status::InvalidArgument("search needs source");
   }
-  request.source_version = static_cast<int>(v.GetInt("source_version", 0));
-  request.top_k = static_cast<int>(v.GetInt("top_k", request.top_k));
+  CUPID_ASSIGN_OR_RETURN(request.source_version,
+                         v.GetCheckedInt("source_version", 0));
+  CUPID_ASSIGN_OR_RETURN(request.top_k,
+                         v.GetCheckedInt("top_k", request.top_k));
   request.exhaustive = v.GetBool("exhaustive", request.exhaustive);
   request.prune = v.GetBool("prune", request.prune);
   request.prune_fraction =
       v.GetNumber("prune_fraction", request.prune_fraction);
-  request.prune_min_keep =
-      static_cast<int>(v.GetInt("prune_min_keep", request.prune_min_keep));
+  CUPID_ASSIGN_OR_RETURN(
+      request.prune_min_keep,
+      v.GetCheckedInt("prune_min_keep", request.prune_min_keep));
   CUPID_RETURN_NOT_OK(ApplyConfigJson(v, &request.config));
   return request;
 }

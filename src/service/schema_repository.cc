@@ -353,8 +353,14 @@ Status SchemaRepository::LoadInto(const std::string& dir, StorageEnv* env,
           StringFormat("manifest line %d: %s", line_number,
                        parsed.status().ToString().c_str()));
     }
+    auto line_error = [line_number](const Status& status) {
+      return Status::ParseError(StringFormat(
+          "manifest line %d: %s", line_number, status.ToString().c_str()));
+    };
     std::string name = parsed->GetString("name");
-    int version = static_cast<int>(parsed->GetInt("version"));
+    Result<int> version_field = parsed->GetCheckedInt("version");
+    if (!version_field.ok()) return line_error(version_field.status());
+    const int version = *version_field;
     std::string file = parsed->GetString("file");
     if (name.empty() || version < 1 || file.empty()) {
       return Status::ParseError(StringFormat(
@@ -380,7 +386,9 @@ Status SchemaRepository::LoadInto(const std::string& dir, StorageEnv* env,
     }
     auto schema = ParseNativeSchema(content);
     if (!schema.ok()) return schema.status();
-    int parent = static_cast<int>(parsed->GetInt("parent", 0));
+    Result<int> parent_field = parsed->GetCheckedInt("parent", 0);
+    if (!parent_field.ok()) return line_error(parent_field.status());
+    const int parent = *parent_field;
     if (parent != 0 && parent != version - 1) {
       return Status::ParseError(
           StringFormat("manifest line %d: %s@v%d has invalid parent %d",

@@ -463,7 +463,7 @@ class TreeMatcher : private MatcherBase {
   TreeMatchResult Sweep(const Matrix<float>& element_lsim,
                         TreeMatchDelta* delta) {
     obs::ScopedSpan span("treematch.sweep");
-    past_ = delta->prev_final != nullptr;
+    past_ = delta->prev_final != nullptr && CanReplay(*delta);
     TreeMatchResult result;
     result.sims = NodeSimilarities(s_.num_nodes(), t_.num_nodes());
     auto t0 = std::chrono::steady_clock::now();
@@ -474,11 +474,12 @@ class TreeMatcher : private MatcherBase {
     auto t2 = std::chrono::steady_clock::now();
     BuildVisitList(delta, &result.stats);
     auto t3 = std::chrono::steady_clock::now();
-    const bool replay = past_ && CanReplay(*delta);
-    if (replay) GatherSweepSsim(*delta, &result.sims);
-    if (past_) PruneDivergencePrepass(delta, &result);
+    if (past_) {
+      GatherSweepSsim(*delta, &result.sims);
+      ZeroNewlyPrunedSsim(*delta, &result.sims);
+    }
     auto t4 = std::chrono::steady_clock::now();
-    if (replay) {
+    if (past_) {
       DeriveCleanFlags(*delta);
       ReplayLoop(delta, &result);
     } else {
@@ -486,8 +487,8 @@ class TreeMatcher : private MatcherBase {
         const int32_t begin = delta->visit_begin[static_cast<size_t>(ns)];
         const int32_t end = delta->visit_end[static_cast<size_t>(ns)];
         for (int32_t i = begin; i < end; ++i) {
-          VisitPair(ns, delta->visit_data[static_cast<size_t>(i)], delta,
-                    &result);
+          VisitPair(ns, delta->visit_data[static_cast<size_t>(i)],
+                    Feedback::kNone, delta, &result);
         }
       }
     }
@@ -562,11 +563,11 @@ class TreeMatcher : private MatcherBase {
  private:
   /// The warm-start replay merge assumes mapped nodes keep their RELATIVE
   /// post-order across runs (fact (1)). A correspondence that violates the
-  /// order — conceivable after shape-changing remove+add batches under the
-  /// identity-first element maps — could let the merge's skip pointer run
-  /// past a clean pair's recorded event and silently drop its replay.
-  /// Verified in O(N) per side; without replay every visit pair runs the
-  /// per-pair body (bit-identical, just slower).
+  /// order — conceivable when the element map does not come from the edits
+  /// (identity over shared ids after a removal) — could let the merge's
+  /// skip pointer run past a pair's recorded event and so lose its previous
+  /// decision. Verified in O(N) per side; a delta that fails runs the cold
+  /// sweep (bit-identical, just slower).
   bool CanReplay(const TreeMatchDelta& d) const {
     auto order_preserved = [](const std::vector<TreeNodeId>& order,
                               const std::vector<TreeNodeId>& map,
@@ -718,24 +719,6 @@ class TreeMatcher : private MatcherBase {
   bool PruneByLeafCount(TreeNodeId ns, TreeNodeId nt) const {
     return PrunedByLeafCount(opt_, s_.leaves(ns).size(),
                              t_.leaves(nt).size());
-  }
-
-  /// The previous run's feedback decision at the pair corresponding to
-  /// (ns, nt); kNone when the pair had no counterpart or was pruned. The
-  /// wsim double is rebuilt from the stored floats with ComparePair's exact
-  /// arithmetic, so threshold comparisons reproduce the old decision even
-  /// at rounding boundaries.
-  Feedback PrevFeedback(const TreeMatchDelta& d, TreeNodeId ns,
-                        TreeNodeId nt) const {
-    TreeNodeId os = d.source_map[static_cast<size_t>(ns)];
-    TreeNodeId ot = d.target_map[static_cast<size_t>(nt)];
-    if (os == kNoTreeNode || ot == kNoTreeNode) return Feedback::kNone;
-    int decision =
-        PrevFeedbackDecision(opt_, *d.prev_source, *d.prev_target,
-                             *d.prev_sweep_ssim, *d.prev_final, os, ot);
-    return decision > 0 ? Feedback::kIncrease
-                        : (decision < 0 ? Feedback::kDecrease
-                                        : Feedback::kNone);
   }
 
   /// Clean-pair test: both endpoints reusable, same projected lsim, and no
@@ -928,38 +911,28 @@ class TreeMatcher : private MatcherBase {
     }
   }
 
-  /// Leaf-count prune divergence: a pair pruned NOW whose previous
-  /// counterpart fired feedback cannot replay that event, so everything it
-  /// scaled is dirty. A prune decision only flips when an endpoint's leaf
-  /// count changed, so only those rows/columns are checked — the reference
-  /// sweep runs this test on every pruned pair. Marking before the
-  /// sweep instead of at the pair's post-order position is sound: dirty
-  /// bits only ever force recomputation, and a rescan of a truly clean pair
-  /// reproduces the reusable value bit for bit. The same pairs are the only
-  /// ones GatherSweepSsim can have given a stale value (a pair pruned on
-  /// both runs holds zero there), so their ssim is zeroed here, as a cold
-  /// sweep leaves it.
-  void PruneDivergencePrepass(TreeMatchDelta* d, TreeMatchResult* result) {
+  /// A pair pruned NOW but not before holds a stale gathered value: a
+  /// pair pruned on both runs holds zero there, and a cold sweep leaves
+  /// every pruned pair at zero. A prune decision only flips when an
+  /// endpoint's leaf count changed, so only those rows/columns are zeroed.
+  /// (Such a pair's previous event, if any, is a divergence the replay
+  /// merge marks at its post-order position.)
+  void ZeroNewlyPrunedSsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
     const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
-    Matrix<float>* ssim_m = result->sims.mutable_ssim_matrix();
-    auto check_pair = [&](TreeNodeId ns, TreeNodeId nt) {
+    Matrix<float>* ssim_m = sims->mutable_ssim_matrix();
+    auto zero_pair = [&](TreeNodeId ns, TreeNodeId nt) {
       if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) return;
-      if (!PruneByLeafCount(ns, nt)) return;
-      (*ssim_m)(ns, nt) = 0.0f;
-      if (PrevFeedback(*d, ns, nt) != Feedback::kNone) {
-        d->MarkBlockDirty(ns, nt);
-        ++result->stats.feedback_divergences;
-      }
+      if (PruneByLeafCount(ns, nt)) (*ssim_m)(ns, nt) = 0.0f;
     };
     for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-      if (!d->source_size_changed[static_cast<size_t>(ns)]) continue;
-      for (TreeNodeId nt = 0; nt < num_t; ++nt) check_pair(ns, nt);
+      if (!d.source_size_changed[static_cast<size_t>(ns)]) continue;
+      for (TreeNodeId nt = 0; nt < num_t; ++nt) zero_pair(ns, nt);
     }
     for (TreeNodeId nt = 0; nt < num_t; ++nt) {
-      if (!d->target_size_changed[static_cast<size_t>(nt)]) continue;
+      if (!d.target_size_changed[static_cast<size_t>(nt)]) continue;
       for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-        if (d->source_size_changed[static_cast<size_t>(ns)]) continue;
-        check_pair(ns, nt);
+        if (d.source_size_changed[static_cast<size_t>(ns)]) continue;
+        zero_pair(ns, nt);
       }
     }
   }
@@ -967,9 +940,11 @@ class TreeMatcher : private MatcherBase {
   /// One visit-list pair of the sweep: scan (or, warm, reuse), feedback.
   /// Identical decisions, leaf-state evolution and sweep-stage ssim/wsim to
   /// the reference ComparePair. Warm runs also check the decision against
-  /// the previous run's and dirty the pair's leaf block on divergence.
-  void VisitPair(TreeNodeId ns, TreeNodeId nt, TreeMatchDelta* d,
-                 TreeMatchResult* result) {
+  /// `prev`, the previous run's at the counterpart pair as the replay merge
+  /// read it off the event stream, and dirty the pair's leaf block on
+  /// divergence.
+  void VisitPair(TreeNodeId ns, TreeNodeId nt, Feedback prev,
+                 TreeMatchDelta* d, TreeMatchResult* result) {
     NodeSimilarities& sims = result->sims;
     bool reused = false;
     if (past_ && CanReuse(sims, *d, ns, nt)) {
@@ -987,7 +962,7 @@ class TreeMatcher : private MatcherBase {
     double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), false);
     sims.set_wsim(ns, nt, wsim);
     Feedback f = Classify(wsim);
-    if (past_ && !reused && f != PrevFeedback(*d, ns, nt)) {
+    if (past_ && !reused && f != prev) {
       // The feedback history of every leaf pair under this one now differs
       // from the previous run; nothing below may be reused any more — the
       // per-node clean flags must be re-derived before the next skip.
@@ -1010,7 +985,7 @@ class TreeMatcher : private MatcherBase {
   /// mapped row. The replay loop then writes only non-clean pairs; every
   /// skipped pair's snapshot cell already holds its bit-identical value.
   /// Leaf-pair cells are overwritten by ScatterLeafSsim at the end of the
-  /// sweep, and PruneDivergencePrepass zeroes the cells of pairs pruned now
+  /// sweep, and ZeroNewlyPrunedSsim zeroes the cells of pairs pruned now
   /// but not before, so the post-sweep ssim equals a cold sweep's cell for
   /// cell.
   void GatherSweepSsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
@@ -1081,9 +1056,12 @@ class TreeMatcher : private MatcherBase {
 
   /// The event-replay sweep: post-order over the visit list, merged with
   /// the previous run's event stream (surviving nodes keep their relative
-  /// post-order, so both sequences advance monotonically). Clean pairs with
-  /// an event replay it directly; clean pairs without one are skipped;
-  /// everything else runs the full per-pair body.
+  /// post-order, so both sequences advance monotonically). The merge is the
+  /// one reader of previous decisions: a pair meeting an event had that
+  /// decision, every other pair had none. Clean pairs with an event replay
+  /// it directly; clean pairs without one are skipped; everything else runs
+  /// the full per-pair body. An event whose pair is off the visit list now
+  /// (pruned) cannot be replayed, so everything it scaled diverges.
   void ReplayLoop(TreeMatchDelta* d, TreeMatchResult* result) {
     const std::vector<FeedbackEvent>& events = *d->prev_events;
     const int64_t num_t = t_.num_nodes();
@@ -1115,8 +1093,9 @@ class TreeMatcher : private MatcherBase {
       int32_t i = begin;
       TreeNodeId os = d->source_map[static_cast<size_t>(ns)];
       if (os != kNoTreeNode) {
-        // Events of earlier old nodes without a surviving counterpart were
-        // dirtied by the delta's reverse coverage; drop them here.
+        // Events of earlier old nodes without a counterpart scaled no
+        // surviving leaf: the correspondence claims nodes top-down, so
+        // nothing under an unclaimed node is claimed. Drop them.
         while (ei < events.size() && events[ei].source != os &&
                opos[static_cast<size_t>(events[ei].source)] <
                    opos[static_cast<size_t>(os)]) {
@@ -1126,7 +1105,7 @@ class TreeMatcher : private MatcherBase {
           const FeedbackEvent& e = events[ei];
           ++ei;
           TreeNodeId ntv = old2new_t[static_cast<size_t>(e.target)];
-          if (ntv == kNoTreeNode) continue;  // orphaned: covered by delta
+          if (ntv == kNoTreeNode) continue;  // unclaimed: as above
           while (i < end &&
                  tpos[static_cast<size_t>(
                      d->visit_data[static_cast<size_t>(i)])] <
@@ -1151,11 +1130,16 @@ class TreeMatcher : private MatcherBase {
               }
               ++result->stats.pairs_reused;
             } else {
-              VisitPair(ns, ntv, d, result);
+              VisitPair(ns, ntv,
+                        e.direction > 0 ? Feedback::kIncrease
+                                        : Feedback::kDecrease,
+                        d, result);
             }
+          } else {
+            d->MarkBlockDirty(ns, ntv);
+            clean_flags_stale_ = true;
+            ++result->stats.feedback_divergences;
           }
-          // Off the visit list: the pair is pruned now; the prune
-          // divergence prepass already dirtied everything it scaled.
         }
       }
       for (; i < end; ++i) {
@@ -1177,7 +1161,7 @@ class TreeMatcher : private MatcherBase {
       ++result->stats.pairs_reused;
       return;
     }
-    VisitPair(ns, nt, d, result);
+    VisitPair(ns, nt, Feedback::kNone, d, result);
   }
 
   /// Structural similarity over the dense leaf state — LinkStrength's exact
@@ -1528,27 +1512,6 @@ bool PrunedByLeafCount(const TreeMatchOptions& options, size_t source_leaves,
   if (lo == 0) return hi != 0;
   return static_cast<double>(hi) >
          options.leaf_count_ratio * static_cast<double>(lo);
-}
-
-int PrevFeedbackDecision(const TreeMatchOptions& options,
-                         const SchemaTree& prev_source,
-                         const SchemaTree& prev_target,
-                         const Matrix<float>& prev_sweep_ssim,
-                         const NodeSimilarities& prev_final, TreeNodeId os,
-                         TreeNodeId ot) {
-  if (prev_source.IsLeaf(os) && prev_target.IsLeaf(ot)) return 0;
-  if (PrunedByLeafCount(options, prev_source.leaves(os).size(),
-                        prev_target.leaves(ot).size())) {
-    return 0;
-  }
-  double w = options.wstruct_nonleaf;
-  // lsim is immutable after projection, so the final matrix holds the same
-  // bits the sweep mixed from.
-  double wsim = w * prev_sweep_ssim(os, ot) +
-                (1.0 - w) * prev_final.lsim(os, ot);
-  if (wsim > options.th_high) return 1;
-  if (wsim < options.th_low) return -1;
-  return 0;
 }
 
 bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options) {

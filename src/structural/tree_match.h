@@ -205,7 +205,8 @@ Status ValidateTreeMatchOptions(const TreeMatchOptions& options);
 struct TreeMatchDelta {
   /// Per NEW tree node, the corresponding node of the previous run's tree,
   /// or kNoTreeNode. One-to-one; read off the lsim plan's element
-  /// correspondence and anchored at the parent's counterpart.
+  /// correspondence and anchored at the parent's counterpart, so a mapped
+  /// node's parent is mapped too.
   std::vector<TreeNodeId> source_map;
   std::vector<TreeNodeId> target_map;
   /// Node is mapped AND its leaf set corresponds leaf-for-leaf to the
@@ -247,11 +248,6 @@ struct TreeMatchDelta {
       target_leaf_dirty[static_cast<size_t>(c)] = 1;
     }
   }
-  void MarkPairDirty(TreeNodeId x, TreeNodeId y) {
-    dirty->Set(x, y);
-    source_leaf_dirty[static_cast<size_t>(source_leaves->dense(x))] = 1;
-    target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
-  }
   void MarkSourceRowDirty(TreeNodeId x) {
     dirty->SetRowAll(x);
     source_leaf_dirty[static_cast<size_t>(source_leaves->dense(x))] = 1;
@@ -260,11 +256,11 @@ struct TreeMatchDelta {
     dirty->SetColAll(y);
     target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
   }
-  /// Per NEW tree node: the node is unmapped, or its true-leaf frontier
-  /// SIZE differs from its previous counterpart's. Only such nodes can
-  /// change a pair's leaf-count prune decision, so the warm sweep runs
-  /// prune-divergence checks and zeroes stale post-sweep ssim over these
-  /// rows/columns alone instead of the full pair grid.
+  /// Per NEW tree node: the node is mapped and its true-leaf frontier SIZE
+  /// differs from its previous counterpart's. Only such nodes can flip a
+  /// gathered pair's leaf-count prune decision, so the warm sweep zeroes
+  /// stale post-sweep ssim over these rows/columns alone instead of the
+  /// full pair grid (unmapped rows and columns gather nothing).
   std::vector<uint8_t> source_size_changed;
   std::vector<uint8_t> target_size_changed;
   /// Per NEW tree node: the node is mapped and the lsim plan left its
@@ -274,8 +270,8 @@ struct TreeMatchDelta {
   /// safe (it only forces recomputation).
   std::vector<uint8_t> source_lsim_same;
   std::vector<uint8_t> target_lsim_same;
-  /// The previous sweep's feedback events in firing order, replayed on
-  /// clean pairs.
+  /// The previous sweep's feedback events in firing order: replayed on
+  /// clean pairs, and the one record of the previous run's decisions.
   const std::vector<FeedbackEvent>* prev_events = nullptr;
   /// The sweep/recompute visit list: per source node, [visit_begin[ns],
   /// visit_end[ns]) spans into visit_data (target nodes in post-order that
@@ -283,7 +279,8 @@ struct TreeMatchDelta {
   /// and shared with RecomputeNonLeafSimilaritiesIncremental.
   std::vector<int32_t> visit_begin, visit_end;
   std::vector<TreeNodeId> visit_data;
-  /// The previous run's trees (for leaf-count prune replication) and
+  /// The previous run's trees (for the post-order check and the event
+  /// merge) and
   /// similarity snapshots: the post-sweep ssim matrix (before the Section 7
   /// recompute; its lsim/wsim companions are never consulted, so only ssim
   /// is kept) and the final NodeSimilarities (after the recompute). The
@@ -297,24 +294,10 @@ struct TreeMatchDelta {
 };
 
 /// \brief The leaf-count pruning rule of the sweep, over two frontier
-/// sizes. One home for the ratio arithmetic shared by the sweep, the
-/// warm-start's previous-run replication, and the session's orphan-event
-/// coverage.
+/// sizes. One home for the ratio arithmetic of the reference sweep, the
+/// visit-list build and the warm sweep's stale-cell zeroing.
 bool PrunedByLeafCount(const TreeMatchOptions& options, size_t source_leaves,
                        size_t target_leaves);
-
-/// \brief The feedback decision the previous sweep took at pair (os, ot),
-/// reconstructed from its post-sweep ssim snapshot (lsim is immutable after
-/// projection, so the final matrix supplies it) with ComparePair's exact
-/// arithmetic: +1 increase, -1 decrease, 0 none (leaf pair, pruned pair,
-/// or wsim between thresholds). Shared by the incremental sweep's
-/// divergence check and the session's orphan-event coverage.
-int PrevFeedbackDecision(const TreeMatchOptions& options,
-                         const SchemaTree& prev_source,
-                         const SchemaTree& prev_target,
-                         const Matrix<float>& prev_sweep_ssim,
-                         const NodeSimilarities& prev_final, TreeNodeId os,
-                         TreeNodeId ot);
 
 /// \brief True iff `options` are in the subset the visit-list engine (cold
 /// and warm) supports: true-leaf frontiers (max_leaf_depth == 0), no
@@ -325,12 +308,19 @@ bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options);
 
 /// \brief TreeMatch warm-started from a previous run.
 ///
-/// The same engine as a cold TreeMatch, with a past. Produces a result
-/// bit-identical to TreeMatch(source, target, element_lsim, types,
-/// options): node pairs whose inputs provably match the previous run's copy
-/// their similarities; only pairs reachable from the
+/// The same engine as a cold TreeMatch, with a past: node pairs whose
+/// inputs provably match the previous run's copy their similarities or
+/// replay their recorded feedback event; only pairs reachable from the
 /// delta's dirty leaf set (plus pairs whose feedback decision diverges,
-/// detected on the fly) are rescanned. `delta->dirty` is updated in place.
+/// detected on the fly against the previous run's events) are rescanned.
+/// `delta->dirty` is updated in place. A delta whose correspondence breaks
+/// the relative post-order of mapped nodes runs the cold sweep.
+///
+/// The post-sweep ssim, the events and the leaf ssim equal TreeMatch's
+/// cell for cell, but the warm sweep writes no leaf-pair wsim and no wsim
+/// of pairs it skipped: the result is bit-identical to TreeMatch followed
+/// by RecomputeNonLeafSimilarities only after
+/// RecomputeNonLeafSimilaritiesIncremental.
 Result<TreeMatchResult> TreeMatchIncremental(const SchemaTree& source,
                                              const SchemaTree& target,
                                              const Matrix<float>& element_lsim,

@@ -3,7 +3,9 @@
 #include <cassert>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <system_error>
 
 #include "util/strings.h"
@@ -141,6 +143,22 @@ int64_t JsonValue::GetInt(std::string_view key, int64_t fallback) const {
   const JsonValue* v = Find(key);
   return (v && v->type == Type::kNumber) ? static_cast<int64_t>(v->number)
                                          : fallback;
+}
+
+Result<int> JsonValue::GetCheckedInt(std::string_view key,
+                                     int fallback) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return fallback;
+  // The range test comes first: it is false for NaN, and the cast below is
+  // defined only inside it.
+  if (v->type != Type::kNumber ||
+      !(v->number >= std::numeric_limits<int>::min() &&
+        v->number <= std::numeric_limits<int>::max()) ||
+      std::floor(v->number) != v->number) {
+    return Status::InvalidArgument(std::string(key) +
+                                   " must be an integer in the int range");
+  }
+  return static_cast<int>(v->number);
 }
 
 bool JsonValue::GetBool(std::string_view key, bool fallback) const {

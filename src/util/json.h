@@ -110,6 +110,10 @@ struct JsonValue {
   double GetNumber(std::string_view key, double fallback = 0.0) const;
   int64_t GetInt(std::string_view key, int64_t fallback = 0) const;
   bool GetBool(std::string_view key, bool fallback = false) const;
+  /// An integer member read without truncation: `fallback` when absent;
+  /// InvalidArgument when present but not a number, not integral, or
+  /// outside the int range.
+  Result<int> GetCheckedInt(std::string_view key, int fallback = 0) const;
 };
 
 /// \brief Parses exactly one JSON document (trailing whitespace allowed;

@@ -19,6 +19,7 @@
 #include "incremental/match_session.h"
 #include "incremental/schema_edit.h"
 #include "linguistic/lsim_cache.h"
+#include "schema/schema_builder.h"
 #include "tests/match_diff_testutil.h"
 #include "thesaurus/default_thesaurus.h"
 #include "util/random.h"
@@ -128,22 +129,32 @@ TEST(MatchPipelineTest, WarmSweepSnapshotEqualsColdSnapshot) {
       const std::string context =
           "seed " + std::to_string(seed) + " step " + std::to_string(step);
       // Only edited sides are copied, so an unedited side keeps its
-      // artifact as a session's would.
+      // artifact as a session's would, and each edited side carries its
+      // elements' ids in the previous schema, composed over the edits.
       const Schema& source = *snapshot.source->schema;
       const Schema& target = *snapshot.target->schema;
       std::shared_ptr<Schema> next_source, next_target;
+      std::vector<ElementId> source_ids, target_ids;
       for (int k = 0; k < 3; ++k) {
         SchemaEdit edit = RandomSessionEdit(
             &rng, next_source ? *next_source : source,
             next_target ? *next_target : target, step * 10 + k);
-        std::shared_ptr<Schema>& next =
-            edit.side == EditSide::kSource ? next_source : next_target;
+        const bool src = edit.side == EditSide::kSource;
+        std::shared_ptr<Schema>& next = src ? next_source : next_target;
+        std::vector<ElementId>& ids = src ? source_ids : target_ids;
         if (!next) {
-          next = std::make_shared<Schema>(
-              edit.side == EditSide::kSource ? source : target);
+          next = std::make_shared<Schema>(src ? source : target);
+          for (ElementId e = 0; e < next->num_elements(); ++e) {
+            ids.push_back(e);
+          }
         }
-        ASSERT_TRUE(ApplySchemaEdit(next.get(), edit).ok())
+        std::vector<ElementId> prior;
+        ASSERT_TRUE(ApplySchemaEdit(next.get(), edit, &prior).ok())
             << context << " path " << edit.path;
+        for (ElementId& p : prior) {
+          if (p != kNoElement) p = ids[static_cast<size_t>(p)];
+        }
+        ids = std::move(prior);
       }
       auto side = [](const std::shared_ptr<Schema>& next,
                      const std::shared_ptr<const SchemaArtifact>& cur) {
@@ -157,7 +168,9 @@ TEST(MatchPipelineTest, WarmSweepSnapshotEqualsColdSnapshot) {
                                       nullptr, &cold, "test.cold");
       ASSERT_TRUE(scratch.ok()) << context << ": "
                                 << scratch.status().ToString();
-      MatchPast past{result.get(), &snapshot};
+      MatchPast past{result.get(), &snapshot,
+                     next_source ? &source_ids : nullptr,
+                     next_target ? &target_ids : nullptr};
       MatchSnapshot warm;
       auto run = RunMatchPipeline(&thesaurus, config, s, t, {}, &cache, &past,
                                   &warm, "test.warm");
@@ -301,6 +314,87 @@ TEST(MatchSessionTest, TargetEditHandsOverTheSourceTree) {
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     ExpectIdenticalResults(**r, *ref, "target edit " + edit.path);
   }
+}
+
+TEST(SchemaEditTest, ApplySchemaEditReportsPriorIds) {
+  XmlSchemaBuilder b("S");
+  const ElementId a = b.AddElement(b.root(), "A");
+  b.AddAttribute(a, "X", DataType::kString);
+  const ElementId c = b.AddElement(b.root(), "C");
+  b.AddAttribute(c, "Y", DataType::kString);
+  Schema schema = std::move(b).Build();
+  std::vector<ElementId> prior;
+
+  ASSERT_TRUE(ApplySchemaEdit(&schema,
+                              SchemaEdit::RenameElement(EditSide::kSource,
+                                                        "S.A.X", "Z"),
+                              &prior)
+                  .ok());
+  EXPECT_EQ(prior, (std::vector<ElementId>{0, 1, 2, 3, 4}));
+
+  Element leaf;
+  leaf.name = "W";
+  leaf.kind = ElementKind::kAtomic;
+  leaf.data_type = DataType::kString;
+  ASSERT_TRUE(
+      ApplySchemaEdit(&schema,
+                      SchemaEdit::AddElement(EditSide::kSource, "S.C", leaf),
+                      &prior)
+          .ok());
+  EXPECT_EQ(prior, (std::vector<ElementId>{0, 1, 2, 3, 4, kNoElement}));
+
+  ASSERT_TRUE(ApplySchemaEdit(&schema,
+                              SchemaEdit::RemoveElement(EditSide::kSource,
+                                                        "S.A"),
+                              &prior)
+                  .ok());
+  EXPECT_EQ(prior, (std::vector<ElementId>{0, 3, 4, 5}));
+  EXPECT_EQ(schema.PathName(3), "S.C.W");
+
+  // A failed edit leaves the map as it was.
+  EXPECT_TRUE(ApplySchemaEdit(&schema,
+                              SchemaEdit::RemoveElement(EditSide::kSource,
+                                                        "S.Nope"),
+                              &prior)
+                  .IsNotFound());
+  EXPECT_EQ(prior, (std::vector<ElementId>{0, 3, 4, 5}));
+}
+
+// A removal compacts the surviving element ids. The edit's own id map
+// keeps each survivor's identity, so the warm start gathers every
+// surviving row, even where one containment path named two elements.
+TEST(MatchSessionTest, RemovalKeepsExactElementIdentity) {
+  XmlSchemaBuilder s("S");
+  const ElementId order = s.AddElement(s.root(), "Order");
+  for (int k = 0; k < 2; ++k) {
+    const ElementId addr = s.AddElement(order, "Addr");
+    s.AddAttribute(addr, "Street", DataType::kString);
+    s.AddAttribute(addr, "City", DataType::kString);
+  }
+  XmlSchemaBuilder t("T");
+  const ElementId po = t.AddElement(t.root(), "PurchaseOrder");
+  const ElementId ship = t.AddElement(po, "ShipTo");
+  t.AddAttribute(ship, "Street", DataType::kString);
+  t.AddAttribute(ship, "City", DataType::kString);
+  t.AddAttribute(po, "Total", DataType::kDecimal);
+  Thesaurus thesaurus = DefaultThesaurus();
+  MatchSession session(&thesaurus, std::move(s).Build(),
+                       std::move(t).Build());
+  ASSERT_TRUE(session.Rematch().ok());
+
+  ASSERT_TRUE(session
+                  .ApplyEdit(SchemaEdit::RemoveElement(EditSide::kSource,
+                                                       "S.Order.Addr"))
+                  .ok());
+  ASSERT_EQ(session.source().num_elements(), 5);
+  auto r = session.Rematch();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(session.last_stats().incremental);
+  EXPECT_EQ(session.last_stats().lsim_gathered_rows, 5);
+  CupidMatcher scratch(&thesaurus, CupidConfig{});
+  auto ref = scratch.Match(session.source(), session.target());
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ExpectIdenticalResults(**r, *ref, "removal of one of two Addr");
 }
 
 TEST(MatchSessionTest, ServesCachedResultWhenUnedited) {

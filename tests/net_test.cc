@@ -568,6 +568,66 @@ TEST(ProtocolExecutorTest, RepliesSpliceOneRenderingPerResult) {
   EXPECT_EQ(renders->value(), 2);  // the uncached item only
 }
 
+/// Integer request fields are read exactly: a value that is not an integer
+/// or does not fit an int is InvalidArgument, never truncated into another
+/// version or a positive top_k.
+TEST(ProtocolExecutorTest, IntegerFieldsAreCheckedNotTruncated) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  ASSERT_TRUE(repo.RegisterText("a", SchemaFormat::kNative, kSchemaA).ok());
+  ASSERT_TRUE(repo.RegisterText("b", SchemaFormat::kNative, kSchemaB).ok());
+  MatchService service(&thesaurus, &repo);
+  CorpusSearchService search(&thesaurus, &repo);
+  ProtocolExecutor executor(&thesaurus, &repo, &service,
+                            /*scheduler=*/nullptr, &search,
+                            /*broker=*/nullptr, ProtocolExecutor::Options{});
+  auto run = [&](const std::string& line) {
+    std::vector<std::string> out;
+    executor.Execute(0, line, [&out](const std::string& frame) {
+      out.push_back(frame);
+    });
+    EXPECT_EQ(out.size(), 1u) << line;
+    return out.empty() ? std::string() : out[0];
+  };
+  auto expect_rejected = [&](const std::string& line,
+                             const std::string& field) {
+    const std::string r = run(line);
+    EXPECT_EQ(JsonField(r, "status"), "error") << line << " -> " << r;
+    EXPECT_NE(r.find("\"InvalidArgument\""), std::string::npos) << r;
+    EXPECT_NE(r.find(field + " must be an integer"), std::string::npos) << r;
+  };
+  // 4294967297 and 1.9 used to be served as version 1, -4294967295 became
+  // top_k 1, and 1e300 overflowed the conversion.
+  for (const std::string bad :
+       {"4294967297", "1.9", "1e300", "-4294967295", "\"1\""}) {
+    expect_rejected("{\"cmd\":\"match\",\"source\":\"a\",\"target\":"
+                    "\"b\",\"source_version\":" + bad + "}",
+                    "source_version");
+    expect_rejected("{\"cmd\":\"batch\",\"requests\":[{\"source\":\"a\","
+                    "\"target\":\"b\",\"target_version\":" + bad + "}]}",
+                    "target_version");
+    expect_rejected("{\"cmd\":\"search\",\"source\":\"a\","
+                    "\"source_version\":" + bad + "}",
+                    "source_version");
+    expect_rejected(
+        "{\"cmd\":\"search\",\"source\":\"a\",\"top_k\":" + bad + "}",
+        "top_k");
+    expect_rejected("{\"cmd\":\"search\",\"source\":\"a\","
+                    "\"prune_min_keep\":" + bad + "}",
+                    "prune_min_keep");
+  }
+  // Integral values, however written, are served.
+  EXPECT_EQ(JsonField(run("{\"cmd\":\"match\",\"source\":\"a\","
+                          "\"target\":\"b\",\"source_version\":1,"
+                          "\"target_version\":1.0}"),
+                      "status"),
+            "ok");
+  EXPECT_EQ(JsonField(run("{\"cmd\":\"search\",\"source\":\"a\","
+                          "\"top_k\":1e0}"),
+                      "status"),
+            "ok");
+}
+
 /// One mutation pushed to N subscribers of one pair renders its result
 /// once; every frame embeds the same bytes, equal to a direct match's.
 TEST(SubscriptionTest, PushToManySubscribersRendersOnce) {

@@ -369,6 +369,12 @@ INSTANTIATE_TEST_SUITE_P(
                     DiffInput{DiffPair::kFig2, 2},
                     DiffInput{DiffPair::kFig2, 3},
                     DiffInput{DiffPair::kFig2, 4},
+                    // Of 728 streams probed (synthetic seeds 101-108 and
+                    // 1001-1600, both shared-type pairs at seeds 1-60),
+                    // only these two fail when the warm sweep leaves a
+                    // previous event at a pair pruned now unmarked.
+                    DiffInput{DiffPair::kFig2, 38},
+                    DiffInput{DiffPair::kFig2, 43},
                     DiffInput{DiffPair::kCidxExcel, 1},
                     DiffInput{DiffPair::kCidxExcel, 2},
                     DiffInput{DiffPair::kCidxExcel, 3},

@@ -186,6 +186,45 @@ TEST(SchemaRepositoryTest, LoadFromRejectsTraversingManifests) {
   EXPECT_FALSE(SchemaRepository::LoadFrom(dir).ok());
 }
 
+TEST(SchemaRepositoryTest, LoadFromRejectsNonIntegralVersions) {
+  SchemaRepository repo;
+  ASSERT_TRUE(repo.Register("x", Fig2Po()).ok());
+  const std::string dir = (std::filesystem::path(::testing::TempDir()) /
+                           "cupid_repo_versions")
+                              .string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(repo.SaveTo(dir).ok());
+  const std::filesystem::path manifest_path =
+      std::filesystem::path(dir) / "MANIFEST.jsonl";
+  std::string manifest;
+  {
+    std::ifstream in(manifest_path);
+    std::getline(in, manifest);
+  }
+  const std::string version = "\"version\":1,";
+  ASSERT_NE(manifest.find(version), std::string::npos) << manifest;
+  // Each used to truncate to version 1 or parent 0 and load.
+  for (const std::string& field :
+       {std::string("\"version\":4294967297,"),
+        std::string("\"version\":1.5,"),
+        std::string("\"version\":1,\"parent\":4294967296,"),
+        std::string("\"version\":1,\"parent\":0.5,")}) {
+    std::string line = manifest;
+    line.replace(line.find(version), version.size(), field);
+    {
+      std::ofstream out(manifest_path, std::ios::trunc);
+      out << line << "\n";
+    }
+    auto loaded = SchemaRepository::LoadFrom(dir);
+    EXPECT_TRUE(loaded.status().IsParseError()) << line;
+  }
+  {
+    std::ofstream out(manifest_path, std::ios::trunc);
+    out << manifest << "\n";
+  }
+  EXPECT_TRUE(SchemaRepository::LoadFrom(dir).ok());
+}
+
 TEST(SchemaRepositoryTest, ApplyEditErrors) {
   SchemaRepository repo;
   EXPECT_TRUE(repo.ApplyEdit("nosuch", SchemaEdit::RenameElement(
