@@ -41,7 +41,8 @@ struct MatchSide {
 struct MatchSnapshot {
   /// ssim after the sweep, before the Section 7 recompute.
   Matrix<float> sweep_ssim;
-  /// TreeMatch warm-started from the past.
+  /// The TreeMatch sweep warm-started from the past
+  /// (TreeMatchStats::warm).
   bool warm = false;
   /// The artifacts of the run's two sides, given or built by the run.
   std::shared_ptr<const SchemaArtifact> source, target;
@@ -70,9 +71,8 @@ struct MatchPast {
 /// - With a past, `hints` must be empty. The linguistic phase gathers from
 ///   the past's lsim (LsimPast; it keeps the past's prepared side of an
 ///   unedited schema when `cache` is the one that side was prepared
-///   against), and TreeMatch warm-starts from its similarities when
-///   SupportsIncrementalTreeMatch(config.tree_match) holds and no tree has
-///   join-view nodes.
+///   against), and the past goes to TreeMatch as a TreeMatchPast, which
+///   warm-starts the sweep from it when it can.
 ///
 /// A side's artifact, given or built (its analysis in the linguistic phase,
 /// its tree in the trees phase), supplies that side's tree and analysis;

@@ -13,8 +13,9 @@
 //     names no session of the cache has seen miss, everything else is a
 //     table read;
 //   * structural phase — TreeMatch warm-starts from the previous run's
-//     similarity snapshots via a node correspondence and a dirty
-//     leaf-pair bitset (structural/tree_match.h, TreeMatchDelta);
+//     similarity snapshots, handed over as a TreeMatchPast
+//     (structural/tree_match.h), via a node correspondence and a dirty
+//     leaf-pair bitset it builds itself;
 //   * mapping generation — always re-derived (cheap, similarity-driven).
 //
 // Rematch runs the pipeline of CupidMatcher::Match (core/match_pipeline.h)
@@ -49,8 +50,9 @@ namespace cupid {
 
 /// How the last Rematch ran (diagnostics; drives bench assertions).
 struct RematchStats {
-  /// Warm start used (false on the first run, after unsupported configs,
-  /// or when join views force the fallback).
+  /// The TreeMatch sweep warm-started (TreeMatchStats::warm): false on
+  /// the first run, after unsupported configs, and when join views or a
+  /// correspondence the sweep cannot replay force the cold sweep.
   bool incremental = false;
   /// TreeMatch stats of the run (sweep + recompute combined). For warm
   /// starts, pairs_reused counts node pairs served from the snapshots.

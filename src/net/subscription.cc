@@ -92,6 +92,10 @@ Status SubscriptionBroker::Subscribe(uint64_t client_id,
   sub.target = target;
   sub.config = config;
   sub.fingerprint = ConfigFingerprint(config);
+  {
+    MutexLock lock(&mu_);
+    sub.first_event = next_event_;
+  }
   // Prime the pair's session now: the subscription's whole point is the
   // warm incremental path, so the first edit must already find a session
   // to replay into (its push reports incremental=true), and the current
@@ -164,6 +168,7 @@ void SubscriptionBroker::OnSchemaMutated(const std::string& name,
   event.enqueued = std::chrono::steady_clock::now();
   MutexLock lock(&mu_);
   if (stop_) return;
+  event.seq = next_event_++;
   events_.push_back(std::move(event));
   cv_.Signal();
 }
@@ -209,7 +214,8 @@ void SubscriptionBroker::ProcessEvent(const Event& event) {
   {
     MutexLock lock(&mu_);
     for (const auto& [key, sub] : subs_) {
-      if (sub.source == event.name || sub.target == event.name) {
+      if ((sub.source == event.name || sub.target == event.name) &&
+          sub.first_event <= event.seq) {
         affected.push_back(sub);
       }
     }

@@ -131,6 +131,8 @@ class SubscriptionBroker {
   struct Event {
     std::string name;
     int version = 0;
+    /// Position in the mutation order (next_event_).
+    uint64_t seq = 0;
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -140,6 +142,9 @@ class SubscriptionBroker {
     std::string source, target;
     CupidConfig config;
     uint64_t fingerprint = 0;
+    /// The first event this subscription is pushed: earlier ones were
+    /// queued before its priming match began, which saw their mutations.
+    uint64_t first_event = 0;
     /// Leaf (source_path, target_path) pairs of the last pushed mapping,
     /// sorted — the baseline the next push's delta diffs against. Shared,
     /// so an event's snapshot of the subscription does not copy it. Null
@@ -163,6 +168,7 @@ class SubscriptionBroker {
   mutable Mutex mu_;
   CondVar cv_;
   std::deque<Event> events_ GUARDED_BY(mu_);
+  uint64_t next_event_ GUARDED_BY(mu_) = 0;
   std::map<SubKey, Subscription> subs_ GUARDED_BY(mu_);
   /// Subscriptions per client (drives the idle-exemption toggle).
   std::map<uint64_t, int> client_sub_counts_ GUARDED_BY(mu_);

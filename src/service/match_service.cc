@@ -185,7 +185,7 @@ MatchService::MatchService(const Thesaurus* thesaurus,
                                       "Warm pair sessions dropped by the LRU");
   incremental_rematches_ = reg->GetCounter(
       "cupid.service.rematch.incremental",
-      "Rematches that took the incremental warm-start path");
+      "Rematches whose TreeMatch sweep warm-started");
   request_ms_ = reg->GetHistogram("cupid.service.request_ms",
                                   "End-to-end Match() latency, ms");
   lsim_caches_gauge_ =

@@ -8,10 +8,44 @@
 #include <unordered_map>
 
 #include "obs/trace.h"
+#include "perf/leaf_bitset_index.h"
 #include "tree/lazy_expansion.h"
 #include "util/id_runs.h"
 
 namespace cupid {
+
+/// The leaf indexes and visit list the visit-list engine lays one tree pair
+/// out over. The sweep builds it and leaves it on its result for the
+/// Section 7 recompute.
+struct TreeMatchLayout {
+  TreeMatchLayout(const SchemaTree& source_tree, const SchemaTree& target_tree,
+                  const TreeMatchOptions& options)
+      : source(source_tree),
+        target(target_tree),
+        leaf_count_ratio(options.leaf_count_ratio),
+        source_leaves(source_tree),
+        target_leaves(target_tree) {}
+
+  /// True iff laid out over these trees under this leaf-count prune. Copies
+  /// of a tree share its state, so the address of its post-order identifies
+  /// it; the copies held here keep that address from being reused.
+  bool BuiltFor(const SchemaTree& source_tree, const SchemaTree& target_tree,
+                const TreeMatchOptions& options) const {
+    return &source.post_order() == &source_tree.post_order() &&
+           &target.post_order() == &target_tree.post_order() &&
+           leaf_count_ratio == options.leaf_count_ratio;
+  }
+
+  SchemaTree source, target;
+  double leaf_count_ratio;
+  /// Dense leaf indexes over the two trees.
+  LeafIndex source_leaves, target_leaves;
+  /// The sweep/recompute visit list: per source node, [visit_begin[ns],
+  /// visit_end[ns]) spans into visit_data (target nodes in post-order that
+  /// form a non-pruned non-leaf pair with ns).
+  std::vector<int32_t> visit_begin, visit_end;
+  std::vector<TreeNodeId> visit_data;
+};
 
 namespace {
 
@@ -420,6 +454,128 @@ class ReferenceMatcher : private MatcherBase {
   FrontierProvider t_frontier_;
 };
 
+/// Per node, its position in the tree's post-order.
+std::vector<int32_t> PostOrderPositions(const SchemaTree& tree) {
+  std::vector<int32_t> pos(static_cast<size_t>(tree.num_nodes()), 0);
+  int32_t i = 0;
+  for (TreeNodeId n : tree.post_order()) pos[static_cast<size_t>(n)] = i++;
+  return pos;
+}
+
+/// Builds the layout's visit list: per source node, the target nodes forming
+/// a non-leaf pair with it that survive the leaf-count prune, in target
+/// post-order. Everything off the list is either a leaf pair (fires nothing,
+/// final wsim produced by the recompute's leaf re-mix) or pruned (never
+/// written by a from-scratch run).
+void BuildVisitList(const TreeMatchOptions& options, TreeMatchLayout* lay) {
+  const SchemaTree& s = lay->source;
+  const SchemaTree& t = lay->target;
+  const int64_t num_s = s.num_nodes();
+  lay->visit_begin.assign(static_cast<size_t>(num_s), 0);
+  lay->visit_end.assign(static_cast<size_t>(num_s), 0);
+  lay->visit_data.clear();
+  // Target post-order with sizes hoisted; plus the non-leaf-only subset
+  // (the only qualifying partners of a source leaf).
+  struct Tgt {
+    TreeNodeId nt;
+    size_t leaves;
+  };
+  std::vector<Tgt> all, nonleaf;
+  all.reserve(static_cast<size_t>(t.num_nodes()));
+  for (TreeNodeId nt : t.post_order()) {
+    size_t sz = t.leaves(nt).size();
+    all.push_back({nt, sz});
+    if (!t.IsLeaf(nt)) nonleaf.push_back({nt, sz});
+  }
+  // Rows depend only on (source leaf count, source is-leaf): the prune test
+  // sees sizes alone, and a leaf source just excludes leaf targets.
+  // Equal-key rows share one span in visit_data (read-only downstream), so
+  // the build is O(distinct keys x targets).
+  std::map<std::pair<size_t, bool>, std::pair<int32_t, int32_t>> spans;
+  for (TreeNodeId ns = 0; ns < num_s; ++ns) {
+    const size_t s_sz = s.leaves(ns).size();
+    const bool is_leaf = s.IsLeaf(ns);
+    auto [it, inserted] = spans.try_emplace({s_sz, is_leaf});
+    if (inserted) {
+      it->second.first = static_cast<int32_t>(lay->visit_data.size());
+      for (const Tgt& c : is_leaf ? nonleaf : all) {
+        if (!PrunedByLeafCount(options, s_sz, c.leaves)) {
+          lay->visit_data.push_back(c.nt);
+        }
+      }
+      it->second.second = static_cast<int32_t>(lay->visit_data.size());
+    }
+    lay->visit_begin[static_cast<size_t>(ns)] = it->second.first;
+    lay->visit_end[static_cast<size_t>(ns)] = it->second.second;
+  }
+}
+
+/// The warm sweep's input: how the current trees relate to a TreeMatchPast
+/// (BuildTreeMatchDelta). Feedback divergences mark further leaf blocks
+/// dirty as the sweep runs.
+struct TreeMatchDelta {
+  const TreeMatchPast* past = nullptr;
+  /// The layout's dense leaf indexes over the current trees.
+  const LeafIndex* source_leaves = nullptr;
+  const LeafIndex* target_leaves = nullptr;
+  /// Per current tree node, the corresponding node of the previous run's
+  /// tree, or kNoTreeNode. One-to-one; read off the past's element maps
+  /// and anchored at the parent's counterpart, so a mapped node's parent
+  /// is mapped too.
+  std::vector<TreeNodeId> source_map;
+  std::vector<TreeNodeId> target_map;
+  /// Node is mapped AND its leaf set corresponds leaf-for-leaf to the
+  /// previous node's (same mapped leaves, same relative optionality). This
+  /// certifies leaf-set MEMBERSHIP only: per-cell differences — renamed or
+  /// retyped leaves, changed lsim — live in `dirty`, so any reuse decision
+  /// must consult the dirty bits as well, never this flag alone.
+  std::vector<uint8_t> source_reusable;
+  std::vector<uint8_t> target_reusable;
+  /// Leaf pairs whose link-relevant inputs (lsim, type-seeded ssim, or
+  /// feedback history) may differ from the previous run, row-major over
+  /// source leaves.
+  std::unique_ptr<LeafPairBits> dirty;
+  /// Side-attributed dirt, by DENSE leaf index: a full-row mark dirties
+  /// only its source leaf, a full-column mark only its target leaf, and
+  /// sparse/block marks both sides. A node pair whose source range has no
+  /// attributed source dirt AND whose target range has no attributed target
+  /// dirt provably has an empty dirty block (every mark shape implies one
+  /// of the two) — the factorized dirty half of the clean-pair test, which
+  /// keeps a single edited row from smearing "dirty" across every node of
+  /// the other side.
+  std::vector<uint8_t> source_leaf_dirty;
+  std::vector<uint8_t> target_leaf_dirty;
+
+  /// Marks leaves(ns) x leaves(nt) dirty.
+  void MarkBlockDirty(TreeNodeId ns, TreeNodeId nt) {
+    dirty->SetBlock(ns, nt);
+    // Bounding dense ranges: a superset for DAG-shaped trees, which only
+    // forces recomputation.
+    for (int32_t r = source_leaves->range_begin(ns);
+         r < source_leaves->range_end(ns); ++r) {
+      source_leaf_dirty[static_cast<size_t>(r)] = 1;
+    }
+    for (int32_t c = target_leaves->range_begin(nt);
+         c < target_leaves->range_end(nt); ++c) {
+      target_leaf_dirty[static_cast<size_t>(c)] = 1;
+    }
+  }
+  void MarkSourceRowDirty(TreeNodeId x) {
+    dirty->SetRowAll(x);
+    source_leaf_dirty[static_cast<size_t>(source_leaves->dense(x))] = 1;
+  }
+  void MarkTargetColDirty(TreeNodeId y) {
+    dirty->SetColAll(y);
+    target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
+  }
+  /// Per current tree node: the node is mapped and the past flags its
+  /// element unchanged, so every lsim cell between two flagged nodes is
+  /// bitwise equal to its previous counterpart. False is always safe (it
+  /// only forces recomputation).
+  std::vector<uint8_t> source_lsim_same;
+  std::vector<uint8_t> target_lsim_same;
+};
+
 /// \brief The structural engine for every configuration
 /// SupportsIncrementalTreeMatch accepts: the Figure 3 sweep and the
 /// Section 7 recompute run over a visit list and dense leaf matrices.
@@ -433,15 +589,14 @@ class ReferenceMatcher : private MatcherBase {
 /// (no feedback can touch a leaf pair before its own post-order visit), and
 /// its final wsim is produced by the recompute pass.
 ///
-/// A cold run is the engine with an empty past (a TreeMatchDelta holding
-/// only the two leaf indexes): every visit-list pair is scanned and nothing
-/// is reused, replayed or gathered. Its scans read strong-link bits kept
-/// exact beside the dense leaf ssim; Section 6's ssim is a set quantity, so
-/// a word of bits answers 64 leaf-link tests. A warm sweep adds reuse of
-/// provably clean pairs from the previous run. It rescans only a few dirty
-/// pairs, which would not repay an O(leaves^2) bit build, so it keeps the
-/// float scans and builds no sweep bits. The Section 7 recompute is the
-/// same popcount pass on both. The warm sweep's correctness rests on three
+/// A cold run is the engine without a delta: every visit-list pair is
+/// scanned and nothing is reused, replayed or gathered. Its scans read
+/// strong-link bits kept exact beside the dense leaf ssim; Section 6's ssim
+/// is a set quantity, so a word of bits answers 64 leaf-link tests. A warm
+/// sweep adds reuse of provably clean pairs from the previous run. It
+/// rescans only a few dirty pairs, which would not repay an O(leaves^2) bit
+/// build, so it keeps the float scans and builds no sweep bits. The
+/// Section 7 recompute is the same popcount pass on both. The warm sweep's correctness rests on three
 /// facts. (1) Surviving nodes keep their relative post-order across the
 /// supported edits (schema children are appended, removals preserve
 /// sibling order), so the feedback events touching any clean leaf pair
@@ -459,20 +614,23 @@ class TreeMatcher : private MatcherBase {
               const TreeMatchOptions& options)
       : MatcherBase(source, target, types, options) {}
 
-  /// The Figure 3 sweep; warm when `delta` carries a previous run.
+  /// The Figure 3 sweep over `layout`, whose visit list it builds; warm
+  /// when given a `delta`, cold when it is null.
   TreeMatchResult Sweep(const Matrix<float>& element_lsim,
-                        TreeMatchDelta* delta) {
+                        TreeMatchLayout* layout, TreeMatchDelta* delta) {
     obs::ScopedSpan span("treematch.sweep");
-    past_ = delta->prev_final != nullptr && CanReplay(*delta);
+    lay_ = layout;
+    past_ = delta != nullptr;
     TreeMatchResult result;
     result.sims = NodeSimilarities(s_.num_nodes(), t_.num_nodes());
     auto t0 = std::chrono::steady_clock::now();
-    ProjectLsimGather(element_lsim, *delta, &result.sims);
+    ProjectLsimGather(element_lsim, delta, &result.sims);
     auto t1 = std::chrono::steady_clock::now();
-    InitLeafSsimDense(*delta);
-    if (!past_) MixSweepLeafWsim(*delta, &result.sims);
+    InitLeafSsimDense();
+    if (!past_) MixSweepLeafWsim(&result.sims);
     auto t2 = std::chrono::steady_clock::now();
-    BuildVisitList(delta, &result.stats);
+    BuildVisitList(opt_, layout);
+    CountVisitList(&result.stats);
     auto t3 = std::chrono::steady_clock::now();
     if (past_) {
       GatherSweepSsim(*delta, &result.sims);
@@ -484,22 +642,20 @@ class TreeMatcher : private MatcherBase {
       ReplayLoop(delta, &result);
     } else {
       for (TreeNodeId ns : s_.post_order()) {
-        const int32_t begin = delta->visit_begin[static_cast<size_t>(ns)];
-        const int32_t end = delta->visit_end[static_cast<size_t>(ns)];
+        const int32_t begin = lay_->visit_begin[static_cast<size_t>(ns)];
+        const int32_t end = lay_->visit_end[static_cast<size_t>(ns)];
         for (int32_t i = begin; i < end; ++i) {
-          VisitPair(ns, delta->visit_data[static_cast<size_t>(i)],
+          VisitPair(ns, lay_->visit_data[static_cast<size_t>(i)],
                     Feedback::kNone, delta, &result);
         }
       }
-    }
-    if (!past_) {
       // A full grid also compares every leaf pair.
       result.stats.pairs_compared +=
-          static_cast<int64_t>(delta->source_leaves->num_leaves()) *
-          static_cast<int64_t>(delta->target_leaves->num_leaves());
+          static_cast<int64_t>(sl().num_leaves()) *
+          static_cast<int64_t>(tl().num_leaves());
     }
     auto t5 = std::chrono::steady_clock::now();
-    ScatterLeafSsim(*delta, &result.sims);
+    ScatterLeafSsim(&result.sims);
     auto t6 = std::chrono::steady_clock::now();
     if (span.enabled()) {
       auto ms = [](auto a, auto b) {
@@ -527,24 +683,24 @@ class TreeMatcher : private MatcherBase {
   /// warm runs: every leaf pair re-mixes its wsim from the final leaf state
   /// and sets its strong-link bit, the bits are unioned into per-node link
   /// sets, and every visit-list pair counts its strong and included leaves
-  /// by popcount over them. A warm run reuses only the delta's leaf indexes
-  /// and the visit list its sweep built. Every other cell is a pruned pair,
-  /// which the sweep left at zero.
-  void Recompute(TreeMatchDelta* delta, TreeMatchResult* result) {
+  /// by popcount over them. `layout` holds the leaf indexes and the visit
+  /// list (normally the sweep's). Every other cell is a pruned pair, which
+  /// the sweep left at zero.
+  void Recompute(const TreeMatchLayout& layout, TreeMatchResult* result) {
     obs::ScopedSpan span("treematch.recompute");
+    lay_ = &layout;
     NodeSimilarities* sims = &result->sims;
     auto r0 = std::chrono::steady_clock::now();
-    MixFinalLeafWsim(*delta, sims);
+    MixFinalLeafWsim(sims);
     auto r1 = std::chrono::steady_clock::now();
-    BuildNodeLinkSets(*delta);
+    BuildNodeLinkSets();
     auto r2 = std::chrono::steady_clock::now();
-    BuildVisitList(delta, /*stats=*/nullptr);
     for (TreeNodeId ns : s_.post_order()) {
-      const int32_t begin = delta->visit_begin[static_cast<size_t>(ns)];
-      const int32_t end = delta->visit_end[static_cast<size_t>(ns)];
+      const int32_t begin = lay_->visit_begin[static_cast<size_t>(ns)];
+      const int32_t end = lay_->visit_end[static_cast<size_t>(ns)];
       for (int32_t i = begin; i < end; ++i) {
-        TreeNodeId nt = delta->visit_data[static_cast<size_t>(i)];
-        sims->set_ssim(ns, nt, CountedStructuralSimilarity(*delta, ns, nt));
+        TreeNodeId nt = lay_->visit_data[static_cast<size_t>(i)];
+        sims->set_ssim(ns, nt, CountedStructuralSimilarity(ns, nt));
         sims->set_wsim(ns, nt,
                        MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
       }
@@ -561,42 +717,16 @@ class TreeMatcher : private MatcherBase {
   }
 
  private:
-  /// The warm-start replay merge assumes mapped nodes keep their RELATIVE
-  /// post-order across runs (fact (1)). A correspondence that violates the
-  /// order — conceivable when the element map does not come from the edits
-  /// (identity over shared ids after a removal) — could let the merge's
-  /// skip pointer run past a pair's recorded event and so lose its previous
-  /// decision. Verified in O(N) per side; a delta that fails runs the cold
-  /// sweep (bit-identical, just slower).
-  bool CanReplay(const TreeMatchDelta& d) const {
-    auto order_preserved = [](const std::vector<TreeNodeId>& order,
-                              const std::vector<TreeNodeId>& map,
-                              const SchemaTree& prev) {
-      std::vector<int32_t> opos(static_cast<size_t>(prev.num_nodes()), 0);
-      int32_t i = 0;
-      for (TreeNodeId o : prev.post_order()) {
-        opos[static_cast<size_t>(o)] = i++;
-      }
-      int32_t last = -1;
-      for (TreeNodeId n : order) {
-        TreeNodeId o = map[static_cast<size_t>(n)];
-        if (o == kNoTreeNode) continue;
-        if (opos[static_cast<size_t>(o)] < last) return false;
-        last = opos[static_cast<size_t>(o)];
-      }
-      return true;
-    };
-    return order_preserved(s_.post_order(), d.source_map, *d.prev_source) &&
-           order_preserved(t_.post_order(), d.target_map, *d.prev_target);
-  }
+  const LeafIndex& sl() const { return lay_->source_leaves; }
+  const LeafIndex& tl() const { return lay_->target_leaves; }
 
   /// Recompute: every leaf pair re-mixes wsim from the final leaf
   /// state, and a strong pair (the mix >= th_accept: LinkStrength's test)
   /// sets its bit in both leaves' link sets — the source leaf's row of
   /// target leaves and the target leaf's row of source leaves.
-  void MixFinalLeafWsim(const TreeMatchDelta& delta, NodeSimilarities* sims) {
-    const LeafIndex& sl = *delta.source_leaves;
-    const LeafIndex& tl = *delta.target_leaves;
+  void MixFinalLeafWsim(NodeSimilarities* sims) {
+    const LeafIndex& sl = lay_->source_leaves;
+    const LeafIndex& tl = lay_->target_leaves;
     src_links_.assign(static_cast<size_t>(s_.num_nodes()) * tl.words(), 0);
     tgt_links_.assign(static_cast<size_t>(t_.num_nodes()) * sl.words(), 0);
     for (size_t r = 0; r < sl.num_leaves(); ++r) {
@@ -621,7 +751,7 @@ class TreeMatcher : private MatcherBase {
   /// its children's (post-order puts children first, and set union keeps
   /// DAG nodes exact: leaves() is deduplicated), plus each side's counted
   /// masks for the optional discount.
-  void BuildNodeLinkSets(const TreeMatchDelta& d) {
+  void BuildNodeLinkSets() {
     auto union_children = [](const SchemaTree& tree, size_t words,
                              std::vector<uint64_t>* links) {
       for (TreeNodeId n : tree.post_order()) {
@@ -633,10 +763,10 @@ class TreeMatcher : private MatcherBase {
         }
       }
     };
-    union_children(s_, d.target_leaves->words(), &src_links_);
-    union_children(t_, d.source_leaves->words(), &tgt_links_);
-    BuildCountedMasks(s_, *d.source_leaves, &s_counted_);
-    BuildCountedMasks(t_, *d.target_leaves, &t_counted_);
+    union_children(s_, tl().words(), &src_links_);
+    union_children(t_, sl().words(), &tgt_links_);
+    BuildCountedMasks(s_, sl(), &s_counted_);
+    BuildCountedMasks(t_, tl(), &t_counted_);
   }
 
   /// Per node, the leaves an unlinked member still counts in `included`:
@@ -670,10 +800,9 @@ class TreeMatcher : private MatcherBase {
   /// Recompute: StructuralSimilarity from the link sets, by popcount
   /// over the two nodes' mask spans — the source leaves of ns inside
   /// nt's link set and the target leaves of nt inside ns's.
-  double CountedStructuralSimilarity(const TreeMatchDelta& d, TreeNodeId ns,
-                                     TreeNodeId nt) const {
-    const LeafIndex& sl = *d.source_leaves;
-    const LeafIndex& tl = *d.target_leaves;
+  double CountedStructuralSimilarity(TreeNodeId ns, TreeNodeId nt) const {
+    const LeafIndex& sl = lay_->source_leaves;
+    const LeafIndex& tl = lay_->target_leaves;
     int64_t strong = 0, included = 0;
     CountLinkedLeaves(tgt_links_.data() + static_cast<size_t>(nt) * sl.words(),
                       sl.mask(ns), Counted(sl, s_counted_, ns),
@@ -691,10 +820,10 @@ class TreeMatcher : private MatcherBase {
   /// so a full grid mixes each leaf pair from its type-seeded ssim. The same
   /// mix seeds the strong-link bits the cold scans read, and the target
   /// side's counted masks are built beside them.
-  void MixSweepLeafWsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
-    const size_t nsl = d.source_leaves->num_leaves();
-    const size_t ntl = d.target_leaves->num_leaves();
-    const size_t words = d.target_leaves->words();
+  void MixSweepLeafWsim(NodeSimilarities* sims) {
+    const size_t nsl = sl().num_leaves();
+    const size_t ntl = tl().num_leaves();
+    const size_t words = tl().words();
     const double w = opt_.wstruct_leaf;
     Matrix<float>* wsim_m = sims->mutable_wsim_matrix();
     leaf_strong_.assign(nsl * words, 0);
@@ -702,18 +831,18 @@ class TreeMatcher : private MatcherBase {
     for (size_t r = 0; r < nsl; ++r) {
       const float* srow = leaf_ssim_.row(static_cast<int64_t>(r));
       const float* lrow = leaf_lsim_.row(static_cast<int64_t>(r));
-      float* wrow = wsim_m->row(d.source_leaves->leaf(r));
+      float* wrow = wsim_m->row(sl().leaf(r));
       uint64_t* brow = leaf_strong_.data() + r * words;
       for (size_t c = 0; c < ntl; ++c) {
         const double strength = w * srow[c] + (1.0 - w) * lrow[c];
-        wrow[d.target_leaves->leaf(c)] = static_cast<float>(strength);
+        wrow[tl().leaf(c)] = static_cast<float>(strength);
         if (strength >= opt_.th_accept) {
           brow[c / LeafIndex::kWordBits] |= uint64_t{1}
                                             << (c % LeafIndex::kWordBits);
         }
       }
     }
-    BuildCountedMasks(t_, *d.target_leaves, &t_counted_);
+    BuildCountedMasks(t_, tl(), &t_counted_);
   }
 
   bool PruneByLeafCount(TreeNodeId ns, TreeNodeId nt) const {
@@ -732,7 +861,7 @@ class TreeMatcher : private MatcherBase {
     }
     TreeNodeId os = d.source_map[static_cast<size_t>(ns)];
     TreeNodeId ot = d.target_map[static_cast<size_t>(nt)];
-    if (sims.lsim(ns, nt) != d.prev_final->lsim(os, ot)) return false;
+    if (sims.lsim(ns, nt) != d.past->result->sims.lsim(os, ot)) return false;
     return !d.dirty->AnyInBlock(ns, nt);
   }
 
@@ -748,7 +877,7 @@ class TreeMatcher : private MatcherBase {
   /// chasing) plus the dense leaf-pair lsim mirror. Warm, feature-same rows
   /// are copied from the previous run instead.
   void ProjectLsimGather(const Matrix<float>& element_lsim,
-                         const TreeMatchDelta& d, NodeSimilarities* sims) {
+                         const TreeMatchDelta* d, NodeSimilarities* sims) {
     const int64_t num_t = t_.num_nodes();
     std::vector<ElementId> t_el(static_cast<size_t>(num_t));
     for (TreeNodeId nt = 0; nt < num_t; ++nt) {
@@ -763,26 +892,26 @@ class TreeMatcher : private MatcherBase {
     std::vector<IdRun> runs;
     std::vector<TreeNodeId> fix_cols;
     if (past_) {
-      runs = BuildMappedIdRuns(d.target_map);
+      runs = BuildMappedIdRuns(d->target_map);
       // Unmapped columns (outside every run) and feature-changed mapped
       // columns both need the fresh projection.
       for (TreeNodeId nt = 0; nt < num_t; ++nt) {
-        if (!d.target_lsim_same[static_cast<size_t>(nt)] &&
+        if (!d->target_lsim_same[static_cast<size_t>(nt)] &&
             t_el[static_cast<size_t>(nt)] != kNoElement) {
           fix_cols.push_back(nt);
         }
       }
     }
     const Matrix<float>* prev_lsim =
-        past_ ? &d.prev_final->lsim_matrix() : nullptr;
+        past_ ? &d->past->result->sims.lsim_matrix() : nullptr;
     for (TreeNodeId ns = 0; ns < s_.num_nodes(); ++ns) {
       ElementId es = s_.node(ns).source;
       if (es == kNoElement) continue;
       const float* erow = element_lsim.row(es);
       float* lrow = lsim_m->row(ns);
-      if (past_ && d.source_lsim_same[static_cast<size_t>(ns)]) {
+      if (past_ && d->source_lsim_same[static_cast<size_t>(ns)]) {
         const float* prow =
-            prev_lsim->row(d.source_map[static_cast<size_t>(ns)]);
+            prev_lsim->row(d->source_map[static_cast<size_t>(ns)]);
         for (const IdRun& run : runs) {
           std::memcpy(lrow + run.dst, prow + run.src,
                       static_cast<size_t>(run.len) * sizeof(float));
@@ -798,15 +927,15 @@ class TreeMatcher : private MatcherBase {
         if (et != kNoElement) lrow[nt] = erow[et];
       }
     }
-    const size_t nsl = d.source_leaves->num_leaves();
-    const size_t ntl = d.target_leaves->num_leaves();
+    const size_t nsl = sl().num_leaves();
+    const size_t ntl = tl().num_leaves();
     leaf_lsim_ = Matrix<float>(static_cast<int64_t>(nsl),
                                static_cast<int64_t>(ntl));
     for (size_t r = 0; r < nsl; ++r) {
-      const float* lrow = lsim_m->row(d.source_leaves->leaf(r));
+      const float* lrow = lsim_m->row(sl().leaf(r));
       float* drow = leaf_lsim_.row(static_cast<int64_t>(r));
       for (size_t c = 0; c < ntl; ++c) {
-        drow[c] = lrow[d.target_leaves->leaf(c)];
+        drow[c] = lrow[tl().leaf(c)];
       }
     }
   }
@@ -814,21 +943,21 @@ class TreeMatcher : private MatcherBase {
   /// Type-seeded dense leaf ssim: one template row per distinct source leaf
   /// data type (the values InitLeafSsim would store), memcpy'd into every
   /// leaf row of that type.
-  void InitLeafSsimDense(const TreeMatchDelta& d) {
-    const size_t nsl = d.source_leaves->num_leaves();
-    const size_t ntl = d.target_leaves->num_leaves();
+  void InitLeafSsimDense() {
+    const size_t nsl = sl().num_leaves();
+    const size_t ntl = tl().num_leaves();
     leaf_ssim_ = Matrix<float>(static_cast<int64_t>(nsl),
                                static_cast<int64_t>(ntl));
     std::vector<DataType> tgt_type(ntl);
     for (size_t c = 0; c < ntl; ++c) {
       tgt_type[c] =
-          t_.schema().element(t_.node(d.target_leaves->leaf(c)).source)
+          t_.schema().element(t_.node(tl().leaf(c)).source)
               .data_type;
     }
     std::map<DataType, std::vector<float>> templates;
     for (size_t r = 0; r < nsl; ++r) {
       DataType ds =
-          s_.schema().element(s_.node(d.source_leaves->leaf(r)).source)
+          s_.schema().element(s_.node(sl().leaf(r)).source)
               .data_type;
       auto [it, inserted] = templates.try_emplace(ds);
       if (inserted) {
@@ -842,73 +971,20 @@ class TreeMatcher : private MatcherBase {
     }
   }
 
-  /// The sweep/recompute visit list: per source node, the target nodes
-  /// forming a non-leaf pair with it that survive the leaf-count prune, in
-  /// target post-order. Everything off the list is either a leaf pair
-  /// (fires nothing, final wsim produced by the recompute's leaf re-mix) or
-  /// pruned (never written by a from-scratch run). Stored on the delta so the
-  /// sweep and the recompute pass build it once between them.
-  void BuildVisitList(TreeMatchDelta* d, TreeMatchStats* stats) {
+  /// The visit list's counters: its pairs, and the pairs a full
+  /// enumeration would have visited and pruned.
+  void CountVisitList(TreeMatchStats* stats) const {
     const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
-    int64_t src_leaves = 0;
-    if (d->visit_begin.size() != static_cast<size_t>(num_s)) {
-      d->visit_begin.assign(static_cast<size_t>(num_s), 0);
-      d->visit_end.assign(static_cast<size_t>(num_s), 0);
-      d->visit_data.clear();
-      // Target post-order with sizes hoisted; plus the non-leaf-only subset
-      // (the only qualifying partners of a source leaf).
-      struct Tgt {
-        TreeNodeId nt;
-        size_t leaves;
-      };
-      std::vector<Tgt> all, nonleaf;
-      all.reserve(static_cast<size_t>(num_t));
-      for (TreeNodeId nt : t_.post_order()) {
-        size_t sz = t_.leaves(nt).size();
-        all.push_back({nt, sz});
-        if (!t_.IsLeaf(nt)) nonleaf.push_back({nt, sz});
-      }
-      // Rows depend only on (source leaf count, source is-leaf): the prune
-      // test sees sizes alone, and a leaf source just excludes leaf
-      // targets. Equal-key rows share one span in visit_data (read-only
-      // downstream), so the build is O(distinct keys x targets).
-      std::map<std::pair<size_t, bool>, std::pair<int32_t, int32_t>> spans;
-      for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-        const size_t s_sz = s_.leaves(ns).size();
-        const bool is_leaf = s_.IsLeaf(ns);
-        auto [it, inserted] = spans.try_emplace({s_sz, is_leaf});
-        if (inserted) {
-          it->second.first = static_cast<int32_t>(d->visit_data.size());
-          const std::vector<Tgt>& cands = is_leaf ? nonleaf : all;
-          for (const Tgt& c : cands) {
-            if (!PrunedByLeafCount(opt_, s_sz, c.leaves)) {
-              d->visit_data.push_back(c.nt);
-            }
-          }
-          it->second.second = static_cast<int32_t>(d->visit_data.size());
-        }
-        d->visit_begin[static_cast<size_t>(ns)] = it->second.first;
-        d->visit_end[static_cast<size_t>(ns)] = it->second.second;
-      }
+    int64_t list_pairs = 0;
+    for (TreeNodeId ns = 0; ns < num_s; ++ns) {
+      list_pairs += lay_->visit_end[static_cast<size_t>(ns)] -
+                    lay_->visit_begin[static_cast<size_t>(ns)];
     }
-    if (stats != nullptr) {
-      for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-        if (s_.IsLeaf(ns)) ++src_leaves;
-      }
-      int64_t tgt_leaves = 0;
-      int64_t list_pairs = 0;
-      for (TreeNodeId nt = 0; nt < num_t; ++nt) {
-        if (t_.IsLeaf(nt)) ++tgt_leaves;
-      }
-      for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-        list_pairs += d->visit_end[static_cast<size_t>(ns)] -
-                      d->visit_begin[static_cast<size_t>(ns)];
-      }
-      stats->visit_list_pairs = list_pairs;
-      // Pairs a full enumeration would have visited and pruned.
-      stats->pairs_pruned_leaf_count =
-          num_s * num_t - src_leaves * tgt_leaves - list_pairs;
-    }
+    stats->visit_list_pairs = list_pairs;
+    stats->pairs_pruned_leaf_count =
+        num_s * num_t -
+        static_cast<int64_t>(sl().num_leaves() * tl().num_leaves()) -
+        list_pairs;
   }
 
   /// A pair pruned NOW but not before holds a stale gathered value: a
@@ -924,15 +1000,24 @@ class TreeMatcher : private MatcherBase {
       if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) return;
       if (PruneByLeafCount(ns, nt)) (*ssim_m)(ns, nt) = 0.0f;
     };
+    // Mapped, with a leaf count other than its previous counterpart's
+    // (unmapped rows and columns gather nothing).
+    auto size_changed = [](const SchemaTree& nw, const SchemaTree& old,
+                           const std::vector<TreeNodeId>& map, TreeNodeId n) {
+      const TreeNodeId o = map[static_cast<size_t>(n)];
+      return o != kNoTreeNode && nw.leaves(n).size() != old.leaves(o).size();
+    };
+    auto source_changed = [&](TreeNodeId ns) {
+      return size_changed(s_, *d.past->source, d.source_map, ns);
+    };
     for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-      if (!d.source_size_changed[static_cast<size_t>(ns)]) continue;
+      if (!source_changed(ns)) continue;
       for (TreeNodeId nt = 0; nt < num_t; ++nt) zero_pair(ns, nt);
     }
     for (TreeNodeId nt = 0; nt < num_t; ++nt) {
-      if (!d.target_size_changed[static_cast<size_t>(nt)]) continue;
+      if (!size_changed(t_, *d.past->target, d.target_map, nt)) continue;
       for (TreeNodeId ns = 0; ns < num_s; ++ns) {
-        if (d.source_size_changed[static_cast<size_t>(ns)]) continue;
-        zero_pair(ns, nt);
+        if (!source_changed(ns)) zero_pair(ns, nt);
       }
     }
   }
@@ -949,14 +1034,14 @@ class TreeMatcher : private MatcherBase {
     bool reused = false;
     if (past_ && CanReuse(sims, *d, ns, nt)) {
       sims.set_ssim(ns, nt,
-                    (*d->prev_sweep_ssim)(
+                    (*d->past->sweep_ssim)(
                         d->source_map[static_cast<size_t>(ns)],
                         d->target_map[static_cast<size_t>(nt)]));
       reused = true;
       ++result->stats.pairs_reused;
     } else {
-      sims.set_ssim(ns, nt, past_ ? SweepStructuralSimilarity(*d, ns, nt)
-                                  : SweepLinkBits(*d, ns, nt));
+      sims.set_ssim(ns, nt, past_ ? SweepStructuralSimilarity(ns, nt)
+                                  : SweepLinkBits(ns, nt));
     }
     ++result->stats.pairs_compared;
     double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), false);
@@ -971,11 +1056,11 @@ class TreeMatcher : private MatcherBase {
       ++result->stats.feedback_divergences;
     }
     if (f == Feedback::kIncrease) {
-      ScaleBlockDense(*d, ns, nt, opt_.c_inc);
+      ScaleBlockDense(ns, nt, opt_.c_inc);
       result->events.push_back({ns, nt, int8_t{1}});
       ++result->stats.increases_applied;
     } else if (f == Feedback::kDecrease) {
-      ScaleBlockDense(*d, ns, nt, opt_.c_dec);
+      ScaleBlockDense(ns, nt, opt_.c_dec);
       result->events.push_back({ns, nt, int8_t{-1}});
       ++result->stats.decreases_applied;
     }
@@ -990,7 +1075,7 @@ class TreeMatcher : private MatcherBase {
   /// cell.
   void GatherSweepSsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
     Matrix<float>* ssim_m = sims->mutable_ssim_matrix();
-    const Matrix<float>& prev = *d.prev_sweep_ssim;
+    const Matrix<float>& prev = *d.past->sweep_ssim;
     std::vector<IdRun> runs = BuildMappedIdRuns(d.target_map);
     for (TreeNodeId ns = 0; ns < s_.num_nodes(); ++ns) {
       TreeNodeId os = d.source_map[static_cast<size_t>(ns)];
@@ -1007,10 +1092,10 @@ class TreeMatcher : private MatcherBase {
   /// Per-node clean flags: a pair of clean nodes provably satisfies
   /// CanReuse (both reusable, bit-equal lsim by the locality contract, no
   /// dirty leaf pair anywhere in either node's leaf range — a superset of
-  /// the pair's block) and keeps its leaf-count prune decision (sizes
-  /// unchanged). Divergences mark new dirty blocks mid-sweep, so the flags
-  /// are re-derived lazily whenever that happens (divergences are rare;
-  /// re-derivation is O(nodes) word tests).
+  /// the pair's block) and keeps its leaf-count prune decision (a reusable
+  /// node kept its leaf count). Divergences mark new dirty blocks
+  /// mid-sweep, so the flags are re-derived lazily whenever that happens
+  /// (divergences are rare; re-derivation is O(nodes) word tests).
   void DeriveCleanFlags(const TreeMatchDelta& d) {
     clean_flags_stale_ = false;
     const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
@@ -1030,24 +1115,22 @@ class TreeMatcher : private MatcherBase {
     };
     for (TreeNodeId ns = 0; ns < num_s; ++ns) {
       if (!d.source_reusable[static_cast<size_t>(ns)] ||
-          d.source_size_changed[static_cast<size_t>(ns)] ||
           !d.source_lsim_same[static_cast<size_t>(ns)]) {
         continue;
       }
-      if (range_dirty(d.source_leaf_dirty, d.source_leaves->range_begin(ns),
-                      d.source_leaves->range_end(ns))) {
+      if (range_dirty(d.source_leaf_dirty, sl().range_begin(ns),
+                      sl().range_end(ns))) {
         continue;
       }
       s_clean_[static_cast<size_t>(ns)] = 1;
     }
     for (TreeNodeId nt = 0; nt < num_t; ++nt) {
       if (!d.target_reusable[static_cast<size_t>(nt)] ||
-          d.target_size_changed[static_cast<size_t>(nt)] ||
           !d.target_lsim_same[static_cast<size_t>(nt)]) {
         continue;
       }
-      if (range_dirty(d.target_leaf_dirty, d.target_leaves->range_begin(nt),
-                      d.target_leaves->range_end(nt))) {
+      if (range_dirty(d.target_leaf_dirty, tl().range_begin(nt),
+                      tl().range_end(nt))) {
         continue;
       }
       t_clean_[static_cast<size_t>(nt)] = 1;
@@ -1063,33 +1146,20 @@ class TreeMatcher : private MatcherBase {
   /// the full per-pair body. An event whose pair is off the visit list now
   /// (pruned) cannot be replayed, so everything it scaled diverges.
   void ReplayLoop(TreeMatchDelta* d, TreeMatchResult* result) {
-    const std::vector<FeedbackEvent>& events = *d->prev_events;
+    const std::vector<FeedbackEvent>& events = d->past->result->events;
     const int64_t num_t = t_.num_nodes();
-    std::vector<int32_t> tpos(static_cast<size_t>(num_t), 0);
-    {
-      int32_t i = 0;
-      for (TreeNodeId nt : t_.post_order()) {
-        tpos[static_cast<size_t>(nt)] = i++;
-      }
-    }
-    std::vector<int32_t> opos(
-        static_cast<size_t>(d->prev_source->num_nodes()), 0);
-    {
-      int32_t i = 0;
-      for (TreeNodeId os : d->prev_source->post_order()) {
-        opos[static_cast<size_t>(os)] = i++;
-      }
-    }
+    const std::vector<int32_t> tpos = PostOrderPositions(t_);
+    const std::vector<int32_t> opos = PostOrderPositions(*d->past->source);
     std::vector<TreeNodeId> old2new_t(
-        static_cast<size_t>(d->prev_target->num_nodes()), kNoTreeNode);
+        static_cast<size_t>(d->past->target->num_nodes()), kNoTreeNode);
     for (TreeNodeId nt = 0; nt < num_t; ++nt) {
       TreeNodeId ot = d->target_map[static_cast<size_t>(nt)];
       if (ot != kNoTreeNode) old2new_t[static_cast<size_t>(ot)] = nt;
     }
     size_t ei = 0;
     for (TreeNodeId ns : s_.post_order()) {
-      const int32_t begin = d->visit_begin[static_cast<size_t>(ns)];
-      const int32_t end = d->visit_end[static_cast<size_t>(ns)];
+      const int32_t begin = lay_->visit_begin[static_cast<size_t>(ns)];
+      const int32_t end = lay_->visit_end[static_cast<size_t>(ns)];
       int32_t i = begin;
       TreeNodeId os = d->source_map[static_cast<size_t>(ns)];
       if (os != kNoTreeNode) {
@@ -1108,19 +1178,19 @@ class TreeMatcher : private MatcherBase {
           if (ntv == kNoTreeNode) continue;  // unclaimed: as above
           while (i < end &&
                  tpos[static_cast<size_t>(
-                     d->visit_data[static_cast<size_t>(i)])] <
+                     lay_->visit_data[static_cast<size_t>(i)])] <
                      tpos[static_cast<size_t>(ntv)]) {
-            ProcessNonEventPair(ns, d->visit_data[static_cast<size_t>(i)], d,
-                                result);
+            ProcessNonEventPair(ns, lay_->visit_data[static_cast<size_t>(i)],
+                                d, result);
             ++i;
           }
-          if (i < end && d->visit_data[static_cast<size_t>(i)] == ntv) {
+          if (i < end && lay_->visit_data[static_cast<size_t>(i)] == ntv) {
             ++i;
             if (clean_flags_stale_) DeriveCleanFlags(*d);
             if (s_clean_[static_cast<size_t>(ns)] &&
                 t_clean_[static_cast<size_t>(ntv)]) {
               // Clean: the decision reproduces bit-for-bit; replay it.
-              ScaleBlockDense(*d, ns, ntv,
+              ScaleBlockDense(ns, ntv,
                               e.direction > 0 ? opt_.c_inc : opt_.c_dec);
               result->events.push_back({ns, ntv, e.direction});
               if (e.direction > 0) {
@@ -1143,7 +1213,7 @@ class TreeMatcher : private MatcherBase {
         }
       }
       for (; i < end; ++i) {
-        ProcessNonEventPair(ns, d->visit_data[static_cast<size_t>(i)], d,
+        ProcessNonEventPair(ns, lay_->visit_data[static_cast<size_t>(i)], d,
                             result);
       }
     }
@@ -1167,18 +1237,17 @@ class TreeMatcher : private MatcherBase {
   /// Structural similarity over the dense leaf state — LinkStrength's exact
   /// arithmetic (w * ssim + (1.0 - w) * lsim on float loads) streamed over
   /// contiguous dense rows.
-  double SweepStructuralSimilarity(const TreeMatchDelta& d, TreeNodeId ns,
-                                   TreeNodeId nt) const {
+  double SweepStructuralSimilarity(TreeNodeId ns, TreeNodeId nt) const {
     const std::vector<LeafRef>& ls = s_.leaves(ns);
     const std::vector<LeafRef>& lt = t_.leaves(nt);
     const double w = opt_.wstruct_leaf;
     const double th = opt_.th_accept;
-    const bool col_contig = d.target_leaves->range_contiguous(nt);
-    const int32_t cb = d.target_leaves->range_begin(nt);
-    const int32_t ce = d.target_leaves->range_end(nt);
+    const bool col_contig = tl().range_contiguous(nt);
+    const int32_t cb = tl().range_begin(nt);
+    const int32_t ce = tl().range_end(nt);
     int64_t strong = 0, included = 0;
     for (const LeafRef& x : ls) {
-      const int64_t r = d.source_leaves->dense(x.leaf);
+      const int64_t r = sl().dense(x.leaf);
       const float* srow = leaf_ssim_.row(r);
       const float* lrow = leaf_lsim_.row(r);
       bool has_link = false;
@@ -1193,7 +1262,7 @@ class TreeMatcher : private MatcherBase {
       } else {
         for (const LeafRef& y : lt) {
           ++link_tests_;
-          int32_t c = d.target_leaves->dense(y.leaf);
+          int32_t c = tl().dense(y.leaf);
           if (w * srow[c] + (1.0 - w) * lrow[c] >= th) {
             has_link = true;
             break;
@@ -1208,11 +1277,11 @@ class TreeMatcher : private MatcherBase {
       }
     }
     for (const LeafRef& y : lt) {
-      const int32_t c = d.target_leaves->dense(y.leaf);
+      const int32_t c = tl().dense(y.leaf);
       bool has_link = false;
       for (const LeafRef& x : ls) {
         ++link_tests_;
-        const int64_t r = d.source_leaves->dense(x.leaf);
+        const int64_t r = sl().dense(x.leaf);
         if (w * leaf_ssim_(r, c) + (1.0 - w) * leaf_lsim_(r, c) >= th) {
           has_link = true;
           break;
@@ -1235,9 +1304,8 @@ class TreeMatcher : private MatcherBase {
   /// iff it meets nt's mask; the rows' union is the set of target leaves
   /// with a link into leaves(ns), counted against nt's masks. link_tests
   /// counts the 64-bit words tested.
-  double SweepLinkBits(const TreeMatchDelta& d, TreeNodeId ns,
-                       TreeNodeId nt) {
-    const LeafIndex& tl = *d.target_leaves;
+  double SweepLinkBits(TreeNodeId ns, TreeNodeId nt) {
+    const LeafIndex& tl = lay_->target_leaves;
     const size_t words = tl.words();
     const uint64_t* tmask = tl.mask(nt);
     const uint32_t cb = tl.mask_begin(nt), ce = tl.mask_end(nt);
@@ -1247,7 +1315,7 @@ class TreeMatcher : private MatcherBase {
     for (const LeafRef& x : s_.leaves(ns)) {
       const uint64_t* row =
           leaf_strong_.data() +
-          static_cast<size_t>(d.source_leaves->dense(x.leaf)) * words;
+          static_cast<size_t>(sl().dense(x.leaf)) * words;
       uint64_t hit = 0;
       for (uint32_t w = cb; w < ce; ++w) {
         hit |= row[w] & tmask[w];
@@ -1273,10 +1341,9 @@ class TreeMatcher : private MatcherBase {
   /// the strength in ssim, so an increase (factor > 1) can only set clear
   /// bits and a decrease only clear set ones; only those are re-tested, with
   /// the same double expression MixSweepLeafWsim used.
-  void RetestBlockBits(const TreeMatchDelta& d, TreeNodeId ns, TreeNodeId nt,
-                       double factor) {
-    const LeafIndex& sl = *d.source_leaves;
-    const LeafIndex& tl = *d.target_leaves;
+  void RetestBlockBits(TreeNodeId ns, TreeNodeId nt, double factor) {
+    const LeafIndex& sl = lay_->source_leaves;
+    const LeafIndex& tl = lay_->target_leaves;
     const size_t words = tl.words();
     const bool increase = factor > 1.0;
     const double w = opt_.wstruct_leaf;
@@ -1310,21 +1377,18 @@ class TreeMatcher : private MatcherBase {
   /// ScaleSsim's exact cast-then-clamp arithmetic, without per-cell 2D
   /// indexing or cache-patching branches. A cold sweep re-tests the
   /// block's strong-link bits after the floats.
-  void ScaleBlockDense(const TreeMatchDelta& d, TreeNodeId ns, TreeNodeId nt,
-                       double factor) {
-    ScaleBlockFloats(d, ns, nt, factor);
-    if (!past_) RetestBlockBits(d, ns, nt, factor);
+  void ScaleBlockDense(TreeNodeId ns, TreeNodeId nt, double factor) {
+    ScaleBlockFloats(ns, nt, factor);
+    if (!past_) RetestBlockBits(ns, nt, factor);
   }
 
-  void ScaleBlockFloats(const TreeMatchDelta& d, TreeNodeId ns, TreeNodeId nt,
-                        double factor) {
-    const bool contig = d.source_leaves->range_contiguous(ns) &&
-                        d.target_leaves->range_contiguous(nt);
+  void ScaleBlockFloats(TreeNodeId ns, TreeNodeId nt, double factor) {
+    const bool contig = sl().range_contiguous(ns) && tl().range_contiguous(nt);
     if (contig) {
-      const int32_t rb = d.source_leaves->range_begin(ns);
-      const int32_t re = d.source_leaves->range_end(ns);
-      const int32_t cb = d.target_leaves->range_begin(nt);
-      const int32_t ce = d.target_leaves->range_end(nt);
+      const int32_t rb = sl().range_begin(ns);
+      const int32_t re = sl().range_end(ns);
+      const int32_t cb = tl().range_begin(nt);
+      const int32_t ce = tl().range_end(nt);
       for (int32_t r = rb; r < re; ++r) {
         float* row = leaf_ssim_.row(r);
         for (int32_t c = cb; c < ce; ++c) {
@@ -1336,10 +1400,10 @@ class TreeMatcher : private MatcherBase {
       return;
     }
     for (const LeafRef& x : s_.leaves(ns)) {
-      float* row = leaf_ssim_.row(d.source_leaves->dense(x.leaf));
+      float* row = leaf_ssim_.row(sl().dense(x.leaf));
       for (const LeafRef& y : t_.leaves(nt)) {
         ++scale_ops_;
-        int32_t c = d.target_leaves->dense(y.leaf);
+        int32_t c = tl().dense(y.leaf);
         float v = static_cast<float>(row[c] * factor);
         row[c] = v > 1.0f ? 1.0f : (v < 0.0f ? 0.0f : v);
       }
@@ -1348,23 +1412,23 @@ class TreeMatcher : private MatcherBase {
 
   /// Writes the replayed final leaf state back into the node-pair matrix
   /// (the only leaf-pair ssim cells a from-scratch run materializes there).
-  void ScatterLeafSsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
+  void ScatterLeafSsim(NodeSimilarities* sims) {
     Matrix<float>* ssim_m = sims->mutable_ssim_matrix();
-    const size_t nsl = d.source_leaves->num_leaves();
-    const size_t ntl = d.target_leaves->num_leaves();
+    const size_t nsl = sl().num_leaves();
+    const size_t ntl = tl().num_leaves();
     for (size_t r = 0; r < nsl; ++r) {
-      float* row = ssim_m->row(d.source_leaves->leaf(r));
+      float* row = ssim_m->row(sl().leaf(r));
       const float* drow = leaf_ssim_.row(static_cast<int64_t>(r));
       for (size_t c = 0; c < ntl; ++c) {
-        row[d.target_leaves->leaf(c)] = drow[c];
+        row[tl().leaf(c)] = drow[c];
       }
     }
   }
 
+  /// The leaf indexes and visit list of the current pass.
+  const TreeMatchLayout* lay_ = nullptr;
   /// Dense leaf-pair ssim and lsim over (dense source leaf, dense target
-  /// leaf), plus the per-node clean flags of the warm event-replay fast path
-  /// (the visit list itself lives on the TreeMatchDelta, shared between the
-  /// sweep and the recompute).
+  /// leaf), plus the per-node clean flags of the warm event-replay fast path.
   Matrix<float> leaf_ssim_;
   Matrix<float> leaf_lsim_;
   /// Cold sweeps only: the strong-link bits beside leaf_ssim_, per dense
@@ -1381,7 +1445,7 @@ class TreeMatcher : private MatcherBase {
   /// A mid-sweep divergence dirtied new leaf blocks; re-derive the clean
   /// flags before trusting them again.
   bool clean_flags_stale_ = false;
-  /// The delta carries a previous run (warm); false for a cold run.
+  /// The sweep runs warm, from a delta; false for a cold run.
   bool past_ = false;
 };
 
@@ -1441,12 +1505,271 @@ Status CheckSimsShape(const SchemaTree& source, const SchemaTree& target,
   return Status::OK();
 }
 
-/// The delta of a cold run: no previous run, only the leaf indexes the
-/// engine's dense leaf state is laid out over.
-TreeMatchDelta EmptyPast(const SchemaTree& source, const SchemaTree& target) {
-  TreeMatchDelta delta;
-  delta.source_leaves = std::make_unique<LeafIndex>(source);
-  delta.target_leaves = std::make_unique<LeafIndex>(target);
+Status ValidatePast(const SchemaTree& source, const SchemaTree& target,
+                    const TreeMatchPast& past) {
+  if (past.source == nullptr || past.target == nullptr ||
+      past.element_lsim == nullptr || past.result == nullptr ||
+      past.sweep_ssim == nullptr || past.source_element_map == nullptr ||
+      past.target_element_map == nullptr || past.source_changed == nullptr ||
+      past.target_changed == nullptr) {
+    return Status::InvalidArgument("TreeMatchPast is incomplete");
+  }
+  const int64_t prev_s = past.source->num_nodes();
+  const int64_t prev_t = past.target->num_nodes();
+  if (past.sweep_ssim->rows() != prev_s || past.sweep_ssim->cols() != prev_t ||
+      past.result->sims.source_nodes() != prev_s ||
+      past.result->sims.target_nodes() != prev_t) {
+    return Status::InvalidArgument(
+        "TreeMatchPast similarities do not match the previous trees");
+  }
+  CUPID_RETURN_NOT_OK(
+      CheckLsimShape(*past.source, *past.target, *past.element_lsim));
+  const size_t elements_s = static_cast<size_t>(source.schema().num_elements());
+  const size_t elements_t = static_cast<size_t>(target.schema().num_elements());
+  if (past.source_element_map->size() != elements_s ||
+      past.source_changed->size() != elements_s ||
+      past.target_element_map->size() != elements_t ||
+      past.target_changed->size() != elements_t) {
+    return Status::InvalidArgument(
+        "TreeMatchPast element maps do not cover the schemas");
+  }
+  return Status::OK();
+}
+
+bool HasJoinViews(const SchemaTree& tree) {
+  for (TreeNodeId n = 0; n < tree.num_nodes(); ++n) {
+    if (tree.node(n).is_join_view) return true;
+  }
+  return false;
+}
+
+/// Node correspondence new -> old, read off an element map (per new element,
+/// its old element or kNoElement) and anchored at the parent: a node maps to
+/// the first unclaimed child of its parent's counterpart whose element is
+/// the map's counterpart of its own, so the map stays injective and a mapped
+/// node's parent is mapped. Type substitution (Section 8.2) expands a shared
+/// type once per context, and the parent tells the contexts apart. Parents
+/// precede children in id order (the pre-order build of Figure 4), so one
+/// ascending pass suffices; the root maps to the old root when its element
+/// maps to the old root's element. A node without a source element stays
+/// unmapped. Any map is sound: every value-relevant input is verified
+/// independently downstream, so a wrong pairing only costs reuse.
+void MapNodes(const SchemaTree& nw, const SchemaTree& old,
+              const std::vector<ElementId>& element_map,
+              std::vector<TreeNodeId>* map) {
+  map->assign(static_cast<size_t>(nw.num_nodes()), kNoTreeNode);
+  std::vector<uint8_t> claimed(static_cast<size_t>(old.num_nodes()), 0);
+  auto claim = [&](TreeNodeId n, TreeNodeId o) {
+    (*map)[static_cast<size_t>(n)] = o;
+    claimed[static_cast<size_t>(o)] = 1;
+  };
+  // Per old node, its first child not yet claimed: the supported edits keep
+  // sibling order, so the claimed child is usually the one at the cursor.
+  std::vector<size_t> cursor(static_cast<size_t>(old.num_nodes()), 0);
+  for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
+    const ElementId e = nw.node(n).source;
+    if (e == kNoElement) continue;
+    const ElementId oe = element_map[static_cast<size_t>(e)];
+    if (oe == kNoElement) continue;
+    if (n == nw.root()) {
+      if (old.num_nodes() > 0 && old.node(old.root()).source == oe) {
+        claim(n, old.root());
+      }
+      continue;
+    }
+    const TreeNodeId op = (*map)[static_cast<size_t>(nw.node(n).parent)];
+    if (op == kNoTreeNode) continue;
+    const std::vector<TreeNodeId>& kids = old.node(op).children;
+    size_t& first = cursor[static_cast<size_t>(op)];
+    for (size_t i = first; i < kids.size(); ++i) {
+      const TreeNodeId c = kids[i];
+      if (claimed[static_cast<size_t>(c)] || old.node(c).source != oe) {
+        continue;
+      }
+      claim(n, c);
+      while (first < kids.size() && claimed[static_cast<size_t>(kids[first])]) {
+        ++first;
+      }
+      break;
+    }
+  }
+}
+
+/// The warm-start replay merge assumes mapped nodes keep their RELATIVE
+/// post-order across runs (fact (1) of TreeMatcher). A correspondence that
+/// violates the order — conceivable when the element map does not come from
+/// the edits (identity over shared ids after a removal) — could let the
+/// merge's skip pointer run past a pair's recorded event and so lose its
+/// previous decision. Verified in O(N) per side; a correspondence that
+/// fails runs the cold sweep (bit-identical, just slower).
+bool OrderPreserved(const SchemaTree& nw, const SchemaTree& old,
+                    const std::vector<TreeNodeId>& map) {
+  const std::vector<int32_t> opos = PostOrderPositions(old);
+  int32_t last = -1;
+  for (TreeNodeId n : nw.post_order()) {
+    TreeNodeId o = map[static_cast<size_t>(n)];
+    if (o == kNoTreeNode) continue;
+    if (opos[static_cast<size_t>(o)] < last) return false;
+    last = opos[static_cast<size_t>(o)];
+  }
+  return true;
+}
+
+/// reusable[n]: n is mapped and its leaf list corresponds entry-for-entry
+/// to the old node's (same mapped leaf, same relative optionality). This
+/// certifies MEMBERSHIP only — per-cell differences (renamed or retyped
+/// leaves) are the dirty bitset's job, so they do not clear the flag. Leaf
+/// lists are sorted by node id on both sides and the supported edits
+/// preserve the relative order of surviving nodes, so the index-wise
+/// comparison is exact; any order perturbation fails the check and
+/// degrades to recomputation. A reusable node kept its leaf count.
+void ComputeReusable(const SchemaTree& nw, const SchemaTree& old,
+                     const std::vector<TreeNodeId>& map,
+                     std::vector<uint8_t>* out) {
+  out->assign(static_cast<size_t>(nw.num_nodes()), 0);
+  for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
+    TreeNodeId o = map[static_cast<size_t>(n)];
+    if (o == kNoTreeNode) continue;
+    const std::vector<LeafRef>& ln = nw.leaves(n);
+    const std::vector<LeafRef>& lo = old.leaves(o);
+    if (ln.size() != lo.size()) continue;
+    bool ok = true;
+    for (size_t k = 0; k < ln.size(); ++k) {
+      if (map[static_cast<size_t>(ln[k].leaf)] != lo[k].leaf ||
+          ln[k].optional != lo[k].optional ||
+          !old.IsLeaf(lo[k].leaf)) {
+        ok = false;
+        break;
+      }
+    }
+    (*out)[static_cast<size_t>(n)] = ok ? 1 : 0;
+  }
+}
+
+/// The warm sweep's delta relating the current trees to `past`: node
+/// correspondence and per-node lsim flags read off the past's element maps,
+/// reusable flags, and the seed dirty set (new/retyped leaves as whole
+/// rows/columns, changed lsim cells pointwise). Feedback fired by old nodes
+/// without a counterpart needs no dirt: the correspondence is closed upward,
+/// so no leaf under such a node survives into the new trees. Null when the
+/// correspondence breaks the relative post-order (OrderPreserved).
+std::unique_ptr<TreeMatchDelta> BuildTreeMatchDelta(
+    const SchemaTree& snew, const SchemaTree& tnew,
+    const Matrix<float>& element_lsim, const TreeMatchPast& past,
+    const TreeMatchLayout& layout) {
+  const SchemaTree& sold = *past.source;
+  const SchemaTree& told = *past.target;
+  auto delta = std::make_unique<TreeMatchDelta>();
+  TreeMatchDelta& d = *delta;
+  d.past = &past;
+  MapNodes(snew, sold, *past.source_element_map, &d.source_map);
+  MapNodes(tnew, told, *past.target_element_map, &d.target_map);
+  if (!OrderPreserved(snew, sold, d.source_map) ||
+      !OrderPreserved(tnew, told, d.target_map)) {
+    return nullptr;
+  }
+
+  d.source_leaves = &layout.source_leaves;
+  d.target_leaves = &layout.target_leaves;
+  d.dirty = std::make_unique<LeafPairBits>(d.source_leaves, d.target_leaves);
+  d.source_leaf_dirty.assign(d.source_leaves->num_leaves(), 0);
+  d.target_leaf_dirty.assign(d.target_leaves->num_leaves(), 0);
+
+  // Lsim-locality flags: a mapped node whose element the past flags
+  // unchanged. Its counterpart's element is the map's counterpart of its
+  // own, so every lsim cell between two flagged nodes is bitwise equal to
+  // the previous run's.
+  auto lsim_same = [](const SchemaTree& nw,
+                      const std::vector<TreeNodeId>& map,
+                      const std::vector<uint8_t>& changed,
+                      std::vector<uint8_t>* out) {
+    out->assign(static_cast<size_t>(nw.num_nodes()), 0);
+    for (TreeNodeId n = 0; n < nw.num_nodes(); ++n) {
+      if (map[static_cast<size_t>(n)] == kNoTreeNode) continue;
+      (*out)[static_cast<size_t>(n)] =
+          changed[static_cast<size_t>(nw.node(n).source)] ? 0 : 1;
+    }
+  };
+  lsim_same(snew, d.source_map, *past.source_changed, &d.source_lsim_same);
+  lsim_same(tnew, d.target_map, *past.target_changed, &d.target_lsim_same);
+
+  // A leaf is valid iff it maps to an old leaf of the same data type: its
+  // type-seeded init ssim row then starts out equal to the previous run's.
+  // (Mapped nodes have source elements on both sides.)
+  auto leaf_valid = [](const SchemaTree& nw, const SchemaTree& old,
+                       const std::vector<TreeNodeId>& map, TreeNodeId x) {
+    TreeNodeId o = map[static_cast<size_t>(x)];
+    return o != kNoTreeNode && old.IsLeaf(o) &&
+           nw.schema().element(nw.node(x).source).data_type ==
+               old.schema().element(old.node(o).source).data_type;
+  };
+  std::vector<uint8_t> s_ok(static_cast<size_t>(snew.num_nodes()), 0);
+  std::vector<uint8_t> t_ok(static_cast<size_t>(tnew.num_nodes()), 0);
+  for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
+    TreeNodeId x = d.source_leaves->leaf(j);
+    if (leaf_valid(snew, sold, d.source_map, x)) {
+      s_ok[static_cast<size_t>(x)] = 1;
+    } else {
+      d.MarkSourceRowDirty(x);
+    }
+  }
+  for (size_t j = 0; j < d.target_leaves->num_leaves(); ++j) {
+    TreeNodeId y = d.target_leaves->leaf(j);
+    if (leaf_valid(tnew, told, d.target_map, y)) {
+      t_ok[static_cast<size_t>(y)] = 1;
+    } else {
+      d.MarkTargetColDirty(y);
+    }
+  }
+
+  // Changed linguistic similarities dirty their leaf pair. The warm lsim
+  // kernel copied every cell between two unchanged elements from the past
+  // lsim (linguistic/linguistic_matcher.h), so only cells with a changed
+  // side can differ: changed valid source rows are diffed against every
+  // valid target column, unchanged rows against the changed valid columns
+  // only. A changed cell is dirt-attributed to its changed side(s): any
+  // pair block containing the cell contains that row/column, so the
+  // clean-pair test needs no more, and a single rename cannot smear
+  // "dirty" across every node of the other side.
+  {
+    struct TgtCol {
+      TreeNodeId y;
+      ElementId et, oet;
+      bool changed;
+    };
+    std::vector<TgtCol> cols, changed_cols;
+    for (size_t k = 0; k < d.target_leaves->num_leaves(); ++k) {
+      TreeNodeId y = d.target_leaves->leaf(k);
+      if (!t_ok[static_cast<size_t>(y)]) continue;
+      const TgtCol col{
+          y, tnew.node(y).source,
+          told.node(d.target_map[static_cast<size_t>(y)]).source,
+          !d.target_lsim_same[static_cast<size_t>(y)]};
+      cols.push_back(col);
+      if (col.changed) changed_cols.push_back(col);
+    }
+    for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
+      TreeNodeId x = d.source_leaves->leaf(j);
+      if (!s_ok[static_cast<size_t>(x)]) continue;
+      const bool row_changed = !d.source_lsim_same[static_cast<size_t>(x)];
+      const float* new_row = element_lsim.row(snew.node(x).source);
+      const float* old_row = past.element_lsim->row(
+          sold.node(d.source_map[static_cast<size_t>(x)]).source);
+      for (const TgtCol& col : row_changed ? cols : changed_cols) {
+        if (new_row[col.et] == old_row[col.oet]) continue;
+        d.dirty->Set(x, col.y);
+        if (row_changed) d.source_leaf_dirty[j] = 1;
+        if (col.changed) {
+          d.target_leaf_dirty[static_cast<size_t>(
+              d.target_leaves->dense(col.y))] = 1;
+        }
+      }
+    }
+  }
+
+  ComputeReusable(snew, sold, d.source_map, &d.source_reusable);
+  ComputeReusable(tnew, told, d.target_map, &d.target_reusable);
+
   return delta;
 }
 
@@ -1456,30 +1779,52 @@ Result<TreeMatchResult> TreeMatch(const SchemaTree& source,
                                   const SchemaTree& target,
                                   const Matrix<float>& element_lsim,
                                   const TypeCompatibilityTable& types,
-                                  const TreeMatchOptions& options) {
-  if (!SupportsIncrementalTreeMatch(options)) {
-    return TreeMatchReference(source, target, element_lsim, types, options);
-  }
+                                  const TreeMatchOptions& options,
+                                  const TreeMatchPast* past) {
   CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
   CUPID_RETURN_NOT_OK(CheckLsimShape(source, target, element_lsim));
-  TreeMatchDelta empty = EmptyPast(source, target);
-  return TreeMatcher(source, target, types, options)
-      .Sweep(element_lsim, &empty);
+  if (past != nullptr) CUPID_RETURN_NOT_OK(ValidatePast(source, target, *past));
+  if (!SupportsIncrementalTreeMatch(options)) {
+    return ReferenceMatcher(source, target, types, options).Run(element_lsim);
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  auto layout = std::make_shared<TreeMatchLayout>(source, target, options);
+  std::unique_ptr<TreeMatchDelta> delta;
+  double delta_ms = 0.0;
+  if (past != nullptr && !HasJoinViews(source) && !HasJoinViews(target) &&
+      !HasJoinViews(*past->source) && !HasJoinViews(*past->target)) {
+    delta = BuildTreeMatchDelta(source, target, element_lsim, *past, *layout);
+    delta_ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  }
+  TreeMatchResult result = TreeMatcher(source, target, types, options)
+                               .Sweep(element_lsim, layout.get(), delta.get());
+  result.stats.warm = delta != nullptr;
+  result.stats.delta_ms = delta_ms;
+  result.layout = std::move(layout);
+  return result;
 }
 
 Status RecomputeNonLeafSimilarities(const SchemaTree& source,
                                     const SchemaTree& target,
                                     const TreeMatchOptions& options,
                                     TreeMatchResult* result) {
+  // The sweep's layout serves one recompute: taken off the result here.
+  std::shared_ptr<const TreeMatchLayout> layout = std::move(result->layout);
   if (!SupportsIncrementalTreeMatch(options)) {
     return RecomputeNonLeafSimilaritiesReference(source, target, options,
                                                  result);
   }
   CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
   CUPID_RETURN_NOT_OK(CheckSimsShape(source, target, *result));
+  if (layout == nullptr || !layout->BuiltFor(source, target, options)) {
+    auto built = std::make_shared<TreeMatchLayout>(source, target, options);
+    BuildVisitList(options, built.get());
+    layout = std::move(built);
+  }
   TypeCompatibilityTable types = TypeCompatibilityTable::Default();
-  TreeMatchDelta empty = EmptyPast(source, target);
-  TreeMatcher(source, target, types, options).Recompute(&empty, result);
+  TreeMatcher(source, target, types, options).Recompute(*layout, result);
   return Status::OK();
 }
 
@@ -1521,73 +1866,6 @@ bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options) {
   // leaf wsims event-dependent. Everything else composes.
   return options.max_leaf_depth == 0 && options.skip_leaves_threshold == 0.0 &&
          !options.lazy_expansion && !options.leaf_pair_feedback;
-}
-
-namespace {
-
-Status ValidateDelta(const SchemaTree& source, const SchemaTree& target,
-                     const TreeMatchDelta& delta) {
-  if (delta.prev_source == nullptr || delta.prev_target == nullptr ||
-      delta.prev_sweep_ssim == nullptr || delta.prev_final == nullptr ||
-      delta.source_leaves == nullptr || delta.target_leaves == nullptr ||
-      delta.dirty == nullptr || delta.prev_events == nullptr) {
-    return Status::InvalidArgument("TreeMatchDelta is incomplete");
-  }
-  if (delta.source_map.size() != static_cast<size_t>(source.num_nodes()) ||
-      delta.target_map.size() != static_cast<size_t>(target.num_nodes()) ||
-      delta.source_reusable.size() != delta.source_map.size() ||
-      delta.target_reusable.size() != delta.target_map.size() ||
-      delta.source_size_changed.size() != delta.source_map.size() ||
-      delta.target_size_changed.size() != delta.target_map.size() ||
-      delta.source_lsim_same.size() != delta.source_map.size() ||
-      delta.target_lsim_same.size() != delta.target_map.size()) {
-    return Status::InvalidArgument(
-        "TreeMatchDelta maps do not match the trees");
-  }
-  if (delta.prev_sweep_ssim->rows() != delta.prev_source->num_nodes() ||
-      delta.prev_sweep_ssim->cols() != delta.prev_target->num_nodes() ||
-      delta.prev_final->source_nodes() != delta.prev_source->num_nodes() ||
-      delta.prev_final->target_nodes() != delta.prev_target->num_nodes()) {
-    return Status::InvalidArgument(
-        "TreeMatchDelta snapshots do not match the previous trees");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<TreeMatchResult> TreeMatchIncremental(
-    const SchemaTree& source, const SchemaTree& target,
-    const Matrix<float>& element_lsim, const TypeCompatibilityTable& types,
-    const TreeMatchOptions& options, TreeMatchDelta* delta) {
-  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
-  if (!SupportsIncrementalTreeMatch(options)) {
-    return Status::Unsupported(
-        "incremental TreeMatch requires max_leaf_depth == 0, "
-        "skip_leaves_threshold == 0, and lazy_expansion / "
-        "leaf_pair_feedback off");
-  }
-  CUPID_RETURN_NOT_OK(CheckLsimShape(source, target, element_lsim));
-  CUPID_RETURN_NOT_OK(ValidateDelta(source, target, *delta));
-  return TreeMatcher(source, target, types, options).Sweep(element_lsim, delta);
-}
-
-Status RecomputeNonLeafSimilaritiesIncremental(const SchemaTree& source,
-                                               const SchemaTree& target,
-                                               const TreeMatchOptions& options,
-                                               TreeMatchDelta* delta,
-                                               TreeMatchResult* result) {
-  CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(options));
-  if (!SupportsIncrementalTreeMatch(options)) {
-    return Status::Unsupported(
-        "incremental recompute requires the incremental TreeMatch option "
-        "subset");
-  }
-  CUPID_RETURN_NOT_OK(CheckSimsShape(source, target, *result));
-  CUPID_RETURN_NOT_OK(ValidateDelta(source, target, *delta));
-  TypeCompatibilityTable types = TypeCompatibilityTable::Default();
-  TreeMatcher(source, target, types, options).Recompute(delta, result);
-  return Status::OK();
 }
 
 }  // namespace cupid

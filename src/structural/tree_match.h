@@ -4,16 +4,20 @@
 //
 // One engine runs the sweep and the Section 7 recompute for every option set
 // SupportsIncrementalTreeMatch accepts: a visit list of the non-leaf pairs
-// surviving the leaf-count prune, over dense leaf-pair matrices. A cold
-// TreeMatch is that engine with an empty past; a warm TreeMatchIncremental
-// adds reuse of the previous run's clean pairs on top of the same sweep. A
-// cold sweep keeps the strong-link predicate of every leaf pair (leaf wsim
-// >= th_accept) as bits, so its scans test 64 leaf links per word; a warm
-// sweep rescans its few dirty pairs with float scans. The Section 7
-// recompute is one body for both: it counts links by popcount over
-// per-node link sets. TreeMatch is serial. The full-grid reference sweep
-// (TreeMatchReference) is the only engine for the remaining Section 8.4
-// variants and the oracle the engine is tested against.
+// surviving the leaf-count prune, over dense leaf-pair matrices. Each phase
+// has one entry point. TreeMatch runs the sweep, cold or, given a
+// TreeMatchPast, warm-started: it decides which itself and reports it in
+// TreeMatchStats::warm. A warm sweep reuses the previous run's clean pairs
+// on top of the same sweep; how the current trees relate to the previous
+// ones stays inside tree_match.cc. A cold sweep keeps the strong-link
+// predicate of every leaf pair (leaf wsim >= th_accept) as bits, so its
+// scans test 64 leaf links per word; a warm sweep rescans its few dirty
+// pairs with float scans. RecomputeNonLeafSimilarities is one body for
+// both: it counts links by popcount over per-node link sets, over the leaf
+// indexes and visit list the sweep left on its result. TreeMatch is
+// serial. The full-grid reference sweep (TreeMatchReference) is the only
+// engine for the remaining Section 8.4 variants and the oracle the engine
+// is tested against.
 
 #ifndef CUPID_STRUCTURAL_TREE_MATCH_H_
 #define CUPID_STRUCTURAL_TREE_MATCH_H_
@@ -21,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "perf/leaf_bitset_index.h"
 #include "structural/similarity_matrix.h"
 #include "structural/type_compatibility.h"
 #include "tree/schema_tree.h"
@@ -117,6 +120,11 @@ struct TreeMatchStats {
   /// Warm runs only: node pairs whose feedback decision diverged from the
   /// previous run (their leaf blocks were re-marked dirty).
   int64_t feedback_divergences = 0;
+  /// The sweep warm-started from a TreeMatchPast; false when it ran cold.
+  bool warm = false;
+  /// Time spent relating the trees to a TreeMatchPast (the warm-start
+  /// delta, leaf indexes included), ms; 0 when no delta was attempted.
+  double delta_ms = 0.0;
 };
 
 /// One increase/decrease feedback event of a structural sweep, recorded in
@@ -130,6 +138,10 @@ struct FeedbackEvent {
   int8_t direction = 0;
 };
 
+/// The visit-list engine's leaf indexes and visit list over one tree pair
+/// (opaque; defined in tree_match.cc).
+struct TreeMatchLayout;
+
 /// Result of structural matching.
 struct TreeMatchResult {
   NodeSimilarities sims;
@@ -137,6 +149,37 @@ struct TreeMatchResult {
   /// incremental run's clean-pair replay; empty after Recompute-only calls).
   std::vector<FeedbackEvent> events;
   TreeMatchStats stats;
+  /// The layout the visit-list sweep ran over, left for
+  /// RecomputeNonLeafSimilarities on the same trees, which drops it. Null
+  /// after the recompute and for the reference engine.
+  std::shared_ptr<const TreeMatchLayout> layout;
+};
+
+/// \brief What the previous run of a schema pair left for a warm start, and
+/// how the current schemas relate to it. Everything must stay alive and
+/// unchanged during the TreeMatch call.
+struct TreeMatchPast {
+  /// The previous run's trees.
+  const SchemaTree* source = nullptr;
+  const SchemaTree* target = nullptr;
+  /// Its element lsim (TreeMatch's `element_lsim` input then).
+  const Matrix<float>* element_lsim = nullptr;
+  /// Its final result (after the Section 7 recompute), with the sweep's
+  /// feedback events: the one record of the previous run's decisions.
+  const TreeMatchResult* result = nullptr;
+  /// Its ssim after the sweep, before the recompute.
+  const Matrix<float>* sweep_ssim = nullptr;
+  /// Per element of the current source (target) schema, its element in the
+  /// previous schema or kNoElement. Any map is sound: a wrong pairing only
+  /// costs reuse.
+  const std::vector<ElementId>* source_element_map = nullptr;
+  const std::vector<ElementId>* target_element_map = nullptr;
+  /// Per element of the current source (target) schema: unmapped, or its
+  /// lsim-relevant features changed. Every lsim cell between two unflagged
+  /// elements must equal the previous run's cell bit for bit (the
+  /// categorizer's locality contract, linguistic/categorizer.h).
+  const std::vector<uint8_t>* source_changed = nullptr;
+  const std::vector<uint8_t>* target_changed = nullptr;
 };
 
 /// \brief Runs TreeMatch over two schema trees.
@@ -157,16 +200,34 @@ struct TreeMatchResult {
 ///
 /// Runs the visit-list engine when SupportsIncrementalTreeMatch(options),
 /// the reference sweep otherwise; both give bit-identical results.
+///
+/// With a `past`, the visit-list sweep warm-starts: node pairs whose inputs
+/// provably match the previous run's copy their similarities or replay
+/// their recorded feedback event, and only pairs reachable from changed
+/// leaves (plus pairs whose feedback decision diverges from the previous
+/// run's) are rescanned. It warm-starts only when the options are
+/// supported, no tree (current or previous) has join-view nodes, and the
+/// element maps keep the relative post-order of the nodes they map;
+/// otherwise it runs cold. stats.warm says which ran. A malformed past
+/// (sizes that do not match the trees or schemas) is InvalidArgument.
+///
+/// A warm sweep's post-sweep ssim, events and leaf ssim equal a cold
+/// sweep's cell for cell, but it writes no leaf-pair wsim and no wsim of
+/// pairs it skipped: only after RecomputeNonLeafSimilarities is the result
+/// bit-identical to a cold one.
 Result<TreeMatchResult> TreeMatch(const SchemaTree& source,
                                   const SchemaTree& target,
                                   const Matrix<float>& element_lsim,
                                   const TypeCompatibilityTable& types,
-                                  const TreeMatchOptions& options = {});
+                                  const TreeMatchOptions& options = {},
+                                  const TreeMatchPast* past = nullptr);
 
 /// \brief The second post-order pass of Section 7: recomputes non-leaf ssim
 /// and wsim from the *final* leaf similarities, so non-leaf mappings reflect
 /// the increases/decreases applied after those pairs were first compared.
-/// Mutates `result->sims` in place.
+/// Mutates `result->sims` in place. Reuses the leaf indexes and visit list
+/// the sweep left on `result` when it ran over these trees and options, and
+/// builds them otherwise.
 Status RecomputeNonLeafSimilarities(const SchemaTree& source,
                                     const SchemaTree& target,
                                     const TreeMatchOptions& options,
@@ -193,106 +254,6 @@ Status RecomputeNonLeafSimilaritiesReference(const SchemaTree& source,
 /// positive, th_low <= th_accept <= th_high).
 Status ValidateTreeMatchOptions(const TreeMatchOptions& options);
 
-// ------------------------------------------------ incremental re-matching --
-
-/// \brief Cross-run warm-start input for TreeMatchIncremental, describing
-/// how the current trees relate to the previous run's trees.
-///
-/// Built by core/match_pipeline.cc (BuildTreeMatchDelta); consumed and
-/// MUTATED by TreeMatchIncremental: feedback divergences mark further leaf
-/// blocks dirty, and the sweep stores its visit list here for
-/// RecomputeNonLeafSimilaritiesIncremental to reuse.
-struct TreeMatchDelta {
-  /// Per NEW tree node, the corresponding node of the previous run's tree,
-  /// or kNoTreeNode. One-to-one; read off the lsim plan's element
-  /// correspondence and anchored at the parent's counterpart, so a mapped
-  /// node's parent is mapped too.
-  std::vector<TreeNodeId> source_map;
-  std::vector<TreeNodeId> target_map;
-  /// Node is mapped AND its leaf set corresponds leaf-for-leaf to the
-  /// previous node's (same mapped leaves, same relative optionality). This
-  /// certifies leaf-set MEMBERSHIP only: per-cell differences — renamed or
-  /// retyped leaves, changed lsim — live in `dirty`, so any reuse decision
-  /// must consult the dirty bits as well, never this flag alone.
-  std::vector<uint8_t> source_reusable;
-  std::vector<uint8_t> target_reusable;
-  /// Dense leaf indexes over the NEW trees.
-  std::unique_ptr<LeafIndex> source_leaves;
-  std::unique_ptr<LeafIndex> target_leaves;
-  /// Leaf pairs whose link-relevant inputs (lsim, type-seeded ssim, or
-  /// feedback history) may differ from the previous run, row-major over
-  /// source leaves.
-  std::unique_ptr<LeafPairBits> dirty;
-  /// Side-attributed dirt, by DENSE leaf index: a full-row mark dirties
-  /// only its source leaf, a full-column mark only its target leaf, and
-  /// sparse/block marks both sides. A node pair whose source range has no
-  /// attributed source dirt AND whose target range has no attributed target
-  /// dirt provably has an empty dirty block (every mark shape implies one
-  /// of the two) — the factorized dirty half of the clean-pair test, which
-  /// keeps a single edited row from smearing "dirty" across every node of
-  /// the other side.
-  std::vector<uint8_t> source_leaf_dirty;
-  std::vector<uint8_t> target_leaf_dirty;
-
-  /// Marks leaves(ns) x leaves(nt) dirty.
-  void MarkBlockDirty(TreeNodeId ns, TreeNodeId nt) {
-    dirty->SetBlock(ns, nt);
-    // Bounding dense ranges: a superset for DAG-shaped trees, which only
-    // forces recomputation.
-    for (int32_t r = source_leaves->range_begin(ns);
-         r < source_leaves->range_end(ns); ++r) {
-      source_leaf_dirty[static_cast<size_t>(r)] = 1;
-    }
-    for (int32_t c = target_leaves->range_begin(nt);
-         c < target_leaves->range_end(nt); ++c) {
-      target_leaf_dirty[static_cast<size_t>(c)] = 1;
-    }
-  }
-  void MarkSourceRowDirty(TreeNodeId x) {
-    dirty->SetRowAll(x);
-    source_leaf_dirty[static_cast<size_t>(source_leaves->dense(x))] = 1;
-  }
-  void MarkTargetColDirty(TreeNodeId y) {
-    dirty->SetColAll(y);
-    target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
-  }
-  /// Per NEW tree node: the node is mapped and its true-leaf frontier SIZE
-  /// differs from its previous counterpart's. Only such nodes can flip a
-  /// gathered pair's leaf-count prune decision, so the warm sweep zeroes
-  /// stale post-sweep ssim over these rows/columns alone instead of the
-  /// full pair grid (unmapped rows and columns gather nothing).
-  std::vector<uint8_t> source_size_changed;
-  std::vector<uint8_t> target_size_changed;
-  /// Per NEW tree node: the node is mapped and the lsim plan left its
-  /// element unchanged (the categorizer's locality contract,
-  /// linguistic/categorizer.h), so every lsim cell between two flagged
-  /// nodes is bitwise equal to its previous counterpart. False is always
-  /// safe (it only forces recomputation).
-  std::vector<uint8_t> source_lsim_same;
-  std::vector<uint8_t> target_lsim_same;
-  /// The previous sweep's feedback events in firing order: replayed on
-  /// clean pairs, and the one record of the previous run's decisions.
-  const std::vector<FeedbackEvent>* prev_events = nullptr;
-  /// The sweep/recompute visit list: per source node, [visit_begin[ns],
-  /// visit_end[ns]) spans into visit_data (target nodes in post-order that
-  /// form a non-pruned non-leaf pair with ns). Built by TreeMatchIncremental
-  /// and shared with RecomputeNonLeafSimilaritiesIncremental.
-  std::vector<int32_t> visit_begin, visit_end;
-  std::vector<TreeNodeId> visit_data;
-  /// The previous run's trees (for the post-order check and the event
-  /// merge) and
-  /// similarity snapshots: the post-sweep ssim matrix (before the Section 7
-  /// recompute; its lsim/wsim companions are never consulted, so only ssim
-  /// is kept) and the final NodeSimilarities (after the recompute). The
-  /// post-sweep ssim is exact: a warm sweep zeroes the cells of pairs
-  /// pruned now, so by induction from a cold start it equals a cold
-  /// sweep's ssim cell for cell. All must outlive the incremental calls.
-  const SchemaTree* prev_source = nullptr;
-  const SchemaTree* prev_target = nullptr;
-  const Matrix<float>* prev_sweep_ssim = nullptr;
-  const NodeSimilarities* prev_final = nullptr;
-};
-
 /// \brief The leaf-count pruning rule of the sweep, over two frontier
 /// sizes. One home for the ratio arithmetic of the reference sweep, the
 /// visit-list build and the warm sweep's stale-cell zeroing.
@@ -305,38 +266,6 @@ bool PrunedByLeafCount(const TreeMatchOptions& options, size_t source_leaves,
 /// Everything else (thresholds, weights, optional discounting, leaf-count
 /// pruning) composes with it.
 bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options);
-
-/// \brief TreeMatch warm-started from a previous run.
-///
-/// The same engine as a cold TreeMatch, with a past: node pairs whose
-/// inputs provably match the previous run's copy their similarities or
-/// replay their recorded feedback event; only pairs reachable from the
-/// delta's dirty leaf set (plus pairs whose feedback decision diverges,
-/// detected on the fly against the previous run's events) are rescanned.
-/// `delta->dirty` is updated in place. A delta whose correspondence breaks
-/// the relative post-order of mapped nodes runs the cold sweep.
-///
-/// The post-sweep ssim, the events and the leaf ssim equal TreeMatch's
-/// cell for cell, but the warm sweep writes no leaf-pair wsim and no wsim
-/// of pairs it skipped: the result is bit-identical to TreeMatch followed
-/// by RecomputeNonLeafSimilarities only after
-/// RecomputeNonLeafSimilaritiesIncremental.
-Result<TreeMatchResult> TreeMatchIncremental(const SchemaTree& source,
-                                             const SchemaTree& target,
-                                             const Matrix<float>& element_lsim,
-                                             const TypeCompatibilityTable& types,
-                                             const TreeMatchOptions& options,
-                                             TreeMatchDelta* delta);
-
-/// \brief The Section 7 recompute pass after TreeMatchIncremental: the
-/// same popcount pass as RecomputeNonLeafSimilarities, over the delta's
-/// leaf indexes and the visit list the sweep left on it (built here when
-/// absent). Bit-identical to RecomputeNonLeafSimilarities.
-Status RecomputeNonLeafSimilaritiesIncremental(const SchemaTree& source,
-                                               const SchemaTree& target,
-                                               const TreeMatchOptions& options,
-                                               TreeMatchDelta* delta,
-                                               TreeMatchResult* result);
 
 }  // namespace cupid
 

@@ -192,6 +192,53 @@ TEST(MatchPipelineTest, WarmSweepSnapshotEqualsColdSnapshot) {
   }
 }
 
+TEST(MatchPipelineTest, OrderBreakingPriorIdsRunTheColdSweep) {
+  // Prior ids that swap two sibling leaves reverse their post-order across
+  // the runs, which the warm sweep's replay merge cannot follow: TreeMatch
+  // must run cold, say so, and still equal a cold run.
+  Thesaurus thesaurus = DefaultThesaurus();
+  CupidConfig config;
+  LsimCache cache(&thesaurus, config.linguistic);
+  SyntheticOptions opt;
+  opt.num_elements = 60;
+  opt.seed = 4;
+  SyntheticPair pair = GenerateSyntheticPair(opt);
+  const MatchSide source{std::make_shared<const Schema>(pair.source), nullptr};
+  const MatchSide target{std::make_shared<const Schema>(pair.target), nullptr};
+  MatchSnapshot snapshot;
+  auto first = RunMatchPipeline(&thesaurus, config, source, target, {}, &cache,
+                                nullptr, &snapshot, "test.cold");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const SchemaTree& tree = snapshot.source->tree;
+  std::vector<ElementId> prior_ids;
+  for (ElementId e = 0; e < pair.source.num_elements(); ++e) {
+    prior_ids.push_back(e);
+  }
+  bool swapped = false;
+  for (TreeNodeId n = 0; n < tree.num_nodes() && !swapped; ++n) {
+    std::vector<TreeNodeId> leaf_kids;
+    for (TreeNodeId c : tree.node(n).children) {
+      if (tree.IsLeaf(c)) leaf_kids.push_back(c);
+    }
+    if (leaf_kids.size() < 2) continue;
+    std::swap(prior_ids[static_cast<size_t>(tree.node(leaf_kids[0]).source)],
+              prior_ids[static_cast<size_t>(tree.node(leaf_kids[1]).source)]);
+    swapped = true;
+  }
+  ASSERT_TRUE(swapped) << "no node with two leaf children";
+  // A copy of the source schema, as an edit would make: the pipeline maps
+  // the past's own schema object by identity.
+  const MatchSide copy{std::make_shared<const Schema>(pair.source), nullptr};
+  MatchPast past{&*first, &snapshot, &prior_ids, nullptr};
+  MatchSnapshot rerun;
+  auto run = RunMatchPipeline(&thesaurus, config, copy, target, {}, &cache,
+                              &past, &rerun, "test.warm");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_FALSE(rerun.warm);
+  EXPECT_FALSE(run->tree_match.stats.warm);
+  ExpectIdenticalResults(*run, *first, "order-breaking prior ids");
+}
+
 TEST(MatchSessionPropertyTest, UnsupportedOptionsFallBackToFullRecompute) {
   CupidConfig config;
   config.tree_match.lazy_expansion = true;  // outside the warm-start subset

@@ -21,6 +21,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -852,6 +855,59 @@ TEST(SubscriptionTest, SlowSubscriberIsDroppedNotWaitedOn) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(fx.broker()->subscriptions(), 0);
+}
+
+/// An event queued before a subscription registered pushes nothing to it:
+/// the subscription's priming match already saw that mutation. The first
+/// subscriber's push blocks the notifier so the second edit stays queued
+/// while the second client subscribes.
+TEST(SubscriptionTest, EventsQueuedBeforeSubscribingPushNothing) {
+  Thesaurus thesaurus = DefaultThesaurus();
+  SchemaRepository repo;
+  ASSERT_TRUE(repo.RegisterText("a", SchemaFormat::kNative, kSchemaA).ok());
+  ASSERT_TRUE(repo.RegisterText("b", SchemaFormat::kNative, kSchemaB).ok());
+  obs::MetricsRegistry metrics;
+  MatchService::Options service_options;
+  service_options.metrics = &metrics;
+  MatchService service(&thesaurus, &repo, service_options);
+  std::mutex frames_mu;
+  std::map<uint64_t, std::vector<std::string>> frames;
+  std::promise<void> blocked, release;
+  std::future<void> notifier_blocked = blocked.get_future();
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> first_push{true};
+  SubscriptionBroker::Options broker_options;
+  broker_options.metrics = &metrics;
+  SubscriptionBroker broker(
+      &service, /*scheduler=*/nullptr,
+      [&](uint64_t client_id, const std::string& frame) {
+        if (client_id == 1 && first_push.exchange(false)) {
+          blocked.set_value();
+          released.wait();
+        }
+        std::lock_guard<std::mutex> lock(frames_mu);
+        frames[client_id].push_back(frame);
+        return true;
+      },
+      broker_options);
+  broker.AttachTo(&repo);
+  auto rename = [&repo](const char* path, const char* to) {
+    return repo.ApplyEdit("a", SchemaEdit::RenameElement(EditSide::kSource,
+                                                         path, to))
+        .ok();
+  };
+  // No ASSERT until the notifier is released: the broker's destructor
+  // would wait on it.
+  EXPECT_TRUE(broker.Subscribe(1, "a", "b", CupidConfig()).ok());
+  EXPECT_TRUE(rename("A.R.Qty", "Quantity"));
+  EXPECT_EQ(notifier_blocked.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_TRUE(rename("A.R.Quantity", "Qty"));
+  EXPECT_TRUE(broker.Subscribe(2, "a", "b", CupidConfig()).ok());
+  release.set_value();
+  broker.Stop();  // delivers every queued event
+  EXPECT_EQ(frames[1].size(), 2u);
+  EXPECT_TRUE(frames[2].empty()) << frames[2].front();
 }
 
 TEST(SubscriptionTest, SubscribeValidatesPair) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/datasets.h"
@@ -558,6 +560,163 @@ TEST(EngineOracleTest, SeededSyntheticPairs) {
             std::to_string(shape.seed));
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// ----------------------------------------------------- warm-start past --
+
+/// A cold run over a synthetic pair, kept as the TreeMatchPast of a rematch
+/// of the same pair: identity element maps and nothing flagged changed,
+/// which is exactly what an unedited pair relates to its previous run by.
+struct PastFixture {
+  PastFixture() : pair(MakePair()) {
+    Thesaurus th = DefaultThesaurus();
+    lsim = LinguisticMatcher(&th, {})
+               .Match(pair.source, pair.target)
+               .ValueOrDie()
+               .lsim;
+    source_tree.emplace(BuildSchemaTree(pair.source).ValueOrDie());
+    target_tree.emplace(BuildSchemaTree(pair.target).ValueOrDie());
+    prev = ColdMatch();
+    for (ElementId e = 0; e < pair.source.num_elements(); ++e) {
+      source_map.push_back(e);
+    }
+    for (ElementId e = 0; e < pair.target.num_elements(); ++e) {
+      target_map.push_back(e);
+    }
+    source_changed.assign(source_map.size(), 0);
+    target_changed.assign(target_map.size(), 0);
+  }
+
+  static SyntheticPair MakePair() {
+    SyntheticOptions opt;
+    opt.num_elements = 60;
+    opt.seed = 11;
+    return GenerateSyntheticPair(opt);
+  }
+
+  /// Cold TreeMatch plus recompute, keeping the post-sweep ssim.
+  TreeMatchResult ColdMatch() {
+    TreeMatchResult r =
+        TreeMatch(*source_tree, *target_tree, lsim, types).ValueOrDie();
+    sweep_ssim = r.sims.ssim_matrix();
+    EXPECT_TRUE(
+        RecomputeNonLeafSimilarities(*source_tree, *target_tree, {}, &r).ok());
+    return r;
+  }
+
+  TreeMatchPast Past() const {
+    return {&*source_tree, &*target_tree, &lsim,           &prev,
+            &sweep_ssim,   &source_map,   &target_map,     &source_changed,
+            &target_changed};
+  }
+
+  Result<TreeMatchResult> Warm(const TreeMatchPast& past) const {
+    return TreeMatch(*source_tree, *target_tree, lsim, types, {}, &past);
+  }
+
+  SyntheticPair pair;
+  Matrix<float> lsim;
+  std::optional<SchemaTree> source_tree, target_tree;
+  TypeCompatibilityTable types = TypeCompatibilityTable::Default();
+  TreeMatchResult prev;
+  Matrix<float> sweep_ssim;
+  std::vector<ElementId> source_map, target_map;
+  std::vector<uint8_t> source_changed, target_changed;
+};
+
+TEST(TreeMatchPastTest, UnchangedPairWarmStartsAndEqualsCold) {
+  PastFixture f;
+  const TreeMatchPast past = f.Past();
+  auto warm = f.Warm(past);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->stats.warm);
+  EXPECT_GT(warm->stats.pairs_reused, 0);
+  ASSERT_TRUE(RecomputeNonLeafSimilarities(*f.source_tree, *f.target_tree, {},
+                                           &*warm)
+                  .ok());
+  ExpectIdenticalStructural(*warm, f.prev, "unchanged pair");
+}
+
+TEST(TreeMatchPastTest, MalformedPastIsInvalidArgument) {
+  PastFixture f;
+  auto expect_invalid = [&](const TreeMatchPast& past, const char* what) {
+    auto r = f.Warm(past);
+    EXPECT_TRUE(r.status().IsInvalidArgument())
+        << what << ": " << r.status().ToString();
+  };
+  {
+    TreeMatchPast past = f.Past();
+    past.result = nullptr;
+    expect_invalid(past, "incomplete past");
+  }
+  {
+    // The previous post-sweep ssim does not match the previous trees.
+    Matrix<float> small(1, 1);
+    TreeMatchPast past = f.Past();
+    past.sweep_ssim = &small;
+    expect_invalid(past, "post-sweep ssim");
+  }
+  {
+    // The previous sims do not match the previous trees.
+    TreeMatchResult other;
+    other.sims = NodeSimilarities(1, 1);
+    TreeMatchPast past = f.Past();
+    past.result = &other;
+    expect_invalid(past, "previous sims");
+  }
+  {
+    // The element maps or changed flags do not cover the current schemas.
+    std::vector<ElementId> short_map(f.source_map.begin(),
+                                     f.source_map.end() - 1);
+    std::vector<uint8_t> short_flags(f.target_changed.begin(),
+                                     f.target_changed.end() - 1);
+    TreeMatchPast past = f.Past();
+    past.source_element_map = &short_map;
+    expect_invalid(past, "source element map");
+    past = f.Past();
+    past.target_element_map = &short_map;
+    expect_invalid(past, "target element map");
+    past = f.Past();
+    past.target_changed = &short_flags;
+    expect_invalid(past, "target changed flags");
+    past = f.Past();
+    past.source_changed = &short_flags;
+    expect_invalid(past, "source changed flags");
+  }
+}
+
+TEST(TreeMatchPastTest, OrderBreakingElementMapRunsCold) {
+  PastFixture f;
+  // Swap the maps of two sibling leaves: each maps to the other's previous
+  // node, so the correspondence reverses their post-order, which the replay
+  // merge cannot follow. Their elements are flagged changed, as an element
+  // map that pairs differently named elements would be.
+  const SchemaTree& tree = *f.source_tree;
+  ElementId a = kNoElement, b = kNoElement;
+  for (TreeNodeId n = 0; n < tree.num_nodes() && b == kNoElement; ++n) {
+    std::vector<TreeNodeId> leaf_kids;
+    for (TreeNodeId c : tree.node(n).children) {
+      if (tree.IsLeaf(c)) leaf_kids.push_back(c);
+    }
+    if (leaf_kids.size() >= 2) {
+      a = tree.node(leaf_kids[0]).source;
+      b = tree.node(leaf_kids[1]).source;
+    }
+  }
+  ASSERT_NE(b, kNoElement) << "no node with two leaf children";
+  std::swap(f.source_map[static_cast<size_t>(a)],
+            f.source_map[static_cast<size_t>(b)]);
+  f.source_changed[static_cast<size_t>(a)] = 1;
+  f.source_changed[static_cast<size_t>(b)] = 1;
+  const TreeMatchPast past = f.Past();
+  auto warm = f.Warm(past);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_FALSE(warm->stats.warm);
+  EXPECT_EQ(warm->stats.pairs_reused, 0);
+  ASSERT_TRUE(RecomputeNonLeafSimilarities(*f.source_tree, *f.target_tree, {},
+                                           &*warm)
+                  .ok());
+  ExpectIdenticalStructural(*warm, f.prev, "order-breaking map");
 }
 
 }  // namespace
